@@ -17,8 +17,8 @@ from sampled_pmp import parking as pk
 
 def main():
     for (M, tf, T) in [(2.0, 4.0, 2.0), (2.0, 3.0, 1.0)]:
-        controls, (p1, p2f), cert = pk.solve_parking(M, tf, T)
-        grid = sp.build_grid(tf, T)
+        extremal, (p1, p2f), cert = pk.solve_parking(M, tf, T)
+        controls, grid = extremal.controls, extremal.grid
         print(f"parking M={M}, t_f={tf}, T={T} (K={grid.n_intervals})")
         print(f"  multipliers: p1={p1:+.9f}, p2(t_f)={p2f:+.9f}")
         print(f"  controls:    {np.round(controls.values.ravel(), 9)}")
@@ -29,13 +29,13 @@ def main():
 
     # tamper with one control: the checker must notice
     M, tf, T = 2.0, 4.0, 2.0
-    controls, (p1, p2f), _ = pk.solve_parking(M, tf, T)
-    bumped = controls.values.copy()
+    extremal, _, _ = pk.solve_parking(M, tf, T)
+    bumped = extremal.controls.values.copy()
     bumped[0, 0] += 0.1
     prob = pk.parking_problem(M, tf)
-    grid = sp.build_grid(tf, T)
-    ext = sp.integrate_extremal_forward(prob, grid, bumped, np.array([M, 0.0]),
-                                        np.array([p1, p1 * tf + p2f]), -1.0)
+    ext = sp.integrate_extremal_forward(prob, extremal.grid, bumped,
+                                        np.array([M, 0.0]),
+                                        extremal.adjoint.initial, -1.0)
     bad = sp.check_certificate(prob, ext)
     print(f"\nafter bumping u_0 by +0.1: verdict = {bad.verdict}")
     for v in bad.violations:

@@ -20,22 +20,22 @@ def main():
         print(f"M={M}, t_f={tf}")
         print(f"  {'T':>6} {'K':>4} {'sup dev (midpoints)':>20} "
               f"{'sampled cost':>14} {'permanent':>11}")
-        for row in pk.sweep_periods(M, tf, periods):
+        rows = pk.sweep_periods(M, tf, periods)
+        for row in rows:
             print(f"  {row.T:>6g} {row.K:>4} {row.sup_dev:>20.3e} "
                   f"{row.cost_sampled:>14.9f} {row.cost_permanent:>11.9f}")
 
-    # figures for the coarser periods of the unconstrained instance
-    M, tf = 2.0, 4.0
-    for T in (1.0, 0.5):
-        controls, _, _ = pk.solve_parking(M, tf, T)
-        grid = sp.build_grid(tf, T)
+    # figures for the coarser periods of the unconstrained instance (the
+    # last rows swept), drawn from the controls each row carries
+    for row in rows[:2]:
+        grid = sp.build_grid(tf, row.T)
         ts = np.linspace(0, tf, 1000)
-        fig = SvgPlot(title=f"sampled (T={T:g}) vs permanent control",
+        fig = SvgPlot(title=f"sampled (T={row.T:g}) vs permanent control",
                       xlabel="t", ylabel="u")
         fig.add_line(ts, pk.permanent_control(M, tf, ts), color="red")
-        fig.add_crosses(np.asarray(grid.times), controls.values[:, 0],
+        fig.add_crosses(np.asarray(grid.times), row.controls.values[:, 0],
                         color="blue")
-        name = f"sweep_T{T:g}.svg"
+        name = f"sweep_T{row.T:g}.svg"
         fig.save(name)
         print(f"wrote {name}")
 

@@ -8,7 +8,6 @@ instances use T = 0.5.
 
 import numpy as np
 
-import sampled_pmp as sp
 from sampled_pmp import parking as pk
 from sampled_pmp.svgfig import SvgPlot
 
@@ -16,8 +15,8 @@ from sampled_pmp.svgfig import SvgPlot
 def main():
     T = 0.5
     for (M, tf) in [(2.0, 3.0), (2.0, 4.0)]:
-        controls, _, _ = pk.solve_parking(M, tf, T)
-        grid = sp.build_grid(tf, T)
+        extremal, _, _ = pk.solve_parking(M, tf, T)
+        controls, grid = extremal.controls, extremal.grid
         ts = np.linspace(0, tf, 1000)
         fig = SvgPlot(title=f"sample-and-hold, M={M:g}, t_f={tf:g}, T={T:g}",
                       xlabel="t", ylabel="u")

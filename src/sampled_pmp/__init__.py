@@ -22,10 +22,10 @@ from .problem import (Ball, Box, ControlSequence, FixedEndpoints,
 from .problems import lti_problem
 from .simulate import (AdjointArc, Extremal, Trajectory, average_hamiltonian,
                        average_u_gradient, integrate_extremal_forward,
-                       integrate_interval, match_terminal_adjoint, simulate,
-                       write_trajectory_csv)
+                       integrate_interval, simulate, write_trajectory_csv)
 from .solver import (ShootingUnknowns, SolverConfig, estimate_inner_step,
-                     shooting_residual, solve, solve_interval_control)
+                     match_terminal_adjoint, shooting_residual, solve,
+                     solve_interval_control)
 from . import parking
 from .specfile import LoadedSpec, SpecError, load_problem_spec
 

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -262,21 +261,6 @@ def _write_manifest(out_dir: Path, payload: dict, outputs) -> None:
         fh.write("\n")
 
 
-def _config_dict(config: SolverConfig) -> dict:
-    return {
-        "inner_step": config.inner_step,
-        "inner_tol": config.inner_tol,
-        "inner_max_iter": config.inner_max_iter,
-        "newton_tol": config.newton_tol,
-        "newton_max_iter": config.newton_max_iter,
-        "fd_step": config.fd_step,
-        "max_halvings": config.max_halvings,
-        "substeps": config.substeps,
-        "use_broyden": config.use_broyden,
-        "max_kink_restarts": config.max_kink_restarts,
-    }
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -290,27 +274,20 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     stats: dict = {}
     if loaded.builtin == "parking":
-        M = loaded.params["M"]
-        controls, (p1, p2f), cert = parking.solve_parking(M, loaded.t_f,
-                                                          loaded.T, config,
-                                                          stats=stats)
-        grid = build_grid(loaded.t_f, loaded.T)
-        p_init = np.array([p1, p1 * loaded.t_f + p2f])
-        extremal = integrate_extremal_forward(loaded.problem, grid, controls,
-                                              np.array([M, 0.0]), p_init,
-                                              -1.0, config.substeps)
-        unknowns = {"p_init": p_init.tolist(), "multipliers": [p1, p2f]}
+        extremal, (p1, p2f), cert = parking.solve_parking(
+            loaded.params["M"], loaded.t_f, loaded.T, config, stats=stats)
+        unknowns = {"p_init": extremal.adjoint.initial.tolist(),
+                    "multipliers": [p1, p2f]}
     else:
         grid = build_grid(loaded.t_f, loaded.T)
         extremal, cert = solve(loaded.problem, grid, config=config, stats=stats)
-        controls = extremal.controls
         unknowns = {"p_init": extremal.adjoint.initial.tolist()}
         if "unknowns" in stats:
             unknowns["vector"] = stats["unknowns"]
     wall = time.perf_counter() - started
 
-    _write_controls_csv(out_dir / "controls.csv", extremal.grid, controls,
-                        cert.interval_residuals)
+    _write_controls_csv(out_dir / "controls.csv", extremal.grid,
+                        extremal.controls, cert.interval_residuals)
     write_trajectory_csv(extremal, out_dir / "trajectory.csv")
     write_certificate_json(cert, out_dir / "certificate.json")
 
@@ -319,7 +296,7 @@ def cmd_solve(args) -> int:
         inputs[str(args.spec)] = _sha256(args.spec)
     _write_manifest(out_dir, {
         "command": "solve",
-        "config": _config_dict(config),
+        "config": dataclasses.asdict(config),
         "problem": {"builtin": loaded.builtin, "name": loaded.problem.name,
                     "tf": loaded.t_f, "T": loaded.T, **loaded.params},
         "inputs": inputs,
@@ -391,9 +368,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=min(len(periods), os.cpu_count() or 1)) as pool:
-        rows = list(pool.map(lambda T: parking.sweep_row(M, t_f, T, config),
-                             periods))
+    rows = parking.sweep_periods(M, t_f, periods, config)
     wall = time.perf_counter() - started
 
     header = ["T", "K", "sup_dev", "terminal_residual", "max_pmp_residual",
@@ -413,12 +388,12 @@ def cmd_sweep(args) -> int:
         if row.status != "ok":
             continue
         name = f"sweep_T{tok}.svg"
-        _sweep_svg(out_dir / name, M, t_f, row.T, config)
+        _sweep_svg(out_dir / name, M, t_f, row)
         outputs.append(name)
 
     _write_manifest(out_dir, {
         "command": "sweep",
-        "config": _config_dict(config),
+        "config": dataclasses.asdict(config),
         "problem": {"builtin": "parking", "M": M, "tf": t_f},
         "inputs": {str(args.spec): _sha256(args.spec)} if args.spec else {},
         "periods": periods,
@@ -433,14 +408,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_svg(path, M, t_f, T, config) -> None:
-    controls, _, _ = parking.solve_parking(M, t_f, T, config)
-    grid = build_grid(t_f, T)
+def _sweep_svg(path, M, t_f, row) -> None:
+    grid = build_grid(t_f, row.T)
     ts = np.linspace(0.0, t_f, 1000)
-    fig = SvgPlot(title=f"sampled vs permanent control (T={T:g})",
+    fig = SvgPlot(title=f"sampled vs permanent control (T={row.T:g})",
                   xlabel="t", ylabel="u")
     fig.add_line(ts, parking.permanent_control(M, t_f, ts), color="red")
-    fig.add_crosses(np.asarray(grid.times), controls.values[:, 0], color="blue")
+    fig.add_crosses(np.asarray(grid.times), row.controls.values[:, 0],
+                    color="blue")
     fig.save(path)
 
 

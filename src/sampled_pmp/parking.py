@@ -14,7 +14,8 @@ adjoint is affine (p_1 constant, p_2 of slope -p_1), so each interval's
 averaged-gradient condition reduces to the sign pattern of a decreasing
 affine function Gamma_k, and the whole problem collapses to two unknowns
 (p_1, p_2(t_f)) shot at the two terminal constraints through exact
-closed-form propagation.
+closed-form propagation.  This holds on every grid: a partial last interval
+only changes its midpoint coefficient t_f - t_k - Delta_k/2.
 
 This module also carries an independent brute-force oracle: the sampled
 problem is a convex QP in the K control values, solved by active-set
@@ -221,88 +222,33 @@ def sampled_cost(grid: SamplingGrid, controls: ControlSequence) -> float:
 def solve_parking(M: float, t_f: float, T: float,
                   config: Optional[_solver.SolverConfig] = None,
                   stats: Optional[dict] = None):
-    """Solve the sampled parking instance.
+    """Solve the sampled parking instance by two-unknown shooting.
 
-    Returns ``(controls, (p1, p2f), certificate)``.  When t_f is an exact
-    multiple of T the 2x2 shooting system on (p1, p2(t_f)) is solved through
-    the closed-form propagation; otherwise the instance is delegated to the
-    generic indirect-shooting solver on the partial-interval grid.
+    Returns ``(extremal, (p1, p2f), certificate)``.  Newton runs on the 2x2
+    system (p1, p2(t_f)) -> terminal state through the closed-form
+    propagation, which is exact on any grid, a partial last interval
+    included; only the converged multipliers' extremal is integrated, once,
+    and certified.  An unreachable target (one interval, say) raises
+    NonConvergence before anything is integrated.
     """
     ParkingInstance(M=M, t_f=t_f, T=T)
     config = config or _solver.SolverConfig()
     grid = build_grid(t_f, T)
     problem = parking_problem(M, t_f)
 
-    ratio = t_f / T
-    if not (abs(ratio - round(ratio)) <= GRID_SNAP and round(ratio) >= 1):
-        extremal, cert = _solver.solve(problem, grid,
-                                       initial_unknowns=initial_adjoint_guess(M, t_f),
-                                       config=config, stats=stats)
-        p1 = float(extremal.adjoint.initial[0])
-        p2f = float(extremal.adjoint.final[1])
-        return extremal.controls, (p1, p2f), cert
-
-    x = np.array(permanent_multipliers(M, t_f))
-
     def residual(vec):
-        return np.array(parking_shooting_map(vec[0], vec[1], M, grid))
+        return np.array(parking_shooting_map(vec[0], vec[1], M, grid)), None
 
-    def search(x0, rn0, step):
-        scale = 1.0
-        for _ in range(config.max_halvings):
-            x_try = x0 + scale * step
-            r_try = residual(x_try)
-            rn = float(np.linalg.norm(r_try))
-            if rn < rn0:
-                return x_try, r_try, rn
-            scale *= 0.5
-        return None
-
-    r = residual(x)
-    rnorm = float(np.linalg.norm(r))
-    best = (rnorm, x.copy())
-    history = []
-    for iteration in range(config.newton_max_iter):
-        history.append({"iteration": iteration, "residual_norm": rnorm})
-        if rnorm <= config.newton_tol:
-            break
-        h = config.fd_step * (1.0 + float(np.linalg.norm(x)))
-        J = np.empty((2, 2))
-        for i in range(2):
-            e = np.zeros(2); e[i] = h
-            J[:, i] = (residual(x + e) - r) / h
-        found = search(x, rnorm, _solver._newton_step(J, r, regularize=False))
-        if found is None:
-            # saturation kinks between the FD probes can point plain Newton
-            # uphill; damped steps bend toward steepest descent of |r|^2
-            for mu in _solver.FALLBACK_DAMPINGS:
-                found = search(x, rnorm, _solver._damped_step(J, r, mu))
-                if found is not None:
-                    break
-        if found is None:
-            raise NonConvergence(
-                f"parking shooting stalled at residual {rnorm:.3e} "
-                f"(K={grid.n_intervals} may make the target unreachable)",
-                iterate=best[1], residual_norm=best[0], history=history)
-        x, r, rnorm = found
-        if rnorm < best[0]:
-            best = (rnorm, x.copy())
-    else:
-        raise NonConvergence(
-            f"parking shooting did not reach {config.newton_tol:.1e}",
-            iterate=best[1], residual_norm=best[0], history=history)
-
+    x, _ = _solver._damped_newton(
+        residual, np.array(permanent_multipliers(M, t_f)), config, stats=stats,
+        stall_hint=f" (K={grid.n_intervals} may make the target unreachable)")
     p1, p2f = float(x[0]), float(x[1])
     controls = sampled_control_from_multipliers(p1, p2f, grid)
     p_init = np.array([p1, p1 * t_f + p2f])
     extremal = integrate_extremal_forward(problem, grid, controls,
                                           np.array([M, 0.0]), p_init, -1.0,
                                           config.substeps)
-    cert = check_certificate(problem, extremal)
-    if stats is not None:
-        stats.update(iterations=history[-1]["iteration"], residual_norm=rnorm,
-                     history=history, unknowns=[p1, p2f])
-    return controls, (p1, p2f), cert
+    return extremal, (p1, p2f), check_certificate(problem, extremal)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +360,7 @@ class SweepRow:
     cost_permanent: float
     status: str = "ok"
     error: str = ""
+    controls: Optional[ControlSequence] = None     # None on a failed row
 
 
 def sweep_row(M: float, t_f: float, T: float,
@@ -430,13 +377,14 @@ def sweep_row(M: float, t_f: float, T: float,
     """
     grid = build_grid(t_f, T)
     try:
-        controls, (p1, p2f), cert = solve_parking(M, t_f, T, config)
+        extremal, (p1, p2f), cert = solve_parking(M, t_f, T, config)
     except (NonConvergence, ValueError, Infeasible) as exc:
         return SweepRow(T=T, K=grid.n_intervals, sup_dev=np.nan,
                         terminal_residual=np.nan, max_pmp_residual=np.nan,
                         cost_sampled=np.nan,
                         cost_permanent=permanent_cost(M, t_f),
                         status="failed", error=str(exc))
+    controls = extremal.controls
     mids = np.asarray(grid.times) + np.asarray(grid.lengths) / 2.0
     u_star = np.asarray(permanent_control(M, t_f, mids))
     sup_dev = float(np.max(np.abs(controls.values[:, 0] - u_star)))
@@ -446,7 +394,7 @@ def sweep_row(M: float, t_f: float, T: float,
     return SweepRow(T=T, K=grid.n_intervals, sup_dev=sup_dev,
                     terminal_residual=residual, max_pmp_residual=max_r,
                     cost_sampled=sampled_cost(grid, controls),
-                    cost_permanent=permanent_cost(M, t_f))
+                    cost_permanent=permanent_cost(M, t_f), controls=controls)
 
 
 def sweep_periods(M: float, t_f: float, T_list,

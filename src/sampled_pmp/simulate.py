@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegrationBlowUp, NonConvergence
+from .errors import IntegrationBlowUp
 from .problem import ControlSequence, ProblemDefinition, SamplingGrid
 
 # Abort threshold: trial adjoints in Newton iterations can diverge, and a
@@ -127,6 +127,25 @@ def integrate_interval(problem: ProblemDefinition, t_start: float, delta: float,
     return _rk4(rhs, t_start, delta, q_start, substeps)
 
 
+def _extremal_interval(problem: ProblemDefinition, t_start: float,
+                       delta: float, z_start: np.ndarray, u: np.ndarray,
+                       p0: float, substeps: int):
+    """Nodes of the coupled state/adjoint arc over one interval held at ``u``.
+
+    ``z_start`` stacks q and p; the right-hand side is (f, -dH/dq).  Returns
+    (times, nodes) arrays of length substeps+1.
+    """
+    n = problem.n
+
+    def rhs(t, zz):
+        qq, pp = zz[:n], zz[n:]
+        dq = np.asarray(problem.f(t, qq, u), dtype=float)
+        dp = -problem.hamiltonian_q(t, qq, pp, p0, u)
+        return np.concatenate([dq, dp])
+
+    return _rk4(rhs, t_start, delta, z_start, substeps)
+
+
 def _simpson(values: np.ndarray, h: float) -> float:
     """Composite Simpson over uniformly spaced samples (even panel count)."""
     s = len(values) - 1
@@ -207,16 +226,9 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
     z = np.concatenate([q, p])
     for k in range(grid.n_intervals):
         u = controls[k]
-        t_k = grid.times[k]
         delta = grid.lengths[k]
-
-        def rhs(t, zz):
-            qq, pp = zz[:n], zz[n:]
-            dq = np.asarray(problem.f(t, qq, u), dtype=float)
-            dp = -problem.hamiltonian_q(t, qq, pp, p0, u)
-            return np.concatenate([dq, dp])
-
-        times, nodes = _rk4(rhs, t_k, delta, z, substeps)
+        times, nodes = _extremal_interval(problem, grid.times[k], delta, z, u,
+                                          p0, substeps)
         states = nodes[:, :n]
         adjoints = nodes[:, n:]
         f0_nodes = np.array([problem.f0(times[i], states[i], u)
@@ -283,42 +295,6 @@ def average_hamiltonian(problem: ProblemDefinition, extremal: Extremal,
     delta = extremal.grid.lengths[k]
     h = delta / (len(times) - 1)
     return float(_simpson(vals, h) / delta)
-
-
-def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
-                           controls, q0: np.ndarray, p_end: np.ndarray,
-                           p0: float, substeps: int = DEFAULT_SUBSTEPS,
-                           tol: float = 1e-12, max_iter: int = 8) -> np.ndarray:
-    """Initial adjoint p(0) whose forward arc hits ``p_end`` at t_f.
-
-    For a fixed trajectory the adjoint equation is linear in p, so the map
-    p(0) -> p(t_f) is affine and a finite-difference Newton converges in one
-    or two steps.
-    """
-    n = problem.n
-    p_end = np.asarray(p_end, dtype=float)
-    x = np.zeros(n)
-
-    def terminal(p_start):
-        ext = integrate_extremal_forward(problem, grid, controls, q0, p_start,
-                                         p0, substeps)
-        return ext.adjoint.final - p_end
-
-    r = terminal(x)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol:
-            return x
-        h = 1e-6 * (1.0 + np.linalg.norm(x))
-        J = np.empty((n, n))
-        for i in range(n):
-            e = np.zeros(n); e[i] = h
-            J[:, i] = (terminal(x + e) - r) / h
-        x = x + np.linalg.solve(J, -r)
-        r = terminal(x)
-    if np.linalg.norm(r) > tol:
-        raise NonConvergence("terminal adjoint match did not converge",
-                             iterate=x, residual_norm=float(np.linalg.norm(r)))
-    return x
 
 
 # ---------------------------------------------------------------------------

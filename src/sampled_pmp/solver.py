@@ -12,7 +12,11 @@ The shooting map is piecewise smooth: it kinks where a control changes
 saturation status and, for free final times, where the horizon crosses a
 multiple of the sampling period.  The backtracking line search absorbs the
 first kind; the second is handled by nudging the horizon off the multiple
-and restarting the Jacobian (see ``SolverConfig.max_kink_restarts``).
+(see ``SolverConfig.max_kink_restarts``).
+
+The damped Newton driver ``_damped_newton`` is the library's only one: the
+generic shooting, the two-unknown parking shooting and
+``match_terminal_adjoint`` all run on it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (IntegrationBlowUp, InternalInconsistency, NonConvergence,
 from .problem import (ControlSequence, FixedEndpoints, FixedInitialFreeFinal,
                       FreeTime, GeneralTerminal, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid, final_control_index, GRID_SNAP)
-from .simulate import (DEFAULT_SUBSTEPS, Extremal, _rk4, _simpson,
+from .simulate import (DEFAULT_SUBSTEPS, _extremal_interval, _simpson,
                        integrate_extremal_forward)
 
 
@@ -45,7 +49,6 @@ class SolverConfig:
     fd_step: float = 1e-6                 # scaled by (1 + |unknowns|)
     max_halvings: int = 30
     substeps: int = 16
-    use_broyden: bool = False
     max_kink_restarts: int = 3
 
     def __post_init__(self):
@@ -110,15 +113,9 @@ def _unpack(problem: ProblemDefinition, x: np.ndarray) -> ShootingUnknowns:
 def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u, substeps):
     """Average of dH/du over one interval, re-integrating the coupled arc at u."""
     n = problem.n
-
-    def rhs(t, zz):
-        qq, pp = zz[:n], zz[n:]
-        dq = np.asarray(problem.f(t, qq, u), dtype=float)
-        dp = -problem.hamiltonian_q(t, qq, pp, p0, u)
-        return np.concatenate([dq, dp])
-
-    z0 = np.concatenate([q_k, p_k])
-    times, nodes = _rk4(rhs, t_k, delta, z0, substeps)
+    times, nodes = _extremal_interval(problem, t_k, delta,
+                                      np.concatenate([q_k, p_k]), u, p0,
+                                      substeps)
     vals = np.array([problem.hamiltonian_u(times[i], nodes[i, :n], nodes[i, n:],
                                            p0, u)
                      for i in range(len(times))])
@@ -192,7 +189,7 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
                initial_controls=None):
     """Integrate the extremal forward, solving each interval's control.
 
-    Returns (residual_vector, controls, extremal).  Controls are warm-started
+    Returns (residual_vector, extremal).  Controls are warm-started
     from the previous interval (the first from ``initial_controls[0]`` or the
     projected origin).
     """
@@ -254,7 +251,7 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
         k_f = final_control_index(grid.t_f, grid.period)
         k_f_h = problem.hamiltonian(grid.t_f, q_end, p_end, p0, controls[k_f])
         parts.append(np.array([k_f_h]))
-    return np.concatenate(parts), controls, extremal
+    return np.concatenate(parts), extremal
 
 
 def _initial_state(problem, unknowns):
@@ -275,7 +272,7 @@ def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
     config = config or SolverConfig()
     if not isinstance(unknowns, ShootingUnknowns):
         unknowns = _unpack(problem, np.asarray(unknowns, dtype=float))
-    r, _, _ = _propagate(problem, grid, unknowns, config, initial_controls)
+    r, _ = _propagate(problem, grid, unknowns, config, initial_controls)
     return r
 
 
@@ -326,14 +323,16 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
           initial_controls=None, stats: Optional[dict] = None):
     """Solve the sampled-data problem by indirect shooting.
 
-    Damped Newton with a forward-difference Jacobian (optionally Broyden
-    updates between refreshes) and backtracking on the residual norm.  On
-    success returns ``(Extremal, Certificate)`` with the cost multiplier
-    normalized to -1 and a passing certificate; a certificate failure after
-    convergence raises InternalInconsistency.
+    Runs :func:`_damped_newton` on the shooting residual.  On success returns
+    ``(Extremal, Certificate)`` with the cost multiplier normalized to -1 and
+    a passing certificate; a certificate failure after convergence raises
+    InternalInconsistency.
 
     ``initial_unknowns`` may be a ShootingUnknowns, a packed vector, or None
     for the generic origin guess (which gets a regularized first step).
+    History entries carry the active-set signature of the iterate's
+    controls, and for a free final time its horizon; an iterate on a period
+    multiple is nudged off it (see ``SolverConfig.max_kink_restarts``).
     When a ``stats`` dict is supplied it receives the iteration count, the
     final residual norm, the per-iteration history and the solved unknowns.
     """
@@ -362,76 +361,116 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
         return _propagate(problem, grid, _unpack(problem, vec), config,
                           initial_controls)
 
-    history = []
-    r, controls, extremal = residual(x)
-    rnorm = float(np.linalg.norm(r))
-    best = (rnorm, x.copy())
-    J = None
-    J_fresh = False
+    def annotate(vec, extremal):
+        entry = {"active_set": _active_set_signature(problem, extremal.controls)}
+        if has_tf:
+            entry["t_f"] = float(vec[-1])
+        return entry
+
     kink_restarts = 0
 
+    def nudge(vec):
+        # free-time kink: an iterate on a period multiple straddles the k_f
+        # discontinuity; move it just below the multiple
+        nonlocal kink_restarts
+        if (kink_restarts >= config.max_kink_restarts
+                or not _near_period_multiple(vec[-1], grid.period)):
+            return None
+        kink_restarts += 1
+        vec = vec.copy()
+        vec[-1] -= 1e-8 * grid.period
+        return vec
+
+    _, extremal = _damped_newton(residual, x, config,
+                                 regularize_first=generic_guess,
+                                 annotate=annotate,
+                                 nudge=nudge if has_tf else None, stats=stats)
+    cert = check_certificate(problem, extremal)
+    if not cert.passed:
+        raise InternalInconsistency(
+            "converged shooting produced a failing certificate: "
+            + "; ".join(cert.violations))
+    return extremal, cert
+
+
+def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
+                           controls, q0: np.ndarray, p_end: np.ndarray,
+                           p0: float, substeps: int = DEFAULT_SUBSTEPS,
+                           tol: float = 1e-12, max_iter: int = 8) -> np.ndarray:
+    """Initial adjoint p(0) whose forward arc hits ``p_end`` at t_f.
+
+    For a fixed trajectory the adjoint equation is linear in p, so the map
+    p(0) -> p(t_f) is affine and Newton from p(0) = 0 converges in one or
+    two steps.
+    """
+    p_end = np.asarray(p_end, dtype=float)
+
+    def terminal(p_start):
+        ext = integrate_extremal_forward(problem, grid, controls, q0, p_start,
+                                         p0, substeps)
+        return ext.adjoint.final - p_end, None
+
+    config = SolverConfig(newton_tol=tol, newton_max_iter=max_iter)
+    x, _ = _damped_newton(terminal, np.zeros(problem.n), config)
+    return x
+
+
+# ---------------------------------------------------------------------------
+# the damped Newton driver
+# ---------------------------------------------------------------------------
+
+def _damped_newton(residual, x, config: SolverConfig, regularize_first=False,
+                   annotate=None, nudge=None, stats=None, stall_hint=""):
+    """Damped Newton on ``residual(x) -> (r, aux)`` with square r.
+
+    Every iteration builds a forward-difference Jacobian, backtracks along
+    the Newton step (a regularized one at iteration 0 when
+    ``regularize_first``) until the residual norm decreases and, when no
+    scale of it helps, along the FALLBACK_DAMPINGS steps in turn.
+    ``annotate(x, aux)`` returns extra fields for each history entry;
+    ``nudge(x)`` may replace an accepted, unconverged iterate, which is then
+    evaluated afresh.  Returns ``(x, aux)`` once the norm reaches
+    ``newton_tol``, filling ``stats`` when given; otherwise raises
+    NonConvergence with the best iterate and the history.
+    """
+    history = []
+    r, aux = residual(x)
+    rnorm = float(np.linalg.norm(r))
+    best = (rnorm, x.copy())
     for iteration in range(config.newton_max_iter):
-        history.append({
-            "iteration": iteration,
-            "residual_norm": rnorm,
-            "active_set": _active_set_signature(problem, controls),
-            **({"t_f": float(x[-1])} if has_tf else {}),
-        })
+        entry = {"iteration": iteration, "residual_norm": rnorm}
+        if annotate is not None:
+            entry.update(annotate(x, aux))
+        history.append(entry)
         if rnorm <= config.newton_tol:
-            cert = check_certificate(problem, extremal)
-            if not cert.passed:
-                raise InternalInconsistency(
-                    "converged shooting produced a failing certificate: "
-                    + "; ".join(cert.violations))
             if stats is not None:
                 stats.update(iterations=iteration, residual_norm=rnorm,
                              history=history, unknowns=x.tolist())
-            return extremal, cert
+            return x, aux
 
-        if J is None or not config.use_broyden:
-            J = _fd_jacobian(residual, x, r, config)
-            J_fresh = True
-
-        step = _newton_step(J, r, regularize=(generic_guess and iteration == 0))
+        J = _fd_jacobian(residual, x, r, config)
+        step = _newton_step(J, r, regularize=(regularize_first and iteration == 0))
         found = _search_decrease(residual, x, rnorm, step, config)
-        if found is None and config.use_broyden and not J_fresh:
-            # stale Broyden Jacobian: refresh once, then retry the step
-            J = _fd_jacobian(residual, x, r, config)
-            J_fresh = True
-            step = _newton_step(J, r, regularize=False)
-            found = _search_decrease(residual, x, rnorm, step, config)
-        if found is None:
-            for mu in FALLBACK_DAMPINGS:
-                found = _search_decrease(residual, x, rnorm,
-                                         _damped_step(J, r, mu), config)
-                if found is not None:
-                    break
+        for mu in FALLBACK_DAMPINGS:
+            if found is not None:
+                break
+            found = _search_decrease(residual, x, rnorm, _damped_step(J, r, mu),
+                                     config)
         if found is None:
             raise NonConvergence(
-                f"no step direction decreased the residual (at {rnorm:.3e})",
+                f"no step direction decreased the residual (at {rnorm:.3e})"
+                + stall_hint,
                 iterate=best[1], residual_norm=best[0], history=history)
-        x_new, r_new, rn_new, controls, extremal = found
-        if config.use_broyden:
-            dx = x_new - x
-            dr = r_new - r
-            J = J + np.outer((dr - J @ dx) / (dx @ dx), dx)
-            J_fresh = False
-        x, r, rnorm = x_new, r_new, rn_new
-
+        x, r, rnorm, aux = found
         if rnorm < best[0]:
             best = (rnorm, x.copy())
 
-        # free-time kink: an iterate on a period multiple straddles the k_f
-        # discontinuity; nudge just below it and refresh the Jacobian
-        if (has_tf and rnorm > config.newton_tol
-                and _near_period_multiple(x[-1], grid.period)
-                and kink_restarts < config.max_kink_restarts):
-            kink_restarts += 1
-            x = x.copy()
-            x[-1] -= 1e-8 * grid.period
-            r, controls, extremal = residual(x)
-            rnorm = float(np.linalg.norm(r))
-            J = None
+        if nudge is not None and rnorm > config.newton_tol:
+            x_nudged = nudge(x)
+            if x_nudged is not None:
+                x = x_nudged
+                r, aux = residual(x)
+                rnorm = float(np.linalg.norm(r))
 
     raise NonConvergence(
         f"Newton did not reach tolerance {config.newton_tol:.1e} in "
@@ -443,19 +482,19 @@ def _search_decrease(residual, x, rnorm, step, config: SolverConfig):
     """Backtrack along ``step`` until the residual norm decreases.
 
     Integration failures on a trial point count as rejected trials.  Returns
-    (x, r, rnorm, controls, extremal) or None when no scale helped.
+    (x, r, rnorm, aux) or None when no scale helped.
     """
     scale = 1.0
     for _ in range(config.max_halvings):
         x_try = x + scale * step
         try:
-            r_try, c_try, e_try = residual(x_try)
+            r_try, aux_try = residual(x_try)
         except (IntegrationBlowUp, NonConvergence):
             scale *= 0.5
             continue
         rn_try = float(np.linalg.norm(r_try))
         if rn_try < rnorm:
-            return x_try, r_try, rn_try, c_try, e_try
+            return x_try, r_try, rn_try, aux_try
         scale *= 0.5
     return None
 
@@ -465,8 +504,7 @@ def _fd_jacobian(residual, x, r, config: SolverConfig) -> np.ndarray:
     J = np.empty((r.size, x.size))
     for i in range(x.size):
         e = np.zeros(x.size); e[i] = h
-        r_i, _, _ = residual(x + e)
-        J[:, i] = (r_i - r) / h
+        J[:, i] = (residual(x + e)[0] - r) / h
     return J
 
 

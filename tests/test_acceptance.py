@@ -45,7 +45,8 @@ def test_criterion_2_sampled_exact_small_cases():
         assert np.max(np.abs(oracle - expected)) <= 1e-9
 
         t0 = time.perf_counter()
-        controls, (p1, p2f), cert = pk.solve_parking(M, tf, T)
+        solved, (p1, p2f), cert = pk.solve_parking(M, tf, T)
+        controls = solved.controls
         elapsed = time.perf_counter() - t0
         grid = sp.build_grid(tf, T)
         term = math.hypot(*pk.parking_shooting_map(p1, p2f, M, grid))
@@ -70,7 +71,8 @@ def test_criterion_3_oracle_equivalence():
         for K in range(2, 9):
             T = tf / K
             grid = sp.build_grid(tf, T)
-            u_solve, _, _ = pk.solve_parking(2.0, tf, T)
+            solved, _, _ = pk.solve_parking(2.0, tf, T)
+            u_solve = solved.controls
             u_qp = pk.qp_oracle(2.0, tf, T)
             worst_u = max(worst_u, float(np.max(np.abs(u_solve.values - u_qp.values))))
             worst_c = max(worst_c, abs(pk.sampled_cost(grid, u_solve)
@@ -145,13 +147,12 @@ def test_criterion_4_sweep_reproduction():
         details.append(f"(2,{tf:g}): devs="
                        + "/".join(f"{d:.2e}" for d in devs) + " gaps="
                        + "/".join(f"{g:.2e}" for g in gaps))
-        for T, gap in zip(periods, gaps):
+        for T, gap, row in zip(periods, gaps, rows):
             if not gap > 0.0:
                 failures.append(f"(M={M},tf={tf},T={T}): cost gap {gap:.3e} "
                                 f"not positive")
-            controls, _, _ = pk.solve_parking(M, tf, T)
             dist_sq = _l2_dist_sq(M, tf, sp.build_grid(tf, T),
-                                  controls.values[:, 0])
+                                  row.controls.values[:, 0])
             if not dist_sq <= gap + slack:
                 failures.append(f"(M={M},tf={tf},T={T}): ||u_T-u*||^2 "
                                 f"{dist_sq:.3e} > cost gap {gap:.3e}")
@@ -180,7 +181,8 @@ def test_criterion_5_certificate_soundness():
                  (2.0, 3.2, 0.8)]
     checked = flipped = 0
     for (M, tf, T) in instances:
-        controls, (p1, p2f), cert = pk.solve_parking(M, tf, T)
+        solved, (p1, p2f), cert = pk.solve_parking(M, tf, T)
+        controls = solved.controls
         assert cert.passed and cert.tol == 1e-8
         checked += 1
         prob = pk.parking_problem(M, tf)
@@ -269,7 +271,8 @@ def test_criterion_7_integrator_order():
 def test_criterion_8_structural_invariants():
     t0 = time.perf_counter()
     # adjoint structure on a solved instance
-    controls, (p1, p2f), _ = pk.solve_parking(2.0, 4.0, 0.5)
+    solved, (p1, p2f), _ = pk.solve_parking(2.0, 4.0, 0.5)
+    controls = solved.controls
     prob = pk.parking_problem(2.0, 4.0)
     grid = sp.build_grid(4.0, 0.5)
     ext = sp.integrate_extremal_forward(prob, grid, controls,
@@ -283,7 +286,8 @@ def test_criterion_8_structural_invariants():
     # affine law of unsaturated controls
     fit_dev = 0.0
     for (M, tf, T) in [(2.0, 4.0, 1.0), (2.0, 3.0, 0.5)]:
-        ctl, _, _ = pk.solve_parking(M, tf, T)
+        solved, _, _ = pk.solve_parking(M, tf, T)
+        ctl = solved.controls
         g = sp.build_grid(tf, T)
         u = ctl.values[:, 0]
         c = tf - np.asarray(g.times) - np.asarray(g.lengths) / 2

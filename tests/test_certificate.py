@@ -171,7 +171,8 @@ def test_certificate_scale_awareness():
 def test_certificate_average_hamiltonian_grid_search():
     # concave-in-u Hamiltonian: a certified control maximizes the interval
     # average over 2001 grid points of the control set
-    controls, mult, cert = solve_parking(2.0, 3.0, 1.0)
+    solved, mult, cert = solve_parking(2.0, 3.0, 1.0)
+    controls = solved.controls
     assert cert.passed
     p1, p2f = mult
     grid = sp.build_grid(3.0, 1.0)

@@ -42,6 +42,17 @@ def test_solve_writes_artifacts_and_passes(tmp_path):
     assert manifest["unknowns"]["multipliers"][0] == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_solve_parking_integrates_once(tmp_path, parking_f_calls):
+    # K intervals of 16 RK4 substeps, 4 stages each: one integration of the
+    # solved extremal, which the certificate and the artifacts share
+    rc = main(["solve", "--problem", "parking", "--M", "2", "--tf", "3",
+               "--T", "0.1", "--out", str(tmp_path / "run")])
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "run" / "controls.csv")
+    assert len(rows) == 30
+    assert parking_f_calls() == 64 * 30
+
+
 def test_solve_exit_codes(tmp_path):
     # K = 1 cannot satisfy two terminal constraints
     rc = main(["solve", "--problem", "parking", "--M", "2", "--tf", "4",
@@ -227,6 +238,17 @@ def test_sweep_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     for name in manifest["outputs"]:
         assert (out / name).exists()
+
+
+def test_sweep_solves_each_period_once(tmp_path, parking_f_calls):
+    # one integration per period; the SVGs draw the rows' own controls
+    rc = main(["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
+               "--T-list", "1,0.5,0.1", "--out", str(tmp_path / "sw")])
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "sw" / "sweep.csv")
+    Ks = [int(r[1]) for r in rows]
+    assert Ks == [3, 6, 30]
+    assert parking_f_calls() == 64 * sum(Ks)
 
 
 def test_sweep_single_period(tmp_path):

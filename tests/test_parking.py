@@ -7,6 +7,7 @@ import pytest
 
 import sampled_pmp as sp
 from sampled_pmp import parking as pk
+from sampled_pmp import solver
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +192,22 @@ def test_shooting_map_matches_rk4_propagation():
 # ---------------------------------------------------------------------------
 
 def test_solve_parking_small_cases():
-    controls, (p1, p2f), cert = pk.solve_parking(2.0, 4.0, 2.0)
+    solved, (p1, p2f), cert = pk.solve_parking(2.0, 4.0, 2.0)
+    controls = solved.controls
     np.testing.assert_allclose(controls.values.ravel(), [-0.5, 0.5], atol=1e-7)
     assert (p1, p2f) == (pytest.approx(-1.0, abs=1e-6), pytest.approx(2.0, abs=1e-6))
     assert cert.passed
 
-    controls, _, cert = pk.solve_parking(2.0, 3.0, 1.0)
+    solved, _, cert = pk.solve_parking(2.0, 3.0, 1.0)
+    controls = solved.controls
     np.testing.assert_allclose(controls.values.ravel(), [-1.0, 0.0, 1.0],
                                atol=1e-7)
     assert cert.passed
 
 
 def test_solve_parking_fine_grid_tracks_permanent_law():
-    controls, (p1, p2f), cert = pk.solve_parking(2.0, 4.0, 0.01)
+    solved, (p1, p2f), cert = pk.solve_parking(2.0, 4.0, 0.01)
+    controls = solved.controls
     assert len(controls) == 400
     assert cert.passed
     grid = sp.build_grid(4.0, 0.01)
@@ -222,13 +226,32 @@ def test_solve_parking_rejects_bad_instance():
         pk.solve_parking(5.0, 4.0, 1.0)
 
 
-def test_solve_parking_delegates_partial_grid():
-    controls, (p1, p2f), cert = pk.solve_parking(2.0, 3.5, 1.0)
-    assert cert.passed
+def test_solve_parking_partial_grid(monkeypatch):
+    # the closed-form shooting is exact on a partial last interval, so the
+    # generic solver is never needed and agrees with it
     grid = sp.build_grid(3.5, 1.0)
+    generic, _ = sp.solve(pk.parking_problem(2.0, 3.5), grid,
+                          initial_unknowns=pk.initial_adjoint_guess(2.0, 3.5))
+
+    def no_generic_solve(*args, **kwargs):
+        raise AssertionError("solve_parking called the generic solver")
+
+    monkeypatch.setattr(solver, "solve", no_generic_solve)
+    solved, (p1, p2f), cert = pk.solve_parking(2.0, 3.5, 1.0)
+    controls = solved.controls
+    assert cert.passed
     assert len(controls) == 4
     q1f, q2f = pk.parking_shooting_map(p1, p2f, 2.0, grid)
     assert math.hypot(q1f, q2f) <= 1e-9
+    assert np.max(np.abs(controls.values - generic.controls.values)) <= 1e-8
+
+
+def test_solve_parking_rejects_one_interval_without_integrating(parking_f_calls):
+    # T > t_f leaves one interval, which cannot meet two terminal equations;
+    # the closed-form Newton stalls before any arc is integrated
+    with pytest.raises(sp.NonConvergence):
+        pk.solve_parking(2.0, 3.0, 5.0)
+    assert parking_f_calls() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +299,8 @@ def test_oracle_equivalence_sweep():
         for K in range(2, 9):
             T = tf / K
             grid = sp.build_grid(tf, T)
-            u_solve, _, cert = pk.solve_parking(2.0, tf, T)
+            solved, _, cert = pk.solve_parking(2.0, tf, T)
+            u_solve = solved.controls
             u_qp = pk.qp_oracle(2.0, tf, T)
             assert cert.passed, (tf, K)
             assert np.max(np.abs(u_solve.values - u_qp.values)) <= 1e-7, (tf, K)
@@ -290,7 +314,8 @@ def test_generic_path_consistency():
     for tf in (3.0, 3.2, 4.0, 5.0):
         for K in range(2, 9):
             T = tf / K
-            u_fast, _, _ = pk.solve_parking(2.0, tf, T)
+            solved, _, _ = pk.solve_parking(2.0, tf, T)
+            u_fast = solved.controls
             prob = pk.parking_problem(2.0, tf)
             grid = sp.build_grid(tf, T)
             ext, cert = sp.solve(prob, grid,
@@ -306,7 +331,8 @@ def test_generic_path_consistency():
 
 def test_unsaturated_controls_are_affine_in_midpoint_coefficient():
     for (M, tf, T) in [(2.0, 4.0, 1.0), (2.0, 3.0, 0.5), (2.0, 5.0, 1.25)]:
-        controls, _, _ = pk.solve_parking(M, tf, T)
+        solved, _, _ = pk.solve_parking(M, tf, T)
+        controls = solved.controls
         grid = sp.build_grid(tf, T)
         u = controls.values[:, 0]
         c = tf - np.asarray(grid.times) - np.asarray(grid.lengths) / 2
@@ -349,3 +375,4 @@ def test_sweep_row_reports_failure():
     assert rows[0].status == "failed"
     assert rows[0].error
     assert math.isnan(rows[0].sup_dev)
+    assert rows[0].controls is None

@@ -209,15 +209,6 @@ def test_solve_full_controls_independent_of_inner_seed():
     assert np.max(np.abs(ext_a.controls.values - ext_b.controls.values)) <= 1e-9
 
 
-def test_solve_with_broyden_updates():
-    cfg = sp.SolverConfig(use_broyden=True)
-    ext, cert = sp.solve(PARKING4, GRID4,
-                         initial_unknowns=initial_adjoint_guess(2, 4), config=cfg)
-    np.testing.assert_allclose(ext.controls.values.ravel(), [-0.5, 0.5],
-                               atol=1e-8)
-    assert cert.passed
-
-
 def test_solve_generic_zero_guess():
     # origin guess with the regularized first step still lands the LQ case
     ext, cert = sp.solve(PARKING4, GRID4)
