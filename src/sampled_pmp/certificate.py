@@ -26,7 +26,7 @@ import numpy as np
 from .errors import UnsupportedCase
 from .problem import (FixedEndpoints, FixedInitialFreeFinal, FreeTime,
                       GeneralTerminal, Periodic, ProblemDefinition,
-                      TerminalCondition, final_control_index)
+                      TerminalCondition)
 from .simulate import Extremal, average_u_gradient
 
 DEFAULT_TOL = 1e-8
@@ -133,25 +133,20 @@ def transversality_residual(terminal: TerminalCondition, p_start: np.ndarray,
     raise UnsupportedCase(f"unknown terminal condition {terminal!r}")
 
 
-def free_time_residual(problem: ProblemDefinition, extremal: Extremal,
-                       t_f: Optional[float] = None,
-                       T: Optional[float] = None) -> float:
+def free_time_residual(problem: ProblemDefinition, extremal: Extremal) -> float:
     """|H| at the final time, evaluated with the last frozen control.
 
-    When the final time sits exactly on a controlling time, the relevant
-    control is the one of the interval ending there, hence the index drops
-    by one.
+    That is the control of the grid's last interval, the one ending at
+    ``t_f``: when ``t_f`` sits exactly on a controlling time, no interval
+    starts there (see :func:`build_grid`).
     """
     if not isinstance(problem.final_time, FreeTime):
         raise UnsupportedCase("the final-time condition only applies to "
                               "free-final-time problems")
-    grid = extremal.grid
-    t_f = grid.t_f if t_f is None else float(t_f)
-    T = grid.period if T is None else float(T)
-    k_f = final_control_index(t_f, T)
-    h_val = problem.hamiltonian(t_f, extremal.trajectory.final_state,
+    h_val = problem.hamiltonian(extremal.grid.t_f,
+                                extremal.trajectory.final_state,
                                 extremal.adjoint.final, extremal.adjoint.p0,
-                                extremal.controls[k_f])
+                                extremal.controls[-1])
     return abs(h_val)
 
 

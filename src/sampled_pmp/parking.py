@@ -35,7 +35,8 @@ from .certificate import check_certificate
 from .errors import Infeasible, NonConvergence
 from .problem import (Box, ControlSequence, FixedEndpoints,
                       FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
-                      ProblemDefinition, SamplingGrid, build_grid, GRID_SNAP)
+                      ProblemDefinition, SamplingGrid, _on_period_multiple,
+                      build_grid)
 from .simulate import integrate_extremal_forward
 from . import solver as _solver
 
@@ -269,8 +270,7 @@ def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequenc
     """
     if T <= 0 or t_f <= 0 or M <= 0:
         raise ValueError("qp_oracle needs positive M, t_f, T")
-    ratio = t_f / T
-    if not (abs(ratio - round(ratio)) <= GRID_SNAP and round(ratio) >= 1):
+    if not _on_period_multiple(t_f, T):
         raise ValueError("qp_oracle requires t_f to be a multiple of T")
     grid = build_grid(t_f, T)
     K = grid.n_intervals

@@ -30,6 +30,12 @@ GRID_SNAP = 1e-9
 # controlling-time index arithmetic
 # ---------------------------------------------------------------------------
 
+def _on_period_multiple(t: float, T: float) -> bool:
+    """Whether ``t/T`` snaps to a positive integer: the grid's one snap rule."""
+    r = t / T
+    return abs(r - round(r)) <= GRID_SNAP and round(r) >= 1
+
+
 def floor_index(t: float, T: float) -> int:
     """Index k of the sampling interval [kT, (k+1)T) containing time t.
 
@@ -48,11 +54,9 @@ def floor_index(t: float, T: float) -> int:
         raise ValueError(f"sampling period must be positive, got T={T}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got t={t}")
-    r = t / T
-    nearest = round(r)
-    if abs(r - nearest) <= GRID_SNAP:
-        return int(nearest)
-    return int(np.floor(r))
+    if _on_period_multiple(t, T):
+        return round(t / T)
+    return int(np.floor(t / T))
 
 
 def final_control_index(t_f: float, T: float) -> int:
@@ -66,11 +70,9 @@ def final_control_index(t_f: float, T: float) -> int:
         raise ValueError(f"final time must be positive, got t_f={t_f}")
     if T <= 0:
         raise ValueError(f"sampling period must be positive, got T={T}")
-    r = t_f / T
-    nearest = round(r)
-    if abs(r - nearest) <= GRID_SNAP and nearest >= 1:
-        return int(nearest) - 1
-    return int(np.floor(r))
+    if _on_period_multiple(t_f, T):
+        return round(t_f / T) - 1
+    return int(np.floor(t_f / T))
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,8 @@ def build_grid(t_f: float, T: float) -> SamplingGrid:
     k_last = final_control_index(t_f, T)
     K = k_last + 1
     times = np.arange(K, dtype=float) * T
-    r = t_f / T
-    if abs(r - round(r)) <= GRID_SNAP and round(r) >= 1:
-        lengths = np.full(K, float(T))
-    else:
-        lengths = np.full(K, float(T))
+    lengths = np.full(K, float(T))
+    if not _on_period_multiple(t_f, T):
         lengths[-1] = t_f - k_last * T
     times.setflags(write=False)
     lengths.setflags(write=False)

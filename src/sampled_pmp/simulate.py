@@ -6,6 +6,12 @@ applies.  Costs and averaged control-gradients are computed by composite
 Simpson quadrature on the integrator's own nodes (substep counts are even),
 which reuses every evaluation and is exact for the polynomial integrands of
 the built-in problems.
+
+One assembly turns per-interval nodes into a :class:`Trajectory` (cost and
+read-only arrays) for :func:`simulate`, :func:`integrate_extremal_forward`
+and the shooting solver, which builds its extremal from the arcs it has
+already integrated.  :func:`simulate` integrates the state alone; it computes
+no adjoint.
 """
 
 from __future__ import annotations
@@ -157,6 +163,14 @@ def _simpson(values: np.ndarray, h: float) -> float:
     return (h / 3.0) * acc
 
 
+def _interval_mean(integrand, times, states, adjoints, p0, u, delta):
+    """Simpson mean over one interval of ``integrand(t, q, p, p0, u)`` on its
+    nodes; ``delta`` is the interval's own length."""
+    vals = np.array([integrand(times[i], states[i], adjoints[i], p0, u)
+                     for i in range(len(times))])
+    return _simpson(vals, delta / (len(times) - 1)) / delta
+
+
 def _check_controls(problem, grid, controls, enforce_admissible):
     if not isinstance(controls, ControlSequence):
         controls = ControlSequence(np.asarray(controls, dtype=float))
@@ -169,36 +183,60 @@ def _check_controls(problem, grid, controls, enforce_admissible):
     return controls
 
 
+def _trajectory_from_arcs(problem, grid, controls, arcs) -> Trajectory:
+    """Trajectory from per-interval ``(times, states)`` nodes, made read-only.
+
+    The cost is composite Simpson of the running cost on the nodes.
+    """
+    cost = 0.0
+    for k, (times, states) in enumerate(arcs):
+        u = controls[k]
+        f0_nodes = np.array([problem.f0(times[i], states[i], u)
+                             for i in range(len(times))])
+        cost += _simpson(f0_nodes, grid.lengths[k] / (len(times) - 1))
+        times.setflags(write=False)
+        states.setflags(write=False)
+    return Trajectory(grid=grid, times=tuple(times for times, _ in arcs),
+                      states=tuple(states for _, states in arcs),
+                      cost=float(cost))
+
+
+def _extremal_from_arcs(problem, grid, controls, arcs, p0: float) -> Extremal:
+    """Extremal from per-interval coupled ``(times, nodes)`` arcs, the nodes
+    stacking q and p."""
+    n = problem.n
+    traj = _trajectory_from_arcs(
+        problem, grid, controls,
+        [(times, nodes[:, :n]) for times, nodes in arcs])
+    adjoints = tuple(nodes[:, n:] for _, nodes in arcs)
+    for values in adjoints:
+        values.setflags(write=False)
+    return Extremal(trajectory=traj,
+                    adjoint=AdjointArc(values=adjoints, p0=float(p0)),
+                    controls=controls, grid=grid)
+
+
 def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
              q0: np.ndarray, substeps: int = DEFAULT_SUBSTEPS,
              enforce_admissible: bool = True):
     """Propagate the state under piecewise-constant controls.
 
     Returns ``(Trajectory, cost)`` with the cost accumulated by composite
-    Simpson of the running cost on the integration nodes.
+    Simpson of the running cost on the integration nodes.  Only the state is
+    integrated: routing it through the coupled integrator with a zero
+    adjoint costs about three times as much.
     """
     if substeps % 2 != 0:
         raise ValueError("substeps must be even so Simpson applies on the nodes")
     controls = _check_controls(problem, grid, controls, enforce_admissible)
     q = np.asarray(q0, dtype=float)
-    all_times, all_states = [], []
-    cost = 0.0
+    arcs = []
     for k in range(grid.n_intervals):
-        u = controls[k]
-        t_k = grid.times[k]
-        delta = grid.lengths[k]
-        times, states = integrate_interval(problem, t_k, delta, q, u, substeps)
-        f0_nodes = np.array([problem.f0(times[i], states[i], u)
-                             for i in range(len(times))])
-        cost += _simpson(f0_nodes, delta / substeps)
-        times.setflags(write=False)
-        states.setflags(write=False)
-        all_times.append(times)
-        all_states.append(states)
-        q = states[-1]
-    traj = Trajectory(grid=grid, times=tuple(all_times), states=tuple(all_states),
-                      cost=float(cost))
-    return traj, float(cost)
+        arcs.append(integrate_interval(problem, grid.times[k], grid.lengths[k],
+                                       q, controls[k], substeps))
+        q = arcs[-1][1][-1]
+    traj = _trajectory_from_arcs(problem, grid, controls, arcs)
+    return traj, traj.cost
 
 
 def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
@@ -220,36 +258,31 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
     p = np.asarray(p_init, dtype=float)
     if q.shape != (n,) or p.shape != (n,):
         raise ValueError(f"q0 and p_init must have shape ({n},)")
-
-    all_times, all_states, all_adjoints = [], [], []
-    cost = 0.0
     z = np.concatenate([q, p])
+    arcs = []
     for k in range(grid.n_intervals):
-        u = controls[k]
-        delta = grid.lengths[k]
-        times, nodes = _extremal_interval(problem, grid.times[k], delta, z, u,
-                                          p0, substeps)
-        states = nodes[:, :n]
-        adjoints = nodes[:, n:]
-        f0_nodes = np.array([problem.f0(times[i], states[i], u)
-                             for i in range(len(times))])
-        cost += _simpson(f0_nodes, delta / substeps)
-        for arr in (times, states, adjoints):
-            arr.setflags(write=False)
-        all_times.append(times)
-        all_states.append(states)
-        all_adjoints.append(adjoints)
-        z = nodes[-1]
-
-    traj = Trajectory(grid=grid, times=tuple(all_times), states=tuple(all_states),
-                      cost=float(cost))
-    arc = AdjointArc(values=tuple(all_adjoints), p0=float(p0))
-    return Extremal(trajectory=traj, adjoint=arc, controls=controls, grid=grid)
+        arcs.append(_extremal_interval(problem, grid.times[k], grid.lengths[k],
+                                       z, controls[k], p0, substeps))
+        z = arcs[-1][1][-1]
+    return _extremal_from_arcs(problem, grid, controls, arcs, p0)
 
 
 # ---------------------------------------------------------------------------
 # interval averages
 # ---------------------------------------------------------------------------
+
+def _extremal_mean(integrand, extremal: Extremal, k: int, u=None):
+    """Simpson mean over interval k of ``integrand(t, q, p, p0, u)`` on the
+    extremal's nodes, ``u`` defaulting to the interval's control."""
+    K = extremal.grid.n_intervals
+    if not 0 <= k < K:
+        raise IndexError(f"interval index {k} out of range [0, {K})")
+    return _interval_mean(integrand, extremal.trajectory.times[k],
+                          extremal.trajectory.states[k],
+                          extremal.adjoint.values[k], extremal.adjoint.p0,
+                          extremal.controls[k] if u is None else u,
+                          extremal.grid.lengths[k])
+
 
 def average_u_gradient(problem: ProblemDefinition, extremal: Extremal,
                        k: int) -> np.ndarray:
@@ -259,19 +292,7 @@ def average_u_gradient(problem: ProblemDefinition, extremal: Extremal,
     set certifies the interval; the averaging length is the interval's own
     (so a partial final interval is averaged over t_f - kT).
     """
-    K = extremal.grid.n_intervals
-    if not 0 <= k < K:
-        raise IndexError(f"interval index {k} out of range [0, {K})")
-    times = extremal.trajectory.times[k]
-    states = extremal.trajectory.states[k]
-    adjoints = extremal.adjoint.values[k]
-    u = extremal.controls[k]
-    p0 = extremal.adjoint.p0
-    vals = np.array([problem.hamiltonian_u(times[i], states[i], adjoints[i], p0, u)
-                     for i in range(len(times))])
-    delta = extremal.grid.lengths[k]
-    h = delta / (len(times) - 1)
-    return _simpson(vals, h) / delta
+    return _extremal_mean(problem.hamiltonian_u, extremal, k)
 
 
 def average_hamiltonian(problem: ProblemDefinition, extremal: Extremal,
@@ -282,19 +303,8 @@ def average_hamiltonian(problem: ProblemDefinition, extremal: Extremal,
     slot varies.  For Hamiltonians concave in the control, the certified
     control maximizes this average over the control set.
     """
-    K = extremal.grid.n_intervals
-    if not 0 <= k < K:
-        raise IndexError(f"interval index {k} out of range [0, {K})")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    times = extremal.trajectory.times[k]
-    states = extremal.trajectory.states[k]
-    adjoints = extremal.adjoint.values[k]
-    p0 = extremal.adjoint.p0
-    vals = np.array([problem.hamiltonian(times[i], states[i], adjoints[i], p0, y)
-                     for i in range(len(times))])
-    delta = extremal.grid.lengths[k]
-    h = delta / (len(times) - 1)
-    return float(_simpson(vals, h) / delta)
+    return float(_extremal_mean(problem.hamiltonian, extremal, k, y))
 
 
 # ---------------------------------------------------------------------------

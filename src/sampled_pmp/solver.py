@@ -6,7 +6,10 @@ free).  Each residual evaluation propagates the coupled state/adjoint system
 forward interval by interval; on every interval the frozen control solves
 the averaged-gradient variational inequality by a projected fixed-point
 iteration, re-integrating the interval at each trial control so that the
-implicit dependence of the arc on the control is resolved exactly.
+implicit dependence of the arc on the control is resolved exactly.  The
+interval is then integrated once at the solved control; that arc advances
+the propagation and is the returned extremal's piece of the interval, so a
+residual never integrates the extremal a second time.
 
 The shooting map is piecewise smooth: it kinks where a control changes
 saturation status and, for free final times, where the horizon crosses a
@@ -32,8 +35,9 @@ from .errors import (IntegrationBlowUp, InternalInconsistency, NonConvergence,
                      UnsupportedCase)
 from .problem import (ControlSequence, FixedEndpoints, FixedInitialFreeFinal,
                       FreeTime, GeneralTerminal, Periodic, ProblemDefinition,
-                      SamplingGrid, build_grid, final_control_index, GRID_SNAP)
-from .simulate import (DEFAULT_SUBSTEPS, _extremal_interval, _simpson,
+                      SamplingGrid, _on_period_multiple, build_grid)
+from .simulate import (DEFAULT_SUBSTEPS, _extremal_from_arcs,
+                       _extremal_interval, _interval_mean,
                        integrate_extremal_forward)
 
 
@@ -116,11 +120,8 @@ def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u, substeps):
     times, nodes = _extremal_interval(problem, t_k, delta,
                                       np.concatenate([q_k, p_k]), u, p0,
                                       substeps)
-    vals = np.array([problem.hamiltonian_u(times[i], nodes[i, :n], nodes[i, n:],
-                                           p0, u)
-                     for i in range(len(times))])
-    gbar = _simpson(vals, delta / substeps) / delta
-    return gbar, nodes[-1]
+    return _interval_mean(problem.hamiltonian_u, times, nodes[:, :n],
+                          nodes[:, n:], p0, u, delta)
 
 
 def estimate_inner_step(problem, t_k, delta, q_k, p_k, p0,
@@ -130,13 +131,13 @@ def estimate_inner_step(problem, t_k, delta, q_k, p_k, p0,
     concave quadratic-in-u Hamiltonians)."""
     m = problem.m
     u0 = problem.control_set.project(np.zeros(m))
-    g0, _ = _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u0,
-                                       substeps)
+    g0 = _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u0,
+                                    substeps)
     cols = []
     for i in range(m):
         e = np.zeros(m); e[i] = probe
-        gi, _ = _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0,
-                                           u0 + e, substeps)
+        gi = _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0,
+                                        u0 + e, substeps)
         cols.append((gi - g0) / probe)
     lip = float(np.linalg.norm(np.column_stack(cols), 2))
     if lip < 1e-8:
@@ -166,8 +167,8 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
                                     config.substeps)
     res = np.inf
     for _ in range(config.inner_max_iter):
-        gbar, _ = _interval_average_gradient(problem, t_k, delta, q_k, p_k,
-                                             p0, u, config.substeps)
+        gbar = _interval_average_gradient(problem, t_k, delta, q_k, p_k,
+                                          p0, u, config.substeps)
         if callback is not None:
             callback(u.copy(), gbar.copy())
         u_next = problem.control_set.project(u + alpha * gbar)
@@ -189,16 +190,17 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
                initial_controls=None):
     """Integrate the extremal forward, solving each interval's control.
 
-    Returns (residual_vector, extremal).  Controls are warm-started
-    from the previous interval (the first from ``initial_controls[0]`` or the
-    projected origin).
+    Returns (residual_vector, extremal).  Each interval's coupled arc is
+    integrated once at its solved control; that arc advances the state and
+    adjoint and becomes the interval's part of the extremal.  Controls are
+    warm-started from the previous interval (the first from
+    ``initial_controls[0]`` or the projected origin).
     """
     n = problem.n
     if isinstance(problem.terminal, Periodic):
         q = np.asarray(unknowns.q_init, dtype=float)
     else:
         q = problem.initial_state()
-    p = np.asarray(unknowns.p_init, dtype=float)
     p0 = -1.0
 
     if unknowns.t_f is not None:
@@ -213,26 +215,24 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
     else:
         u_prev = np.zeros(problem.m)
 
-    us = []
+    z = np.concatenate([q, np.asarray(unknowns.p_init, dtype=float)])
+    us, arcs = [], []
     for k in range(grid.n_intervals):
+        t_k, delta = float(grid.times[k]), float(grid.lengths[k])
         try:
-            u_k = solve_interval_control(
-                problem, float(grid.times[k]), float(grid.lengths[k]), q, p,
-                p0, u_prev, config)
+            u_k = solve_interval_control(problem, t_k, delta, z[:n], z[n:],
+                                         p0, u_prev, config)
         except NonConvergence as exc:
             exc.interval = k
             raise
+        arcs.append(_extremal_interval(problem, t_k, delta, z, u_k, p0,
+                                       config.substeps))
         us.append(u_k)
-        _, z_end = _interval_average_gradient(problem, float(grid.times[k]),
-                                              float(grid.lengths[k]), q, p,
-                                              p0, u_k, config.substeps)
-        q, p = z_end[:n], z_end[n:]
+        z = arcs[-1][1][-1]
         u_prev = u_k
 
     controls = ControlSequence(np.vstack(us))
-    extremal = integrate_extremal_forward(problem, grid, controls,
-                                          _initial_state(problem, unknowns),
-                                          unknowns.p_init, p0, config.substeps)
+    extremal = _extremal_from_arcs(problem, grid, controls, arcs, p0)
 
     parts = []
     q_start = extremal.trajectory.initial_state
@@ -248,16 +248,10 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
     elif isinstance(term, FixedInitialFreeFinal):
         parts.append(p_end)
     if unknowns.t_f is not None:
-        k_f = final_control_index(grid.t_f, grid.period)
-        k_f_h = problem.hamiltonian(grid.t_f, q_end, p_end, p0, controls[k_f])
-        parts.append(np.array([k_f_h]))
+        # the last interval is the one ending at t_f (see build_grid)
+        h_f = problem.hamiltonian(grid.t_f, q_end, p_end, p0, controls[-1])
+        parts.append(np.array([h_f]))
     return np.concatenate(parts), extremal
-
-
-def _initial_state(problem, unknowns):
-    if isinstance(problem.terminal, Periodic):
-        return np.asarray(unknowns.q_init, dtype=float)
-    return problem.initial_state()
 
 
 def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
@@ -311,11 +305,6 @@ def _active_set_signature(problem, controls: ControlSequence) -> str:
             on_boundary = np.linalg.norm(u - cs.center) >= cs.radius - 1e-9
             syms.append("B" if on_boundary else "0")
     return "".join(syms)
-
-
-def _near_period_multiple(t_f: float, T: float) -> bool:
-    r = t_f / T
-    return abs(r - round(r)) <= GRID_SNAP and round(r) >= 1
 
 
 def solve(problem: ProblemDefinition, grid: SamplingGrid,
@@ -374,7 +363,7 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
         # discontinuity; move it just below the multiple
         nonlocal kink_restarts
         if (kink_restarts >= config.max_kink_restarts
-                or not _near_period_multiple(vec[-1], grid.period)):
+                or not _on_period_multiple(vec[-1], grid.period)):
             return None
         kink_restarts += 1
         vec = vec.copy()

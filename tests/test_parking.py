@@ -293,6 +293,23 @@ def test_qp_oracle_requires_integer_ratio():
         pk.qp_oracle(2.0, 3.5, 1.0)
 
 
+def test_grid_and_oracle_share_one_snap_rule():
+    # t/T within GRID_SNAP of 4: four full intervals, and the oracle accepts
+    # the grid; further off, the last interval is partial and it refuses
+    T = 0.75 * (1 + 1e-10)
+    grid = sp.build_grid(3.0, T)
+    assert grid.n_intervals == 4
+    assert np.all(grid.lengths == T)
+    assert len(pk.qp_oracle(2.0, 3.0, T)) == 4
+    for rel in (5e-10, 1e-6):
+        T = 0.75 * (1 + rel)
+        grid = sp.build_grid(3.0, T)
+        assert grid.n_intervals == 4
+        assert grid.lengths[-1] < T
+        with pytest.raises(ValueError, match="multiple"):
+            pk.qp_oracle(2.0, 3.0, T)
+
+
 def test_oracle_equivalence_sweep():
     # solver controls match the enumeration oracle on the full instance grid
     for tf in (3.0, 3.2, 4.0, 5.0):

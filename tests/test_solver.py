@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import sampled_pmp as sp
+from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
+from sampled_pmp.simulate import integrate_extremal_forward
 from sampled_pmp.solver import _fd_jacobian, _unpack
 
 PARKING4 = parking_problem(2.0, 4.0)
@@ -177,6 +179,34 @@ def test_solve_parking_2_3_1():
     np.testing.assert_allclose(ext.controls.values.ravel(), [-1.0, 0.0, 1.0],
                                atol=1e-8)
     assert cert.passed
+
+
+def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
+                                                          parking_f_calls):
+    # a residual evaluation keeps the arc it integrates at each solved
+    # control: no closing re-integration of the whole extremal
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve re-integrated the extremal")
+
+    monkeypatch.setattr(solver, "integrate_extremal_forward", refuse)
+    problem = parking.parking_problem(2, 4)
+    grid = sp.build_grid(4, 2)
+    ext, cert = sp.solve(problem, grid,
+                         initial_unknowns=initial_adjoint_guess(2, 4))
+    assert cert.passed
+    # 4 residual evaluations at K = 2; one more 16-step RK4 pass over the
+    # intervals per residual would add 64 K f calls each (21376)
+    assert parking_f_calls() == 20864
+    ref = integrate_extremal_forward(problem, grid, ext.controls, Q0,
+                                     ext.adjoint.initial, -1.0)
+    for got, want in ((ext.trajectory.times, ref.trajectory.times),
+                      (ext.trajectory.states, ref.trajectory.states),
+                      (ext.adjoint.values, ref.adjoint.values)):
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert ext.trajectory.cost == ref.trajectory.cost
+    assert ext.adjoint.p0 == ref.adjoint.p0
 
 
 def test_solve_single_interval_is_infeasible():
