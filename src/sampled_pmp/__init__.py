@@ -23,9 +23,8 @@ from .problems import lti_problem
 from .simulate import (AdjointArc, Extremal, Trajectory, average_hamiltonian,
                        average_u_gradient, integrate_extremal_forward,
                        integrate_interval, simulate, write_trajectory_csv)
-from .solver import (ShootingUnknowns, SolverConfig, estimate_inner_step,
-                     match_terminal_adjoint, shooting_residual, solve,
-                     solve_interval_control)
+from .solver import (ShootingUnknowns, SolverConfig, match_terminal_adjoint,
+                     shooting_residual, solve, solve_interval_control)
 from . import parking
 from .specfile import LoadedSpec, SpecError, load_problem_spec
 
@@ -39,7 +38,7 @@ __all__ = [
     "ProblemDefinition", "SamplingGrid", "ShootingUnknowns", "SolverConfig",
     "SpecError", "Trajectory", "UnsupportedCase", "average_hamiltonian",
     "average_u_gradient", "build_grid", "check_certificate",
-    "estimate_inner_step", "final_control_index", "floor_index",
+    "final_control_index", "floor_index",
     "free_time_residual", "integrate_extremal_forward", "integrate_interval",
     "interval_residual", "load_problem_spec", "lti_problem",
     "match_terminal_adjoint", "parking", "shooting_residual", "simulate",

@@ -4,12 +4,12 @@ The outer loop is a damped Newton iteration on the unknown initial adjoint
 (plus the initial state for periodic problems and the final time when it is
 free).  Each residual evaluation propagates the coupled state/adjoint system
 forward interval by interval; on every interval the frozen control solves
-the averaged-gradient variational inequality by a projected fixed-point
-iteration, re-integrating the interval at each trial control so that the
-implicit dependence of the arc on the control is resolved exactly.  The
-interval is then integrated once at the solved control; that arc advances
-the propagation and is the returned extremal's piece of the interval, so a
-residual never integrates the extremal a second time.
+the averaged-gradient variational inequality by semismooth Newton on its
+natural residual project(u + Gbar(u)) - u, re-integrating the interval at
+each trial control so that the implicit dependence of the arc on the control
+is resolved exactly.  The arc of the last evaluation, at the solved control,
+advances the propagation and is the returned extremal's piece of the
+interval, so a residual integrates no interval beyond its inner solve.
 
 The shooting map is piecewise smooth: it kinks where a control changes
 saturation status and, for free final times, where the horizon crosses a
@@ -18,7 +18,7 @@ first kind; the second is handled by nudging the horizon off the multiple
 (see ``SolverConfig.max_kink_restarts``).
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
-generic shooting, the two-unknown parking shooting and
+interval control, the generic shooting, the two-unknown parking shooting and
 ``match_terminal_adjoint`` all run on it.
 """
 
@@ -43,9 +43,14 @@ from .simulate import (DEFAULT_SUBSTEPS, _extremal_from_arcs,
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable constants of the inner and outer iterations (all positive)."""
+    """Tunable constants of the inner and outer iterations (all positive).
 
-    inner_step: Optional[float] = None    # projected-ascent step; None = 1/(2 L)
+    Both iterations run :func:`_damped_newton`: the outer one on the shooting
+    residual with ``newton_tol`` and ``newton_max_iter``, the inner one on
+    each interval's natural residual with ``inner_tol`` and
+    ``inner_max_iter``.
+    """
+
     inner_tol: float = 1e-12
     inner_max_iter: int = 200
     newton_tol: float = 1e-10
@@ -61,8 +66,6 @@ class SolverConfig:
                      "max_kink_restarts"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.inner_step is not None and self.inner_step <= 0:
-            raise ValueError("inner_step must be positive")
         if self.substeps % 2 != 0:
             raise ValueError("substeps must be even")
 
@@ -115,70 +118,55 @@ def _unpack(problem: ProblemDefinition, x: np.ndarray) -> ShootingUnknowns:
 # ---------------------------------------------------------------------------
 
 def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u, substeps):
-    """Average of dH/du over one interval, re-integrating the coupled arc at u."""
+    """Average of dH/du over one interval, re-integrating the coupled arc at u.
+
+    Returns ``(gbar, arc)`` with the integrated ``(times, nodes)`` arc.
+    """
     n = problem.n
     times, nodes = _extremal_interval(problem, t_k, delta,
                                       np.concatenate([q_k, p_k]), u, p0,
                                       substeps)
-    return _interval_mean(problem.hamiltonian_u, times, nodes[:, :n],
+    gbar = _interval_mean(problem.hamiltonian_u, times, nodes[:, :n],
                           nodes[:, n:], p0, u, delta)
-
-
-def estimate_inner_step(problem, t_k, delta, q_k, p_k, p0,
-                        substeps=DEFAULT_SUBSTEPS, probe=1e-4) -> float:
-    """Step size 1/(2 L) from a finite-difference Lipschitz estimate of the
-    averaged gradient in the control (guaranteed contraction for strongly
-    concave quadratic-in-u Hamiltonians)."""
-    m = problem.m
-    u0 = problem.control_set.project(np.zeros(m))
-    g0 = _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u0,
-                                    substeps)
-    cols = []
-    for i in range(m):
-        e = np.zeros(m); e[i] = probe
-        gi = _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0,
-                                        u0 + e, substeps)
-        cols.append((gi - g0) / probe)
-    lip = float(np.linalg.norm(np.column_stack(cols), 2))
-    if lip < 1e-8:
-        return 1.0
-    return 1.0 / (2.0 * lip)
+    return gbar, (times, nodes)
 
 
 def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
                            q_k: np.ndarray, p_k: np.ndarray, p0: float,
                            u_init: np.ndarray, config: SolverConfig,
-                           callback=None) -> np.ndarray:
+                           callback=None):
     """Control value satisfying the interval's variational inequality.
 
-    Runs the projected fixed point u <- project(u + alpha * Gbar(u)), where
-    Gbar re-integrates the interval arc at the trial control, until the
-    fixed-point residual falls below the inner tolerance.
+    Runs :func:`_damped_newton` on the natural residual
+    F(u) = project(u + Gbar(u)) - u, whose zeros are exactly the controls
+    where Gbar lies in the normal cone of the control set; Gbar re-integrates
+    the interval arc at the trial control.  ``inner_tol`` and
+    ``inner_max_iter`` serve as the Newton tolerance and iteration cap.
+    Returns ``(u, arc)``, where ``arc`` is the ``(times, nodes)`` coupled arc
+    integrated at ``u`` by its last residual evaluation.
 
     ``callback(u, gbar)`` is invoked once per iterate when given; used by
     diagnostics and the monotonicity tests.
     """
     q_k = np.asarray(q_k, dtype=float)
     p_k = np.asarray(p_k, dtype=float)
-    u = problem.control_set.project(np.atleast_1d(np.asarray(u_init, dtype=float)))
-    alpha = config.inner_step
-    if alpha is None:
-        alpha = estimate_inner_step(problem, t_k, delta, q_k, p_k, p0,
-                                    config.substeps)
-    res = np.inf
-    for _ in range(config.inner_max_iter):
-        gbar = _interval_average_gradient(problem, t_k, delta, q_k, p_k,
-                                          p0, u, config.substeps)
+    project = problem.control_set.project
+    u = project(np.atleast_1d(np.asarray(u_init, dtype=float)))
+
+    def natural_residual(v):
+        gbar, arc = _interval_average_gradient(problem, t_k, delta, q_k, p_k,
+                                               p0, v, config.substeps)
+        return project(v + gbar) - v, (gbar, arc)
+
+    def annotate(v, aux):
         if callback is not None:
-            callback(u.copy(), gbar.copy())
-        u_next = problem.control_set.project(u + alpha * gbar)
-        res = float(np.linalg.norm(u_next - u))
-        u = u_next
-        if res <= config.inner_tol:
-            return u
-    raise NonConvergence(
-        f"interval control fixed point stalled at residual {res:.3e}",
-        iterate=u, residual_norm=res)
+            callback(v.copy(), aux[0].copy())
+        return {}
+
+    newton = dataclasses.replace(config, newton_tol=config.inner_tol,
+                                 newton_max_iter=config.inner_max_iter)
+    u, (_, arc) = _damped_newton(natural_residual, u, newton, annotate=annotate)
+    return u, arc
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +178,10 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
                initial_controls=None):
     """Integrate the extremal forward, solving each interval's control.
 
-    Returns (residual_vector, extremal).  Each interval's coupled arc is
-    integrated once at its solved control; that arc advances the state and
-    adjoint and becomes the interval's part of the extremal.  Controls are
-    warm-started from the previous interval (the first from
+    Returns (residual_vector, extremal).  Each interval's coupled arc is the
+    one the inner solve integrated at its solved control; that arc advances
+    the state and adjoint and becomes the interval's part of the extremal.
+    Controls are warm-started from the previous interval (the first from
     ``initial_controls[0]`` or the projected origin).
     """
     n = problem.n
@@ -220,13 +208,12 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
     for k in range(grid.n_intervals):
         t_k, delta = float(grid.times[k]), float(grid.lengths[k])
         try:
-            u_k = solve_interval_control(problem, t_k, delta, z[:n], z[n:],
-                                         p0, u_prev, config)
+            u_k, arc = solve_interval_control(problem, t_k, delta, z[:n],
+                                              z[n:], p0, u_prev, config)
         except NonConvergence as exc:
             exc.interval = k
             raise
-        arcs.append(_extremal_interval(problem, t_k, delta, z, u_k, p0,
-                                       config.substeps))
+        arcs.append(arc)
         us.append(u_k)
         z = arcs[-1][1][-1]
         u_prev = u_k
@@ -326,7 +313,7 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     final residual norm, the per-iteration history and the solved unknowns.
     """
     config = config or SolverConfig()
-    has_q0, has_tf, dim = _unknown_layout(problem)
+    _, has_tf, dim = _unknown_layout(problem)
 
     generic_guess = initial_unknowns is None
     if generic_guess:
@@ -337,14 +324,6 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
         x = np.asarray(initial_unknowns, dtype=float).copy()
     if x.shape != (dim,):
         raise ValueError(f"initial unknowns must have dimension {dim}")
-
-    if config.inner_step is None:
-        u0 = _unpack(problem, x)
-        q_probe = (np.asarray(u0.q_init) if has_q0 else problem.initial_state())
-        alpha = estimate_inner_step(problem, float(grid.times[0]),
-                                    float(grid.lengths[0]), q_probe, u0.p_init,
-                                    -1.0, config.substeps)
-        config = dataclasses.replace(config, inner_step=alpha)
 
     def residual(vec):
         return _propagate(problem, grid, _unpack(problem, vec), config,
@@ -419,14 +398,15 @@ def _damped_newton(residual, x, config: SolverConfig, regularize_first=False,
     ``annotate(x, aux)`` returns extra fields for each history entry;
     ``nudge(x)`` may replace an accepted, unconverged iterate, which is then
     evaluated afresh.  Returns ``(x, aux)`` once the norm reaches
-    ``newton_tol``, filling ``stats`` when given; otherwise raises
+    ``newton_tol`` within ``newton_max_iter`` steps (the iterate after the
+    last step is tested too), filling ``stats`` when given; otherwise raises
     NonConvergence with the best iterate and the history.
     """
     history = []
     r, aux = residual(x)
     rnorm = float(np.linalg.norm(r))
     best = (rnorm, x.copy())
-    for iteration in range(config.newton_max_iter):
+    for iteration in range(config.newton_max_iter + 1):
         entry = {"iteration": iteration, "residual_norm": rnorm}
         if annotate is not None:
             entry.update(annotate(x, aux))
@@ -436,6 +416,8 @@ def _damped_newton(residual, x, config: SolverConfig, regularize_first=False,
                 stats.update(iterations=iteration, residual_norm=rnorm,
                              history=history, unknowns=x.tolist())
             return x, aux
+        if iteration == config.newton_max_iter:
+            break
 
         J = _fd_jacobian(residual, x, r, config)
         step = _newton_step(J, r, regularize=(regularize_first and iteration == 0))

@@ -142,7 +142,7 @@ def test_sampled_control_from_multipliers():
 
 
 def test_sign_rule_matches_generic_interval_solver():
-    # the Gamma sign rule and the projected fixed point agree interval by
+    # the Gamma sign rule and the inner semismooth Newton agree interval by
     # interval, including on a partial final interval
     prob = pk.parking_problem(2.0, 4.0)
     cfg = sp.SolverConfig()
@@ -153,7 +153,7 @@ def test_sign_rule_matches_generic_interval_solver():
         p = np.array([p1, p1 * tf + p2f])
         q = np.array([2.0, 0.0])
         for k in range(grid.n_intervals):
-            u_k = sp.solve_interval_control(
+            u_k, _ = sp.solve_interval_control(
                 prob, float(grid.times[k]), float(grid.lengths[k]), q, p,
                 -1.0, np.array([0.0]), cfg)
             assert abs(u_k[0] - closed[k][0]) <= 1e-10
@@ -326,7 +326,7 @@ def test_oracle_equivalence_sweep():
 
 
 def test_generic_path_consistency():
-    # the dedicated sign-rule path and the generic projected-ascent shooting
+    # the dedicated sign-rule path and the generic semismooth shooting
     # agree on the oracle-equivalence instances (slowest test in the suite)
     for tf in (3.0, 3.2, 4.0, 5.0):
         for K in range(2, 9):

@@ -1,4 +1,4 @@
-"""Indirect shooting: inner projected fixed point, outer damped Newton."""
+"""Indirect shooting: inner semismooth Newton, outer damped Newton."""
 
 import numpy as np
 import pytest
@@ -37,40 +37,34 @@ def _scalar_transfer(tf_guess):
 # inner solver
 # ---------------------------------------------------------------------------
 
-def test_inner_step_estimate_matches_quadratic_lipschitz():
-    # dH/du = p2 - 2u: Lipschitz constant 2, step 1/(2L) = 0.25
-    alpha = sp.estimate_inner_step(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0)
-    assert alpha == pytest.approx(0.25, abs=1e-10)
-
-
 def test_solve_interval_control_finds_interior_root():
-    u = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                  np.array([0.0]), sp.SolverConfig())
+    u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+                                     np.array([0.0]), sp.SolverConfig())
     assert u[0] == pytest.approx(-0.5, abs=1e-11)
     # the returned control satisfies its own fixed-point condition
-    cfg = sp.SolverConfig(inner_step=0.25)
+    cfg = sp.SolverConfig()
     gbar = sp.average_u_gradient(
         PARKING4,
         sp.integrate_extremal_forward(PARKING4, GRID4, np.array([[u[0]], [0.5]]),
                                       Q0, P_STAR, -1.0), 0)
-    moved = PARKING4.control_set.project(u + cfg.inner_step * gbar)
+    moved = PARKING4.control_set.project(u + 0.25 * gbar)
     assert np.linalg.norm(moved - u) <= cfg.inner_tol
 
 
 def test_solve_interval_control_accepts_stationary_start():
     calls = []
-    u = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                  np.array([-0.5]), sp.SolverConfig(),
-                                  callback=lambda u, g: calls.append(u[0]))
+    u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+                                     np.array([-0.5]), sp.SolverConfig(),
+                                     callback=lambda u, g: calls.append(u[0]))
     assert u[0] == -0.5
     assert len(calls) == 1
 
 
 def test_solve_interval_control_clamps_to_bound():
     # p = (0, 3) constant: root of 3 - 2u is 1.5, outside the box
-    u = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0,
-                                  np.array([0.0, 3.0]), -1.0,
-                                  np.array([0.0]), sp.SolverConfig())
+    u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0,
+                                     np.array([0.0, 3.0]), -1.0,
+                                     np.array([0.0]), sp.SolverConfig())
     assert u[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -85,12 +79,12 @@ def test_solve_interval_control_reports_stall():
 
 def test_inner_iterates_ascend_average_hamiltonian():
     # against the converged arc, the average Hamiltonian is concave in the
-    # control slot and the projected-ascent iterates climb it monotonically
+    # control slot and the inner Newton iterates climb it monotonically
     for u0 in (0.0, 1.0, -1.0, 0.8):
         iterates = []
-        u = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                      np.array([u0]), sp.SolverConfig(),
-                                      callback=lambda u, g: iterates.append(u))
+        u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+                                         np.array([u0]), sp.SolverConfig(),
+                                         callback=lambda u, g: iterates.append(u))
         ext = sp.integrate_extremal_forward(PARKING4, GRID4,
                                             np.array([[u[0]], [0.5]]), Q0,
                                             P_STAR, -1.0)
@@ -100,13 +94,73 @@ def test_inner_iterates_ascend_average_hamiltonian():
 
 def test_warm_start_independence():
     rng = np.random.default_rng(9)
-    u_ref = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                      np.array([0.0]), sp.SolverConfig())
+    u_ref, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+                                         np.array([0.0]), sp.SolverConfig())
     for _ in range(5):
         u_init = PARKING4.control_set.project(rng.normal(scale=2.0, size=1))
-        u = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                      u_init, sp.SolverConfig())
+        u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+                                         u_init, sp.SolverConfig())
         assert abs(u[0] - u_ref[0]) <= 1e-9
+
+
+def _random_lq_interval(rng, state_cost):
+    """One random LTI interval: problem, interval length, q_k, p_k, u_init."""
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 3))
+    L = rng.normal(size=(m, m))
+    R = L @ L.T + 0.1 * np.eye(m)
+    Q = None
+    if state_cost:
+        S = rng.normal(size=(n, n))
+        Q = 0.5 * (S + S.T)
+    if rng.random() < 0.5:
+        lower = -rng.uniform(0.2, 2.0, size=m)
+        cs = sp.Box(lower=lower, upper=lower + rng.uniform(0.2, 3.0, size=m))
+    else:
+        cs = sp.Ball(center=rng.normal(scale=0.5, size=m),
+                     radius=float(rng.uniform(0.2, 2.0)))
+    prob = sp.lti_problem(rng.normal(size=(n, n)), rng.normal(size=(n, m)),
+                          Q, R, control_set=cs,
+                          terminal=sp.FixedEndpoints(q0=np.zeros(n),
+                                                     qf=np.zeros(n)),
+                          final_time=sp.FixedTime(1.0))
+    return (prob, float(rng.uniform(0.1, 2.0)), rng.normal(size=n),
+            rng.normal(scale=3.0, size=n), rng.normal(scale=2.0, size=m))
+
+
+def _assert_solves_interval(prob, delta, q, p, u):
+    # the variational inequality, checked on an independent integration
+    ext = sp.integrate_extremal_forward(prob, sp.build_grid(delta, delta),
+                                        u[None, :], q, p, -1.0)
+    gbar = sp.average_u_gradient(prob, ext, 0)
+    assert prob.control_set.contains(u)
+    assert prob.control_set.support_gap(gbar, u, check_membership=False) \
+        <= 1e-9 * (1.0 + np.linalg.norm(gbar))
+
+
+def test_interval_control_solves_random_monotone_lq_intervals():
+    # Q = 0: the adjoint ignores the control, so Gbar is affine with
+    # derivative -2R and the inequality has one solution the solve must find
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        prob, delta, q, p, u_init = _random_lq_interval(rng, state_cost=False)
+        u, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0, u_init,
+                                         sp.SolverConfig())
+        _assert_solves_interval(prob, delta, q, p, u)
+
+
+def test_interval_control_never_returns_a_wrong_answer():
+    # with a state cost Gbar may be non-monotone in u: the solve either
+    # returns a solution or reports NonConvergence
+    rng = np.random.default_rng(2025)
+    for _ in range(100):
+        prob, delta, q, p, u_init = _random_lq_interval(rng, state_cost=True)
+        try:
+            u, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0,
+                                             u_init, sp.SolverConfig())
+        except sp.NonConvergence:
+            continue
+        _assert_solves_interval(prob, delta, q, p, u)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +200,7 @@ def test_shooting_jacobian_constant_within_saturation_region():
     # the map is affine while no control changes saturation status; the FD
     # step is widened to 1e-5 so machine-eps residual noise (which divides by
     # h) stays under the 1e-9 constancy bound
-    cfg = sp.SolverConfig(inner_step=0.25, inner_tol=1e-13, fd_step=1e-5)
+    cfg = sp.SolverConfig(inner_tol=1e-13, fd_step=1e-5)
 
     def residual(x):
         return sp.shooting_residual(PARKING4, GRID4, x, cfg), None, None
@@ -189,14 +243,25 @@ def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
         raise AssertionError("solve re-integrated the extremal")
 
     monkeypatch.setattr(solver, "integrate_extremal_forward", refuse)
+    gbar_calls = 0
+    gbar = solver._interval_average_gradient
+
+    def counting_gbar(*args, **kwargs):
+        nonlocal gbar_calls
+        gbar_calls += 1
+        return gbar(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_interval_average_gradient", counting_gbar)
     problem = parking.parking_problem(2, 4)
     grid = sp.build_grid(4, 2)
     ext, cert = sp.solve(problem, grid,
                          initial_unknowns=initial_adjoint_guess(2, 4))
     assert cert.passed
-    # 4 residual evaluations at K = 2; one more 16-step RK4 pass over the
-    # intervals per residual would add 64 K f calls each (21376)
-    assert parking_f_calls() == 20864
+    # every f call is inside an inner Gbar evaluation (16 RK4 steps of 4
+    # calls); an advancing pass per interval over the 4 residual evaluations
+    # at K = 2 would add 64 K f calls each (3648)
+    assert parking_f_calls() == 3136
+    assert parking_f_calls() == 64 * gbar_calls
     ref = integrate_extremal_forward(problem, grid, ext.controls, Q0,
                                      ext.adjoint.initial, -1.0)
     for got, want in ((ext.trajectory.times, ref.trajectory.times),
@@ -306,3 +371,40 @@ def test_generic_solver_matches_oracle_up_to_enumeration_bound():
         assert np.max(np.abs(ext.controls.values - u_qp.values)) <= 1e-7
         assert abs(sampled_cost(grid, ext.controls)
                    - sampled_cost(grid, u_qp)) <= 1e-8
+
+
+def test_solve_planar_disc_matches_rotated_parking():
+    # q0 = (1.6, 1.2) = 2 (0.8, 0.6): the disc optimum is parking's M = 2
+    # box optimum along the unit direction (0.8, 0.6)
+    A = np.zeros((4, 4))
+    A[0, 2] = A[1, 3] = 1.0
+    B = np.zeros((4, 2))
+    B[2, 0] = B[3, 1] = 1.0
+    prob = sp.lti_problem(
+        A, B, control_set=sp.Ball(center=np.zeros(2), radius=1.0),
+        terminal=sp.FixedEndpoints(q0=np.array([1.6, 1.2, 0.0, 0.0]),
+                                   qf=np.zeros(4)),
+        final_time=sp.FixedTime(3.0), name="planar")
+    for K in (4, 8):
+        ext, cert = sp.solve(prob, sp.build_grid(3.0, 3.0 / K))
+        solved, _, _ = parking.solve_parking(2.0, 3.0, 3.0 / K)
+        assert cert.passed
+        np.testing.assert_allclose(ext.controls.values,
+                                   solved.controls.values * [0.8, 0.6],
+                                   rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the Newton driver
+# ---------------------------------------------------------------------------
+
+def test_damped_newton_tests_the_iterate_after_its_last_step():
+    # one step solves 2x - 1 = 0 to rounding; the cap allows exactly one
+    cfg = sp.SolverConfig(newton_max_iter=1, newton_tol=1e-8)
+    stats = {}
+    x, _ = solver._damped_newton(lambda x: (2.0 * x - 1.0, None),
+                                 np.array([3.0]), cfg, stats=stats)
+    assert x[0] == pytest.approx(0.5, abs=1e-8)
+    assert stats["iterations"] == 1
+    assert [e["iteration"] for e in stats["history"]] == [0, 1]
+    assert stats["history"][-1]["residual_norm"] <= 1e-8
