@@ -157,16 +157,18 @@ def _resolve_problem(args, need_T: bool = True) -> LoadedSpec:
     tf = args.tf if args.tf is not None else loaded.t_f
     T = getattr(args, "T", None)
     T = T if T is not None else loaded.T
-    problem = loaded.problem
-    if tf != loaded.t_f:
-        if loaded.builtin == "parking":
-            problem = parking.parking_problem(loaded.params["M"], tf)
-        else:
-            mode = (FreeTime(tf) if isinstance(problem.final_time, FreeTime)
-                    else FixedTime(tf))
-            problem = dataclasses.replace(problem, final_time=mode)
+    problem, params = loaded.problem, loaded.params
+    if loaded.builtin == "parking":
+        params = {"M": args.M if args.M is not None else params["M"]}
+        problem = parking.parking_problem(params["M"], tf)
+    elif args.M is not None:
+        raise ValueError("--M applies to the builtin parking problem only")
+    elif tf != loaded.t_f:
+        mode = (FreeTime(tf) if isinstance(problem.final_time, FreeTime)
+                else FixedTime(tf))
+        problem = dataclasses.replace(problem, final_time=mode)
     return LoadedSpec(problem=problem, t_f=tf, T=T, builtin=loaded.builtin,
-                      params=loaded.params)
+                      params=params)
 
 
 def _sha256(path) -> str:

@@ -241,7 +241,8 @@ def solve_parking(M: float, t_f: float, T: float,
         return np.array(parking_shooting_map(vec[0], vec[1], M, grid)), None
 
     x, _ = _solver._damped_newton(
-        residual, np.array(permanent_multipliers(M, t_f)), config, stats=stats,
+        residual, np.array(permanent_multipliers(M, t_f)), config.newton_tol,
+        config.newton_max_iter, stats=stats,
         stall_hint=f" (K={grid.n_intervals} may make the target unreachable)")
     p1, p2f = float(x[0]), float(x[1])
     controls = sampled_control_from_multipliers(p1, p2f, grid)

@@ -13,9 +13,8 @@ interval, so a residual integrates no interval beyond its inner solve.
 
 The shooting map is piecewise smooth: it kinks where a control changes
 saturation status and, for free final times, where the horizon crosses a
-multiple of the sampling period.  The backtracking line search absorbs the
-first kind; the second is handled by nudging the horizon off the multiple
-(see ``SolverConfig.max_kink_restarts``).
+multiple of the sampling period.  The backtracking line search absorbs
+both kinds.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
 interval control, the generic shooting, the two-unknown parking shooting and
@@ -24,7 +23,6 @@ interval control, the generic shooting, the two-unknown parking shooting and
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +33,7 @@ from .errors import (IntegrationBlowUp, InternalInconsistency, NonConvergence,
                      UnsupportedCase)
 from .problem import (ControlSequence, FixedEndpoints, FixedInitialFreeFinal,
                       FreeTime, GeneralTerminal, Periodic, ProblemDefinition,
-                      SamplingGrid, _on_period_multiple, build_grid)
+                      SamplingGrid, build_grid)
 from .simulate import (DEFAULT_SUBSTEPS, _extremal_from_arcs,
                        _extremal_interval, _interval_mean,
                        integrate_extremal_forward)
@@ -48,51 +46,32 @@ class SolverConfig:
     Both iterations run :func:`_damped_newton`: the outer one on the shooting
     residual with ``newton_tol`` and ``newton_max_iter``, the inner one on
     each interval's natural residual with ``inner_tol`` and
-    ``inner_max_iter``.
+    ``inner_max_iter``.  ``substeps`` is the (even) number of RK4 steps per
+    interval.  The finite-difference step and the halving cap of the line
+    search are the module constants ``FD_STEP`` and ``MAX_HALVINGS``.
     """
 
     inner_tol: float = 1e-12
     inner_max_iter: int = 200
     newton_tol: float = 1e-10
     newton_max_iter: int = 100
-    fd_step: float = 1e-6                 # scaled by (1 + |unknowns|)
-    max_halvings: int = 30
     substeps: int = 16
-    max_kink_restarts: int = 3
 
     def __post_init__(self):
         for name in ("inner_tol", "inner_max_iter", "newton_tol",
-                     "newton_max_iter", "fd_step", "max_halvings", "substeps",
-                     "max_kink_restarts"):
+                     "newton_max_iter", "substeps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.substeps % 2 != 0:
             raise ValueError("substeps must be even")
 
 
-@dataclass(frozen=True)
-class ShootingUnknowns:
-    """Unknowns of the square shooting system.
-
-    Always the initial adjoint; additionally the initial state for periodic
-    problems and the final time when it is free.
-    """
-
-    p_init: np.ndarray
-    q_init: Optional[np.ndarray] = None
-    t_f: Optional[float] = None
-
-    def pack(self) -> np.ndarray:
-        parts = [np.asarray(self.p_init, dtype=float)]
-        if self.q_init is not None:
-            parts.append(np.asarray(self.q_init, dtype=float))
-        if self.t_f is not None:
-            parts.append(np.array([self.t_f]))
-        return np.concatenate(parts)
-
-
 def _unknown_layout(problem: ProblemDefinition):
-    """(has_q0, has_tf, total unknown dimension) for the problem's variant."""
+    """(has_q0, has_tf, total unknown dimension) for the problem's variant.
+
+    The packed unknown vector is p(0), then q(0) for periodic problems, then
+    t_f when the final time is free.
+    """
     if isinstance(problem.terminal, GeneralTerminal):
         raise UnsupportedCase("shooting supports the three canonical terminal "
                               "variants; general terminal data is check-only")
@@ -100,17 +79,6 @@ def _unknown_layout(problem: ProblemDefinition):
     has_tf = isinstance(problem.final_time, FreeTime)
     dim = problem.n * (2 if has_q0 else 1) + (1 if has_tf else 0)
     return has_q0, has_tf, dim
-
-
-def _unpack(problem: ProblemDefinition, x: np.ndarray) -> ShootingUnknowns:
-    n = problem.n
-    has_q0, has_tf, dim = _unknown_layout(problem)
-    if x.shape != (dim,):
-        raise ValueError(f"unknown vector must have shape ({dim},), got {x.shape}")
-    p_init = x[:n]
-    q_init = x[n:2 * n] if has_q0 else None
-    t_f = float(x[-1]) if has_tf else None
-    return ShootingUnknowns(p_init=p_init, q_init=q_init, t_f=t_f)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +131,8 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
             callback(v.copy(), aux[0].copy())
         return {}
 
-    newton = dataclasses.replace(config, newton_tol=config.inner_tol,
-                                 newton_max_iter=config.inner_max_iter)
-    u, (_, arc) = _damped_newton(natural_residual, u, newton, annotate=annotate)
+    u, (_, arc) = _damped_newton(natural_residual, u, config.inner_tol,
+                                 config.inner_max_iter, annotate=annotate)
     return u, arc
 
 
@@ -174,9 +141,8 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 # ---------------------------------------------------------------------------
 
 def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
-               unknowns: ShootingUnknowns, config: SolverConfig,
-               initial_controls=None):
-    """Integrate the extremal forward, solving each interval's control.
+               x: np.ndarray, config: SolverConfig, initial_controls=None):
+    """Integrate the extremal forward from the packed unknowns ``x``.
 
     Returns (residual_vector, extremal).  Each interval's coupled arc is the
     one the inner solve integrated at its solved control; that arc advances
@@ -185,16 +151,17 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
     ``initial_controls[0]`` or the projected origin).
     """
     n = problem.n
-    if isinstance(problem.terminal, Periodic):
-        q = np.asarray(unknowns.q_init, dtype=float)
-    else:
-        q = problem.initial_state()
+    has_q0, has_tf, dim = _unknown_layout(problem)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"unknown vector must have shape ({dim},), got {x.shape}")
+    q = x[n:2 * n] if has_q0 else problem.initial_state()
     p0 = -1.0
 
-    if unknowns.t_f is not None:
-        if unknowns.t_f <= 0:
+    if has_tf:
+        if x[-1] <= 0:
             raise IntegrationBlowUp(0.0, "trial final time is nonpositive")
-        grid = build_grid(unknowns.t_f, grid.period)
+        grid = build_grid(float(x[-1]), grid.period)
 
     if initial_controls is not None:
         u_prev = np.atleast_1d(np.asarray(initial_controls, dtype=float))
@@ -203,7 +170,7 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
     else:
         u_prev = np.zeros(problem.m)
 
-    z = np.concatenate([q, np.asarray(unknowns.p_init, dtype=float)])
+    z = np.concatenate([q, x[:n]])
     us, arcs = [], []
     for k in range(grid.n_intervals):
         t_k, delta = float(grid.times[k]), float(grid.lengths[k])
@@ -234,7 +201,7 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
         parts.append(p_end - p_start)
     elif isinstance(term, FixedInitialFreeFinal):
         parts.append(p_end)
-    if unknowns.t_f is not None:
+    if has_tf:
         # the last interval is the one ending at t_f (see build_grid)
         h_f = problem.hamiltonian(grid.t_f, q_end, p_end, p0, controls[-1])
         parts.append(np.array([h_f]))
@@ -248,11 +215,9 @@ def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
 
     Terminal-constraint violation, concatenated with the transversality
     components of the variant and the terminal Hamiltonian value for free
-    final times.  ``unknowns`` may be a ShootingUnknowns or a packed vector.
+    final times.  ``unknowns`` is the packed vector (see ``_unknown_layout``).
     """
     config = config or SolverConfig()
-    if not isinstance(unknowns, ShootingUnknowns):
-        unknowns = _unpack(problem, np.asarray(unknowns, dtype=float))
     r, _ = _propagate(problem, grid, unknowns, config, initial_controls)
     return r
 
@@ -260,14 +225,6 @@ def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
 # ---------------------------------------------------------------------------
 # outer Newton iteration
 # ---------------------------------------------------------------------------
-
-def _default_guess(problem: ProblemDefinition, grid: SamplingGrid) -> np.ndarray:
-    has_q0, has_tf, dim = _unknown_layout(problem)
-    x = np.zeros(dim)
-    if has_tf:
-        x[-1] = problem.final_time.t_f_guess
-    return x
-
 
 def _active_set_signature(problem, controls: ControlSequence) -> str:
     """One symbol per control component per interval: -, 0 or + saturation.
@@ -304,30 +261,25 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     a passing certificate; a certificate failure after convergence raises
     InternalInconsistency.
 
-    ``initial_unknowns`` may be a ShootingUnknowns, a packed vector, or None
-    for the generic origin guess (which gets a regularized first step).
-    History entries carry the active-set signature of the iterate's
-    controls, and for a free final time its horizon; an iterate on a period
-    multiple is nudged off it (see ``SolverConfig.max_kink_restarts``).
-    When a ``stats`` dict is supplied it receives the iteration count, the
-    final residual norm, the per-iteration history and the solved unknowns.
+    ``initial_unknowns`` is the packed vector (see ``_unknown_layout``) or
+    None for the generic guess: the origin, with the final-time guess of a
+    free horizon.  History entries carry the active-set signature of the
+    iterate's controls, and for a free final time its horizon.  When a
+    ``stats`` dict is supplied it receives the iteration count, the final
+    residual norm, the per-iteration history and the solved unknowns.
     """
     config = config or SolverConfig()
     _, has_tf, dim = _unknown_layout(problem)
 
-    generic_guess = initial_unknowns is None
-    if generic_guess:
-        x = _default_guess(problem, grid)
-    elif isinstance(initial_unknowns, ShootingUnknowns):
-        x = initial_unknowns.pack()
+    if initial_unknowns is None:
+        x = np.zeros(dim)
+        if has_tf:
+            x[-1] = problem.final_time.t_f_guess
     else:
         x = np.asarray(initial_unknowns, dtype=float).copy()
-    if x.shape != (dim,):
-        raise ValueError(f"initial unknowns must have dimension {dim}")
 
     def residual(vec):
-        return _propagate(problem, grid, _unpack(problem, vec), config,
-                          initial_controls)
+        return _propagate(problem, grid, vec, config, initial_controls)
 
     def annotate(vec, extremal):
         entry = {"active_set": _active_set_signature(problem, extremal.controls)}
@@ -335,24 +287,9 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
             entry["t_f"] = float(vec[-1])
         return entry
 
-    kink_restarts = 0
-
-    def nudge(vec):
-        # free-time kink: an iterate on a period multiple straddles the k_f
-        # discontinuity; move it just below the multiple
-        nonlocal kink_restarts
-        if (kink_restarts >= config.max_kink_restarts
-                or not _on_period_multiple(vec[-1], grid.period)):
-            return None
-        kink_restarts += 1
-        vec = vec.copy()
-        vec[-1] -= 1e-8 * grid.period
-        return vec
-
-    _, extremal = _damped_newton(residual, x, config,
-                                 regularize_first=generic_guess,
-                                 annotate=annotate,
-                                 nudge=nudge if has_tf else None, stats=stats)
+    _, extremal = _damped_newton(residual, x, config.newton_tol,
+                                 config.newton_max_iter, annotate=annotate,
+                                 stats=stats)
     cert = check_certificate(problem, extremal)
     if not cert.passed:
         raise InternalInconsistency(
@@ -378,8 +315,7 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
                                          p0, substeps)
         return ext.adjoint.final - p_end, None
 
-    config = SolverConfig(newton_tol=tol, newton_max_iter=max_iter)
-    x, _ = _damped_newton(terminal, np.zeros(problem.n), config)
+    x, _ = _damped_newton(terminal, np.zeros(problem.n), tol, max_iter)
     return x
 
 
@@ -387,46 +323,52 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
 # the damped Newton driver
 # ---------------------------------------------------------------------------
 
-def _damped_newton(residual, x, config: SolverConfig, regularize_first=False,
-                   annotate=None, nudge=None, stats=None, stall_hint=""):
+FD_STEP = 1e-6              # forward-difference step, scaled by (1 + |x|)
+MAX_HALVINGS = 30           # trial scales 1, 1/2, ... along one direction
+
+# Levenberg damping of the one retry taken when no scale of the Newton step
+# decreases the residual.  Where the shooting map kinks (a control changing
+# saturation status between the FD probes), the one-sided Jacobian can mix
+# regions and point uphill; heavy damping rotates the step toward steepest
+# descent of |r|^2, which is region-independent.
+LEVENBERG_DAMPING = 1.0
+
+
+def _damped_newton(residual, x, tol, max_iter, annotate=None, stats=None,
+                   stall_hint=""):
     """Damped Newton on ``residual(x) -> (r, aux)`` with square r.
 
-    Every iteration builds a forward-difference Jacobian, backtracks along
-    the Newton step (a regularized one at iteration 0 when
-    ``regularize_first``) until the residual norm decreases and, when no
-    scale of it helps, along the FALLBACK_DAMPINGS steps in turn.
-    ``annotate(x, aux)`` returns extra fields for each history entry;
-    ``nudge(x)`` may replace an accepted, unconverged iterate, which is then
-    evaluated afresh.  Returns ``(x, aux)`` once the norm reaches
-    ``newton_tol`` within ``newton_max_iter`` steps (the iterate after the
-    last step is tested too), filling ``stats`` when given; otherwise raises
-    NonConvergence with the best iterate and the history.
+    Every iteration builds a forward-difference Jacobian and backtracks along
+    the Newton step until the residual norm decreases; when no scale of it
+    helps, it backtracks once more along the LEVENBERG_DAMPING step.
+    ``annotate(x, aux)`` returns extra fields for each history entry.
+    Returns ``(x, aux)`` once the norm reaches ``tol`` within ``max_iter``
+    steps (the iterate after the last step is tested too), filling ``stats``
+    when given; otherwise raises NonConvergence with the best iterate and
+    the history.
     """
     history = []
     r, aux = residual(x)
     rnorm = float(np.linalg.norm(r))
     best = (rnorm, x.copy())
-    for iteration in range(config.newton_max_iter + 1):
+    for iteration in range(max_iter + 1):
         entry = {"iteration": iteration, "residual_norm": rnorm}
         if annotate is not None:
             entry.update(annotate(x, aux))
         history.append(entry)
-        if rnorm <= config.newton_tol:
+        if rnorm <= tol:
             if stats is not None:
                 stats.update(iterations=iteration, residual_norm=rnorm,
                              history=history, unknowns=x.tolist())
             return x, aux
-        if iteration == config.newton_max_iter:
+        if iteration == max_iter:
             break
 
-        J = _fd_jacobian(residual, x, r, config)
-        step = _newton_step(J, r, regularize=(regularize_first and iteration == 0))
-        found = _search_decrease(residual, x, rnorm, step, config)
-        for mu in FALLBACK_DAMPINGS:
-            if found is not None:
-                break
-            found = _search_decrease(residual, x, rnorm, _damped_step(J, r, mu),
-                                     config)
+        J = _fd_jacobian(residual, x, r)
+        found = _search_decrease(residual, x, rnorm, _newton_step(J, r))
+        if found is None:
+            found = _search_decrease(residual, x, rnorm,
+                                     _damped_step(J, r, LEVENBERG_DAMPING))
         if found is None:
             raise NonConvergence(
                 f"no step direction decreased the residual (at {rnorm:.3e})"
@@ -436,27 +378,20 @@ def _damped_newton(residual, x, config: SolverConfig, regularize_first=False,
         if rnorm < best[0]:
             best = (rnorm, x.copy())
 
-        if nudge is not None and rnorm > config.newton_tol:
-            x_nudged = nudge(x)
-            if x_nudged is not None:
-                x = x_nudged
-                r, aux = residual(x)
-                rnorm = float(np.linalg.norm(r))
-
     raise NonConvergence(
-        f"Newton did not reach tolerance {config.newton_tol:.1e} in "
-        f"{config.newton_max_iter} iterations (best residual {best[0]:.3e})",
+        f"Newton did not reach tolerance {tol:.1e} in {max_iter} iterations "
+        f"(best residual {best[0]:.3e})",
         iterate=best[1], residual_norm=best[0], history=history)
 
 
-def _search_decrease(residual, x, rnorm, step, config: SolverConfig):
+def _search_decrease(residual, x, rnorm, step):
     """Backtrack along ``step`` until the residual norm decreases.
 
     Integration failures on a trial point count as rejected trials.  Returns
     (x, r, rnorm, aux) or None when no scale helped.
     """
     scale = 1.0
-    for _ in range(config.max_halvings):
+    for _ in range(MAX_HALVINGS):
         x_try = x + scale * step
         try:
             r_try, aux_try = residual(x_try)
@@ -470,8 +405,8 @@ def _search_decrease(residual, x, rnorm, step, config: SolverConfig):
     return None
 
 
-def _fd_jacobian(residual, x, r, config: SolverConfig) -> np.ndarray:
-    h = config.fd_step * (1.0 + float(np.linalg.norm(x)))
+def _fd_jacobian(residual, x, r) -> np.ndarray:
+    h = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     J = np.empty((r.size, x.size))
     for i in range(x.size):
         e = np.zeros(x.size); e[i] = h
@@ -479,25 +414,16 @@ def _fd_jacobian(residual, x, r, config: SolverConfig) -> np.ndarray:
     return J
 
 
-def _newton_step(J: np.ndarray, r: np.ndarray, regularize: bool) -> np.ndarray:
-    if not regularize:
-        try:
-            step = np.linalg.solve(J, -r)
-            if np.all(np.isfinite(step)) and np.linalg.norm(step) <= 1e8 * (1 + np.linalg.norm(r)):
-                return step
-        except np.linalg.LinAlgError:
-            pass
+def _newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    try:
+        step = np.linalg.solve(J, -r)
+        if np.all(np.isfinite(step)) and np.linalg.norm(step) <= 1e8 * (1 + np.linalg.norm(r)):
+            return step
+    except np.linalg.LinAlgError:
+        pass
     return _damped_step(J, r, 1e-10)
 
 
 def _damped_step(J: np.ndarray, r: np.ndarray, mu_rel: float) -> np.ndarray:
     mu = mu_rel * (1.0 + float(np.trace(J.T @ J)) / J.shape[1])
     return np.linalg.solve(J.T @ J + mu * np.eye(J.shape[1]), -J.T @ r)
-
-
-# Escalating Levenberg damping tried when the plain Newton direction finds no
-# decrease.  Where the shooting map kinks (a control changing saturation
-# status between the FD probes), the one-sided Jacobian can mix regions and
-# point uphill; heavy damping rotates the step toward steepest descent of
-# |r|^2, which is region-independent.
-FALLBACK_DAMPINGS = (1e-6, 1e-3, 1.0, 1e3)

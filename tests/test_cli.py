@@ -11,6 +11,16 @@ import pytest
 from sampled_pmp.cli import main
 
 
+# the parking instance (2, 4) written out as an inline LTI spec
+LTI_SPEC = {
+    "n": 2, "m": 1, "dynamics": "lti",
+    "A": [[0, 1], [0, 0]], "B": [[0], [1]],
+    "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
+    "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
+    "tf": 4.0, "T": 2.0,
+}
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -40,6 +50,9 @@ def test_solve_writes_artifacts_and_passes(tmp_path):
         assert (out / name).exists(), name
     assert manifest["problem"]["builtin"] == "parking"
     assert manifest["unknowns"]["multipliers"][0] == pytest.approx(-1.0, abs=1e-6)
+    assert sorted(manifest["config"]) == ["inner_max_iter", "inner_tol",
+                                          "newton_max_iter", "newton_tol",
+                                          "substeps"]
 
 
 def test_solve_parking_integrates_once(tmp_path, parking_f_calls):
@@ -82,13 +95,7 @@ def test_solve_is_deterministic(tmp_path):
 
 def test_solve_from_spec_file(tmp_path):
     spec = tmp_path / "problem.json"
-    spec.write_text(json.dumps({
-        "n": 2, "m": 1, "dynamics": "lti",
-        "A": [[0, 1], [0, 0]], "B": [[0], [1]],
-        "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
-        "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
-        "tf": 4.0, "T": 2.0,
-    }))
+    spec.write_text(json.dumps(LTI_SPEC))
     out = tmp_path / "run"
     rc = main(["solve", "--spec", str(spec), "--out", str(out)])
     assert rc == 0
@@ -97,6 +104,27 @@ def test_solve_from_spec_file(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert str(spec) in manifest["inputs"]
     assert manifest["inputs"][str(spec)].startswith("sha256:")
+
+
+def test_solve_builtin_spec_takes_M_flag(tmp_path):
+    # M = 3, t_f = 4, two intervals: -a then a parks from 3 - 4a, a = 0.75
+    spec = tmp_path / "p.json"
+    spec.write_text(json.dumps({"problem": "parking", "M": 2, "tf": 4, "T": 2}))
+    out = tmp_path / "run"
+    assert main(["solve", "--spec", str(spec), "--M", "3",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "controls.csv")
+    assert float(rows[0][3]) == pytest.approx(-0.75, abs=1e-7)
+    assert float(rows[1][3]) == pytest.approx(0.75, abs=1e-7)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["problem"]["M"] == 3.0
+
+
+def test_solve_inline_spec_rejects_M_flag(tmp_path):
+    spec = tmp_path / "problem.json"
+    spec.write_text(json.dumps(LTI_SPEC))
+    assert main(["solve", "--spec", str(spec), "--M", "3",
+                 "--out", str(tmp_path / "run")]) == 4
 
 
 def test_substeps_env_override(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import sampled_pmp as sp
 from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
 from sampled_pmp.simulate import integrate_extremal_forward
-from sampled_pmp.solver import _fd_jacobian, _unpack
+from sampled_pmp.solver import _fd_jacobian
 
 PARKING4 = parking_problem(2.0, 4.0)
 GRID4 = sp.build_grid(4.0, 2.0)
@@ -183,32 +183,38 @@ def test_shooting_residual_dimension_check():
 
 
 def test_unknown_layout_is_square():
-    # FixedEndpoints: n unknowns; periodic: 2n; free time adds one
-    assert _unpack(PARKING4, np.zeros(2)).q_init is None
+    # FixedEndpoints: n unknowns; periodic: 2n; free time adds one.  The
+    # packed vector is p(0), then q(0), then t_f
+    cfg = sp.SolverConfig()
+    assert solver._unknown_layout(PARKING4) == (False, False, 2)
     per = parking_problem(2.0, 4.0, terminal="periodic")
-    u = _unpack(per, np.arange(4.0))
-    np.testing.assert_array_equal(u.q_init, [2.0, 3.0])
+    assert solver._unknown_layout(per) == (True, False, 4)
+    _, ext = solver._propagate(per, GRID4, np.arange(4.0), cfg)
+    np.testing.assert_array_equal(ext.trajectory.initial_state, [2.0, 3.0])
     free = _scalar_transfer(1.3)
-    u = _unpack(free, np.array([0.5, 1.2]))
-    assert u.t_f == 1.2
+    assert solver._unknown_layout(free) == (False, True, 2)
+    _, ext = solver._propagate(free, sp.build_grid(1.3, 0.3),
+                               np.array([0.5, 1.2]), cfg)
+    assert ext.grid.t_f == 1.2
     r = sp.shooting_residual(free, sp.build_grid(1.3, 0.3), np.array([2.0, 1.0]))
     assert r.shape == (2,)
     np.testing.assert_allclose(r, [0.0, 0.0], atol=1e-9)
 
 
-def test_shooting_jacobian_constant_within_saturation_region():
+def test_shooting_jacobian_constant_within_saturation_region(monkeypatch):
     # the map is affine while no control changes saturation status; the FD
     # step is widened to 1e-5 so machine-eps residual noise (which divides by
     # h) stays under the 1e-9 constancy bound
-    cfg = sp.SolverConfig(inner_tol=1e-13, fd_step=1e-5)
+    monkeypatch.setattr(solver, "FD_STEP", 1e-5)
+    cfg = sp.SolverConfig(inner_tol=1e-13)
 
     def residual(x):
         return sp.shooting_residual(PARKING4, GRID4, x, cfg), None, None
 
     x1 = np.array([-1.0, -2.0])
     x2 = x1 + np.array([0.02, -0.015])
-    J1 = _fd_jacobian(residual, x1, residual(x1)[0], cfg)
-    J2 = _fd_jacobian(residual, x2, residual(x2)[0], cfg)
+    J1 = _fd_jacobian(residual, x1, residual(x1)[0])
+    J2 = _fd_jacobian(residual, x2, residual(x2)[0])
     assert np.max(np.abs(J1 - J2)) <= 1e-9
     # and it matches the closed-form affine coefficients of the map
     np.testing.assert_allclose(J1, [[-6.0, 4.0], [-4.0, 2.0]], atol=1e-6)
@@ -236,22 +242,14 @@ def test_solve_parking_2_3_1():
 
 
 def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
-                                                          parking_f_calls):
+                                                          parking_f_calls,
+                                                          gbar_calls):
     # a residual evaluation keeps the arc it integrates at each solved
     # control: no closing re-integration of the whole extremal
     def refuse(*args, **kwargs):
         raise AssertionError("solve re-integrated the extremal")
 
     monkeypatch.setattr(solver, "integrate_extremal_forward", refuse)
-    gbar_calls = 0
-    gbar = solver._interval_average_gradient
-
-    def counting_gbar(*args, **kwargs):
-        nonlocal gbar_calls
-        gbar_calls += 1
-        return gbar(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_interval_average_gradient", counting_gbar)
     problem = parking.parking_problem(2, 4)
     grid = sp.build_grid(4, 2)
     ext, cert = sp.solve(problem, grid,
@@ -261,7 +259,7 @@ def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
     # calls); an advancing pass per interval over the 4 residual evaluations
     # at K = 2 would add 64 K f calls each (3648)
     assert parking_f_calls() == 3136
-    assert parking_f_calls() == 64 * gbar_calls
+    assert parking_f_calls() == 64 * gbar_calls()
     ref = integrate_extremal_forward(problem, grid, ext.controls, Q0,
                                      ext.adjoint.initial, -1.0)
     for got, want in ((ext.trajectory.times, ref.trajectory.times),
@@ -274,13 +272,19 @@ def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
     assert ext.adjoint.p0 == ref.adjoint.p0
 
 
-def test_solve_single_interval_is_infeasible():
+def test_solve_single_interval_is_infeasible(gbar_calls):
     # one frozen acceleration cannot meet two terminal constraints
     grid = sp.build_grid(4.0, 4.0)
     with pytest.raises(sp.NonConvergence) as exc:
         sp.solve(PARKING4, grid, initial_unknowns=initial_adjoint_guess(2, 4))
     assert exc.value.history
     assert "active_set" in exc.value.history[0]
+    # the least-squares distance: a constant u on [0, 4] ends at
+    # (2 + 8u, 4u), closest to the origin at u = -0.2
+    assert exc.value.residual_norm == pytest.approx(2 / np.sqrt(5), abs=1e-9)
+    # the rejection's work: the Newton step and one Levenberg retry of 30
+    # halvings each at the stalling iterate
+    assert gbar_calls() == 272
 
 
 def test_solve_rejects_general_terminal():
@@ -305,7 +309,7 @@ def test_solve_full_controls_independent_of_inner_seed():
 
 
 def test_solve_generic_zero_guess():
-    # origin guess with the regularized first step still lands the LQ case
+    # the origin guess still lands the LQ case
     ext, cert = sp.solve(PARKING4, GRID4)
     np.testing.assert_allclose(ext.controls.values.ravel(), [-0.5, 0.5],
                                atol=1e-8)
@@ -337,11 +341,15 @@ def test_solve_free_final_time():
     assert stats["iterations"] >= 1
 
 
-def test_solve_free_time_optimum_on_period_multiple():
-    # optimum t_f = 1.0 = 2T sits exactly on the k_f discontinuity
-    prob = _scalar_transfer(1.2)
-    grid = sp.build_grid(1.2, 0.5)
-    ext, cert = sp.solve(prob, grid, initial_unknowns=np.array([1.5, 1.2]))
+@pytest.mark.parametrize("T, x0", [(0.5, [1.5, 1.2]), (0.5, [1.5, 1.5]),
+                                   (0.25, [1.0, 1.25])],
+                         ids=["opt-2T", "start-3T", "start-5T"])
+def test_solve_free_time_optimum_on_period_multiple(T, x0):
+    # optimum t_f = 1.0 (2T or 4T) sits exactly on the k_f discontinuity;
+    # the last two starts sit on one as well (3T, 5T)
+    prob = _scalar_transfer(x0[1])
+    grid = sp.build_grid(x0[1], T)
+    ext, cert = sp.solve(prob, grid, initial_unknowns=np.array(x0))
     assert cert.passed
     assert ext.grid.t_f == pytest.approx(1.0, abs=1e-8)
 
@@ -400,10 +408,9 @@ def test_solve_planar_disc_matches_rotated_parking():
 
 def test_damped_newton_tests_the_iterate_after_its_last_step():
     # one step solves 2x - 1 = 0 to rounding; the cap allows exactly one
-    cfg = sp.SolverConfig(newton_max_iter=1, newton_tol=1e-8)
     stats = {}
     x, _ = solver._damped_newton(lambda x: (2.0 * x - 1.0, None),
-                                 np.array([3.0]), cfg, stats=stats)
+                                 np.array([3.0]), 1e-8, 1, stats=stats)
     assert x[0] == pytest.approx(0.5, abs=1e-8)
     assert stats["iterations"] == 1
     assert [e["iteration"] for e in stats["history"]] == [0, 1]
