@@ -23,8 +23,8 @@ from .problems import lti_problem
 from .simulate import (AdjointArc, Extremal, Trajectory, average_hamiltonian,
                        average_u_gradient, integrate_extremal_forward,
                        integrate_interval, simulate, write_trajectory_csv)
-from .solver import (SolverConfig, match_terminal_adjoint, shooting_residual,
-                     solve, solve_interval_control)
+from .solver import (match_terminal_adjoint, shooting_residual, solve,
+                     solve_interval_control)
 from . import parking
 from .specfile import LoadedSpec, SpecError, load_problem_spec
 
@@ -35,8 +35,8 @@ __all__ = [
     "FixedEndpoints", "FixedInitialFreeFinal", "FixedTime", "FreeTime",
     "GeneralTerminal", "Infeasible", "IntegrationBlowUp",
     "InternalInconsistency", "LoadedSpec", "NonConvergence", "Periodic",
-    "ProblemDefinition", "SamplingGrid", "SolverConfig",
-    "SpecError", "Trajectory", "UnsupportedCase", "average_hamiltonian",
+    "ProblemDefinition", "SamplingGrid", "SpecError", "Trajectory",
+    "UnsupportedCase", "average_hamiltonian",
     "average_u_gradient", "build_grid", "check_certificate",
     "final_control_index", "floor_index",
     "free_time_residual", "integrate_extremal_forward", "integrate_interval",

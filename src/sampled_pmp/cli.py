@@ -1,8 +1,11 @@
 """Command-line front end: solve, check, sweep and compare.
 
 Exit codes: 0 success, 2 certificate failure, 3 solver non-convergence,
-4 bad input.  Diagnostics go to standard error; artifacts (CSV, JSON, SVG)
-into the chosen output directory.  Numeric CSV cells use %.12e with a dot
+4 bad input.  An integration that blows up is a non-convergence in
+``solve`` and a certificate failure in ``check``; a non-finite number in
+the flags, the specification or the initial adjoint is bad input.
+Diagnostics go to standard error; artifacts (CSV, JSON, SVG) into the
+chosen output directory.  Numeric CSV cells use %.12e with a dot
 decimal point, so identical inputs give byte-identical data files.
 """
 
@@ -13,7 +16,7 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
+import math
 import sys
 import time
 from pathlib import Path
@@ -22,11 +25,11 @@ import numpy as np
 
 from . import parking
 from .certificate import check_certificate, write_certificate_json
-from .errors import (Infeasible, InternalInconsistency, NonConvergence,
-                     UnsupportedCase)
+from .errors import (Infeasible, IntegrationBlowUp, InternalInconsistency,
+                     NonConvergence, UnsupportedCase)
 from .problem import FixedTime, FreeTime, build_grid, floor_index
 from .simulate import integrate_extremal_forward, write_trajectory_csv
-from .solver import SolverConfig, solve
+from .solver import solve
 from .specfile import LoadedSpec, SpecError, load_problem_spec
 from .svgfig import SvgPlot
 
@@ -34,8 +37,6 @@ EXIT_OK = 0
 EXIT_CERTIFICATE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_BAD_INPUT = 4
-
-SUBSTEPS_ENV = "SAMPLED_PMP_SUBSTEPS"
 
 
 class _UsageError(Exception):
@@ -48,6 +49,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a number that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, "
+                                         f"got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="sampled-pmp",
                 description="Solve and certify optimal sampled-data control "
@@ -58,10 +71,11 @@ def _build_parser() -> _Parser:
         sp.add_argument("--problem", choices=["parking"],
                         help="built-in problem name")
         sp.add_argument("--spec", type=str, help="problem specification JSON")
-        sp.add_argument("--M", type=float, help="parking initial position")
-        sp.add_argument("--tf", type=float, help="final time")
+        sp.add_argument("--M", type=_finite_float,
+                        help="parking initial position")
+        sp.add_argument("--tf", type=_finite_float, help="final time")
         if with_T:
-            sp.add_argument("--T", type=float, help="sampling period")
+            sp.add_argument("--T", type=_finite_float, help="sampling period")
 
     sp = sub.add_parser("solve", description="Solve a problem and write "
                         "controls, trajectory, certificate and manifest.")
@@ -111,6 +125,9 @@ def main(argv=None) -> int:
         for entry in exc.history[-5:]:
             print(f"  {entry}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except IntegrationBlowUp as exc:
+        print(f"solver did not converge: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     except InternalInconsistency as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
@@ -126,17 +143,6 @@ def console_main() -> None:
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
-
-def _solver_config() -> SolverConfig:
-    substeps = os.environ.get(SUBSTEPS_ENV)
-    if substeps is None:
-        return SolverConfig()
-    try:
-        value = int(substeps)
-    except ValueError:
-        raise ValueError(f"{SUBSTEPS_ENV} must be an integer, got {substeps!r}")
-    return SolverConfig(substeps=value)
-
 
 def _resolve_problem(args, need_T: bool = True) -> LoadedSpec:
     """Problem from --problem/--spec with flag overrides for M, tf, T."""
@@ -252,6 +258,8 @@ def _parse_adjoint_init(text: str, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"--adjoint-init must have {n} components, "
                          f"got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"--adjoint-init must be finite, got {arr.tolist()}")
     return arr
 
 
@@ -269,7 +277,6 @@ def _write_manifest(out_dir: Path, payload: dict, outputs) -> None:
 
 def cmd_solve(args) -> int:
     loaded = _resolve_problem(args)
-    config = _solver_config()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -277,12 +284,12 @@ def cmd_solve(args) -> int:
     stats: dict = {}
     if loaded.builtin == "parking":
         extremal, (p1, p2f), cert = parking.solve_parking(
-            loaded.params["M"], loaded.t_f, loaded.T, config, stats=stats)
+            loaded.params["M"], loaded.t_f, loaded.T, stats=stats)
         unknowns = {"p_init": extremal.adjoint.initial.tolist(),
                     "multipliers": [p1, p2f]}
     else:
         grid = build_grid(loaded.t_f, loaded.T)
-        extremal, cert = solve(loaded.problem, grid, config=config, stats=stats)
+        extremal, cert = solve(loaded.problem, grid, stats=stats)
         unknowns = {"p_init": extremal.adjoint.initial.tolist()}
         if "unknowns" in stats:
             unknowns["vector"] = stats["unknowns"]
@@ -298,7 +305,6 @@ def cmd_solve(args) -> int:
         inputs[str(args.spec)] = _sha256(args.spec)
     _write_manifest(out_dir, {
         "command": "solve",
-        "config": dataclasses.asdict(config),
         "problem": {"builtin": loaded.builtin, "name": loaded.problem.name,
                     "tf": loaded.t_f, "T": loaded.T, **loaded.params},
         "inputs": inputs,
@@ -322,7 +328,6 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     loaded = _resolve_problem(args)
-    config = _solver_config()
     problem = loaded.problem
     grid = build_grid(loaded.t_f, loaded.T)
 
@@ -333,9 +338,12 @@ def cmd_check(args) -> int:
     p_init = _parse_adjoint_init(args.adjoint_init, problem.n)
 
     q0 = problem.initial_state()
-    extremal = integrate_extremal_forward(problem, grid, values, q0, p_init,
-                                          -1.0, config.substeps,
-                                          enforce_admissible=False)
+    try:
+        extremal = integrate_extremal_forward(problem, grid, values, q0, p_init,
+                                              -1.0, enforce_admissible=False)
+    except IntegrationBlowUp as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     cert = check_certificate(problem, extremal)
 
     out_dir = Path(args.out)
@@ -361,16 +369,15 @@ def cmd_sweep(args) -> int:
     if not tokens:
         raise ValueError("--T-list must contain at least one period")
     try:
-        periods = [float(tok) for tok in tokens]
-    except ValueError:
-        raise ValueError(f"--T-list must be comma-separated numbers, "
+        periods = [_finite_float(tok) for tok in tokens]
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"--T-list must be comma-separated finite numbers, "
                          f"got {args.T_list!r}")
-    config = _solver_config()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    rows = parking.sweep_periods(M, t_f, periods, config)
+    rows = parking.sweep_periods(M, t_f, periods)
     wall = time.perf_counter() - started
 
     header = ["T", "K", "sup_dev", "terminal_residual", "max_pmp_residual",
@@ -395,7 +402,6 @@ def cmd_sweep(args) -> int:
 
     _write_manifest(out_dir, {
         "command": "sweep",
-        "config": dataclasses.asdict(config),
         "problem": {"builtin": "parking", "M": M, "tf": t_f},
         "inputs": {str(args.spec): _sha256(args.spec)} if args.spec else {},
         "periods": periods,

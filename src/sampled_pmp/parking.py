@@ -105,8 +105,9 @@ class ParkingInstance:
     T: float
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError(f"initial position must be positive, got {self.M}")
+        if not 0 < self.M < math.inf:
+            raise ValueError(f"initial position must be positive and finite, "
+                             f"got {self.M}")
         if self.T <= 0:
             raise ValueError(f"sampling period must be positive, got {self.T}")
         if self.t_f <= 0:
@@ -221,7 +222,6 @@ def sampled_cost(grid: SamplingGrid, controls: ControlSequence) -> float:
 # ---------------------------------------------------------------------------
 
 def solve_parking(M: float, t_f: float, T: float,
-                  config: Optional[_solver.SolverConfig] = None,
                   stats: Optional[dict] = None):
     """Solve the sampled parking instance by two-unknown shooting.
 
@@ -233,7 +233,6 @@ def solve_parking(M: float, t_f: float, T: float,
     NonConvergence before anything is integrated.
     """
     ParkingInstance(M=M, t_f=t_f, T=T)
-    config = config or _solver.SolverConfig()
     grid = build_grid(t_f, T)
     problem = parking_problem(M, t_f)
 
@@ -241,15 +240,14 @@ def solve_parking(M: float, t_f: float, T: float,
         return np.array(parking_shooting_map(vec[0], vec[1], M, grid)), None
 
     x, _ = _solver._damped_newton(
-        residual, np.array(permanent_multipliers(M, t_f)), config.newton_tol,
-        config.newton_max_iter, stats=stats,
+        residual, np.array(permanent_multipliers(M, t_f)), _solver.NEWTON_TOL,
+        _solver.NEWTON_MAX_ITER, stats=stats,
         stall_hint=f" (K={grid.n_intervals} may make the target unreachable)")
     p1, p2f = float(x[0]), float(x[1])
     controls = sampled_control_from_multipliers(p1, p2f, grid)
     p_init = np.array([p1, p1 * t_f + p2f])
     extremal = integrate_extremal_forward(problem, grid, controls,
-                                          np.array([M, 0.0]), p_init, -1.0,
-                                          config.substeps)
+                                          np.array([M, 0.0]), p_init, -1.0)
     return extremal, (p1, p2f), check_certificate(problem, extremal)
 
 
@@ -364,8 +362,7 @@ class SweepRow:
     controls: Optional[ControlSequence] = None     # None on a failed row
 
 
-def sweep_row(M: float, t_f: float, T: float,
-              config: Optional[_solver.SolverConfig] = None) -> SweepRow:
+def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
     """Solve one instance and compare it against the permanent optimum.
 
     The deviation is measured at interval midpoints kT + Delta_k/2, where the
@@ -378,7 +375,7 @@ def sweep_row(M: float, t_f: float, T: float,
     """
     grid = build_grid(t_f, T)
     try:
-        extremal, (p1, p2f), cert = solve_parking(M, t_f, T, config)
+        extremal, (p1, p2f), cert = solve_parking(M, t_f, T)
     except (NonConvergence, ValueError, Infeasible) as exc:
         return SweepRow(T=T, K=grid.n_intervals, sup_dev=np.nan,
                         terminal_residual=np.nan, max_pmp_residual=np.nan,
@@ -398,7 +395,6 @@ def sweep_row(M: float, t_f: float, T: float,
                     cost_permanent=permanent_cost(M, t_f), controls=controls)
 
 
-def sweep_periods(M: float, t_f: float, T_list,
-                  config: Optional[_solver.SolverConfig] = None):
+def sweep_periods(M: float, t_f: float, T_list):
     """Sweep the sampling period over ``T_list``; one SweepRow per period."""
-    return [sweep_row(M, t_f, float(T), config) for T in T_list]
+    return [sweep_row(M, t_f, float(T)) for T in T_list]

@@ -14,6 +14,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -101,6 +102,9 @@ def build_grid(t_f: float, T: float) -> SamplingGrid:
     intervals have length ``T``; otherwise the last interval is partial with
     length ``t_f - kT``.
     """
+    if not (math.isfinite(t_f) and math.isfinite(T)):
+        raise ValueError(f"final time and sampling period must be finite, "
+                         f"got t_f={t_f}, T={T}")
     k_last = final_control_index(t_f, T)
     K = k_last + 1
     times = np.arange(K, dtype=float) * T

@@ -106,7 +106,10 @@ def _rk4(rhs, t0: float, delta: float, x0: np.ndarray, substeps: int):
         k3 = rhs(t + 0.5 * h, x + (0.5 * h) * k2)
         k4 = rhs(t + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP_NORM:
+        # the max test also rejects NaN (which it propagates) and keeps the
+        # norm from overflowing
+        if (not np.abs(x).max() <= BLOWUP_NORM
+                or np.linalg.norm(x) > BLOWUP_NORM):
             raise IntegrationBlowUp(t + h)
         out[i + 1] = x
     times = t0 + h * np.arange(substeps + 1)

@@ -18,12 +18,14 @@ both kinds.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
 interval control, the generic shooting, the two-unknown parking shooting and
-``match_terminal_adjoint`` all run on it.
+``match_terminal_adjoint`` all run on it.  The method has no options: its
+tolerances, iteration caps and line-search settings are the module constants
+below, and every interval integrates with ``simulate.DEFAULT_SUBSTEPS`` RK4
+steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,31 +41,22 @@ from .simulate import (DEFAULT_SUBSTEPS, _extremal_from_arcs,
                        integrate_extremal_forward)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunable constants of the inner and outer iterations (all positive).
+# Tolerance and iteration cap of the inner Newton on each interval's natural
+# residual and of the outer Newton on the shooting residual.
+INNER_TOL = 1e-12
+INNER_MAX_ITER = 200
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 100
 
-    Both iterations run :func:`_damped_newton`: the outer one on the shooting
-    residual with ``newton_tol`` and ``newton_max_iter``, the inner one on
-    each interval's natural residual with ``inner_tol`` and
-    ``inner_max_iter``.  ``substeps`` is the (even) number of RK4 steps per
-    interval.  The finite-difference step and the halving cap of the line
-    search are the module constants ``FD_STEP`` and ``MAX_HALVINGS``.
-    """
+FD_STEP = 1e-6              # forward-difference step, scaled by (1 + |x|)
+MAX_HALVINGS = 30           # trial scales 1, 1/2, ... along one direction
 
-    inner_tol: float = 1e-12
-    inner_max_iter: int = 200
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 100
-    substeps: int = 16
-
-    def __post_init__(self):
-        for name in ("inner_tol", "inner_max_iter", "newton_tol",
-                     "newton_max_iter", "substeps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.substeps % 2 != 0:
-            raise ValueError("substeps must be even")
+# Levenberg damping of the one retry taken when no scale of the Newton step
+# decreases the residual.  Where the shooting map kinks (a control changing
+# saturation status between the FD probes), the one-sided Jacobian can mix
+# regions and point uphill; heavy damping rotates the step toward steepest
+# descent of |r|^2, which is region-independent.
+LEVENBERG_DAMPING = 1.0
 
 
 def _unknown_layout(problem: ProblemDefinition):
@@ -85,7 +78,7 @@ def _unknown_layout(problem: ProblemDefinition):
 # inner solve: one interval's control from the averaged-gradient condition
 # ---------------------------------------------------------------------------
 
-def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u, substeps):
+def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u):
     """Average of dH/du over one interval, re-integrating the coupled arc at u.
 
     Returns ``(gbar, arc)`` with the integrated ``(times, nodes)`` arc.
@@ -93,7 +86,7 @@ def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u, substeps):
     n = problem.n
     times, nodes = _extremal_interval(problem, t_k, delta,
                                       np.concatenate([q_k, p_k]), u, p0,
-                                      substeps)
+                                      DEFAULT_SUBSTEPS)
     gbar = _interval_mean(problem.hamiltonian_u, times, nodes[:, :n],
                           nodes[:, n:], p0, u, delta)
     return gbar, (times, nodes)
@@ -101,15 +94,14 @@ def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u, substeps):
 
 def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
                            q_k: np.ndarray, p_k: np.ndarray, p0: float,
-                           u_init: np.ndarray, config: SolverConfig,
-                           callback=None):
+                           u_init: np.ndarray, callback=None):
     """Control value satisfying the interval's variational inequality.
 
     Runs :func:`_damped_newton` on the natural residual
     F(u) = project(u + Gbar(u)) - u, whose zeros are exactly the controls
     where Gbar lies in the normal cone of the control set; Gbar re-integrates
-    the interval arc at the trial control.  ``inner_tol`` and
-    ``inner_max_iter`` serve as the Newton tolerance and iteration cap.
+    the interval arc at the trial control.  ``INNER_TOL`` and
+    ``INNER_MAX_ITER`` serve as the Newton tolerance and iteration cap.
     Returns ``(u, arc)``, where ``arc`` is the ``(times, nodes)`` coupled arc
     integrated at ``u`` by its last residual evaluation.
 
@@ -123,7 +115,7 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 
     def natural_residual(v):
         gbar, arc = _interval_average_gradient(problem, t_k, delta, q_k, p_k,
-                                               p0, v, config.substeps)
+                                               p0, v)
         return project(v + gbar) - v, (gbar, arc)
 
     def annotate(v, aux):
@@ -131,8 +123,8 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
             callback(v.copy(), aux[0].copy())
         return {}
 
-    u, (_, arc) = _damped_newton(natural_residual, u, config.inner_tol,
-                                 config.inner_max_iter, annotate=annotate)
+    u, (_, arc) = _damped_newton(natural_residual, u, INNER_TOL,
+                                 INNER_MAX_ITER, annotate=annotate)
     return u, arc
 
 
@@ -140,15 +132,14 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 # forward propagation with inner solves, and the shooting residual
 # ---------------------------------------------------------------------------
 
-def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
-               x: np.ndarray, config: SolverConfig, initial_controls=None):
+def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     """Integrate the extremal forward from the packed unknowns ``x``.
 
     Returns (residual_vector, extremal).  Each interval's coupled arc is the
     one the inner solve integrated at its solved control; that arc advances
     the state and adjoint and becomes the interval's part of the extremal.
     Controls are warm-started from the previous interval (the first from
-    ``initial_controls[0]`` or the projected origin).
+    the projected origin).
     """
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
@@ -163,12 +154,7 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
             raise IntegrationBlowUp(0.0, "trial final time is nonpositive")
         grid = build_grid(float(x[-1]), grid.period)
 
-    if initial_controls is not None:
-        u_prev = np.atleast_1d(np.asarray(initial_controls, dtype=float))
-        if u_prev.ndim == 2:
-            u_prev = u_prev[0]
-    else:
-        u_prev = np.zeros(problem.m)
+    u_prev = np.zeros(problem.m)
 
     z = np.concatenate([q, x[:n]])
     us, arcs = [], []
@@ -176,7 +162,7 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
         t_k, delta = float(grid.times[k]), float(grid.lengths[k])
         try:
             u_k, arc = solve_interval_control(problem, t_k, delta, z[:n],
-                                              z[n:], p0, u_prev, config)
+                                              z[n:], p0, u_prev)
         except NonConvergence as exc:
             exc.interval = k
             raise
@@ -209,16 +195,14 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid,
 
 
 def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
-                      unknowns, config: Optional[SolverConfig] = None,
-                      initial_controls=None) -> np.ndarray:
+                      unknowns) -> np.ndarray:
     """Residual of the shooting system at the given unknowns.
 
     Terminal-constraint violation, concatenated with the transversality
     components of the variant and the terminal Hamiltonian value for free
     final times.  ``unknowns`` is the packed vector (see ``_unknown_layout``).
     """
-    config = config or SolverConfig()
-    r, _ = _propagate(problem, grid, unknowns, config, initial_controls)
+    r, _ = _propagate(problem, grid, unknowns)
     return r
 
 
@@ -252,8 +236,7 @@ def _active_set_signature(problem, controls: ControlSequence) -> str:
 
 
 def solve(problem: ProblemDefinition, grid: SamplingGrid,
-          initial_unknowns=None, config: Optional[SolverConfig] = None,
-          initial_controls=None, stats: Optional[dict] = None):
+          initial_unknowns=None, stats: Optional[dict] = None):
     """Solve the sampled-data problem by indirect shooting.
 
     Runs :func:`_damped_newton` on the shooting residual.  On success returns
@@ -268,7 +251,6 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     ``stats`` dict is supplied it receives the iteration count, the final
     residual norm, the per-iteration history and the solved unknowns.
     """
-    config = config or SolverConfig()
     _, has_tf, dim = _unknown_layout(problem)
 
     if initial_unknowns is None:
@@ -279,7 +261,7 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
         x = np.asarray(initial_unknowns, dtype=float).copy()
 
     def residual(vec):
-        return _propagate(problem, grid, vec, config, initial_controls)
+        return _propagate(problem, grid, vec)
 
     def annotate(vec, extremal):
         entry = {"active_set": _active_set_signature(problem, extremal.controls)}
@@ -287,9 +269,8 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
             entry["t_f"] = float(vec[-1])
         return entry
 
-    _, extremal = _damped_newton(residual, x, config.newton_tol,
-                                 config.newton_max_iter, annotate=annotate,
-                                 stats=stats)
+    _, extremal = _damped_newton(residual, x, NEWTON_TOL, NEWTON_MAX_ITER,
+                                 annotate=annotate, stats=stats)
     cert = check_certificate(problem, extremal)
     if not cert.passed:
         raise InternalInconsistency(
@@ -300,8 +281,7 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
 
 def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
                            controls, q0: np.ndarray, p_end: np.ndarray,
-                           p0: float, substeps: int = DEFAULT_SUBSTEPS,
-                           tol: float = 1e-12, max_iter: int = 8) -> np.ndarray:
+                           p0: float) -> np.ndarray:
     """Initial adjoint p(0) whose forward arc hits ``p_end`` at t_f.
 
     For a fixed trajectory the adjoint equation is linear in p, so the map
@@ -312,27 +292,16 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
 
     def terminal(p_start):
         ext = integrate_extremal_forward(problem, grid, controls, q0, p_start,
-                                         p0, substeps)
+                                         p0)
         return ext.adjoint.final - p_end, None
 
-    x, _ = _damped_newton(terminal, np.zeros(problem.n), tol, max_iter)
+    x, _ = _damped_newton(terminal, np.zeros(problem.n), 1e-12, 8)
     return x
 
 
 # ---------------------------------------------------------------------------
 # the damped Newton driver
 # ---------------------------------------------------------------------------
-
-FD_STEP = 1e-6              # forward-difference step, scaled by (1 + |x|)
-MAX_HALVINGS = 30           # trial scales 1, 1/2, ... along one direction
-
-# Levenberg damping of the one retry taken when no scale of the Newton step
-# decreases the residual.  Where the shooting map kinks (a control changing
-# saturation status between the FD probes), the one-sided Jacobian can mix
-# regions and point uphill; heavy damping rotates the step toward steepest
-# descent of |r|^2, which is region-independent.
-LEVENBERG_DAMPING = 1.0
-
 
 def _damped_newton(residual, x, tol, max_iter, annotate=None, stats=None,
                    stall_hint=""):

@@ -68,11 +68,18 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _finite(arr, key: str, where: str):
+    # JSON as Python reads it admits NaN and Infinity
+    if not np.all(np.isfinite(arr)):
+        raise SpecError(f"field '{key}' in {where} must be finite")
+    return arr
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     v = _require(obj, key, where)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise SpecError(f"field '{key}' in {where} must be a number")
-    return float(v)
+    return _finite(float(v), key, where)
 
 
 def _vector(obj: dict, key: str, where: str) -> np.ndarray:
@@ -83,7 +90,7 @@ def _vector(obj: dict, key: str, where: str) -> np.ndarray:
         raise SpecError(f"field '{key}' in {where} must be a numeric array: {exc}")
     if arr.ndim != 1:
         raise SpecError(f"field '{key}' in {where} must be a flat list")
-    return arr
+    return _finite(arr, key, where)
 
 
 def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
@@ -94,7 +101,7 @@ def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
         raise SpecError(f"field '{key}' in {where} must be a numeric matrix: {exc}")
     if arr.ndim != 2:
         raise SpecError(f"field '{key}' in {where} must be a list of rows")
-    return arr
+    return _finite(arr, key, where)
 
 
 def _parse_control_set(obj, m: int):

@@ -29,17 +29,29 @@ def parking_f_calls(monkeypatch):
     return lambda: calls
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in a call counter; returns the reader."""
+    calls = 0
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return lambda: calls
+
+
 @pytest.fixture
 def gbar_calls(monkeypatch):
     """Count calls to ``solver._interval_average_gradient``, one interval
     integration and averaged-gradient evaluation each; returns the reader."""
-    calls = 0
-    gbar = solver._interval_average_gradient
+    return _count_calls(monkeypatch, solver, "_interval_average_gradient")
 
-    def counting_gbar(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return gbar(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_interval_average_gradient", counting_gbar)
-    return lambda: calls
+@pytest.fixture
+def residual_evals(monkeypatch):
+    """Count calls to ``solver._propagate``, one shooting-residual evaluation
+    each; returns the reader."""
+    return _count_calls(monkeypatch, solver, "_propagate")

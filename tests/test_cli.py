@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -19,6 +20,15 @@ LTI_SPEC = {
     "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
     "tf": 4.0, "T": 2.0,
 }
+
+# dq/dt = 40 q from q(0) = 1 leaves the integrator's trust region at t = 0.72
+BLOWUP_SPEC = {
+    **LTI_SPEC, "n": 1, "A": [[40]], "B": [[1]],
+    "terminal": {"variant": "fixed_endpoints", "q0": [1], "qf": [0]},
+    "tf": 1.0, "T": 0.5,
+}
+
+PARKING_FLAGS = ["--problem", "parking", "--M", "2", "--tf", "4", "--T", "2"]
 
 
 def _read_csv(path):
@@ -50,9 +60,7 @@ def test_solve_writes_artifacts_and_passes(tmp_path):
         assert (out / name).exists(), name
     assert manifest["problem"]["builtin"] == "parking"
     assert manifest["unknowns"]["multipliers"][0] == pytest.approx(-1.0, abs=1e-6)
-    assert sorted(manifest["config"]) == ["inner_max_iter", "inner_tol",
-                                          "newton_max_iter", "newton_tol",
-                                          "substeps"]
+    assert "config" not in manifest
 
 
 def test_solve_parking_integrates_once(tmp_path, parking_f_calls):
@@ -127,22 +135,44 @@ def test_solve_inline_spec_rejects_M_flag(tmp_path):
                  "--out", str(tmp_path / "run")]) == 4
 
 
-def test_substeps_env_override(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", "--problem", "parking", "--M", "2", "--tf", "4",
-                 "--T", "2", "--out", str(out1)]) == 0
-    monkeypatch.setenv("SAMPLED_PMP_SUBSTEPS", "8")
-    assert main(["solve", "--problem", "parking", "--M", "2", "--tf", "4",
-                 "--T", "2", "--out", str(out2)]) == 0
-    n1 = len(_read_csv(out1 / "trajectory.csv")[1])
-    n2 = len(_read_csv(out2 / "trajectory.csv")[1])
-    assert n1 == 2 * 17 and n2 == 2 * 9
-    manifest = json.loads((out2 / "manifest.json").read_text())
-    assert manifest["config"]["substeps"] == 8
+def test_solve_reports_blow_up_as_non_convergence(tmp_path, capsys):
+    spec = tmp_path / "blowup.json"
+    spec.write_text(json.dumps(BLOWUP_SPEC))
+    assert main(["solve", "--spec", str(spec),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "integration blew up at t=0.71875" in capsys.readouterr().err
 
-    monkeypatch.setenv("SAMPLED_PMP_SUBSTEPS", "abc")
-    assert main(["solve", "--problem", "parking", "--M", "2", "--tf", "4",
-                 "--T", "2", "--out", str(tmp_path / "c")]) == 4
+
+@pytest.mark.parametrize("args, spec", [
+    (["solve", "--problem", "parking", "--M", "2", "--tf", "inf", "--T", "2"],
+     None),
+    (["solve", "--problem", "parking", "--M", "2", "--tf", "4", "--T", "inf"],
+     None),
+    (["solve", "--problem", "parking", "--M", "nan", "--tf", "4", "--T", "2"],
+     None),
+    (["solve"], {"tf": math.inf}),
+    (["solve"], {"control_set": {"kind": "box", "lower": [math.nan],
+                                 "upper": [1]}}),
+    (["solve"], {"control_set": {"kind": "ball", "center": [0],
+                                 "radius": math.inf}}),
+    (["check", *PARKING_FLAGS, "--adjoint-init=nan,1"], None),
+    (["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
+      "--T-list", "1,inf"], None),
+], ids=["tf-flag", "T-flag", "M-flag", "spec-tf", "spec-lower", "spec-radius",
+        "adjoint-init", "T-list"])
+def test_non_finite_input_is_bad_input(tmp_path, capsys, args, spec):
+    argv = args + ["--out", str(tmp_path / "out")]
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**LTI_SPEC, **spec}))
+        argv += ["--spec", str(path)]
+    if args[0] == "check":
+        controls = tmp_path / "controls.csv"
+        controls.write_text("k,t_k,delta_k,u_1,residual_k\n"
+                            "0,0,2,-0.5,0\n1,2,2,0.5,0\n")
+        argv += ["--controls", str(controls)]
+    assert main(argv) == 4
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +260,16 @@ def test_check_diagnoses_malformed_csv(solved_run, tmp_path, capsys):
                "--T", "2", "--controls", str(missing),
                "--adjoint-init=-1,-2", "--out", str(tmp_path / "chk")])
     assert rc == 4
+
+
+def test_check_reports_blow_up_as_certificate_failure(solved_run, tmp_path,
+                                                      capsys):
+    # an initial adjoint of 1e300 leaves the trust region in the first step
+    rc = main(["check", *PARKING_FLAGS,
+               "--controls", str(solved_run / "controls.csv"),
+               "--adjoint-init=1e300,1", "--out", str(tmp_path / "chk")])
+    assert rc == 2
+    assert "integration blew up at t=0.125" in capsys.readouterr().err
 
 
 def test_check_validates_adjoint_init(solved_run, tmp_path):

@@ -21,6 +21,9 @@ def test_instance_validation():
         pk.ParkingInstance(M=4.0, t_f=4.0, T=1.0)    # equality also rejected
     with pytest.raises(ValueError):
         pk.ParkingInstance(M=-1.0, t_f=4.0, T=1.0)
+    for M in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pk.ParkingInstance(M=M, t_f=4.0, T=1.0)
     with pytest.raises(ValueError):
         pk.ParkingInstance(M=2.0, t_f=4.0, T=0.0)
 
@@ -145,7 +148,6 @@ def test_sign_rule_matches_generic_interval_solver():
     # the Gamma sign rule and the inner semismooth Newton agree interval by
     # interval, including on a partial final interval
     prob = pk.parking_problem(2.0, 4.0)
-    cfg = sp.SolverConfig()
     for (tf, T, p1, p2f) in [(4.0, 2.0, -1.0, 2.0), (4.0, 2.0, 0.0, 3.0),
                              (2.5, 1.0, -1.2, 1.7), (2.5, 1.0, 0.4, -0.9)]:
         grid = sp.build_grid(tf, T)
@@ -155,7 +157,7 @@ def test_sign_rule_matches_generic_interval_solver():
         for k in range(grid.n_intervals):
             u_k, _ = sp.solve_interval_control(
                 prob, float(grid.times[k]), float(grid.lengths[k]), q, p,
-                -1.0, np.array([0.0]), cfg)
+                -1.0, np.array([0.0]))
             assert abs(u_k[0] - closed[k][0]) <= 1e-10
             onegrid = sp.build_grid(float(grid.lengths[k]), float(grid.lengths[k]))
             seg = sp.integrate_extremal_forward(prob, onegrid, u_k[None, :], q, p,
@@ -325,9 +327,10 @@ def test_oracle_equivalence_sweep():
                        - pk.sampled_cost(grid, u_qp)) <= 1e-8, (tf, K)
 
 
-def test_generic_path_consistency():
+def test_generic_path_consistency(residual_evals, gbar_calls):
     # the dedicated sign-rule path and the generic semismooth shooting
     # agree on the oracle-equivalence instances (slowest test in the suite)
+    work = {}
     for tf in (3.0, 3.2, 4.0, 5.0):
         for K in range(2, 9):
             T = tf / K
@@ -335,11 +338,17 @@ def test_generic_path_consistency():
             u_fast = solved.controls
             prob = pk.parking_problem(2.0, tf)
             grid = sp.build_grid(tf, T)
+            before = residual_evals(), gbar_calls()
             ext, cert = sp.solve(prob, grid,
                                  initial_unknowns=pk.initial_adjoint_guess(2.0, tf))
+            work[tf, K] = (residual_evals() - before[0], gbar_calls() - before[1])
             assert cert.passed, (tf, K)
             assert np.max(np.abs(u_fast.values - ext.controls.values)) <= 1e-8, \
                 (tf, K)
+    # the generic solve's work, in residual and Gbar evaluations: (3, 8) is
+    # the parking member of the benchmark's generic-shoot batch
+    assert work[3.0, 8] == (10, 356)
+    assert work[4.0, 8] == (7, 288)
 
 
 # ---------------------------------------------------------------------------

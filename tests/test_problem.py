@@ -72,6 +72,12 @@ def test_build_grid_examples():
     np.testing.assert_array_equal(g.lengths, [0.5])
 
 
+def test_build_grid_rejects_non_finite():
+    for t_f, T in ((np.inf, 1.0), (np.nan, 1.0), (4.0, np.inf), (4.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            sp.build_grid(t_f, T)
+
+
 def test_grid_lengths_sum_to_final_time():
     rng = np.random.default_rng(1)
     for _ in range(300):
