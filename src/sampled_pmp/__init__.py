@@ -15,10 +15,9 @@ from .certificate import (Certificate, check_certificate, free_time_residual,
 from .errors import (Infeasible, IntegrationBlowUp, InternalInconsistency,
                      NonConvergence, UnsupportedCase)
 from .problem import (Ball, Box, ControlSequence, FixedEndpoints,
-                      FixedInitialFreeFinal, FixedTime, FreeTime,
-                      GeneralTerminal, Periodic, ProblemDefinition,
-                      SamplingGrid, build_grid, final_control_index,
-                      floor_index, validate_jacobians)
+                      FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
+                      ProblemDefinition, SamplingGrid, build_grid,
+                      final_control_index, floor_index, validate_jacobians)
 from .problems import lti_problem
 from .simulate import (AdjointArc, Extremal, Trajectory, average_hamiltonian,
                        average_u_gradient, integrate_extremal_forward,
@@ -33,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjointArc", "Ball", "Box", "Certificate", "ControlSequence", "Extremal",
     "FixedEndpoints", "FixedInitialFreeFinal", "FixedTime", "FreeTime",
-    "GeneralTerminal", "Infeasible", "IntegrationBlowUp",
-    "InternalInconsistency", "LoadedSpec", "NonConvergence", "Periodic",
-    "ProblemDefinition", "SamplingGrid", "SpecError", "Trajectory",
+    "Infeasible", "IntegrationBlowUp", "InternalInconsistency", "LoadedSpec",
+    "NonConvergence", "Periodic", "ProblemDefinition", "SamplingGrid",
+    "SpecError", "Trajectory",
     "UnsupportedCase", "average_hamiltonian",
     "average_u_gradient", "build_grid", "check_certificate",
     "final_control_index", "floor_index",

@@ -9,10 +9,13 @@ nontriviality of the multiplier pair and feasibility of the terminal
 constraints (a checker must reject infeasible candidates even though the
 optimality conditions presuppose admissibility).
 
-Residual magnitudes scale with the multiplier pair, which is only defined up
-to a positive factor; the checker therefore rescales normal extremals to the
-canonical cost multiplier -1 before applying the tolerance, and reports the
-raw residuals alongside.
+The checker covers the three canonical terminal variants the solver
+handles (fixed endpoints, fixed start with free end, periodic) and has no
+options: its tolerance is ``DEFAULT_TOL``.  Residual magnitudes scale with
+the multiplier pair, which is only defined up to a positive factor; every
+residual is computed once and, for a normal extremal, divided by -p0 (its
+value at the canonical cost multiplier -1) before the tolerance is applied.
+The raw residuals are reported alongside.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import numpy as np
 
 from .errors import UnsupportedCase
 from .problem import (FixedEndpoints, FixedInitialFreeFinal, FreeTime,
-                      GeneralTerminal, Periodic, ProblemDefinition,
-                      TerminalCondition)
+                      Periodic, ProblemDefinition, TerminalCondition)
 from .simulate import Extremal, average_u_gradient
 
 DEFAULT_TOL = 1e-8
@@ -93,20 +95,16 @@ def interval_residual(problem: ProblemDefinition, extremal: Extremal, k: int) ->
     aggregate check, so the gap is evaluated even for inadmissible controls.
     """
     gbar = average_u_gradient(problem, extremal, k)
-    return problem.control_set.support_gap(gbar, extremal.controls[k],
-                                           check_membership=False)
+    return problem.control_set.support_gap(gbar, extremal.controls[k])
 
 
 def transversality_residual(terminal: TerminalCondition, p_start: np.ndarray,
-                            p_end: np.ndarray, psi: Optional[np.ndarray] = None,
-                            q_start: Optional[np.ndarray] = None,
-                            q_end: Optional[np.ndarray] = None) -> float:
+                            p_end: np.ndarray) -> float:
     """Distance of the adjoint endpoints from the transversality relations.
 
     Both endpoints prescribed: the conditions carry no information, residual
     is 0.  Prescribed start with free end: ||p(t_f)||.  Periodic:
-    ||p(0) - p(t_f)||.  General terminal data requires the caller to supply
-    the multiplier ``psi`` (and the endpoint states for the Jacobians).
+    ||p(0) - p(t_f)||.
     """
     p_start = np.asarray(p_start, dtype=float)
     p_end = np.asarray(p_end, dtype=float)
@@ -116,20 +114,6 @@ def transversality_residual(terminal: TerminalCondition, p_start: np.ndarray,
         return float(np.linalg.norm(p_end))
     if isinstance(terminal, Periodic):
         return float(np.linalg.norm(p_start - p_end))
-    if isinstance(terminal, GeneralTerminal):
-        if psi is None:
-            raise UnsupportedCase(
-                "general terminal data needs an explicit multiplier psi; the "
-                "checker does not search the normal cone")
-        if q_start is None or q_end is None:
-            raise UnsupportedCase(
-                "general terminal data needs the endpoint states to evaluate "
-                "the constraint Jacobians")
-        psi = np.asarray(psi, dtype=float)
-        d1 = np.asarray(terminal.d_start(q_start, q_end), dtype=float)
-        d2 = np.asarray(terminal.d_end(q_start, q_end), dtype=float)
-        return float(np.linalg.norm(p_start + d1.T @ psi)
-                     + np.linalg.norm(p_end - d2.T @ psi))
     raise UnsupportedCase(f"unknown terminal condition {terminal!r}")
 
 
@@ -156,42 +140,19 @@ def _feasibility_residual(terminal: TerminalCondition, q_start, q_end) -> float:
                                                     q_end - terminal.qf])))
     if isinstance(terminal, FixedInitialFreeFinal):
         return float(np.linalg.norm(q_start - terminal.q0))
-    if isinstance(terminal, Periodic):
-        return float(np.linalg.norm(q_start - q_end))
-    # general data carries no explicit target-set geometry in v1
-    return 0.0
+    return float(np.linalg.norm(q_start - q_end))
 
 
-def _condition_residuals(problem: ProblemDefinition, extremal: Extremal,
-                         psi=None):
-    K = extremal.grid.n_intervals
-    r = np.array([interval_residual(problem, extremal, k) for k in range(K)])
-    if isinstance(problem.terminal, GeneralTerminal) and psi is None:
-        # general terminal data is stored but only verified against an
-        # explicitly supplied multiplier; without one it contributes nothing
-        tv = 0.0
-    else:
-        tv = transversality_residual(problem.terminal, extremal.adjoint.initial,
-                                     extremal.adjoint.final, psi=psi,
-                                     q_start=extremal.trajectory.initial_state,
-                                     q_end=extremal.trajectory.final_state)
-    ft = None
-    if isinstance(problem.final_time, FreeTime):
-        ft = free_time_residual(problem, extremal)
-    return r, tv, ft
-
-
-def check_certificate(problem: ProblemDefinition, extremal: Extremal,
-                      tol: float = DEFAULT_TOL, psi=None) -> Certificate:
+def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certificate:
     """Verify every necessary condition on ``extremal`` and aggregate a verdict.
 
     Fails when the multiplier pair is trivial, a control leaves the control
     set, the terminal constraints are violated, or any condition residual
-    exceeds ``tol``.  Normal extremals are rescaled to cost multiplier -1
-    before the tolerance test; raw residuals are reported as computed.  For
-    general terminal data the transversality relations are verified only
-    when the multiplier ``psi`` is supplied.
+    exceeds ``DEFAULT_TOL``.  Each residual is computed once; for a normal
+    extremal it is divided by -p0 before the tolerance test, and the raw
+    value is reported alongside.
     """
+    tol = DEFAULT_TOL
     p0 = extremal.adjoint.p0
     violations = []
 
@@ -201,11 +162,9 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal,
     if p0 > 0:
         violations.append(f"cost multiplier must be <= 0, got {p0}")
 
-    admissible = extremal.controls.all_admissible(problem.control_set)
-    if not admissible:
-        for k in range(len(extremal.controls)):
-            if not problem.control_set.contains(extremal.controls[k]):
-                violations.append(f"interval {k}: control outside the control set")
+    for k, u in enumerate(extremal.controls.values):
+        if not problem.control_set.contains(u):
+            violations.append(f"interval {k}: control outside the control set")
 
     feas = _feasibility_residual(problem.terminal,
                                  extremal.trajectory.initial_state,
@@ -213,14 +172,17 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal,
     if feas > tol:
         violations.append(f"terminal constraints violated: {feas:.3e} > {tol:.1e}")
 
-    raw_r, raw_tv, raw_ft = _condition_residuals(problem, extremal, psi)
-    if p0 < 0 and p0 != -1.0:
-        # psi belongs to the same multiplier family, so it rescales with p
-        normalized = extremal.with_adjoint_scaled(1.0 / (-p0))
-        psi_n = None if psi is None else np.asarray(psi, dtype=float) / (-p0)
-        r, tv, ft = _condition_residuals(problem, normalized, psi_n)
-    else:
-        r, tv, ft = raw_r, raw_tv, raw_ft
+    # every residual is positively homogeneous in (p, p0)
+    scale = -p0 if p0 < 0 else 1.0
+    raw_r = np.array([interval_residual(problem, extremal, k)
+                      for k in range(extremal.grid.n_intervals)])
+    raw_tv = transversality_residual(problem.terminal, extremal.adjoint.initial,
+                                     extremal.adjoint.final)
+    raw_ft = (free_time_residual(problem, extremal)
+              if isinstance(problem.final_time, FreeTime) else None)
+    r = raw_r / scale
+    tv = raw_tv / scale
+    ft = None if raw_ft is None else raw_ft / scale
 
     for k in np.nonzero(r > tol)[0]:
         violations.append(f"interval {int(k)}: maximization residual "
@@ -232,7 +194,7 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal,
 
     return Certificate(
         passed=not violations,
-        tol=float(tol),
+        tol=tol,
         interval_residuals=r,
         interval_times=np.asarray(extremal.grid.times, dtype=float),
         transversality=float(tv),

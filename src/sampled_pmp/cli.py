@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 certificate failure, 3 solver non-convergence,
 4 bad input.  An integration that blows up is a non-convergence in
 ``solve`` and a certificate failure in ``check``; a non-finite number in
-the flags, the specification or the initial adjoint is bad input.
+the flags, the specification, the initial adjoint or a controls file is bad
+input.
 Diagnostics go to standard error; artifacts (CSV, JSON, SVG) into the
 chosen output directory.  Numeric CSV cells use %.12e with a dot
 decimal point, so identical inputs give byte-identical data files.
@@ -223,10 +224,14 @@ def _read_controls_csv(path, m: int) -> np.ndarray:
             vals = []
             for name, idx in zip([f"u_{i+1}" for i in range(m)], cols):
                 try:
-                    vals.append(float(row[idx]))
+                    val = float(row[idx])
                 except ValueError:
                     raise ValueError(f"{path}: row {lineno}, column '{name}': "
                                      f"cannot parse {row[idx]!r} as a number")
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}: row {lineno}, column '{name}': "
+                                     f"control must be finite, got {val}")
+                vals.append(val)
             rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no data rows")

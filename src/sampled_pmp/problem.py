@@ -26,6 +26,9 @@ from .errors import UnsupportedCase
 # prevents off-by-one interval assignment at exact multiples of the period.
 GRID_SNAP = 1e-9
 
+# Absolute slack of the control-set membership tests.
+MEMBERSHIP_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # controlling-time index arithmetic
@@ -132,6 +135,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("box requires lower <= upper componentwise")
         lo.setflags(write=False)
@@ -143,28 +148,26 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, u: np.ndarray, atol: float = 1e-12) -> bool:
+    def contains(self, u: np.ndarray) -> bool:
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lower - atol) and np.all(u <= self.upper + atol))
+        return bool(np.all(u >= self.lower - MEMBERSHIP_TOL)
+                    and np.all(u <= self.upper + MEMBERSHIP_TOL))
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Euclidean projection: componentwise clamp."""
         return np.clip(np.asarray(u, dtype=float), self.lower, self.upper)
 
-    def support_gap(self, g: np.ndarray, u: np.ndarray,
-                    check_membership: bool = True) -> float:
+    def support_gap(self, g: np.ndarray, u: np.ndarray) -> float:
         """max over y in the box of <g, y - u>.
 
         Nonnegative for u in the set; zero iff the variational inequality
         <g, y - u> <= 0 for all y holds.  Closed form: each component
         contributes g_i (b_i - u_i) when g_i > 0 and g_i (a_i - u_i) otherwise.
-        The formula is meaningful for any u (the max runs over the set, not
-        u), so diagnostic callers may skip the membership precondition.
+        The max runs over the set, not over u, so any u is accepted; the
+        certificate reports membership separately.
         """
         u = np.asarray(u, dtype=float)
         g = np.asarray(g, dtype=float)
-        if check_membership and not self.contains(u):
-            raise ValueError("support_gap requires u inside the control set")
         best = np.where(g > 0, self.upper, self.lower)
         return float(g @ (best - u))
 
@@ -180,19 +183,23 @@ class Ball:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1:
             raise ValueError("ball center must be a 1-d array")
-        if self.radius < 0:
-            raise ValueError("ball radius must be nonnegative")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("ball center must be finite")
+        r = float(self.radius)
+        if not (math.isfinite(r) and r >= 0):
+            raise ValueError("ball radius must be finite and nonnegative")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", r)
 
     @property
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, u: np.ndarray, atol: float = 1e-12) -> bool:
+    def contains(self, u: np.ndarray) -> bool:
         u = np.asarray(u, dtype=float)
-        return bool(np.linalg.norm(u - self.center) <= self.radius + atol)
+        return bool(np.linalg.norm(u - self.center)
+                    <= self.radius + MEMBERSHIP_TOL)
 
     def project(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -202,13 +209,10 @@ class Ball:
             return u.copy()
         return self.center + d * (self.radius / nd)
 
-    def support_gap(self, g: np.ndarray, u: np.ndarray,
-                    check_membership: bool = True) -> float:
+    def support_gap(self, g: np.ndarray, u: np.ndarray) -> float:
         """max over y in the ball of <g, y - u> = <g, c - u> + r ||g||."""
         u = np.asarray(u, dtype=float)
         g = np.asarray(g, dtype=float)
-        if check_membership and not self.contains(u):
-            raise ValueError("support_gap requires u inside the control set")
         return float(g @ (self.center - u) + self.radius * np.linalg.norm(g))
 
 
@@ -254,22 +258,7 @@ class Periodic:
     """q(0) = q(t_f) with q(0) itself a shooting unknown (forces p(0) = p(t_f))."""
 
 
-@dataclass(frozen=True)
-class GeneralTerminal:
-    """Raw terminal data g(q(0), q(t_f)) in S with Jacobian callables.
-
-    Stored for completeness; the certificate only evaluates it when the
-    caller supplies the multiplier vector psi, since the normal-cone element
-    is not searched for.
-    """
-
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d_start: Callable[[np.ndarray, np.ndarray], np.ndarray]   # jacobian in q(0), (j, n)
-    d_end: Callable[[np.ndarray, np.ndarray], np.ndarray]     # jacobian in q(t_f), (j, n)
-    codim: int
-
-
-TerminalCondition = Union[FixedEndpoints, FixedInitialFreeFinal, Periodic, GeneralTerminal]
+TerminalCondition = Union[FixedEndpoints, FixedInitialFreeFinal, Periodic]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +315,7 @@ class ProblemDefinition:
     control_set : Box or Ball
         Closed convex set of admissible control values.
     terminal : TerminalCondition
-        One of the three canonical variants, or GeneralTerminal.
+        One of the three canonical variants.
     final_time : FixedTime or FreeTime
     name : str
         Identifier used in exports; purely informational.
@@ -415,9 +404,8 @@ class ControlSequence:
     def m(self) -> int:
         return self.values.shape[1]
 
-    def all_admissible(self, control_set: ControlSet, atol: float = 1e-12) -> bool:
-        return all(control_set.contains(self.values[k], atol=atol)
-                   for k in range(len(self)))
+    def all_admissible(self, control_set: ControlSet) -> bool:
+        return all(control_set.contains(v) for v in self.values)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ no adjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class AdjointArc:
     def initial(self) -> np.ndarray:
         return self.values[0][0]
 
-    def scaled(self, lam: float) -> "AdjointArc":
-        return AdjointArc(values=tuple(v * lam for v in self.values),
-                          p0=self.p0 * lam)
-
 
 @dataclass(frozen=True)
 class Extremal:
@@ -80,9 +76,6 @@ class Extremal:
     @property
     def p0(self) -> float:
         return self.adjoint.p0
-
-    def with_adjoint_scaled(self, lam: float) -> "Extremal":
-        return replace(self, adjoint=self.adjoint.scaled(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .certificate import Certificate, check_certificate
-from .errors import (IntegrationBlowUp, InternalInconsistency, NonConvergence,
-                     UnsupportedCase)
+from .errors import IntegrationBlowUp, InternalInconsistency, NonConvergence
 from .problem import (ControlSequence, FixedEndpoints, FixedInitialFreeFinal,
-                      FreeTime, GeneralTerminal, Periodic, ProblemDefinition,
-                      SamplingGrid, build_grid)
+                      FreeTime, Periodic, ProblemDefinition, SamplingGrid,
+                      build_grid)
 from .simulate import (DEFAULT_SUBSTEPS, _extremal_from_arcs,
                        _extremal_interval, _interval_mean,
                        integrate_extremal_forward)
@@ -65,9 +64,6 @@ def _unknown_layout(problem: ProblemDefinition):
     The packed unknown vector is p(0), then q(0) for periodic problems, then
     t_f when the final time is free.
     """
-    if isinstance(problem.terminal, GeneralTerminal):
-        raise UnsupportedCase("shooting supports the three canonical terminal "
-                              "variants; general terminal data is check-only")
     has_q0 = isinstance(problem.terminal, Periodic)
     has_tf = isinstance(problem.final_time, FreeTime)
     dim = problem.n * (2 if has_q0 else 1) + (1 if has_tf else 0)

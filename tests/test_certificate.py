@@ -69,24 +69,6 @@ def test_transversality_variants():
     assert sp.transversality_residual(per, p, p + [0.3, -0.4]) == pytest.approx(0.5)
 
 
-def test_transversality_general_terminal():
-    # g(q0, qf) = qf with S = {qf_target}: d1 = 0, d2 = I, so p(tf) = psi
-    term = sp.GeneralTerminal(
-        g=lambda a, b: b,
-        d_start=lambda a, b: np.zeros((2, 2)),
-        d_end=lambda a, b: np.eye(2),
-        codim=2)
-    with pytest.raises(sp.UnsupportedCase):
-        sp.transversality_residual(term, np.zeros(2), np.ones(2))
-    psi = np.array([1.0, 1.0])
-    r = sp.transversality_residual(term, np.zeros(2), np.ones(2), psi=psi,
-                                   q_start=Q0, q_end=np.zeros(2))
-    assert r == pytest.approx(0.0, abs=1e-15)
-    r = sp.transversality_residual(term, np.zeros(2), np.array([2.0, 1.0]),
-                                   psi=psi, q_start=Q0, q_end=np.zeros(2))
-    assert r == pytest.approx(1.0)
-
-
 def test_free_time_residual():
     prob = parking_problem(2.0, 4.0, free_time_guess=4.0)
     grid = sp.build_grid(4.0, 1.5)      # t_f not a multiple: k_f = 2
@@ -149,23 +131,58 @@ def test_certificate_flags_inadmissible_control():
     assert any("control set" in v for v in cert.violations)
 
 
+def _scaled(prob, grid, ctrl, p_init, lam):
+    # the extremal of the multiplier pair (lam p(0), -lam), integrated afresh
+    return sp.integrate_extremal_forward(prob, grid, np.asarray(ctrl, float), Q0,
+                                         lam * np.asarray(p_init, float), -lam,
+                                         enforce_admissible=False)
+
+
+# (problem, grid, controls, p(0)) with off-optimum residuals: on interval 0
+# of fixed-endpoint parking, and on the transversality and free-time
+# conditions of the other two variants
+SCALE_CASES = [
+    (PARKING, GRID, [[0.0], [0.5]], (-1.0, -2.0)),
+    (parking_problem(2.0, 4.0, terminal="free_final"), GRID, [[0.3], [0.3]],
+     (0.7, -1.1)),
+    (parking_problem(2.0, 4.0, terminal="periodic", free_time_guess=4.0),
+     sp.build_grid(4.0, 1.5), [[0.3]] * 3, (0.7, -1.1)),
+]
+
+
 def test_certificate_scale_awareness():
-    # residuals are positively homogeneous in (p, p0); normalized verdict and
-    # the sign pattern at tol=0 are scale-invariant
-    base = _extremal([[0.0], [0.5]])     # nonzero residual on interval 0
-    cert = sp.check_certificate(PARKING, base)
-    for lam in (0.5, 2.0, 10.0):
-        scaled = base.with_adjoint_scaled(lam)
-        cs = sp.check_certificate(PARKING, scaled)
-        np.testing.assert_allclose(cs.raw_interval_residuals,
-                                   lam * cert.raw_interval_residuals,
-                                   rtol=1e-10, atol=1e-14)
-        # after renormalization to p0 = -1 the residuals agree with the base
-        np.testing.assert_allclose(cs.interval_residuals,
-                                   cert.interval_residuals,
-                                   rtol=1e-10, atol=1e-14)
-        assert np.array_equal(cs.raw_interval_residuals > 0,
-                              cert.raw_interval_residuals > 0)
+    # residuals are positively homogeneous in (p, p0); dividing by -p0 makes
+    # the residuals, the verdict and the sign pattern at tol=0 scale-invariant
+    for prob, grid, ctrl, p_init in SCALE_CASES:
+        cert = sp.check_certificate(prob, _scaled(prob, grid, ctrl, p_init, 1.0))
+        for lam in (0.5, 2.0, 3.0, 10.0):
+            cs = sp.check_certificate(prob,
+                                      _scaled(prob, grid, ctrl, p_init, lam))
+            np.testing.assert_allclose(cs.raw_interval_residuals,
+                                       lam * cert.raw_interval_residuals,
+                                       rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(cs.interval_residuals,
+                                       cert.interval_residuals,
+                                       rtol=1e-10, atol=1e-14)
+            assert np.array_equal(cs.raw_interval_residuals > 0,
+                                  cert.raw_interval_residuals > 0)
+            assert cs.passed == cert.passed
+            if isinstance(prob.terminal, sp.FixedEndpoints):
+                assert cs.transversality == 0.0
+            else:
+                assert cs.raw_transversality > 0.0
+                assert cs.transversality == pytest.approx(
+                    cs.raw_transversality / lam, rel=1e-12)
+                assert cs.transversality == pytest.approx(
+                    cert.transversality, rel=1e-10)
+            if isinstance(prob.final_time, sp.FreeTime):
+                assert cs.raw_free_time > 0.0
+                assert cs.free_time == pytest.approx(cs.raw_free_time / lam,
+                                                     rel=1e-12)
+                assert cs.free_time == pytest.approx(cert.free_time,
+                                                     rel=1e-10)
+            else:
+                assert cs.free_time is None
 
 
 def test_certificate_average_hamiltonian_grid_search():
@@ -205,32 +222,7 @@ def test_certificate_json_export(tmp_path):
 
 def test_checker_normalizes_scaled_multipliers_for_verdict():
     # a valid extremal scaled by 3 must still pass at the default tolerance
-    ext = _extremal([[-0.5], [0.5]])
-    scaled = ext.with_adjoint_scaled(3.0)
+    scaled = _scaled(PARKING, GRID, [[-0.5], [0.5]], (-1.0, -2.0), 3.0)
     cert = sp.check_certificate(PARKING, scaled)
     assert cert.passed
     assert scaled.adjoint.p0 == -3.0
-
-
-def test_checker_verifies_general_terminal_only_with_psi():
-    # encode the free-final-point variant as general data: g = q(0), so
-    # d1 = I, d2 = 0, psi = -p(0) satisfies both relations when p(t_f) = 0
-    term = sp.GeneralTerminal(
-        g=lambda a, b: a,
-        d_start=lambda a, b: np.eye(2),
-        d_end=lambda a, b: np.zeros((2, 2)),
-        codim=2)
-    from dataclasses import replace
-    prob = replace(PARKING, terminal=term)
-    grid = sp.build_grid(4.0, 2.0)
-    ctrl = np.array([[0.3], [-0.1]])
-    p_init = sp.match_terminal_adjoint(prob, grid, ctrl, Q0, np.zeros(2), -1.0)
-    ext = sp.integrate_extremal_forward(prob, grid, ctrl, Q0, p_init, -1.0)
-    # controls are off-optimum, so interval residuals fail either way; the
-    # transversality contribution is 0 without psi and tiny with the right one
-    cert_no_psi = sp.check_certificate(prob, ext)
-    assert cert_no_psi.transversality == 0.0
-    cert = sp.check_certificate(prob, ext, psi=-p_init)
-    assert cert.transversality <= 1e-10
-    cert_bad = sp.check_certificate(prob, ext, psi=-p_init + np.array([1.0, 0.0]))
-    assert cert_bad.transversality >= 0.9

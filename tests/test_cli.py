@@ -143,36 +143,52 @@ def test_solve_reports_blow_up_as_non_convergence(tmp_path, capsys):
     assert "integration blew up at t=0.71875" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args, spec", [
+@pytest.mark.parametrize("args, spec, u0", [
     (["solve", "--problem", "parking", "--M", "2", "--tf", "inf", "--T", "2"],
-     None),
+     None, None),
     (["solve", "--problem", "parking", "--M", "2", "--tf", "4", "--T", "inf"],
-     None),
+     None, None),
     (["solve", "--problem", "parking", "--M", "nan", "--tf", "4", "--T", "2"],
-     None),
-    (["solve"], {"tf": math.inf}),
+     None, None),
+    (["solve"], {"tf": math.inf}, None),
     (["solve"], {"control_set": {"kind": "box", "lower": [math.nan],
-                                 "upper": [1]}}),
+                                 "upper": [1]}}, None),
     (["solve"], {"control_set": {"kind": "ball", "center": [0],
-                                 "radius": math.inf}}),
-    (["check", *PARKING_FLAGS, "--adjoint-init=nan,1"], None),
+                                 "radius": math.inf}}, None),
+    (["check", *PARKING_FLAGS, "--adjoint-init=nan,1"], None, "-0.5"),
     (["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
-      "--T-list", "1,inf"], None),
+      "--T-list", "1,inf"], None, None),
+    (["check", *PARKING_FLAGS, "--adjoint-init=-1,-2"], None, "nan"),
+    (["check", *PARKING_FLAGS, "--adjoint-init=-1,-2"], None, "inf"),
+    (["compare"], None, "nan"),
 ], ids=["tf-flag", "T-flag", "M-flag", "spec-tf", "spec-lower", "spec-radius",
-        "adjoint-init", "T-list"])
-def test_non_finite_input_is_bad_input(tmp_path, capsys, args, spec):
+        "adjoint-init", "T-list", "controls-nan", "controls-inf",
+        "compare-controls"])
+def test_non_finite_input_is_bad_input(tmp_path, capsys, args, spec, u0):
     argv = args + ["--out", str(tmp_path / "out")]
     if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**LTI_SPEC, **spec}))
         argv += ["--spec", str(path)]
-    if args[0] == "check":
-        controls = tmp_path / "controls.csv"
+    if u0 is not None:
+        # parking (2, 4) at T = 2, with u_0 in the first data row
+        run = tmp_path / "run"
+        run.mkdir()
+        controls = run / "controls.csv"
         controls.write_text("k,t_k,delta_k,u_1,residual_k\n"
-                            "0,0,2,-0.5,0\n1,2,2,0.5,0\n")
-        argv += ["--controls", str(controls)]
+                            f"0,0,2,{u0},0\n1,2,2,0.5,0\n")
+        if args[0] == "check":
+            argv += ["--controls", str(controls)]
+        else:
+            (run / "manifest.json").write_text(json.dumps({
+                "problem": {"builtin": "parking", "M": 2.0, "tf": 4.0,
+                            "T": 2.0}}))
+            argv += ["--run", str(run)]
     assert main(argv) == 4
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "finite" in err
+    if u0 in ("nan", "inf"):
+        assert "row 2, column 'u_1'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def _assert_solves_interval(prob, delta, q, p, u):
                                         u[None, :], q, p, -1.0)
     gbar = sp.average_u_gradient(prob, ext, 0)
     assert prob.control_set.contains(u)
-    assert prob.control_set.support_gap(gbar, u, check_membership=False) \
+    assert prob.control_set.support_gap(gbar, u) \
         <= 1e-9 * (1.0 + np.linalg.norm(gbar))
 
 
@@ -282,17 +282,6 @@ def test_solve_single_interval_is_infeasible(gbar_calls):
     # the rejection's work: the Newton step and one Levenberg retry of 30
     # halvings each at the stalling iterate
     assert gbar_calls() == 272
-
-
-def test_solve_rejects_general_terminal():
-    term = sp.GeneralTerminal(g=lambda a, b: b,
-                              d_start=lambda a, b: np.zeros((2, 2)),
-                              d_end=lambda a, b: np.eye(2), codim=2)
-    prob = parking_problem(2.0, 4.0)
-    from dataclasses import replace
-    prob = replace(prob, terminal=term)
-    with pytest.raises(sp.UnsupportedCase):
-        sp.solve(prob, GRID4, initial_unknowns=np.zeros(2))
 
 
 def test_solve_generic_zero_guess():
