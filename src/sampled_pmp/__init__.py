@@ -9,11 +9,11 @@ shooting on the initial adjoint; a certificate checker verifies them
 residual by residual.
 """
 
-from .certificate import (Certificate, check_certificate, free_time_residual,
-                          interval_residual, transversality_residual,
+from .certificate import (Certificate, boundary_residuals, check_certificate,
+                          free_time_residual, interval_residual,
                           write_certificate_json)
-from .errors import (Infeasible, IntegrationBlowUp, InternalInconsistency,
-                     NonConvergence, UnsupportedCase)
+from .errors import (Infeasible, IntegrationBlowUp, NonConvergence,
+                     UnsupportedCase)
 from .problem import (Ball, Box, ControlSequence, FixedEndpoints,
                       FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
                       ProblemDefinition, SamplingGrid, build_grid,
@@ -32,15 +32,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjointArc", "Ball", "Box", "Certificate", "ControlSequence", "Extremal",
     "FixedEndpoints", "FixedInitialFreeFinal", "FixedTime", "FreeTime",
-    "Infeasible", "IntegrationBlowUp", "InternalInconsistency", "LoadedSpec",
+    "Infeasible", "IntegrationBlowUp", "LoadedSpec",
     "NonConvergence", "Periodic", "ProblemDefinition", "SamplingGrid",
     "SpecError", "Trajectory",
     "UnsupportedCase", "average_hamiltonian",
-    "average_u_gradient", "build_grid", "check_certificate",
-    "final_control_index", "floor_index",
+    "average_u_gradient", "boundary_residuals", "build_grid",
+    "check_certificate", "final_control_index", "floor_index",
     "free_time_residual", "integrate_extremal_forward", "integrate_interval",
     "interval_residual", "load_problem_spec", "lti_problem",
     "match_terminal_adjoint", "parking", "shooting_residual", "simulate",
-    "solve", "solve_interval_control", "transversality_residual",
+    "solve", "solve_interval_control",
     "validate_jacobians", "write_certificate_json", "write_trajectory_csv",
 ]

@@ -3,11 +3,12 @@
 Each sampling interval contributes a maximization residual: the support gap
 of the averaged control-gradient over the control set, which is zero exactly
 when the nonpositive-average-gradient variational inequality holds there.
-Boundary conditions contribute a transversality residual, free-final-time
-problems a terminal Hamiltonian residual, and the checker also verifies
-nontriviality of the multiplier pair and feasibility of the terminal
-constraints (a checker must reject infeasible candidates even though the
-optimality conditions presuppose admissibility).
+The variant's boundary conditions (:func:`boundary_residuals`) give the
+feasibility of the terminal constraints (a checker must reject infeasible
+candidates even though the optimality conditions presuppose admissibility)
+and a transversality residual, free-final-time problems add a terminal
+Hamiltonian residual, and nontriviality of the multiplier pair is checked.
+The shooting residual is built from the same definitions.
 
 The checker covers the three canonical terminal variants the solver
 handles (fixed endpoints, fixed start with free end, periodic) and has no
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import UnsupportedCase
 from .problem import (FixedEndpoints, FixedInitialFreeFinal, FreeTime,
-                      Periodic, ProblemDefinition, TerminalCondition)
+                      ProblemDefinition, TerminalCondition)
 from .simulate import Extremal, average_u_gradient
 
 DEFAULT_TOL = 1e-8
@@ -98,49 +99,42 @@ def interval_residual(problem: ProblemDefinition, extremal: Extremal, k: int) ->
     return problem.control_set.support_gap(gbar, extremal.controls[k])
 
 
-def transversality_residual(terminal: TerminalCondition, p_start: np.ndarray,
-                            p_end: np.ndarray) -> float:
-    """Distance of the adjoint endpoints from the transversality relations.
+def boundary_residuals(terminal: TerminalCondition, q_start, q_end, p_start,
+                       p_end):
+    """Residual vectors ``(start, end, transversality)`` of the variant.
 
-    Both endpoints prescribed: the conditions carry no information, residual
-    is 0.  Prescribed start with free end: ||p(t_f)||.  Periodic:
-    ||p(0) - p(t_f)||.
+    Fixed endpoints: ``(q_start - q0, q_end - qf, [])``.  Prescribed start,
+    free end: ``(q_start - q0, [], p_end)``.  Periodic: ``([], q_end -
+    q_start, p_end - p_start)``.  Shooting meets ``start`` by construction,
+    through ``initial_state()``, and solves for the other two blocks.
     """
-    p_start = np.asarray(p_start, dtype=float)
-    p_end = np.asarray(p_end, dtype=float)
+    none = np.zeros(0)
     if isinstance(terminal, FixedEndpoints):
-        return 0.0
+        return q_start - terminal.q0, q_end - terminal.qf, none
     if isinstance(terminal, FixedInitialFreeFinal):
-        return float(np.linalg.norm(p_end))
-    if isinstance(terminal, Periodic):
-        return float(np.linalg.norm(p_start - p_end))
-    raise UnsupportedCase(f"unknown terminal condition {terminal!r}")
+        return q_start - terminal.q0, none, p_end
+    return none, q_end - q_start, p_end - p_start
+
+
+def _terminal_hamiltonian(problem: ProblemDefinition, extremal: Extremal) -> float:
+    """Signed H at the final time, evaluated with the last frozen control.
+
+    That is the control of the grid's last interval, the one ending at
+    ``t_f``: when ``t_f`` is an exact multiple of the period, no interval
+    starts there (see :func:`build_grid`), so no control is sampled at t_f.
+    """
+    return problem.hamiltonian(extremal.grid.t_f,
+                               extremal.trajectory.final_state,
+                               extremal.adjoint.final, extremal.adjoint.p0,
+                               extremal.controls[-1])
 
 
 def free_time_residual(problem: ProblemDefinition, extremal: Extremal) -> float:
-    """|H| at the final time, evaluated with the last frozen control.
-
-    That is the control of the grid's last interval, the one ending at
-    ``t_f``: when ``t_f`` sits exactly on a controlling time, no interval
-    starts there (see :func:`build_grid`).
-    """
+    """|H| at the final time (see :func:`_terminal_hamiltonian`)."""
     if not isinstance(problem.final_time, FreeTime):
         raise UnsupportedCase("the final-time condition only applies to "
                               "free-final-time problems")
-    h_val = problem.hamiltonian(extremal.grid.t_f,
-                                extremal.trajectory.final_state,
-                                extremal.adjoint.final, extremal.adjoint.p0,
-                                extremal.controls[-1])
-    return abs(h_val)
-
-
-def _feasibility_residual(terminal: TerminalCondition, q_start, q_end) -> float:
-    if isinstance(terminal, FixedEndpoints):
-        return float(np.linalg.norm(np.concatenate([q_start - terminal.q0,
-                                                    q_end - terminal.qf])))
-    if isinstance(terminal, FixedInitialFreeFinal):
-        return float(np.linalg.norm(q_start - terminal.q0))
-    return float(np.linalg.norm(q_start - q_end))
+    return abs(_terminal_hamiltonian(problem, extremal))
 
 
 def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certificate:
@@ -166,9 +160,11 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
         if not problem.control_set.contains(u):
             violations.append(f"interval {k}: control outside the control set")
 
-    feas = _feasibility_residual(problem.terminal,
-                                 extremal.trajectory.initial_state,
-                                 extremal.trajectory.final_state)
+    start, end, transversality = boundary_residuals(
+        problem.terminal, extremal.trajectory.initial_state,
+        extremal.trajectory.final_state, extremal.adjoint.initial,
+        extremal.adjoint.final)
+    feas = float(np.linalg.norm(np.concatenate([start, end])))
     if feas > tol:
         violations.append(f"terminal constraints violated: {feas:.3e} > {tol:.1e}")
 
@@ -176,8 +172,7 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
     scale = -p0 if p0 < 0 else 1.0
     raw_r = np.array([interval_residual(problem, extremal, k)
                       for k in range(extremal.grid.n_intervals)])
-    raw_tv = transversality_residual(problem.terminal, extremal.adjoint.initial,
-                                     extremal.adjoint.final)
+    raw_tv = float(np.linalg.norm(transversality))
     raw_ft = (free_time_residual(problem, extremal)
               if isinstance(problem.final_time, FreeTime) else None)
     r = raw_r / scale

@@ -26,12 +26,13 @@ import numpy as np
 
 from . import parking
 from .certificate import check_certificate, write_certificate_json
-from .errors import (Infeasible, IntegrationBlowUp, InternalInconsistency,
-                     NonConvergence, UnsupportedCase)
+from .errors import (Infeasible, IntegrationBlowUp, NonConvergence,
+                     UnsupportedCase)
 from .problem import FixedTime, FreeTime, build_grid, floor_index
 from .simulate import integrate_extremal_forward, write_trajectory_csv
 from .solver import solve
-from .specfile import LoadedSpec, SpecError, load_problem_spec
+from .specfile import (LoadedSpec, SpecError, _number, _vector,
+                       load_problem_spec)
 from .svgfig import SvgPlot
 
 EXIT_OK = 0
@@ -129,9 +130,6 @@ def main(argv=None) -> int:
     except IntegrationBlowUp as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except InternalInconsistency as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
     except (SpecError, UnsupportedCase, Infeasible, ValueError, OSError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -243,17 +241,14 @@ def _parse_adjoint_init(text: str, n: int) -> np.ndarray:
     candidate = Path(text)
     if candidate.exists():
         data = json.loads(candidate.read_text(encoding="utf-8"))
-        if isinstance(data, dict) and "p_init" in data:
-            vec = data["p_init"]
-        elif isinstance(data, dict) and "unknowns" in data \
-                and isinstance(data["unknowns"], dict) \
-                and "p_init" in data["unknowns"]:
-            vec = data["unknowns"]["p_init"]
-        elif isinstance(data, list):
-            vec = data
-        else:
+        if isinstance(data, list):
+            data = {"p_init": data}
+        elif isinstance(data, dict) and "p_init" not in data \
+                and isinstance(data.get("unknowns"), dict):
+            data = data["unknowns"]
+        if not isinstance(data, dict) or "p_init" not in data:
             raise ValueError(f"{text}: no 'p_init' entry found")
-        arr = np.asarray(vec, dtype=float)
+        arr = _vector(data, "p_init", text)
     else:
         try:
             arr = np.array([float(tok) for tok in text.split(",")])
@@ -444,11 +439,14 @@ def cmd_compare(args) -> int:
         raise ValueError(f"{run_dir} is not a solved run directory "
                          f"(needs manifest.json and controls.csv)")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    prob = manifest.get("problem", {})
+    prob = manifest.get("problem") if isinstance(manifest, dict) else None
+    if not isinstance(prob, dict):
+        raise ValueError(f"{manifest_path}: 'problem' must be an object")
     if prob.get("builtin") != "parking":
         raise ValueError("compare needs a parking run (the permanent optimum "
                          "has a closed form only there)")
-    M, t_f, T = float(prob["M"]), float(prob["tf"]), float(prob["T"])
+    M, t_f, T = (_number(prob, key, f"{manifest_path} 'problem'")
+                 for key in ("M", "tf", "T"))
     values = _read_controls_csv(controls_path, 1)
     grid = build_grid(t_f, T)
     if values.shape[0] != grid.n_intervals:

@@ -34,6 +34,3 @@ class UnsupportedCase(ValueError):
 class Infeasible(ValueError):
     """The constraints admit no solution (e.g. target outside the reachable set)."""
 
-
-class InternalInconsistency(RuntimeError):
-    """A converged solve produced an extremal that fails its own certificate."""

@@ -372,16 +372,21 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
     depends on where the grid falls relative to the kinks t1 and t_f - t1
     (at (M, t_f, T) = (2, 3, 1) it is 0).  The cost gap ``cost_sampled -
     cost_permanent`` does not increase when each period divides the last.
+    A failed solve or certificate gives a "failed" row that says why.
     """
     grid = build_grid(t_f, T)
     try:
         extremal, (p1, p2f), cert = solve_parking(M, t_f, T)
+        error = ("" if cert.passed else
+                 "certificate failed: " + "; ".join(cert.violations))
     except (NonConvergence, ValueError, Infeasible) as exc:
+        error = str(exc)
+    if error:
         return SweepRow(T=T, K=grid.n_intervals, sup_dev=np.nan,
                         terminal_residual=np.nan, max_pmp_residual=np.nan,
                         cost_sampled=np.nan,
                         cost_permanent=permanent_cost(M, t_f),
-                        status="failed", error=str(exc))
+                        status="failed", error=error)
     controls = extremal.controls
     mids = np.asarray(grid.times) + np.asarray(grid.lengths) / 2.0
     u_star = np.asarray(permanent_control(M, t_f, mids))

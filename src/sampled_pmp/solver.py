@@ -10,6 +10,8 @@ each trial control so that the implicit dependence of the arc on the control
 is resolved exactly.  The arc of the last evaluation, at the solved control,
 advances the propagation and is the returned extremal's piece of the
 interval, so a residual integrates no interval beyond its inner solve.
+The residual is read from the boundary conditions the certificate checks,
+and ``solve`` returns that certificate whatever its verdict.
 
 The shooting map is piecewise smooth: it kinks where a control changes
 saturation status and, for free final times, where the horizon crosses a
@@ -30,11 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from .certificate import Certificate, check_certificate
-from .errors import IntegrationBlowUp, InternalInconsistency, NonConvergence
-from .problem import (ControlSequence, FixedEndpoints, FixedInitialFreeFinal,
-                      FreeTime, Periodic, ProblemDefinition, SamplingGrid,
-                      build_grid)
+from .certificate import (_terminal_hamiltonian, boundary_residuals,
+                          check_certificate)
+from .errors import IntegrationBlowUp, NonConvergence
+from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
+                      SamplingGrid, build_grid)
 from .simulate import (DEFAULT_SUBSTEPS, _extremal_from_arcs,
                        _extremal_interval, _interval_mean,
                        integrate_extremal_forward)
@@ -90,7 +92,7 @@ def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u):
 
 def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
                            q_k: np.ndarray, p_k: np.ndarray, p0: float,
-                           u_init: np.ndarray, callback=None):
+                           u_init: np.ndarray):
     """Control value satisfying the interval's variational inequality.
 
     Runs :func:`_damped_newton` on the natural residual
@@ -100,9 +102,6 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     ``INNER_MAX_ITER`` serve as the Newton tolerance and iteration cap.
     Returns ``(u, arc)``, where ``arc`` is the ``(times, nodes)`` coupled arc
     integrated at ``u`` by its last residual evaluation.
-
-    ``callback(u, gbar)`` is invoked once per iterate when given; used by
-    diagnostics and the monotonicity tests.
     """
     q_k = np.asarray(q_k, dtype=float)
     p_k = np.asarray(p_k, dtype=float)
@@ -112,16 +111,9 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     def natural_residual(v):
         gbar, arc = _interval_average_gradient(problem, t_k, delta, q_k, p_k,
                                                p0, v)
-        return project(v + gbar) - v, (gbar, arc)
+        return project(v + gbar) - v, arc
 
-    def annotate(v, aux):
-        if callback is not None:
-            callback(v.copy(), aux[0].copy())
-        return {}
-
-    u, (_, arc) = _damped_newton(natural_residual, u, INNER_TOL,
-                                 INNER_MAX_ITER, annotate=annotate)
-    return u, arc
+    return _damped_newton(natural_residual, u, INNER_TOL, INNER_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +162,23 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     controls = ControlSequence(np.vstack(us))
     extremal = _extremal_from_arcs(problem, grid, controls, arcs, p0)
 
-    parts = []
-    q_start = extremal.trajectory.initial_state
-    q_end = extremal.trajectory.final_state
-    p_start = extremal.adjoint.initial
-    p_end = extremal.adjoint.final
-    term = problem.terminal
-    if isinstance(term, FixedEndpoints):
-        parts.append(q_end - term.qf)
-    elif isinstance(term, Periodic):
-        parts.append(q_end - q_start)
-        parts.append(p_end - p_start)
-    elif isinstance(term, FixedInitialFreeFinal):
-        parts.append(p_end)
-    if has_tf:
-        # the last interval is the one ending at t_f (see build_grid)
-        h_f = problem.hamiltonian(grid.t_f, q_end, p_end, p0, controls[-1])
-        parts.append(np.array([h_f]))
-    return np.concatenate(parts), extremal
+    # the start block holds by construction of q above
+    _, end, transversality = boundary_residuals(
+        problem.terminal, extremal.trajectory.initial_state,
+        extremal.trajectory.final_state, extremal.adjoint.initial,
+        extremal.adjoint.final)
+    h_f = [_terminal_hamiltonian(problem, extremal)] if has_tf else []
+    return np.concatenate([end, transversality, h_f]), extremal
 
 
 def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
                       unknowns) -> np.ndarray:
     """Residual of the shooting system at the given unknowns.
 
-    Terminal-constraint violation, concatenated with the transversality
-    components of the variant and the terminal Hamiltonian value for free
-    final times.  ``unknowns`` is the packed vector (see ``_unknown_layout``).
+    The ``end`` and ``transversality`` blocks of
+    :func:`~sampled_pmp.certificate.boundary_residuals`, concatenated with the
+    signed terminal Hamiltonian for free final times.  ``unknowns`` is the
+    packed vector (see ``_unknown_layout``).
     """
     r, _ = _propagate(problem, grid, unknowns)
     return r
@@ -235,10 +217,10 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
           initial_unknowns=None, stats: Optional[dict] = None):
     """Solve the sampled-data problem by indirect shooting.
 
-    Runs :func:`_damped_newton` on the shooting residual.  On success returns
-    ``(Extremal, Certificate)`` with the cost multiplier normalized to -1 and
-    a passing certificate; a certificate failure after convergence raises
-    InternalInconsistency.
+    Runs :func:`_damped_newton` on the shooting residual.  Once it converges,
+    returns ``(Extremal, Certificate)`` with the cost multiplier normalized
+    to -1, whatever the certificate's verdict: the caller reads
+    ``certificate.passed``, as for ``parking.solve_parking``.
 
     ``initial_unknowns`` is the packed vector (see ``_unknown_layout``) or
     None for the generic guess: the origin, with the final-time guess of a
@@ -267,12 +249,7 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
 
     _, extremal = _damped_newton(residual, x, NEWTON_TOL, NEWTON_MAX_ITER,
                                  annotate=annotate, stats=stats)
-    cert = check_certificate(problem, extremal)
-    if not cert.passed:
-        raise InternalInconsistency(
-            "converged shooting produced a failing certificate: "
-            + "; ".join(cert.violations))
-    return extremal, cert
+    return extremal, check_certificate(problem, extremal)
 
 
 def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,

@@ -75,33 +75,33 @@ def _finite(arr, key: str, where: str):
     return arr
 
 
+def _is_number(v) -> bool:
+    # true and false are not JSON numbers, though Python's bool is an int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     v = _require(obj, key, where)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise SpecError(f"field '{key}' in {where} must be a number")
     return _finite(float(v), key, where)
 
 
 def _vector(obj: dict, key: str, where: str) -> np.ndarray:
     v = _require(obj, key, where)
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"field '{key}' in {where} must be a numeric array: {exc}")
-    if arr.ndim != 1:
-        raise SpecError(f"field '{key}' in {where} must be a flat list")
-    return _finite(arr, key, where)
+    if not isinstance(v, list) or not all(map(_is_number, v)):
+        raise SpecError(f"field '{key}' in {where} must be a list of numbers")
+    return _finite(np.array(v, dtype=float), key, where)
 
 
 def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
     v = _require(obj, key, where)
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"field '{key}' in {where} must be a numeric matrix: {exc}")
-    if arr.ndim != 2:
-        raise SpecError(f"field '{key}' in {where} must be a list of rows")
-    return _finite(arr, key, where)
+    if not (isinstance(v, list) and v and all(
+            isinstance(row, list) and len(row) == len(v[0])
+            and all(map(_is_number, row)) for row in v)):
+        raise SpecError(f"field '{key}' in {where} must be a list of rows of "
+                        f"numbers, all of one length")
+    return _finite(np.array(v, dtype=float), key, where)
 
 
 def _parse_control_set(obj, m: int):
@@ -179,7 +179,7 @@ def parse_problem_spec(data: dict) -> LoadedSpec:
     _reject_unknown(data, allowed, "inline spec")
     n = _require(data, "n", "inline spec")
     m = _require(data, "m", "inline spec")
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if not all(type(v) is int and v >= 1 for v in (n, m)):
         raise SpecError("'n' and 'm' must be positive integers")
     tf = _number(data, "tf", "inline spec")
     T = _number(data, "T", "inline spec")

@@ -55,3 +55,19 @@ def residual_evals(monkeypatch):
     """Count calls to ``solver._propagate``, one shooting-residual evaluation
     each; returns the reader."""
     return _count_calls(monkeypatch, solver, "_propagate")
+
+
+@pytest.fixture
+def failing_certificate(monkeypatch):
+    """Make ``module.check_certificate`` return a failing certificate; call
+    the returned function with each module to patch."""
+    def fail_in(module):
+        check = module.check_certificate
+
+        def check_and_fail(problem, extremal):
+            return dataclasses.replace(check(problem, extremal), passed=False,
+                                       violations=("forced failure",))
+
+        monkeypatch.setattr(module, "check_certificate", check_and_fail)
+
+    return fail_in

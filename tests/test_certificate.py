@@ -53,20 +53,35 @@ def test_interval_residuals_nonnegative_random():
 
 
 def test_transversality_variants():
+    q_start, q_end = np.array([2.5, 0.5]), np.array([0.25, -1.0])
+
+    def blocks(terminal, p_start, p_end):
+        return sp.boundary_residuals(terminal, q_start, q_end,
+                                     np.asarray(p_start, float),
+                                     np.asarray(p_end, float))
+
     fixed = sp.FixedEndpoints(q0=Q0, qf=np.zeros(2))
-    assert sp.transversality_residual(fixed, np.array([3.0, 1.0]),
-                                      np.array([-2.0, 5.0])) == 0.0
+    start, end, tv = blocks(fixed, [3.0, 1.0], [-2.0, 5.0])
+    np.testing.assert_array_equal(start, [0.5, 0.5])
+    np.testing.assert_array_equal(end, [0.25, -1.0])
+    assert tv.shape == (0,) and np.linalg.norm(tv) == 0.0
 
     free = sp.FixedInitialFreeFinal(q0=Q0)
-    assert sp.transversality_residual(free, np.array([3.0, 1.0]),
-                                      np.zeros(2)) == 0.0
-    assert sp.transversality_residual(free, np.zeros(2),
-                                      np.array([3.0, 4.0])) == pytest.approx(5.0)
+    start, end, tv = blocks(free, [3.0, 1.0], np.zeros(2))
+    np.testing.assert_array_equal(start, [0.5, 0.5])
+    assert end.shape == (0,)
+    assert np.linalg.norm(tv) == 0.0
+    _, _, tv = blocks(free, np.zeros(2), [3.0, 4.0])
+    assert np.linalg.norm(tv) == pytest.approx(5.0)
 
     per = sp.Periodic()
     p = np.array([1.0, 2.0])
-    assert sp.transversality_residual(per, p, p) == 0.0
-    assert sp.transversality_residual(per, p, p + [0.3, -0.4]) == pytest.approx(0.5)
+    start, end, tv = blocks(per, p, p)
+    assert start.shape == (0,)
+    np.testing.assert_array_equal(end, q_end - q_start)
+    assert np.linalg.norm(tv) == 0.0
+    _, _, tv = blocks(per, p, p + [0.3, -0.4])
+    assert np.linalg.norm(tv) == pytest.approx(0.5)
 
 
 def test_free_time_residual():

@@ -135,6 +135,30 @@ def test_solve_inline_spec_rejects_M_flag(tmp_path):
                  "--out", str(tmp_path / "run")]) == 4
 
 
+@pytest.mark.parametrize("source", ["spec", "parking"])
+def test_solve_writes_failing_certificate_and_exits_2(tmp_path, capsys,
+                                                      failing_certificate,
+                                                      source):
+    # both solve paths return their verdict; neither raises on a failure
+    from sampled_pmp import parking, solver
+    if source == "spec":
+        failing_certificate(solver)
+        spec = tmp_path / "problem.json"
+        spec.write_text(json.dumps(LTI_SPEC))
+        flags = ["--spec", str(spec)]
+    else:
+        failing_certificate(parking)
+        flags = PARKING_FLAGS
+    out = tmp_path / "run"
+    assert main(["solve", *flags, "--out", str(out)]) == 2
+    assert "forced failure" in capsys.readouterr().err
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["verdict"] == "fail"
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in manifest["outputs"]:
+        assert (out / name).exists(), name
+
+
 def test_solve_reports_blow_up_as_non_convergence(tmp_path, capsys):
     spec = tmp_path / "blowup.json"
     spec.write_text(json.dumps(BLOWUP_SPEC))
@@ -288,11 +312,21 @@ def test_check_reports_blow_up_as_certificate_failure(solved_run, tmp_path,
     assert "integration blew up at t=0.125" in capsys.readouterr().err
 
 
-def test_check_validates_adjoint_init(solved_run, tmp_path):
-    rc = main(["check", "--problem", "parking", "--M", "2", "--tf", "4",
-               "--T", "2", "--controls", str(solved_run / "controls.csv"),
-               "--adjoint-init", "1,2,3", "--out", str(tmp_path / "chk")])
-    assert rc == 4
+def test_check_validates_adjoint_init(solved_run, tmp_path, capsys):
+    # a wrong length, then JSON files whose p_init is not a list of numbers
+    path = tmp_path / "adjoint.json"
+    for adjoint_init in ["1,2,3", {"p_init": {"a": 1}}, {"p_init": [True, -2]},
+                         {"unknowns": {"p_init": [-1, None]}},
+                         {"p": [-1, -2]}]:
+        if not isinstance(adjoint_init, str):
+            path.write_text(json.dumps(adjoint_init))
+            adjoint_init = str(path)
+        rc = main(["check", "--problem", "parking", "--M", "2", "--tf", "4",
+                   "--T", "2", "--controls", str(solved_run / "controls.csv"),
+                   "--adjoint-init", adjoint_init,
+                   "--out", str(tmp_path / "chk")])
+        assert rc == 4, adjoint_init
+        assert "bad input" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +442,23 @@ def test_compare_zero_controls(tmp_path):
 
 def test_compare_missing_run(tmp_path):
     assert main(["compare", "--run", str(tmp_path / "nope")]) == 4
+
+
+@pytest.mark.parametrize("manifest", [
+    {"problem": {"builtin": "parking", "tf": 3.0, "T": 0.5}},
+    [{"problem": {"builtin": "parking", "M": 2.0, "tf": 3.0, "T": 0.5}}],
+    {"problem": {"builtin": "parking", "M": None, "tf": 3.0, "T": 0.5}},
+    {"problem": "parking"},
+], ids=["missing-M", "list", "null-M", "problem-string"])
+def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    (run / "controls.csv").write_text("k,t_k,delta_k,u_1,residual_k\n"
+                                      + "".join(f"{k},0,0.5,0.0,0.0\n"
+                                                for k in range(6)))
+    assert main(["compare", "--run", str(run)]) == 4
+    assert "bad input" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -402,3 +402,11 @@ def test_sweep_row_reports_failure():
     assert rows[0].error
     assert math.isnan(rows[0].sup_dev)
     assert rows[0].controls is None
+
+
+def test_sweep_row_reports_failing_certificate(failing_certificate):
+    failing_certificate(pk)
+    row = pk.sweep_row(2.0, 3.0, 0.5)
+    assert row.status == "failed"
+    assert "forced failure" in row.error
+    assert row.controls is None

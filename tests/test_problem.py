@@ -334,3 +334,24 @@ def test_spec_rejects_malformed_content(tmp_path):
     }))
     with pytest.raises(sp.SpecError):
         sp.load_problem_spec(path)
+
+
+@pytest.mark.parametrize("change", [
+    {"m": True}, {"A": [[0, 1], [0, False]]}, {"A": [[0, 1], [0]]},
+    {"B": [[0], [None]]},
+    {"control_set": {"kind": "box", "lower": [True], "upper": [1]}},
+    {"terminal": {"variant": "fixed_endpoints", "q0": [2, "0"],
+                  "qf": [0, 0]}},
+], ids=["m-true", "A-false", "A-ragged", "B-null", "lower-true", "q0-string"])
+def test_spec_rejects_non_numbers(tmp_path, change):
+    # JSON true and false are not numbers, though Python's bool is an int
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "n": 2, "m": 1, "dynamics": "lti", "A": [[0, 1], [0, 0]],
+        "B": [[0], [1]],
+        "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
+        "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
+        "tf": 4.0, "T": 2.0, **change,
+    }))
+    with pytest.raises(sp.SpecError):
+        sp.load_problem_spec(path)

@@ -50,13 +50,27 @@ def test_solve_interval_control_finds_interior_root():
     assert np.linalg.norm(moved - u) <= solver.INNER_TOL
 
 
-def test_solve_interval_control_accepts_stationary_start():
-    calls = []
+def _record_accepted_steps(monkeypatch):
+    """The iterates the Newton driver moves to, read off its line search."""
+    accepted = []
+    search = solver._search_decrease
+
+    def recording(*args):
+        found = search(*args)
+        if found is not None:
+            accepted.append(found[0].copy())
+        return found
+
+    monkeypatch.setattr(solver, "_search_decrease", recording)
+    return accepted
+
+
+def test_solve_interval_control_accepts_stationary_start(monkeypatch):
+    accepted = _record_accepted_steps(monkeypatch)
     u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                     np.array([-0.5]),
-                                     callback=lambda u, g: calls.append(u[0]))
+                                     np.array([-0.5]))
     assert u[0] == -0.5
-    assert len(calls) == 1
+    assert accepted == []
 
 
 def test_solve_interval_control_clamps_to_bound():
@@ -76,14 +90,16 @@ def test_solve_interval_control_reports_stall(monkeypatch):
     assert exc.value.residual_norm > solver.INNER_TOL
 
 
-def test_inner_iterates_ascend_average_hamiltonian():
+def test_inner_iterates_ascend_average_hamiltonian(monkeypatch):
     # against the converged arc, the average Hamiltonian is concave in the
     # control slot and the inner Newton iterates climb it monotonically
+    accepted = _record_accepted_steps(monkeypatch)
     for u0 in (0.0, 1.0, -1.0, 0.8):
-        iterates = []
+        accepted.clear()
         u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                         np.array([u0]),
-                                         callback=lambda u, g: iterates.append(u))
+                                         np.array([u0]))
+        iterates = [np.array([u0])] + accepted
+        assert len(iterates) >= 2 and np.array_equal(iterates[-1], u)
         ext = sp.integrate_extremal_forward(PARKING4, GRID4,
                                             np.array([[u[0]], [0.5]]), Q0,
                                             P_STAR, -1.0)
@@ -173,6 +189,43 @@ def test_shooting_residual_values():
     np.testing.assert_allclose(r, [2.0, 0.0], atol=1e-12)
     r = sp.shooting_residual(PARKING4, GRID4, np.array([0.0, 3.0]))
     np.testing.assert_allclose(r, [10.0, 4.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("problem, grid, x", [
+    (parking_problem(2.0, 4.0, position_weight=0.5), sp.build_grid(4.0, 1.0),
+     [-1.0, -2.0]),
+    (parking_problem(2.0, 4.0, terminal="free_final", position_weight=0.5),
+     sp.build_grid(4.0, 1.0), [0.3, -0.7]),
+    (parking_problem(1.0, 2.0, terminal="periodic"), sp.build_grid(2.0, 0.5),
+     [0.1, -0.2, 0.7, 0.3]),
+    (_scalar_transfer(1.3), sp.build_grid(1.3, 0.3), [0.5, 1.2]),
+], ids=["fixed-endpoints", "free-end", "periodic", "free-time"])
+def test_shooting_residual_is_the_certified_boundary_conditions(problem, grid,
+                                                                 x):
+    # the end and transversality blocks of boundary_residuals, then the
+    # signed H(t_f) of a free horizon, on an independent integration of the
+    # same controls
+    n = problem.n
+    x = np.array(x)
+    has_q0, has_tf, _ = solver._unknown_layout(problem)
+    controls = solver._propagate(problem, grid, x)[1].controls
+    if has_tf:
+        grid = sp.build_grid(x[-1], grid.period)
+    q0 = x[n:2 * n] if has_q0 else problem.initial_state()
+    ext = integrate_extremal_forward(problem, grid, controls, q0, x[:n], -1.0)
+    start, end, tv = sp.boundary_residuals(
+        problem.terminal, ext.trajectory.initial_state,
+        ext.trajectory.final_state, ext.adjoint.initial, ext.adjoint.final)
+    parts = [end, tv]
+    if has_tf:
+        parts.append([problem.hamiltonian(grid.t_f, ext.trajectory.final_state,
+                                          ext.adjoint.final, -1.0,
+                                          controls[-1])])
+    expected = np.concatenate(parts)
+    assert not np.any(start)
+    assert np.linalg.norm(expected) > 0.1
+    np.testing.assert_array_equal(sp.shooting_residual(problem, grid, x),
+                                  expected)
 
 
 def test_shooting_residual_dimension_check():
@@ -290,6 +343,16 @@ def test_solve_generic_zero_guess():
     np.testing.assert_allclose(ext.controls.values.ravel(), [-0.5, 0.5],
                                atol=1e-8)
     assert cert.passed
+
+
+def test_solve_returns_a_failing_certificate(failing_certificate):
+    failing_certificate(solver)
+    ext, cert = sp.solve(PARKING4, GRID4,
+                         initial_unknowns=initial_adjoint_guess(2, 4))
+    assert not cert.passed
+    assert cert.violations == ("forced failure",)
+    np.testing.assert_allclose(ext.controls.values.ravel(), [-0.5, 0.5],
+                               atol=1e-9)
 
 
 def test_solve_periodic_variant():
