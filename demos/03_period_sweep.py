@@ -20,7 +20,7 @@ def main():
         print(f"M={M}, t_f={tf}")
         print(f"  {'T':>6} {'K':>4} {'sup dev (midpoints)':>20} "
               f"{'sampled cost':>14} {'permanent':>11}")
-        rows = pk.sweep_periods(M, tf, periods)
+        rows = [pk.sweep_row(M, tf, T) for T in periods]
         for row in rows:
             print(f"  {row.T:>6g} {row.K:>4} {row.sup_dev:>20.3e} "
                   f"{row.cost_sampled:>14.9f} {row.cost_permanent:>11.9f}")

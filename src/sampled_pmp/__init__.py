@@ -17,7 +17,7 @@ from .errors import (Infeasible, IntegrationBlowUp, NonConvergence,
 from .problem import (Ball, Box, ControlSequence, FixedEndpoints,
                       FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
                       ProblemDefinition, SamplingGrid, build_grid,
-                      final_control_index, floor_index, validate_jacobians)
+                      validate_jacobians)
 from .problems import lti_problem
 from .simulate import (AdjointArc, Extremal, Trajectory, average_hamiltonian,
                        average_u_gradient, integrate_extremal_forward,
@@ -37,10 +37,9 @@ __all__ = [
     "SpecError", "Trajectory",
     "UnsupportedCase", "average_hamiltonian",
     "average_u_gradient", "boundary_residuals", "build_grid",
-    "check_certificate", "final_control_index", "floor_index",
-    "free_time_residual", "integrate_extremal_forward", "integrate_interval",
-    "interval_residual", "load_problem_spec", "lti_problem",
-    "match_terminal_adjoint", "parking", "shooting_residual", "simulate",
-    "solve", "solve_interval_control",
+    "check_certificate", "free_time_residual", "integrate_extremal_forward",
+    "integrate_interval", "interval_residual", "load_problem_spec",
+    "lti_problem", "match_terminal_adjoint", "parking", "shooting_residual",
+    "simulate", "solve", "solve_interval_control",
     "validate_jacobians", "write_certificate_json", "write_trajectory_csv",
 ]

@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import parking
-from .certificate import check_certificate, write_certificate_json
+from .certificate import (Certificate, check_certificate,
+                          write_certificate_json)
 from .errors import (Infeasible, IntegrationBlowUp, NonConvergence,
                      UnsupportedCase)
-from .problem import FixedTime, FreeTime, build_grid, floor_index
+from .problem import FixedTime, FreeTime, build_grid
 from .simulate import integrate_extremal_forward, write_trajectory_csv
 from .solver import solve
 from .specfile import (LoadedSpec, SpecError, _number, _vector,
@@ -377,7 +378,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    rows = parking.sweep_periods(M, t_f, periods)
+    rows = [parking.sweep_row(M, t_f, T) for T in periods]
     wall = time.perf_counter() - started
 
     header = ["T", "K", "sup_dev", "terminal_residual", "max_pmp_residual",
@@ -412,6 +413,8 @@ def cmd_sweep(args) -> int:
 
     if all(row.status != "ok" for row in rows):
         print("every period in the sweep failed", file=sys.stderr)
+        if any(isinstance(row.cause, Certificate) for row in rows):
+            return EXIT_CERTIFICATE
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 
@@ -457,8 +460,7 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ts = np.linspace(0.0, t_f, 1001)
-    K = grid.n_intervals
-    hold = np.array([u[min(floor_index(t, T), K - 1)] for t in ts])
+    hold = u[grid.interval_of(ts)]
     star = np.asarray(parking.permanent_control(M, t_f, ts))
     lines = ["t,u_hold,u_star"]
     for i in range(len(ts)):

@@ -19,24 +19,24 @@ only changes its midpoint coefficient t_f - t_k - Delta_k/2.
 
 This module also carries an independent brute-force oracle: the sampled
 problem is a convex QP in the K control values, solved by active-set
-enumeration (box active) or weighted least-norm normal equations (box
-inactive).  The test suite certifies the shooting solver against it.
+enumeration (box active, K <= 12) or weighted least-norm normal equations
+(box inactive).  Its matrices come from the same grid, so it checks the
+shooting solver on every grid, a partial last interval included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .certificate import check_certificate
+from .certificate import Certificate, check_certificate
 from .errors import Infeasible, NonConvergence
 from .problem import (Box, ControlSequence, FixedEndpoints,
                       FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
-                      ProblemDefinition, SamplingGrid, _on_period_multiple,
-                      build_grid)
+                      ProblemDefinition, SamplingGrid, build_grid)
 from .simulate import integrate_extremal_forward
 from . import solver as _solver
 
@@ -112,10 +112,7 @@ class ParkingInstance:
             raise ValueError(f"sampling period must be positive, got {self.T}")
         if self.t_f <= 0:
             raise ValueError(f"final time must be positive, got {self.t_f}")
-        if self.t_f ** 2 <= 4.0 * self.M:
-            raise ValueError(
-                f"existence needs t_f^2 > 4M (got t_f^2={self.t_f**2:.6g}, "
-                f"4M={4*self.M:.6g})")
+        _require_existence(self.M, self.t_f)
 
     @property
     def regime(self) -> str:
@@ -126,6 +123,13 @@ class ParkingInstance:
 # permanent-control closed forms
 # ---------------------------------------------------------------------------
 
+def _require_existence(M: float, t_f: float) -> None:
+    """The one existence rule: the car can park only if t_f^2 > 4M."""
+    if t_f ** 2 <= 4.0 * M:
+        raise ValueError(f"existence needs t_f^2 > 4M (got t_f^2={t_f**2:.6g}, "
+                         f"4M={4*M:.6g})")
+
+
 def switching_time(M: float, t_f: float) -> float:
     """First switching time t1 of the constrained regime, in (0, t_f/2)."""
     if not (4.0 * M < t_f ** 2 < 6.0 * M):
@@ -135,8 +139,7 @@ def switching_time(M: float, t_f: float) -> float:
 
 def permanent_control(M: float, t_f: float, t):
     """Optimal permanent control u*(t); accepts scalar or array times."""
-    if t_f ** 2 <= 4.0 * M:
-        raise ValueError("existence needs t_f^2 > 4M")
+    _require_existence(M, t_f)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < -1e-9) or np.any(t_arr > t_f + 1e-9):
         raise ValueError("time outside [0, t_f]")
@@ -153,6 +156,7 @@ def permanent_control(M: float, t_f: float, t):
 
 def permanent_cost(M: float, t_f: float) -> float:
     """Energy of the permanent optimum (closed form in both regimes)."""
+    _require_existence(M, t_f)
     if t_f ** 2 >= 6.0 * M:
         return 12.0 * M ** 2 / t_f ** 3
     sigma = math.sqrt(3.0 * (t_f ** 2 - 4.0 * M))
@@ -178,15 +182,6 @@ def initial_adjoint_guess(M: float, t_f: float) -> np.ndarray:
 # sampled closed forms
 # ---------------------------------------------------------------------------
 
-def gamma(k: int, x: float, p1: float, p2f: float, t_f: float, T: float) -> float:
-    """Decreasing affine function whose sign pattern selects u(kT).
-
-    gamma_k(x) = -2x + p1 (t_f - kT - T/2) + p2f; the interval's control is
-    -1 when gamma_k(-1) < 0, +1 when gamma_k(1) > 0, and the root otherwise.
-    """
-    return -2.0 * x + p1 * (t_f - k * T - T / 2.0) + p2f
-
-
 def _midpoint_coeffs(grid: SamplingGrid) -> np.ndarray:
     """c_k = t_f - kT - Delta_k/2 (reduces to t_f - kT - T/2 on full intervals)."""
     return grid.t_f - grid.times - grid.lengths / 2.0
@@ -194,7 +189,11 @@ def _midpoint_coeffs(grid: SamplingGrid) -> np.ndarray:
 
 def sampled_control_from_multipliers(p1: float, p2f: float,
                                      grid: SamplingGrid) -> ControlSequence:
-    """Per-interval controls from the affine-adjoint sign rule (clamped roots)."""
+    """Per-interval controls from the affine-adjoint sign rule.
+
+    Gamma_k(x) = -2x + p1 c_k + p2f decreases in x; u_k is -1 when
+    Gamma_k(-1) < 0, +1 when Gamma_k(1) > 0, and its root otherwise.
+    """
     c = _midpoint_coeffs(grid)
     u = np.clip(0.5 * (p1 * c + p2f), -1.0, 1.0)
     return ControlSequence(u[:, None])
@@ -261,7 +260,8 @@ MAX_ENUMERATION_K = 12
 def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequence:
     """Global optimum of the discretized problem, independent of the solver.
 
-    Minimizes sum Delta_k u_k^2 under the two linear terminal constraints.
+    Minimizes sum Delta_k u_k^2 under the two linear terminal constraints,
+    on any grid (a partial last interval included).
     With ``box`` active every pattern in {lower, free, upper}^K is tried:
     the free components solve the bordered KKT system of the pattern, and
     the cheapest feasible candidate wins (K <= 12).  ``box=None`` solves the
@@ -269,8 +269,6 @@ def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequenc
     """
     if T <= 0 or t_f <= 0 or M <= 0:
         raise ValueError("qp_oracle needs positive M, t_f, T")
-    if not _on_period_multiple(t_f, T):
-        raise ValueError("qp_oracle requires t_f to be a multiple of T")
     grid = build_grid(t_f, T)
     K = grid.n_intervals
     d = np.asarray(grid.lengths)
@@ -360,6 +358,8 @@ class SweepRow:
     status: str = "ok"
     error: str = ""
     controls: Optional[ControlSequence] = None     # None on a failed row
+    # why a row failed: the raised error or the failing Certificate
+    cause: Optional[Union[Exception, Certificate]] = None
 
 
 def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
@@ -372,21 +372,23 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
     depends on where the grid falls relative to the kinks t1 and t_f - t1
     (at (M, t_f, T) = (2, 3, 1) it is 0).  The cost gap ``cost_sampled -
     cost_permanent`` does not increase when each period divides the last.
-    A failed solve or certificate gives a "failed" row that says why.
+    A failed solve or certificate gives a "failed" row that says why and
+    keeps its cause.
     """
     grid = build_grid(t_f, T)
     try:
         extremal, (p1, p2f), cert = solve_parking(M, t_f, T)
+        cause = None if cert.passed else cert
         error = ("" if cert.passed else
                  "certificate failed: " + "; ".join(cert.violations))
     except (NonConvergence, ValueError, Infeasible) as exc:
-        error = str(exc)
-    if error:
+        cause, error = exc, str(exc)
+    if cause is not None:
         return SweepRow(T=T, K=grid.n_intervals, sup_dev=np.nan,
                         terminal_residual=np.nan, max_pmp_residual=np.nan,
                         cost_sampled=np.nan,
                         cost_permanent=permanent_cost(M, t_f),
-                        status="failed", error=error)
+                        status="failed", error=error, cause=cause)
     controls = extremal.controls
     mids = np.asarray(grid.times) + np.asarray(grid.lengths) / 2.0
     u_star = np.asarray(permanent_control(M, t_f, mids))
@@ -399,7 +401,3 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
                     cost_sampled=sampled_cost(grid, controls),
                     cost_permanent=permanent_cost(M, t_f), controls=controls)
 
-
-def sweep_periods(M: float, t_f: float, T_list):
-    """Sweep the sampling period over ``T_list``; one SweepRow per period."""
-    return [sweep_row(M, t_f, float(T)) for T in T_list]

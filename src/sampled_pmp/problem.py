@@ -31,52 +31,17 @@ MEMBERSHIP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# controlling-time index arithmetic
+# controlling-time index arithmetic: one snap rule, owned by the grid
 # ---------------------------------------------------------------------------
+# build_grid counts the intervals and SamplingGrid.interval_of looks times up
+# through the same _snapped_floor; callers read grid facts from the grid.
 
-def _on_period_multiple(t: float, T: float) -> bool:
-    """Whether ``t/T`` snaps to a positive integer: the grid's one snap rule."""
-    r = t / T
-    return abs(r - round(r)) <= GRID_SNAP and round(r) >= 1
-
-
-def floor_index(t: float, T: float) -> int:
-    """Index k of the sampling interval [kT, (k+1)T) containing time t.
-
-    Values of ``t/T`` within ``1e-9`` of an integer snap to that integer, so
-    exact multiples of the period are assigned reproducibly regardless of
-    rounding in the caller.
-
-    Parameters
-    ----------
-    t : float
-        Query time, must be >= 0.
-    T : float
-        Sampling period, must be > 0.
-    """
-    if T <= 0:
-        raise ValueError(f"sampling period must be positive, got T={T}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got t={t}")
-    if _on_period_multiple(t, T):
-        return round(t / T)
-    return int(np.floor(t / T))
-
-
-def final_control_index(t_f: float, T: float) -> int:
-    """Index of the last controlling time strictly below ``t_f``.
-
-    Equals ``floor_index(t_f, T)`` when ``t_f`` is not a multiple of the
-    period, and one less when it is (the interval starting at ``t_f`` itself
-    is empty).  Uses the same snap rule as :func:`floor_index`.
-    """
-    if t_f <= 0:
-        raise ValueError(f"final time must be positive, got t_f={t_f}")
-    if T <= 0:
-        raise ValueError(f"sampling period must be positive, got T={T}")
-    if _on_period_multiple(t_f, T):
-        return round(t_f / T) - 1
-    return int(np.floor(t_f / T))
+def _snapped_floor(r):
+    """``floor(r)`` and whether ``r`` snapped: a ratio within GRID_SNAP of a
+    positive integer counts as that integer, the grid's one snap rule."""
+    n = np.round(r)
+    on_multiple = (np.abs(r - n) <= GRID_SNAP) & (n >= 1)
+    return np.where(on_multiple, n, np.floor(r)).astype(int), on_multiple
 
 
 @dataclass(frozen=True)
@@ -97,6 +62,20 @@ class SamplingGrid:
     def n_intervals(self) -> int:
         return len(self.times)
 
+    def interval_of(self, t):
+        """Index k of the sampling interval [kT, (k+1)T) holding each time.
+
+        ``t/T`` within GRID_SNAP of an integer snaps to it, so exact
+        multiples of the period are assigned reproducibly; ``t_f`` belongs
+        to the last interval.  Accepts a scalar or an array of times in
+        ``[0, t_f]`` and raises ValueError for any other.
+        """
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0) & (t <= self.t_f)):
+            raise ValueError(f"time outside [0, t_f={self.t_f:.6g}]")
+        k, _ = _snapped_floor(t / self.period)
+        return np.minimum(k, self.n_intervals - 1)
+
 
 def build_grid(t_f: float, T: float) -> SamplingGrid:
     """Build the sampling grid for horizon ``t_f`` and period ``T``.
@@ -108,12 +87,16 @@ def build_grid(t_f: float, T: float) -> SamplingGrid:
     if not (math.isfinite(t_f) and math.isfinite(T)):
         raise ValueError(f"final time and sampling period must be finite, "
                          f"got t_f={t_f}, T={T}")
-    k_last = final_control_index(t_f, T)
-    K = k_last + 1
+    if t_f <= 0:
+        raise ValueError(f"final time must be positive, got t_f={t_f}")
+    if T <= 0:
+        raise ValueError(f"sampling period must be positive, got T={T}")
+    k, on_multiple = _snapped_floor(t_f / T)
+    K = int(k) if on_multiple else int(k) + 1
     times = np.arange(K, dtype=float) * T
     lengths = np.full(K, float(T))
-    if not _on_period_multiple(t_f, T):
-        lengths[-1] = t_f - k_last * T
+    if not on_multiple:
+        lengths[-1] = t_f - (K - 1) * T
     times.setflags(write=False)
     lengths.setflags(write=False)
     return SamplingGrid(period=float(T), t_f=float(t_f), times=times, lengths=lengths)

@@ -138,7 +138,7 @@ def test_criterion_4_sweep_reproduction():
         c = (6.0 * M / tf ** 3 if unconstrained
              else 1.0 / math.sqrt(3.0 * (tf ** 2 - 4.0 * M)))
         slack = 2.0 * c * math.hypot(2.0, tf) * 1e-9
-        rows = pk.sweep_periods(M, tf, periods)
+        rows = [pk.sweep_row(M, tf, T) for T in periods]
         for row in rows:
             if row.status != "ok" or row.terminal_residual > 1e-9:
                 failures.append(f"(M={M},tf={tf},T={row.T}) did not converge")

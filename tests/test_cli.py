@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from sampled_pmp import parking
 from sampled_pmp.cli import main
 
 
@@ -140,7 +141,7 @@ def test_solve_writes_failing_certificate_and_exits_2(tmp_path, capsys,
                                                       failing_certificate,
                                                       source):
     # both solve paths return their verdict; neither raises on a failure
-    from sampled_pmp import parking, solver
+    from sampled_pmp import solver
     if source == "spec":
         failing_certificate(solver)
         spec = tmp_path / "problem.json"
@@ -388,6 +389,26 @@ def test_sweep_flags_infeasible_period(tmp_path):
     assert rows[0][7] == "failed"
 
 
+def test_sweep_exits_2_when_every_certificate_fails(tmp_path,
+                                                    failing_certificate):
+    # the rows keep their cause, so the sweep exits with solve's code for it
+    failing_certificate(parking)
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
+               "--T-list", "1,0.5", "--out", str(out)])
+    assert rc == 2
+    _, rows = _read_csv(out / "sweep.csv")
+    assert [r[7] for r in rows] == ["failed", "failed"]
+
+
+def test_sweep_rejects_instance_without_solution(tmp_path, capsys):
+    # t_f^2 < 4M: the failed rows' permanent cost hits the existence rule
+    rc = main(["sweep", "--problem", "parking", "--M", "5", "--tf", "3",
+               "--T-list", "1,0.5", "--out", str(tmp_path / "sw")])
+    assert rc == 4
+    assert "existence" in capsys.readouterr().err
+
+
 def test_sweep_deterministic(tmp_path):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -423,6 +444,26 @@ def test_compare_staircase(tmp_path, tf, steps):
     assert _count_steps(hold) == steps
     svg = (tmp_path / "cmp" / "compare.svg").read_text()
     assert "polyline" in svg and "path" in svg
+
+
+def test_compare_partial_grid(tmp_path):
+    # T = 0.7 gives five intervals, the last one 0.2 long; every sample holds
+    # the control of its own interval, and t = t_f holds the last one
+    run = tmp_path / "run"
+    assert main(["solve", "--problem", "parking", "--M", "2", "--tf", "3",
+                 "--T", "0.7", "--out", str(run)]) == 0
+    assert main(["compare", "--run", str(run), "--out",
+                 str(tmp_path / "cmp")]) == 0
+    _, controls = _read_csv(run / "controls.csv")
+    starts = np.array([float(r[1]) for r in controls])
+    u = np.array([float(r[3]) for r in controls])
+    np.testing.assert_allclose(starts, 0.7 * np.arange(5), atol=1e-12)
+    _, rows = _read_csv(tmp_path / "cmp" / "compare.csv")
+    ts = np.array([float(r[0]) for r in rows])
+    hold = np.array([float(r[1]) for r in rows])
+    k = np.searchsorted(starts, ts, side="right") - 1
+    np.testing.assert_array_equal(hold, u[k])
+    assert ts[-1] == 3.0 and k[-1] == 4
 
 
 def test_compare_zero_controls(tmp_path):

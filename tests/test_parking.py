@@ -49,8 +49,12 @@ def test_permanent_control_values():
 def test_permanent_control_domain_checks():
     with pytest.raises(ValueError):
         pk.permanent_control(2.0, 4.0, 4.5)
-    with pytest.raises(ValueError):
-        pk.permanent_control(5.0, 4.0, 1.0)
+    # both closed forms share the existence rule, at t_f^2 = 4M and below
+    for M, tf in ((4.0, 4.0), (5.0, 4.0), (5.0, 3.0)):
+        with pytest.raises(ValueError, match="existence"):
+            pk.permanent_control(M, tf, 1.0)
+        with pytest.raises(ValueError, match="existence"):
+            pk.permanent_cost(M, tf)
 
 
 def test_switching_time_values():
@@ -123,17 +127,6 @@ def test_permanent_multipliers_reproduce_unconstrained_law():
 # sampled closed forms
 # ---------------------------------------------------------------------------
 
-def test_gamma_values_and_slope():
-    assert pk.gamma(0, -0.5, -1.0, 2.0, 4.0, 2.0) == pytest.approx(0.0)
-    assert pk.gamma(3, 0.7, 0.0, 0.0, 4.0, 1.0) == pytest.approx(-1.4)
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        k = int(rng.integers(0, 5))
-        x, p1, p2f, tf, T = rng.normal(size=5)
-        assert pk.gamma(k, x + 1.0, p1, p2f, tf, T) - \
-            pk.gamma(k, x, p1, p2f, tf, T) == pytest.approx(-2.0, abs=1e-12)
-
-
 def test_sampled_control_from_multipliers():
     grid = sp.build_grid(4.0, 2.0)
     u = pk.sampled_control_from_multipliers(-1.0, 2.0, grid)
@@ -142,6 +135,24 @@ def test_sampled_control_from_multipliers():
     np.testing.assert_allclose(u.values.ravel(), [0.0, 0.0], atol=0)
     u = pk.sampled_control_from_multipliers(0.0, 3.0, grid)
     np.testing.assert_allclose(u.values.ravel(), [1.0, 1.0], atol=0)
+    # a partial last interval takes its own midpoint: c = (2, 1, 0.25)
+    u = pk.sampled_control_from_multipliers(-1.0, 1.0, sp.build_grid(2.5, 1.0))
+    np.testing.assert_allclose(u.values.ravel(), [-0.5, 0.0, 0.375], atol=1e-15)
+
+    # the sign rule of the decreasing Gamma_k(x) = -2x + p1 c_k + p2f: -1
+    # when Gamma_k(-1) < 0, +1 when Gamma_k(1) > 0, its root otherwise
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        p1, p2f = rng.normal(scale=2.0, size=2)
+        grid = sp.build_grid(float(rng.uniform(1.0, 5.0)),
+                             float(rng.uniform(0.3, 2.0)))
+        c = grid.t_f - grid.times - grid.lengths / 2
+        u = pk.sampled_control_from_multipliers(p1, p2f, grid).values[:, 0]
+        lower, upper = -2.0 * -1.0 + p1 * c + p2f < 0, -2.0 + p1 * c + p2f > 0
+        assert np.all(u[lower] == -1.0) and np.all(u[upper] == 1.0)
+        root = ~(lower | upper)
+        np.testing.assert_allclose(-2.0 * u[root] + p1 * c[root] + p2f, 0.0,
+                                   atol=1e-12)
 
 
 def test_sign_rule_matches_generic_interval_solver():
@@ -290,26 +301,36 @@ def test_qp_oracle_enumeration_bound():
     assert len(u) == 13
 
 
-def test_qp_oracle_requires_integer_ratio():
-    with pytest.raises(ValueError, match="multiple"):
-        pk.qp_oracle(2.0, 3.5, 1.0)
+def test_qp_oracle_agrees_on_partial_grids():
+    # the oracle's matrices come from the grid, so it checks the shooting on
+    # a partial last interval too
+    for (tf, T) in [(3.0, 0.7), (4.0, 1.3), (5.0, 0.9)]:
+        grid = sp.build_grid(tf, T)
+        assert grid.lengths[-1] < T
+        solved, _, cert = pk.solve_parking(2.0, tf, T)
+        assert cert.passed
+        u_qp = pk.qp_oracle(2.0, tf, T).values
+        assert np.max(np.abs(solved.controls.values - u_qp)) <= 1e-9, (tf, T)
+    ext, cert = sp.solve(pk.parking_problem(2.0, 5.0), grid,
+                         initial_unknowns=pk.initial_adjoint_guess(2.0, 5.0))
+    assert cert.passed
+    assert np.max(np.abs(ext.controls.values - u_qp)) <= 1e-9
+    # K = 3 with a 0.6 tail cannot park from 2 in 3: both sides reject it
+    with pytest.raises(sp.Infeasible):
+        pk.qp_oracle(2.0, 3.0, 1.2)
+    with pytest.raises(sp.NonConvergence):
+        pk.solve_parking(2.0, 3.0, 1.2)
 
 
 def test_grid_and_oracle_share_one_snap_rule():
-    # t/T within GRID_SNAP of 4: four full intervals, and the oracle accepts
-    # the grid; further off, the last interval is partial and it refuses
-    T = 0.75 * (1 + 1e-10)
-    grid = sp.build_grid(3.0, T)
-    assert grid.n_intervals == 4
-    assert np.all(grid.lengths == T)
-    assert len(pk.qp_oracle(2.0, 3.0, T)) == 4
-    for rel in (5e-10, 1e-6):
+    # t/T within GRID_SNAP of 4: four full intervals; further off, the last
+    # interval is partial.  The oracle solves on that grid either way.
+    for rel, full in ((1e-10, True), (5e-10, False), (1e-6, False)):
         T = 0.75 * (1 + rel)
         grid = sp.build_grid(3.0, T)
         assert grid.n_intervals == 4
-        assert grid.lengths[-1] < T
-        with pytest.raises(ValueError, match="multiple"):
-            pk.qp_oracle(2.0, 3.0, T)
+        assert np.all(grid.lengths == T) == full
+        assert len(pk.qp_oracle(2.0, 3.0, T)) == 4
 
 
 def test_oracle_equivalence_sweep():
@@ -371,8 +392,8 @@ def test_unsaturated_controls_are_affine_in_midpoint_coefficient():
 
 
 def test_sweep_rows_and_convergence():
-    rows3 = pk.sweep_periods(2.0, 3.0, [1.0, 0.5, 0.1, 0.01])
-    rows4 = pk.sweep_periods(2.0, 4.0, [1.0, 0.5, 0.1, 0.01])
+    rows3 = [pk.sweep_row(2.0, 3.0, T) for T in (1.0, 0.5, 0.1, 0.01)]
+    rows4 = [pk.sweep_row(2.0, 4.0, T) for T in (1.0, 0.5, 0.1, 0.01)]
     for row in rows3 + rows4:
         assert row.status == "ok"
         assert row.terminal_residual <= 1e-9
@@ -397,11 +418,12 @@ def test_sweep_rows_and_convergence():
 
 
 def test_sweep_row_reports_failure():
-    rows = pk.sweep_periods(2.0, 3.0, [5.0])
-    assert rows[0].status == "failed"
-    assert rows[0].error
-    assert math.isnan(rows[0].sup_dev)
-    assert rows[0].controls is None
+    row = pk.sweep_row(2.0, 3.0, 5.0)
+    assert row.status == "failed"
+    assert row.error
+    assert isinstance(row.cause, sp.NonConvergence)
+    assert math.isnan(row.sup_dev)
+    assert row.controls is None
 
 
 def test_sweep_row_reports_failing_certificate(failing_certificate):
@@ -409,4 +431,5 @@ def test_sweep_row_reports_failing_certificate(failing_certificate):
     row = pk.sweep_row(2.0, 3.0, 0.5)
     assert row.status == "failed"
     assert "forced failure" in row.error
+    assert isinstance(row.cause, sp.Certificate) and not row.cause.passed
     assert row.controls is None

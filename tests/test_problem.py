@@ -13,34 +13,41 @@ from sampled_pmp.parking import parking_problem
 # controlling-time arithmetic
 # ---------------------------------------------------------------------------
 
-def test_floor_index_examples():
-    assert sp.floor_index(2.5, 1.0) == 2
-    assert sp.floor_index(0.9, 0.5) == 1
-    assert sp.floor_index(3.0, 1.0) == 3
+def test_interval_of_examples():
+    assert sp.build_grid(3.0, 1.0).interval_of(2.5) == 2
+    assert sp.build_grid(1.0, 0.5).interval_of(0.9) == 1
+    assert sp.build_grid(4.0, 1.0).interval_of(3.0) == 3
+    grid = sp.build_grid(3.5, 1.0)
+    np.testing.assert_array_equal(
+        grid.interval_of([0.0, 0.5, 1.0, 2.9, 3.0, 3.4, 3.5]),
+        [0, 0, 1, 2, 3, 3, 3])
 
 
-def test_floor_index_snaps_near_multiples():
-    assert sp.floor_index(3.0 - 1e-10, 1.0) == 3
-    assert sp.floor_index(3.0 + 1e-10, 1.0) == 3
+def test_interval_of_snaps_near_multiples():
+    grid = sp.build_grid(4.0, 1.0)
+    assert grid.interval_of(3.0 - 1e-10) == 3
+    assert grid.interval_of(3.0 + 1e-10) == 3
     # beyond the snap window the plain floor applies
-    assert sp.floor_index(3.0 - 1e-7, 1.0) == 2
+    assert grid.interval_of(3.0 - 1e-7) == 2
 
 
-def test_floor_index_rejects_bad_arguments():
+def test_interval_of_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        sp.floor_index(1.0, 0.0)
+        sp.build_grid(1.0, 0.0)
     with pytest.raises(ValueError):
-        sp.floor_index(1.0, -2.0)
-    with pytest.raises(ValueError):
-        sp.floor_index(-0.1, 1.0)
+        sp.build_grid(1.0, -2.0)
+    grid = sp.build_grid(1.0, 0.5)
+    for t in (-0.1, 1.0 + 1e-9, np.nan, [0.5, 2.0]):
+        with pytest.raises(ValueError, match="outside"):
+            grid.interval_of(t)
 
 
-def test_floor_index_bracket_property():
+def test_interval_of_bracket_property():
     rng = np.random.default_rng(0)
     for _ in range(500):
         T = float(rng.uniform(0.05, 3.0))
         t = float(rng.uniform(0.0, 20.0))
-        k = sp.floor_index(t, T)
+        k = sp.build_grid(20.0 + 2.0 * T, T).interval_of(t)
         r = t / T
         if abs(r - round(r)) <= 1e-9:
             assert k == round(r)
@@ -49,13 +56,15 @@ def test_floor_index_bracket_property():
 
 
 def test_final_control_index():
-    assert sp.final_control_index(3.0, 1.0) == 2      # exact multiple drops one
-    assert sp.final_control_index(3.5, 1.0) == 3
-    assert sp.final_control_index(0.7, 1.0) == 0
+    # t_f belongs to the last interval; an exact multiple drops the empty one
+    for t_f, last in ((3.0, 2), (3.5, 3), (0.7, 0)):
+        grid = sp.build_grid(t_f, 1.0)
+        assert grid.n_intervals == last + 1
+        assert grid.interval_of(t_f) == last
     with pytest.raises(ValueError):
-        sp.final_control_index(0.0, 1.0)
+        sp.build_grid(0.0, 1.0)
     with pytest.raises(ValueError):
-        sp.final_control_index(1.0, -1.0)
+        sp.build_grid(1.0, -1.0)
 
 
 def test_build_grid_examples():
