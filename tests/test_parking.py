@@ -139,6 +139,15 @@ def test_sampled_control_from_multipliers():
     u = pk.sampled_control_from_multipliers(-1.0, 1.0, sp.build_grid(2.5, 1.0))
     np.testing.assert_allclose(u.values.ravel(), [-0.5, 0.0, 0.375], atol=1e-15)
 
+
+def test_gamma_values_and_slope():
+    # Gamma_0(-0.5) = 0 for p1 = -1, p2f = 2 on (t_f, T) = (4, 2), and
+    # Gamma_k(x) = -2x when p1 = p2f = 0: the controls are those roots
+    u = pk.sampled_control_from_multipliers(-1.0, 2.0, sp.build_grid(4.0, 2.0))
+    assert u.values[0, 0] == pytest.approx(-0.5, abs=1e-15)
+    u = pk.sampled_control_from_multipliers(0.0, 0.0, sp.build_grid(4.0, 1.0))
+    np.testing.assert_array_equal(u.values.ravel(), np.zeros(4))
+
     # the sign rule of the decreasing Gamma_k(x) = -2x + p1 c_k + p2f: -1
     # when Gamma_k(-1) < 0, +1 when Gamma_k(1) > 0, its root otherwise
     rng = np.random.default_rng(12)
@@ -153,6 +162,12 @@ def test_sampled_control_from_multipliers():
         root = ~(lower | upper)
         np.testing.assert_allclose(-2.0 * u[root] + p1 * c[root] + p2f, 0.0,
                                    atol=1e-12)
+        # slope -2: adding 2d to p2f moves every unclamped root by d
+        d = float(rng.uniform(-0.1, 0.1))
+        shifted = pk.sampled_control_from_multipliers(p1, p2f + 2.0 * d,
+                                                      grid).values[:, 0]
+        both = root & (np.abs(u + d) < 1.0)
+        np.testing.assert_allclose(shifted[both] - u[both], d, atol=1e-12)
 
 
 def test_sign_rule_matches_generic_interval_solver():
