@@ -15,9 +15,9 @@ from .certificate import (Certificate, boundary_residuals, check_certificate,
 from .errors import (Infeasible, IntegrationBlowUp, NonConvergence,
                      UnsupportedCase)
 from .problem import (Ball, Box, ControlSequence, FixedEndpoints,
-                      FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
-                      ProblemDefinition, SamplingGrid, build_grid,
-                      validate_jacobians)
+                      FixedInitialFreeFinal, FixedTime, FreeTime,
+                      LinearQuadratic, Periodic, ProblemDefinition,
+                      SamplingGrid, build_grid, validate_jacobians)
 from .problems import lti_problem
 from .simulate import (AdjointArc, Extremal, Trajectory, average_hamiltonian,
                        average_u_gradient, integrate_extremal_forward,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjointArc", "Ball", "Box", "Certificate", "ControlSequence", "Extremal",
     "FixedEndpoints", "FixedInitialFreeFinal", "FixedTime", "FreeTime",
-    "Infeasible", "IntegrationBlowUp", "LoadedSpec",
+    "Infeasible", "IntegrationBlowUp", "LinearQuadratic", "LoadedSpec",
     "NonConvergence", "Periodic", "ProblemDefinition", "SamplingGrid",
     "SpecError", "Trajectory",
     "UnsupportedCase", "average_hamiltonian",

@@ -35,8 +35,9 @@ import numpy as np
 from .certificate import Certificate, check_certificate
 from .errors import Infeasible, NonConvergence
 from .problem import (Box, ControlSequence, FixedEndpoints,
-                      FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
-                      ProblemDefinition, SamplingGrid, build_grid)
+                      FixedInitialFreeFinal, FixedTime, FreeTime,
+                      LinearQuadratic, Periodic, ProblemDefinition,
+                      SamplingGrid, build_grid)
 from .simulate import integrate_extremal_forward
 from . import solver as _solver
 
@@ -53,7 +54,8 @@ def parking_problem(M: float, t_f: float, terminal: str = "fixed_endpoints",
     ``terminal`` selects the boundary variant: "fixed_endpoints" is the
     parking problem proper; "free_final" leaves q(t_f) free; "periodic"
     imposes q(0) = q(t_f).  ``position_weight`` adds w*q_1^2 to the running
-    cost (used by tests that need a state-coupled adjoint).
+    cost (used by tests that need a state-coupled adjoint).  The problem is
+    linear-quadratic and carries its matrices as ``lq``.
     """
     w = float(position_weight)
 
@@ -93,7 +95,9 @@ def parking_problem(M: float, t_f: float, terminal: str = "fixed_endpoints",
     return ProblemDefinition(
         n=2, m=1, f=f, f_q=f_q, f_u=f_u, f0=f0, f0_q=f0_q, f0_u=f0_u,
         control_set=Box(lower=np.array([-1.0]), upper=np.array([1.0])),
-        terminal=term, final_time=mode, name="parking")
+        terminal=term, final_time=mode, name="parking",
+        lq=LinearQuadratic(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
+                           Q=[[w, 0.0], [0.0, 0.0]], R=[[1.0]]))
 
 
 @dataclass(frozen=True)

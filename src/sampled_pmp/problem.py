@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -253,8 +253,9 @@ class FixedTime:
     t_f: float
 
     def __post_init__(self):
-        if self.t_f <= 0:
-            raise ValueError(f"final time must be positive, got {self.t_f}")
+        if not (math.isfinite(self.t_f) and self.t_f > 0):
+            raise ValueError(f"final time must be positive and finite, "
+                             f"got {self.t_f}")
 
 
 @dataclass(frozen=True)
@@ -264,11 +265,51 @@ class FreeTime:
     t_f_guess: float
 
     def __post_init__(self):
-        if self.t_f_guess <= 0:
-            raise ValueError(f"final-time guess must be positive, got {self.t_f_guess}")
+        if not (math.isfinite(self.t_f_guess) and self.t_f_guess > 0):
+            raise ValueError(f"final-time guess must be positive and finite, "
+                             f"got {self.t_f_guess}")
 
 
 FinalTimeMode = Union[FixedTime, FreeTime]
+
+
+# ---------------------------------------------------------------------------
+# linear-quadratic data
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class LinearQuadratic:
+    """Dynamics ``A q + B u`` and running cost ``q'Qq + u'Ru`` as matrices.
+
+    A is n x n, B n x m, Q n x n and R m x m, all finite.  Q and R are
+    symmetrized, so only their symmetric parts matter.  Equality and hashing
+    are by identity: an instance keys the cache of its interval maps.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+
+    def __post_init__(self):
+        A, B, Q, R = (np.asarray(x, dtype=float)
+                      for x in (self.A, self.B, self.Q, self.R))
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("A must be square")
+        n = A.shape[0]
+        if B.ndim != 2 or B.shape[0] != n:
+            raise ValueError(f"B must have {n} rows")
+        m = B.shape[1]
+        if Q.shape != (n, n) or R.shape != (m, m):
+            raise ValueError("Q and R must match the state/control dimensions")
+        if not all(np.all(np.isfinite(x)) for x in (A, B, Q, R)):
+            raise ValueError("A, B, Q and R must be finite")
+        Q = 0.5 * (Q + Q.T)
+        R = 0.5 * (R + R.T)
+        for name, x in zip("ABQR", (A, B, Q, R)):
+            x = x.copy()
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +343,13 @@ class ProblemDefinition:
     final_time : FixedTime or FreeTime
     name : str
         Identifier used in exports; purely informational.
+    lq : LinearQuadratic or None
+        The same dynamics and running cost as matrices, for linear-quadratic
+        problems.  When set, intervals propagate by precomputed RK4 step
+        matrices, while the certificate, the cost and the exports still read
+        the callbacks.  A caller who replaces ``f`` or ``f0`` (say with
+        ``dataclasses.replace``) by a different function must pass
+        ``lq=None``; :func:`validate_jacobians` checks the two agree.
     """
 
     n: int
@@ -316,6 +364,7 @@ class ProblemDefinition:
     terminal: TerminalCondition
     final_time: FinalTimeMode
     name: str = "custom"
+    lq: Optional[LinearQuadratic] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -323,6 +372,10 @@ class ProblemDefinition:
         if self.control_set.dim != self.m:
             raise ValueError(
                 f"control set dimension {self.control_set.dim} != m={self.m}")
+        if self.lq is not None and self.lq.B.shape != (self.n, self.m):
+            raise ValueError(
+                f"lq matrices are for n={self.lq.B.shape[0]}, "
+                f"m={self.lq.B.shape[1]}, not n={self.n}, m={self.m}")
 
     def hamiltonian(self, t: float, q: np.ndarray, p: np.ndarray, p0: float,
                     u: np.ndarray) -> float:
@@ -401,10 +454,12 @@ def validate_jacobians(problem: ProblemDefinition, rng: np.random.Generator,
 
     Raises AssertionError on the first probe point where a stored derivative
     disagrees with the finite-difference estimate beyond ``rtol`` (relative
-    to 1 + magnitude).  Probe states/controls are standard normal; times
-    uniform in [0, 10].
+    to 1 + magnitude).  When the problem carries ``lq``, f, f_q, f_u, f0_q
+    and f0_u must also match its matrices at each probe.  Probe
+    states/controls are standard normal; times uniform in [0, 10].
     """
     n, m = problem.n, problem.m
+    lq = problem.lq
     h = 1e-6
     for _ in range(n_probes):
         t = float(rng.uniform(0.0, 10.0))
@@ -415,6 +470,14 @@ def validate_jacobians(problem: ProblemDefinition, rng: np.random.Generator,
         fu = problem.f_u(t, q, u)
         f0q = problem.f0_q(t, q, u)
         f0u = problem.f0_u(t, q, u)
+
+        if lq is not None:
+            _assert_close(problem.f(t, q, u), lq.A @ q + lq.B @ u, rtol,
+                          "f against lq")
+            _assert_close(fq, lq.A, rtol, "f_q against lq")
+            _assert_close(fu, lq.B, rtol, "f_u against lq")
+            _assert_close(f0q, 2.0 * (lq.Q @ q), rtol, "f0_q against lq")
+            _assert_close(f0u, 2.0 * (lq.R @ u), rtol, "f0_u against lq")
 
         for i in range(n):
             e = np.zeros(n); e[i] = h

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import (ControlSet, FinalTimeMode, ProblemDefinition,
-                      TerminalCondition)
+from .problem import (ControlSet, FinalTimeMode, LinearQuadratic,
+                      ProblemDefinition, TerminalCondition)
 
 
 def lti_problem(A, B, Q=None, R=None, *, control_set: ControlSet,
@@ -14,22 +14,17 @@ def lti_problem(A, B, Q=None, R=None, *, control_set: ControlSet,
     """dq/dt = A q + B u with running cost q'Qq + u'Ru.
 
     Q defaults to zero (pure control energy) and R to the identity.  Q and R
-    are symmetrized, so only their symmetric parts matter.
+    are symmetrized, so only their symmetric parts matter.  The problem
+    carries the matrices as its ``lq`` field; all four must be finite.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    n = A.shape[0]
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ValueError(f"B must have {n} rows")
-    m = B.shape[1]
-    Q = np.zeros((n, n)) if Q is None else np.asarray(Q, dtype=float)
-    R = np.eye(m) if R is None else np.asarray(R, dtype=float)
-    if Q.shape != (n, n) or R.shape != (m, m):
-        raise ValueError("Q and R must match the state/control dimensions")
-    Q = 0.5 * (Q + Q.T)
-    R = 0.5 * (R + R.T)
+    # LinearQuadratic checks the shapes; n and m only size the defaults
+    n = A.shape[0] if A.ndim == 2 else 0
+    m = B.shape[1] if B.ndim == 2 else 0
+    lq = LinearQuadratic(A, B, np.zeros((n, n)) if Q is None else Q,
+                         np.eye(m) if R is None else R)
+    A, B, Q, R = lq.A, lq.B, lq.Q, lq.R
 
     def f(t, q, u):
         return A @ q + B @ u
@@ -52,4 +47,4 @@ def lti_problem(A, B, Q=None, R=None, *, control_set: ControlSet,
     return ProblemDefinition(n=n, m=m, f=f, f_q=f_q, f_u=f_u, f0=f0,
                              f0_q=f0_q, f0_u=f0_u, control_set=control_set,
                              terminal=terminal, final_time=final_time,
-                             name=name)
+                             name=name, lq=lq)

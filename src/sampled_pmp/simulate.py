@@ -12,22 +12,36 @@ read-only arrays) for :func:`simulate`, :func:`integrate_extremal_forward`
 and the shooting solver, which builds its extremal from the arcs it has
 already integrated.  :func:`simulate` integrates the state alone; it computes
 no adjoint.
+
+A problem that carries ``lq`` matrices integrates each interval by the same
+RK4 steps written as matrices: the node maps of the coupled affine system are
+built once per (lq, interval length, p0, substeps), cached, and applied with
+two matrix products.  The state block is shared, so :func:`simulate` and
+:func:`integrate_extremal_forward` still agree bitwise.  The cost, the
+interval averages and the exports read the callbacks on both paths.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationBlowUp
-from .problem import ControlSequence, ProblemDefinition, SamplingGrid
+from .problem import (ControlSequence, LinearQuadratic, ProblemDefinition,
+                      SamplingGrid)
 
 # Abort threshold: trial adjoints in Newton iterations can diverge, and a
 # structured failure beats a flood of overflow warnings.
 BLOWUP_NORM = 1e12
 
 DEFAULT_SUBSTEPS = 16
+
+# Interval maps of linear-quadratic problems kept, one per (problem data,
+# interval length, p0, substeps).  A solve needs one per distinct length; a
+# free horizon adds one per trial final time.
+LQ_MAPS_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,14 @@ def integrate_interval(problem: ProblemDefinition, t_start: float, delta: float,
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     q_start = np.asarray(q_start, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    if problem.lq is not None:
+        # the state block of the coupled maps does not depend on p0; -1 is
+        # the solver's, so both share one cache entry
+        arc = _lq_arc(problem.lq, t_start, delta,
+                      np.concatenate([q_start, np.zeros_like(q_start)]), u,
+                      -1.0, substeps, q_start.size)
+        if arc is not None:
+            return arc
 
     def rhs(t, q):
         return np.asarray(problem.f(t, q, u), dtype=float)
@@ -138,6 +160,11 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
     (times, nodes) arrays of length substeps+1.
     """
     n = problem.n
+    if problem.lq is not None:
+        arc = _lq_arc(problem.lq, t_start, delta, z_start, u, p0, substeps,
+                      2 * n)
+        if arc is not None:
+            return arc
 
     def rhs(t, zz):
         qq, pp = zz[:n], zz[n:]
@@ -146,6 +173,73 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
         return np.concatenate([dq, dp])
 
     return _rk4(rhs, t_start, delta, z_start, substeps)
+
+
+# ---------------------------------------------------------------------------
+# linear-quadratic intervals: the same RK4 steps as matrices
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=LQ_MAPS_CACHE_SIZE)
+def _lq_maps(lq: LinearQuadratic, delta: float, p0: float, substeps: int):
+    """RK4 node maps of the coupled state/adjoint arc over one interval.
+
+    With z = (q, p) the coupled right-hand side (f, -dH/dq) is affine,
+    z' = M z + N u with M = [[A, 0], [-2 p0 Q, -A']] and N = [B; 0].  One
+    RK4 step of length h maps z to R(hM) z + h S(hM) N u, where
+    R(X) = I + X + X^2/2 + X^3/6 + X^4/24 and S(X) = I + X/2 + X^2/6 + X^3/24:
+    the same scheme as ``_rk4``, not a matrix exponential.  Stacking the
+    steps gives the nodes Phi z + Gamma u.  Returns (Phi, Gamma) with
+    (substeps+1)*2n rows, or None when the maps overflow.
+    """
+    A, B, Q = lq.A, lq.B, lq.Q
+    n = A.shape[0]
+    h = delta / substeps
+    eye = np.eye(2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = h * np.block([[A, np.zeros((n, n))], [-2.0 * p0 * Q, -A.T]])
+        X2 = X @ X
+        X3 = X2 @ X
+        step = eye + X + X2 / 2.0 + X3 / 6.0 + (X3 @ X) / 24.0
+        drive = h * ((eye + X / 2.0 + X2 / 6.0 + X3 / 24.0)[:, :n] @ B)
+        phi = np.empty((substeps + 1, 2 * n, 2 * n))
+        gamma = np.empty((substeps + 1, 2 * n, B.shape[1]))
+        phi[0], gamma[0] = eye, 0.0
+        for i in range(substeps):
+            phi[i + 1] = step @ phi[i]
+            gamma[i + 1] = step @ gamma[i] + drive
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(gamma))):
+        return None
+    phi = phi.reshape(-1, 2 * n)
+    gamma = gamma.reshape(-1, B.shape[1])
+    phi.setflags(write=False)
+    gamma.setflags(write=False)
+    return phi, gamma
+
+
+def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
+            p0: float, substeps: int, width: int):
+    """(times, nodes) of one interval by the maps of :func:`_lq_maps`, keeping
+    the first ``width`` components (the state block, or all of z).
+
+    Applies the blow-up rule of ``_rk4`` to the kept nodes: the first node
+    past BLOWUP_NORM, or non-finite, raises IntegrationBlowUp at its time.
+    Returns None when the maps overflow, so the caller integrates by the
+    callbacks.
+    """
+    maps = _lq_maps(lq, float(delta), float(p0), substeps)
+    if maps is None:
+        return None
+    phi, gamma = maps
+    h = delta / substeps
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = (phi @ z_start + gamma @ u).reshape(substeps + 1, -1)[:, :width]
+        # _rk4's max-abs and norm tests in one: a max-abs past BLOWUP_NORM
+        # puts the norm past it too, and NaN fails the comparison
+        blown = ~(np.sum(nodes[1:] * nodes[1:], axis=1) <= BLOWUP_NORM ** 2)
+    if blown.any():
+        i = int(np.argmax(blown))
+        raise IntegrationBlowUp(t0 + i * h + h)
+    return t0 + h * np.arange(substeps + 1), nodes
 
 
 def _simpson(values: np.ndarray, h: float) -> float:

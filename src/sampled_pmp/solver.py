@@ -11,7 +11,11 @@ is resolved exactly.  The arc of the last evaluation, at the solved control,
 advances the propagation and is the returned extremal's piece of the
 interval, so a residual integrates no interval beyond its inner solve.
 The residual is read from the boundary conditions the certificate checks,
-and ``solve`` returns that certificate whatever its verdict.
+and ``solve`` returns that certificate whatever its verdict.  On a problem
+with ``lq`` matrices the interval arcs come from the precomputed RK4 maps
+(see :mod:`.simulate`) and Gbar is the Simpson mean of B'p + 2 p0 R u on
+the adjoint nodes; the same Newton iterations run on them, and the
+certificate still evaluates dH/du through the callbacks.
 
 The shooting map is piecewise smooth: it kinks where a control changes
 saturation status and, for free final times, where the horizon crosses a
@@ -59,6 +63,11 @@ MAX_HALVINGS = 30           # trial scales 1, 1/2, ... along one direction
 # descent of |r|^2, which is region-independent.
 LEVENBERG_DAMPING = 1.0
 
+# Weights of the composite Simpson mean over an interval's
+# DEFAULT_SUBSTEPS + 1 nodes, whatever its length.
+_SIMPSON_MEAN = np.array([1.0] + [4.0, 2.0] * (DEFAULT_SUBSTEPS // 2 - 1)
+                         + [4.0, 1.0]) / (3.0 * DEFAULT_SUBSTEPS)
+
 
 def _unknown_layout(problem: ProblemDefinition):
     """(has_q0, has_tf, total unknown dimension) for the problem's variant.
@@ -79,14 +88,20 @@ def _unknown_layout(problem: ProblemDefinition):
 def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u):
     """Average of dH/du over one interval, re-integrating the coupled arc at u.
 
-    Returns ``(gbar, arc)`` with the integrated ``(times, nodes)`` arc.
+    Returns ``(gbar, arc)`` with the integrated ``(times, nodes)`` arc.  A
+    linear-quadratic problem averages dH/du = B'p + 2 p0 R u by the same
+    Simpson rule on the adjoint nodes, without callbacks.
     """
     n = problem.n
     times, nodes = _extremal_interval(problem, t_k, delta,
                                       np.concatenate([q_k, p_k]), u, p0,
                                       DEFAULT_SUBSTEPS)
-    gbar = _interval_mean(problem.hamiltonian_u, times, nodes[:, :n],
-                          nodes[:, n:], p0, u, delta)
+    lq = problem.lq
+    if lq is None:
+        gbar = _interval_mean(problem.hamiltonian_u, times, nodes[:, :n],
+                              nodes[:, n:], p0, u, delta)
+    else:
+        gbar = lq.B.T @ (_SIMPSON_MEAN @ nodes[:, n:]) + 2.0 * p0 * (lq.R @ u)
     return gbar, (times, nodes)
 
 

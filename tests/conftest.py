@@ -1,10 +1,14 @@
 """Shared fixtures."""
 
 import dataclasses
+import importlib
 
 import pytest
 
 from sampled_pmp import parking, solver
+
+# the package exports the function ``simulate`` under the module's name
+simulate = importlib.import_module("sampled_pmp.simulate")
 
 
 @pytest.fixture
@@ -41,6 +45,18 @@ def _count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return lambda: calls
+
+
+@pytest.fixture
+def interval_integrations(monkeypatch):
+    """Count interval integrations, state-only or coupled, by either path
+    (callbacks or linear-quadratic matrices); returns the reader."""
+    readers = [_count_calls(monkeypatch, simulate, "integrate_interval"),
+               _count_calls(monkeypatch, simulate, "_extremal_interval")]
+    # the solver holds its own reference; count it with the same counter
+    monkeypatch.setattr(solver, "_extremal_interval",
+                        simulate._extremal_interval)
+    return lambda: sum(read() for read in readers)
 
 
 @pytest.fixture

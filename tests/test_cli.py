@@ -64,15 +64,15 @@ def test_solve_writes_artifacts_and_passes(tmp_path):
     assert "config" not in manifest
 
 
-def test_solve_parking_integrates_once(tmp_path, parking_f_calls):
-    # K intervals of 16 RK4 substeps, 4 stages each: one integration of the
-    # solved extremal, which the certificate and the artifacts share
+def test_solve_parking_integrates_once(tmp_path, interval_integrations):
+    # K interval integrations: one integration of the solved extremal, which
+    # the certificate and the artifacts share
     rc = main(["solve", "--problem", "parking", "--M", "2", "--tf", "3",
                "--T", "0.1", "--out", str(tmp_path / "run")])
     assert rc == 0
     _, rows = _read_csv(tmp_path / "run" / "controls.csv")
     assert len(rows) == 30
-    assert parking_f_calls() == 64 * 30
+    assert interval_integrations() == 30
 
 
 def test_solve_exit_codes(tmp_path):
@@ -359,7 +359,7 @@ def test_sweep_outputs(tmp_path):
         assert (out / name).exists()
 
 
-def test_sweep_solves_each_period_once(tmp_path, parking_f_calls):
+def test_sweep_solves_each_period_once(tmp_path, interval_integrations):
     # one integration per period; the SVGs draw the rows' own controls
     rc = main(["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
                "--T-list", "1,0.5,0.1", "--out", str(tmp_path / "sw")])
@@ -367,7 +367,7 @@ def test_sweep_solves_each_period_once(tmp_path, parking_f_calls):
     _, rows = _read_csv(tmp_path / "sw" / "sweep.csv")
     Ks = [int(r[1]) for r in rows]
     assert Ks == [3, 6, 30]
-    assert parking_f_calls() == 64 * sum(Ks)
+    assert interval_integrations() == sum(Ks)
 
 
 def test_sweep_single_period(tmp_path):

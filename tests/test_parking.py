@@ -1,5 +1,6 @@
 """Parking closed forms, the sampled sign rule, oracles, and sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -274,12 +275,13 @@ def test_solve_parking_partial_grid(monkeypatch):
     assert np.max(np.abs(controls.values - generic.controls.values)) <= 1e-8
 
 
-def test_solve_parking_rejects_one_interval_without_integrating(parking_f_calls):
+def test_solve_parking_rejects_one_interval_without_integrating(
+        interval_integrations):
     # T > t_f leaves one interval, which cannot meet two terminal equations;
     # the closed-form Newton stalls before any arc is integrated
     with pytest.raises(sp.NonConvergence):
         pk.solve_parking(2.0, 3.0, 5.0)
-    assert parking_f_calls() == 0
+    assert interval_integrations() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,9 @@ def test_oracle_equivalence_sweep():
 
 def test_generic_path_consistency(residual_evals, gbar_calls):
     # the dedicated sign-rule path and the generic semismooth shooting
-    # agree on the oracle-equivalence instances (slowest test in the suite)
+    # agree on the oracle-equivalence instances, and the generic solve by
+    # the lq matrices agrees with its callback twin (slowest test in the
+    # suite)
     work = {}
     for tf in (3.0, 3.2, 4.0, 5.0):
         for K in range(2, 9):
@@ -374,17 +378,22 @@ def test_generic_path_consistency(residual_evals, gbar_calls):
             u_fast = solved.controls
             prob = pk.parking_problem(2.0, tf)
             grid = sp.build_grid(tf, T)
+            guess = pk.initial_adjoint_guess(2.0, tf)
             before = residual_evals(), gbar_calls()
-            ext, cert = sp.solve(prob, grid,
-                                 initial_unknowns=pk.initial_adjoint_guess(2.0, tf))
+            ext, cert = sp.solve(prob, grid, initial_unknowns=guess)
             work[tf, K] = (residual_evals() - before[0], gbar_calls() - before[1])
             assert cert.passed, (tf, K)
             assert np.max(np.abs(u_fast.values - ext.controls.values)) <= 1e-8, \
                 (tf, K)
+            twin, twin_cert = sp.solve(dataclasses.replace(prob, lq=None),
+                                       grid, initial_unknowns=guess)
+            assert twin_cert.passed, (tf, K)
+            assert np.max(np.abs(twin.controls.values
+                                 - ext.controls.values)) <= 1e-10, (tf, K)
     # the generic solve's work, in residual and Gbar evaluations: (3, 8) is
     # the parking member of the benchmark's generic-shoot batch
-    assert work[3.0, 8] == (10, 356)
-    assert work[4.0, 8] == (7, 288)
+    assert work[3.0, 8] == (10, 358)
+    assert work[4.0, 8] == (7, 278)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Problem data model: grids, control sets, Hamiltonian, spec files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -85,6 +86,14 @@ def test_build_grid_rejects_non_finite():
     for t_f, T in ((np.inf, 1.0), (np.nan, 1.0), (4.0, np.inf), (4.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             sp.build_grid(t_f, T)
+
+
+def test_final_time_modes_reject_non_finite():
+    for t_f in (np.inf, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sp.FixedTime(t_f)
+        with pytest.raises(ValueError, match="finite"):
+            sp.FreeTime(t_f)
 
 
 def test_grid_lengths_sum_to_final_time():
@@ -207,6 +216,57 @@ def test_hamiltonian_dimension_mismatch():
         prob.hamiltonian(0.0, np.zeros(2), np.zeros(2), -1.0, np.zeros(2))
 
 
+def _lti(A=((0.0, 1.0), (0.0, 0.0)), B=((0.0,), (1.0,)), Q=None, R=None):
+    return sp.lti_problem(
+        np.array(A), np.array(B), Q, R,
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.FixedEndpoints(q0=np.array([1.0, 0.0]), qf=np.zeros(2)),
+        final_time=sp.FixedTime(1.0))
+
+
+def test_lq_data_is_validated_without_callbacks():
+    def refuse(*args):
+        raise AssertionError("construction called a callback")
+
+    lq = _lti().lq
+    fields = dict(n=2, m=1, f=refuse, f_q=refuse, f_u=refuse, f0=refuse,
+                  f0_q=refuse, f0_u=refuse,
+                  control_set=sp.Box(lower=[-1.0], upper=[1.0]),
+                  terminal=sp.Periodic(), final_time=sp.FixedTime(1.0))
+    assert sp.ProblemDefinition(**fields, lq=lq).lq is lq
+    with pytest.raises(ValueError, match="lq"):
+        sp.ProblemDefinition(**{**fields, "n": 3}, lq=lq)
+    for A, B, Q, R in (([[0.0, 1.0]], [[0.0]], [[0.0]], [[1.0]]),
+                       ([[0.0]], [[1.0], [0.0]], [[0.0]], [[1.0]]),
+                       ([[0.0]], [[1.0]], [[0.0, 0.0]], [[1.0]]),
+                       ([[0.0]], [[1.0]], [[0.0]], np.eye(2))):
+        with pytest.raises(ValueError):
+            sp.LinearQuadratic(A, B, Q, R)
+    with pytest.raises(ValueError, match="finite"):
+        sp.LinearQuadratic([[np.nan]], [[1.0]], [[0.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("field", ["A", "B", "Q", "R"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lti_problem_rejects_non_finite_matrices(field, bad):
+    mats = {"A": np.zeros((2, 2)), "B": np.array([[0.0], [1.0]]),
+            "Q": np.zeros((2, 2)), "R": np.eye(1)}
+    mats[field] = mats[field].copy()
+    mats[field][0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _lti(**mats)
+
+
+def test_validate_jacobians_rejects_lq_that_disagrees_with_f():
+    prob = _lti()
+    rng = np.random.default_rng(6)
+    sp.validate_jacobians(prob, rng)
+    for other in (_lti(A=((0.0, 1.0), (-1.0, 0.0))), _lti(B=((1.0,), (1.0,))),
+                  _lti(Q=np.eye(2)), _lti(R=2.0 * np.eye(1))):
+        with pytest.raises(AssertionError, match="against lq"):
+            sp.validate_jacobians(dataclasses.replace(prob, lq=other.lq), rng)
+
+
 def _builtin_problems():
     osc = sp.lti_problem(
         np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]]),
@@ -308,6 +368,8 @@ def test_load_inline_parking_dynamics(tmp_path):
     }))
     loaded = sp.load_problem_spec(path)
     assert isinstance(loaded.problem.terminal, sp.FixedInitialFreeFinal)
+    # the spec keeps the parking matrices, so its intervals take the lq path
+    np.testing.assert_array_equal(loaded.problem.lq.A, [[0, 1], [0, 0]])
 
 
 def test_spec_rejects_unknown_fields(tmp_path):

@@ -1,10 +1,13 @@
 """Sample-and-hold integration, adjoint arcs, quadrature, CSV export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sampled_pmp as sp
 from sampled_pmp.parking import parking_problem
+from sampled_pmp.simulate import _extremal_interval
 
 PARKING = parking_problem(2.0, 4.0)
 Q0 = np.array([2.0, 0.0])
@@ -65,6 +68,42 @@ def test_blowup_raises_structured_error():
     with pytest.raises(sp.IntegrationBlowUp) as exc:
         sp.integrate_interval(prob, 0.0, 1.0, np.array([1.0]), np.array([0.0]), 16)
     assert 0.0 < exc.value.time <= 1.0
+
+
+def _outcomes_agree(integrate, problem):
+    # both raise IntegrationBlowUp at the same time, or neither raises and
+    # the nodes agree
+    got = []
+    for P in (problem, dataclasses.replace(problem, lq=None)):
+        try:
+            got.append(integrate(P)[1])
+        except sp.IntegrationBlowUp as exc:
+            got.append(exc.time)
+    if isinstance(got[1], float):
+        assert got[0] == got[1]
+    else:
+        np.testing.assert_allclose(got[0], got[1], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("a, delta, z", [
+    (40.0, 1.0, [1.0, 0.5]), (-40.0, 1.0, [0.0, 1.0]),
+    (40.0, 1e5, [1.0, 0.0]), (40.0, 1e5, [0.0, 0.0]),
+], ids=["state", "adjoint", "overflowing-maps", "overflowing-maps-at-rest"])
+def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
+    # the first node past BLOWUP_NORM raises at its time on both paths; at
+    # delta = 1e5 the RK4 maps themselves overflow, and an arc at rest must
+    # still integrate (to zeros), not blow up
+    prob = sp.lti_problem(
+        np.array([[a]]), np.array([[1.0]]), np.array([[0.5]]),
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.FixedEndpoints(q0=np.ones(1), qf=np.zeros(1)),
+        final_time=sp.FixedTime(1.0))
+    z, u = np.array(z), np.zeros(1)
+    for p0 in (-1.0, -0.5):
+        _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta, z, u,
+                                                     p0, 16), prob)
+    _outcomes_agree(lambda P: sp.integrate_interval(P, 0.25, delta, z[:1], u,
+                                                    16), prob)
 
 
 # ---------------------------------------------------------------------------
