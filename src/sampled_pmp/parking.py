@@ -35,9 +35,9 @@ import numpy as np
 from .certificate import Certificate, check_certificate
 from .errors import Infeasible, NonConvergence
 from .problem import (Box, ControlSequence, FixedEndpoints,
-                      FixedInitialFreeFinal, FixedTime, FreeTime,
-                      LinearQuadratic, Periodic, ProblemDefinition,
-                      SamplingGrid, build_grid)
+                      FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
+                      ProblemDefinition, SamplingGrid, build_grid)
+from .problems import lti_problem
 from .simulate import integrate_extremal_forward
 from . import solver as _solver
 
@@ -55,28 +55,9 @@ def parking_problem(M: float, t_f: float, terminal: str = "fixed_endpoints",
     parking problem proper; "free_final" leaves q(t_f) free; "periodic"
     imposes q(0) = q(t_f).  ``position_weight`` adds w*q_1^2 to the running
     cost (used by tests that need a state-coupled adjoint).  The problem is
-    linear-quadratic and carries its matrices as ``lq``.
+    :func:`~sampled_pmp.problems.lti_problem` with A = [[0, 1], [0, 0]],
+    B = [0, 1]', Q = diag(w, 0) and R = 1.
     """
-    w = float(position_weight)
-
-    def f(t, q, u):
-        return np.array([q[1], u[0]])
-
-    def f_q(t, q, u):
-        return np.array([[0.0, 1.0], [0.0, 0.0]])
-
-    def f_u(t, q, u):
-        return np.array([[0.0], [1.0]])
-
-    def f0(t, q, u):
-        return float(u[0] * u[0] + w * q[0] * q[0])
-
-    def f0_q(t, q, u):
-        return np.array([2.0 * w * q[0], 0.0])
-
-    def f0_u(t, q, u):
-        return np.array([2.0 * u[0]])
-
     q0 = np.array([float(M), 0.0])
     if terminal == "fixed_endpoints":
         term = FixedEndpoints(q0=q0, qf=np.zeros(2))
@@ -92,12 +73,11 @@ def parking_problem(M: float, t_f: float, terminal: str = "fixed_endpoints",
     else:
         mode = FixedTime(t_f)
 
-    return ProblemDefinition(
-        n=2, m=1, f=f, f_q=f_q, f_u=f_u, f0=f0, f0_q=f0_q, f0_u=f0_u,
+    return lti_problem(
+        [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+        [[float(position_weight), 0.0], [0.0, 0.0]], [[1.0]],
         control_set=Box(lower=np.array([-1.0]), upper=np.array([1.0])),
-        terminal=term, final_time=mode, name="parking",
-        lq=LinearQuadratic(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
-                           Q=[[w, 0.0], [0.0, 0.0]], R=[[1.0]]))
+        terminal=term, final_time=mode, name="parking")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Sample-and-hold integration of state and extremal arcs.
 
 The control is frozen on each sampling interval, so the dynamics restricted
-to one interval are smooth and a fixed-step classical Runge-Kutta scheme
-applies.  Costs and averaged control-gradients are computed by composite
-Simpson quadrature on the integrator's own nodes (substep counts are even),
+to one interval are smooth and classical Runge-Kutta applies: every interval
+takes ``SUBSTEPS`` steps, whatever its length.  Every integral over an
+interval (the cost, the averaged gradient, the averaged Hamiltonian) is the
+one composite Simpson rule ``SIMPSON_MEAN`` on the integrator's own nodes,
 which reuses every evaluation and is exact for the polynomial integrands of
 the built-in problems.
 
@@ -15,7 +16,7 @@ no adjoint.
 
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
-built once per (lq, interval length, p0, substeps), cached, and applied with
+built once per (lq, interval length, p0), cached, and applied with
 two matrix products.  The state block is shared, so :func:`simulate` and
 :func:`integrate_extremal_forward` still agree bitwise.  The cost, the
 interval averages and the exports read the callbacks on both paths.
@@ -36,21 +37,29 @@ from .problem import (ControlSequence, LinearQuadratic, ProblemDefinition,
 # structured failure beats a flood of overflow warnings.
 BLOWUP_NORM = 1e12
 
-DEFAULT_SUBSTEPS = 16
+# RK4 steps per sampling interval; even, so Simpson applies on the nodes.
+SUBSTEPS = 16
+
+# Composite Simpson weights over an interval's SUBSTEPS + 1 nodes:
+# ``SIMPSON_MEAN @ values`` is the mean of the integrand over the interval,
+# whatever its length.
+SIMPSON_MEAN = (np.array([1.0] + [4.0, 2.0] * (SUBSTEPS // 2 - 1) + [4.0, 1.0])
+                / (3.0 * SUBSTEPS))
+SIMPSON_MEAN.setflags(write=False)
 
 # Interval maps of linear-quadratic problems kept, one per (problem data,
-# interval length, p0, substeps).  A solve needs one per distinct length; a
-# free horizon adds one per trial final time.
+# interval length, p0).  A solve needs one per distinct length; a free
+# horizon adds one per trial final time.
 LQ_MAPS_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """State arc stored per sampling interval on uniform substep nodes."""
+    """State arc stored per sampling interval on its uniform RK4 nodes."""
 
     grid: SamplingGrid
-    times: tuple        # K arrays of node times, each (substeps+1,)
-    states: tuple       # K arrays of states, each (substeps+1, n)
+    times: tuple        # K arrays of node times, each (SUBSTEPS+1,)
+    states: tuple       # K arrays of states, each (SUBSTEPS+1, n)
     cost: float
 
     @property
@@ -66,7 +75,7 @@ class Trajectory:
 class AdjointArc:
     """Adjoint arc on the same nodes as the trajectory, plus the cost multiplier."""
 
-    values: tuple       # K arrays, each (substeps+1, n)
+    values: tuple       # K arrays, each (SUBSTEPS+1, n)
     p0: float
 
     @property
@@ -96,17 +105,17 @@ class Extremal:
 # fixed-step RK4
 # ---------------------------------------------------------------------------
 
-def _rk4(rhs, t0: float, delta: float, x0: np.ndarray, substeps: int):
-    """Integrate dx/dt = rhs(t, x) over [t0, t0+delta] with `substeps` RK4 steps.
+def _rk4(rhs, t0: float, delta: float, x0: np.ndarray):
+    """Integrate dx/dt = rhs(t, x) over [t0, t0+delta] with SUBSTEPS RK4 steps.
 
     Returns (times, values) including both endpoints.  Raises
     IntegrationBlowUp when a node goes non-finite or beyond BLOWUP_NORM.
     """
-    h = delta / substeps
-    out = np.empty((substeps + 1, x0.size))
+    h = delta / SUBSTEPS
+    out = np.empty((SUBSTEPS + 1, x0.size))
     out[0] = x0
     x = x0
-    for i in range(substeps):
+    for i in range(SUBSTEPS):
         t = t0 + i * h
         k1 = rhs(t, x)
         k2 = rhs(t + 0.5 * h, x + (0.5 * h) * k1)
@@ -119,21 +128,18 @@ def _rk4(rhs, t0: float, delta: float, x0: np.ndarray, substeps: int):
                 or np.linalg.norm(x) > BLOWUP_NORM):
             raise IntegrationBlowUp(t + h)
         out[i + 1] = x
-    times = t0 + h * np.arange(substeps + 1)
+    times = t0 + h * np.arange(SUBSTEPS + 1)
     return times, out
 
 
 def integrate_interval(problem: ProblemDefinition, t_start: float, delta: float,
-                       q_start: np.ndarray, u: np.ndarray,
-                       substeps: int = DEFAULT_SUBSTEPS):
+                       q_start: np.ndarray, u: np.ndarray):
     """State nodes over one sampling interval with the control held at ``u``.
 
-    Returns (times, states) arrays of length substeps+1.
+    Returns (times, states) arrays of length SUBSTEPS+1.
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
     q_start = np.asarray(q_start, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if problem.lq is not None:
@@ -141,28 +147,27 @@ def integrate_interval(problem: ProblemDefinition, t_start: float, delta: float,
         # the solver's, so both share one cache entry
         arc = _lq_arc(problem.lq, t_start, delta,
                       np.concatenate([q_start, np.zeros_like(q_start)]), u,
-                      -1.0, substeps, q_start.size)
+                      -1.0, q_start.size)
         if arc is not None:
             return arc
 
     def rhs(t, q):
         return np.asarray(problem.f(t, q, u), dtype=float)
 
-    return _rk4(rhs, t_start, delta, q_start, substeps)
+    return _rk4(rhs, t_start, delta, q_start)
 
 
 def _extremal_interval(problem: ProblemDefinition, t_start: float,
                        delta: float, z_start: np.ndarray, u: np.ndarray,
-                       p0: float, substeps: int):
+                       p0: float):
     """Nodes of the coupled state/adjoint arc over one interval held at ``u``.
 
     ``z_start`` stacks q and p; the right-hand side is (f, -dH/dq).  Returns
-    (times, nodes) arrays of length substeps+1.
+    (times, nodes) arrays of length SUBSTEPS+1.
     """
     n = problem.n
     if problem.lq is not None:
-        arc = _lq_arc(problem.lq, t_start, delta, z_start, u, p0, substeps,
-                      2 * n)
+        arc = _lq_arc(problem.lq, t_start, delta, z_start, u, p0, 2 * n)
         if arc is not None:
             return arc
 
@@ -172,7 +177,7 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
         dp = -problem.hamiltonian_q(t, qq, pp, p0, u)
         return np.concatenate([dq, dp])
 
-    return _rk4(rhs, t_start, delta, z_start, substeps)
+    return _rk4(rhs, t_start, delta, z_start)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,7 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=LQ_MAPS_CACHE_SIZE)
-def _lq_maps(lq: LinearQuadratic, delta: float, p0: float, substeps: int):
+def _lq_maps(lq: LinearQuadratic, delta: float, p0: float):
     """RK4 node maps of the coupled state/adjoint arc over one interval.
 
     With z = (q, p) the coupled right-hand side (f, -dH/dq) is affine,
@@ -189,11 +194,11 @@ def _lq_maps(lq: LinearQuadratic, delta: float, p0: float, substeps: int):
     R(X) = I + X + X^2/2 + X^3/6 + X^4/24 and S(X) = I + X/2 + X^2/6 + X^3/24:
     the same scheme as ``_rk4``, not a matrix exponential.  Stacking the
     steps gives the nodes Phi z + Gamma u.  Returns (Phi, Gamma) with
-    (substeps+1)*2n rows, or None when the maps overflow.
+    (SUBSTEPS+1)*2n rows, or None when the maps overflow.
     """
     A, B, Q = lq.A, lq.B, lq.Q
     n = A.shape[0]
-    h = delta / substeps
+    h = delta / SUBSTEPS
     eye = np.eye(2 * n)
     with np.errstate(over="ignore", invalid="ignore"):
         X = h * np.block([[A, np.zeros((n, n))], [-2.0 * p0 * Q, -A.T]])
@@ -201,10 +206,10 @@ def _lq_maps(lq: LinearQuadratic, delta: float, p0: float, substeps: int):
         X3 = X2 @ X
         step = eye + X + X2 / 2.0 + X3 / 6.0 + (X3 @ X) / 24.0
         drive = h * ((eye + X / 2.0 + X2 / 6.0 + X3 / 24.0)[:, :n] @ B)
-        phi = np.empty((substeps + 1, 2 * n, 2 * n))
-        gamma = np.empty((substeps + 1, 2 * n, B.shape[1]))
+        phi = np.empty((SUBSTEPS + 1, 2 * n, 2 * n))
+        gamma = np.empty((SUBSTEPS + 1, 2 * n, B.shape[1]))
         phi[0], gamma[0] = eye, 0.0
-        for i in range(substeps):
+        for i in range(SUBSTEPS):
             phi[i + 1] = step @ phi[i]
             gamma[i + 1] = step @ gamma[i] + drive
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(gamma))):
@@ -217,7 +222,7 @@ def _lq_maps(lq: LinearQuadratic, delta: float, p0: float, substeps: int):
 
 
 def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
-            p0: float, substeps: int, width: int):
+            p0: float, width: int):
     """(times, nodes) of one interval by the maps of :func:`_lq_maps`, keeping
     the first ``width`` components (the state block, or all of z).
 
@@ -226,39 +231,28 @@ def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
     Returns None when the maps overflow, so the caller integrates by the
     callbacks.
     """
-    maps = _lq_maps(lq, float(delta), float(p0), substeps)
+    maps = _lq_maps(lq, float(delta), float(p0))
     if maps is None:
         return None
     phi, gamma = maps
-    h = delta / substeps
+    h = delta / SUBSTEPS
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = (phi @ z_start + gamma @ u).reshape(substeps + 1, -1)[:, :width]
+        nodes = (phi @ z_start + gamma @ u).reshape(SUBSTEPS + 1, -1)[:, :width]
         # _rk4's max-abs and norm tests in one: a max-abs past BLOWUP_NORM
         # puts the norm past it too, and NaN fails the comparison
         blown = ~(np.sum(nodes[1:] * nodes[1:], axis=1) <= BLOWUP_NORM ** 2)
     if blown.any():
         i = int(np.argmax(blown))
         raise IntegrationBlowUp(t0 + i * h + h)
-    return t0 + h * np.arange(substeps + 1), nodes
+    return t0 + h * np.arange(SUBSTEPS + 1), nodes
 
 
-def _simpson(values: np.ndarray, h: float) -> float:
-    """Composite Simpson over uniformly spaced samples (even panel count)."""
-    s = len(values) - 1
-    if s % 2 != 0:
-        raise ValueError("Simpson quadrature needs an even number of substeps")
-    acc = values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2], axis=0)
-    if s > 2:
-        acc = acc + 2.0 * np.sum(values[2:-1:2], axis=0)
-    return (h / 3.0) * acc
-
-
-def _interval_mean(integrand, times, states, adjoints, p0, u, delta):
+def _interval_mean(integrand, times, states, adjoints, p0, u):
     """Simpson mean over one interval of ``integrand(t, q, p, p0, u)`` on its
-    nodes; ``delta`` is the interval's own length."""
+    nodes."""
     vals = np.array([integrand(times[i], states[i], adjoints[i], p0, u)
                      for i in range(len(times))])
-    return _simpson(vals, delta / (len(times) - 1)) / delta
+    return SIMPSON_MEAN @ vals
 
 
 def _check_controls(problem, grid, controls, enforce_admissible):
@@ -268,6 +262,9 @@ def _check_controls(problem, grid, controls, enforce_admissible):
         raise ValueError(
             f"control sequence has {len(controls)} values, grid has "
             f"{grid.n_intervals} intervals")
+    if controls.m != problem.m:
+        raise ValueError(f"control values have {controls.m} components, the "
+                         f"problem has m = {problem.m}")
     if enforce_admissible and not controls.all_admissible(problem.control_set):
         raise ValueError("control sequence leaves the control set")
     return controls
@@ -276,14 +273,14 @@ def _check_controls(problem, grid, controls, enforce_admissible):
 def _trajectory_from_arcs(problem, grid, controls, arcs) -> Trajectory:
     """Trajectory from per-interval ``(times, states)`` nodes, made read-only.
 
-    The cost is composite Simpson of the running cost on the nodes.
+    The cost is the Simpson rule on the running cost at the nodes.
     """
     cost = 0.0
     for k, (times, states) in enumerate(arcs):
         u = controls[k]
         f0_nodes = np.array([problem.f0(times[i], states[i], u)
                              for i in range(len(times))])
-        cost += _simpson(f0_nodes, grid.lengths[k] / (len(times) - 1))
+        cost += grid.lengths[k] * (SIMPSON_MEAN @ f0_nodes)
         times.setflags(write=False)
         states.setflags(write=False)
     return Trajectory(grid=grid, times=tuple(times for times, _ in arcs),
@@ -307,23 +304,20 @@ def _extremal_from_arcs(problem, grid, controls, arcs, p0: float) -> Extremal:
 
 
 def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
-             q0: np.ndarray, substeps: int = DEFAULT_SUBSTEPS,
-             enforce_admissible: bool = True):
+             q0: np.ndarray, enforce_admissible: bool = True):
     """Propagate the state under piecewise-constant controls.
 
-    Returns ``(Trajectory, cost)`` with the cost accumulated by composite
-    Simpson of the running cost on the integration nodes.  Only the state is
-    integrated: routing it through the coupled integrator with a zero
-    adjoint costs about three times as much.
+    Returns ``(Trajectory, cost)`` with the cost accumulated by the Simpson
+    rule on the integration nodes.  Only the state is integrated: routing it
+    through the coupled integrator with a zero adjoint costs about three
+    times as much.
     """
-    if substeps % 2 != 0:
-        raise ValueError("substeps must be even so Simpson applies on the nodes")
     controls = _check_controls(problem, grid, controls, enforce_admissible)
     q = np.asarray(q0, dtype=float)
     arcs = []
     for k in range(grid.n_intervals):
         arcs.append(integrate_interval(problem, grid.times[k], grid.lengths[k],
-                                       q, controls[k], substeps))
+                                       q, controls[k]))
         q = arcs[-1][1][-1]
     traj = _trajectory_from_arcs(problem, grid, controls, arcs)
     return traj, traj.cost
@@ -331,7 +325,7 @@ def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
 
 def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
                                controls, q0: np.ndarray, p_init: np.ndarray,
-                               p0: float, substeps: int = DEFAULT_SUBSTEPS,
+                               p0: float,
                                enforce_admissible: bool = True) -> Extremal:
     """Integrate the coupled extremal equations forward from t = 0.
 
@@ -340,8 +334,6 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
     result is bitwise identical to :func:`simulate` on the same inputs: the
     coupled right-hand side evaluates f on the same floats in the same order.
     """
-    if substeps % 2 != 0:
-        raise ValueError("substeps must be even so Simpson applies on the nodes")
     controls = _check_controls(problem, grid, controls, enforce_admissible)
     n = problem.n
     q = np.asarray(q0, dtype=float)
@@ -352,7 +344,7 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
     arcs = []
     for k in range(grid.n_intervals):
         arcs.append(_extremal_interval(problem, grid.times[k], grid.lengths[k],
-                                       z, controls[k], p0, substeps))
+                                       z, controls[k], p0))
         z = arcs[-1][1][-1]
     return _extremal_from_arcs(problem, grid, controls, arcs, p0)
 
@@ -370,8 +362,7 @@ def _extremal_mean(integrand, extremal: Extremal, k: int, u=None):
     return _interval_mean(integrand, extremal.trajectory.times[k],
                           extremal.trajectory.states[k],
                           extremal.adjoint.values[k], extremal.adjoint.p0,
-                          extremal.controls[k] if u is None else u,
-                          extremal.grid.lengths[k])
+                          extremal.controls[k] if u is None else u)
 
 
 def average_u_gradient(problem: ProblemDefinition, extremal: Extremal,

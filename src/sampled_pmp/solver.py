@@ -14,8 +14,8 @@ The residual is read from the boundary conditions the certificate checks,
 and ``solve`` returns that certificate whatever its verdict.  On a problem
 with ``lq`` matrices the interval arcs come from the precomputed RK4 maps
 (see :mod:`.simulate`) and Gbar is the Simpson mean of B'p + 2 p0 R u on
-the adjoint nodes; the same Newton iterations run on them, and the
-certificate still evaluates dH/du through the callbacks.
+the adjoint nodes, by the same weights; the same Newton iterations run on
+them, and the certificate still evaluates dH/du through the callbacks.
 
 The shooting map is piecewise smooth: it kinks where a control changes
 saturation status and, for free final times, where the horizon crosses a
@@ -26,8 +26,7 @@ The damped Newton driver ``_damped_newton`` is the library's only one: the
 interval control, the generic shooting, the two-unknown parking shooting and
 ``match_terminal_adjoint`` all run on it.  The method has no options: its
 tolerances, iteration caps and line-search settings are the module constants
-below, and every interval integrates with ``simulate.DEFAULT_SUBSTEPS`` RK4
-steps.
+below, and every interval integrates with ``simulate.SUBSTEPS`` RK4 steps.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ from .certificate import (_terminal_hamiltonian, boundary_residuals,
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
-from .simulate import (DEFAULT_SUBSTEPS, _extremal_from_arcs,
-                       _extremal_interval, _interval_mean,
-                       integrate_extremal_forward)
+from .simulate import (SIMPSON_MEAN, _extremal_from_arcs, _extremal_interval,
+                       _interval_mean, integrate_extremal_forward)
 
 
 # Tolerance and iteration cap of the inner Newton on each interval's natural
@@ -62,11 +60,6 @@ MAX_HALVINGS = 30           # trial scales 1, 1/2, ... along one direction
 # regions and point uphill; heavy damping rotates the step toward steepest
 # descent of |r|^2, which is region-independent.
 LEVENBERG_DAMPING = 1.0
-
-# Weights of the composite Simpson mean over an interval's
-# DEFAULT_SUBSTEPS + 1 nodes, whatever its length.
-_SIMPSON_MEAN = np.array([1.0] + [4.0, 2.0] * (DEFAULT_SUBSTEPS // 2 - 1)
-                         + [4.0, 1.0]) / (3.0 * DEFAULT_SUBSTEPS)
 
 
 def _unknown_layout(problem: ProblemDefinition):
@@ -94,14 +87,13 @@ def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u):
     """
     n = problem.n
     times, nodes = _extremal_interval(problem, t_k, delta,
-                                      np.concatenate([q_k, p_k]), u, p0,
-                                      DEFAULT_SUBSTEPS)
+                                      np.concatenate([q_k, p_k]), u, p0)
     lq = problem.lq
     if lq is None:
         gbar = _interval_mean(problem.hamiltonian_u, times, nodes[:, :n],
-                              nodes[:, n:], p0, u, delta)
+                              nodes[:, n:], p0, u)
     else:
-        gbar = lq.B.T @ (_SIMPSON_MEAN @ nodes[:, n:]) + 2.0 * p0 * (lq.R @ u)
+        gbar = lq.B.T @ (SIMPSON_MEAN @ nodes[:, n:]) + 2.0 * p0 * (lq.R @ u)
     return gbar, (times, nodes)
 
 

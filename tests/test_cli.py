@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,10 +509,14 @@ def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest):
 # ---------------------------------------------------------------------------
 
 def test_subprocess_entry(tmp_path):
+    # the child imports the package from the source tree, as the demos do
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "run"
     proc = subprocess.run(
         [sys.executable, "-m", "sampled_pmp", "solve", "--problem", "parking",
          "--M", "2", "--tf", "4", "--T", "2", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "controls.csv").exists()

@@ -28,29 +28,28 @@ def _oscillator():
 def test_interval_double_integrator_is_exact():
     # polynomial flow: RK4 reproduces it to roundoff
     _, states = sp.integrate_interval(PARKING, 0.0, 1.0, np.zeros(2),
-                                      np.array([1.0]), 16)
+                                      np.array([1.0]))
     np.testing.assert_allclose(states[-1], [0.5, 1.0], rtol=0, atol=1e-15)
 
     _, states = sp.integrate_interval(PARKING, 0.0, 0.5, np.array([1.0, 2.0]),
-                                      np.array([0.0]), 16)
+                                      np.array([0.0]))
     np.testing.assert_allclose(states[-1], [2.0, 2.0], rtol=0, atol=1e-15)
 
 
 def test_interval_oscillator_accuracy():
-    # oracle: analytic rotation; measured RK4 error at 16 substeps is 1.22e-6
+    # oracle: analytic rotation; measured RK4 error at 16 steps is 1.22e-6
     _, states = sp.integrate_interval(_oscillator(), 0.0, np.pi / 2,
-                                      np.array([1.0, 0.0]), np.array([0.0]), 16)
+                                      np.array([1.0, 0.0]), np.array([0.0]))
     assert np.linalg.norm(states[-1] - np.array([0.0, -1.0])) <= 2e-6
-    _, states = sp.integrate_interval(_oscillator(), 0.0, np.pi / 2,
-                                      np.array([1.0, 0.0]), np.array([0.0]), 32)
-    assert np.linalg.norm(states[-1] - np.array([0.0, -1.0])) <= 1e-6
+    # two intervals of 16 steps each: 32 steps over the same quarter turn
+    traj, _ = sp.simulate(_oscillator(), sp.build_grid(np.pi / 2, np.pi / 4),
+                          np.zeros((2, 1)), np.array([1.0, 0.0]))
+    assert np.linalg.norm(traj.final_state - np.array([0.0, -1.0])) <= 1e-6
 
 
 def test_interval_argument_validation():
     with pytest.raises(ValueError):
-        sp.integrate_interval(PARKING, 0.0, -1.0, Q0, np.array([0.0]), 16)
-    with pytest.raises(ValueError):
-        sp.integrate_interval(PARKING, 0.0, 1.0, Q0, np.array([0.0]), 0)
+        sp.integrate_interval(PARKING, 0.0, -1.0, Q0, np.array([0.0]))
 
 
 def test_blowup_raises_structured_error():
@@ -66,7 +65,7 @@ def test_blowup_raises_structured_error():
         terminal=sp.FixedEndpoints(q0=np.ones(1), qf=np.zeros(1)),
         final_time=sp.FixedTime(1.0))
     with pytest.raises(sp.IntegrationBlowUp) as exc:
-        sp.integrate_interval(prob, 0.0, 1.0, np.array([1.0]), np.array([0.0]), 16)
+        sp.integrate_interval(prob, 0.0, 1.0, np.array([1.0]), np.array([0.0]))
     assert 0.0 < exc.value.time <= 1.0
 
 
@@ -101,9 +100,9 @@ def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
     z, u = np.array(z), np.zeros(1)
     for p0 in (-1.0, -0.5):
         _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta, z, u,
-                                                     p0, 16), prob)
-    _outcomes_agree(lambda P: sp.integrate_interval(P, 0.25, delta, z[:1], u,
-                                                    16), prob)
+                                                     p0), prob)
+    _outcomes_agree(lambda P: sp.integrate_interval(P, 0.25, delta, z[:1], u),
+                    prob)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +136,14 @@ def test_simulate_input_validation():
         sp.simulate(PARKING, grid, np.array([[0.1]]), Q0)
     with pytest.raises(ValueError, match="control set"):
         sp.simulate(PARKING, grid, np.array([[1.5], [0.0]]), Q0)
-    with pytest.raises(ValueError, match="even"):
-        sp.simulate(PARKING, grid, np.zeros((2, 1)), Q0, substeps=15)
+    # two components for m = 1, on the matrix path and the callback path
+    wide = np.array([[0.1, 0.5], [0.2, 0.7]])
+    for prob in (PARKING, dataclasses.replace(PARKING, lq=None)):
+        with pytest.raises(ValueError, match="m = 1"):
+            sp.simulate(prob, grid, wide, Q0)
+        with pytest.raises(ValueError, match="m = 1"):
+            sp.integrate_extremal_forward(prob, grid, wide, Q0, np.zeros(2),
+                                          -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +241,26 @@ def test_average_gradient_uses_partial_interval_length():
     g = sp.average_u_gradient(PARKING, ext, 2)
     assert g[0] == pytest.approx(1.75 - 2 * 0.3, abs=1e-12)
 
+    # the cost and the mean of H on the same grid: q_1 = 1 + t at rest
+    # control, running cost q_1^2, so the cost is (3.5^3 - 1)/3; from
+    # p(0) = 0 the adjoint is p_1 = 2t + t^2, p_2 = -t^2 - t^3/3, and
+    # H(y) = -1 + p_2 y - y^2.  The arcs are cubic, so RK4 and Simpson are
+    # exact up to rounding.
+    prob = sp.lti_problem(
+        np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]),
+        np.diag([1.0, 0.0]),
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.FixedInitialFreeFinal(q0=np.ones(2)),
+        final_time=sp.FixedTime(2.5))
+    zeros = np.zeros((3, 1))
+    _, cost = sp.simulate(prob, grid, zeros, np.ones(2))
+    assert cost == pytest.approx((3.5 ** 3 - 1.0) / 3.0, rel=1e-14, abs=0)
+    ext = sp.integrate_extremal_forward(prob, grid, zeros, np.ones(2),
+                                        np.zeros(2), -1.0)
+    p2_mean = -((2.5 ** 3 - 2.0 ** 3) / 3.0 + (2.5 ** 4 - 2.0 ** 4) / 12.0) / 0.5
+    h_mean = sp.average_hamiltonian(prob, ext, 2, np.array([1.0]))
+    assert h_mean == pytest.approx(-2.0 + p2_mean, rel=1e-14, abs=0)
+
 
 def test_adjoint_gradient_identity():
     # free final point forces p(t_f) = 0; then dcost/du_k = -Delta_k Gbar_k
@@ -261,13 +286,14 @@ def test_adjoint_gradient_identity():
 
 
 def test_rk4_fourth_order_convergence():
+    # halving every interval halves the RK4 step
     prob = _oscillator()
     exact = np.array([0.0, -1.0])
     errs = []
-    for s in (8, 16, 32):
-        _, states = sp.integrate_interval(prob, 0.0, np.pi / 2,
-                                          np.array([1.0, 0.0]), np.array([0.0]), s)
-        errs.append(np.linalg.norm(states[-1] - exact))
+    for k in (1, 2, 4, 8):
+        traj, _ = sp.simulate(prob, sp.build_grid(np.pi / 2, np.pi / 2 / k),
+                              np.zeros((k, 1)), np.array([1.0, 0.0]))
+        errs.append(np.linalg.norm(traj.final_state - exact))
     for a, b in zip(errs, errs[1:]):
         assert 14.0 <= a / b <= 18.0
 
@@ -297,7 +323,7 @@ def test_trajectory_csv_format(tmp_path):
     sp.write_trajectory_csv(ext, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,q_1,q_2,p_1,p_2,k,u_1"
-    assert len(lines) == 1 + 2 * 17          # two intervals, 16 substeps each
+    assert len(lines) == 1 + 2 * 17          # two intervals, 16 steps each
     first = lines[1].split(",")
     assert first[0] == "%.12e" % 0.0
     assert first[5] == "0"
