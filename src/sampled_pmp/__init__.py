@@ -21,7 +21,7 @@ from .problem import (Ball, Box, ControlSequence, FixedEndpoints,
 from .problems import lti_problem
 from .simulate import (AdjointArc, Extremal, Trajectory, average_hamiltonian,
                        average_u_gradient, integrate_extremal_forward,
-                       integrate_interval, simulate, write_trajectory_csv)
+                       simulate, write_trajectory_csv)
 from .solver import (match_terminal_adjoint, shooting_residual, solve,
                      solve_interval_control)
 from . import parking
@@ -38,7 +38,7 @@ __all__ = [
     "UnsupportedCase", "average_hamiltonian",
     "average_u_gradient", "boundary_residuals", "build_grid",
     "check_certificate", "free_time_residual", "integrate_extremal_forward",
-    "integrate_interval", "interval_residual", "load_problem_spec",
+    "interval_residual", "load_problem_spec",
     "lti_problem", "match_terminal_adjoint", "parking", "shooting_residual",
     "simulate", "solve", "solve_interval_control",
     "validate_jacobians", "write_certificate_json", "write_trajectory_csv",

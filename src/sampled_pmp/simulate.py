@@ -1,4 +1,4 @@
-"""Sample-and-hold integration of state and extremal arcs.
+"""Sample-and-hold integration of extremal arcs.
 
 The control is frozen on each sampling interval, so the dynamics restricted
 to one interval are smooth and classical Runge-Kutta applies: every interval
@@ -8,18 +8,19 @@ one composite Simpson rule ``SIMPSON_MEAN`` on the integrator's own nodes,
 which reuses every evaluation and is exact for the polynomial integrands of
 the built-in problems.
 
-One assembly turns per-interval nodes into a :class:`Trajectory` (cost and
-read-only arrays) for :func:`simulate`, :func:`integrate_extremal_forward`
-and the shooting solver, which builds its extremal from the arcs it has
-already integrated.  :func:`simulate` integrates the state alone; it computes
-no adjoint.
+:func:`_extremal_interval` is the only interval integrator: it integrates
+the coupled state/adjoint arc, whose state block is dq/dt = dH/dp = f.  One
+assembly turns per-interval nodes into an :class:`Extremal` (cost and
+read-only arrays) for :func:`integrate_extremal_forward` and the shooting
+solver, which builds its extremal from the arcs it has already integrated.
+:func:`simulate` is the state block of the coupled integration from
+p(0) = 0 with p0 = 0, on which the adjoint stays exactly zero.
 
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
 built once per (lq, interval length, p0), cached, and applied with
-two matrix products.  The state block is shared, so :func:`simulate` and
-:func:`integrate_extremal_forward` still agree bitwise.  The cost, the
-interval averages and the exports read the callbacks on both paths.
+two matrix products.  The cost, the interval averages and the exports read
+the callbacks on both paths.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ SIMPSON_MEAN.setflags(write=False)
 
 # Interval maps of linear-quadratic problems kept, one per (problem data,
 # interval length, p0).  A solve needs one per distinct length; a free
-# horizon adds one per trial final time.
+# horizon adds one per trial final time, and ``simulate`` adds p0 = 0 ones.
 LQ_MAPS_CACHE_SIZE = 64
 
 
@@ -132,42 +133,21 @@ def _rk4(rhs, t0: float, delta: float, x0: np.ndarray):
     return times, out
 
 
-def integrate_interval(problem: ProblemDefinition, t_start: float, delta: float,
-                       q_start: np.ndarray, u: np.ndarray):
-    """State nodes over one sampling interval with the control held at ``u``.
-
-    Returns (times, states) arrays of length SUBSTEPS+1.
-    """
-    if delta <= 0:
-        raise ValueError(f"interval length must be positive, got {delta}")
-    q_start = np.asarray(q_start, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if problem.lq is not None:
-        # the state block of the coupled maps does not depend on p0; -1 is
-        # the solver's, so both share one cache entry
-        arc = _lq_arc(problem.lq, t_start, delta,
-                      np.concatenate([q_start, np.zeros_like(q_start)]), u,
-                      -1.0, q_start.size)
-        if arc is not None:
-            return arc
-
-    def rhs(t, q):
-        return np.asarray(problem.f(t, q, u), dtype=float)
-
-    return _rk4(rhs, t_start, delta, q_start)
-
-
 def _extremal_interval(problem: ProblemDefinition, t_start: float,
                        delta: float, z_start: np.ndarray, u: np.ndarray,
                        p0: float):
     """Nodes of the coupled state/adjoint arc over one interval held at ``u``.
 
     ``z_start`` stacks q and p; the right-hand side is (f, -dH/dq).  Returns
-    (times, nodes) arrays of length SUBSTEPS+1.
+    (times, nodes) arrays of length SUBSTEPS+1.  The library's only interval
+    integrator: by the maps of :func:`_lq_maps` when the problem carries
+    ``lq`` matrices and they do not overflow, by the callbacks otherwise.
     """
+    if delta <= 0:
+        raise ValueError(f"interval length must be positive, got {delta}")
     n = problem.n
     if problem.lq is not None:
-        arc = _lq_arc(problem.lq, t_start, delta, z_start, u, p0, 2 * n)
+        arc = _lq_arc(problem.lq, t_start, delta, z_start, u, p0)
         if arc is not None:
             return arc
 
@@ -222,11 +202,10 @@ def _lq_maps(lq: LinearQuadratic, delta: float, p0: float):
 
 
 def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
-            p0: float, width: int):
-    """(times, nodes) of one interval by the maps of :func:`_lq_maps`, keeping
-    the first ``width`` components (the state block, or all of z).
+            p0: float):
+    """(times, nodes) of one interval by the maps of :func:`_lq_maps`.
 
-    Applies the blow-up rule of ``_rk4`` to the kept nodes: the first node
+    Applies the blow-up rule of ``_rk4`` to the nodes: the first node
     past BLOWUP_NORM, or non-finite, raises IntegrationBlowUp at its time.
     Returns None when the maps overflow, so the caller integrates by the
     callbacks.
@@ -237,7 +216,7 @@ def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
     phi, gamma = maps
     h = delta / SUBSTEPS
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = (phi @ z_start + gamma @ u).reshape(SUBSTEPS + 1, -1)[:, :width]
+        nodes = (phi @ z_start + gamma @ u).reshape(SUBSTEPS + 1, -1)
         # _rk4's max-abs and norm tests in one: a max-abs past BLOWUP_NORM
         # puts the norm past it too, and NaN fails the comparison
         blown = ~(np.sum(nodes[1:] * nodes[1:], axis=1) <= BLOWUP_NORM ** 2)
@@ -270,37 +249,28 @@ def _check_controls(problem, grid, controls, enforce_admissible):
     return controls
 
 
-def _trajectory_from_arcs(problem, grid, controls, arcs) -> Trajectory:
-    """Trajectory from per-interval ``(times, states)`` nodes, made read-only.
+def _extremal_from_arcs(problem, grid, controls, arcs, p0: float) -> Extremal:
+    """Extremal from per-interval coupled ``(times, nodes)`` arcs, the nodes
+    stacking q and p, made read-only.
 
-    The cost is the Simpson rule on the running cost at the nodes.
+    The cost is the Simpson rule on the running cost at the state nodes.
     """
+    n = problem.n
     cost = 0.0
-    for k, (times, states) in enumerate(arcs):
+    for k, (times, nodes) in enumerate(arcs):
         u = controls[k]
-        f0_nodes = np.array([problem.f0(times[i], states[i], u)
+        f0_nodes = np.array([problem.f0(times[i], nodes[i, :n], u)
                              for i in range(len(times))])
         cost += grid.lengths[k] * (SIMPSON_MEAN @ f0_nodes)
         times.setflags(write=False)
-        states.setflags(write=False)
-    return Trajectory(grid=grid, times=tuple(times for times, _ in arcs),
-                      states=tuple(states for _, states in arcs),
+        nodes.setflags(write=False)
+    traj = Trajectory(grid=grid, times=tuple(times for times, _ in arcs),
+                      states=tuple(nodes[:, :n] for _, nodes in arcs),
                       cost=float(cost))
-
-
-def _extremal_from_arcs(problem, grid, controls, arcs, p0: float) -> Extremal:
-    """Extremal from per-interval coupled ``(times, nodes)`` arcs, the nodes
-    stacking q and p."""
-    n = problem.n
-    traj = _trajectory_from_arcs(
-        problem, grid, controls,
-        [(times, nodes[:, :n]) for times, nodes in arcs])
-    adjoints = tuple(nodes[:, n:] for _, nodes in arcs)
-    for values in adjoints:
-        values.setflags(write=False)
-    return Extremal(trajectory=traj,
-                    adjoint=AdjointArc(values=adjoints, p0=float(p0)),
-                    controls=controls, grid=grid)
+    adjoint = AdjointArc(values=tuple(nodes[:, n:] for _, nodes in arcs),
+                         p0=float(p0))
+    return Extremal(trajectory=traj, adjoint=adjoint, controls=controls,
+                    grid=grid)
 
 
 def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
@@ -308,19 +278,15 @@ def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
     """Propagate the state under piecewise-constant controls.
 
     Returns ``(Trajectory, cost)`` with the cost accumulated by the Simpson
-    rule on the integration nodes.  Only the state is integrated: routing it
-    through the coupled integrator with a zero adjoint costs about three
-    times as much.
+    rule on the integration nodes.  This is the state block of
+    :func:`integrate_extremal_forward` from p(0) = 0 with p0 = 0: the adjoint
+    right-hand side -dH/dq then vanishes, so the adjoint stays exactly zero
+    and the blow-up rule reads the state alone.
     """
-    controls = _check_controls(problem, grid, controls, enforce_admissible)
-    q = np.asarray(q0, dtype=float)
-    arcs = []
-    for k in range(grid.n_intervals):
-        arcs.append(integrate_interval(problem, grid.times[k], grid.lengths[k],
-                                       q, controls[k]))
-        q = arcs[-1][1][-1]
-    traj = _trajectory_from_arcs(problem, grid, controls, arcs)
-    return traj, traj.cost
+    extremal = integrate_extremal_forward(problem, grid, controls, q0,
+                                          np.zeros(problem.n), 0.0,
+                                          enforce_admissible)
+    return extremal.trajectory, extremal.trajectory.cost
 
 
 def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
@@ -330,17 +296,18 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
     """Integrate the coupled extremal equations forward from t = 0.
 
     The state obeys dq/dt = dH/dp = f and the adjoint dp/dt = -dH/dq, both
-    driven by the frozen control of each interval.  The state part of the
-    result is bitwise identical to :func:`simulate` on the same inputs: the
-    coupled right-hand side evaluates f on the same floats in the same order.
+    driven by the frozen control of each interval.  Raises ValueError when
+    ``q0`` or ``p_init`` is not a finite vector of n components.
     """
     controls = _check_controls(problem, grid, controls, enforce_admissible)
     n = problem.n
-    q = np.asarray(q0, dtype=float)
-    p = np.asarray(p_init, dtype=float)
-    if q.shape != (n,) or p.shape != (n,):
-        raise ValueError(f"q0 and p_init must have shape ({n},)")
-    z = np.concatenate([q, p])
+    start = []
+    for label, v in (("q0", q0), ("p_init", p_init)):
+        v = np.asarray(v, dtype=float)
+        if v.shape != (n,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"{label} must be {n} finite values, got {v}")
+        start.append(v)
+    z = np.concatenate(start)
     arcs = []
     for k in range(grid.n_intervals):
         arcs.append(_extremal_interval(problem, grid.times[k], grid.lengths[k],

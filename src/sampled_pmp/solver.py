@@ -10,12 +10,14 @@ each trial control so that the implicit dependence of the arc on the control
 is resolved exactly.  The arc of the last evaluation, at the solved control,
 advances the propagation and is the returned extremal's piece of the
 interval, so a residual integrates no interval beyond its inner solve.
-The residual is read from the boundary conditions the certificate checks,
-and ``solve`` returns that certificate whatever its verdict.  On a problem
-with ``lq`` matrices the interval arcs come from the precomputed RK4 maps
-(see :mod:`.simulate`) and Gbar is the Simpson mean of B'p + 2 p0 R u on
-the adjoint nodes, by the same weights; the same Newton iterations run on
-them, and the certificate still evaluates dH/du through the callbacks.
+The residual is read from the end values of those arcs by the boundary
+conditions the certificate checks; only the accepted iterate's arcs are
+assembled into an extremal, and ``solve`` returns its certificate whatever
+the verdict.  On a problem with ``lq`` matrices the interval arcs come from
+the precomputed RK4 maps (see :mod:`.simulate`) and Gbar is the Simpson
+mean of B'p + 2 p0 R u on the adjoint nodes, by the same weights; the same
+Newton iterations run on them, and the certificate still evaluates dH/du
+through the callbacks.
 
 The shooting map is piecewise smooth: it kinks where a control changes
 saturation status and, for free final times, where the horizon crosses a
@@ -130,11 +132,13 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     """Integrate the extremal forward from the packed unknowns ``x``.
 
-    Returns (residual_vector, extremal).  Each interval's coupled arc is the
-    one the inner solve integrated at its solved control; that arc advances
-    the state and adjoint and becomes the interval's part of the extremal.
-    Controls are warm-started from the previous interval (the first from
-    the projected origin).
+    Returns ``(residual_vector, (grid, controls, arcs))``, the grid being
+    the trial horizon's for a free final time.  Each interval's coupled
+    ``(times, nodes)`` arc is the one the inner solve integrated at its
+    solved control; that arc advances the state and adjoint, and
+    ``simulate._extremal_from_arcs`` with p0 = -1 assembles the arcs into
+    the extremal.  Controls are warm-started from the previous interval (the
+    first from the projected origin).
     """
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
@@ -167,15 +171,14 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
         u_prev = u_k
 
     controls = ControlSequence(np.vstack(us))
-    extremal = _extremal_from_arcs(problem, grid, controls, arcs, p0)
 
     # the start block holds by construction of q above
+    z0 = arcs[0][1][0]
     _, end, transversality = boundary_residuals(
-        problem.terminal, extremal.trajectory.initial_state,
-        extremal.trajectory.final_state, extremal.adjoint.initial,
-        extremal.adjoint.final)
-    h_f = [_terminal_hamiltonian(problem, extremal)] if has_tf else []
-    return np.concatenate([end, transversality, h_f]), extremal
+        problem.terminal, z0[:n], z[:n], z0[n:], z[n:])
+    h_f = ([_terminal_hamiltonian(problem, grid.t_f, z[:n], z[n:], p0,
+                                  controls[-1])] if has_tf else [])
+    return np.concatenate([end, transversality, h_f]), (grid, controls, arcs)
 
 
 def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
@@ -224,17 +227,20 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
           initial_unknowns=None, stats: Optional[dict] = None):
     """Solve the sampled-data problem by indirect shooting.
 
-    Runs :func:`_damped_newton` on the shooting residual.  Once it converges,
-    returns ``(Extremal, Certificate)`` with the cost multiplier normalized
+    Runs :func:`_damped_newton` on the shooting residual and assembles the
+    converged iterate's arcs into an extremal.  Returns
+    ``(Extremal, Certificate)`` with the cost multiplier normalized
     to -1, whatever the certificate's verdict: the caller reads
     ``certificate.passed``, as for ``parking.solve_parking``.
 
     ``initial_unknowns`` is the packed vector (see ``_unknown_layout``) or
     None for the generic guess: the origin, with the final-time guess of a
-    free horizon.  History entries carry the active-set signature of the
-    iterate's controls, and for a free final time its horizon.  When a
-    ``stats`` dict is supplied it receives the iteration count, the final
-    residual norm, the per-iteration history and the solved unknowns.
+    free horizon; it must be finite, with a positive final time, or
+    ValueError is raised before anything is integrated.  History entries
+    carry the active-set signature of the iterate's controls, and for a
+    free final time its horizon.  When a ``stats`` dict is supplied it
+    receives the iteration count, the final residual norm, the
+    per-iteration history and the solved unknowns.
     """
     _, has_tf, dim = _unknown_layout(problem)
 
@@ -244,18 +250,28 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
             x[-1] = problem.final_time.t_f_guess
     else:
         x = np.asarray(initial_unknowns, dtype=float).copy()
+        if (x.shape != (dim,) or not np.all(np.isfinite(x))
+                or (has_tf and x[-1] <= 0)):
+            raise ValueError(
+                f"initial unknowns must be {dim} finite values"
+                + (", the last a positive final time" if has_tf else "")
+                + f", got {x}")
 
     def residual(vec):
         return _propagate(problem, grid, vec)
 
-    def annotate(vec, extremal):
-        entry = {"active_set": _active_set_signature(problem, extremal.controls)}
+    def annotate(vec, propagated):
+        _, controls, _ = propagated
+        entry = {"active_set": _active_set_signature(problem, controls)}
         if has_tf:
             entry["t_f"] = float(vec[-1])
         return entry
 
-    _, extremal = _damped_newton(residual, x, NEWTON_TOL, NEWTON_MAX_ITER,
-                                 annotate=annotate, stats=stats)
+    # a free horizon's solved grid differs from the one the search started on
+    _, (solved_grid, controls, arcs) = _damped_newton(
+        residual, x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate,
+        stats=stats)
+    extremal = _extremal_from_arcs(problem, solved_grid, controls, arcs, -1.0)
     return extremal, check_certificate(problem, extremal)
 
 

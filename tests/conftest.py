@@ -49,14 +49,14 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.fixture
 def interval_integrations(monkeypatch):
-    """Count interval integrations, state-only or coupled, by either path
-    (callbacks or linear-quadratic matrices); returns the reader."""
-    readers = [_count_calls(monkeypatch, simulate, "integrate_interval"),
-               _count_calls(monkeypatch, simulate, "_extremal_interval")]
+    """Count calls to ``simulate._extremal_interval``, the one interval
+    integrator, by either path (callbacks or linear-quadratic matrices);
+    returns the reader."""
+    read = _count_calls(monkeypatch, simulate, "_extremal_interval")
     # the solver holds its own reference; count it with the same counter
     monkeypatch.setattr(solver, "_extremal_interval",
                         simulate._extremal_interval)
-    return lambda: sum(read() for read in readers)
+    return read
 
 
 @pytest.fixture

@@ -27,20 +27,22 @@ def _oscillator():
 
 def test_interval_double_integrator_is_exact():
     # polynomial flow: RK4 reproduces it to roundoff
-    _, states = sp.integrate_interval(PARKING, 0.0, 1.0, np.zeros(2),
-                                      np.array([1.0]))
-    np.testing.assert_allclose(states[-1], [0.5, 1.0], rtol=0, atol=1e-15)
+    traj, _ = sp.simulate(PARKING, sp.build_grid(1.0, 1.0), [[1.0]],
+                          np.zeros(2))
+    np.testing.assert_allclose(traj.final_state, [0.5, 1.0], rtol=0,
+                               atol=1e-15)
 
-    _, states = sp.integrate_interval(PARKING, 0.0, 0.5, np.array([1.0, 2.0]),
-                                      np.array([0.0]))
-    np.testing.assert_allclose(states[-1], [2.0, 2.0], rtol=0, atol=1e-15)
+    traj, _ = sp.simulate(PARKING, sp.build_grid(0.5, 0.5), [[0.0]],
+                          np.array([1.0, 2.0]))
+    np.testing.assert_allclose(traj.final_state, [2.0, 2.0], rtol=0,
+                               atol=1e-15)
 
 
 def test_interval_oscillator_accuracy():
     # oracle: analytic rotation; measured RK4 error at 16 steps is 1.22e-6
-    _, states = sp.integrate_interval(_oscillator(), 0.0, np.pi / 2,
-                                      np.array([1.0, 0.0]), np.array([0.0]))
-    assert np.linalg.norm(states[-1] - np.array([0.0, -1.0])) <= 2e-6
+    traj, _ = sp.simulate(_oscillator(), sp.build_grid(np.pi / 2, np.pi / 2),
+                          [[0.0]], np.array([1.0, 0.0]))
+    assert np.linalg.norm(traj.final_state - np.array([0.0, -1.0])) <= 2e-6
     # two intervals of 16 steps each: 32 steps over the same quarter turn
     traj, _ = sp.simulate(_oscillator(), sp.build_grid(np.pi / 2, np.pi / 4),
                           np.zeros((2, 1)), np.array([1.0, 0.0]))
@@ -48,8 +50,14 @@ def test_interval_oscillator_accuracy():
 
 
 def test_interval_argument_validation():
-    with pytest.raises(ValueError):
-        sp.integrate_interval(PARKING, 0.0, -1.0, Q0, np.array([0.0]))
+    # the public way in is the interval control solve
+    for prob in (PARKING, dataclasses.replace(PARKING, lq=None)):
+        with pytest.raises(ValueError, match="interval length"):
+            _extremal_interval(prob, 0.0, -1.0, np.zeros(4), np.array([0.0]),
+                               -1.0)
+        with pytest.raises(ValueError, match="interval length"):
+            sp.solve_interval_control(prob, 0.0, 0.0, Q0, np.zeros(2), -1.0,
+                                      np.array([0.0]))
 
 
 def test_blowup_raises_structured_error():
@@ -65,7 +73,8 @@ def test_blowup_raises_structured_error():
         terminal=sp.FixedEndpoints(q0=np.ones(1), qf=np.zeros(1)),
         final_time=sp.FixedTime(1.0))
     with pytest.raises(sp.IntegrationBlowUp) as exc:
-        sp.integrate_interval(prob, 0.0, 1.0, np.array([1.0]), np.array([0.0]))
+        sp.simulate(prob, sp.build_grid(1.0, 1.0), np.zeros((1, 1)),
+                    np.array([1.0]))
     assert 0.0 < exc.value.time <= 1.0
 
 
@@ -91,7 +100,8 @@ def _outcomes_agree(integrate, problem):
 def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
     # the first node past BLOWUP_NORM raises at its time on both paths; at
     # delta = 1e5 the RK4 maps themselves overflow, and an arc at rest must
-    # still integrate (to zeros), not blow up
+    # still integrate (to zeros), not blow up.  The last case is the arc
+    # ``simulate`` integrates: zero adjoint, p0 = 0
     prob = sp.lti_problem(
         np.array([[a]]), np.array([[1.0]]), np.array([[0.5]]),
         control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
@@ -101,8 +111,9 @@ def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
     for p0 in (-1.0, -0.5):
         _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta, z, u,
                                                      p0), prob)
-    _outcomes_agree(lambda P: sp.integrate_interval(P, 0.25, delta, z[:1], u),
-                    prob)
+    _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta,
+                                                 np.array([z[0], 0.0]), u,
+                                                 0.0), prob)
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +157,61 @@ def test_simulate_input_validation():
                                           -1.0)
 
 
+@pytest.mark.parametrize("bad", [[2.0, 0.0, 5.0], [np.nan, 0.0],
+                                 [0.0, np.inf], [[2.0, 0.0]]],
+                         ids=["long", "nan", "inf", "matrix"])
+def test_starting_data_is_validated(bad):
+    # a wrong-shape or non-finite q0 or p_init is bad input, named in the
+    # message, on the matrix path and the callback path alike
+    grid = sp.build_grid(4.0, 2.0)
+    ctrl = np.zeros((2, 1))
+    for prob in (PARKING, dataclasses.replace(PARKING, lq=None)):
+        with pytest.raises(ValueError, match="^q0 must be"):
+            sp.simulate(prob, grid, ctrl, np.array(bad))
+        with pytest.raises(ValueError, match="^q0 must be"):
+            sp.integrate_extremal_forward(prob, grid, ctrl, np.array(bad),
+                                          np.zeros(2), -1.0)
+        with pytest.raises(ValueError, match="^p_init must be"):
+            sp.integrate_extremal_forward(prob, grid, ctrl, Q0, np.array(bad),
+                                          -1.0)
+
+
 # ---------------------------------------------------------------------------
 # coupled extremal integration
 # ---------------------------------------------------------------------------
 
+def _random_lti(rng):
+    """Random LTI problem (n <= 5, m <= 2, mixed-sign Q), grid and controls."""
+    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+    S = rng.normal(size=(n, n))
+    L = rng.normal(size=(m, m))
+    prob = sp.lti_problem(
+        rng.normal(size=(n, n)), rng.normal(size=(n, m)), 0.5 * (S + S.T),
+        L @ L.T + 0.1 * np.eye(m),
+        control_set=sp.Box(lower=-np.ones(m), upper=np.ones(m)),
+        terminal=sp.FixedEndpoints(q0=np.zeros(n), qf=np.zeros(n)),
+        final_time=sp.FixedTime(1.0))
+    grid = sp.build_grid(float(rng.uniform(0.5, 2.0)),
+                         float(rng.uniform(0.2, 0.8)))
+    ctrl = rng.uniform(-1.0, 1.0, size=(grid.n_intervals, m))
+    return prob, grid, ctrl, rng.normal(size=n), rng.normal(size=n)
+
+
 def test_extremal_state_matches_simulate_bitwise():
-    grid = sp.build_grid(4.0, 2.0)
-    ctrl = np.array([[-0.5], [0.5]])
-    traj, cost = sp.simulate(PARKING, grid, ctrl, Q0)
-    ext = sp.integrate_extremal_forward(PARKING, grid, ctrl, Q0,
-                                        np.array([-1.0, -2.0]), -1.0)
-    for a, b in zip(traj.states, ext.trajectory.states):
-        assert np.array_equal(a, b)
-    assert ext.trajectory.cost == cost
+    # simulate is the state block of the coupled integration: the states and
+    # the cost do not depend on p(0) or p0, bit for bit, on both paths
+    rng = np.random.default_rng(14)
+    cases = [(PARKING, sp.build_grid(4.0, 2.0), np.array([[-0.5], [0.5]]),
+              Q0, np.array([-1.0, -2.0]))]
+    cases += [_random_lti(rng) for _ in range(40)]
+    for prob, grid, ctrl, q0, p_init in cases:
+        for P in (prob, dataclasses.replace(prob, lq=None)):
+            traj, cost = sp.simulate(P, grid, ctrl, q0)
+            ext = sp.integrate_extremal_forward(P, grid, ctrl, q0, p_init,
+                                                -1.0)
+            for a, b in zip(traj.states, ext.trajectory.states):
+                assert np.array_equal(a, b)
+            assert ext.trajectory.cost == cost
 
 
 def test_extremal_adjoint_values():

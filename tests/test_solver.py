@@ -8,7 +8,7 @@ import pytest
 import sampled_pmp as sp
 from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
-from sampled_pmp.simulate import integrate_extremal_forward
+from sampled_pmp.simulate import _extremal_interval, integrate_extremal_forward
 from sampled_pmp.solver import _fd_jacobian
 
 PARKING4 = parking_problem(2.0, 4.0)
@@ -179,7 +179,9 @@ def test_lq_matrices_match_callbacks_on_random_intervals():
             np.testing.assert_array_equal(got[1][0], want[1][0])
             for a, b in ((got[0], want[0]), (got[1][1], want[1][1])):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-        got, want = (sp.integrate_interval(P, 0.3, delta, q, u)[1]
+        # the arc ``simulate`` integrates: zero adjoint, p0 = 0
+        z = np.concatenate([q, np.zeros_like(q)])
+        got, want = (_extremal_interval(P, 0.3, delta, z, u, 0.0)[1]
                      for P in (prob, twin))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -259,7 +261,7 @@ def test_shooting_residual_is_the_certified_boundary_conditions(problem, grid,
     n = problem.n
     x = np.array(x)
     has_q0, has_tf, _ = solver._unknown_layout(problem)
-    controls = solver._propagate(problem, grid, x)[1].controls
+    _, (_, controls, _) = solver._propagate(problem, grid, x)
     if has_tf:
         grid = sp.build_grid(x[-1], grid.period)
     q0 = x[n:2 * n] if has_q0 else problem.initial_state()
@@ -290,13 +292,13 @@ def test_unknown_layout_is_square():
     assert solver._unknown_layout(PARKING4) == (False, False, 2)
     per = parking_problem(2.0, 4.0, terminal="periodic")
     assert solver._unknown_layout(per) == (True, False, 4)
-    _, ext = solver._propagate(per, GRID4, np.arange(4.0))
-    np.testing.assert_array_equal(ext.trajectory.initial_state, [2.0, 3.0])
+    _, (_, _, arcs) = solver._propagate(per, GRID4, np.arange(4.0))
+    np.testing.assert_array_equal(arcs[0][1][0][:2], [2.0, 3.0])
     free = _scalar_transfer(1.3)
     assert solver._unknown_layout(free) == (False, True, 2)
-    _, ext = solver._propagate(free, sp.build_grid(1.3, 0.3),
-                               np.array([0.5, 1.2]))
-    assert ext.grid.t_f == 1.2
+    _, (grid, _, _) = solver._propagate(free, sp.build_grid(1.3, 0.3),
+                                        np.array([0.5, 1.2]))
+    assert grid.t_f == 1.2
     r = sp.shooting_residual(free, sp.build_grid(1.3, 0.3), np.array([2.0, 1.0]))
     assert r.shape == (2,)
     np.testing.assert_allclose(r, [0.0, 0.0], atol=1e-9)
@@ -372,6 +374,43 @@ def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
             assert np.array_equal(a, b)
     assert ext.trajectory.cost == ref.trajectory.cost
     assert ext.adjoint.p0 == ref.adjoint.p0
+
+
+def test_solve_assembles_one_extremal():
+    # the residual evaluations keep raw arcs; only the accepted iterate's
+    # are assembled, with a Simpson cost of 17 f0 calls per interval (the
+    # matrix path calls no other callback that reads f0)
+    calls = 0
+    problem = parking_problem(2.0, 4.0)
+    f0 = problem.f0
+
+    def f0_counted(t, q, u):
+        nonlocal calls
+        calls += 1
+        return f0(t, q, u)
+
+    problem = dataclasses.replace(problem, f0=f0_counted)
+    ext, cert = sp.solve(problem, sp.build_grid(4.0, 0.5),
+                         initial_unknowns=initial_adjoint_guess(2, 4))
+    assert cert.passed
+    assert calls == 8 * 17
+
+
+@pytest.mark.parametrize("problem, guess", [
+    (PARKING4, [np.nan, 0.0]),
+    (PARKING4, [0.0, np.inf]),
+    (PARKING4, [0.0, 0.0, 1.0]),
+    (parking_problem(2.0, 4.0, free_time_guess=4.0), [0.1, 0.2, -1.0]),
+    (parking_problem(2.0, 4.0, free_time_guess=4.0), [0.1, 0.2, 0.0]),
+    (parking_problem(2.0, 4.0, free_time_guess=4.0), [0.1, 0.2, np.nan]),
+], ids=["nan", "inf", "shape", "negative-tf", "zero-tf", "nan-tf"])
+def test_solve_rejects_bad_initial_unknowns(problem, guess,
+                                            interval_integrations):
+    # bad input, not a failed shooting: ValueError before any integration
+    with pytest.raises(ValueError, match="initial unknowns"):
+        sp.solve(problem, sp.build_grid(4.0, 1.0),
+                 initial_unknowns=np.array(guess))
+    assert interval_integrations() == 0
 
 
 def test_solve_single_interval_is_infeasible(gbar_calls):
