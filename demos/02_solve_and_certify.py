@@ -35,7 +35,7 @@ def main():
     prob = pk.parking_problem(M, tf)
     ext = sp.integrate_extremal_forward(prob, extremal.grid, bumped,
                                         np.array([M, 0.0]),
-                                        extremal.adjoint.initial, -1.0)
+                                        extremal.initial_adjoint, -1.0)
     bad = sp.check_certificate(prob, ext)
     print(f"\nafter bumping u_0 by +0.1: verdict = {bad.verdict}")
     for v in bad.violations:

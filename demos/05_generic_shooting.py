@@ -24,8 +24,8 @@ def oscillator():
     ext, cert = sp.solve(prob, grid)
     print("driven oscillator, t_f=3, T=0.5")
     print(f"  controls: {np.round(ext.controls.values.ravel(), 6)}")
-    print(f"  q(t_f) = {np.round(ext.trajectory.final_state, 10)}, "
-          f"cost = {ext.trajectory.cost:.6f}, certificate: {cert.verdict}")
+    print(f"  q(t_f) = {np.round(ext.final_state, 10)}, "
+          f"cost = {sp.running_cost(prob, ext):.6f}, certificate: {cert.verdict}")
 
 
 def free_final_time():
@@ -57,7 +57,7 @@ def periodic():
                          initial_unknowns=np.array([0.1, -0.2, 0.7, 0.3]))
     print("\nperiodic double integrator (q(0) = q(t_f) among the unknowns)")
     print(f"  max |u| = {np.max(np.abs(ext.controls.values)):.2e}, "
-          f"q(0) = {np.round(ext.trajectory.initial_state, 8)}")
+          f"q(0) = {np.round(ext.initial_state, 8)}")
     print(f"  ||p(0) - p(t_f)|| = {cert.transversality:.2e}, "
           f"certificate: {cert.verdict}")
 

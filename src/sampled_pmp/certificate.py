@@ -21,7 +21,6 @@ The raw residuals are reported alongside.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,12 +81,6 @@ class Certificate:
         }
 
 
-def write_certificate_json(cert: Certificate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cert.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def interval_residual(problem: ProblemDefinition, extremal: Extremal, k: int) -> float:
     """Support gap of the averaged control-gradient at interval k's control.
 
@@ -133,8 +126,8 @@ def free_time_residual(problem: ProblemDefinition, extremal: Extremal) -> float:
         raise UnsupportedCase("the final-time condition only applies to "
                               "free-final-time problems")
     return abs(_terminal_hamiltonian(
-        problem, extremal.grid.t_f, extremal.trajectory.final_state,
-        extremal.adjoint.final, extremal.p0, extremal.controls[-1]))
+        problem, extremal.grid.t_f, extremal.final_state,
+        extremal.final_adjoint, extremal.p0, extremal.controls[-1]))
 
 
 def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certificate:
@@ -147,10 +140,10 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
     value is reported alongside.
     """
     tol = DEFAULT_TOL
-    p0 = extremal.adjoint.p0
+    p0 = extremal.p0
     violations = []
 
-    nontrivial = (np.linalg.norm(extremal.adjoint.final) + abs(p0)) > 0.0
+    nontrivial = (np.linalg.norm(extremal.final_adjoint) + abs(p0)) > 0.0
     if not nontrivial:
         violations.append("nontriviality: (p, p0) = (0, 0)")
     if p0 > 0:
@@ -161,9 +154,8 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
             violations.append(f"interval {k}: control outside the control set")
 
     start, end, transversality = boundary_residuals(
-        problem.terminal, extremal.trajectory.initial_state,
-        extremal.trajectory.final_state, extremal.adjoint.initial,
-        extremal.adjoint.final)
+        problem.terminal, extremal.initial_state, extremal.final_state,
+        extremal.initial_adjoint, extremal.final_adjoint)
     feas = float(np.linalg.norm(np.concatenate([start, end])))
     if feas > tol:
         violations.append(f"terminal constraints violated: {feas:.3e} > {tol:.1e}")

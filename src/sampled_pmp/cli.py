@@ -6,8 +6,10 @@ Exit codes: 0 success, 2 certificate failure, 3 solver non-convergence,
 the flags, the specification, the initial adjoint or a controls file is bad
 input.
 Diagnostics go to standard error; artifacts (CSV, JSON, SVG) into the
-chosen output directory.  Numeric CSV cells use %.12e with a dot
-decimal point, so identical inputs give byte-identical data files.
+chosen output directory.  Every CSV artifact goes through one table writer
+and every JSON artifact through one JSON writer.  Numeric CSV cells use
+%.12e with a dot decimal point, so identical inputs give byte-identical
+data files.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import parking
-from .certificate import (Certificate, check_certificate,
-                          write_certificate_json)
+from .certificate import Certificate, check_certificate
 from .errors import (Infeasible, IntegrationBlowUp, NonConvergence,
                      UnsupportedCase)
 from .problem import FixedTime, FreeTime, build_grid
-from .simulate import integrate_extremal_forward, write_trajectory_csv
+from .simulate import Extremal, integrate_extremal_forward
 from .solver import solve
 from .specfile import (LoadedSpec, SpecError, _number, _vector,
                        load_problem_spec)
@@ -182,18 +183,6 @@ def _sha256(path) -> str:
     return f"sha256:{digest}"
 
 
-def _write_controls_csv(path, grid, controls, residuals) -> None:
-    m = controls.m
-    header = ["k", "t_k", "delta_k"] + [f"u_{i+1}" for i in range(m)] + ["residual_k"]
-    lines = [",".join(header)]
-    for k in range(grid.n_intervals):
-        cells = [str(k), "%.12e" % grid.times[k], "%.12e" % grid.lengths[k]]
-        cells += ["%.12e" % v for v in controls[k]]
-        cells.append("%.12e" % residuals[k])
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _read_controls_csv(path, m: int) -> np.ndarray:
     """Controls from a CSV with u_1..u_m columns; diagnoses bad cells."""
     path = Path(path)
@@ -264,12 +253,60 @@ def _parse_adjoint_init(text: str, n: int) -> np.ndarray:
     return arr
 
 
+# ---------------------------------------------------------------------------
+# artifact writers
+# ---------------------------------------------------------------------------
+
+def _write_table(path, header, fmt: str, rows) -> None:
+    """CSV artifact: the header row, then ``fmt % tuple(row)`` per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % tuple(row) + "\n" for row in rows)
+
+
+def _write_json(path, payload: dict) -> None:
+    """JSON artifact: two-space indent, sorted keys, a closing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_trajectory_csv(extremal: Extremal, path) -> None:
+    """One row per node: t, q_1..q_n, p_1..p_n, k, u_1..u_m (%.12e)."""
+    K, nodes, n = extremal.states.shape
+    m = extremal.controls.m
+    header = (["t"] + [f"q_{i+1}" for i in range(n)]
+              + [f"p_{i+1}" for i in range(n)] + ["k"]
+              + [f"u_{i+1}" for i in range(m)])
+    k = np.broadcast_to(np.arange(K, dtype=float)[:, None, None],
+                        (K, nodes, 1))
+    u = np.broadcast_to(extremal.controls.values[:, None, :], (K, nodes, m))
+    rows = np.concatenate([extremal.times[:, :, None], extremal.states,
+                           extremal.adjoints, k, u], axis=2)
+    fmt = ",".join(["%.12e"] * (1 + 2 * n) + ["%d"] + ["%.12e"] * m)
+    # one row at a time as Python floats, which %-format faster than numpy
+    # scalars, without holding every row as a list
+    _write_table(path, header, fmt,
+                 map(np.ndarray.tolist, rows.reshape(K * nodes, -1)))
+
+
+def write_certificate_json(cert: Certificate, path) -> None:
+    _write_json(path, cert.to_json_dict())
+
+
+def _write_controls_csv(path, grid, controls, residuals) -> None:
+    m = controls.m
+    header = (["k", "t_k", "delta_k"] + [f"u_{i+1}" for i in range(m)]
+              + ["residual_k"])
+    _write_table(path, header, ",".join(["%d"] + ["%.12e"] * (m + 3)),
+                 [(k, grid.times[k], grid.lengths[k], *controls[k],
+                   residuals[k]) for k in range(grid.n_intervals)])
+
+
 def _write_manifest(out_dir: Path, payload: dict, outputs) -> None:
     payload = dict(payload)
     payload["outputs"] = sorted(set(list(outputs) + ["manifest.json"]))
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +323,12 @@ def cmd_solve(args) -> int:
     if loaded.builtin == "parking":
         extremal, (p1, p2f), cert = parking.solve_parking(
             loaded.params["M"], loaded.t_f, loaded.T, stats=stats)
-        unknowns = {"p_init": extremal.adjoint.initial.tolist(),
+        unknowns = {"p_init": extremal.initial_adjoint.tolist(),
                     "multipliers": [p1, p2f]}
     else:
         grid = build_grid(loaded.t_f, loaded.T)
         extremal, cert = solve(loaded.problem, grid, stats=stats)
-        unknowns = {"p_init": extremal.adjoint.initial.tolist()}
+        unknowns = {"p_init": extremal.initial_adjoint.tolist()}
         if "unknowns" in stats:
             unknowns["vector"] = stats["unknowns"]
     wall = time.perf_counter() - started
@@ -381,17 +418,13 @@ def cmd_sweep(args) -> int:
     rows = [parking.sweep_row(M, t_f, T) for T in periods]
     wall = time.perf_counter() - started
 
-    header = ["T", "K", "sup_dev", "terminal_residual", "max_pmp_residual",
-              "cost_sampled", "cost_permanent", "status"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([
-            "%.12e" % row.T, str(row.K), "%.12e" % row.sup_dev,
-            "%.12e" % row.terminal_residual, "%.12e" % row.max_pmp_residual,
-            "%.12e" % row.cost_sampled, "%.12e" % row.cost_permanent,
-            row.status,
-        ]))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(out_dir / "sweep.csv",
+                 ["T", "K", "sup_dev", "terminal_residual", "max_pmp_residual",
+                  "cost_sampled", "cost_permanent", "status"],
+                 "%.12e,%d,%.12e,%.12e,%.12e,%.12e,%.12e,%s",
+                 [(row.T, row.K, row.sup_dev, row.terminal_residual,
+                   row.max_pmp_residual, row.cost_sampled,
+                   row.cost_permanent, row.status) for row in rows])
 
     outputs = ["sweep.csv"]
     for tok, row in zip(tokens, rows):
@@ -462,10 +495,8 @@ def cmd_compare(args) -> int:
     ts = np.linspace(0.0, t_f, 1001)
     hold = u[grid.interval_of(ts)]
     star = np.asarray(parking.permanent_control(M, t_f, ts))
-    lines = ["t,u_hold,u_star"]
-    for i in range(len(ts)):
-        lines.append("%.12e,%.12e,%.12e" % (ts[i], hold[i], star[i]))
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(out_dir / "compare.csv", ["t", "u_hold", "u_star"],
+                 "%.12e,%.12e,%.12e", zip(ts, hold, star))
 
     edges = list(np.asarray(grid.times)) + [t_f]
     fig = SvgPlot(title=f"sample-and-hold (M={M:g}, tf={t_f:g}, T={T:g})",

@@ -448,20 +448,24 @@ class ControlSequence:
 # finite-difference validation of user-supplied derivatives
 # ---------------------------------------------------------------------------
 
-def validate_jacobians(problem: ProblemDefinition, rng: np.random.Generator,
-                       n_probes: int = 20, rtol: float = 1e-5) -> None:
+JACOBIAN_PROBES = 20        # probe points of validate_jacobians
+JACOBIAN_RTOL = 1e-5        # its tolerance, relative to 1 + magnitude
+
+
+def validate_jacobians(problem: ProblemDefinition,
+                       rng: np.random.Generator) -> None:
     """Check f_q, f_u, f0_q, f0_u against central differences of f and f0.
 
-    Raises AssertionError on the first probe point where a stored derivative
-    disagrees with the finite-difference estimate beyond ``rtol`` (relative
-    to 1 + magnitude).  When the problem carries ``lq``, f, f_q, f_u, f0_q
-    and f0_u must also match its matrices at each probe.  Probe
+    Raises AssertionError on the first of ``JACOBIAN_PROBES`` probe points
+    where a stored derivative disagrees with the finite-difference estimate
+    beyond ``JACOBIAN_RTOL``.  When the problem carries ``lq``, f, f_q,
+    f_u, f0_q and f0_u must also match its matrices at each probe.  Probe
     states/controls are standard normal; times uniform in [0, 10].
     """
     n, m = problem.n, problem.m
     lq = problem.lq
     h = 1e-6
-    for _ in range(n_probes):
+    for _ in range(JACOBIAN_PROBES):
         t = float(rng.uniform(0.0, 10.0))
         q = rng.standard_normal(n)
         u = rng.standard_normal(m)
@@ -472,30 +476,31 @@ def validate_jacobians(problem: ProblemDefinition, rng: np.random.Generator,
         f0u = problem.f0_u(t, q, u)
 
         if lq is not None:
-            _assert_close(problem.f(t, q, u), lq.A @ q + lq.B @ u, rtol,
+            _assert_close(problem.f(t, q, u), lq.A @ q + lq.B @ u,
                           "f against lq")
-            _assert_close(fq, lq.A, rtol, "f_q against lq")
-            _assert_close(fu, lq.B, rtol, "f_u against lq")
-            _assert_close(f0q, 2.0 * (lq.Q @ q), rtol, "f0_q against lq")
-            _assert_close(f0u, 2.0 * (lq.R @ u), rtol, "f0_u against lq")
+            _assert_close(fq, lq.A, "f_q against lq")
+            _assert_close(fu, lq.B, "f_u against lq")
+            _assert_close(f0q, 2.0 * (lq.Q @ q), "f0_q against lq")
+            _assert_close(f0u, 2.0 * (lq.R @ u), "f0_u against lq")
 
         for i in range(n):
             e = np.zeros(n); e[i] = h
             df = (np.asarray(problem.f(t, q + e, u)) - np.asarray(problem.f(t, q - e, u))) / (2 * h)
             d0 = (problem.f0(t, q + e, u) - problem.f0(t, q - e, u)) / (2 * h)
-            _assert_close(fq[:, i], df, rtol, "f_q column")
-            _assert_close(f0q[i], d0, rtol, "f0_q component")
+            _assert_close(fq[:, i], df, "f_q column")
+            _assert_close(f0q[i], d0, "f0_q component")
         for i in range(m):
             e = np.zeros(m); e[i] = h
             df = (np.asarray(problem.f(t, q, u + e)) - np.asarray(problem.f(t, q, u - e))) / (2 * h)
             d0 = (problem.f0(t, q, u + e) - problem.f0(t, q, u - e)) / (2 * h)
-            _assert_close(fu[:, i], df, rtol, "f_u column")
-            _assert_close(f0u[i], d0, rtol, "f0_u component")
+            _assert_close(fu[:, i], df, "f_u column")
+            _assert_close(f0u[i], d0, "f0_u component")
 
 
-def _assert_close(stored, fd, rtol, label):
+def _assert_close(stored, fd, label):
     stored = np.asarray(stored, dtype=float)
     fd = np.asarray(fd, dtype=float)
     err = np.max(np.abs(stored - fd) / (1.0 + np.abs(fd)))
-    if err > rtol:
-        raise AssertionError(f"{label} disagrees with finite differences: {err:.3e} > {rtol}")
+    if err > JACOBIAN_RTOL:
+        raise AssertionError(f"{label} disagrees with finite differences: "
+                             f"{err:.3e} > {JACOBIAN_RTOL}")

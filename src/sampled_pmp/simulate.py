@@ -9,18 +9,20 @@ which reuses every evaluation and is exact for the polynomial integrands of
 the built-in problems.
 
 :func:`_extremal_interval` is the only interval integrator: it integrates
-the coupled state/adjoint arc, whose state block is dq/dt = dH/dp = f.  One
-assembly turns per-interval nodes into an :class:`Extremal` (cost and
-read-only arrays) for :func:`integrate_extremal_forward` and the shooting
-solver, which builds its extremal from the arcs it has already integrated.
-:func:`simulate` is the state block of the coupled integration from
-p(0) = 0 with p0 = 0, on which the adjoint stays exactly zero.
+the coupled state/adjoint arc, whose state block is dq/dt = dH/dp = f.
+:func:`_extremal_from_arcs` stacks per-interval nodes into the one
+:class:`Extremal` record (q, p, p0, u) for :func:`integrate_extremal_forward`
+and the shooting solver, which builds its extremal from the arcs it has
+already integrated.  The record carries no cost: :func:`running_cost`
+computes it on request.  :func:`simulate` is the state block of the coupled
+integration from p(0) = 0 with p0 = 0, on which the adjoint stays exactly
+zero, returned with its cost.
 
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
 built once per (lq, interval length, p0), cached, and applied with
-two matrix products.  The cost, the interval averages and the exports read
-the callbacks on both paths.
+two matrix products.  The running cost and the interval averages read the
+callbacks on both paths.
 """
 
 from __future__ import annotations
@@ -55,51 +57,37 @@ LQ_MAPS_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """State arc stored per sampling interval on its uniform RK4 nodes."""
+class Extremal:
+    """Candidate extremal (q, p, p0, u) on the RK4 nodes of every interval.
+
+    ``controls[k]`` is held on interval k of ``grid``.  The read-only arrays
+    are stacked by interval: ``times`` is (K, SUBSTEPS+1), ``states`` and
+    ``adjoints`` are (K, SUBSTEPS+1, n), and each interval boundary is both
+    the last node of one interval and the first of the next.
+    """
 
     grid: SamplingGrid
-    times: tuple        # K arrays of node times, each (SUBSTEPS+1,)
-    states: tuple       # K arrays of states, each (SUBSTEPS+1, n)
-    cost: float
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1][-1]
-
-    @property
-    def initial_state(self) -> np.ndarray:
-        return self.states[0][0]
-
-
-@dataclass(frozen=True)
-class AdjointArc:
-    """Adjoint arc on the same nodes as the trajectory, plus the cost multiplier."""
-
-    values: tuple       # K arrays, each (SUBSTEPS+1, n)
+    controls: ControlSequence
+    times: np.ndarray
+    states: np.ndarray
+    adjoints: np.ndarray
     p0: float
 
     @property
-    def final(self) -> np.ndarray:
-        return self.values[-1][-1]
+    def initial_state(self) -> np.ndarray:
+        return self.states[0, 0]
 
     @property
-    def initial(self) -> np.ndarray:
-        return self.values[0][0]
-
-
-@dataclass(frozen=True)
-class Extremal:
-    """Candidate quadruple (state arc, adjoint arc, cost multiplier, controls)."""
-
-    trajectory: Trajectory
-    adjoint: AdjointArc
-    controls: ControlSequence
-    grid: SamplingGrid
+    def final_state(self) -> np.ndarray:
+        return self.states[-1, -1]
 
     @property
-    def p0(self) -> float:
-        return self.adjoint.p0
+    def initial_adjoint(self) -> np.ndarray:
+        return self.adjoints[0, 0]
+
+    @property
+    def final_adjoint(self) -> np.ndarray:
+        return self.adjoints[-1, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,44 +237,33 @@ def _check_controls(problem, grid, controls, enforce_admissible):
     return controls
 
 
-def _extremal_from_arcs(problem, grid, controls, arcs, p0: float) -> Extremal:
-    """Extremal from per-interval coupled ``(times, nodes)`` arcs, the nodes
-    stacking q and p, made read-only.
-
-    The cost is the Simpson rule on the running cost at the state nodes.
-    """
-    n = problem.n
-    cost = 0.0
-    for k, (times, nodes) in enumerate(arcs):
-        u = controls[k]
-        f0_nodes = np.array([problem.f0(times[i], nodes[i, :n], u)
-                             for i in range(len(times))])
-        cost += grid.lengths[k] * (SIMPSON_MEAN @ f0_nodes)
-        times.setflags(write=False)
-        nodes.setflags(write=False)
-    traj = Trajectory(grid=grid, times=tuple(times for times, _ in arcs),
-                      states=tuple(nodes[:, :n] for _, nodes in arcs),
-                      cost=float(cost))
-    adjoint = AdjointArc(values=tuple(nodes[:, n:] for _, nodes in arcs),
-                         p0=float(p0))
-    return Extremal(trajectory=traj, adjoint=adjoint, controls=controls,
-                    grid=grid)
+def _extremal_from_arcs(grid, controls, arcs, p0: float) -> Extremal:
+    """Extremal stacking per-interval coupled ``(times, nodes)`` arcs, the
+    nodes holding q then p; its arrays are read-only."""
+    times = np.stack([t for t, _ in arcs])
+    nodes = np.stack([z for _, z in arcs])
+    times.setflags(write=False)
+    nodes.setflags(write=False)
+    n = nodes.shape[2] // 2
+    return Extremal(grid=grid, controls=controls, times=times,
+                    states=nodes[:, :, :n], adjoints=nodes[:, :, n:],
+                    p0=float(p0))
 
 
 def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
              q0: np.ndarray, enforce_admissible: bool = True):
     """Propagate the state under piecewise-constant controls.
 
-    Returns ``(Trajectory, cost)`` with the cost accumulated by the Simpson
-    rule on the integration nodes.  This is the state block of
-    :func:`integrate_extremal_forward` from p(0) = 0 with p0 = 0: the adjoint
-    right-hand side -dH/dq then vanishes, so the adjoint stays exactly zero
-    and the blow-up rule reads the state alone.
+    Returns ``(Extremal, cost)`` with the cost of :func:`running_cost`.
+    This is the state block of :func:`integrate_extremal_forward` from
+    p(0) = 0 with p0 = 0: the adjoint right-hand side -dH/dq then vanishes,
+    so the adjoint stays exactly zero and the blow-up rule reads the state
+    alone.
     """
     extremal = integrate_extremal_forward(problem, grid, controls, q0,
                                           np.zeros(problem.n), 0.0,
                                           enforce_admissible)
-    return extremal.trajectory, extremal.trajectory.cost
+    return extremal, running_cost(problem, extremal)
 
 
 def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
@@ -313,7 +290,7 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
         arcs.append(_extremal_interval(problem, grid.times[k], grid.lengths[k],
                                        z, controls[k], p0))
         z = arcs[-1][1][-1]
-    return _extremal_from_arcs(problem, grid, controls, arcs, p0)
+    return _extremal_from_arcs(grid, controls, arcs, p0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +303,24 @@ def _extremal_mean(integrand, extremal: Extremal, k: int, u=None):
     K = extremal.grid.n_intervals
     if not 0 <= k < K:
         raise IndexError(f"interval index {k} out of range [0, {K})")
-    return _interval_mean(integrand, extremal.trajectory.times[k],
-                          extremal.trajectory.states[k],
-                          extremal.adjoint.values[k], extremal.adjoint.p0,
+    return _interval_mean(integrand, extremal.times[k], extremal.states[k],
+                          extremal.adjoints[k], extremal.p0,
                           extremal.controls[k] if u is None else u)
+
+
+def running_cost(problem: ProblemDefinition, extremal: Extremal) -> float:
+    """Integral of the running cost f0 along the extremal's state arc.
+
+    Each interval contributes its length times the Simpson mean of f0 at
+    the state nodes.
+    """
+    def f0(t, q, p, p0, u):
+        return problem.f0(t, q, u)
+
+    cost = 0.0
+    for k in range(extremal.grid.n_intervals):
+        cost += extremal.grid.lengths[k] * _extremal_mean(f0, extremal, k)
+    return float(cost)
 
 
 def average_u_gradient(problem: ProblemDefinition, extremal: Extremal,
@@ -353,31 +344,3 @@ def average_hamiltonian(problem: ProblemDefinition, extremal: Extremal,
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     return float(_extremal_mean(problem.hamiltonian, extremal, k, y))
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def write_trajectory_csv(extremal: Extremal, path) -> None:
-    """One row per node: t, q_1..q_n, p_1..p_n, k, u_1..u_m (%.12e)."""
-    n = extremal.trajectory.states[0].shape[1]
-    m = extremal.controls.m
-    header = (["t"] + [f"q_{i+1}" for i in range(n)]
-              + [f"p_{i+1}" for i in range(n)] + ["k"]
-              + [f"u_{i+1}" for i in range(m)])
-    lines = [",".join(header)]
-    for k in range(extremal.grid.n_intervals):
-        times = extremal.trajectory.times[k]
-        states = extremal.trajectory.states[k]
-        adjoints = extremal.adjoint.values[k]
-        u = extremal.controls[k]
-        for i in range(len(times)):
-            cells = ["%.12e" % times[i]]
-            cells += ["%.12e" % v for v in states[i]]
-            cells += ["%.12e" % v for v in adjoints[i]]
-            cells.append(str(k))
-            cells += ["%.12e" % v for v in u]
-            lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -235,14 +235,19 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
 
     ``initial_unknowns`` is the packed vector (see ``_unknown_layout``) or
     None for the generic guess: the origin, with the final-time guess of a
-    free horizon; it must be finite, with a positive final time, or
-    ValueError is raised before anything is integrated.  History entries
+    free horizon; it must be finite, with a positive final time, and the
+    grid's horizon must be a fixed final time's, or ValueError is raised
+    before anything is integrated.  History entries
     carry the active-set signature of the iterate's controls, and for a
     free final time its horizon.  When a ``stats`` dict is supplied it
     receives the iteration count, the final residual norm, the
     per-iteration history and the solved unknowns.
     """
     _, has_tf, dim = _unknown_layout(problem)
+    if not has_tf and grid.t_f != problem.final_time.t_f:
+        raise ValueError(f"the grid's horizon t_f = {grid.t_f} contradicts "
+                         f"the problem's fixed final time "
+                         f"{problem.final_time.t_f}")
 
     if initial_unknowns is None:
         x = np.zeros(dim)
@@ -271,7 +276,7 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     _, (solved_grid, controls, arcs) = _damped_newton(
         residual, x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate,
         stats=stats)
-    extremal = _extremal_from_arcs(problem, solved_grid, controls, arcs, -1.0)
+    extremal = _extremal_from_arcs(solved_grid, controls, arcs, -1.0)
     return extremal, check_certificate(problem, extremal)
 
 
@@ -289,7 +294,7 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
     def terminal(p_start):
         ext = integrate_extremal_forward(problem, grid, controls, q0, p_start,
                                          p0)
-        return ext.adjoint.final - p_end, None
+        return ext.final_adjoint - p_end, None
 
     x, _ = _damped_newton(terminal, np.zeros(problem.n), 1e-12, 8)
     return x

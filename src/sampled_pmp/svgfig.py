@@ -17,16 +17,19 @@ MARGIN_L = 70
 MARGIN_R = 20
 MARGIN_T = 40
 MARGIN_B = 50
+STROKE_WIDTH = 1.5      # of every series
+CROSS_SIZE = 4.0        # half-width of a cross marker
+TICK_TARGET = 6         # ticks per axis aimed at
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6):
+def _nice_ticks(lo: float, hi: float):
     """Round tick positions covering [lo, hi] with a 1/2/5 step."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (TICK_TARGET - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -66,26 +69,26 @@ class SvgPlot:
                 self._ymin = min(self._ymin, y)
                 self._ymax = max(self._ymax, y)
 
-    def add_line(self, xs, ys, color: str = "red", width: float = 1.5):
+    def add_line(self, xs, ys, color: str = "red"):
         xs = [float(v) for v in xs]
         ys = [float(v) for v in ys]
         self._grow(xs, ys)
-        self._series.append(("line", xs, ys, color, width))
+        self._series.append(("line", xs, ys, color))
 
-    def add_crosses(self, xs, ys, color: str = "blue", size: float = 4.0):
+    def add_crosses(self, xs, ys, color: str = "blue"):
         xs = [float(v) for v in xs]
         ys = [float(v) for v in ys]
         self._grow(xs, ys)
-        self._series.append(("cross", xs, ys, color, size))
+        self._series.append(("cross", xs, ys, color))
 
-    def add_steps(self, edges, values, color: str = "blue", width: float = 1.5):
+    def add_steps(self, edges, values, color: str = "blue"):
         """Zero-order hold: values[k] held on [edges[k], edges[k+1])."""
         edges = [float(v) for v in edges]
         values = [float(v) for v in values]
         if len(edges) != len(values) + 1:
             raise ValueError("steps need len(edges) == len(values) + 1")
         self._grow(edges, values)
-        self._series.append(("steps", edges, values, color, width))
+        self._series.append(("steps", edges, values, color))
 
     def _scales(self):
         xmin, xmax = self._xmin, self._xmax
@@ -153,19 +156,19 @@ class SvgPlot:
                        f'text-anchor="middle" transform="rotate(-90 16 '
                        f'{(y0 + y1) / 2:.2f})">{self.ylabel}</text>')
 
-        for kind, xs, ys, color, w in self._series:
+        for kind, xs, ys, color in self._series:
             if kind == "line":
                 pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
                 out.append(f'<polyline points="{pts}" fill="none" '
-                           f'stroke="{color}" stroke-width="{w}"/>')
+                           f'stroke="{color}" stroke-width="{STROKE_WIDTH}"/>')
             elif kind == "cross":
                 for x, y in zip(xs, ys):
-                    px, py, s = sx(x), sy(y), w
+                    px, py, s = sx(x), sy(y), CROSS_SIZE
                     out.append(f'<path d="M{px - s:.2f},{py - s:.2f} '
                                f'L{px + s:.2f},{py + s:.2f} '
                                f'M{px - s:.2f},{py + s:.2f} '
                                f'L{px + s:.2f},{py - s:.2f}" '
-                               f'stroke="{color}" stroke-width="1.5"/>')
+                               f'stroke="{color}" stroke-width="{STROKE_WIDTH}"/>')
             elif kind == "steps":
                 d = [f"M{sx(xs[0]):.2f},{sy(ys[0]):.2f}"]
                 for k in range(len(ys)):
@@ -173,7 +176,7 @@ class SvgPlot:
                     if k + 1 < len(ys):
                         d.append(f"V{sy(ys[k + 1]):.2f}")
                 out.append(f'<path d="{" ".join(d)}" fill="none" '
-                           f'stroke="{color}" stroke-width="{w}"/>')
+                           f'stroke="{color}" stroke-width="{STROKE_WIDTH}"/>')
         out.append("</svg>")
         return "\n".join(out) + "\n"
 

@@ -11,26 +11,39 @@ from sampled_pmp import parking, solver
 simulate = importlib.import_module("sampled_pmp.simulate")
 
 
-@pytest.fixture
-def parking_f_calls(monkeypatch):
-    """Count calls to the dynamics ``f`` of every problem that
+def _count_parking_callback(monkeypatch, name):
+    """Count calls to the callback ``name`` of every problem that
     ``parking.parking_problem`` builds from now on; returns the reader."""
     calls = 0
     factory = parking.parking_problem
 
     def counting_factory(*args, **kwargs):
         problem = factory(*args, **kwargs)
-        f = problem.f
+        fn = getattr(problem, name)
 
-        def f_counted(t, q, u):
+        def counted(t, q, u):
             nonlocal calls
             calls += 1
-            return f(t, q, u)
+            return fn(t, q, u)
 
-        return dataclasses.replace(problem, f=f_counted)
+        return dataclasses.replace(problem, **{name: counted})
 
     monkeypatch.setattr(parking, "parking_problem", counting_factory)
     return lambda: calls
+
+
+@pytest.fixture
+def parking_f_calls(monkeypatch):
+    """Count calls to the dynamics ``f`` of every parking problem built from
+    now on; returns the reader."""
+    return _count_parking_callback(monkeypatch, "f")
+
+
+@pytest.fixture
+def parking_f0_calls(monkeypatch):
+    """Count calls to the running cost ``f0`` of every parking problem built
+    from now on; returns the reader."""
+    return _count_parking_callback(monkeypatch, "f0")
 
 
 def _count_calls(monkeypatch, module, name):

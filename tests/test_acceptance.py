@@ -224,7 +224,7 @@ def test_criterion_6_adjoint_gradient_identity():
         p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, np.zeros(2),
                                            -1.0)
         ext = sp.integrate_extremal_forward(prob, grid, ctrl, q0, p_init, -1.0)
-        assert np.linalg.norm(ext.adjoint.final) <= 1e-10
+        assert np.linalg.norm(ext.final_adjoint) <= 1e-10
         h = 1e-5
         for k in range(grid.n_intervals):
             gbar = sp.average_u_gradient(prob, ext, k)
@@ -279,8 +279,8 @@ def test_criterion_8_structural_invariants():
     ext = sp.integrate_extremal_forward(prob, grid, controls,
                                         np.array([2.0, 0.0]),
                                         np.array([p1, p1 * 4.0 + p2f]), -1.0)
-    all_t = np.concatenate(ext.trajectory.times)
-    all_p = np.vstack(ext.adjoint.values)
+    all_t = ext.times.ravel()
+    all_p = ext.adjoints.reshape(-1, 2)
     p1_dev = float(np.max(np.abs(all_p[:, 0] - all_p[0, 0])))
     p2_dev = float(np.max(np.abs(all_p[:, 1] - (all_p[0, 1] - all_p[0, 0] * all_t))))
 

@@ -240,4 +240,4 @@ def test_checker_normalizes_scaled_multipliers_for_verdict():
     scaled = _scaled(PARKING, GRID, [[-0.5], [0.5]], (-1.0, -2.0), 3.0)
     cert = sp.check_certificate(PARKING, scaled)
     assert cert.passed
-    assert scaled.adjoint.p0 == -3.0
+    assert scaled.p0 == -3.0

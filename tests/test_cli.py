@@ -66,15 +66,19 @@ def test_solve_writes_artifacts_and_passes(tmp_path):
     assert "config" not in manifest
 
 
-def test_solve_parking_integrates_once(tmp_path, interval_integrations):
+def test_solve_parking_integrates_once(tmp_path, interval_integrations,
+                                       parking_f0_calls):
     # K interval integrations: one integration of the solved extremal, which
-    # the certificate and the artifacts share
+    # the certificate and the artifacts share.  No artifact reads the cost,
+    # so nothing evaluates the running cost f0 (17 calls per interval when
+    # every assembly computed it)
     rc = main(["solve", "--problem", "parking", "--M", "2", "--tf", "3",
                "--T", "0.1", "--out", str(tmp_path / "run")])
     assert rc == 0
     _, rows = _read_csv(tmp_path / "run" / "controls.csv")
     assert len(rows) == 30
     assert interval_integrations() == 30
+    assert parking_f0_calls() == 0
 
 
 def test_solve_exit_codes(tmp_path):

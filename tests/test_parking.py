@@ -189,8 +189,8 @@ def test_sign_rule_matches_generic_interval_solver():
             onegrid = sp.build_grid(float(grid.lengths[k]), float(grid.lengths[k]))
             seg = sp.integrate_extremal_forward(prob, onegrid, u_k[None, :], q, p,
                                                 -1.0)
-            q = seg.trajectory.final_state
-            p = seg.adjoint.final
+            q = seg.final_state
+            p = seg.final_adjoint
 
 
 def test_parking_shooting_map_values():

@@ -284,7 +284,7 @@ def _builtin_problems():
 @pytest.mark.parametrize("prob", _builtin_problems(),
                          ids=["parking", "parking-weighted", "lti"])
 def test_builtin_jacobians_match_finite_differences(prob):
-    sp.validate_jacobians(prob, np.random.default_rng(4), n_probes=20, rtol=1e-5)
+    sp.validate_jacobians(prob, np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("prob", _builtin_problems(),

@@ -209,9 +209,8 @@ def test_extremal_state_matches_simulate_bitwise():
             traj, cost = sp.simulate(P, grid, ctrl, q0)
             ext = sp.integrate_extremal_forward(P, grid, ctrl, q0, p_init,
                                                 -1.0)
-            for a, b in zip(traj.states, ext.trajectory.states):
-                assert np.array_equal(a, b)
-            assert ext.trajectory.cost == cost
+            assert np.array_equal(traj.states, ext.states)
+            assert sp.running_cost(P, ext) == cost
 
 
 def test_extremal_adjoint_values():
@@ -220,22 +219,20 @@ def test_extremal_adjoint_values():
     # p(0) = (-1, -2) corresponds to p1 = -1, p2(t_f) = 2: p2 crosses 0 at t=2
     ext = sp.integrate_extremal_forward(PARKING, grid, ctrl, Q0,
                                         np.array([-1.0, -2.0]), -1.0)
-    p_mid = ext.adjoint.values[0][-1]     # node at t = 2
+    p_mid = ext.adjoints[0, -1]     # node at t = 2
     assert p_mid[1] == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(ext.adjoint.final, [-1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(ext.final_adjoint, [-1.0, 2.0], atol=1e-12)
 
     # p1 = 0 freezes the whole adjoint
     ext = sp.integrate_extremal_forward(PARKING, grid, ctrl, Q0,
                                         np.array([0.0, 3.0]), -1.0)
-    for block in ext.adjoint.values:
-        np.testing.assert_allclose(block, np.broadcast_to([0.0, 3.0], block.shape),
-                                   atol=0)
+    np.testing.assert_allclose(
+        ext.adjoints, np.broadcast_to([0.0, 3.0], ext.adjoints.shape), atol=0)
 
     # p(0) = (1, 0): slope of p2 is -p1 = -1
     ext = sp.integrate_extremal_forward(PARKING, grid, ctrl, Q0,
                                         np.array([1.0, 0.0]), -1.0)
-    for times, block in zip(ext.trajectory.times, ext.adjoint.values):
-        np.testing.assert_allclose(block[:, 1], -times, atol=1e-12)
+    np.testing.assert_allclose(ext.adjoints[:, :, 1], -ext.times, atol=1e-12)
 
 
 def test_continuity_across_interval_boundaries():
@@ -245,9 +242,9 @@ def test_continuity_across_interval_boundaries():
     ext = sp.integrate_extremal_forward(PARKING, grid, ctrl, Q0,
                                         np.array([0.3, -0.4]), -1.0)
     for k in range(grid.n_intervals - 1):
-        dq = np.abs(ext.trajectory.states[k][-1] - ext.trajectory.states[k + 1][0])
-        dp = np.abs(ext.adjoint.values[k][-1] - ext.adjoint.values[k + 1][0])
-        dt = abs(ext.trajectory.times[k][-1] - ext.trajectory.times[k + 1][0])
+        dq = np.abs(ext.states[k, -1] - ext.states[k + 1, 0])
+        dp = np.abs(ext.adjoints[k, -1] - ext.adjoints[k + 1, 0])
+        dt = abs(ext.times[k, -1] - ext.times[k + 1, 0])
         assert np.max(dq) <= 1e-12 and np.max(dp) <= 1e-12 and dt <= 1e-12
 
 
@@ -258,8 +255,8 @@ def test_parking_adjoint_structure():
     ctrl = rng.uniform(-1, 1, size=(grid.n_intervals, 1))
     p0v = np.array([-0.8, 1.7])
     ext = sp.integrate_extremal_forward(PARKING, grid, ctrl, Q0, p0v, -1.0)
-    all_t = np.concatenate(ext.trajectory.times)
-    all_p = np.vstack(ext.adjoint.values)
+    all_t = ext.times.ravel()
+    all_p = ext.adjoints.reshape(-1, 2)
     assert np.max(np.abs(all_p[:, 0] - p0v[0])) <= 1e-12
     expected_p2 = p0v[1] - p0v[0] * all_t
     assert np.max(np.abs(all_p[:, 1] - expected_p2)) <= 1e-12
@@ -324,7 +321,7 @@ def test_adjoint_gradient_identity():
     q0 = np.array([2.0, 0.0])
     p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, np.zeros(2), -1.0)
     ext = sp.integrate_extremal_forward(prob, grid, ctrl, q0, p_init, -1.0)
-    assert np.linalg.norm(ext.adjoint.final) <= 1e-12
+    assert np.linalg.norm(ext.final_adjoint) <= 1e-12
     h = 1e-5
     for k in range(grid.n_intervals):
         gbar = sp.average_u_gradient(prob, ext, k)
@@ -384,3 +381,56 @@ def test_trajectory_csv_format(tmp_path):
     path2 = tmp_path / "traj2.csv"
     sp.write_trajectory_csv(ext, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _per_cell_trajectory_csv(ext):
+    """The trajectory CSV written cell by cell, the reference for the
+    writer's one format string per row."""
+    _, _, n = ext.states.shape
+    m = ext.controls.m
+    lines = [",".join(["t"] + [f"q_{i+1}" for i in range(n)]
+                      + [f"p_{i+1}" for i in range(n)] + ["k"]
+                      + [f"u_{i+1}" for i in range(m)])]
+    for k in range(ext.grid.n_intervals):
+        for i in range(ext.times.shape[1]):
+            cells = ["%.12e" % ext.times[k, i]]
+            cells += ["%.12e" % v for v in ext.states[k, i]]
+            cells += ["%.12e" % v for v in ext.adjoints[k, i]]
+            cells.append(str(k))
+            cells += ["%.12e" % v for v in ext.controls[k]]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _planar_ball_extremal(rng):
+    # n = 4, m = 2: a planar double integrator with controls in the unit disc
+    A = np.zeros((4, 4))
+    A[0, 2] = A[1, 3] = 1.0
+    B = np.zeros((4, 2))
+    B[2, 0] = B[3, 1] = 1.0
+    prob = sp.lti_problem(
+        A, B, control_set=sp.Ball(center=np.zeros(2), radius=1.0),
+        terminal=sp.FixedEndpoints(q0=np.zeros(4), qf=np.zeros(4)),
+        final_time=sp.FixedTime(3.0))
+    grid = sp.build_grid(3.0, 0.375)
+    angles = rng.uniform(0.0, 2 * np.pi, size=grid.n_intervals)
+    ctrl = 0.9 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return sp.integrate_extremal_forward(prob, grid, ctrl, rng.normal(size=4),
+                                         rng.normal(size=4), -1.0)
+
+
+def _partial_parking_extremal(rng):
+    grid = sp.build_grid(3.0, 0.7)
+    ctrl = rng.uniform(-1.0, 1.0, size=(grid.n_intervals, 1))
+    return sp.integrate_extremal_forward(PARKING, grid, ctrl, Q0,
+                                         rng.normal(size=2), -1.0)
+
+
+@pytest.mark.parametrize("build", [_partial_parking_extremal,
+                                   _planar_ball_extremal],
+                         ids=["parking-partial-grid", "ball-lti-n4-m2"])
+def test_trajectory_csv_matches_per_cell_reference(tmp_path, build):
+    ext = build(np.random.default_rng(15))
+    path = tmp_path / "trajectory.csv"
+    sp.write_trajectory_csv(ext, path)
+    assert path.read_bytes() == _per_cell_trajectory_csv(ext).encode("utf-8")

@@ -267,12 +267,12 @@ def test_shooting_residual_is_the_certified_boundary_conditions(problem, grid,
     q0 = x[n:2 * n] if has_q0 else problem.initial_state()
     ext = integrate_extremal_forward(problem, grid, controls, q0, x[:n], -1.0)
     start, end, tv = sp.boundary_residuals(
-        problem.terminal, ext.trajectory.initial_state,
-        ext.trajectory.final_state, ext.adjoint.initial, ext.adjoint.final)
+        problem.terminal, ext.initial_state, ext.final_state,
+        ext.initial_adjoint, ext.final_adjoint)
     parts = [end, tv]
     if has_tf:
-        parts.append([problem.hamiltonian(grid.t_f, ext.trajectory.final_state,
-                                          ext.adjoint.final, -1.0,
+        parts.append([problem.hamiltonian(grid.t_f, ext.final_state,
+                                          ext.final_adjoint, -1.0,
                                           controls[-1])])
     expected = np.concatenate(parts)
     assert not np.any(start)
@@ -332,7 +332,7 @@ def test_solve_parking_2_4_2():
     np.testing.assert_allclose(ext.controls.values.ravel(), [-0.5, 0.5],
                                atol=1e-9)
     assert cert.passed
-    assert ext.adjoint.p0 == -1.0
+    assert ext.p0 == -1.0
 
 
 def test_solve_parking_2_3_1():
@@ -365,22 +365,28 @@ def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
     assert parking_f_calls() == 3136
     assert parking_f_calls() == 64 * gbar_calls()
     ref = integrate_extremal_forward(problem, grid, ext.controls, Q0,
-                                     ext.adjoint.initial, -1.0)
-    for got, want in ((ext.trajectory.times, ref.trajectory.times),
-                      (ext.trajectory.states, ref.trajectory.states),
-                      (ext.adjoint.values, ref.adjoint.values)):
+                                     ext.initial_adjoint, -1.0)
+    for got, want in ((ext.times, ref.times), (ext.states, ref.states),
+                      (ext.adjoints, ref.adjoints)):
         assert len(got) == len(want) == 2
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-    assert ext.trajectory.cost == ref.trajectory.cost
-    assert ext.adjoint.p0 == ref.adjoint.p0
+        assert np.array_equal(got, want)
+    assert ext.p0 == ref.p0
 
 
-def test_solve_assembles_one_extremal():
+def test_solve_assembles_one_extremal(monkeypatch):
     # the residual evaluations keep raw arcs; only the accepted iterate's
-    # are assembled, with a Simpson cost of 17 f0 calls per interval (the
-    # matrix path calls no other callback that reads f0)
-    calls = 0
+    # are stacked into an extremal, once per solve, and stacking reads no
+    # callback: the cost is computed on request, by running_cost.  Neither
+    # path reads f0 anywhere else on a fixed horizon
+    assembled, calls = 0, 0
+    stack = solver._extremal_from_arcs
+
+    def stack_counted(*args):
+        nonlocal assembled
+        assembled += 1
+        return stack(*args)
+
+    monkeypatch.setattr(solver, "_extremal_from_arcs", stack_counted)
     problem = parking_problem(2.0, 4.0)
     f0 = problem.f0
 
@@ -390,10 +396,12 @@ def test_solve_assembles_one_extremal():
         return f0(t, q, u)
 
     problem = dataclasses.replace(problem, f0=f0_counted)
-    ext, cert = sp.solve(problem, sp.build_grid(4.0, 0.5),
-                         initial_unknowns=initial_adjoint_guess(2, 4))
-    assert cert.passed
-    assert calls == 8 * 17
+    for P in (problem, dataclasses.replace(problem, lq=None)):
+        ext, cert = sp.solve(P, sp.build_grid(4.0, 0.5),
+                             initial_unknowns=initial_adjoint_guess(2, 4))
+        assert cert.passed
+    assert assembled == 2
+    assert calls == 0
 
 
 @pytest.mark.parametrize("problem, guess", [
@@ -410,6 +418,15 @@ def test_solve_rejects_bad_initial_unknowns(problem, guess,
     with pytest.raises(ValueError, match="initial unknowns"):
         sp.solve(problem, sp.build_grid(4.0, 1.0),
                  initial_unknowns=np.array(guess))
+    assert interval_integrations() == 0
+
+
+def test_solve_rejects_a_grid_off_the_fixed_horizon(interval_integrations):
+    # a grid to t_f = 4 on a problem fixed at t_f = 3 is bad input, named
+    # with both horizons, not a certified solve of another problem
+    with pytest.raises(ValueError, match=r"t_f = 4\.0 .* final time 3"):
+        sp.solve(parking_problem(2, 3), sp.build_grid(4, 0.5),
+                 initial_unknowns=initial_adjoint_guess(2, 4))
     assert interval_integrations() == 0
 
 
@@ -453,8 +470,8 @@ def test_solve_periodic_variant():
                          initial_unknowns=np.array([0.1, -0.2, 0.7, 0.3]))
     assert cert.passed
     assert np.max(np.abs(ext.controls.values)) <= 1e-9
-    assert abs(ext.trajectory.initial_state[1]) <= 1e-9
-    np.testing.assert_allclose(ext.adjoint.initial, ext.adjoint.final,
+    assert abs(ext.initial_state[1]) <= 1e-9
+    np.testing.assert_allclose(ext.initial_adjoint, ext.final_adjoint,
                                atol=1e-9)
 
 
