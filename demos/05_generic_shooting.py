@@ -28,20 +28,27 @@ def oscillator():
           f"cost = {sp.running_cost(prob, ext):.6f}, certificate: {cert.verdict}")
 
 
-def free_final_time():
-    def f(t, q, u):
-        return np.array([u[0]])
+def transfer_problem():
+    """dq/dt = u with cost u^2 + 1, q: 0 -> 1, free final time.
 
-    prob = sp.ProblemDefinition(
-        n=1, m=1, f=f,
+    Callbacks take stacked points (q of shape (..., 1), u of shape (..., 1))
+    and broadcast; the constant Jacobians may come unbroadcast.
+    """
+    return sp.ProblemDefinition(
+        n=1, m=1, f=lambda t, q, u: u.copy(),
         f_q=lambda t, q, u: np.array([[0.0]]),
         f_u=lambda t, q, u: np.array([[1.0]]),
-        f0=lambda t, q, u: float(u[0] ** 2 + 1.0),
-        f0_q=lambda t, q, u: np.zeros(1),
-        f0_u=lambda t, q, u: np.array([2.0 * u[0]]),
+        f0=lambda t, q, u: u[..., 0] ** 2 + 1.0,
+        f0_q=lambda t, q, u: np.zeros_like(q),
+        f0_u=lambda t, q, u: 2.0 * u,
         control_set=sp.Box(lower=np.array([-5.0]), upper=np.array([5.0])),
         terminal=sp.FixedEndpoints(q0=np.zeros(1), qf=np.ones(1)),
         final_time=sp.FreeTime(1.4), name="transfer")
+
+
+def free_final_time():
+    prob = transfer_problem()
+    sp.validate_jacobians(prob, np.random.default_rng(0))
     grid = sp.build_grid(1.4, 0.3)
     ext, cert = sp.solve(prob, grid, initial_unknowns=np.array([1.0, 1.4]))
     print("\nscalar transfer with free horizon (cost u^2 + 1, q: 0 -> 1)")

@@ -16,7 +16,8 @@ options: its tolerance is ``DEFAULT_TOL``.  Residual magnitudes scale with
 the multiplier pair, which is only defined up to a positive factor; every
 residual is computed once and, for a normal extremal, divided by -p0 (its
 value at the canonical cost multiplier -1) before the tolerance is applied.
-The raw residuals are reported alongside.
+The raw residuals are reported alongside.  The checker reads the callbacks,
+never ``lq``, and all intervals' averaged gradients come from one call.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ import numpy as np
 from .errors import UnsupportedCase
 from .problem import (FixedEndpoints, FixedInitialFreeFinal, FreeTime,
                       ProblemDefinition, TerminalCondition)
-from .simulate import Extremal, average_u_gradient
+from .simulate import Extremal, _extremal_mean, average_u_gradient
 
 DEFAULT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Residuals of every verified condition plus the overall verdict."""
 
@@ -63,11 +64,9 @@ class Certificate:
         return {
             "verdict": self.verdict,
             "tol": self.tol,
-            "intervals": [
-                {"k": int(k), "t": float(self.interval_times[k]),
-                 "r": float(self.interval_residuals[k])}
-                for k in range(len(self.interval_residuals))
-            ],
+            "intervals": [{"k": k, "t": float(t), "r": float(r)} for k, (t, r)
+                          in enumerate(zip(self.interval_times,
+                                           self.interval_residuals))],
             "transversality": float(self.transversality),
             "free_time": None if self.free_time is None else float(self.free_time),
             "nontrivial": bool(self.nontrivial),
@@ -149,9 +148,9 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
     if p0 > 0:
         violations.append(f"cost multiplier must be <= 0, got {p0}")
 
-    for k, u in enumerate(extremal.controls.values):
-        if not problem.control_set.contains(u):
-            violations.append(f"interval {k}: control outside the control set")
+    controls = extremal.controls.values
+    for k in np.nonzero(~problem.control_set.contains(controls))[0]:
+        violations.append(f"interval {k}: control outside the control set")
 
     start, end, transversality = boundary_residuals(
         problem.terminal, extremal.initial_state, extremal.final_state,
@@ -162,8 +161,8 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
 
     # every residual is positively homogeneous in (p, p0)
     scale = -p0 if p0 < 0 else 1.0
-    raw_r = np.array([interval_residual(problem, extremal, k)
-                      for k in range(extremal.grid.n_intervals)])
+    raw_r = problem.control_set.support_gap(
+        _extremal_mean(problem.hamiltonian_u, extremal), controls)
     raw_tv = float(np.linalg.norm(transversality))
     raw_ft = (free_time_residual(problem, extremal)
               if isinstance(problem.final_time, FreeTime) else None)

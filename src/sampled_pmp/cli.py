@@ -189,38 +189,34 @@ def _read_controls_csv(path, m: int) -> np.ndarray:
     if not path.exists():
         raise ValueError(f"controls file {path} does not exist")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        cols = []
-        for i in range(m):
-            name = f"u_{i+1}"
-            if name not in header:
-                raise ValueError(f"{path}: header row lacks column '{name}' "
-                                 f"(found {header})")
-            cols.append(header.index(name))
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {lineno} has {len(row)} cells, "
-                                 f"header has {len(header)}")
-            vals = []
-            for name, idx in zip([f"u_{i+1}" for i in range(m)], cols):
-                try:
-                    val = float(row[idx])
-                except ValueError:
-                    raise ValueError(f"{path}: row {lineno}, column '{name}': "
-                                     f"cannot parse {row[idx]!r} as a number")
-                if not math.isfinite(val):
-                    raise ValueError(f"{path}: row {lineno}, column '{name}': "
-                                     f"control must be finite, got {val}")
-                vals.append(val)
-            rows.append(vals)
+        table = list(csv.reader(fh))
+    if not table:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in table[0]]
+    names = [f"u_{i+1}" for i in range(m)]
+    for name in names:
+        if name not in header:
+            raise ValueError(f"{path}: header row lacks column '{name}' "
+                             f"(found {header})")
+    rows = []
+    for lineno, row in enumerate(table[1:], start=2):
+        if not any(c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {lineno} has {len(row)} cells, "
+                             f"header has {len(header)}")
+        rows.append([])
+        for name in names:
+            cell = row[header.index(name)]
+            try:
+                val = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {lineno}, column '{name}': "
+                                 f"cannot parse {cell!r} as a number")
+            if not math.isfinite(val):
+                raise ValueError(f"{path}: row {lineno}, column '{name}': "
+                                 f"control must be finite, got {val}")
+            rows[-1].append(val)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows)

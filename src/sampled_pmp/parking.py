@@ -36,7 +36,7 @@ from .certificate import Certificate, check_certificate
 from .errors import Infeasible, NonConvergence
 from .problem import (Box, ControlSequence, FixedEndpoints,
                       FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
-                      ProblemDefinition, SamplingGrid, build_grid)
+                      ProblemDefinition, SamplingGrid, _item, build_grid)
 from .problems import lti_problem
 from .simulate import integrate_extremal_forward
 from . import solver as _solver
@@ -133,9 +133,7 @@ def permanent_control(M: float, t_f: float, t):
         t1 = switching_time(M, t_f)
         ramp = (2.0 * t_arr - t_f) / math.sqrt(3.0 * (t_f ** 2 - 4.0 * M))
         out = np.where(t_arr <= t1, -1.0, np.where(t_arr >= t_f - t1, 1.0, ramp))
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(out)
-    return out
+    return _item(out)
 
 
 def permanent_cost(M: float, t_f: float) -> float:
@@ -328,7 +326,7 @@ def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequenc
 # sampling-period sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepRow:
     """One sampling period's outcome in a convergence sweep."""
 

@@ -9,7 +9,7 @@ sampling interval.
 
 Everything in this module is immutable after construction and free of
 internal state; all operations are pure functions, safe to share across
-concurrent workers.
+concurrent workers; records that hold arrays compare by identity.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ GRID_SNAP = 1e-9
 MEMBERSHIP_TOL = 1e-12
 
 
+def _freeze(record, **arrays):
+    """Set read-only float copies of ``arrays`` on a frozen dataclass."""
+    for name, x in arrays.items():
+        x = np.array(x, dtype=float)
+        x.setflags(write=False)
+        object.__setattr__(record, name, x)
+
+
 # ---------------------------------------------------------------------------
 # controlling-time index arithmetic: one snap rule, owned by the grid
 # ---------------------------------------------------------------------------
@@ -44,7 +52,7 @@ def _snapped_floor(r):
     return np.where(on_multiple, n, np.floor(r)).astype(int), on_multiple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingGrid:
     """Controlling times ``0, T, ..., kT < t_f`` and the interval lengths.
 
@@ -106,7 +114,7 @@ def build_grid(t_f: float, T: float) -> SamplingGrid:
 # convex control sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box ``{u : lower <= u <= upper}`` (componentwise)."""
 
@@ -122,26 +130,22 @@ class Box:
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("box requires lower <= upper componentwise")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        _freeze(self, lower=lo, upper=hi)
 
     @property
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, u: np.ndarray) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lower - MEMBERSHIP_TOL)
-                    and np.all(u <= self.upper + MEMBERSHIP_TOL))
+    def contains(self, u: np.ndarray):
+        return _item(np.all((u >= self.lower - MEMBERSHIP_TOL)
+                            & (u <= self.upper + MEMBERSHIP_TOL), axis=-1))
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Euclidean projection: componentwise clamp."""
         return np.clip(np.asarray(u, dtype=float), self.lower, self.upper)
 
-    def support_gap(self, g: np.ndarray, u: np.ndarray) -> float:
-        """max over y in the box of <g, y - u>.
+    def support_gap(self, g: np.ndarray, u: np.ndarray):
+        """max over y in the box of <g, y - u>, for each point of (..., m).
 
         Nonnegative for u in the set; zero iff the variational inequality
         <g, y - u> <= 0 for all y holds.  Closed form: each component
@@ -152,10 +156,10 @@ class Box:
         u = np.asarray(u, dtype=float)
         g = np.asarray(g, dtype=float)
         best = np.where(g > 0, self.upper, self.lower)
-        return float(g @ (best - u))
+        return _item(_dot(g, best - u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
     """Euclidean ball ``{u : ||u - center|| <= radius}``."""
 
@@ -171,18 +175,16 @@ class Ball:
         r = float(self.radius)
         if not (math.isfinite(r) and r >= 0):
             raise ValueError("ball radius must be finite and nonnegative")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
+        _freeze(self, center=c)
         object.__setattr__(self, "radius", r)
 
     @property
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, u: np.ndarray) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.linalg.norm(u - self.center)
-                    <= self.radius + MEMBERSHIP_TOL)
+    def contains(self, u: np.ndarray):
+        d = np.asarray(u, dtype=float) - self.center
+        return _item(np.sqrt(_dot(d, d)) <= self.radius + MEMBERSHIP_TOL)
 
     def project(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -192,11 +194,12 @@ class Ball:
             return u.copy()
         return self.center + d * (self.radius / nd)
 
-    def support_gap(self, g: np.ndarray, u: np.ndarray) -> float:
+    def support_gap(self, g: np.ndarray, u: np.ndarray):
         """max over y in the ball of <g, y - u> = <g, c - u> + r ||g||."""
         u = np.asarray(u, dtype=float)
         g = np.asarray(g, dtype=float)
-        return float(g @ (self.center - u) + self.radius * np.linalg.norm(g))
+        return _item(_dot(g, self.center - u)
+                     + self.radius * np.sqrt(_dot(g, g)))
 
 
 ControlSet = Union[Box, Ball]
@@ -206,7 +209,7 @@ ControlSet = Union[Box, Ball]
 # terminal conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedEndpoints:
     """q(0) = q0 and q(t_f) = qf both prescribed."""
 
@@ -218,22 +221,17 @@ class FixedEndpoints:
         qf = np.atleast_1d(np.asarray(self.qf, dtype=float))
         if q0.shape != qf.shape:
             raise ValueError("endpoint vectors must have equal length")
-        q0.setflags(write=False)
-        qf.setflags(write=False)
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "qf", qf)
+        _freeze(self, q0=q0, qf=qf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedInitialFreeFinal:
     """q(0) = q0 prescribed, q(t_f) free (forces p(t_f) = 0)."""
 
     q0: np.ndarray
 
     def __post_init__(self):
-        q0 = np.atleast_1d(np.asarray(self.q0, dtype=float))
-        q0.setflags(write=False)
-        object.__setattr__(self, "q0", q0)
+        _freeze(self, q0=np.atleast_1d(self.q0))
 
 
 @dataclass(frozen=True)
@@ -306,21 +304,17 @@ class LinearQuadratic:
             raise ValueError("A, B, Q and R must be finite")
         Q = 0.5 * (Q + Q.T)
         R = 0.5 * (R + R.T)
-        for name, x in zip("ABQR", (A, B, Q, R)):
-            x = x.copy()
-            x.setflags(write=False)
-            object.__setattr__(self, name, x)
+        _freeze(self, A=A, B=B, Q=Q, R=R)
 
 
 # ---------------------------------------------------------------------------
 # the problem itself
 # ---------------------------------------------------------------------------
 
-VectorField = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-ScalarField = Callable[[float, np.ndarray, np.ndarray], float]
+Callback = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemDefinition:
     """A finite-dimensional nonlinear optimal sampled-data control problem.
 
@@ -329,13 +323,16 @@ class ProblemDefinition:
     n, m : int
         State and control dimensions (both >= 1).
     f : callable
-        Dynamics ``f(t, q, u) -> dq/dt`` of shape (n,).
+        Dynamics ``f(t, q, u) -> dq/dt``.  Every callback takes q of shape
+        (..., n), u of shape (..., m) and t of shape ``q.shape[:-1]``, and
+        broadcasts over the leading axes: ``f`` returns (..., n).
     f_q, f_u : callable
-        Partial Jacobians of ``f``: shapes (n, n) and (n, m).
+        Partial Jacobians of ``f``: shapes (..., n, n) and (..., n, m).  A
+        constant Jacobian may be returned unbroadcast, as (n, n) or (n, m).
     f0 : callable
-        Running cost integrand ``f0(t, q, u) -> float``.
+        Running cost integrand ``f0(t, q, u)`` of shape (...).
     f0_q, f0_u : callable
-        Gradients of ``f0``: shapes (n,) and (m,).
+        Gradients of ``f0``: shapes (..., n) and (..., m).
     control_set : Box or Ball
         Closed convex set of admissible control values.
     terminal : TerminalCondition
@@ -354,12 +351,12 @@ class ProblemDefinition:
 
     n: int
     m: int
-    f: VectorField
-    f_q: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    f_u: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    f0: ScalarField
-    f0_q: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    f0_u: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    f: Callback
+    f_q: Callback
+    f_u: Callback
+    f0: Callback
+    f0_q: Callback
+    f0_u: Callback
     control_set: ControlSet
     terminal: TerminalCondition
     final_time: FinalTimeMode
@@ -377,27 +374,26 @@ class ProblemDefinition:
                 f"lq matrices are for n={self.lq.B.shape[0]}, "
                 f"m={self.lq.B.shape[1]}, not n={self.n}, m={self.m}")
 
-    def hamiltonian(self, t: float, q: np.ndarray, p: np.ndarray, p0: float,
-                    u: np.ndarray) -> float:
-        """H(t, q, p, p0, u) = <p, f(t, q, u)> + p0 f0(t, q, u)."""
-        q = _check_vec(q, self.n, "q")
-        p = _check_vec(p, self.n, "p")
-        u = _check_vec(u, self.m, "u")
-        return float(p @ self.f(t, q, u) + p0 * self.f0(t, q, u))
+    def hamiltonian(self, t, q, p, p0: float, u):
+        """H = <p, f(t, q, u)> + p0 f0(t, q, u), of shape (...)."""
+        q, p, u = self._checked(q, p, u)
+        return _item(_dot(p, np.asarray(self.f(t, q, u), dtype=float))
+                     + p0 * self.f0(t, q, u))
 
     def hamiltonian_q(self, t, q, p, p0, u) -> np.ndarray:
-        """Gradient of H in q, via the stored Jacobians."""
-        q = _check_vec(q, self.n, "q")
-        p = _check_vec(p, self.n, "p")
-        u = _check_vec(u, self.m, "u")
-        return self.f_q(t, q, u).T @ p + p0 * self.f0_q(t, q, u)
+        """Gradient of H in q, (..., n), via the stored Jacobians."""
+        q, p, u = self._checked(q, p, u)
+        return _vecmat(p, self.f_q(t, q, u)) + p0 * self.f0_q(t, q, u)
 
     def hamiltonian_u(self, t, q, p, p0, u) -> np.ndarray:
-        """Gradient of H in u, via the stored Jacobians."""
-        q = _check_vec(q, self.n, "q")
-        p = _check_vec(p, self.n, "p")
-        u = _check_vec(u, self.m, "u")
-        return self.f_u(t, q, u).T @ p + p0 * self.f0_u(t, q, u)
+        """Gradient of H in u, (..., m), via the stored Jacobians."""
+        q, p, u = self._checked(q, p, u)
+        return _vecmat(p, self.f_u(t, q, u)) + p0 * self.f0_u(t, q, u)
+
+    def _checked(self, q, p, u):
+        """q, p and u as float arrays, each trailing dimension checked once."""
+        return [_check_last(x, dim, label) for x, dim, label in
+                ((q, self.n, "q"), (p, self.n, "p"), (u, self.m, "u"))]
 
     def initial_state(self) -> np.ndarray:
         """q(0) when the terminal condition prescribes it."""
@@ -407,14 +403,32 @@ class ProblemDefinition:
             "q(0) is a shooting unknown for this terminal condition")
 
 
-def _check_vec(x, dim: int, label: str) -> np.ndarray:
+def _check_last(x, dim: int, label: str) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (dim,):
-        raise ValueError(f"{label} must have shape ({dim},), got {x.shape}")
+    if x.shape[-1] != dim:
+        raise ValueError(f"{label} must have shape (..., {dim}), "
+                         f"got {x.shape}")
     return x
 
 
-@dataclass(frozen=True)
+def _dot(x, y):
+    """<x, y> over the last axis, per point: matmul of (1, n) rows takes the
+    BLAS call of the 1-d ``x @ y``, so stacked and single calls agree."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _vecmat(x, M):
+    """Row vector times matrix, x M, for each point; M is (n, k) or stacked."""
+    return (x[..., None, :] @ M)[..., 0, :]
+
+
+def _item(x):
+    """A one-point result as a Python scalar, a stacked one as its array."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
+@dataclass(frozen=True, eq=False)
 class ControlSequence:
     """One control value per controlling time; row k is u(kT)."""
 
@@ -426,9 +440,7 @@ class ControlSequence:
             v = v[:, None]
         if v.ndim != 2:
             raise ValueError("control values must be a (K, m) array")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _freeze(self, values=v)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -441,7 +453,7 @@ class ControlSequence:
         return self.values.shape[1]
 
     def all_admissible(self, control_set: ControlSet) -> bool:
-        return all(control_set.contains(v) for v in self.values)
+        return bool(np.all(control_set.contains(self.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,53 +466,59 @@ JACOBIAN_RTOL = 1e-5        # its tolerance, relative to 1 + magnitude
 
 def validate_jacobians(problem: ProblemDefinition,
                        rng: np.random.Generator) -> None:
-    """Check f_q, f_u, f0_q, f0_u against central differences of f and f0.
+    """Check the six callbacks at ``JACOBIAN_PROBES`` probe points.
 
-    Raises AssertionError on the first of ``JACOBIAN_PROBES`` probe points
-    where a stored derivative disagrees with the finite-difference estimate
-    beyond ``JACOBIAN_RTOL``.  When the problem carries ``lq``, f, f_q,
-    f_u, f0_q and f0_u must also match its matrices at each probe.  Probe
-    states/controls are standard normal; times uniform in [0, 10].
+    One stacked call must return each probe point's own values (f_q and f_u
+    may return a constant Jacobian unbroadcast).  f_q, f_u, f0_q and f0_u
+    must match central differences of f and f0, and with ``lq`` set, f, f_q,
+    f_u, f0_q and f0_u must match its matrices.  AssertionError names the
+    first check off by more than ``JACOBIAN_RTOL``.  Probes: q and u standard
+    normal, t uniform in [0, 10].
     """
-    n, m = problem.n, problem.m
-    lq = problem.lq
+    n, m, lq = problem.n, problem.m, problem.lq
+    points = [(float(rng.uniform(0.0, 10.0)), rng.standard_normal(n),
+               rng.standard_normal(m)) for _ in range(JACOBIAN_PROBES)]
+    t, q, u = (np.array(x) for x in zip(*points))
+    values = []
+    for name in ("f", "f_q", "f_u", "f0", "f0_q", "f0_u"):
+        fn = getattr(problem, name)
+        rows = np.array([fn(*point) for point in points], dtype=float)
+        got = np.asarray(fn(t, q, u), dtype=float)
+        if name in ("f_q", "f_u") and got.ndim == 2:
+            got = np.broadcast_to(got, rows.shape)
+        if got.shape != rows.shape:
+            raise AssertionError(f"{name} on stacked points has shape "
+                                 f"{got.shape}, not {rows.shape}")
+        _assert_close(got, rows, f"{name} on stacked points against its "
+                                 f"per-point calls")
+        values.append(rows)
+    f, fq, fu, _, f0q, f0u = values
+
+    if lq is not None:
+        _assert_close(f, q @ lq.A.T + u @ lq.B.T, "f against lq")
+        _assert_close(fq, lq.A, "f_q against lq")
+        _assert_close(fu, lq.B, "f_u against lq")
+        _assert_close(f0q, 2.0 * (q @ lq.Q), "f0_q against lq")
+        _assert_close(f0u, 2.0 * (u @ lq.R), "f0_u against lq")
+
     h = 1e-6
-    for _ in range(JACOBIAN_PROBES):
-        t = float(rng.uniform(0.0, 10.0))
-        q = rng.standard_normal(n)
-        u = rng.standard_normal(m)
-
-        fq = problem.f_q(t, q, u)
-        fu = problem.f_u(t, q, u)
-        f0q = problem.f0_q(t, q, u)
-        f0u = problem.f0_u(t, q, u)
-
-        if lq is not None:
-            _assert_close(problem.f(t, q, u), lq.A @ q + lq.B @ u,
-                          "f against lq")
-            _assert_close(fq, lq.A, "f_q against lq")
-            _assert_close(fu, lq.B, "f_u against lq")
-            _assert_close(f0q, 2.0 * (lq.Q @ q), "f0_q against lq")
-            _assert_close(f0u, 2.0 * (lq.R @ u), "f0_u against lq")
-
-        for i in range(n):
-            e = np.zeros(n); e[i] = h
-            df = (np.asarray(problem.f(t, q + e, u)) - np.asarray(problem.f(t, q - e, u))) / (2 * h)
-            d0 = (problem.f0(t, q + e, u) - problem.f0(t, q - e, u)) / (2 * h)
-            _assert_close(fq[:, i], df, "f_q column")
-            _assert_close(f0q[i], d0, "f0_q component")
-        for i in range(m):
-            e = np.zeros(m); e[i] = h
-            df = (np.asarray(problem.f(t, q, u + e)) - np.asarray(problem.f(t, q, u - e))) / (2 * h)
-            d0 = (problem.f0(t, q, u + e) - problem.f0(t, q, u - e)) / (2 * h)
-            _assert_close(fu[:, i], df, "f_u column")
-            _assert_close(f0u[i], d0, "f0_u component")
+    for i in range(n):
+        e = h * np.eye(n)[i]
+        df = (problem.f(t, q + e, u) - problem.f(t, q - e, u)) / (2 * h)
+        d0 = (problem.f0(t, q + e, u) - problem.f0(t, q - e, u)) / (2 * h)
+        _assert_close(fq[:, :, i], df, "f_q column against finite differences")
+        _assert_close(f0q[:, i], d0, "f0_q entry against finite differences")
+    for i in range(m):
+        e = h * np.eye(m)[i]
+        df = (problem.f(t, q, u + e) - problem.f(t, q, u - e)) / (2 * h)
+        d0 = (problem.f0(t, q, u + e) - problem.f0(t, q, u - e)) / (2 * h)
+        _assert_close(fu[:, :, i], df, "f_u column against finite differences")
+        _assert_close(f0u[:, i], d0, "f0_u entry against finite differences")
 
 
-def _assert_close(stored, fd, label):
+def _assert_close(stored, reference, label):
     stored = np.asarray(stored, dtype=float)
-    fd = np.asarray(fd, dtype=float)
-    err = np.max(np.abs(stored - fd) / (1.0 + np.abs(fd)))
+    reference = np.asarray(reference, dtype=float)
+    err = np.max(np.abs(stored - reference) / (1.0 + np.abs(reference)))
     if err > JACOBIAN_RTOL:
-        raise AssertionError(f"{label} disagrees with finite differences: "
-                             f"{err:.3e} > {JACOBIAN_RTOL}")
+        raise AssertionError(f"{label}: {err:.3e} > {JACOBIAN_RTOL}")

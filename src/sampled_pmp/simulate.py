@@ -6,7 +6,8 @@ takes ``SUBSTEPS`` steps, whatever its length.  Every integral over an
 interval (the cost, the averaged gradient, the averaged Hamiltonian) is the
 one composite Simpson rule ``SIMPSON_MEAN`` on the integrator's own nodes,
 which reuses every evaluation and is exact for the polynomial integrands of
-the built-in problems.
+the built-in problems.  The callbacks broadcast, so :func:`_node_mean` takes
+it over one interval's nodes or a whole extremal's in one callback call.
 
 :func:`_extremal_interval` is the only interval integrator: it integrates
 the coupled state/adjoint arc, whose state block is dq/dt = dH/dp = f.
@@ -22,7 +23,7 @@ A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
 built once per (lq, interval length, p0), cached, and applied with
 two matrix products.  The running cost and the interval averages read the
-callbacks on both paths.
+callbacks on both paths; the callback RK4 calls them on one point a stage.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ SIMPSON_MEAN.setflags(write=False)
 LQ_MAPS_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Extremal:
     """Candidate extremal (q, p, p0, u) on the RK4 nodes of every interval.
 
@@ -214,12 +215,14 @@ def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
     return t0 + h * np.arange(SUBSTEPS + 1), nodes
 
 
-def _interval_mean(integrand, times, states, adjoints, p0, u):
-    """Simpson mean over one interval of ``integrand(t, q, p, p0, u)`` on its
-    nodes."""
-    vals = np.array([integrand(times[i], states[i], adjoints[i], p0, u)
-                     for i in range(len(times))])
-    return SIMPSON_MEAN @ vals
+def _node_mean(integrand, times, states, adjoints, p0, u):
+    """Simpson mean of ``integrand(t, q, p, p0, u)`` over the node axis of
+    ``times`` (..., SUBSTEPS+1) in one call; ``u`` (..., m) is per interval."""
+    u = np.broadcast_to(u[..., None, :], times.shape + u.shape[-1:])
+    values = np.asarray(integrand(times, states, adjoints, p0, u), dtype=float)
+    if values.ndim == times.ndim:
+        return (SIMPSON_MEAN @ values[..., None])[..., 0]
+    return SIMPSON_MEAN @ values
 
 
 def _check_controls(problem, grid, controls, enforce_admissible):
@@ -297,30 +300,29 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
 # interval averages
 # ---------------------------------------------------------------------------
 
-def _extremal_mean(integrand, extremal: Extremal, k: int, u=None):
-    """Simpson mean over interval k of ``integrand(t, q, p, p0, u)`` on the
-    extremal's nodes, ``u`` defaulting to the interval's control."""
+def _extremal_mean(integrand, extremal: Extremal, k=None, u=None):
+    """:func:`_node_mean` on interval k of the extremal, or on every interval
+    when k is None; ``u`` defaults to the intervals' controls."""
     K = extremal.grid.n_intervals
-    if not 0 <= k < K:
+    if k is None:
+        k = slice(None)
+    elif not 0 <= k < K:
         raise IndexError(f"interval index {k} out of range [0, {K})")
-    return _interval_mean(integrand, extremal.times[k], extremal.states[k],
-                          extremal.adjoints[k], extremal.p0,
-                          extremal.controls[k] if u is None else u)
+    return _node_mean(integrand, extremal.times[k], extremal.states[k],
+                      extremal.adjoints[k], extremal.p0,
+                      extremal.controls.values[k] if u is None else u)
 
 
 def running_cost(problem: ProblemDefinition, extremal: Extremal) -> float:
     """Integral of the running cost f0 along the extremal's state arc.
 
     Each interval contributes its length times the Simpson mean of f0 at
-    the state nodes.
+    the state nodes, from one f0 call.
     """
     def f0(t, q, p, p0, u):
         return problem.f0(t, q, u)
 
-    cost = 0.0
-    for k in range(extremal.grid.n_intervals):
-        cost += extremal.grid.lengths[k] * _extremal_mean(f0, extremal, k)
-    return float(cost)
+    return float(extremal.grid.lengths @ _extremal_mean(f0, extremal))
 
 
 def average_u_gradient(problem: ProblemDefinition, extremal: Extremal,

@@ -43,7 +43,7 @@ from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
 from .simulate import (SIMPSON_MEAN, _extremal_from_arcs, _extremal_interval,
-                       _interval_mean, integrate_extremal_forward)
+                       _node_mean, integrate_extremal_forward)
 
 
 # Tolerance and iteration cap of the inner Newton on each interval's natural
@@ -92,8 +92,8 @@ def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u):
                                       np.concatenate([q_k, p_k]), u, p0)
     lq = problem.lq
     if lq is None:
-        gbar = _interval_mean(problem.hamiltonian_u, times, nodes[:, :n],
-                              nodes[:, n:], p0, u)
+        gbar = _node_mean(problem.hamiltonian_u, times, nodes[:, :n],
+                          nodes[:, n:], p0, u)
     else:
         gbar = lq.B.T @ (SIMPSON_MEAN @ nodes[:, n:]) + 2.0 * p0 * (lq.R @ u)
     return gbar, (times, nodes)
@@ -205,22 +205,14 @@ def _active_set_signature(problem, controls: ControlSequence) -> str:
     reports carry this per iteration because saturation flips are exactly
     where the piecewise-affine shooting map kinks.
     """
-    cs = problem.control_set
-    syms = []
-    for k in range(len(controls)):
-        u = controls[k]
-        if hasattr(cs, "lower"):
-            for i in range(len(u)):
-                if abs(u[i] - cs.lower[i]) <= 1e-9:
-                    syms.append("-")
-                elif abs(u[i] - cs.upper[i]) <= 1e-9:
-                    syms.append("+")
-                else:
-                    syms.append("0")
-        else:
-            on_boundary = np.linalg.norm(u - cs.center) >= cs.radius - 1e-9
-            syms.append("B" if on_boundary else "0")
-    return "".join(syms)
+    cs, u = problem.control_set, controls.values
+    if hasattr(cs, "lower"):
+        syms = np.where(np.abs(u - cs.lower) <= 1e-9, "-",
+                        np.where(np.abs(u - cs.upper) <= 1e-9, "+", "0"))
+    else:
+        syms = np.where(np.linalg.norm(u - cs.center, axis=1)
+                        >= cs.radius - 1e-9, "B", "0")
+    return "".join(syms.ravel())
 
 
 def solve(problem: ProblemDefinition, grid: SamplingGrid,

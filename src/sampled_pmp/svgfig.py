@@ -60,35 +60,28 @@ class SvgPlot:
         self._xmax = self._ymax = -math.inf
 
     def _grow(self, xs, ys):
-        for x in xs:
-            if math.isfinite(x):
-                self._xmin = min(self._xmin, x)
-                self._xmax = max(self._xmax, x)
-        for y in ys:
-            if math.isfinite(y):
-                self._ymin = min(self._ymin, y)
-                self._ymax = max(self._ymax, y)
+        xs = [x for x in xs if math.isfinite(x)]
+        ys = [y for y in ys if math.isfinite(y)]
+        self._xmin, self._xmax = min([self._xmin] + xs), max([self._xmax] + xs)
+        self._ymin, self._ymax = min([self._ymin] + ys), max([self._ymax] + ys)
+
+    def _add(self, kind, xs, ys, color):
+        xs = [float(v) for v in xs]
+        ys = [float(v) for v in ys]
+        self._grow(xs, ys)
+        self._series.append((kind, xs, ys, color))
 
     def add_line(self, xs, ys, color: str = "red"):
-        xs = [float(v) for v in xs]
-        ys = [float(v) for v in ys]
-        self._grow(xs, ys)
-        self._series.append(("line", xs, ys, color))
+        self._add("line", xs, ys, color)
 
     def add_crosses(self, xs, ys, color: str = "blue"):
-        xs = [float(v) for v in xs]
-        ys = [float(v) for v in ys]
-        self._grow(xs, ys)
-        self._series.append(("cross", xs, ys, color))
+        self._add("cross", xs, ys, color)
 
     def add_steps(self, edges, values, color: str = "blue"):
         """Zero-order hold: values[k] held on [edges[k], edges[k+1])."""
-        edges = [float(v) for v in edges]
-        values = [float(v) for v in values]
         if len(edges) != len(values) + 1:
             raise ValueError("steps need len(edges) == len(values) + 1")
-        self._grow(edges, values)
-        self._series.append(("steps", edges, values, color))
+        self._add("steps", edges, values, color)
 
     def _scales(self):
         xmin, xmax = self._xmin, self._xmax

@@ -7,6 +7,7 @@ import pytest
 
 import sampled_pmp as sp
 from sampled_pmp.parking import parking_problem, solve_parking
+from sampled_pmp.simulate import SIMPSON_MEAN
 
 PARKING = parking_problem(2.0, 4.0)
 Q0 = np.array([2.0, 0.0])
@@ -218,6 +219,84 @@ def test_certificate_average_hamiltonian_grid_search():
                          for y in ys])
         at_u = sp.average_hamiltonian(prob, ext, k, ext.controls[k])
         assert at_u >= np.max(vals) - 1e-10
+
+
+def _per_node_mean(integrand, ext, k):
+    """Simpson mean over interval k with one integrand call per node: the
+    evaluation that one call on the stacked nodes replaced, kept as its
+    reference."""
+    vals = np.array([integrand(t, q, p, ext.p0, ext.controls[k])
+                     for t, q, p in zip(ext.times[k], ext.states[k],
+                                        ext.adjoints[k])])
+    return SIMPSON_MEAN @ vals
+
+
+def _solved_parking(T):
+    ext, _, _ = solve_parking(2.0, 3.0, T)
+    return parking_problem(2.0, 3.0), ext
+
+
+def _random_planar_ball():
+    # n = 4, m = 2, controls in the unit disc off the optimum
+    A = np.zeros((4, 4))
+    A[0, 2] = A[1, 3] = 1.0
+    B = np.zeros((4, 2))
+    B[2, 0] = B[3, 1] = 1.0
+    prob = sp.lti_problem(
+        A, B, control_set=sp.Ball(center=np.zeros(2), radius=1.0),
+        terminal=sp.FixedEndpoints(q0=np.zeros(4), qf=np.zeros(4)),
+        final_time=sp.FixedTime(3.0))
+    rng = np.random.default_rng(16)
+    grid = sp.build_grid(3.0, 0.375)
+    angles = rng.uniform(0.0, 2 * np.pi, size=grid.n_intervals)
+    ctrl = 0.9 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return prob, sp.integrate_extremal_forward(
+        prob, grid, ctrl, rng.normal(size=4), rng.normal(size=4), -1.0)
+
+
+def _random_weighted_lti():
+    # Q != 0 couples the adjoint to the state; p0 = -0.5 exercises scaling
+    prob = sp.lti_problem(
+        np.array([[0.0, 1.0], [-1.0, -0.3]]), np.array([[0.0], [1.0]]),
+        Q=np.array([[0.7, 0.2], [0.2, 0.4]]), R=np.array([[1.5]]),
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.FixedEndpoints(q0=np.array([1.0, 0.0]), qf=np.zeros(2)),
+        final_time=sp.FixedTime(2.9))
+    rng = np.random.default_rng(17)
+    grid = sp.build_grid(2.9, 0.4)
+    ctrl = rng.uniform(-1.0, 1.0, size=(grid.n_intervals, 1))
+    return prob, sp.integrate_extremal_forward(
+        prob, grid, ctrl, rng.normal(size=2), rng.normal(size=2), -0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _solved_parking(0.7), lambda: _solved_parking(0.01),
+    _random_planar_ball, _random_weighted_lti,
+], ids=["parking-partial", "parking-K300", "planar-ball", "weighted-lti"])
+def test_stacked_evaluation_matches_per_node_reference(build):
+    # one callback call per extremal gives the certificate's residuals and
+    # the running cost of one call per node, up to rounding
+    prob, ext = build()
+    K = ext.grid.n_intervals
+    raw = np.array([prob.control_set.support_gap(
+        _per_node_mean(prob.hamiltonian_u, ext, k), ext.controls[k])
+        for k in range(K)])
+    cert = sp.check_certificate(prob, ext)
+    np.testing.assert_allclose(cert.raw_interval_residuals, raw,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(cert.interval_residuals, raw / -ext.p0,
+                               rtol=0, atol=1e-15)
+    for k in range(K):
+        assert sp.interval_residual(prob, ext, k) == pytest.approx(
+            raw[k], rel=0, abs=1e-15)
+
+    def f0(t, q, p, p0, u):
+        return prob.f0(t, q, u)
+
+    cost = 0.0
+    for k in range(K):
+        cost += ext.grid.lengths[k] * _per_node_mean(f0, ext, k)
+    assert sp.running_cost(prob, ext) == pytest.approx(cost, rel=1e-14)
 
 
 def test_certificate_json_export(tmp_path):

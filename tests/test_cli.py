@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sampled_pmp import parking
+from sampled_pmp import ProblemDefinition, parking
 from sampled_pmp.cli import main
 
 
@@ -79,6 +79,24 @@ def test_solve_parking_integrates_once(tmp_path, interval_integrations,
     assert len(rows) == 30
     assert interval_integrations() == 30
     assert parking_f0_calls() == 0
+
+
+def test_solve_parking_certifies_in_one_gradient_call(tmp_path, monkeypatch):
+    # the certificate evaluates dH/du on all 30 x 17 nodes in one call, not
+    # one call per node (510)
+    calls = 0
+    gradient = ProblemDefinition.hamiltonian_u
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gradient(*args)
+
+    monkeypatch.setattr(ProblemDefinition, "hamiltonian_u", counted)
+    rc = main(["solve", "--problem", "parking", "--M", "2", "--tf", "3",
+               "--T", "0.1", "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert calls == 1
 
 
 def test_solve_exit_codes(tmp_path):

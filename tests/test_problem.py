@@ -2,12 +2,21 @@
 
 import dataclasses
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sampled_pmp as sp
+from sampled_pmp import parking as pk
 from sampled_pmp.parking import parking_problem
+from test_simulate import _blowup_problem
+from test_solver import _scalar_transfer
+
+# the demo's hand-written problem, without running the demo
+DEMO_05 = runpy.run_path(str(Path(__file__).resolve().parents[1] / "demos"
+                             / "05_generic_shooting.py"))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +296,72 @@ def test_builtin_jacobians_match_finite_differences(prob):
     sp.validate_jacobians(prob, np.random.default_rng(4))
 
 
+def _planar_ball():
+    A = np.zeros((4, 4))
+    A[0, 2] = A[1, 3] = 1.0
+    B = np.zeros((4, 2))
+    B[2, 0] = B[3, 1] = 1.0
+    return sp.lti_problem(
+        A, B, control_set=sp.Ball(center=np.zeros(2), radius=1.0),
+        terminal=sp.FixedEndpoints(q0=np.array([1.6, 1.2, 0.0, 0.0]),
+                                   qf=np.zeros(4)),
+        final_time=sp.FixedTime(3.0), name="planar")
+
+
+@pytest.mark.parametrize("prob", [
+    parking_problem(2.0, 3.0), _planar_ball(), _scalar_transfer(1.3),
+    _blowup_problem(), DEMO_05["transfer_problem"](),
+], ids=["parking", "planar-ball", "scalar-transfer", "blow-up",
+        "demo-transfer"])
+def test_validate_jacobians_accepts_broadcasting_callbacks(prob):
+    sp.validate_jacobians(prob, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("field, callback, message", [
+    # written for one point: on stacked points it returns the first one's
+    ("f0_u", lambda t, q, u: np.array([2.0 * u[0]]), "shape"),
+    # reverses the point axis where it meant the component axis
+    ("f", lambda t, q, u: u[::-1].copy(), "per-point calls"),
+], ids=["first-point-only", "reversed-points"])
+def test_validate_jacobians_rejects_per_point_callbacks(field, callback,
+                                                        message):
+    # each agrees with its derivatives point by point, so only the stacked
+    # call tells it apart
+    prob = dataclasses.replace(_scalar_transfer(1.3), **{field: callback})
+    with pytest.raises(AssertionError,
+                       match=f"{field} on stacked points.*{message}"):
+        sp.validate_jacobians(prob, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("prob", [*_builtin_problems(), _planar_ball()],
+                         ids=["parking", "parking-weighted", "lti",
+                              "planar-ball"])
+def test_stacked_hamiltonian_matches_each_point(prob):
+    # H, its gradients and the control-set tests on (3, 4) points agree with
+    # one call per point, which returns the per-point types
+    rng = np.random.default_rng(8)
+    t = rng.uniform(0, 5, (3, 4))
+    q, p = rng.standard_normal((2, 3, 4, prob.n))
+    u = 1.2 * rng.standard_normal((3, 4, prob.m))
+    cs = prob.control_set
+    stacked = [prob.hamiltonian(t, q, p, -1.0, u),
+               prob.hamiltonian_q(t, q, p, -1.0, u),
+               prob.hamiltonian_u(t, q, p, -1.0, u),
+               cs.support_gap(p[..., :prob.m], u), cs.contains(u)]
+    for i in np.ndindex(t.shape):
+        one = [prob.hamiltonian(t[i], q[i], p[i], -1.0, u[i]),
+               prob.hamiltonian_q(t[i], q[i], p[i], -1.0, u[i]),
+               prob.hamiltonian_u(t[i], q[i], p[i], -1.0, u[i]),
+               cs.support_gap(p[i][:prob.m], u[i]), cs.contains(u[i])]
+        assert [type(x) for x in one] == [float, np.ndarray, np.ndarray,
+                                          float, bool]
+        for got, want in zip(stacked, one):
+            np.testing.assert_allclose(got[i], want, rtol=1e-14, atol=1e-15)
+    with pytest.raises(ValueError,
+                       match=rf"u must have shape \(\.\.\., {prob.m}\)"):
+        prob.hamiltonian_u(t, q, p, -1.0, np.zeros((3, 4, prob.m + 1)))
+
+
 @pytest.mark.parametrize("prob", _builtin_problems(),
                          ids=["parking", "parking-weighted", "lti"])
 def test_hamiltonian_gradients_match_finite_differences(prob):
@@ -318,6 +393,35 @@ def test_control_sequence_admissibility():
     assert ok.all_admissible(box)
     assert not bad.all_admissible(box)
     assert len(ok) == 2 and ok.m == 1
+
+
+def _records_holding_arrays():
+    extremal, _, cert = pk.solve_parking(2.0, 4.0, 1.0)
+    return {
+        "Extremal": lambda: extremal,
+        "Certificate": lambda: cert,
+        "SamplingGrid": lambda: sp.build_grid(4.0, 1.0),
+        "ControlSequence": lambda: sp.ControlSequence(np.zeros((3, 1))),
+        "Box": lambda: sp.Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+        "Ball": lambda: sp.Ball(center=np.zeros(2), radius=1.0),
+        "FixedEndpoints": lambda: sp.FixedEndpoints(q0=[1.0, 0.0],
+                                                    qf=[0.0, 0.0]),
+        "FixedInitialFreeFinal": lambda: sp.FixedInitialFreeFinal(
+            q0=[1.0, 0.0]),
+        "SweepRow": lambda: dataclasses.replace(pk.sweep_row(2.0, 4.0, 1.0)),
+        "ProblemDefinition": lambda: parking_problem(2.0, 4.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records_holding_arrays()))
+def test_records_holding_arrays_compare_by_identity(name):
+    # value equality would ask numpy for the truth of an array
+    make = _records_holding_arrays()[name]
+    a = make()
+    b = dataclasses.replace(a)
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
 
 
 def test_initial_state_by_variant():

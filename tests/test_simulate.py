@@ -60,21 +60,24 @@ def test_interval_argument_validation():
                                       np.array([0.0]))
 
 
-def test_blowup_raises_structured_error():
-    def f(t, q, u):
-        return np.array([40.0 * q[0]])
-
-    prob = sp.ProblemDefinition(
-        n=1, m=1, f=f, f_q=lambda t, q, u: np.array([[40.0]]),
+def _blowup_problem():
+    """dq/dt = 40 q at zero cost, with broadcasting callbacks."""
+    return sp.ProblemDefinition(
+        n=1, m=1, f=lambda t, q, u: 40.0 * q,
+        f_q=lambda t, q, u: np.array([[40.0]]),
         f_u=lambda t, q, u: np.array([[0.0]]),
-        f0=lambda t, q, u: 0.0, f0_q=lambda t, q, u: np.zeros(1),
-        f0_u=lambda t, q, u: np.zeros(1),
+        f0=lambda t, q, u: np.zeros(q.shape[:-1]),
+        f0_q=lambda t, q, u: np.zeros_like(q),
+        f0_u=lambda t, q, u: np.zeros_like(u),
         control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
         terminal=sp.FixedEndpoints(q0=np.ones(1), qf=np.zeros(1)),
         final_time=sp.FixedTime(1.0))
+
+
+def test_blowup_raises_structured_error():
     with pytest.raises(sp.IntegrationBlowUp) as exc:
-        sp.simulate(prob, sp.build_grid(1.0, 1.0), np.zeros((1, 1)),
-                    np.array([1.0]))
+        sp.simulate(_blowup_problem(), sp.build_grid(1.0, 1.0),
+                    np.zeros((1, 1)), np.array([1.0]))
     assert 0.0 < exc.value.time <= 1.0
 
 

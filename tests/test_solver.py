@@ -19,17 +19,18 @@ P_STAR = np.array([-1.0, -2.0])
 
 
 def _scalar_transfer(tf_guess):
-    """dq/dt = u, cost u^2 + 1, q: 0 -> 1, free final time (optimum t_f = 1)."""
-    def f(t, q, u):
-        return np.array([u[0]])
+    """dq/dt = u, cost u^2 + 1, q: 0 -> 1, free final time (optimum t_f = 1).
 
+    The callbacks broadcast over stacked points, as the problem contract
+    asks; the Jacobians are constant and returned unbroadcast.
+    """
     return sp.ProblemDefinition(
-        n=1, m=1, f=f,
+        n=1, m=1, f=lambda t, q, u: u.copy(),
         f_q=lambda t, q, u: np.array([[0.0]]),
         f_u=lambda t, q, u: np.array([[1.0]]),
-        f0=lambda t, q, u: float(u[0] ** 2 + 1.0),
-        f0_q=lambda t, q, u: np.zeros(1),
-        f0_u=lambda t, q, u: np.array([2.0 * u[0]]),
+        f0=lambda t, q, u: u[..., 0] ** 2 + 1.0,
+        f0_q=lambda t, q, u: np.zeros_like(q),
+        f0_u=lambda t, q, u: 2.0 * u,
         control_set=sp.Box(lower=np.array([-5.0]), upper=np.array([5.0])),
         terminal=sp.FixedEndpoints(q0=np.zeros(1), qf=np.ones(1)),
         final_time=sp.FreeTime(tf_guess), name="transfer")
