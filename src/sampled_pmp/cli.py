@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -30,11 +29,11 @@ from . import parking
 from .certificate import Certificate, check_certificate
 from .errors import (Infeasible, IntegrationBlowUp, NonConvergence,
                      UnsupportedCase)
-from .problem import FixedTime, FreeTime, build_grid
+from .problem import build_grid
 from .simulate import Extremal, integrate_extremal_forward
 from .solver import solve
 from .specfile import (LoadedSpec, SpecError, _number, _vector,
-                       load_problem_spec)
+                       parse_problem_spec, read_spec_file)
 from .svgfig import SvgPlot
 
 EXIT_OK = 0
@@ -145,37 +144,24 @@ def console_main() -> None:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _resolve_problem(args, need_T: bool = True) -> LoadedSpec:
-    """Problem from --problem/--spec with flag overrides for M, tf, T."""
-    if (args.problem is None) == (getattr(args, "spec", None) is None):
+def _resolve_problem(args) -> LoadedSpec:
+    """--problem or --spec, parsed once --M, --tf and --T set its fields."""
+    if (args.problem is None) == (args.spec is None):
         raise ValueError("exactly one of --problem or --spec is required")
     if args.problem is not None:
-        if args.problem != "parking":
-            raise ValueError(f"unknown builtin problem {args.problem!r}")
         if args.M is None or args.tf is None:
             raise ValueError("--problem parking needs --M and --tf")
-        T = getattr(args, "T", None)
-        if need_T and T is None:
-            raise ValueError("--problem parking needs --T")
-        return LoadedSpec(problem=parking.parking_problem(args.M, args.tf),
-                          t_f=args.tf, T=T if T is not None else float("nan"),
-                          builtin="parking", params={"M": args.M})
-    loaded = load_problem_spec(args.spec)
-    tf = args.tf if args.tf is not None else loaded.t_f
-    T = getattr(args, "T", None)
-    T = T if T is not None else loaded.T
-    problem, params = loaded.problem, loaded.params
-    if loaded.builtin == "parking":
-        params = {"M": args.M if args.M is not None else params["M"]}
-        problem = parking.parking_problem(params["M"], tf)
-    elif args.M is not None:
-        raise ValueError("--M applies to the builtin parking problem only")
-    elif tf != loaded.t_f:
-        mode = (FreeTime(tf) if isinstance(problem.final_time, FreeTime)
-                else FixedTime(tf))
-        problem = dataclasses.replace(problem, final_time=mode)
-    return LoadedSpec(problem=problem, t_f=tf, T=T, builtin=loaded.builtin,
-                      params=params)
+        data = {"problem": args.problem}
+    else:
+        data = read_spec_file(args.spec)
+        if args.M is not None and "problem" not in data:
+            raise ValueError("--M applies to the builtin parking problem only")
+    flags = {"M": args.M, "tf": args.tf, "T": getattr(args, "T", None)}
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    if "T" not in data and hasattr(args, "T"):  # sweep reads --T-list instead
+        raise ValueError("--problem parking needs --T" if args.problem else
+                         f"{args.spec} has no field 'T'; pass --T")
+    return parse_problem_spec(data)
 
 
 def _sha256(path) -> str:
@@ -334,14 +320,11 @@ def cmd_solve(args) -> int:
     write_trajectory_csv(extremal, out_dir / "trajectory.csv")
     write_certificate_json(cert, out_dir / "certificate.json")
 
-    inputs = {}
-    if args.spec:
-        inputs[str(args.spec)] = _sha256(args.spec)
     _write_manifest(out_dir, {
         "command": "solve",
         "problem": {"builtin": loaded.builtin, "name": loaded.problem.name,
                     "tf": loaded.t_f, "T": loaded.T, **loaded.params},
-        "inputs": inputs,
+        "inputs": {str(args.spec): _sha256(args.spec)} if args.spec else {},
         "unknowns": unknowns,
         "iterations": stats.get("iterations"),
         "residual_norm": stats.get("residual_norm"),
@@ -394,7 +377,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    loaded = _resolve_problem(args, need_T=False)
+    loaded = _resolve_problem(args)
     if loaded.builtin != "parking":
         raise ValueError("sweep compares against the permanent parking "
                          "optimum and requires the parking problem")

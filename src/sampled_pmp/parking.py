@@ -46,6 +46,9 @@ from . import solver as _solver
 # problem factory
 # ---------------------------------------------------------------------------
 
+DOUBLE_INTEGRATOR = ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])  # (A, B)
+
+
 def parking_problem(M: float, t_f: float, terminal: str = "fixed_endpoints",
                     position_weight: float = 0.0,
                     free_time_guess: Optional[float] = None) -> ProblemDefinition:
@@ -74,9 +77,8 @@ def parking_problem(M: float, t_f: float, terminal: str = "fixed_endpoints",
         mode = FixedTime(t_f)
 
     return lti_problem(
-        [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
-        [[float(position_weight), 0.0], [0.0, 0.0]], [[1.0]],
-        control_set=Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        *DOUBLE_INTEGRATOR, [[float(position_weight), 0.0], [0.0, 0.0]],
+        [[1.0]], control_set=Box(lower=np.array([-1.0]), upper=np.array([1.0])),
         terminal=term, final_time=mode, name="parking")
 
 

@@ -187,7 +187,11 @@ class Ball:
         return _item(np.sqrt(_dot(d, d)) <= self.radius + MEMBERSHIP_TOL)
 
     def project(self, u: np.ndarray) -> np.ndarray:
+        """Euclidean projection of each point of (..., m): radial scaling."""
         u = np.asarray(u, dtype=float)
+        if u.ndim > 1:
+            # point by point: an inner-solve step's one point pays no overhead
+            return np.array([self.project(x) for x in u]).reshape(u.shape)
         d = u - self.center
         nd = np.linalg.norm(d)
         if nd <= self.radius:

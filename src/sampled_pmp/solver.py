@@ -25,10 +25,10 @@ multiple of the sampling period.  The backtracking line search absorbs
 both kinds.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
-interval control, the generic shooting, the two-unknown parking shooting and
-``match_terminal_adjoint`` all run on it.  The method has no options: its
-tolerances, iteration caps and line-search settings are the module constants
-below, and every interval integrates with ``simulate.SUBSTEPS`` RK4 steps.
+interval control, the generic shooting and the two-unknown parking shooting
+all run on it.  The method has no options: its tolerances, iteration caps
+and line-search settings are the module constants below, and every interval
+integrates with ``simulate.SUBSTEPS`` RK4 steps.
 """
 
 from __future__ import annotations
@@ -277,19 +277,18 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
                            p0: float) -> np.ndarray:
     """Initial adjoint p(0) whose forward arc hits ``p_end`` at t_f.
 
-    For a fixed trajectory the adjoint equation is linear in p, so the map
-    p(0) -> p(t_f) is affine and Newton from p(0) = 0 converges in one or
-    two steps.
+    For fixed controls and states the adjoint equation is linear in p, and
+    so is each RK4 step: p(t_f) = c + Phi p(0).  The arc from p(0) = 0 gives
+    c, the arc from p(0) = e_i with p0 = 0 gives column i of Phi (no two
+    nearly equal ends are subtracted), and one linear solve gives p(0).
     """
-    p_end = np.asarray(p_end, dtype=float)
+    def final_adjoint(p_start, p0):
+        return integrate_extremal_forward(problem, grid, controls, q0,
+                                          p_start, p0).final_adjoint
 
-    def terminal(p_start):
-        ext = integrate_extremal_forward(problem, grid, controls, q0, p_start,
-                                         p0)
-        return ext.final_adjoint - p_end, None
-
-    x, _ = _damped_newton(terminal, np.zeros(problem.n), 1e-12, 8)
-    return x
+    c = final_adjoint(np.zeros(problem.n), p0)
+    phi = np.column_stack([final_adjoint(e, 0.0) for e in np.eye(problem.n)])
+    return np.linalg.solve(phi, np.asarray(p_end, dtype=float) - c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,52 +1,48 @@
-"""Problem specification files (JSON).
+"""Problem specifications (JSON): every problem the CLI solves is built here.
 
-Two forms are accepted.  The builtin form names a packaged problem and its
-parameters:
+The builtin form names a packaged problem and its parameters,
+``{"problem": "parking", "M": 2.0, "tf": 4.0, "T": 2.0}``; the inline form
+spells the model out (the README lists every field):
 
-    {"problem": "parking", "M": 2.0, "tf": 4.0, "T": 2.0}
+    {"n": 2, "m": 1, "dynamics": "lti", "A": [[0, 1], [0, 0]], "B": [[0], [1]],
+     "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
+     "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
+     "tf": 4.0, "T": 2.0}
 
-The inline form spells the model out:
-
-    {
-      "n": 2, "m": 1,
-      "dynamics": "lti",
-      "A": [[0, 1], [0, 0]], "B": [[0], [1]],
-      "Q": [[0, 0], [0, 0]], "R": [[1]],
-      "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
-      "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
-      "tf": 4.0, "T": 2.0
-    }
-
-``dynamics`` is "lti" (requires A, B; Q, R optional) or a built-in dynamics
-id ("parking": double integrator with control-energy cost, n=2, m=1).
-``terminal.variant`` is one of fixed_endpoints, fixed_initial_free_final,
-periodic; ``control_set.kind`` is box or ball.  ``final_time_mode`` may be
-"free", in which case ``tf`` seeds the free-horizon search.  Unknown fields
-anywhere are rejected.
+``dynamics`` is "lti" (A, B; Q, R optional) or "parking", the lti double
+integrator with control-energy cost (n=2, m=1, no matrices).
+``terminal.variant`` is fixed_endpoints, fixed_initial_free_final or
+periodic; ``control_set.kind`` is box or ball; ``final_time_mode`` "free"
+makes ``tf`` the seed of the horizon search.  M, tf and T must be positive;
+without T a spec loads with ``T = None``, for a caller that brings its own
+periods.  Unknown fields and bad values, a constructor's own checks
+included, raise SpecError.  The CLI sets its flags ``--M``, ``--tf`` and
+``--T`` as fields of the object (``{"problem": "parking"}`` for ``--problem
+parking``) before :func:`parse_problem_spec` parses it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import parking
 from .problem import (Ball, Box, FixedEndpoints, FixedInitialFreeFinal,
                       FixedTime, FreeTime, Periodic, ProblemDefinition)
 from .problems import lti_problem
-from .parking import parking_problem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadedSpec:
-    """A parsed problem specification plus its grid parameters."""
+    """A parsed specification and its grid parameters; compares by identity."""
 
     problem: ProblemDefinition
     t_f: float
-    T: float
+    T: Optional[float]         # None when the specification gives no period
     builtin: Optional[str]     # "parking" when the parking fast path applies
     params: dict               # scalar parameters (e.g. M) for manifests
 
@@ -85,6 +81,13 @@ def _number(obj: dict, key: str, where: str) -> float:
     if not _is_number(v):
         raise SpecError(f"field '{key}' in {where} must be a number")
     return _finite(float(v), key, where)
+
+
+def _positive(obj: dict, key: str, where: str) -> float:
+    v = _number(obj, key, where)
+    if v <= 0:
+        raise SpecError(f"field '{key}' in {where} must be positive, got {v}")
+    return v
 
 
 def _vector(obj: dict, key: str, where: str) -> np.ndarray:
@@ -131,23 +134,21 @@ def _parse_terminal(obj, n: int):
         _reject_unknown(obj, {"variant", "q0", "qf"}, "terminal")
         term = FixedEndpoints(q0=_vector(obj, "q0", "terminal"),
                               qf=_vector(obj, "qf", "terminal"))
-        dims = (term.q0.size, term.qf.size)
     elif variant == "fixed_initial_free_final":
         _reject_unknown(obj, {"variant", "q0"}, "terminal")
         term = FixedInitialFreeFinal(q0=_vector(obj, "q0", "terminal"))
-        dims = (term.q0.size,)
     elif variant == "periodic":
         _reject_unknown(obj, {"variant"}, "terminal")
         return Periodic()
     else:
         raise SpecError(f"unknown terminal variant {variant!r}")
-    if any(d != n for d in dims):
+    if term.q0.size != n:         # FixedEndpoints checked qf against q0
         raise SpecError(f"terminal vectors must have length n={n}")
     return term
 
 
-def load_problem_spec(path) -> LoadedSpec:
-    """Parse a problem specification file; raises SpecError on bad content."""
+def read_spec_file(path) -> dict:
+    """A specification file's JSON object, unparsed; SpecError if none."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -159,21 +160,36 @@ def load_problem_spec(path) -> LoadedSpec:
         raise SpecError(f"{path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise SpecError(f"{path} must contain a JSON object")
-    return parse_problem_spec(data)
+    return data
+
+
+def load_problem_spec(path) -> LoadedSpec:
+    """Parse a problem specification file; raises SpecError on bad content."""
+    return parse_problem_spec(read_spec_file(path))
 
 
 def parse_problem_spec(data: dict) -> LoadedSpec:
-    if "problem" in data:
-        name = data["problem"]
-        if name == "parking":
-            _reject_unknown(data, {"problem", "M", "tf", "T"}, "builtin spec")
-            M = _number(data, "M", "builtin spec")
-            tf = _number(data, "tf", "builtin spec")
-            T = _number(data, "T", "builtin spec")
-            return LoadedSpec(problem=parking_problem(M, tf), t_f=tf, T=T,
-                              builtin="parking", params={"M": M})
-        raise SpecError(f"unknown builtin problem {name!r}")
+    """The problem a specification object names; SpecError on bad content."""
+    try:
+        return _parse_builtin(data) if "problem" in data else _parse_inline(data)
+    except ValueError as exc:         # SpecError or a constructor's own check
+        raise SpecError(str(exc)) from None
 
+
+def _parse_builtin(data: dict) -> LoadedSpec:
+    name = data["problem"]
+    if name != "parking":
+        raise SpecError(f"unknown builtin problem {name!r}")
+    _reject_unknown(data, {"problem", "M", "tf", "T"}, "builtin spec")
+    M = _positive(data, "M", "builtin spec")
+    tf = _positive(data, "tf", "builtin spec")
+    T = _positive(data, "T", "builtin spec") if "T" in data else None
+    # looked up on the module, where instrumentation may wrap it
+    return LoadedSpec(problem=parking.parking_problem(M, tf), t_f=tf, T=T,
+                      builtin="parking", params={"M": M})
+
+
+def _parse_inline(data: dict) -> LoadedSpec:
     allowed = {"n", "m", "dynamics", "A", "B", "Q", "R", "control_set",
                "terminal", "tf", "T", "final_time_mode"}
     _reject_unknown(data, allowed, "inline spec")
@@ -181,8 +197,8 @@ def parse_problem_spec(data: dict) -> LoadedSpec:
     m = _require(data, "m", "inline spec")
     if not all(type(v) is int and v >= 1 for v in (n, m)):
         raise SpecError("'n' and 'm' must be positive integers")
-    tf = _number(data, "tf", "inline spec")
-    T = _number(data, "T", "inline spec")
+    tf = _positive(data, "tf", "inline spec")
+    T = _positive(data, "T", "inline spec") if "T" in data else None
     mode = data.get("final_time_mode", "fixed")
     if mode not in ("fixed", "free"):
         raise SpecError("final_time_mode must be 'fixed' or 'free'")
@@ -199,20 +215,15 @@ def parse_problem_spec(data: dict) -> LoadedSpec:
         R = _matrix(data, "R", "inline spec") if "R" in data else None
         if A.shape != (n, n) or B.shape != (n, m):
             raise SpecError("A must be n x n and B must be n x m")
-        try:
-            problem = lti_problem(A, B, Q, R, control_set=control_set,
-                                  terminal=terminal, final_time=final_time)
-        except ValueError as exc:
-            raise SpecError(str(exc))
     elif dyn == "parking":
         if ("A" in data) or ("B" in data) or ("Q" in data) or ("R" in data):
             raise SpecError("matrix fields only apply to dynamics='lti'")
         if n != 2 or m != 1:
             raise SpecError("parking dynamics require n=2, m=1")
-        base = parking_problem(1.0, tf)
-        problem = replace(base, control_set=control_set, terminal=terminal,
-                          final_time=final_time)
+        (A, B), Q, R = parking.DOUBLE_INTEGRATOR, None, None
     else:
         raise SpecError(f"dynamics must be 'lti' or a builtin id, got {dyn!r}")
 
+    problem = lti_problem(A, B, Q, R, control_set=control_set,
+                          terminal=terminal, final_time=final_time, name=dyn)
     return LoadedSpec(problem=problem, t_f=tf, T=T, builtin=None, params={})

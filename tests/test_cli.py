@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sampled_pmp import ProblemDefinition, parking
-from sampled_pmp.cli import main
+from sampled_pmp.cli import _build_parser, _resolve_problem, main
 
 
 # the parking instance (2, 4) written out as an inline LTI spec
@@ -158,6 +158,45 @@ def test_solve_inline_spec_rejects_M_flag(tmp_path):
     spec.write_text(json.dumps(LTI_SPEC))
     assert main(["solve", "--spec", str(spec), "--M", "3",
                  "--out", str(tmp_path / "run")]) == 4
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--problem", "parking", "--tf", "4", "--T", "2"],
+     "--problem parking needs --M and --tf"),
+    (["--problem", "parking", "--M", "2", "--tf", "4"],
+     "--problem parking needs --T"),
+    (["--M", "3"], "--M applies to the builtin parking problem only"),
+], ids=["no-M", "no-T", "M-with-inline-spec"])
+def test_problem_flag_messages_name_the_flag(tmp_path, capsys, args, message):
+    spec = tmp_path / "problem.json"
+    spec.write_text(json.dumps(LTI_SPEC))
+    if "--problem" not in args:
+        args = ["--spec", str(spec), *args]
+    assert main(["solve", *args, "--out", str(tmp_path / "run")]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_flags_fill_spec_fields_before_parsing(tmp_path, capsys):
+    # a spec without T solves once --T supplies it, names T when nothing
+    # does, and sweeps without one
+    spec = tmp_path / "p.json"
+    spec.write_text(json.dumps({"problem": "parking", "M": 2, "tf": 4}))
+    assert main(["solve", "--spec", str(spec), "--out",
+                 str(tmp_path / "a")]) == 4
+    assert "has no field 'T'; pass --T" in capsys.readouterr().err
+    assert main(["solve", "--spec", str(spec), "--T", "2", "--out",
+                 str(tmp_path / "b")]) == 0
+    assert main(["sweep", "--spec", str(spec), "--T-list", "2,1", "--out",
+                 str(tmp_path / "c")]) == 0
+
+
+def test_cli_builds_parking_through_the_module_factory(parking_f_calls):
+    # instrumentation replaces parking.parking_problem on the module; the
+    # problems the CLI resolves come from it, so their f is counted
+    args = _build_parser().parse_args(["solve", *PARKING_FLAGS, "--out", "x"])
+    problem = _resolve_problem(args).problem
+    problem.f(0.0, np.zeros(2), np.zeros(1))
+    assert parking_f_calls() == 1
 
 
 @pytest.mark.parametrize("source", ["spec", "parking"])

@@ -167,6 +167,20 @@ def test_projection_idempotent_and_nonexpansive(cs):
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
+def test_ball_project_broadcasts_over_stacked_points():
+    # each stacked point projects as it does alone; the centre divides by
+    # nothing (warnings are errors here)
+    ball = sp.Ball(center=np.zeros(2), radius=1.0)
+    points = np.array([[0.5, 0.0], [3.0, 4.0], [0.0, 0.0]])
+    np.testing.assert_allclose(ball.project(points),
+                               [[0.5, 0.0], [0.6, 0.8], [0.0, 0.0]], rtol=1e-15)
+    stacked = np.random.default_rng(4).normal(scale=2.0, size=(5, 3, 2))
+    each = [[ball.project(u) for u in row] for row in stacked]
+    np.testing.assert_array_equal(ball.project(stacked), each)
+    point = sp.Ball(center=np.zeros(2), radius=0.0)
+    np.testing.assert_array_equal(point.project(np.zeros(2)), [0.0, 0.0])
+
+
 def test_support_gap_examples():
     box = sp.Box(lower=np.array([-1.0]), upper=np.array([1.0]))
     assert box.support_gap(np.array([1.0]), np.array([0.5])) == pytest.approx(0.5)
@@ -446,6 +460,14 @@ def test_load_builtin_spec(tmp_path):
     np.testing.assert_array_equal(loaded.problem.initial_state(), [2.0, 0.0])
 
 
+def test_loaded_spec_is_hashable_and_compares_by_identity(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"problem": "parking", "M": 2, "tf": 4, "T": 2}))
+    a, b = sp.load_problem_spec(path), sp.load_problem_spec(path)
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
+
+
 def test_load_inline_lti_spec(tmp_path):
     path = tmp_path / "lti.json"
     path.write_text(json.dumps({
@@ -528,5 +550,32 @@ def test_spec_rejects_non_numbers(tmp_path, change):
         "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
         "tf": 4.0, "T": 2.0, **change,
     }))
+    with pytest.raises(sp.SpecError):
+        sp.load_problem_spec(path)
+
+
+@pytest.mark.parametrize("change", [
+    {"control_set": {"kind": "box", "lower": [1], "upper": [-1]}},
+    {"control_set": {"kind": "ball", "center": [0], "radius": -1}},
+    {"tf": 0}, {"tf": -4},
+    {"terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0]}},
+    {"T": -1}, {"T": 0},
+    {"problem": "parking", "M": 2, "tf": 4, "T": -1},
+    {"problem": "parking", "M": -2, "tf": 4, "T": 2},
+    {"problem": "parking", "M": 2, "tf": 0, "T": 2},
+], ids=["box-lower-above-upper", "ball-negative-radius", "tf-zero",
+        "tf-negative", "endpoints-unequal", "T-negative", "T-zero",
+        "builtin-T-negative", "builtin-M-negative", "builtin-tf-zero"])
+def test_spec_rejects_bad_values(tmp_path, change):
+    # every bad value is a SpecError at load time, not a ValueError from a
+    # constructor or a failure later in the grid or the parking instance
+    path = tmp_path / "bad.json"
+    base = {} if "problem" in change else {
+        "n": 2, "m": 1, "dynamics": "lti", "A": [[0, 1], [0, 0]],
+        "B": [[0], [1]],
+        "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
+        "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
+        "tf": 4.0, "T": 2.0}
+    path.write_text(json.dumps({**base, **change}))
     with pytest.raises(sp.SpecError):
         sp.load_problem_spec(path)

@@ -574,3 +574,33 @@ def test_damped_newton_tests_the_iterate_after_its_last_step():
     assert stats["iterations"] == 1
     assert [e["iteration"] for e in stats["history"]] == [0, 1]
     assert stats["history"][-1]["residual_norm"] <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# terminal adjoint matching
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_match_terminal_adjoint_on_random_lq_draws(scale):
+    # LQ draws shaped like the ROADMAP's LQ corpus, controls uniform in
+    # [-1, 1]: the affine map p(0) -> p(t_f) is matched to a relative 1e-8
+    # whatever the scale of p(t_f)
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        A, B = 0.7 * rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        L = rng.standard_normal((n, n))
+        tf, K = float(rng.uniform(2, 5)), int(rng.integers(6, 20))
+        q0 = rng.standard_normal(n)
+        prob = sp.lti_problem(
+            A, B, 0.3 * L @ L.T / n,
+            control_set=sp.Box(lower=-np.ones(m), upper=np.ones(m)),
+            terminal=sp.FixedEndpoints(q0=q0, qf=np.zeros(n)),
+            final_time=sp.FixedTime(tf))
+        grid = sp.build_grid(tf, tf / K)
+        ctrl = rng.uniform(-1, 1, size=(K, m))
+        p_end = scale * rng.standard_normal(n)
+        p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, p_end, -1.0)
+        ext = integrate_extremal_forward(prob, grid, ctrl, q0, p_init, -1.0)
+        assert (np.linalg.norm(ext.final_adjoint - p_end)
+                <= 1e-8 * np.linalg.norm(p_end))
