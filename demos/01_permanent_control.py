@@ -19,10 +19,11 @@ from sampled_pmp.svgfig import SvgPlot
 
 def main():
     for (M, tf) in [(2.0, 3.0), (2.0, 4.0)]:
-        inst = pk.ParkingInstance(M=M, t_f=tf, T=1.0)
-        print(f"M={M}, t_f={tf}: {inst.regime} regime "
+        constrained = tf ** 2 < 6.0 * M
+        regime = "constrained" if constrained else "unconstrained"
+        print(f"M={M}, t_f={tf}: {regime} regime "
               f"(4M={4*M:g}, t_f^2={tf**2:g}, 6M={6*M:g})")
-        if inst.regime == "constrained":
+        if constrained:
             t1 = pk.switching_time(M, tf)
             print(f"  switching time t1 = {t1:.10f}, "
                   f"saturated on [0, {t1:.4f}] and [{tf - t1:.4f}, {tf:g}]")

@@ -1,10 +1,13 @@
 """Command-line front end: solve, check, sweep and compare.
 
+``solve`` and ``sweep`` serve each problem that :func:`parking.parking_position`
+recognizes by the closed-form parking solve; ``solve`` shoots any other.
+
 Exit codes: 0 success, 2 certificate failure, 3 solver non-convergence,
 4 bad input.  An integration that blows up is a non-convergence in
-``solve`` and a certificate failure in ``check``; a non-finite number in
-the flags, the specification, the initial adjoint or a controls file is bad
-input.
+``solve`` and a certificate failure in ``check``; a flag value that is not
+a positive finite number, and a non-finite number in the specification, the
+initial adjoint or a controls file, are bad input.
 Diagnostics go to standard error; artifacts (CSV, JSON, SVG) into the
 chosen output directory.  Every CSV artifact goes through one table writer
 and every JSON artifact through one JSON writer.  Numeric CSV cells use
@@ -52,14 +55,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a number that is neither infinite nor NaN."""
+def _positive_float(text: str) -> float:
+    """argparse type: a positive number that is neither infinite nor NaN."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, "
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, "
                                          f"got {text!r}")
     return value
 
@@ -74,11 +77,11 @@ def _build_parser() -> _Parser:
         sp.add_argument("--problem", choices=["parking"],
                         help="built-in problem name")
         sp.add_argument("--spec", type=str, help="problem specification JSON")
-        sp.add_argument("--M", type=_finite_float,
+        sp.add_argument("--M", type=_positive_float,
                         help="parking initial position")
-        sp.add_argument("--tf", type=_finite_float, help="final time")
+        sp.add_argument("--tf", type=_positive_float, help="final time")
         if with_T:
-            sp.add_argument("--T", type=_finite_float, help="sampling period")
+            sp.add_argument("--T", type=_positive_float, help="sampling period")
 
     sp = sub.add_parser("solve", description="Solve a problem and write "
                         "controls, trajectory, certificate and manifest.")
@@ -302,9 +305,10 @@ def cmd_solve(args) -> int:
 
     started = time.perf_counter()
     stats: dict = {}
-    if loaded.builtin == "parking":
+    M = parking.parking_position(loaded.problem)
+    if M is not None:
         extremal, (p1, p2f), cert = parking.solve_parking(
-            loaded.params["M"], loaded.t_f, loaded.T, stats=stats)
+            M, loaded.t_f, loaded.T, stats=stats)
         unknowns = {"p_init": extremal.initial_adjoint.tolist(),
                     "multipliers": [p1, p2f]}
     else:
@@ -320,10 +324,13 @@ def cmd_solve(args) -> int:
     write_trajectory_csv(extremal, out_dir / "trajectory.csv")
     write_certificate_json(cert, out_dir / "certificate.json")
 
+    problem = {"builtin": None, "name": loaded.problem.name,
+               "tf": loaded.t_f, "T": loaded.T}
+    if M is not None:       # what compare needs to draw the permanent optimum
+        problem.update(builtin="parking", M=M)
     _write_manifest(out_dir, {
         "command": "solve",
-        "problem": {"builtin": loaded.builtin, "name": loaded.problem.name,
-                    "tf": loaded.t_f, "T": loaded.T, **loaded.params},
+        "problem": problem,
         "inputs": {str(args.spec): _sha256(args.spec)} if args.spec else {},
         "unknowns": unknowns,
         "iterations": stats.get("iterations"),
@@ -378,18 +385,17 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     loaded = _resolve_problem(args)
-    if loaded.builtin != "parking":
+    M, t_f = parking.parking_position(loaded.problem), loaded.t_f
+    if M is None:
         raise ValueError("sweep compares against the permanent parking "
-                         "optimum and requires the parking problem")
-    M, t_f = loaded.params["M"], loaded.t_f
+                         "optimum and requires a parking problem")
     tokens = [tok.strip() for tok in args.T_list.split(",") if tok.strip()]
     if not tokens:
         raise ValueError("--T-list must contain at least one period")
     try:
-        periods = [_finite_float(tok) for tok in tokens]
-    except argparse.ArgumentTypeError:
-        raise ValueError(f"--T-list must be comma-separated finite numbers, "
-                         f"got {args.T_list!r}")
+        periods = [_positive_float(tok) for tok in tokens]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--T-list: {exc}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -18,12 +18,10 @@ class NonConvergence(RuntimeError):
     history (dicts with at least ``iteration`` and ``residual_norm``).
     """
 
-    def __init__(self, message, iterate=None, residual_norm=None, history=None,
-                 interval=None):
+    def __init__(self, message, iterate=None, residual_norm=None, history=None):
         self.iterate = iterate
         self.residual_norm = residual_norm
         self.history = history if history is not None else []
-        self.interval = interval
         super().__init__(message)
 
 

@@ -19,9 +19,8 @@ only changes its midpoint coefficient t_f - t_k - Delta_k/2.
 
 This module also carries an independent brute-force oracle: the sampled
 problem is a convex QP in the K control values, solved by active-set
-enumeration (box active, K <= 12) or weighted least-norm normal equations
-(box inactive).  Its matrices come from the same grid, so it checks the
-shooting solver on every grid, a partial last interval included.
+enumeration (K <= 12).  Its matrices come from the same grid, so it checks
+the shooting solver on every grid, a partial last interval included.
 """
 
 from __future__ import annotations
@@ -82,27 +81,31 @@ def parking_problem(M: float, t_f: float, terminal: str = "fixed_endpoints",
         terminal=term, final_time=mode, name="parking")
 
 
-@dataclass(frozen=True)
-class ParkingInstance:
-    """Initial position M > 0, horizon t_f, sampling period T."""
+def parking_position(problem: ProblemDefinition) -> Optional[float]:
+    """M when ``problem`` is exactly what ``parking_problem(M, t_f)`` builds,
+    None otherwise.
 
-    M: float
-    t_f: float
-    T: float
-
-    def __post_init__(self):
-        if not 0 < self.M < math.inf:
-            raise ValueError(f"initial position must be positive and finite, "
-                             f"got {self.M}")
-        if self.T <= 0:
-            raise ValueError(f"sampling period must be positive, got {self.T}")
-        if self.t_f <= 0:
-            raise ValueError(f"final time must be positive, got {self.t_f}")
-        _require_existence(self.M, self.t_f)
-
-    @property
-    def regime(self) -> str:
-        return "constrained" if self.t_f ** 2 < 6.0 * self.M else "unconstrained"
+    Exactly means: ``lq`` holds parking's A and B with Q = 0 and R = [[1]],
+    the control set is Box(-1, 1), the endpoints are fixed at q0 = (M, 0)
+    with M > 0 and qf = 0, and the final time is fixed.  Each test is an
+    exact equality.  This is the one place that decides whether the
+    closed-form :func:`solve_parking` serves a problem.
+    """
+    lq, box, term = problem.lq, problem.control_set, problem.terminal
+    if not (lq is not None and isinstance(box, Box)
+            and isinstance(term, FixedEndpoints)
+            and isinstance(problem.final_time, FixedTime)):
+        return None
+    A, B = DOUBLE_INTEGRATOR
+    if not (np.array_equal(lq.A, A) and np.array_equal(lq.B, B)
+            and np.array_equal(lq.Q, np.zeros((2, 2)))
+            and np.array_equal(lq.R, [[1.0]])
+            and np.array_equal(box.lower, [-1.0])
+            and np.array_equal(box.upper, [1.0])
+            and np.array_equal(term.qf, np.zeros(2))
+            and term.q0[0] > 0 and term.q0[1] == 0):
+        return None
+    return float(term.q0[0])
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +113,11 @@ class ParkingInstance:
 # ---------------------------------------------------------------------------
 
 def _require_existence(M: float, t_f: float) -> None:
-    """The one existence rule: the car can park only if t_f^2 > 4M."""
+    """The one existence rule: the car, at a positive and finite M, can park
+    only if t_f^2 > 4M."""
+    if not 0 < M < math.inf:
+        raise ValueError(f"initial position must be positive and finite, "
+                         f"got {M}")
     if t_f ** 2 <= 4.0 * M:
         raise ValueError(f"existence needs t_f^2 > 4M (got t_f^2={t_f**2:.6g}, "
                          f"4M={4*M:.6g})")
@@ -215,7 +222,7 @@ def solve_parking(M: float, t_f: float, T: float,
     and certified.  An unreachable target (one interval, say) raises
     NonConvergence before anything is integrated.
     """
-    ParkingInstance(M=M, t_f=t_f, T=T)
+    _require_existence(M, t_f)
     grid = build_grid(t_f, T)
     problem = parking_problem(M, t_f)
 
@@ -241,15 +248,14 @@ def solve_parking(M: float, t_f: float, T: float,
 MAX_ENUMERATION_K = 12
 
 
-def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequence:
+def qp_oracle(M: float, t_f: float, T: float) -> ControlSequence:
     """Global optimum of the discretized problem, independent of the solver.
 
-    Minimizes sum Delta_k u_k^2 under the two linear terminal constraints,
-    on any grid (a partial last interval included).
-    With ``box`` active every pattern in {lower, free, upper}^K is tried:
-    the free components solve the bordered KKT system of the pattern, and
-    the cheapest feasible candidate wins (K <= 12).  ``box=None`` solves the
-    weighted least-norm problem by 2x2 normal equations for any K.
+    Minimizes sum Delta_k u_k^2 under the two linear terminal constraints and
+    |u_k| <= 1, on any grid (a partial last interval included).  Every
+    pattern in {-1, free, +1}^K is tried: the free components solve the
+    bordered KKT system of the pattern, and the cheapest feasible candidate
+    wins (K <= 12).
     """
     if T <= 0 or t_f <= 0 or M <= 0:
         raise ValueError("qp_oracle needs positive M, t_f, T")
@@ -260,13 +266,6 @@ def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequenc
     A = np.vstack([d, d * c])          # q2(t_f) and q1(t_f) - M rows
     b = np.array([0.0, -M])
 
-    if box is None:
-        G = A @ np.diag(1.0 / d) @ A.T
-        mu = np.linalg.solve(G, b)
-        u = mu[0] + mu[1] * c
-        return ControlSequence(u[:, None])
-
-    lo, hi = float(box[0]), float(box[1])
     if M > t_f ** 2 / 4.0:
         raise Infeasible(
             f"target unreachable: M={M:.6g} exceeds t_f^2/4={t_f**2/4:.6g} "
@@ -280,7 +279,7 @@ def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequenc
     # every remaining pattern is provably worse (free entries only add cost)
     patterns = np.stack(np.meshgrid(*([np.array([-1, 0, 1], dtype=np.int8)] * K),
                                     indexing="ij")).reshape(K, -1).T
-    sunk = (patterns < 0) @ (d * lo * lo) + (patterns > 0) @ (d * hi * hi)
+    sunk = (patterns != 0) @ d         # a saturated u_k = +-1 costs Delta_k
     order = np.argsort(sunk, kind="stable")
 
     best_cost = np.inf
@@ -291,7 +290,7 @@ def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequenc
             break
         pattern = patterns[idx]
         fixed = pattern != 0
-        u = np.where(pattern < 0, lo, np.where(pattern > 0, hi, 0.0))
+        u = pattern.astype(float)
         b_eff = b - A[:, fixed] @ u[fixed]
         free_idx = np.nonzero(~fixed)[0]
         nf = len(free_idx)
@@ -310,7 +309,7 @@ def qp_oracle(M: float, t_f: float, T: float, box=(-1.0, 1.0)) -> ControlSequenc
             uf = sol[:nf]
             if np.linalg.norm(Af @ uf - b_eff) > feas_tol:
                 continue
-            if np.any(uf < lo - 1e-12) or np.any(uf > hi + 1e-12):
+            if np.any(np.abs(uf) > 1.0 + 1e-12):
                 continue
             u[free_idx] = uf
         cost = float(np.sum(d * u * u))

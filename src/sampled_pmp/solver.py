@@ -159,12 +159,8 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     us, arcs = [], []
     for k in range(grid.n_intervals):
         t_k, delta = float(grid.times[k]), float(grid.lengths[k])
-        try:
-            u_k, arc = solve_interval_control(problem, t_k, delta, z[:n],
-                                              z[n:], p0, u_prev)
-        except NonConvergence as exc:
-            exc.interval = k
-            raise
+        u_k, arc = solve_interval_control(problem, t_k, delta, z[:n], z[n:],
+                                          p0, u_prev)
         arcs.append(arc)
         us.append(u_k)
         z = arcs[-1][1][-1]

@@ -18,7 +18,10 @@ without T a spec loads with ``T = None``, for a caller that brings its own
 periods.  Unknown fields and bad values, a constructor's own checks
 included, raise SpecError.  The CLI sets its flags ``--M``, ``--tf`` and
 ``--T`` as fields of the object (``{"problem": "parking"}`` for ``--problem
-parking``) before :func:`parse_problem_spec` parses it.
+parking``) before :func:`parse_problem_spec` parses it.  Both forms give
+the same :class:`LoadedSpec` of problem, t_f and T; the form is not kept,
+and the CLI asks :func:`~sampled_pmp.parking.parking_position` of the parsed
+problem whether the closed-form parking solve serves it.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ class LoadedSpec:
     problem: ProblemDefinition
     t_f: float
     T: Optional[float]         # None when the specification gives no period
-    builtin: Optional[str]     # "parking" when the parking fast path applies
-    params: dict               # scalar parameters (e.g. M) for manifests
 
 
 class SpecError(ValueError):
@@ -185,8 +186,7 @@ def _parse_builtin(data: dict) -> LoadedSpec:
     tf = _positive(data, "tf", "builtin spec")
     T = _positive(data, "T", "builtin spec") if "T" in data else None
     # looked up on the module, where instrumentation may wrap it
-    return LoadedSpec(problem=parking.parking_problem(M, tf), t_f=tf, T=T,
-                      builtin="parking", params={"M": M})
+    return LoadedSpec(problem=parking.parking_problem(M, tf), t_f=tf, T=T)
 
 
 def _parse_inline(data: dict) -> LoadedSpec:
@@ -226,4 +226,4 @@ def _parse_inline(data: dict) -> LoadedSpec:
 
     problem = lti_problem(A, B, Q, R, control_set=control_set,
                           terminal=terminal, final_time=final_time, name=dyn)
-    return LoadedSpec(problem=problem, t_f=tf, T=T, builtin=None, params={})
+    return LoadedSpec(problem=problem, t_f=tf, T=T)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from sampled_pmp.cli import _build_parser, _resolve_problem, main
 
 
 # the parking instance (2, 4) written out as an inline LTI spec
-LTI_SPEC = {
+PARKING_SPEC = {
     "n": 2, "m": 1, "dynamics": "lti",
     "A": [[0, 1], [0, 0]], "B": [[0], [1]],
     "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
@@ -24,14 +25,28 @@ LTI_SPEC = {
     "tf": 4.0, "T": 2.0,
 }
 
+# the same instance with the box doubled: not parking, so generic shooting
+# solves it (to the same controls, since the optimum stays inside the box)
+GENERIC_SPEC = {
+    **PARKING_SPEC,
+    "control_set": {"kind": "box", "lower": [-2], "upper": [2]},
+}
+
 # dq/dt = 40 q from q(0) = 1 leaves the integrator's trust region at t = 0.72
 BLOWUP_SPEC = {
-    **LTI_SPEC, "n": 1, "A": [[40]], "B": [[1]],
+    **PARKING_SPEC, "n": 1, "A": [[40]], "B": [[1]],
     "terminal": {"variant": "fixed_endpoints", "q0": [1], "qf": [0]},
     "tf": 1.0, "T": 0.5,
 }
 
 PARKING_FLAGS = ["--problem", "parking", "--M", "2", "--tf", "4", "--T", "2"]
+
+
+def _readme_inline_spec():
+    """The inline specification that README.md shows, as a dict."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.DOTALL)
+    return next(json.loads(b) for b in blocks if '"dynamics"' in b)
 
 
 def _read_csv(path):
@@ -126,12 +141,13 @@ def test_solve_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_solve_from_spec_file(tmp_path):
+def test_solve_from_spec_file(tmp_path, residual_evals):
     spec = tmp_path / "problem.json"
-    spec.write_text(json.dumps(LTI_SPEC))
+    spec.write_text(json.dumps(GENERIC_SPEC))
     out = tmp_path / "run"
     rc = main(["solve", "--spec", str(spec), "--out", str(out)])
     assert rc == 0
+    assert residual_evals() > 0
     _, rows = _read_csv(out / "controls.csv")
     assert float(rows[0][3]) == pytest.approx(-0.5, abs=1e-6)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -155,7 +171,7 @@ def test_solve_builtin_spec_takes_M_flag(tmp_path):
 
 def test_solve_inline_spec_rejects_M_flag(tmp_path):
     spec = tmp_path / "problem.json"
-    spec.write_text(json.dumps(LTI_SPEC))
+    spec.write_text(json.dumps(PARKING_SPEC))
     assert main(["solve", "--spec", str(spec), "--M", "3",
                  "--out", str(tmp_path / "run")]) == 4
 
@@ -169,7 +185,7 @@ def test_solve_inline_spec_rejects_M_flag(tmp_path):
 ], ids=["no-M", "no-T", "M-with-inline-spec"])
 def test_problem_flag_messages_name_the_flag(tmp_path, capsys, args, message):
     spec = tmp_path / "problem.json"
-    spec.write_text(json.dumps(LTI_SPEC))
+    spec.write_text(json.dumps(PARKING_SPEC))
     if "--problem" not in args:
         args = ["--spec", str(spec), *args]
     assert main(["solve", *args, "--out", str(tmp_path / "run")]) == 4
@@ -202,19 +218,20 @@ def test_cli_builds_parking_through_the_module_factory(parking_f_calls):
 @pytest.mark.parametrize("source", ["spec", "parking"])
 def test_solve_writes_failing_certificate_and_exits_2(tmp_path, capsys,
                                                       failing_certificate,
-                                                      source):
+                                                      residual_evals, source):
     # both solve paths return their verdict; neither raises on a failure
     from sampled_pmp import solver
     if source == "spec":
         failing_certificate(solver)
         spec = tmp_path / "problem.json"
-        spec.write_text(json.dumps(LTI_SPEC))
+        spec.write_text(json.dumps(GENERIC_SPEC))
         flags = ["--spec", str(spec)]
     else:
         failing_certificate(parking)
         flags = PARKING_FLAGS
     out = tmp_path / "run"
     assert main(["solve", *flags, "--out", str(out)]) == 2
+    assert (residual_evals() > 0) == (source == "spec")
     assert "forced failure" in capsys.readouterr().err
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "fail"
@@ -223,12 +240,81 @@ def test_solve_writes_failing_certificate_and_exits_2(tmp_path, capsys,
         assert (out / name).exists(), name
 
 
-def test_solve_reports_blow_up_as_non_convergence(tmp_path, capsys):
+def test_solve_reports_blow_up_as_non_convergence(tmp_path, capsys,
+                                                  residual_evals):
     spec = tmp_path / "blowup.json"
     spec.write_text(json.dumps(BLOWUP_SPEC))
     assert main(["solve", "--spec", str(spec),
                  "--out", str(tmp_path / "run")]) == 3
     assert "integration blew up at t=0.71875" in capsys.readouterr().err
+    assert residual_evals() > 0
+
+
+def test_readme_inline_spec_takes_the_parking_path(tmp_path):
+    # the spec denotes parking (2, 4), so solve serves it by the closed-form
+    # solve and writes what --problem parking writes, byte for byte
+    spec = tmp_path / "readme.json"
+    spec.write_text(json.dumps(_readme_inline_spec()))
+    a, b = tmp_path / "spec", tmp_path / "flags"
+    assert main(["solve", "--spec", str(spec), "--out", str(a)]) == 0
+    assert main(["solve", *PARKING_FLAGS, "--out", str(b)]) == 0
+    for name in ("controls.csv", "trajectory.csv", "certificate.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    manifest = json.loads((a / "manifest.json").read_text())
+    assert manifest["problem"]["builtin"] == "parking"
+    assert manifest["problem"]["M"] == 2.0
+    assert manifest["unknowns"]["multipliers"][0] == pytest.approx(-1.0,
+                                                                   abs=1e-6)
+
+
+def test_readme_inline_spec_sweeps_and_compares(tmp_path):
+    spec = tmp_path / "readme.json"
+    spec.write_text(json.dumps(_readme_inline_spec()))
+    assert main(["sweep", "--spec", str(spec), "--T-list", "1,0.5",
+                 "--out", str(tmp_path / "sw")]) == 0
+    _, rows = _read_csv(tmp_path / "sw" / "sweep.csv")
+    assert [r[7] for r in rows] == ["ok", "ok"]
+    run = tmp_path / "run"
+    assert main(["solve", "--spec", str(spec), "--out", str(run)]) == 0
+    assert main(["compare", "--run", str(run),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    _, rows = _read_csv(tmp_path / "cmp" / "compare.csv")
+    assert _count_steps([float(r[1]) for r in rows]) == 2
+
+
+def test_inline_parking_without_solution_is_bad_input(tmp_path, capsys):
+    # t_f^2 <= 4M: the closed-form path rejects it as --problem parking does
+    spec = tmp_path / "p.json"
+    spec.write_text(json.dumps({**PARKING_SPEC, "tf": 2.0, "T": 1.0}))
+    assert main(["solve", "--spec", str(spec),
+                 "--out", str(tmp_path / "run")]) == 4
+    assert "existence" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_problem_that_is_not_parking(tmp_path, capsys):
+    spec = tmp_path / "p.json"
+    spec.write_text(json.dumps(GENERIC_SPEC))
+    assert main(["sweep", "--spec", str(spec), "--T-list", "1",
+                 "--out", str(tmp_path / "sw")]) == 4
+    assert "requires a parking problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["solve", "--problem", "parking", "--M", "-2", "--tf", "4", "--T", "2"],
+     "--M"),
+    (["solve", "--problem", "parking", "--M", "2", "--tf", "0", "--T", "2"],
+     "--tf"),
+    (["solve", "--problem", "parking", "--M", "2", "--tf", "4", "--T", "-1"],
+     "--T"),
+    (["sweep", "--problem", "parking", "--M", "2", "--tf", "4",
+      "--T-list", "1,-0.5"], "--T-list"),
+], ids=["M", "tf", "T", "T-list"])
+def test_flags_must_be_positive(tmp_path, capsys, args, flag):
+    # the message names the flag the user wrote, not a spec field
+    assert main([*args, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert flag in err and "positive" in err
+    assert "field" not in err
 
 
 @pytest.mark.parametrize("args, spec, u0", [
@@ -256,7 +342,7 @@ def test_non_finite_input_is_bad_input(tmp_path, capsys, args, spec, u0):
     argv = args + ["--out", str(tmp_path / "out")]
     if spec is not None:
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({**LTI_SPEC, **spec}))
+        path.write_text(json.dumps({**PARKING_SPEC, **spec}))
         argv += ["--spec", str(path)]
     if u0 is not None:
         # parking (2, 4) at T = 2, with u_0 in the first data row

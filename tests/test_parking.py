@@ -16,23 +16,71 @@ from sampled_pmp import solver
 # ---------------------------------------------------------------------------
 
 def test_instance_validation():
+    # solve_parking checks the instance before any work
     with pytest.raises(ValueError, match="existence"):
-        pk.ParkingInstance(M=5.0, t_f=4.0, T=1.0)
+        pk.solve_parking(5.0, 4.0, 1.0)
     with pytest.raises(ValueError, match="existence"):
-        pk.ParkingInstance(M=4.0, t_f=4.0, T=1.0)    # equality also rejected
-    with pytest.raises(ValueError):
-        pk.ParkingInstance(M=-1.0, t_f=4.0, T=1.0)
+        pk.solve_parking(4.0, 4.0, 1.0)    # equality also rejected
+    with pytest.raises(ValueError, match="positive"):
+        pk.solve_parking(-1.0, 4.0, 1.0)
     for M in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            pk.ParkingInstance(M=M, t_f=4.0, T=1.0)
-    with pytest.raises(ValueError):
-        pk.ParkingInstance(M=2.0, t_f=4.0, T=0.0)
+            pk.solve_parking(M, 4.0, 1.0)
+    with pytest.raises(ValueError, match="sampling period must be positive"):
+        pk.solve_parking(2.0, 4.0, 0.0)
 
 
 def test_regime_classification():
-    assert pk.ParkingInstance(2.0, 3.0, 1.0).regime == "constrained"
-    assert pk.ParkingInstance(2.0, 4.0, 1.0).regime == "unconstrained"
-    assert pk.ParkingInstance(2.0, 3.5, 1.0).regime == "unconstrained"  # 12.25 >= 12
+    # t_f^2 < 6M is the constrained regime, where u* saturates at t = 0
+    for (M, tf, constrained) in [(2.0, 3.0, True), (2.0, 4.0, False),
+                                 (2.0, 3.5, False)]:    # 12.25 >= 12
+        assert (tf ** 2 < 6.0 * M) == constrained
+        assert (pk.permanent_control(M, tf, 0.0) == -1.0) == constrained
+
+
+# ---------------------------------------------------------------------------
+# recognizing the parking problem
+# ---------------------------------------------------------------------------
+
+def _parking_variant(M=2.0, tf=4.0, **changes):
+    """parking_problem(M, tf) built by hand, with some of lti_problem's
+    arguments changed."""
+    A, B = pk.DOUBLE_INTEGRATOR
+    args = dict(Q=None, R=[[1.0]], control_set=sp.Box(lower=[-1.0], upper=[1.0]),
+                terminal=sp.FixedEndpoints(q0=[M, 0.0], qf=[0.0, 0.0]),
+                final_time=sp.FixedTime(tf))
+    args.update(changes)
+    return sp.lti_problem(A, B, **args)
+
+
+@pytest.mark.parametrize("M, tf", [(2.0, 4.0), (2.0, 3.0), (0.5, 1.5),
+                                   (7.25, 10.0)])
+def test_parking_position_recognizes_parking(M, tf):
+    problem = pk.parking_problem(M, tf)
+    assert pk.parking_position(problem) == M
+    # swapped callbacks, as instrumentation swaps them, keep the lq record
+    counted = dataclasses.replace(problem, f=lambda t, q, u: problem.f(t, q, u))
+    assert pk.parking_position(counted) == M
+    # so each deviation below is the one thing that differs from parking
+    assert pk.parking_position(_parking_variant(M, tf)) == M
+
+
+@pytest.mark.parametrize("problem", [
+    _parking_variant(control_set=sp.Box(lower=[-2.0], upper=[2.0])),
+    _parking_variant(Q=[[1e-12, 0.0], [0.0, 0.0]]),
+    _parking_variant(R=[[2.0]]),
+    _parking_variant(terminal=sp.FixedEndpoints(q0=[2.0, 0.0], qf=[0.0, 1e-9])),
+    _parking_variant(terminal=sp.FixedEndpoints(q0=[2.0, 0.1], qf=[0.0, 0.0])),
+    _parking_variant(terminal=sp.FixedEndpoints(q0=[0.0, 0.0], qf=[0.0, 0.0])),
+    _parking_variant(terminal=sp.FixedEndpoints(q0=[-2.0, 0.0], qf=[0.0, 0.0])),
+    _parking_variant(final_time=sp.FreeTime(4.0)),
+    _parking_variant(control_set=sp.Ball(center=[0.0], radius=1.0)),
+    dataclasses.replace(pk.parking_problem(2.0, 4.0), lq=None),
+    pk.parking_problem(2.0, 4.0, terminal="periodic"),
+], ids=["box-2", "Q", "R-2", "qf", "q0-velocity", "M-zero", "M-negative",
+        "free-time", "ball", "lq-none", "periodic"])
+def test_parking_position_rejects_each_deviation(problem):
+    assert pk.parking_position(problem) is None
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +347,19 @@ def test_qp_oracle_small_cases():
     assert pk.sampled_cost(sp.build_grid(3.0, 1.0), u) == pytest.approx(2.0)
 
 
-def test_qp_oracle_unconstrained_path_agrees_when_interior():
-    u_box = pk.qp_oracle(2.0, 4.0, 1.0)
-    u_free = pk.qp_oracle(2.0, 4.0, 1.0, box=None)
-    np.testing.assert_allclose(u_box.values, u_free.values, atol=1e-10)
+def test_qp_oracle_interior_optimum_is_affine_in_midpoints():
+    # with no bound active the optimum meets the unconstrained stationarity
+    # condition u_k = mu_0 + mu_1 c_k and both terminal constraints
+    grid = sp.build_grid(4.0, 1.0)
+    u = pk.qp_oracle(2.0, 4.0, 1.0).values[:, 0]
+    assert np.max(np.abs(u)) < 1.0
+    d = np.asarray(grid.lengths)
+    c = 4.0 - np.asarray(grid.times) - d / 2
+    A = np.column_stack([np.ones_like(c), c])
+    coef, *_ = np.linalg.lstsq(A, u, rcond=None)
+    assert np.max(np.abs(A @ coef - u)) <= 1e-12
+    assert abs(np.sum(d * u)) <= 1e-12
+    assert abs(2.0 + np.sum(d * u * c)) <= 1e-12
 
 
 def test_qp_oracle_infeasible():
@@ -313,9 +370,6 @@ def test_qp_oracle_infeasible():
 def test_qp_oracle_enumeration_bound():
     with pytest.raises(ValueError, match="K <= 12"):
         pk.qp_oracle(2.0, 13.0, 1.0)
-    # the unconstrained path has no such bound
-    u = pk.qp_oracle(2.0, 13.0, 1.0, box=None)
-    assert len(u) == 13
 
 
 def test_qp_oracle_agrees_on_partial_grids():

@@ -454,9 +454,9 @@ def test_load_builtin_spec(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"problem": "parking", "M": 2, "tf": 4, "T": 2}))
     loaded = sp.load_problem_spec(path)
-    assert loaded.builtin == "parking"
+    assert [f.name for f in dataclasses.fields(loaded)] == ["problem", "t_f", "T"]
     assert loaded.t_f == 4.0 and loaded.T == 2.0
-    assert loaded.params == {"M": 2.0}
+    assert pk.parking_position(loaded.problem) == 2.0
     np.testing.assert_array_equal(loaded.problem.initial_state(), [2.0, 0.0])
 
 
@@ -478,7 +478,8 @@ def test_load_inline_lti_spec(tmp_path):
         "tf": 4.0, "T": 2.0,
     }))
     loaded = sp.load_problem_spec(path)
-    assert loaded.builtin is None
+    # the spec writes out parking (2, 4), and is recognized as it
+    assert pk.parking_position(loaded.problem) == 2.0
     # dynamics agree with the parking double integrator
     f = loaded.problem.f(0.0, np.array([1.0, 3.0]), np.array([0.5]))
     np.testing.assert_allclose(f, [3.0, 0.5])
