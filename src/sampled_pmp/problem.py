@@ -144,6 +144,14 @@ class Box:
         """Euclidean projection: componentwise clamp."""
         return np.clip(np.asarray(u, dtype=float), self.lower, self.upper)
 
+    def project_jacobian(self, w: np.ndarray) -> np.ndarray:
+        """Jacobian of :meth:`project` at one point w (m,): the diagonal
+        indicator of lower < w < upper.  A component on a bound gets 0, the
+        derivative from outside the box, an element of the generalized
+        Jacobian at the kink."""
+        w = np.asarray(w, dtype=float)
+        return np.diag(((self.lower < w) & (w < self.upper)).astype(float))
+
     def support_gap(self, g: np.ndarray, u: np.ndarray):
         """max over y in the box of <g, y - u>, for each point of (..., m).
 
@@ -197,6 +205,18 @@ class Ball:
         if nd <= self.radius:
             return u.copy()
         return self.center + d * (self.radius / nd)
+
+    def project_jacobian(self, w: np.ndarray) -> np.ndarray:
+        """Jacobian of :meth:`project` at one point w (m,): I inside the
+        ball, on its boundary included, and (r/|d|)(I - d d'/|d|^2) outside,
+        where d = w - center."""
+        d = np.asarray(w, dtype=float) - self.center
+        nd = np.linalg.norm(d)
+        eye = np.eye(d.size)
+        if nd <= self.radius:
+            return eye
+        d = d / nd
+        return (self.radius / nd) * (eye - np.outer(d, d))
 
     def support_gap(self, g: np.ndarray, u: np.ndarray):
         """max over y in the ball of <g, y - u> = <g, c - u> + r ||g||."""

@@ -22,14 +22,19 @@ zero, returned with its cost.
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
 built once per (lq, interval length, p0), cached, and applied with
-two matrix products.  The running cost and the interval averages read the
-callbacks on both paths; the callback RK4 calls them on one point a stage.
+two matrix products.  The same cache entry holds the Simpson mean of dH/du
+as an affine map of the start point and the control, and the end-node maps,
+from which the solver reads exact derivatives.  The running cost and the
+certificate's interval averages read the callbacks on both paths; the
+callback RK4 calls them on one point a stage, and integrates only the state
+block of an arc that starts from p = 0 with p0 = 0.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,6 +145,14 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
         if arc is not None:
             return arc
 
+    if p0 == 0 and not np.any(z_start[n:]):
+        # from p = 0 with p0 = 0 the adjoint right-hand side is exactly zero:
+        # the adjoint stays zero, and only the state block is integrated
+        times, states = _rk4(
+            lambda t, q: np.asarray(problem.f(t, q, u), dtype=float),
+            t_start, delta, z_start[:n])
+        return times, np.hstack([states, np.zeros_like(states)])
+
     def rhs(t, zz):
         qq, pp = zz[:n], zz[n:]
         dq = np.asarray(problem.f(t, qq, u), dtype=float)
@@ -153,6 +166,25 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
 # linear-quadratic intervals: the same RK4 steps as matrices
 # ---------------------------------------------------------------------------
 
+class LQMaps(NamedTuple):
+    """One interval's RK4 maps of a linear-quadratic problem (read-only).
+
+    The nodes are ``phi @ z + gamma @ u``, (SUBSTEPS+1)*2n rows;
+    ``phi_end`` and ``gamma_end`` are the last node's 2n rows.  The Simpson
+    mean of dH/du = B'p + 2 p0 R u over the nodes is ``ga @ z + g @ u``:
+    ga = B' sum_i w_i Phi_i^p (m x 2n) and g = B' sum_i w_i Gamma_i^p
+    + 2 p0 R (m x m), where w = SIMPSON_MEAN and the superscript p takes
+    the adjoint rows of node i.
+    """
+
+    phi: np.ndarray
+    gamma: np.ndarray
+    ga: np.ndarray
+    g: np.ndarray
+    phi_end: np.ndarray
+    gamma_end: np.ndarray
+
+
 @functools.lru_cache(maxsize=LQ_MAPS_CACHE_SIZE)
 def _lq_maps(lq: LinearQuadratic, delta: float, p0: float):
     """RK4 node maps of the coupled state/adjoint arc over one interval.
@@ -162,8 +194,9 @@ def _lq_maps(lq: LinearQuadratic, delta: float, p0: float):
     RK4 step of length h maps z to R(hM) z + h S(hM) N u, where
     R(X) = I + X + X^2/2 + X^3/6 + X^4/24 and S(X) = I + X/2 + X^2/6 + X^3/24:
     the same scheme as ``_rk4``, not a matrix exponential.  Stacking the
-    steps gives the nodes Phi z + Gamma u.  Returns (Phi, Gamma) with
-    (SUBSTEPS+1)*2n rows, or None when the maps overflow.
+    steps gives the nodes Phi z + Gamma u.  Returns the :class:`LQMaps`,
+    with the averaged-gradient maps read off the same nodes, or None when
+    the maps overflow.
     """
     A, B, Q = lq.A, lq.B, lq.Q
     n = A.shape[0]
@@ -181,13 +214,16 @@ def _lq_maps(lq: LinearQuadratic, delta: float, p0: float):
         for i in range(SUBSTEPS):
             phi[i + 1] = step @ phi[i]
             gamma[i + 1] = step @ gamma[i] + drive
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(gamma))):
+        ga = B.T @ np.tensordot(SIMPSON_MEAN, phi[:, n:], axes=1)
+        g = (B.T @ np.tensordot(SIMPSON_MEAN, gamma[:, n:], axes=1)
+             + 2.0 * p0 * lq.R)
+    maps = LQMaps(phi.reshape(-1, 2 * n), gamma.reshape(-1, B.shape[1]),
+                  ga, g, phi[-1], gamma[-1])
+    if not all(np.all(np.isfinite(x)) for x in maps):
         return None
-    phi = phi.reshape(-1, 2 * n)
-    gamma = gamma.reshape(-1, B.shape[1])
-    phi.setflags(write=False)
-    gamma.setflags(write=False)
-    return phi, gamma
+    for x in maps:
+        x.setflags(write=False)
+    return maps
 
 
 def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
@@ -202,10 +238,9 @@ def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
     maps = _lq_maps(lq, float(delta), float(p0))
     if maps is None:
         return None
-    phi, gamma = maps
     h = delta / SUBSTEPS
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = (phi @ z_start + gamma @ u).reshape(SUBSTEPS + 1, -1)
+        nodes = (maps.phi @ z_start + maps.gamma @ u).reshape(SUBSTEPS + 1, -1)
         # _rk4's max-abs and norm tests in one: a max-abs past BLOWUP_NORM
         # puts the norm past it too, and NaN fails the comparison
         blown = ~(np.sum(nodes[1:] * nodes[1:], axis=1) <= BLOWUP_NORM ** 2)

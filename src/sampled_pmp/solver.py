@@ -5,24 +5,30 @@ The outer loop is a damped Newton iteration on the unknown initial adjoint
 free).  Each residual evaluation propagates the coupled state/adjoint system
 forward interval by interval; on every interval the frozen control solves
 the averaged-gradient variational inequality by semismooth Newton on its
-natural residual project(u + Gbar(u)) - u, re-integrating the interval at
-each trial control so that the implicit dependence of the arc on the control
-is resolved exactly.  The arc of the last evaluation, at the solved control,
-advances the propagation and is the returned extremal's piece of the
-interval, so a residual integrates no interval beyond its inner solve.
-The residual is read from the end values of those arcs by the boundary
-conditions the certificate checks; only the accepted iterate's arcs are
-assembled into an extremal, and ``solve`` returns its certificate whatever
-the verdict.  On a problem with ``lq`` matrices the interval arcs come from
-the precomputed RK4 maps (see :mod:`.simulate`) and Gbar is the Simpson
-mean of B'p + 2 p0 R u on the adjoint nodes, by the same weights; the same
-Newton iterations run on them, and the certificate still evaluates dH/du
-through the callbacks.
+natural residual project(u + Gbar(u)) - u.  The interval is integrated once
+at the solved control; that arc advances the propagation and is the returned
+extremal's piece of the interval.  The residual is read from the end values
+of those arcs by the boundary conditions the certificate checks; only the
+accepted iterate's arcs are assembled into an extremal, and ``solve``
+returns its certificate whatever the verdict.
 
-The shooting map is piecewise smooth: it kinks where a control changes
-saturation status and, for free final times, where the horizon crosses a
-multiple of the sampling period.  The backtracking line search absorbs
-both kinds.
+On a problem with ``lq`` matrices the derivatives are exact, read from the
+interval's cached RK4 maps (see :mod:`.simulate`).  Gbar(u) = a + G u is
+affine, so the inner Newton integrates no trial control and uses the exact
+Jacobian of the natural residual.  Each interval also returns its tangent
+dz_{k+1}/dz_k, and for a fixed horizon the tangents chained at an accepted
+iterate give the exact Jacobian of the shooting residual.  The shooting map
+is piecewise smooth there (piecewise affine on a Box): it kinks where a
+control changes saturation status, and the chained tangents are an element
+of its generalized Jacobian, which makes the outer iteration the semismooth
+Newton method of Qi & Sun (Math. Programming 58, 1993).  Forward
+differences remain where no tangent exists: problems without ``lq`` (Gbar
+then re-integrates the arc by the callbacks at each trial control, inner
+and outer Jacobians are forward differences), intervals whose maps
+overflow, a free horizon (whose map also kinks where the horizon crosses a
+multiple of the sampling period), and the two-unknown parking shooting.
+The backtracking line search absorbs the kinks.  The certificate still
+evaluates dH/du through the callbacks.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
 interval control, the generic shooting and the two-unknown parking shooting
@@ -42,7 +48,7 @@ from .certificate import (_terminal_hamiltonian, boundary_residuals,
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
-from .simulate import (SIMPSON_MEAN, _extremal_from_arcs, _extremal_interval,
+from .simulate import (_extremal_from_arcs, _extremal_interval, _lq_maps,
                        _node_mean, integrate_extremal_forward)
 
 
@@ -53,14 +59,15 @@ INNER_MAX_ITER = 200
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 
-FD_STEP = 1e-6              # forward-difference step, scaled by (1 + |x|)
+FD_STEP = 1e-6              # forward-difference step, scaled by (1 + |x|),
+                            # where no exact Jacobian exists
 MAX_HALVINGS = 30           # trial scales 1, 1/2, ... along one direction
 
 # Levenberg damping of the one retry taken when no scale of the Newton step
 # decreases the residual.  Where the shooting map kinks (a control changing
-# saturation status between the FD probes), the one-sided Jacobian can mix
-# regions and point uphill; heavy damping rotates the step toward steepest
-# descent of |r|^2, which is region-independent.
+# saturation status near the iterate), the Jacobian of one piece can point
+# uphill on another; heavy damping rotates the step toward steepest descent
+# of |r|^2, which is region-independent.
 LEVENBERG_DAMPING = 1.0
 
 
@@ -81,21 +88,16 @@ def _unknown_layout(problem: ProblemDefinition):
 # ---------------------------------------------------------------------------
 
 def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u):
-    """Average of dH/du over one interval, re-integrating the coupled arc at u.
+    """Average of dH/du over one interval, re-integrating the coupled arc at u
+    by the callbacks' path of :func:`_extremal_interval`.
 
-    Returns ``(gbar, arc)`` with the integrated ``(times, nodes)`` arc.  A
-    linear-quadratic problem averages dH/du = B'p + 2 p0 R u by the same
-    Simpson rule on the adjoint nodes, without callbacks.
+    Returns ``(gbar, arc)`` with the integrated ``(times, nodes)`` arc.
     """
     n = problem.n
     times, nodes = _extremal_interval(problem, t_k, delta,
                                       np.concatenate([q_k, p_k]), u, p0)
-    lq = problem.lq
-    if lq is None:
-        gbar = _node_mean(problem.hamiltonian_u, times, nodes[:, :n],
-                          nodes[:, n:], p0, u)
-    else:
-        gbar = lq.B.T @ (SIMPSON_MEAN @ nodes[:, n:]) + 2.0 * p0 * (lq.R @ u)
+    gbar = _node_mean(problem.hamiltonian_u, times, nodes[:, :n],
+                      nodes[:, n:], p0, u)
     return gbar, (times, nodes)
 
 
@@ -106,23 +108,58 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 
     Runs :func:`_damped_newton` on the natural residual
     F(u) = project(u + Gbar(u)) - u, whose zeros are exactly the controls
-    where Gbar lies in the normal cone of the control set; Gbar re-integrates
-    the interval arc at the trial control.  ``INNER_TOL`` and
+    where Gbar lies in the normal cone of the control set.  ``INNER_TOL`` and
     ``INNER_MAX_ITER`` serve as the Newton tolerance and iteration cap.
-    Returns ``(u, arc)``, where ``arc`` is the ``(times, nodes)`` coupled arc
-    integrated at ``u`` by its last residual evaluation.
+
+    With ``lq`` matrices, Gbar(u) = a + G u is affine: a = Ga z_k and G come
+    from the interval's cached maps (:class:`~sampled_pmp.simulate.LQMaps`),
+    so no trial control is integrated.  F's Jacobian is exact,
+    D (I + G) - I with D the projection's Jacobian at w = u + a + G u, and
+    the arc is integrated once, at the solved control.  The interval's
+    tangent, the derivative of its end point z_{k+1} in z_k = (q_k, p_k),
+    is then Phi_end + Gamma_end du/dz with du/dz = -(D (I + G) - I)^{-1} D Ga.
+    Without ``lq`` (or when its maps overflow) Gbar re-integrates the arc by
+    the callbacks at each trial control, F's Jacobian is a forward
+    difference, and there is no tangent.
+
+    Returns ``(u, arc, tangent)``: ``arc`` is the ``(times, nodes)`` coupled
+    arc integrated at ``u``, ``tangent`` the 2n x 2n matrix or None.
     """
     q_k = np.asarray(q_k, dtype=float)
     p_k = np.asarray(p_k, dtype=float)
-    project = problem.control_set.project
-    u = project(np.atleast_1d(np.asarray(u_init, dtype=float)))
+    cs = problem.control_set
+    u = cs.project(np.atleast_1d(np.asarray(u_init, dtype=float)))
+    maps = (None if problem.lq is None
+            else _lq_maps(problem.lq, float(delta), float(p0)))
+    if maps is None:
+        def natural_residual(v):
+            gbar, arc = _interval_average_gradient(problem, t_k, delta, q_k,
+                                                   p_k, p0, v)
+            return cs.project(v + gbar) - v, arc
+
+        u, arc = _damped_newton(natural_residual, u, INNER_TOL, INNER_MAX_ITER)
+        return u, arc, None
+
+    z = np.concatenate([q_k, p_k])
+    a, G = maps.ga @ z, maps.g
+    eye = np.eye(problem.m)
 
     def natural_residual(v):
-        gbar, arc = _interval_average_gradient(problem, t_k, delta, q_k, p_k,
-                                               p0, v)
-        return project(v + gbar) - v, arc
+        w = v + a + G @ v
+        return cs.project(w) - v, w
 
-    return _damped_newton(natural_residual, u, INNER_TOL, INNER_MAX_ITER)
+    def jacobian(v, w):
+        return cs.project_jacobian(w) @ (eye + G) - eye
+
+    u, w = _damped_newton(natural_residual, u, INNER_TOL, INNER_MAX_ITER,
+                          jacobian=jacobian)
+    arc = _extremal_interval(problem, t_k, delta, z, u, p0)
+    D = cs.project_jacobian(w)
+    try:
+        du_dz = -np.linalg.solve(D @ (eye + G) - eye, D @ maps.ga)
+    except np.linalg.LinAlgError:
+        return u, arc, None
+    return u, arc, maps.phi_end + maps.gamma_end @ du_dz
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +169,14 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     """Integrate the extremal forward from the packed unknowns ``x``.
 
-    Returns ``(residual_vector, (grid, controls, arcs))``, the grid being
-    the trial horizon's for a free final time.  Each interval's coupled
-    ``(times, nodes)`` arc is the one the inner solve integrated at its
-    solved control; that arc advances the state and adjoint, and
+    Returns ``(residual_vector, (grid, controls, arcs, tangents))``, the
+    grid being the trial horizon's for a free final time.  Each interval's
+    coupled ``(times, nodes)`` arc is the one the inner solve integrated at
+    its solved control; that arc advances the state and adjoint, and
     ``simulate._extremal_from_arcs`` with p0 = -1 assembles the arcs into
-    the extremal.  Controls are warm-started from the previous interval (the
-    first from the projected origin).
+    the extremal.  ``tangents`` holds each interval's tangent (None off the
+    ``lq`` path), for :func:`_tangent_jacobian`.  Controls are warm-started
+    from the previous interval (the first from the projected origin).
     """
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
@@ -156,12 +194,13 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     u_prev = np.zeros(problem.m)
 
     z = np.concatenate([q, x[:n]])
-    us, arcs = [], []
+    us, arcs, tangents = [], [], []
     for k in range(grid.n_intervals):
         t_k, delta = float(grid.times[k]), float(grid.lengths[k])
-        u_k, arc = solve_interval_control(problem, t_k, delta, z[:n], z[n:],
-                                          p0, u_prev)
+        u_k, arc, tangent = solve_interval_control(problem, t_k, delta, z[:n],
+                                                   z[n:], p0, u_prev)
         arcs.append(arc)
+        tangents.append(tangent)
         us.append(u_k)
         z = arcs[-1][1][-1]
         u_prev = u_k
@@ -174,7 +213,44 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
         problem.terminal, z0[:n], z[:n], z0[n:], z[n:])
     h_f = ([_terminal_hamiltonian(problem, grid.t_f, z[:n], z[n:], p0,
                                   controls[-1])] if has_tf else [])
-    return np.concatenate([end, transversality, h_f]), (grid, controls, arcs)
+    return (np.concatenate([end, transversality, h_f]),
+            (grid, controls, arcs, tangents))
+
+
+def _tangent_jacobian(problem: ProblemDefinition, tangents):
+    """Exact Jacobian of a fixed-horizon shooting residual, or None when an
+    interval has no tangent.
+
+    The residual is the ``end`` and ``transversality`` blocks of
+    :func:`~sampled_pmp.certificate.boundary_residuals`, affine in the end
+    points (z_0, z_K) of the extremal.  With S = dz_0/dx for the packed
+    unknowns x, z_K moves by T_{K-1}...T_0 S, so column i of the Jacobian
+    is the linear part of the boundary residual at (S e_i, T_{K-1}...T_0 S
+    e_i).  On the piece of the shooting map where no control changes
+    saturation status this is its derivative; at a kink it is one element
+    of the generalized Jacobian, which makes the outer iteration semismooth
+    Newton.
+    """
+    if any(t is None for t in tangents):
+        return None
+    n = problem.n
+    has_q0, _, dim = _unknown_layout(problem)
+    S = np.zeros((2 * n, dim))
+    S[n:, :n] = np.eye(n)
+    if has_q0:
+        S[:n, n:] = np.eye(n)
+    chain = S
+    for tangent in tangents:
+        chain = tangent @ chain
+
+    def boundary(z0, zK):
+        _, end, transversality = boundary_residuals(
+            problem.terminal, z0[:n], zK[:n], z0[n:], zK[n:])
+        return np.concatenate([end, transversality])
+
+    offset = boundary(np.zeros(2 * n), np.zeros(2 * n))
+    return np.column_stack([boundary(S[:, i], chain[:, i]) - offset
+                            for i in range(dim)])
 
 
 def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
@@ -254,16 +330,20 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
         return _propagate(problem, grid, vec)
 
     def annotate(vec, propagated):
-        _, controls, _ = propagated
+        _, controls, _, _ = propagated
         entry = {"active_set": _active_set_signature(problem, controls)}
         if has_tf:
             entry["t_f"] = float(vec[-1])
         return entry
 
+    def jacobian(vec, propagated):
+        # a free horizon moves the grid: its column stays a forward difference
+        return None if has_tf else _tangent_jacobian(problem, propagated[3])
+
     # a free horizon's solved grid differs from the one the search started on
-    _, (solved_grid, controls, arcs) = _damped_newton(
+    _, (solved_grid, controls, arcs, _) = _damped_newton(
         residual, x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate,
-        stats=stats)
+        stats=stats, jacobian=jacobian)
     extremal = _extremal_from_arcs(solved_grid, controls, arcs, -1.0)
     return extremal, check_certificate(problem, extremal)
 
@@ -292,12 +372,14 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
 # ---------------------------------------------------------------------------
 
 def _damped_newton(residual, x, tol, max_iter, annotate=None, stats=None,
-                   stall_hint=""):
+                   stall_hint="", jacobian=None):
     """Damped Newton on ``residual(x) -> (r, aux)`` with square r.
 
-    Every iteration builds a forward-difference Jacobian and backtracks along
-    the Newton step until the residual norm decreases; when no scale of it
-    helps, it backtracks once more along the LEVENBERG_DAMPING step.
+    Every iteration takes the Jacobian ``jacobian(x, aux)`` at the accepted
+    iterate, or a forward difference when there is no hook or it returns
+    None, and backtracks along the Newton step until the residual norm
+    decreases; when no scale of it helps, it backtracks once more along the
+    LEVENBERG_DAMPING step.
     ``annotate(x, aux)`` returns extra fields for each history entry.
     Returns ``(x, aux)`` once the norm reaches ``tol`` within ``max_iter``
     steps (the iterate after the last step is tested too), filling ``stats``
@@ -321,7 +403,9 @@ def _damped_newton(residual, x, tol, max_iter, annotate=None, stats=None,
         if iteration == max_iter:
             break
 
-        J = _fd_jacobian(residual, x, r)
+        J = None if jacobian is None else jacobian(x, aux)
+        if J is None:
+            J = _fd_jacobian(residual, x, r)
         found = _search_decrease(residual, x, rnorm, _newton_step(J, r))
         if found is None:
             found = _search_decrease(residual, x, rnorm,

@@ -75,7 +75,8 @@ def interval_integrations(monkeypatch):
 @pytest.fixture
 def gbar_calls(monkeypatch):
     """Count calls to ``solver._interval_average_gradient``, one interval
-    integration and averaged-gradient evaluation each; returns the reader."""
+    integration and averaged-gradient evaluation each, made only on the
+    callback path; returns the reader."""
     return _count_calls(monkeypatch, solver, "_interval_average_gradient")
 
 

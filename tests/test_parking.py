@@ -230,7 +230,7 @@ def test_sign_rule_matches_generic_interval_solver():
         p = np.array([p1, p1 * tf + p2f])
         q = np.array([2.0, 0.0])
         for k in range(grid.n_intervals):
-            u_k, _ = sp.solve_interval_control(
+            u_k, _, _ = sp.solve_interval_control(
                 prob, float(grid.times[k]), float(grid.lengths[k]), q, p,
                 -1.0, np.array([0.0]))
             assert abs(u_k[0] - closed[k][0]) <= 1e-10
@@ -419,7 +419,7 @@ def test_oracle_equivalence_sweep():
                        - pk.sampled_cost(grid, u_qp)) <= 1e-8, (tf, K)
 
 
-def test_generic_path_consistency(residual_evals, gbar_calls):
+def test_generic_path_consistency(residual_evals, interval_integrations):
     # the dedicated sign-rule path and the generic semismooth shooting
     # agree on the oracle-equivalence instances, and the generic solve by
     # the lq matrices agrees with its callback twin (slowest test in the
@@ -433,21 +433,37 @@ def test_generic_path_consistency(residual_evals, gbar_calls):
             prob = pk.parking_problem(2.0, tf)
             grid = sp.build_grid(tf, T)
             guess = pk.initial_adjoint_guess(2.0, tf)
-            before = residual_evals(), gbar_calls()
+            before = residual_evals(), interval_integrations()
             ext, cert = sp.solve(prob, grid, initial_unknowns=guess)
-            work[tf, K] = (residual_evals() - before[0], gbar_calls() - before[1])
+            work[tf, K] = (residual_evals() - before[0],
+                           interval_integrations() - before[1])
             assert cert.passed, (tf, K)
-            assert np.max(np.abs(u_fast.values - ext.controls.values)) <= 1e-8, \
+            assert np.max(np.abs(u_fast.values - ext.controls.values)) <= 1e-10, \
                 (tf, K)
             twin, twin_cert = sp.solve(dataclasses.replace(prob, lq=None),
                                        grid, initial_unknowns=guess)
             assert twin_cert.passed, (tf, K)
             assert np.max(np.abs(twin.controls.values
                                  - ext.controls.values)) <= 1e-10, (tf, K)
-    # the generic solve's work, in residual and Gbar evaluations: (3, 8) is
-    # the parking member of the benchmark's generic-shoot batch
-    assert work[3.0, 8] == (10, 358)
-    assert work[4.0, 8] == (7, 278)
+    # the generic solve's work, in residual evaluations and interval
+    # integrations: (3, 8) is the parking member of the benchmark's
+    # generic-shoot batch.  The exact Jacobians integrate each interval once
+    # per residual, at its solved control
+    assert work[3.0, 8] == (3, 24)
+    assert work[4.0, 8] == (2, 16)
+
+
+def test_generic_solve_matches_sign_rule_on_fine_grids():
+    # beyond the consistency instances: the exact-Jacobian shooting lands on
+    # the sign-rule optimum to rounding at K = 12, 40 and 300
+    for K in (12, 40, 300):
+        grid = sp.build_grid(3.0, 3.0 / K)
+        solved, _, _ = pk.solve_parking(2.0, 3.0, 3.0 / K)
+        ext, cert = sp.solve(pk.parking_problem(2.0, 3.0), grid,
+                             initial_unknowns=pk.initial_adjoint_guess(2.0, 3.0))
+        assert cert.passed, K
+        assert np.max(np.abs(ext.controls.values
+                             - solved.controls.values)) <= 1e-10, K
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,45 @@ def test_ball_project_broadcasts_over_stacked_points():
     np.testing.assert_array_equal(point.project(np.zeros(2)), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("cs", [
+    sp.Box(lower=np.array([-1.0, 0.0, -0.5]), upper=np.array([1.0, 2.0, -0.5])),
+    sp.Ball(center=np.array([0.5, -0.5]), radius=1.3),
+], ids=["box", "ball"])
+def test_project_jacobian_matches_finite_differences(cs):
+    # central differences of project, at points 1e-3 or more from a kink
+    # (a bound of the box, the sphere of the ball)
+    rng = np.random.default_rng(5)
+    h = 1e-7
+    checked = 0
+    for _ in range(300):
+        w = rng.normal(scale=2.0, size=cs.dim)
+        if isinstance(cs, sp.Box):
+            gap = np.min(np.abs(np.concatenate([w - cs.lower, w - cs.upper])))
+        else:
+            gap = abs(np.linalg.norm(w - cs.center) - cs.radius)
+        if gap < 1e-3:
+            continue
+        fd = np.column_stack([(cs.project(w + h * e) - cs.project(w - h * e))
+                              / (2 * h) for e in np.eye(cs.dim)])
+        np.testing.assert_allclose(cs.project_jacobian(w), fd, rtol=0,
+                                   atol=1e-7)
+        checked += 1
+    assert checked >= 100
+
+
+def test_project_jacobian_examples():
+    # a component on a bound counts as clamped; the sphere counts as inside
+    box = sp.Box(lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]))
+    np.testing.assert_array_equal(box.project_jacobian(np.array([0.3, 1.0])),
+                                  [[1.0, 0.0], [0.0, 0.0]])
+    ball = sp.Ball(center=np.zeros(2), radius=1.0)
+    np.testing.assert_array_equal(ball.project_jacobian(np.array([0.6, 0.8])),
+                                  np.eye(2))
+    # outside: radial scaling r/|d| of the tangential directions only
+    np.testing.assert_allclose(ball.project_jacobian(np.array([0.0, 2.0])),
+                               [[0.5, 0.0], [0.0, 0.0]], atol=1e-16)
+
+
 def test_support_gap_examples():
     box = sp.Box(lower=np.array([-1.0]), upper=np.array([1.0]))
     assert box.support_gap(np.array([1.0]), np.array([0.5])) == pytest.approx(0.5)

@@ -216,6 +216,36 @@ def test_extremal_state_matches_simulate_bitwise():
             assert sp.running_cost(P, ext) == cost
 
 
+def test_callback_simulate_skips_the_zero_adjoint_rhs(monkeypatch):
+    # from p = 0 with p0 = 0 the adjoint right-hand side is exactly zero:
+    # the callback path evaluates no -dH/dq, and its states equal bit for bit
+    # those of an integration that does (the states never read the adjoint)
+    calls = 0
+    hamiltonian_q = sp.ProblemDefinition.hamiltonian_q
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return hamiltonian_q(*args)
+
+    monkeypatch.setattr(sp.ProblemDefinition, "hamiltonian_q", counted)
+    rng = np.random.default_rng(15)
+    twin = dataclasses.replace(PARKING, lq=None)
+    cases = [(twin, sp.build_grid(4.0, 0.5), rng.uniform(-1, 1, (8, 1)), Q0)]
+    for _ in range(10):
+        prob, grid, ctrl, q0, _ = _random_lti(rng)
+        cases.append((dataclasses.replace(prob, lq=None), grid, ctrl, q0))
+    for prob, grid, ctrl, q0 in cases:
+        calls = 0
+        traj, _ = sp.simulate(prob, grid, ctrl, q0)
+        assert calls == 0
+        assert not np.any(traj.adjoints)
+        ref = sp.integrate_extremal_forward(prob, grid, ctrl, q0,
+                                            np.zeros(prob.n), -1.0)
+        assert calls == 4 * 16 * grid.n_intervals
+        assert np.array_equal(traj.states, ref.states)
+
+
 def test_extremal_adjoint_values():
     grid = sp.build_grid(4.0, 2.0)
     ctrl = np.array([[-0.5], [0.5]])

@@ -8,7 +8,8 @@ import pytest
 import sampled_pmp as sp
 from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
-from sampled_pmp.simulate import _extremal_interval, integrate_extremal_forward
+from sampled_pmp.simulate import (_extremal_interval, _lq_maps,
+                                  integrate_extremal_forward)
 from sampled_pmp.solver import _fd_jacobian
 
 PARKING4 = parking_problem(2.0, 4.0)
@@ -41,7 +42,7 @@ def _scalar_transfer(tf_guess):
 # ---------------------------------------------------------------------------
 
 def test_solve_interval_control_finds_interior_root():
-    u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+    u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
                                      np.array([0.0]))
     assert u[0] == pytest.approx(-0.5, abs=1e-11)
     # the returned control satisfies its own fixed-point condition
@@ -70,7 +71,7 @@ def _record_accepted_steps(monkeypatch):
 
 def test_solve_interval_control_accepts_stationary_start(monkeypatch):
     accepted = _record_accepted_steps(monkeypatch)
-    u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+    u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
                                      np.array([-0.5]))
     assert u[0] == -0.5
     assert accepted == []
@@ -78,17 +79,19 @@ def test_solve_interval_control_accepts_stationary_start(monkeypatch):
 
 def test_solve_interval_control_clamps_to_bound():
     # p = (0, 3) constant: root of 3 - 2u is 1.5, outside the box
-    u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0,
+    u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0,
                                      np.array([0.0, 3.0]), -1.0,
                                      np.array([0.0]))
     assert u[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_interval_control_reports_stall(monkeypatch):
+    # on the callback twin: the exact Jacobian of the lq path solves this
+    # interval within the two iterations
     monkeypatch.setattr(solver, "INNER_MAX_ITER", 2)
     with pytest.raises(sp.NonConvergence) as exc:
-        sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                  np.array([1.0]))
+        sp.solve_interval_control(dataclasses.replace(PARKING4, lq=None), 0.0,
+                                  2.0, Q0, P_STAR, -1.0, np.array([1.0]))
     assert exc.value.iterate is not None
     assert exc.value.residual_norm > solver.INNER_TOL
 
@@ -99,7 +102,7 @@ def test_inner_iterates_ascend_average_hamiltonian(monkeypatch):
     accepted = _record_accepted_steps(monkeypatch)
     for u0 in (0.0, 1.0, -1.0, 0.8):
         accepted.clear()
-        u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+        u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
                                          np.array([u0]))
         iterates = [np.array([u0])] + accepted
         assert len(iterates) >= 2 and np.array_equal(iterates[-1], u)
@@ -112,11 +115,11 @@ def test_inner_iterates_ascend_average_hamiltonian(monkeypatch):
 
 def test_warm_start_independence():
     rng = np.random.default_rng(9)
-    u_ref, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+    u_ref, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
                                          np.array([0.0]))
     for _ in range(5):
         u_init = PARKING4.control_set.project(rng.normal(scale=2.0, size=1))
-        u, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
+        u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
                                          u_init)
         assert abs(u[0] - u_ref[0]) <= 1e-9
 
@@ -162,23 +165,27 @@ def test_interval_control_solves_random_monotone_lq_intervals():
     rng = np.random.default_rng(2024)
     for _ in range(100):
         prob, delta, q, p, u_init = _random_lq_interval(rng, state_cost=False)
-        u, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0, u_init)
+        u, _, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0, u_init)
         _assert_solves_interval(prob, delta, q, p, u)
 
 
 def test_lq_matrices_match_callbacks_on_random_intervals():
     # nodes and Gbar of the lq path against the callback twin: mixed-sign Q,
-    # Box and Ball sets, interval lengths in [0.1, 2]
+    # Box and Ball sets, interval lengths in [0.1, 2].  The lq path's Gbar
+    # is the cached affine map Ga z + G u, with no integration
     rng = np.random.default_rng(2026)
     for _ in range(100):
         prob, delta, q, p, u = _random_lq_interval(rng, state_cost=True)
         twin = dataclasses.replace(prob, lq=None)
+        z = np.concatenate([q, p])
         for p0 in (-1.0, -0.5):
-            got, want = (solver._interval_average_gradient(P, 0.3, delta, q, p,
-                                                           p0, u)
-                         for P in (prob, twin))
-            np.testing.assert_array_equal(got[1][0], want[1][0])
-            for a, b in ((got[0], want[0]), (got[1][1], want[1][1])):
+            want, (times, nodes) = solver._interval_average_gradient(
+                twin, 0.3, delta, q, p, p0, u)
+            maps = _lq_maps(prob.lq, delta, p0)
+            got_times, got_nodes = _extremal_interval(prob, 0.3, delta, z, u,
+                                                      p0)
+            np.testing.assert_array_equal(got_times, times)
+            for a, b in ((maps.ga @ z + maps.g @ u, want), (got_nodes, nodes)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
         # the arc ``simulate`` integrates: zero adjoint, p0 = 0
         z = np.concatenate([q, np.zeros_like(q)])
@@ -224,7 +231,7 @@ def test_interval_control_never_returns_a_wrong_answer():
     for _ in range(100):
         prob, delta, q, p, u_init = _random_lq_interval(rng, state_cost=True)
         try:
-            u, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0,
+            u, _, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0,
                                              u_init)
         except sp.NonConvergence:
             continue
@@ -262,7 +269,7 @@ def test_shooting_residual_is_the_certified_boundary_conditions(problem, grid,
     n = problem.n
     x = np.array(x)
     has_q0, has_tf, _ = solver._unknown_layout(problem)
-    _, (_, controls, _) = solver._propagate(problem, grid, x)
+    _, (_, controls, _, _) = solver._propagate(problem, grid, x)
     if has_tf:
         grid = sp.build_grid(x[-1], grid.period)
     q0 = x[n:2 * n] if has_q0 else problem.initial_state()
@@ -293,11 +300,11 @@ def test_unknown_layout_is_square():
     assert solver._unknown_layout(PARKING4) == (False, False, 2)
     per = parking_problem(2.0, 4.0, terminal="periodic")
     assert solver._unknown_layout(per) == (True, False, 4)
-    _, (_, _, arcs) = solver._propagate(per, GRID4, np.arange(4.0))
+    _, (_, _, arcs, _) = solver._propagate(per, GRID4, np.arange(4.0))
     np.testing.assert_array_equal(arcs[0][1][0][:2], [2.0, 3.0])
     free = _scalar_transfer(1.3)
     assert solver._unknown_layout(free) == (False, True, 2)
-    _, (grid, _, _) = solver._propagate(free, sp.build_grid(1.3, 0.3),
+    _, (grid, _, _, _) = solver._propagate(free, sp.build_grid(1.3, 0.3),
                                         np.array([0.5, 1.2]))
     assert grid.t_f == 1.2
     r = sp.shooting_residual(free, sp.build_grid(1.3, 0.3), np.array([2.0, 1.0]))
@@ -322,6 +329,114 @@ def test_shooting_jacobian_constant_within_saturation_region(monkeypatch):
     assert np.max(np.abs(J1 - J2)) <= 1e-9
     # and it matches the closed-form affine coefficients of the map
     np.testing.assert_allclose(J1, [[-6.0, 4.0], [-4.0, 2.0]], atol=1e-6)
+
+
+def _random_lq_shooting(rng, terminal):
+    """Random LTI shooting problem (mixed-sign Q, Box or Ball), its grid and
+    random unknowns, for one of the three terminal variants."""
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    S = rng.normal(size=(n, n))
+    L = rng.normal(size=(m, m))
+    if rng.random() < 0.5:
+        lower = -rng.uniform(0.5, 2.0, size=m)
+        cs = sp.Box(lower=lower, upper=lower + rng.uniform(1.0, 3.0, size=m))
+    else:
+        cs = sp.Ball(center=rng.normal(scale=0.3, size=m),
+                     radius=float(rng.uniform(0.5, 2.0)))
+    terminal = {
+        "fixed": lambda: sp.FixedEndpoints(q0=rng.normal(size=n),
+                                           qf=rng.normal(size=n)),
+        "free-end": lambda: sp.FixedInitialFreeFinal(q0=rng.normal(size=n)),
+        "periodic": sp.Periodic}[terminal]()
+    t_f = float(rng.uniform(1.0, 3.0))
+    prob = sp.lti_problem(0.7 * rng.normal(size=(n, n)), rng.normal(size=(n, m)),
+                          0.5 * (S + S.T), L @ L.T + 0.1 * np.eye(m),
+                          control_set=cs, terminal=terminal,
+                          final_time=sp.FixedTime(t_f))
+    grid = sp.build_grid(t_f, t_f / int(rng.integers(2, 7)))
+    _, _, dim = solver._unknown_layout(prob)
+    return prob, grid, rng.normal(size=dim)
+
+
+@pytest.mark.parametrize("terminal", ["fixed", "free-end", "periodic"])
+def test_tangent_jacobian_matches_finite_differences(monkeypatch, terminal):
+    # the chained interval tangents against _fd_jacobian's forward and
+    # backward differences, averaged: on a Ball's curved boundary a one-sided
+    # difference carries an O(FD_STEP) truncation error (up to 5.5e-6
+    # relative on these draws, against 5.7e-8 for the average).  Draws
+    # where every control saturates give J = 0 and are skipped
+    rng = np.random.default_rng({"fixed": 31, "free-end": 32,
+                                 "periodic": 33}[terminal])
+    checked = 0
+    for _ in range(30):
+        prob, grid, x = _random_lq_shooting(rng, terminal)
+
+        def residual(v):
+            return solver._propagate(prob, grid, v)
+
+        r, (_, _, _, tangents) = residual(x)
+        J = solver._tangent_jacobian(prob, tangents)
+        if not np.any(J):
+            continue
+        forward = _fd_jacobian(residual, x, r)
+        monkeypatch.setattr(solver, "FD_STEP", -solver.FD_STEP)
+        backward = _fd_jacobian(residual, x, r)
+        monkeypatch.undo()
+        fd = 0.5 * (forward + backward)
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
+        checked += 1
+    assert checked >= 15
+
+
+def test_forward_differences_only_off_the_lq_fixed_horizon_path(monkeypatch):
+    # fixed-horizon lq problems take the exact Jacobians, inner and outer;
+    # the callback twin and a free horizon still difference
+    fd_calls = 0
+    fd = solver._fd_jacobian
+
+    def counted(*args):
+        nonlocal fd_calls
+        fd_calls += 1
+        return fd(*args)
+
+    monkeypatch.setattr(solver, "_fd_jacobian", counted)
+    periodic = parking_problem(1.0, 2.0, terminal="periodic")
+    free_end = parking_problem(2.0, 4.0, terminal="free_final",
+                               position_weight=0.5)
+    for prob, grid, x in ((PARKING4, sp.build_grid(4.0, 0.5), None),
+                          (periodic, sp.build_grid(2.0, 0.5),
+                           [0.1, -0.2, 0.7, 0.3]),
+                          (free_end, sp.build_grid(4.0, 1.0), [0.3, -0.7])):
+        _, cert = sp.solve(prob, grid, initial_unknowns=x)
+        assert cert.passed
+    assert fd_calls == 0
+    for prob, grid, x in (
+            (dataclasses.replace(PARKING4, lq=None), GRID4, None),
+            (sp.lti_problem(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+                            control_set=sp.Box(lower=np.array([-5.0]),
+                                               upper=np.array([5.0])),
+                            terminal=sp.FixedEndpoints(q0=np.ones(1),
+                                                       qf=2.0 * np.ones(1)),
+                            final_time=sp.FreeTime(1.4)),
+             sp.build_grid(1.4, 0.3), [1.0, 1.4])):
+        before = fd_calls
+        _, cert = sp.solve(prob, grid, initial_unknowns=x)
+        assert cert.passed and fd_calls > before
+
+
+def test_saddle_fails_fast(residual_evals):
+    # the ROADMAP's saddle (eigenvalues +-1) at t_f = 20, K = 20: its
+    # shooting map is too ill-conditioned for single shooting, and the
+    # exact Jacobian rejects it in 3 iterations, not 100
+    problem = sp.lti_problem(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0], [1.0]]),
+        control_set=sp.Box(lower=np.array([-2.0]), upper=np.array([2.0])),
+        terminal=sp.FixedEndpoints(q0=np.array([1.0, 0.0]), qf=np.zeros(2)),
+        final_time=sp.FixedTime(20.0))
+    with pytest.raises(sp.NonConvergence) as exc:
+        sp.solve(problem, sp.build_grid(20.0, 1.0))
+    assert exc.value.residual_norm > solver.NEWTON_TOL
+    assert residual_evals() == 63
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +546,8 @@ def test_solve_rejects_a_grid_off_the_fixed_horizon(interval_integrations):
     assert interval_integrations() == 0
 
 
-def test_solve_single_interval_is_infeasible(gbar_calls):
+def test_solve_single_interval_is_infeasible(residual_evals,
+                                             interval_integrations):
     # one frozen acceleration cannot meet two terminal constraints
     grid = sp.build_grid(4.0, 4.0)
     with pytest.raises(sp.NonConvergence) as exc:
@@ -441,9 +557,10 @@ def test_solve_single_interval_is_infeasible(gbar_calls):
     # the least-squares distance: a constant u on [0, 4] ends at
     # (2 + 8u, 4u), closest to the origin at u = -0.2
     assert exc.value.residual_norm == pytest.approx(2 / np.sqrt(5), abs=1e-9)
-    # the rejection's work: the Newton step and one Levenberg retry of 30
-    # halvings each at the stalling iterate
-    assert gbar_calls() == 196
+    # the rejection's work: the start, one accepted Newton step, then the
+    # Newton step and one Levenberg retry of 30 halvings each at the
+    # stalling iterate, one interval integrated per residual
+    assert (residual_evals(), interval_integrations()) == (62, 62)
 
 
 def test_solve_generic_zero_guess():
@@ -530,7 +647,7 @@ def test_generic_solver_matches_oracle_up_to_enumeration_bound():
 
 
 def test_solve_planar_disc_matches_rotated_parking(residual_evals,
-                                                  gbar_calls):
+                                                  interval_integrations):
     # q0 = (1.6, 1.2) = 2 (0.8, 0.6): the disc optimum is parking's M = 2
     # box optimum along the unit direction (0.8, 0.6)
     A = np.zeros((4, 4))
@@ -544,9 +661,10 @@ def test_solve_planar_disc_matches_rotated_parking(residual_evals,
         final_time=sp.FixedTime(3.0), name="planar")
     for K in (4, 8):
         grid = sp.build_grid(3.0, 3.0 / K)
-        before = residual_evals(), gbar_calls()
+        before = residual_evals(), interval_integrations()
         ext, cert = sp.solve(prob, grid)
-        work = (residual_evals() - before[0], gbar_calls() - before[1])
+        work = (residual_evals() - before[0],
+                interval_integrations() - before[1])
         solved, _, _ = parking.solve_parking(2.0, 3.0, 3.0 / K)
         assert cert.passed
         np.testing.assert_allclose(ext.controls.values,
@@ -558,7 +676,7 @@ def test_solve_planar_disc_matches_rotated_parking(residual_evals,
                              - ext.controls.values)) <= 1e-10
     # K = 8 is the planar member of the benchmark's generic-shoot batch; the
     # parking member's work is pinned in test_parking
-    assert work == (21, 966)
+    assert work == (4, 32)
 
 
 # ---------------------------------------------------------------------------
