@@ -58,7 +58,12 @@ def free_final_time():
 
 
 def periodic():
-    prob = pk.parking_problem(1.0, 2.0, terminal="periodic")
+    # parking's double integrator, cost and control set, q(0) = q(t_f) at
+    # t_f = 2
+    prob = sp.lti_problem(
+        *pk.DOUBLE_INTEGRATOR,
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.Periodic(), final_time=sp.FixedTime(2.0), name="parking")
     grid = sp.build_grid(2.0, 0.5)
     ext, cert = sp.solve(prob, grid,
                          initial_unknowns=np.array([0.1, -0.2, 0.7, 0.3]))

@@ -30,13 +30,12 @@ import numpy as np
 
 from . import parking
 from .certificate import Certificate, check_certificate
-from .errors import (Infeasible, IntegrationBlowUp, NonConvergence,
-                     UnsupportedCase)
+from .errors import IntegrationBlowUp, NonConvergence
 from .problem import build_grid
 from .simulate import Extremal, integrate_extremal_forward
-from .solver import solve
-from .specfile import (LoadedSpec, SpecError, _number, _vector,
-                       parse_problem_spec, read_spec_file)
+from .solver import _unknown_layout, solve
+from .specfile import (LoadedSpec, _number, _vector, parse_problem_spec,
+                       read_spec_file)
 from .svgfig import SvgPlot
 
 EXIT_OK = 0
@@ -95,7 +94,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--controls", required=True, help="controls CSV")
     sp.add_argument("--adjoint-init", required=True,
                     help="initial adjoint p1,...,pn or a JSON file with it "
-                         "(use --adjoint-init=-1,-2 for negative values)")
+                         "(use --adjoint-init=-1,-2 for negative values); a "
+                         "periodic or free-horizon problem needs the solve "
+                         "manifest, which also holds q(0) or t_f")
     sp.add_argument("--out", default=".", help="output directory")
     sp.set_defaults(func=cmd_check)
 
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     except IntegrationBlowUp as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (SpecError, UnsupportedCase, Infeasible, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
@@ -211,8 +212,12 @@ def _read_controls_csv(path, m: int) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _parse_adjoint_init(text: str, n: int) -> np.ndarray:
-    """p(0) from 'p1,...,pn' or from a JSON file carrying it."""
+def _parse_unknowns(text: str, problem) -> np.ndarray:
+    """The packed shooting unknowns (see ``solver._unknown_layout``): a JSON
+    file's ``vector`` entry (a solve manifest's), or p(0) alone from its
+    ``p_init`` entry, a bare list or 'p1,...,pn' when p(0) is all of them."""
+    has_q0, has_tf, dim = _unknown_layout(problem)
+    key = "p_init"
     candidate = Path(text)
     if candidate.exists():
         data = json.loads(candidate.read_text(encoding="utf-8"))
@@ -223,15 +228,21 @@ def _parse_adjoint_init(text: str, n: int) -> np.ndarray:
             data = data["unknowns"]
         if not isinstance(data, dict) or "p_init" not in data:
             raise ValueError(f"{text}: no 'p_init' entry found")
-        arr = _vector(data, "p_init", text)
+        key = "vector" if "vector" in data else "p_init"
+        arr = _vector(data, key, text)
     else:
         try:
             arr = np.array([float(tok) for tok in text.split(",")])
         except ValueError:
             raise ValueError(f"--adjoint-init {text!r} is neither a file nor "
                              f"a comma-separated vector")
-    if arr.shape != (n,):
-        raise ValueError(f"--adjoint-init must have {n} components, "
+    if key == "p_init" and dim != problem.n:
+        missing = " and ".join(["q(0)"] * has_q0 + ["t_f"] * has_tf)
+        raise ValueError(f"--adjoint-init gives p(0) only, but this "
+                         f"problem's shooting unknowns also hold {missing}; "
+                         f"pass the manifest.json of its solve run")
+    if arr.shape != (dim,):
+        raise ValueError(f"--adjoint-init must have {dim} components, "
                          f"got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"--adjoint-init must be finite, got {arr.tolist()}")
@@ -353,17 +364,19 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     loaded = _resolve_problem(args)
     problem = loaded.problem
-    grid = build_grid(loaded.t_f, loaded.T)
-
     values = _read_controls_csv(args.controls, problem.m)
+    x = _parse_unknowns(args.adjoint_init, problem)
+    has_q0, has_tf, _ = _unknown_layout(problem)
+    n = problem.n
+    q0 = x[n:2 * n] if has_q0 else problem.initial_state()
+    # a free horizon's solved t_f is the last unknown, not the spec's guess
+    grid = build_grid(x[-1] if has_tf else loaded.t_f, loaded.T)
     if values.shape[0] != grid.n_intervals:
         raise ValueError(f"{args.controls}: {values.shape[0]} control rows but "
                          f"the grid has {grid.n_intervals} intervals")
-    p_init = _parse_adjoint_init(args.adjoint_init, problem.n)
 
-    q0 = problem.initial_state()
     try:
-        extremal = integrate_extremal_forward(problem, grid, values, q0, p_init,
+        extremal = integrate_extremal_forward(problem, grid, values, q0, x[:n],
                                               -1.0, enforce_admissible=False)
     except IntegrationBlowUp as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)

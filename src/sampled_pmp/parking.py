@@ -33,8 +33,7 @@ import numpy as np
 
 from .certificate import Certificate, check_certificate
 from .errors import Infeasible, NonConvergence
-from .problem import (Box, ControlSequence, FixedEndpoints,
-                      FixedInitialFreeFinal, FixedTime, FreeTime, Periodic,
+from .problem import (Box, ControlSequence, FixedEndpoints, FixedTime,
                       ProblemDefinition, SamplingGrid, _item, build_grid)
 from .problems import lti_problem
 from .simulate import integrate_extremal_forward
@@ -48,37 +47,21 @@ from . import solver as _solver
 DOUBLE_INTEGRATOR = ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])  # (A, B)
 
 
-def parking_problem(M: float, t_f: float, terminal: str = "fixed_endpoints",
-                    position_weight: float = 0.0,
-                    free_time_guess: Optional[float] = None) -> ProblemDefinition:
-    """Double-integrator energy problem as a generic ProblemDefinition.
+def parking_problem(M: float, t_f: float) -> ProblemDefinition:
+    """The parking problem as a generic ProblemDefinition: the double
+    integrator from (M, 0) to rest at the fixed time t_f, |u| <= 1, with cost
+    the integral of u^2.
 
-    ``terminal`` selects the boundary variant: "fixed_endpoints" is the
-    parking problem proper; "free_final" leaves q(t_f) free; "periodic"
-    imposes q(0) = q(t_f).  ``position_weight`` adds w*q_1^2 to the running
-    cost (used by tests that need a state-coupled adjoint).  The problem is
-    :func:`~sampled_pmp.problems.lti_problem` with A = [[0, 1], [0, 0]],
-    B = [0, 1]', Q = diag(w, 0) and R = 1.
+    It is :func:`~sampled_pmp.problems.lti_problem` with A = [[0, 1], [0, 0]],
+    B = [0, 1]' and its default Q = 0 and R = 1: exactly what
+    :func:`parking_position` recognizes.  Other double integrators are
+    ``lti_problem(*DOUBLE_INTEGRATOR, ...)`` calls.
     """
-    q0 = np.array([float(M), 0.0])
-    if terminal == "fixed_endpoints":
-        term = FixedEndpoints(q0=q0, qf=np.zeros(2))
-    elif terminal == "free_final":
-        term = FixedInitialFreeFinal(q0=q0)
-    elif terminal == "periodic":
-        term = Periodic()
-    else:
-        raise ValueError(f"unknown terminal variant {terminal!r}")
-
-    if free_time_guess is not None:
-        mode = FreeTime(free_time_guess)
-    else:
-        mode = FixedTime(t_f)
-
     return lti_problem(
-        *DOUBLE_INTEGRATOR, [[float(position_weight), 0.0], [0.0, 0.0]],
-        [[1.0]], control_set=Box(lower=np.array([-1.0]), upper=np.array([1.0])),
-        terminal=term, final_time=mode, name="parking")
+        *DOUBLE_INTEGRATOR,
+        control_set=Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=FixedEndpoints(q0=np.array([float(M), 0.0]), qf=np.zeros(2)),
+        final_time=FixedTime(t_f), name="parking")
 
 
 def parking_position(problem: ProblemDefinition) -> Optional[float]:
@@ -364,7 +347,7 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
         cause = None if cert.passed else cert
         error = ("" if cert.passed else
                  "certificate failed: " + "; ".join(cert.violations))
-    except (NonConvergence, ValueError, Infeasible) as exc:
+    except (NonConvergence, ValueError) as exc:
         cause, error = exc, str(exc)
     if cause is not None:
         return SweepRow(T=T, K=grid.n_intervals, sup_dev=np.nan,

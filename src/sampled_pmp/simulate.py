@@ -289,18 +289,17 @@ def _extremal_from_arcs(grid, controls, arcs, p0: float) -> Extremal:
 
 
 def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
-             q0: np.ndarray, enforce_admissible: bool = True):
+             q0: np.ndarray):
     """Propagate the state under piecewise-constant controls.
 
     Returns ``(Extremal, cost)`` with the cost of :func:`running_cost`.
     This is the state block of :func:`integrate_extremal_forward` from
     p(0) = 0 with p0 = 0: the adjoint right-hand side -dH/dq then vanishes,
     so the adjoint stays exactly zero and the blow-up rule reads the state
-    alone.
+    alone.  Controls outside the control set raise ValueError.
     """
     extremal = integrate_extremal_forward(problem, grid, controls, q0,
-                                          np.zeros(problem.n), 0.0,
-                                          enforce_admissible)
+                                          np.zeros(problem.n), 0.0)
     return extremal, running_cost(problem, extremal)
 
 

@@ -1,14 +1,35 @@
-"""Shared fixtures."""
+"""Shared fixtures and problem factories."""
 
 import dataclasses
 import importlib
 
+import numpy as np
 import pytest
 
+import sampled_pmp as sp
 from sampled_pmp import parking, solver
 
 # the package exports the function ``simulate`` under the module's name
 simulate = importlib.import_module("sampled_pmp.simulate")
+
+
+# the parking endpoints from M = 2, and the free-end condition from the same
+# start, for double_integrator
+FIXED_ENDS = sp.FixedEndpoints(q0=[2.0, 0.0], qf=[0.0, 0.0])
+FREE_END = sp.FixedInitialFreeFinal(q0=[2.0, 0.0])
+
+
+def double_integrator(terminal, final_time, position_weight=0.0):
+    """Parking's double integrator under another terminal condition or
+    final-time mode: the data of ``parking.parking_problem`` (A, B, R = 1,
+    Box(-1, 1), name "parking") with Q = diag(w, 0) for ``position_weight``
+    w, which adds w q_1^2 to the running cost and couples the adjoint to the
+    state."""
+    Q = [[float(position_weight), 0.0], [0.0, 0.0]]
+    return sp.lti_problem(
+        *parking.DOUBLE_INTEGRATOR, Q, [[1.0]],
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=terminal, final_time=final_time, name="parking")
 
 
 def _count_parking_callback(monkeypatch, name):

@@ -15,6 +15,8 @@ import pytest
 import sampled_pmp as sp
 from sampled_pmp import parking as pk
 
+from conftest import FREE_END, double_integrator
+
 
 def _line(n, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {detail}")
@@ -215,8 +217,8 @@ def test_criterion_6_adjoint_gradient_identity():
     # literal variant (pure control-energy cost) and a position-weighted one
     # whose adjoint arc is nontrivial
     for weight in (0.0, 1.0):
-        prob = pk.parking_problem(2.0, 3.0, terminal="free_final",
-                                  position_weight=weight)
+        prob = double_integrator(FREE_END, sp.FixedTime(3.0),
+                                 position_weight=weight)
         grid = sp.build_grid(3.0, 0.6)        # K = 5
         rng = np.random.default_rng(7)
         ctrl = rng.uniform(-0.9, 0.9, size=(grid.n_intervals, 1))

@@ -9,6 +9,8 @@ import sampled_pmp as sp
 from sampled_pmp.parking import parking_problem, solve_parking
 from sampled_pmp.simulate import SIMPSON_MEAN
 
+from conftest import FIXED_ENDS, FREE_END, double_integrator
+
 PARKING = parking_problem(2.0, 4.0)
 Q0 = np.array([2.0, 0.0])
 GRID = sp.build_grid(4.0, 2.0)
@@ -86,7 +88,7 @@ def test_transversality_variants():
 
 
 def test_free_time_residual():
-    prob = parking_problem(2.0, 4.0, free_time_guess=4.0)
+    prob = double_integrator(FIXED_ENDS, sp.FreeTime(4.0))
     grid = sp.build_grid(4.0, 1.5)      # t_f not a multiple: k_f = 2
     ctrl = np.array([[0.0], [0.0], [0.0]])
     ext = sp.integrate_extremal_forward(prob, grid, ctrl, Q0, np.zeros(2), -1.0)
@@ -103,7 +105,7 @@ def test_free_time_residual():
 
 
 def test_free_time_residual_uses_previous_interval_on_exact_multiple():
-    prob = parking_problem(2.0, 4.0, free_time_guess=4.0)
+    prob = double_integrator(FIXED_ENDS, sp.FreeTime(4.0))
     grid = sp.build_grid(4.0, 2.0)      # t_f = 2T: k_f = K-1 = 1
     ctrl = np.array([[0.0], [1.0]])
     ext = sp.integrate_extremal_forward(prob, grid, ctrl, Q0, np.zeros(2), -1.0)
@@ -140,6 +142,14 @@ def test_certificate_fails_on_trivial_multipliers():
     assert any("nontrivial" in v for v in cert.violations)
 
 
+def test_certificate_flags_positive_cost_multiplier():
+    # the solved extremal's adjoint with p0 = +1: a sign the PMP excludes
+    ext = _extremal([[-0.5], [0.5]], p0=1.0)
+    cert = sp.check_certificate(PARKING, ext)
+    assert not cert.passed
+    assert "cost multiplier must be <= 0, got 1.0" in cert.violations
+
+
 def test_certificate_flags_inadmissible_control():
     ext = _extremal([[1.5], [0.5]])
     cert = sp.check_certificate(PARKING, ext)
@@ -159,9 +169,9 @@ def _scaled(prob, grid, ctrl, p_init, lam):
 # conditions of the other two variants
 SCALE_CASES = [
     (PARKING, GRID, [[0.0], [0.5]], (-1.0, -2.0)),
-    (parking_problem(2.0, 4.0, terminal="free_final"), GRID, [[0.3], [0.3]],
+    (double_integrator(FREE_END, sp.FixedTime(4.0)), GRID, [[0.3], [0.3]],
      (0.7, -1.1)),
-    (parking_problem(2.0, 4.0, terminal="periodic", free_time_guess=4.0),
+    (double_integrator(sp.Periodic(), sp.FreeTime(4.0)),
      sp.build_grid(4.0, 1.5), [[0.3]] * 3, (0.7, -1.1)),
 ]
 

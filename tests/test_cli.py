@@ -41,6 +41,24 @@ BLOWUP_SPEC = {
 
 PARKING_FLAGS = ["--problem", "parking", "--M", "2", "--tf", "4", "--T", "2"]
 
+# a free horizon: parking's double integrator with cost q_1^2 + u^2 from
+# (1, 0), the horizon sought from 3.1 (it solves at t_f = 4.2941)
+FREE_HORIZON_SPEC = {
+    "n": 2, "m": 1, "dynamics": "lti",
+    "A": [[0, 1], [0, 0]], "B": [[0], [1]], "Q": [[1, 0], [0, 0]],
+    "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
+    "terminal": {"variant": "fixed_endpoints", "q0": [1, 0], "qf": [0, 0]},
+    "tf": 3.1, "final_time_mode": "free", "T": 0.5,
+}
+
+# a periodic oscillator: q(0) = q(t_f), with q(0) among the unknowns
+PERIODIC_SPEC = {
+    "n": 2, "m": 1, "dynamics": "lti",
+    "A": [[0, 1], [-1, 0]], "B": [[0], [1]], "Q": [[1, 0], [0, 1]],
+    "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
+    "terminal": {"variant": "periodic"}, "tf": 2.0, "T": 0.5,
+}
+
 
 def _readme_inline_spec():
     """The inline specification that README.md shows, as a dict."""
@@ -308,7 +326,9 @@ def test_sweep_rejects_a_problem_that_is_not_parking(tmp_path, capsys):
      "--T"),
     (["sweep", "--problem", "parking", "--M", "2", "--tf", "4",
       "--T-list", "1,-0.5"], "--T-list"),
-], ids=["M", "tf", "T", "T-list"])
+    (["solve", "--problem", "parking", "--M", "2", "--tf", "4", "--T", "abc"],
+     "--T"),
+], ids=["M", "tf", "T", "T-list", "T-not-a-number"])
 def test_flags_must_be_positive(tmp_path, capsys, args, flag):
     # the message names the flag the user wrote, not a spec field
     assert main([*args, "--out", str(tmp_path / "out")]) == 4
@@ -479,6 +499,76 @@ def test_check_validates_adjoint_init(solved_run, tmp_path, capsys):
         assert "bad input" in capsys.readouterr().err
 
 
+_CONTROLS_HEADER = "k,t_k,delta_k,u_1,residual_k\n"
+
+
+@pytest.mark.parametrize("args, controls, message", [
+    (["check", *PARKING_FLAGS, "--adjoint-init=-1,-2"], None,
+     "does not exist"),
+    (["check", *PARKING_FLAGS, "--adjoint-init=-1,-2"], "",
+     "empty file, expected a header row"),
+    (["check", *PARKING_FLAGS, "--adjoint-init=-1,-2"],
+     _CONTROLS_HEADER + "0,0,2,-0.5\n1,2,2,0.5,0\n",
+     "row 2 has 4 cells, header has 5"),
+    (["check", *PARKING_FLAGS, "--adjoint-init=-1,-2"], _CONTROLS_HEADER,
+     "no data rows"),
+    (["check", *PARKING_FLAGS, "--adjoint-init=a,b"],
+     _CONTROLS_HEADER + "0,0,2,-0.5,0\n1,2,2,0.5,0\n",
+     "neither a file nor a comma-separated vector"),
+    (["check", *PARKING_FLAGS, "--adjoint-init=-1,-2"],
+     _CONTROLS_HEADER + "0,0,2,-0.5,0\n1,2,2,0.5,0\n2,4,2,0.5,0\n",
+     "3 control rows but the grid has 2 intervals"),
+    (["sweep", "--problem", "parking", "--M", "2", "--tf", "4",
+      "--T-list", ", ,"], None, "--T-list must contain at least one period"),
+], ids=["controls-missing", "controls-empty", "controls-ragged",
+        "controls-header-only", "adjoint-init-not-numbers", "controls-rows",
+        "T-list-empty"])
+def test_bad_input_names_the_fault(tmp_path, capsys, args, controls, message):
+    # controls None: the controls file does not exist
+    path = tmp_path / "controls.csv"
+    if controls is not None:
+        path.write_text(controls)
+    if args[0] == "check":
+        args = [*args, "--controls", str(path)]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [FREE_HORIZON_SPEC, PERIODIC_SPEC],
+                         ids=["free-horizon", "periodic"])
+def test_check_round_trip_beyond_fixed_endpoints(tmp_path, spec):
+    # the manifest's packed unknowns carry q(0) or t_f besides p(0)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    run = tmp_path / "run"
+    assert main(["solve", "--spec", str(path), "--out", str(run)]) == 0
+    rc = main(["check", "--spec", str(path),
+               "--controls", str(run / "controls.csv"),
+               "--adjoint-init", str(run / "manifest.json"),
+               "--out", str(tmp_path / "chk")])
+    assert rc == 0
+    cert = json.loads((tmp_path / "chk" / "certificate.json").read_text())
+    assert cert["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("spec, missing", [
+    (FREE_HORIZON_SPEC, "t_f"), (PERIODIC_SPEC, "q(0)"),
+], ids=["free-horizon", "periodic"])
+def test_check_needs_every_unknown(tmp_path, capsys, spec, missing):
+    # p(0) alone does not fix the extremal: a bare vector is bad input
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    run = tmp_path / "run"
+    assert main(["solve", "--spec", str(path), "--out", str(run)]) == 0
+    capsys.readouterr()
+    rc = main(["check", "--spec", str(path),
+               "--controls", str(run / "controls.csv"),
+               "--adjoint-init=0,0", "--out", str(tmp_path / "chk")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "gives p(0) only" in err and f"also hold {missing}" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -634,13 +724,22 @@ def test_compare_missing_run(tmp_path):
     assert main(["compare", "--run", str(tmp_path / "nope")]) == 4
 
 
-@pytest.mark.parametrize("manifest", [
-    {"problem": {"builtin": "parking", "tf": 3.0, "T": 0.5}},
-    [{"problem": {"builtin": "parking", "M": 2.0, "tf": 3.0, "T": 0.5}}],
-    {"problem": {"builtin": "parking", "M": None, "tf": 3.0, "T": 0.5}},
-    {"problem": "parking"},
-], ids=["missing-M", "list", "null-M", "problem-string"])
-def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest):
+@pytest.mark.parametrize("manifest, message", [
+    ({"problem": {"builtin": "parking", "tf": 3.0, "T": 0.5}},
+     "missing required field 'M'"),
+    ([{"problem": {"builtin": "parking", "M": 2.0, "tf": 3.0, "T": 0.5}}],
+     "'problem' must be an object"),
+    ({"problem": {"builtin": "parking", "M": None, "tf": 3.0, "T": 0.5}},
+     "field 'M'"),
+    ({"problem": "parking"}, "'problem' must be an object"),
+    ({"problem": {"builtin": None, "name": "lti", "tf": 3.0, "T": 0.5}},
+     "compare needs a parking run"),
+    ({"problem": {"builtin": "parking", "M": 2.0, "tf": 3.0, "T": 1.0}},
+     "row count does not match the grid"),
+], ids=["missing-M", "list", "null-M", "problem-string", "not-parking",
+        "row-count"])
+def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest,
+                                            message):
     run = tmp_path / "run"
     run.mkdir()
     (run / "manifest.json").write_text(json.dumps(manifest))
@@ -648,7 +747,8 @@ def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest):
                                       + "".join(f"{k},0,0.5,0.0,0.0\n"
                                                 for k in range(6)))
     assert main(["compare", "--run", str(run)]) == 4
-    assert "bad input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad input" in err and message in err
 
 
 # ---------------------------------------------------------------------------

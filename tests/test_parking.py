@@ -10,6 +10,8 @@ import sampled_pmp as sp
 from sampled_pmp import parking as pk
 from sampled_pmp import solver
 
+from conftest import double_integrator
+
 
 # ---------------------------------------------------------------------------
 # instance validation and regimes
@@ -76,7 +78,7 @@ def test_parking_position_recognizes_parking(M, tf):
     _parking_variant(final_time=sp.FreeTime(4.0)),
     _parking_variant(control_set=sp.Ball(center=[0.0], radius=1.0)),
     dataclasses.replace(pk.parking_problem(2.0, 4.0), lq=None),
-    pk.parking_problem(2.0, 4.0, terminal="periodic"),
+    double_integrator(sp.Periodic(), sp.FixedTime(4.0)),
 ], ids=["box-2", "Q", "R-2", "qf", "q0-velocity", "M-zero", "M-negative",
         "free-time", "ball", "lq-none", "periodic"])
 def test_parking_position_rejects_each_deviation(problem):

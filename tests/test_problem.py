@@ -11,6 +11,8 @@ import pytest
 import sampled_pmp as sp
 from sampled_pmp import parking as pk
 from sampled_pmp.parking import parking_problem
+
+from conftest import FREE_END, double_integrator
 from test_simulate import _blowup_problem
 from test_solver import _scalar_transfer
 
@@ -338,7 +340,8 @@ def _builtin_problems():
         final_time=sp.FixedTime(1.0))
     return [
         parking_problem(2.0, 4.0),
-        parking_problem(2.0, 3.0, terminal="free_final", position_weight=1.0),
+        double_integrator(FREE_END, sp.FixedTime(3.0),
+                          position_weight=1.0),
         osc,
     ]
 
@@ -448,6 +451,26 @@ def test_control_sequence_admissibility():
     assert len(ok) == 2 and ok.m == 1
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: sp.Box(lower=[[-1.0]], upper=[[1.0]]), "1-d arrays"),
+    (lambda: sp.Ball(center=[[0.0]], radius=1.0), "1-d array"),
+    (lambda: dataclasses.replace(parking_problem(2.0, 4.0), n=0),
+     "dimensions must be >= 1"),
+    (lambda: dataclasses.replace(parking_problem(2.0, 4.0), m=0),
+     "dimensions must be >= 1"),
+    (lambda: dataclasses.replace(
+        parking_problem(2.0, 4.0),
+        control_set=sp.Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])),
+     "control set dimension 2 != m=1"),
+    (lambda: sp.ControlSequence(np.zeros((2, 1, 1))), "(K, m) array"),
+], ids=["box-2d", "ball-2d", "n-zero", "m-zero", "set-dimension",
+        "controls-3d"])
+def test_constructors_reject_malformed_input(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert message in str(exc.value)
+
+
 def _records_holding_arrays():
     extremal, _, cert = pk.solve_parking(2.0, 4.0, 1.0)
     return {
@@ -480,7 +503,7 @@ def test_records_holding_arrays_compare_by_identity(name):
 def test_initial_state_by_variant():
     prob = parking_problem(2.0, 4.0)
     np.testing.assert_array_equal(prob.initial_state(), [2.0, 0.0])
-    per = parking_problem(2.0, 4.0, terminal="periodic")
+    per = double_integrator(sp.Periodic(), sp.FixedTime(4.0))
     with pytest.raises(sp.UnsupportedCase):
         per.initial_state()
 
@@ -571,6 +594,57 @@ def test_spec_rejects_malformed_content(tmp_path):
     }))
     with pytest.raises(sp.SpecError):
         sp.load_problem_spec(path)
+
+
+# the inline spec of parking (2, 4), which the cases below break one field at
+# a time
+_INLINE = {
+    "n": 2, "m": 1, "dynamics": "lti", "A": [[0, 1], [0, 0]],
+    "B": [[0], [1]],
+    "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
+    "terminal": {"variant": "fixed_endpoints", "q0": [2, 0], "qf": [0, 0]},
+    "tf": 4.0, "T": 2.0,
+}
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({**_INLINE, "control_set": [-1, 1]}),
+     "'control_set' must be an object"),
+    (json.dumps({**_INLINE, "terminal": "fixed_endpoints"}),
+     "'terminal' must be an object"),
+    (json.dumps({**_INLINE, "control_set": {"kind": "simplex"}}),
+     "control_set.kind must be 'box' or 'ball'"),
+    (json.dumps({**_INLINE, "terminal": {"variant": "loop"}}),
+     "unknown terminal variant 'loop'"),
+    (json.dumps({**_INLINE, "control_set": {
+        "kind": "ball", "center": [0, 0], "radius": 1}}),
+     "control_set dimension 2 does not match m=1"),
+    (json.dumps({**_INLINE, "terminal": {
+        "variant": "fixed_endpoints", "q0": [2], "qf": [0]}}),
+     "terminal vectors must have length n=2"),
+    (json.dumps({**_INLINE, "terminal": {
+        "variant": "fixed_initial_free_final", "q0": [2, 0, 0]}}),
+     "terminal vectors must have length n=2"),
+    ("[1, 2]", "must contain a JSON object"),
+    (None, "cannot read problem specification"),
+    (json.dumps({**_INLINE, "final_time_mode": "open"}),
+     "final_time_mode must be 'fixed' or 'free'"),
+    (json.dumps({**_INLINE, "dynamics": "parking"}),
+     "matrix fields only apply to dynamics='lti'"),
+    (json.dumps({**_INLINE, "dynamics": "rocket"}),
+     "dynamics must be 'lti' or a builtin id"),
+], ids=["control-set-not-object", "terminal-not-object", "unknown-kind",
+        "unknown-variant", "set-dimension", "endpoints-length",
+        "free-final-length", "not-an-object", "unreadable", "final-time-mode",
+        "parking-with-matrices", "unknown-dynamics"])
+def test_spec_errors_name_the_fault(tmp_path, text, message):
+    # text None: the path names no file
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(sp.SpecError) as exc:
+        sp.load_problem_spec(path)
+    assert message in str(exc.value)
 
 
 @pytest.mark.parametrize("change", [

@@ -9,6 +9,8 @@ import sampled_pmp as sp
 from sampled_pmp.parking import parking_problem
 from sampled_pmp.simulate import _extremal_interval
 
+from conftest import FREE_END, double_integrator
+
 PARKING = parking_problem(2.0, 4.0)
 Q0 = np.array([2.0, 0.0])
 
@@ -347,7 +349,8 @@ def test_average_gradient_uses_partial_interval_length():
 
 def test_adjoint_gradient_identity():
     # free final point forces p(t_f) = 0; then dcost/du_k = -Delta_k Gbar_k
-    prob = parking_problem(2.0, 3.0, terminal="free_final", position_weight=1.0)
+    prob = double_integrator(FREE_END, sp.FixedTime(3.0),
+                             position_weight=1.0)
     grid = sp.build_grid(3.0, 0.6)
     rng = np.random.default_rng(7)
     ctrl = rng.uniform(-0.9, 0.9, size=(grid.n_intervals, 1))

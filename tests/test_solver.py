@@ -12,7 +12,11 @@ from sampled_pmp.simulate import (_extremal_interval, _lq_maps,
                                   integrate_extremal_forward)
 from sampled_pmp.solver import _fd_jacobian
 
+from conftest import FIXED_ENDS, FREE_END, double_integrator
+
 PARKING4 = parking_problem(2.0, 4.0)
+# parking (2, 4) with the final time free, its guess 4
+FREE_TIME4 = double_integrator(FIXED_ENDS, sp.FreeTime(4.0))
 GRID4 = sp.build_grid(4.0, 2.0)
 Q0 = np.array([2.0, 0.0])
 # entry adjoint for multipliers (p1, p2f) = (-1, 2) at t_f = 4
@@ -202,8 +206,8 @@ def test_lq_matrices_match_callbacks_on_random_intervals():
                                                qf=np.zeros(2)),
                     final_time=sp.FixedTime(3.0)),
      sp.build_grid(3.0, 0.5), None),
-    (parking_problem(1.0, 2.0, terminal="periodic"), sp.build_grid(2.0, 0.5),
-     [0.1, -0.2, 0.7, 0.3]),
+    (double_integrator(sp.Periodic(), sp.FixedTime(2.0)),
+     sp.build_grid(2.0, 0.5), [0.1, -0.2, 0.7, 0.3]),
     (sp.lti_problem(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
                     control_set=sp.Box(lower=np.array([-5.0]),
                                        upper=np.array([5.0])),
@@ -253,12 +257,12 @@ def test_shooting_residual_values():
 
 
 @pytest.mark.parametrize("problem, grid, x", [
-    (parking_problem(2.0, 4.0, position_weight=0.5), sp.build_grid(4.0, 1.0),
-     [-1.0, -2.0]),
-    (parking_problem(2.0, 4.0, terminal="free_final", position_weight=0.5),
+    (double_integrator(FIXED_ENDS, sp.FixedTime(4.0), position_weight=0.5),
+     sp.build_grid(4.0, 1.0), [-1.0, -2.0]),
+    (double_integrator(FREE_END, sp.FixedTime(4.0), position_weight=0.5),
      sp.build_grid(4.0, 1.0), [0.3, -0.7]),
-    (parking_problem(1.0, 2.0, terminal="periodic"), sp.build_grid(2.0, 0.5),
-     [0.1, -0.2, 0.7, 0.3]),
+    (double_integrator(sp.Periodic(), sp.FixedTime(2.0)),
+     sp.build_grid(2.0, 0.5), [0.1, -0.2, 0.7, 0.3]),
     (_scalar_transfer(1.3), sp.build_grid(1.3, 0.3), [0.5, 1.2]),
 ], ids=["fixed-endpoints", "free-end", "periodic", "free-time"])
 def test_shooting_residual_is_the_certified_boundary_conditions(problem, grid,
@@ -298,7 +302,7 @@ def test_unknown_layout_is_square():
     # FixedEndpoints: n unknowns; periodic: 2n; free time adds one.  The
     # packed vector is p(0), then q(0), then t_f
     assert solver._unknown_layout(PARKING4) == (False, False, 2)
-    per = parking_problem(2.0, 4.0, terminal="periodic")
+    per = double_integrator(sp.Periodic(), sp.FixedTime(4.0))
     assert solver._unknown_layout(per) == (True, False, 4)
     _, (_, _, arcs, _) = solver._propagate(per, GRID4, np.arange(4.0))
     np.testing.assert_array_equal(arcs[0][1][0][:2], [2.0, 3.0])
@@ -400,9 +404,9 @@ def test_forward_differences_only_off_the_lq_fixed_horizon_path(monkeypatch):
         return fd(*args)
 
     monkeypatch.setattr(solver, "_fd_jacobian", counted)
-    periodic = parking_problem(1.0, 2.0, terminal="periodic")
-    free_end = parking_problem(2.0, 4.0, terminal="free_final",
-                               position_weight=0.5)
+    periodic = double_integrator(sp.Periodic(), sp.FixedTime(2.0))
+    free_end = double_integrator(FREE_END, sp.FixedTime(4.0),
+                                 position_weight=0.5)
     for prob, grid, x in ((PARKING4, sp.build_grid(4.0, 0.5), None),
                           (periodic, sp.build_grid(2.0, 0.5),
                            [0.1, -0.2, 0.7, 0.3]),
@@ -524,9 +528,9 @@ def test_solve_assembles_one_extremal(monkeypatch):
     (PARKING4, [np.nan, 0.0]),
     (PARKING4, [0.0, np.inf]),
     (PARKING4, [0.0, 0.0, 1.0]),
-    (parking_problem(2.0, 4.0, free_time_guess=4.0), [0.1, 0.2, -1.0]),
-    (parking_problem(2.0, 4.0, free_time_guess=4.0), [0.1, 0.2, 0.0]),
-    (parking_problem(2.0, 4.0, free_time_guess=4.0), [0.1, 0.2, np.nan]),
+    (FREE_TIME4, [0.1, 0.2, -1.0]),
+    (FREE_TIME4, [0.1, 0.2, 0.0]),
+    (FREE_TIME4, [0.1, 0.2, np.nan]),
 ], ids=["nan", "inf", "shape", "negative-tf", "zero-tf", "nan-tf"])
 def test_solve_rejects_bad_initial_unknowns(problem, guess,
                                             interval_integrations):
@@ -535,6 +539,13 @@ def test_solve_rejects_bad_initial_unknowns(problem, guess,
         sp.solve(problem, sp.build_grid(4.0, 1.0),
                  initial_unknowns=np.array(guess))
     assert interval_integrations() == 0
+
+
+def test_free_horizon_solves_from_the_default_guess():
+    # no initial unknowns: p(0) = 0 and the problem's own final-time guess
+    ext, cert = sp.solve(_scalar_transfer(1.4), sp.build_grid(1.4, 0.3))
+    assert cert.passed
+    assert abs(ext.grid.t_f - 1.0) <= 1e-9
 
 
 def test_solve_rejects_a_grid_off_the_fixed_horizon(interval_integrations):
@@ -582,7 +593,7 @@ def test_solve_returns_a_failing_certificate(failing_certificate):
 
 
 def test_solve_periodic_variant():
-    prob = parking_problem(1.0, 2.0, terminal="periodic")
+    prob = double_integrator(sp.Periodic(), sp.FixedTime(2.0))
     grid = sp.build_grid(2.0, 0.5)
     ext, cert = sp.solve(prob, grid,
                          initial_unknowns=np.array([0.1, -0.2, 0.7, 0.3]))
