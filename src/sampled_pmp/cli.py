@@ -220,7 +220,10 @@ def _parse_unknowns(text: str, problem) -> np.ndarray:
     key = "p_init"
     candidate = Path(text)
     if candidate.exists():
-        data = json.loads(candidate.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(candidate.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--adjoint-init {text}: {exc}")
         if isinstance(data, list):
             data = {"p_init": data}
         elif isinstance(data, dict) and "p_init" not in data \

@@ -26,8 +26,8 @@ two matrix products.  The same cache entry holds the Simpson mean of dH/du
 as an affine map of the start point and the control, and the end-node maps,
 from which the solver reads exact derivatives.  The running cost and the
 certificate's interval averages read the callbacks on both paths; the
-callback RK4 calls them on one point a stage, and integrates only the state
-block of an arc that starts from p = 0 with p0 = 0.
+callback RK4 calls them once a stage, on one arc or a stack, and integrates
+only the state block of arcs that start from p = 0 with p0 = 0.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ class Extremal:
 def _rk4(rhs, t0: float, delta: float, x0: np.ndarray):
     """Integrate dx/dt = rhs(t, x) over [t0, t0+delta] with SUBSTEPS RK4 steps.
 
-    Returns (times, values) including both endpoints.  Raises
-    IntegrationBlowUp when a node goes non-finite or beyond BLOWUP_NORM.
+    Returns times and values (..., SUBSTEPS+1, d) for x0 (..., d), with both
+    endpoints; a row non-finite or past BLOWUP_NORM raises IntegrationBlowUp.
     """
     h = delta / SUBSTEPS
-    out = np.empty((SUBSTEPS + 1, x0.size))
-    out[0] = x0
+    out = np.empty(x0.shape[:-1] + (SUBSTEPS + 1, x0.shape[-1]))
+    out[..., 0, :] = x0
     x = x0
     for i in range(SUBSTEPS):
         t = t0 + i * h
@@ -118,11 +118,11 @@ def _rk4(rhs, t0: float, delta: float, x0: np.ndarray):
         k4 = rhs(t + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # the max test also rejects NaN (which it propagates) and keeps the
-        # norm from overflowing
+        # norms from overflowing
         if (not np.abs(x).max() <= BLOWUP_NORM
-                or np.linalg.norm(x) > BLOWUP_NORM):
+                or np.linalg.norm(x, axis=-1).max() > BLOWUP_NORM):
             raise IntegrationBlowUp(t + h)
-        out[i + 1] = x
+        out[..., i + 1, :] = x
     times = t0 + h * np.arange(SUBSTEPS + 1)
     return times, out
 
@@ -133,9 +133,10 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
     """Nodes of the coupled state/adjoint arc over one interval held at ``u``.
 
     ``z_start`` stacks q and p; the right-hand side is (f, -dH/dq).  Returns
-    (times, nodes) arrays of length SUBSTEPS+1.  The library's only interval
+    (times, nodes) with SUBSTEPS+1 nodes.  The library's only interval
     integrator: by the maps of :func:`_lq_maps` when the problem carries
-    ``lq`` matrices and they do not overflow, by the callbacks otherwise.
+    ``lq`` matrices and they do not overflow, by the callbacks otherwise,
+    which also take (S, 2n) starts and (S, m) controls.
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
@@ -145,19 +146,20 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
         if arc is not None:
             return arc
 
-    if p0 == 0 and not np.any(z_start[n:]):
+    def f(t, q):
+        return np.asarray(problem.f(np.full(q.shape[:-1], t), q, u),
+                          dtype=float)
+
+    if p0 == 0 and not np.any(z_start[..., n:]):
         # from p = 0 with p0 = 0 the adjoint right-hand side is exactly zero:
         # the adjoint stays zero, and only the state block is integrated
-        times, states = _rk4(
-            lambda t, q: np.asarray(problem.f(t, q, u), dtype=float),
-            t_start, delta, z_start[:n])
-        return times, np.hstack([states, np.zeros_like(states)])
+        times, states = _rk4(f, t_start, delta, z_start[..., :n])
+        return times, np.concatenate([states, np.zeros_like(states)], axis=-1)
 
     def rhs(t, zz):
-        qq, pp = zz[:n], zz[n:]
-        dq = np.asarray(problem.f(t, qq, u), dtype=float)
-        dp = -problem.hamiltonian_q(t, qq, pp, p0, u)
-        return np.concatenate([dq, dp])
+        qq, pp = zz[..., :n], zz[..., n:]
+        dp = -problem.hamiltonian_q(np.full(qq.shape[:-1], t), qq, pp, p0, u)
+        return np.concatenate([f(t, qq), dp], axis=-1)
 
     return _rk4(rhs, t_start, delta, z_start)
 

@@ -12,23 +12,20 @@ of those arcs by the boundary conditions the certificate checks; only the
 accepted iterate's arcs are assembled into an extremal, and ``solve``
 returns its certificate whatever the verdict.
 
-On a problem with ``lq`` matrices the derivatives are exact, read from the
-interval's cached RK4 maps (see :mod:`.simulate`).  Gbar(u) = a + G u is
-affine, so the inner Newton integrates no trial control and uses the exact
-Jacobian of the natural residual.  Each interval also returns its tangent
-dz_{k+1}/dz_k, and for a fixed horizon the tangents chained at an accepted
-iterate give the exact Jacobian of the shooting residual.  The shooting map
-is piecewise smooth there (piecewise affine on a Box): it kinks where a
-control changes saturation status, and the chained tangents are an element
-of its generalized Jacobian, which makes the outer iteration the semismooth
-Newton method of Qi & Sun (Math. Programming 58, 1993).  Forward
-differences remain where no tangent exists: problems without ``lq`` (Gbar
-then re-integrates the arc by the callbacks at each trial control, inner
-and outer Jacobians are forward differences), intervals whose maps
-overflow, a free horizon (whose map also kinks where the horizon crosses a
-multiple of the sampling period), and the two-unknown parking shooting.
-The backtracking line search absorbs the kinks.  The certificate still
-evaluates dH/du through the callbacks.
+Each interval's derivatives come as one :class:`~.simulate.LQMaps` of Gbar
+and the end node in the start point and the control: an ``lq`` interval's
+cached RK4 maps (see :mod:`.simulate`), exact, with Gbar(u) = a + G u
+affine, so no trial control is integrated; otherwise forward differences
+of one stacked callback integration per trial control (internal numerical
+differentiation, Bock 1981).  The inner Newton reads its Jacobian from
+them, and each interval returns its tangent dz_{k+1}/dz_k.  For a fixed
+horizon the chained tangents are the shooting residual's Jacobian, an
+element of the generalized Jacobian of a map that kinks where a control
+changes saturation status: semismooth Newton (Qi & Sun, Math. Programming
+58, 1993), whose kinks the backtracking line search absorbs.  Whole
+propagations are differenced only for a free horizon (whose grid moves
+with t_f), for the two-unknown parking shooting and where an interval has
+no tangent.  The certificate still evaluates dH/du through the callbacks.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
 interval control, the generic shooting and the two-unknown parking shooting
@@ -48,8 +45,8 @@ from .certificate import (_terminal_hamiltonian, boundary_residuals,
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
-from .simulate import (_extremal_from_arcs, _extremal_interval, _lq_maps,
-                       _node_mean, integrate_extremal_forward)
+from .simulate import (LQMaps, _extremal_from_arcs, _extremal_interval,
+                       _lq_maps, _node_mean, integrate_extremal_forward)
 
 
 # Tolerance and iteration cap of the inner Newton on each interval's natural
@@ -59,8 +56,7 @@ INNER_MAX_ITER = 200
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 
-FD_STEP = 1e-6              # forward-difference step, scaled by (1 + |x|),
-                            # where no exact Jacobian exists
+FD_STEP = 1e-6              # forward-difference step, scaled by (1 + |x|)
 MAX_HALVINGS = 30           # trial scales 1, 1/2, ... along one direction
 
 # Levenberg damping of the one retry taken when no scale of the Newton step
@@ -87,18 +83,25 @@ def _unknown_layout(problem: ProblemDefinition):
 # inner solve: one interval's control from the averaged-gradient condition
 # ---------------------------------------------------------------------------
 
-def _interval_average_gradient(problem, t_k, delta, q_k, p_k, p0, u):
-    """Average of dH/du over one interval, re-integrating the coupled arc at u
-    by the callbacks' path of :func:`_extremal_interval`.
-
-    Returns ``(gbar, arc)`` with the integrated ``(times, nodes)`` arc.
-    """
+def _interval_average_gradient(problem, t_k, delta, z, u, p0):
+    """Gbar at ``u`` on one interval from z = (q_k, p_k), its maps and arc,
+    from one stacked callback integration of the base arc and one step
+    ``FD_STEP (1 + |(z, u)|)`` along each component of (z, u).  Returns
+    ``(gbar, maps, arc)``, ``maps`` an :class:`LQMaps` without node maps."""
     n = problem.n
-    times, nodes = _extremal_interval(problem, t_k, delta,
-                                      np.concatenate([q_k, p_k]), u, p0)
-    gbar = _node_mean(problem.hamiltonian_u, times, nodes[:, :n],
-                      nodes[:, n:], p0, u)
-    return gbar, (times, nodes)
+    x = np.concatenate([z, u])
+    h = FD_STEP * (1.0 + float(np.linalg.norm(x)))
+    stack = x + np.vstack([np.zeros(x.size), h * np.eye(x.size)])
+    times, nodes = _extremal_interval(problem, t_k, delta, stack[:, :2 * n],
+                                      stack[:, 2 * n:], p0)
+    gbar = _node_mean(problem.hamiltonian_u,
+                      np.broadcast_to(times, nodes.shape[:2]),
+                      nodes[..., :n], nodes[..., n:], p0, stack[:, 2 * n:])
+    d_gbar = ((gbar[1:] - gbar[0]) / h).T
+    d_end = ((nodes[1:, -1] - nodes[0, -1]) / h).T
+    maps = LQMaps(None, None, d_gbar[:, :2 * n], d_gbar[:, 2 * n:],
+                  d_end[:, :2 * n], d_end[:, 2 * n:])
+    return gbar[0], maps, (times, nodes[0])
 
 
 def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
@@ -111,55 +114,47 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     where Gbar lies in the normal cone of the control set.  ``INNER_TOL`` and
     ``INNER_MAX_ITER`` serve as the Newton tolerance and iteration cap.
 
-    With ``lq`` matrices, Gbar(u) = a + G u is affine: a = Ga z_k and G come
-    from the interval's cached maps (:class:`~sampled_pmp.simulate.LQMaps`),
-    so no trial control is integrated.  F's Jacobian is exact,
-    D (I + G) - I with D the projection's Jacobian at w = u + a + G u, and
-    the arc is integrated once, at the solved control.  The interval's
-    tangent, the derivative of its end point z_{k+1} in z_k = (q_k, p_k),
-    is then Phi_end + Gamma_end du/dz with du/dz = -(D (I + G) - I)^{-1} D Ga.
-    Without ``lq`` (or when its maps overflow) Gbar re-integrates the arc by
-    the callbacks at each trial control, F's Jacobian is a forward
-    difference, and there is no tangent.
+    G = dGbar/du and Ga = dGbar/dz_k are the ``lq`` interval's cached maps,
+    where Gbar = Ga z_k + G u is affine and the arc is integrated once, at
+    the solved control, or :func:`_interval_average_gradient`'s at each
+    trial control.  F's Jacobian is D (I + G) - I with D the projection's
+    Jacobian at w = u + Gbar(u); the tangent dz_{k+1}/dz_k is
+    Phi_end + Gamma_end du/dz with du/dz = -(D (I + G) - I)^{-1} D Ga.
 
     Returns ``(u, arc, tangent)``: ``arc`` is the ``(times, nodes)`` coupled
     arc integrated at ``u``, ``tangent`` the 2n x 2n matrix or None.
     """
-    q_k = np.asarray(q_k, dtype=float)
-    p_k = np.asarray(p_k, dtype=float)
+    z = np.asarray(np.concatenate([q_k, p_k]), dtype=float)
     cs = problem.control_set
     u = cs.project(np.atleast_1d(np.asarray(u_init, dtype=float)))
     maps = (None if problem.lq is None
             else _lq_maps(problem.lq, float(delta), float(p0)))
-    if maps is None:
-        def natural_residual(v):
-            gbar, arc = _interval_average_gradient(problem, t_k, delta, q_k,
-                                                   p_k, p0, v)
-            return cs.project(v + gbar) - v, arc
-
-        u, arc = _damped_newton(natural_residual, u, INNER_TOL, INNER_MAX_ITER)
-        return u, arc, None
-
-    z = np.concatenate([q_k, p_k])
-    a, G = maps.ga @ z, maps.g
     eye = np.eye(problem.m)
+    a = None if maps is None else maps.ga @ z
 
     def natural_residual(v):
-        w = v + a + G @ v
-        return cs.project(w) - v, w
+        if maps is None:
+            gbar, v_maps, arc = _interval_average_gradient(problem, t_k, delta,
+                                                           z, v, p0)
+            w = v + gbar
+        else:
+            w, v_maps, arc = v + a + maps.g @ v, maps, None
+        return cs.project(w) - v, (w, v_maps, arc)
 
-    def jacobian(v, w):
-        return cs.project_jacobian(w) @ (eye + G) - eye
+    def jacobian(v, aux):
+        w, v_maps, _ = aux
+        return cs.project_jacobian(w) @ (eye + v_maps.g) - eye
 
-    u, w = _damped_newton(natural_residual, u, INNER_TOL, INNER_MAX_ITER,
-                          jacobian=jacobian)
-    arc = _extremal_interval(problem, t_k, delta, z, u, p0)
+    u, (w, u_maps, arc) = _damped_newton(natural_residual, u, INNER_TOL,
+                                         INNER_MAX_ITER, jacobian=jacobian)
+    if arc is None:
+        arc = _extremal_interval(problem, t_k, delta, z, u, p0)
     D = cs.project_jacobian(w)
     try:
-        du_dz = -np.linalg.solve(D @ (eye + G) - eye, D @ maps.ga)
+        du_dz = -np.linalg.solve(D @ (eye + u_maps.g) - eye, D @ u_maps.ga)
     except np.linalg.LinAlgError:
         return u, arc, None
-    return u, arc, maps.phi_end + maps.gamma_end @ du_dz
+    return u, arc, u_maps.phi_end + u_maps.gamma_end @ du_dz
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +169,8 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     coupled ``(times, nodes)`` arc is the one the inner solve integrated at
     its solved control; that arc advances the state and adjoint, and
     ``simulate._extremal_from_arcs`` with p0 = -1 assembles the arcs into
-    the extremal.  ``tangents`` holds each interval's tangent (None off the
-    ``lq`` path), for :func:`_tangent_jacobian`.  Controls are warm-started
+    the extremal.  ``tangents`` holds each interval's tangent (None where
+    it has none), for :func:`_tangent_jacobian`.  Controls are warm-started
     from the previous interval (the first from the projected origin).
     """
     n = problem.n
@@ -218,8 +213,8 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
 
 
 def _tangent_jacobian(problem: ProblemDefinition, tangents):
-    """Exact Jacobian of a fixed-horizon shooting residual, or None when an
-    interval has no tangent.
+    """Jacobian of a fixed-horizon shooting residual, exact with exact
+    tangents, or None when an interval has no tangent.
 
     The residual is the ``end`` and ``transversality`` blocks of
     :func:`~sampled_pmp.certificate.boundary_residuals`, affine in the end

@@ -32,6 +32,30 @@ def double_integrator(terminal, final_time, position_weight=0.0):
         terminal=terminal, final_time=final_time, name="parking")
 
 
+def pendulum(bound):
+    """The swing-up of a pendulum: q1' = q2, q2' = -sin q1 + u with running
+    cost u^2, from rest at the bottom (0, 0) to rest at the top (pi, 0) at
+    t_f = 6, under Box(-bound, bound).  Nonlinear, so every interval runs on
+    the callbacks, which broadcast over stacked points."""
+    def f(t, q, u):
+        return np.stack([q[..., 1], u[..., 0] - np.sin(q[..., 0])], axis=-1)
+
+    def f_q(t, q, u):
+        J = np.zeros(q.shape[:-1] + (2, 2))
+        J[..., 0, 1] = 1.0
+        J[..., 1, 0] = -np.cos(q[..., 0])
+        return J
+
+    return sp.ProblemDefinition(
+        n=2, m=1, f=f, f_q=f_q, f_u=lambda t, q, u: np.array([[0.0], [1.0]]),
+        f0=lambda t, q, u: u[..., 0] ** 2,
+        f0_q=lambda t, q, u: np.zeros_like(q),
+        f0_u=lambda t, q, u: 2.0 * u,
+        control_set=sp.Box(lower=np.array([-bound]), upper=np.array([bound])),
+        terminal=sp.FixedEndpoints(q0=[0.0, 0.0], qf=[np.pi, 0.0]),
+        final_time=sp.FixedTime(6.0), name="pendulum")
+
+
 def _count_parking_callback(monkeypatch, name):
     """Count calls to the callback ``name`` of every problem that
     ``parking.parking_problem`` builds from now on; returns the reader."""
@@ -95,9 +119,9 @@ def interval_integrations(monkeypatch):
 
 @pytest.fixture
 def gbar_calls(monkeypatch):
-    """Count calls to ``solver._interval_average_gradient``, one interval
-    integration and averaged-gradient evaluation each, made only on the
-    callback path; returns the reader."""
+    """Count calls to ``solver._interval_average_gradient``, one stacked
+    callback integration of an interval's base and difference arcs each,
+    made only off the ``lq`` matrices; returns the reader."""
     return _count_calls(monkeypatch, solver, "_interval_average_gradient")
 
 

@@ -499,6 +499,32 @@ def test_check_validates_adjoint_init(solved_run, tmp_path, capsys):
         assert "bad input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["bad-json", "directory"])
+def test_unreadable_adjoint_init_file_names_flag_and_path(solved_run, tmp_path,
+                                                          capsys, kind):
+    path = tmp_path / "adjoint"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("{oops")
+    rc = main(["check", *PARKING_FLAGS,
+               "--controls", str(solved_run / "controls.csv"),
+               "--adjoint-init", str(path), "--out", str(tmp_path / "chk")])
+    assert rc == 4
+    assert f"bad input: --adjoint-init {path}: " in capsys.readouterr().err
+
+
+def test_check_reads_adjoint_init_from_a_bare_json_list(solved_run, tmp_path):
+    # a file holding only the list p(0), where p(0) is every unknown
+    manifest = json.loads((solved_run / "manifest.json").read_text())
+    path = tmp_path / "p_init.json"
+    path.write_text(json.dumps(manifest["unknowns"]["p_init"]))
+    rc = main(["check", *PARKING_FLAGS,
+               "--controls", str(solved_run / "controls.csv"),
+               "--adjoint-init", str(path), "--out", str(tmp_path / "chk")])
+    assert rc == 0
+
+
 _CONTROLS_HEADER = "k,t_k,delta_k,u_1,residual_k\n"
 
 

@@ -12,7 +12,7 @@ from sampled_pmp.simulate import (_extremal_interval, _lq_maps,
                                   integrate_extremal_forward)
 from sampled_pmp.solver import _fd_jacobian
 
-from conftest import FIXED_ENDS, FREE_END, double_integrator
+from conftest import FIXED_ENDS, FREE_END, double_integrator, pendulum
 
 PARKING4 = parking_problem(2.0, 4.0)
 # parking (2, 4) with the final time free, its guess 4
@@ -176,21 +176,26 @@ def test_interval_control_solves_random_monotone_lq_intervals():
 def test_lq_matrices_match_callbacks_on_random_intervals():
     # nodes and Gbar of the lq path against the callback twin: mixed-sign Q,
     # Box and Ball sets, interval lengths in [0.1, 2].  The lq path's Gbar
-    # is the cached affine map Ga z + G u, with no integration
+    # is the cached affine map Ga z + G u, with no integration, and its
+    # derivatives are the twin's forward differences up to their truncation
+    # error (7.5e-9 relative at worst on these draws)
     rng = np.random.default_rng(2026)
     for _ in range(100):
         prob, delta, q, p, u = _random_lq_interval(rng, state_cost=True)
         twin = dataclasses.replace(prob, lq=None)
         z = np.concatenate([q, p])
         for p0 in (-1.0, -0.5):
-            want, (times, nodes) = solver._interval_average_gradient(
-                twin, 0.3, delta, q, p, p0, u)
+            want, twin_maps, (times, nodes) = \
+                solver._interval_average_gradient(twin, 0.3, delta, z, u, p0)
             maps = _lq_maps(prob.lq, delta, p0)
             got_times, got_nodes = _extremal_interval(prob, 0.3, delta, z, u,
                                                       p0)
             np.testing.assert_array_equal(got_times, times)
             for a, b in ((maps.ga @ z + maps.g @ u, want), (got_nodes, nodes)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            for name in ("ga", "g", "phi_end", "gamma_end"):
+                a, b = getattr(twin_maps, name), getattr(maps, name)
+                assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b)), name
         # the arc ``simulate`` integrates: zero adjoint, p0 = 0
         z = np.concatenate([q, np.zeros_like(q)])
         got, want = (_extremal_interval(P, 0.3, delta, z, u, 0.0)[1]
@@ -382,6 +387,12 @@ def test_tangent_jacobian_matches_finite_differences(monkeypatch, terminal):
         J = solver._tangent_jacobian(prob, tangents)
         if not np.any(J):
             continue
+        # the callback twin's tangents difference the interval instead
+        # (1.7e-8 relative at worst on these draws)
+        _, (_, _, _, twin_tangents) = solver._propagate(
+            dataclasses.replace(prob, lq=None), grid, x)
+        twin_J = solver._tangent_jacobian(prob, twin_tangents)
+        assert np.max(np.abs(twin_J - J)) <= 1e-6 * np.max(np.abs(J))
         forward = _fd_jacobian(residual, x, r)
         monkeypatch.setattr(solver, "FD_STEP", -solver.FD_STEP)
         backward = _fd_jacobian(residual, x, r)
@@ -393,8 +404,9 @@ def test_tangent_jacobian_matches_finite_differences(monkeypatch, terminal):
 
 
 def test_forward_differences_only_off_the_lq_fixed_horizon_path(monkeypatch):
-    # fixed-horizon lq problems take the exact Jacobians, inner and outer;
-    # the callback twin and a free horizon still difference
+    # every fixed horizon chains interval tangents: exact ones from the lq
+    # maps, and differences of one interval at a time on the callback twin.
+    # Only a free horizon differences whole propagations
     fd_calls = 0
     fd = solver._fd_jacobian
 
@@ -410,22 +422,20 @@ def test_forward_differences_only_off_the_lq_fixed_horizon_path(monkeypatch):
     for prob, grid, x in ((PARKING4, sp.build_grid(4.0, 0.5), None),
                           (periodic, sp.build_grid(2.0, 0.5),
                            [0.1, -0.2, 0.7, 0.3]),
-                          (free_end, sp.build_grid(4.0, 1.0), [0.3, -0.7])):
+                          (free_end, sp.build_grid(4.0, 1.0), [0.3, -0.7]),
+                          (dataclasses.replace(PARKING4, lq=None), GRID4,
+                           None)):
         _, cert = sp.solve(prob, grid, initial_unknowns=x)
         assert cert.passed
     assert fd_calls == 0
-    for prob, grid, x in (
-            (dataclasses.replace(PARKING4, lq=None), GRID4, None),
-            (sp.lti_problem(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
-                            control_set=sp.Box(lower=np.array([-5.0]),
-                                               upper=np.array([5.0])),
-                            terminal=sp.FixedEndpoints(q0=np.ones(1),
-                                                       qf=2.0 * np.ones(1)),
-                            final_time=sp.FreeTime(1.4)),
-             sp.build_grid(1.4, 0.3), [1.0, 1.4])):
-        before = fd_calls
-        _, cert = sp.solve(prob, grid, initial_unknowns=x)
-        assert cert.passed and fd_calls > before
+    free_time = sp.lti_problem(
+        np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+        control_set=sp.Box(lower=np.array([-5.0]), upper=np.array([5.0])),
+        terminal=sp.FixedEndpoints(q0=np.ones(1), qf=2.0 * np.ones(1)),
+        final_time=sp.FreeTime(1.4))
+    _, cert = sp.solve(free_time, sp.build_grid(1.4, 0.3),
+                       initial_unknowns=[1.0, 1.4])
+    assert cert.passed and fd_calls > 0
 
 
 def test_saddle_fails_fast(residual_evals):
@@ -480,9 +490,10 @@ def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
                          initial_unknowns=initial_adjoint_guess(2, 4))
     assert cert.passed
     # every f call is inside an inner Gbar evaluation (16 RK4 steps of 4
-    # calls); an advancing pass per interval over the 4 residual evaluations
-    # at K = 2 would add 64 K f calls each (3648)
-    assert parking_f_calls() == 3136
+    # calls, each on the stacked base and difference arcs), whose base arc
+    # at the solved control is the interval's arc; a closing integration per
+    # interval over the residual evaluations would add 64 K f calls each
+    assert parking_f_calls() == 960
     assert parking_f_calls() == 64 * gbar_calls()
     ref = integrate_extremal_forward(problem, grid, ext.controls, Q0,
                                      ext.initial_adjoint, -1.0)
@@ -688,6 +699,27 @@ def test_solve_planar_disc_matches_rotated_parking(residual_evals,
     # K = 8 is the planar member of the benchmark's generic-shoot batch; the
     # parking member's work is pinned in test_parking
     assert work == (4, 32)
+
+
+def test_pendulum_callbacks_are_consistent():
+    sp.validate_jacobians(pendulum(3.0), np.random.default_rng(0))
+
+
+def test_swing_up_certifies_from_the_origin(residual_evals):
+    # nonlinear dynamics end to end: the origin guess lands on the extremal
+    # of cost 2.376506 (not the cheapest one), with no control saturated
+    problem = pendulum(3.0)
+    ext, cert = sp.solve(problem, sp.build_grid(6.0, 0.5))
+    assert cert.passed
+    assert sp.running_cost(problem, ext) == pytest.approx(2.376506, abs=1e-6)
+    assert np.max(np.abs(ext.controls.values)) < 3.0
+    assert residual_evals() == 28
+
+
+def test_swing_up_under_a_tight_box_does_not_converge():
+    with pytest.raises(sp.NonConvergence) as exc:
+        sp.solve(pendulum(0.7), sp.build_grid(6.0, 0.5))
+    assert exc.value.residual_norm > solver.NEWTON_TOL
 
 
 # ---------------------------------------------------------------------------
