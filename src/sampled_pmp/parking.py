@@ -200,21 +200,28 @@ def solve_parking(M: float, t_f: float, T: float,
 
     Returns ``(extremal, (p1, p2f), certificate)``.  Newton runs on the 2x2
     system (p1, p2(t_f)) -> terminal state through the closed-form
-    propagation, which is exact on any grid, a partial last interval
-    included; only the converged multipliers' extremal is integrated, once,
-    and certified.  An unreachable target (one interval, say) raises
-    NonConvergence before anything is integrated.
+    propagation, exact on any grid, a partial last interval included, and
+    its exact Jacobian.  Only the converged multipliers' extremal is
+    integrated, once, and certified.  An unreachable target (one interval,
+    say) raises NonConvergence before anything is integrated.
     """
     _require_existence(M, t_f)
     grid = build_grid(t_f, T)
     problem = parking_problem(M, t_f)
+    c = _midpoint_coeffs(grid)
 
     def residual(vec):
         return np.array(parking_shooting_map(vec[0], vec[1], M, grid)), None
 
+    def jacobian(vec, _):
+        # rows (q1f, q2f) sum Delta_k (c_k, 1) du_k, where the map is affine:
+        # du_k/d(p1, p2f) = (c_k, 1)/2 off the bounds and 0 on them
+        w = 0.5 * grid.lengths * (np.abs(0.5 * (vec[0] * c + vec[1])) < 1.0)
+        return np.array([[w @ (c * c), w @ c], [w @ c, np.sum(w)]])
+
     x, _ = _solver._damped_newton(
-        residual, np.array(permanent_multipliers(M, t_f)), _solver.NEWTON_TOL,
-        _solver.NEWTON_MAX_ITER, stats=stats,
+        residual, jacobian, np.array(permanent_multipliers(M, t_f)),
+        _solver.NEWTON_TOL, _solver.NEWTON_MAX_ITER, stats=stats,
         stall_hint=f" (K={grid.n_intervals} may make the target unreachable)")
     p1, p2f = float(x[0]), float(x[1])
     controls = sampled_control_from_multipliers(p1, p2f, grid)

@@ -18,20 +18,20 @@ cached RK4 maps (see :mod:`.simulate`), exact, with Gbar(u) = a + G u
 affine, so no trial control is integrated; otherwise forward differences
 of one stacked callback integration per trial control (internal numerical
 differentiation, Bock 1981).  The inner Newton reads its Jacobian from
-them, and each interval returns its tangent dz_{k+1}/dz_k.  For a fixed
-horizon the chained tangents are the shooting residual's Jacobian, an
-element of the generalized Jacobian of a map that kinks where a control
-changes saturation status: semismooth Newton (Qi & Sun, Math. Programming
-58, 1993), whose kinks the backtracking line search absorbs.  Whole
-propagations are differenced only for a free horizon (whose grid moves
-with t_f), for the two-unknown parking shooting and where an interval has
-no tangent.  The certificate still evaluates dH/du through the callbacks.
+them, and each interval returns its tangent dz_{k+1}/dz_k.  The chained
+tangents are the shooting residual's Jacobian, an element of the
+generalized Jacobian of a map that kinks where a control changes
+saturation status: semismooth Newton (Qi & Sun, Math. Programming 58,
+1993), whose kinks the backtracking line search absorbs.  An interval
+without a tangent, and a free horizon's last interval, whose length moves
+with t_f, are differenced alone; no whole propagation is differenced.
+The certificate still evaluates dH/du through the callbacks.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
 interval control, the generic shooting and the two-unknown parking shooting
-all run on it.  The method has no options: its tolerances, iteration caps
-and line-search settings are the module constants below, and every interval
-integrates with ``simulate.SUBSTEPS`` RK4 steps.
+each run it with their own Jacobian.  It has no options: its tolerances,
+iteration caps and line-search settings are the module constants below,
+and every interval integrates with ``simulate.SUBSTEPS`` RK4 steps.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
         w, v_maps, _ = aux
         return cs.project_jacobian(w) @ (eye + v_maps.g) - eye
 
-    u, (w, u_maps, arc) = _damped_newton(natural_residual, u, INNER_TOL,
-                                         INNER_MAX_ITER, jacobian=jacobian)
+    u, (w, u_maps, arc) = _damped_newton(natural_residual, jacobian, u,
+                                         INNER_TOL, INNER_MAX_ITER)
     if arc is None:
         arc = _extremal_interval(problem, t_k, delta, z, u, p0)
     D = cs.project_jacobian(w)
@@ -169,9 +169,10 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     coupled ``(times, nodes)`` arc is the one the inner solve integrated at
     its solved control; that arc advances the state and adjoint, and
     ``simulate._extremal_from_arcs`` with p0 = -1 assembles the arcs into
-    the extremal.  ``tangents`` holds each interval's tangent (None where
-    it has none), for :func:`_tangent_jacobian`.  Controls are warm-started
-    from the previous interval (the first from the projected origin).
+    the extremal.  :func:`_tangent_jacobian` linearizes the second element,
+    whose ``tangents`` are the intervals' (None where singular).  Controls
+    are warm-started from the previous interval (the first from the
+    projected origin).
     """
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
@@ -212,39 +213,58 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
             (grid, controls, arcs, tangents))
 
 
-def _tangent_jacobian(problem: ProblemDefinition, tangents):
-    """Jacobian of a fixed-horizon shooting residual, exact with exact
-    tangents, or None when an interval has no tangent.
+def _tangent_jacobian(problem: ProblemDefinition, propagated):
+    """Jacobian of the shooting residual at :func:`_propagate`'s
+    ``propagated``, exact with exact tangents.
 
-    The residual is the ``end`` and ``transversality`` blocks of
-    :func:`~sampled_pmp.certificate.boundary_residuals`, affine in the end
-    points (z_0, z_K) of the extremal.  With S = dz_0/dx for the packed
-    unknowns x, z_K moves by T_{K-1}...T_0 S, so column i of the Jacobian
-    is the linear part of the boundary residual at (S e_i, T_{K-1}...T_0 S
-    e_i).  On the piece of the shooting map where no control changes
-    saturation status this is its derivative; at a kink it is one element
-    of the generalized Jacobian, which makes the outer iteration semismooth
-    Newton.
+    The residual is affine in the end points (z_0, z_K) of the extremal
+    (see :func:`~sampled_pmp.certificate.boundary_residuals`), then H(t_f)
+    for a free horizon.  With S = dz_0/dx for the packed unknowns x, z_K
+    moves by T_{K-1}...T_0 S, so column i is the linear part of the
+    residual at (S e_i, T_{K-1}...T_0 S e_i).  :func:`_fd_jacobian` of one
+    interval's inner solve stands in for a missing tangent, in z_k, and for
+    a free horizon's last interval, in (z_{K-1}, t_f - t_{K-1}) with H(t_f)
+    as an extra output.  Where no control changes saturation status this
+    is the derivative; at a kink, one element of the generalized Jacobian.
     """
-    if any(t is None for t in tangents):
-        return None
+    grid, controls, arcs, tangents = propagated
     n = problem.n
-    has_q0, _, dim = _unknown_layout(problem)
+    has_q0, has_tf, dim = _unknown_layout(problem)
     S = np.zeros((2 * n, dim))
     S[n:, :n] = np.eye(n)
     if has_q0:
-        S[:n, n:] = np.eye(n)
+        S[:n, n:2 * n] = np.eye(n)
     chain = S
-    for tangent in tangents:
+    for k, tangent in enumerate(tangents):
+        free_end = has_tf and k == len(tangents) - 1
+        if tangent is None or free_end:
+            t_k = grid.times[k]
+            u_prev = controls[k - 1] if k else np.zeros(problem.m)
+
+            def interval(v):
+                delta = v[-1] if free_end else grid.lengths[k]
+                u, (_, nodes), _ = solve_interval_control(
+                    problem, t_k, delta, v[:n], v[n:2 * n], -1.0, u_prev)
+                end = nodes[-1]
+                if free_end:
+                    end = np.append(end, _terminal_hamiltonian(
+                        problem, t_k + delta, end[:n], end[n:], -1.0, u))
+                return end, None
+
+            x = arcs[k][1][0]
+            if free_end:        # delta = t_f - t_{K-1} moves with t_f
+                x = np.append(x, grid.lengths[k])
+                chain = np.vstack([chain, np.eye(dim)[-1]])
+            tangent = _fd_jacobian(interval, x, interval(x)[0])
         chain = tangent @ chain
 
-    def boundary(z0, zK):
+    def linear_residual(z0, out):
         _, end, transversality = boundary_residuals(
-            problem.terminal, z0[:n], zK[:n], z0[n:], zK[n:])
-        return np.concatenate([end, transversality])
+            problem.terminal, z0[:n], out[:n], z0[n:], out[n:2 * n])
+        return np.concatenate([end, transversality, out[2 * n:]])
 
-    offset = boundary(np.zeros(2 * n), np.zeros(2 * n))
-    return np.column_stack([boundary(S[:, i], chain[:, i]) - offset
+    offset = linear_residual(np.zeros(2 * n), np.zeros(len(chain)))
+    return np.column_stack([linear_residual(S[:, i], chain[:, i]) - offset
                             for i in range(dim)])
 
 
@@ -321,9 +341,6 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
                 + (", the last a positive final time" if has_tf else "")
                 + f", got {x}")
 
-    def residual(vec):
-        return _propagate(problem, grid, vec)
-
     def annotate(vec, propagated):
         _, controls, _, _ = propagated
         entry = {"active_set": _active_set_signature(problem, controls)}
@@ -331,14 +348,11 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
             entry["t_f"] = float(vec[-1])
         return entry
 
-    def jacobian(vec, propagated):
-        # a free horizon moves the grid: its column stays a forward difference
-        return None if has_tf else _tangent_jacobian(problem, propagated[3])
-
     # a free horizon's solved grid differs from the one the search started on
     _, (solved_grid, controls, arcs, _) = _damped_newton(
-        residual, x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate,
-        stats=stats, jacobian=jacobian)
+        lambda vec: _propagate(problem, grid, vec),
+        lambda _, propagated: _tangent_jacobian(problem, propagated),
+        x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate, stats=stats)
     extremal = _extremal_from_arcs(solved_grid, controls, arcs, -1.0)
     return extremal, check_certificate(problem, extremal)
 
@@ -366,15 +380,14 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
 # the damped Newton driver
 # ---------------------------------------------------------------------------
 
-def _damped_newton(residual, x, tol, max_iter, annotate=None, stats=None,
-                   stall_hint="", jacobian=None):
+def _damped_newton(residual, jacobian, x, tol, max_iter, annotate=None,
+                   stats=None, stall_hint=""):
     """Damped Newton on ``residual(x) -> (r, aux)`` with square r.
 
-    Every iteration takes the Jacobian ``jacobian(x, aux)`` at the accepted
-    iterate, or a forward difference when there is no hook or it returns
-    None, and backtracks along the Newton step until the residual norm
-    decreases; when no scale of it helps, it backtracks once more along the
-    LEVENBERG_DAMPING step.
+    Every iteration takes the caller's Jacobian ``jacobian(x, aux)`` at the
+    accepted iterate and backtracks along the Newton step until the residual
+    norm decreases; when no scale of it helps, it backtracks once more along
+    the LEVENBERG_DAMPING step.
     ``annotate(x, aux)`` returns extra fields for each history entry.
     Returns ``(x, aux)`` once the norm reaches ``tol`` within ``max_iter``
     steps (the iterate after the last step is tested too), filling ``stats``
@@ -398,9 +411,7 @@ def _damped_newton(residual, x, tol, max_iter, annotate=None, stats=None,
         if iteration == max_iter:
             break
 
-        J = None if jacobian is None else jacobian(x, aux)
-        if J is None:
-            J = _fd_jacobian(residual, x, r)
+        J = jacobian(x, aux)
         found = _search_decrease(residual, x, rnorm, _newton_step(J, r))
         if found is None:
             found = _search_decrease(residual, x, rnorm,
@@ -443,11 +454,8 @@ def _search_decrease(residual, x, rnorm, step):
 
 def _fd_jacobian(residual, x, r) -> np.ndarray:
     h = FD_STEP * (1.0 + float(np.linalg.norm(x)))
-    J = np.empty((r.size, x.size))
-    for i in range(x.size):
-        e = np.zeros(x.size); e[i] = h
-        J[:, i] = (residual(x + e)[0] - r) / h
-    return J
+    return np.column_stack([(residual(x + h * e)[0] - r) / h
+                            for e in np.eye(x.size)])
 
 
 def _newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -295,6 +295,45 @@ def test_solve_parking_fine_grid_tracks_permanent_law():
     assert np.max(dev) <= 1e-3
 
 
+@pytest.mark.parametrize("T, evals", [(1.0, 2), (0.375, 3), (0.01, 4)])
+def test_solve_parking_jacobian_is_exact(monkeypatch, T, evals):
+    # the shooting map is piecewise affine in (p1, p2f); away from its kinks
+    # the Jacobian solve_parking hands to Newton matches central differences
+    # of the map, and each Newton step costs one map evaluation
+    jacobians, maps = [], 0
+    newton, shooting_map = solver._damped_newton, pk.parking_shooting_map
+
+    def capturing(residual, jacobian, *args, **kwargs):
+        jacobians.append(jacobian)
+        return newton(residual, jacobian, *args, **kwargs)
+
+    def counted(*args):
+        nonlocal maps
+        maps += 1
+        return shooting_map(*args)
+
+    monkeypatch.setattr(solver, "_damped_newton", capturing)
+    monkeypatch.setattr(pk, "parking_shooting_map", counted)
+    _, _, cert = pk.solve_parking(2.0, 3.0, T)
+    assert cert.passed and maps == evals
+    grid = sp.build_grid(3.0, T)
+    c = pk._midpoint_coeffs(grid)
+    h = 1e-6
+    checked = 0
+    for x in np.random.default_rng(41).normal(size=(40, 2)):
+        # a step of h moves each unclipped control by at most h (1 + c_0)
+        if np.min(np.abs(np.abs(0.5 * (x[0] * c + x[1])) - 1.0)) < 10 * h * (1 + c[0]):
+            continue
+        fd = np.column_stack([
+            (np.array(shooting_map(*(x + h * e), 2.0, grid))
+             - shooting_map(*(x - h * e), 2.0, grid)) / (2.0 * h)
+            for e in np.eye(2)])
+        J = jacobians[0](x, None)
+        np.testing.assert_allclose(J, fd, rtol=0, atol=1e-8)
+        checked += bool(np.any(J))
+    assert checked >= 30
+
+
 def test_solve_parking_single_interval_fails():
     with pytest.raises(sp.NonConvergence):
         pk.solve_parking(2.0, 4.0, 4.0)

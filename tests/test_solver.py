@@ -10,7 +10,6 @@ from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
 from sampled_pmp.simulate import (_extremal_interval, _lq_maps,
                                   integrate_extremal_forward)
-from sampled_pmp.solver import _fd_jacobian
 
 from conftest import FIXED_ENDS, FREE_END, double_integrator, pendulum
 
@@ -321,20 +320,28 @@ def test_unknown_layout_is_square():
     np.testing.assert_allclose(r, [0.0, 0.0], atol=1e-9)
 
 
+def _central_differences(f, x):
+    """Central differences of ``f`` at ``x`` with the solver's step
+    ``FD_STEP (1 + |x|)``."""
+    h = solver.FD_STEP * (1.0 + float(np.linalg.norm(x)))
+    return np.column_stack([(f(x + h * e) - f(x - h * e)) / (2.0 * h)
+                            for e in np.eye(x.size)])
+
+
 def test_shooting_jacobian_constant_within_saturation_region(monkeypatch):
-    # the map is affine while no control changes saturation status; the FD
+    # the map is affine while no control changes saturation status; the
     # step is widened to 1e-5 so machine-eps residual noise (which divides by
     # h) stays under the 1e-9 constancy bound
     monkeypatch.setattr(solver, "FD_STEP", 1e-5)
     monkeypatch.setattr(solver, "INNER_TOL", 1e-13)
 
     def residual(x):
-        return sp.shooting_residual(PARKING4, GRID4, x), None, None
+        return sp.shooting_residual(PARKING4, GRID4, x)
 
     x1 = np.array([-1.0, -2.0])
     x2 = x1 + np.array([0.02, -0.015])
-    J1 = _fd_jacobian(residual, x1, residual(x1)[0])
-    J2 = _fd_jacobian(residual, x2, residual(x2)[0])
+    J1 = _central_differences(residual, x1)
+    J2 = _central_differences(residual, x2)
     assert np.max(np.abs(J1 - J2)) <= 1e-9
     # and it matches the closed-form affine coefficients of the map
     np.testing.assert_allclose(J1, [[-6.0, 4.0], [-4.0, 2.0]], atol=1e-6)
@@ -352,68 +359,77 @@ def _random_lq_shooting(rng, terminal):
     else:
         cs = sp.Ball(center=rng.normal(scale=0.3, size=m),
                      radius=float(rng.uniform(0.5, 2.0)))
+    free_time = terminal == "free-time"
     terminal = {
         "fixed": lambda: sp.FixedEndpoints(q0=rng.normal(size=n),
                                            qf=rng.normal(size=n)),
+        "free-time": lambda: sp.FixedEndpoints(q0=rng.normal(size=n),
+                                               qf=rng.normal(size=n)),
         "free-end": lambda: sp.FixedInitialFreeFinal(q0=rng.normal(size=n)),
         "periodic": sp.Periodic}[terminal]()
     t_f = float(rng.uniform(1.0, 3.0))
     prob = sp.lti_problem(0.7 * rng.normal(size=(n, n)), rng.normal(size=(n, m)),
                           0.5 * (S + S.T), L @ L.T + 0.1 * np.eye(m),
                           control_set=cs, terminal=terminal,
-                          final_time=sp.FixedTime(t_f))
+                          final_time=(sp.FreeTime(t_f) if free_time
+                                      else sp.FixedTime(t_f)))
     grid = sp.build_grid(t_f, t_f / int(rng.integers(2, 7)))
     _, _, dim = solver._unknown_layout(prob)
-    return prob, grid, rng.normal(size=dim)
+    x = rng.normal(size=dim)
+    if free_time:
+        # a trial horizon inside the last period, away from its multiples
+        x[-1] = grid.period * (grid.n_intervals - rng.uniform(0.2, 0.8))
+    return prob, grid, x
 
 
-@pytest.mark.parametrize("terminal", ["fixed", "free-end", "periodic"])
-def test_tangent_jacobian_matches_finite_differences(monkeypatch, terminal):
-    # the chained interval tangents against _fd_jacobian's forward and
-    # backward differences, averaged: on a Ball's curved boundary a one-sided
-    # difference carries an O(FD_STEP) truncation error (up to 5.5e-6
-    # relative on these draws, against 5.7e-8 for the average).  Draws
+@pytest.mark.parametrize("terminal",
+                         ["fixed", "free-end", "periodic", "free-time"])
+def test_tangent_jacobian_matches_finite_differences(terminal):
+    # the chained interval tangents against central differences of whole
+    # propagations: on a Ball's curved boundary a one-sided difference
+    # carries an O(FD_STEP) truncation error (up to 5.5e-6 relative on these
+    # draws, against 5.7e-8 for the central one).  A free horizon's last
+    # interval is itself a one-sided difference in (z_{K-1}, delta): median
+    # 2.6e-6, worst 5.9e-5 relative on its 30 draws, hence its 1e-4.  Draws
     # where every control saturates give J = 0 and are skipped
     rng = np.random.default_rng({"fixed": 31, "free-end": 32,
-                                 "periodic": 33}[terminal])
+                                 "periodic": 33, "free-time": 34}[terminal])
+    tol = 1e-4 if terminal == "free-time" else 1e-6
     checked = 0
     for _ in range(30):
         prob, grid, x = _random_lq_shooting(rng, terminal)
-
-        def residual(v):
-            return solver._propagate(prob, grid, v)
-
-        r, (_, _, _, tangents) = residual(x)
-        J = solver._tangent_jacobian(prob, tangents)
+        _, propagated = solver._propagate(prob, grid, x)
+        J = solver._tangent_jacobian(prob, propagated)
         if not np.any(J):
             continue
         # the callback twin's tangents difference the interval instead
         # (1.7e-8 relative at worst on these draws)
-        _, (_, _, _, twin_tangents) = solver._propagate(
-            dataclasses.replace(prob, lq=None), grid, x)
-        twin_J = solver._tangent_jacobian(prob, twin_tangents)
+        _, twin = solver._propagate(dataclasses.replace(prob, lq=None), grid, x)
+        twin_J = solver._tangent_jacobian(prob, twin)
         assert np.max(np.abs(twin_J - J)) <= 1e-6 * np.max(np.abs(J))
-        forward = _fd_jacobian(residual, x, r)
-        monkeypatch.setattr(solver, "FD_STEP", -solver.FD_STEP)
-        backward = _fd_jacobian(residual, x, r)
-        monkeypatch.undo()
-        fd = 0.5 * (forward + backward)
-        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
+        fd = _central_differences(
+            lambda v: solver._propagate(prob, grid, v)[0], x)
+        assert np.max(np.abs(J - fd)) <= tol * np.max(np.abs(fd))
         checked += 1
     assert checked >= 15
 
 
-def test_forward_differences_only_off_the_lq_fixed_horizon_path(monkeypatch):
-    # every fixed horizon chains interval tangents: exact ones from the lq
-    # maps, and differences of one interval at a time on the callback twin.
-    # Only a free horizon differences whole propagations
+def test_forward_differences_only_off_the_lq_fixed_horizon_path(
+        monkeypatch, residual_evals):
+    # every horizon chains interval tangents: exact ones from the lq maps,
+    # and differences of one interval at a time on the callback twin, on a
+    # free horizon's last interval and where an interval has no tangent.
+    # No path differences a whole propagation
     fd_calls = 0
     fd = solver._fd_jacobian
 
     def counted(*args):
         nonlocal fd_calls
         fd_calls += 1
-        return fd(*args)
+        before = residual_evals()
+        J = fd(*args)
+        assert residual_evals() == before
+        return J
 
     monkeypatch.setattr(solver, "_fd_jacobian", counted)
     periodic = double_integrator(sp.Periodic(), sp.FixedTime(2.0))
@@ -433,9 +449,66 @@ def test_forward_differences_only_off_the_lq_fixed_horizon_path(monkeypatch):
         control_set=sp.Box(lower=np.array([-5.0]), upper=np.array([5.0])),
         terminal=sp.FixedEndpoints(q0=np.ones(1), qf=2.0 * np.ones(1)),
         final_time=sp.FreeTime(1.4))
-    _, cert = sp.solve(free_time, sp.build_grid(1.4, 0.3),
-                       initial_unknowns=[1.0, 1.4])
-    assert cert.passed and fd_calls > 0
+    # one residual per Newton step on a free horizon
+    for prob, evals in ((free_time, 5), (_scalar_transfer(1.4), 7)):
+        start = residual_evals()
+        _, cert = sp.solve(prob, sp.build_grid(1.4, 0.3),
+                           initial_unknowns=[1.0, 1.4])
+        assert cert.passed and fd_calls > 0
+        assert residual_evals() - start == evals
+
+
+def _zero_cost_parking(R):
+    """Parking's A and B with Q = 0 and the given R: every interval with an
+    interior control has a singular D (I + G) - I when R = 0."""
+    m = np.shape(R)[0]
+    B = np.hstack([np.array(parking.DOUBLE_INTEGRATOR[1]), np.zeros((2, m - 1))])
+    return sp.lti_problem(
+        parking.DOUBLE_INTEGRATOR[0], B, np.zeros((2, 2)), R,
+        control_set=sp.Box(lower=-np.ones(m), upper=np.ones(m)),
+        terminal=sp.FixedEndpoints(q0=Q0, qf=np.zeros(2)),
+        final_time=sp.FixedTime(4.0))
+
+
+def test_singular_interval_is_differenced_alone(monkeypatch, residual_evals):
+    # with R = 0 and p(0) = 0 Gbar vanishes, the control stays interior and
+    # the interval has no tangent.  Its map jumps there: a difference step in
+    # p moves the solution to a bound that the zero Newton matrix cannot
+    # reach, so the differenced interval's inner solve stalls at its
+    # |Gbar| = FD_STEP (1 + |z_0|) Delta / 2, before any other interval or
+    # any whole propagation is touched
+    grid = sp.build_grid(4.0, 1.0)
+    prob = _zero_cost_parking(np.zeros((1, 1)))
+    _, propagated = solver._propagate(prob, grid, np.zeros(2))
+    assert all(t is None for t in propagated[3])
+    solves = []
+    inner = solver.solve_interval_control
+
+    def counted(problem, t_k, *args):
+        solves.append(t_k)
+        return inner(problem, t_k, *args)
+
+    monkeypatch.setattr(solver, "solve_interval_control", counted)
+    with pytest.raises(sp.NonConvergence) as exc:
+        solver._tangent_jacobian(prob, propagated)
+    assert set(solves) == {0.0} and residual_evals() == 1
+    assert exc.value.residual_norm == pytest.approx(1.5e-6, rel=1e-9)
+    with pytest.raises(sp.NonConvergence):
+        sp.solve(prob, grid)
+
+    # an inert second control (no dynamics, R = 0 on it) keeps every
+    # interval singular while the map stays smooth: the chained differenced
+    # intervals give a finite Jacobian that matches whole propagations
+    prob = _zero_cost_parking(np.diag([1.0, 0.0]))
+    x = np.array([-0.2, 0.3])
+    _, propagated = solver._propagate(prob, grid, x)
+    assert all(t is None for t in propagated[3])
+    J = solver._tangent_jacobian(prob, propagated)
+    fd = _central_differences(lambda v: solver._propagate(prob, grid, v)[0], x)
+    assert np.all(np.isfinite(J))
+    assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
+    _, cert = sp.solve(prob, grid)
+    assert cert.passed
 
 
 def test_saddle_fails_fast(residual_evals):
@@ -730,6 +803,7 @@ def test_damped_newton_tests_the_iterate_after_its_last_step():
     # one step solves 2x - 1 = 0 to rounding; the cap allows exactly one
     stats = {}
     x, _ = solver._damped_newton(lambda x: (2.0 * x - 1.0, None),
+                                 lambda x, _: np.array([[2.0]]),
                                  np.array([3.0]), 1e-8, 1, stats=stats)
     assert x[0] == pytest.approx(0.5, abs=1e-8)
     assert stats["iterations"] == 1
