@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -66,7 +67,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     p = _Parser(prog="sampled-pmp",
                 description="Solve and certify optimal sampled-data control "
                             "problems by indirect shooting.")
@@ -86,7 +89,6 @@ def _build_parser() -> _Parser:
                         "controls, trajectory, certificate and manifest.")
     add_problem_flags(sp)
     sp.add_argument("--out", required=True, help="output directory")
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("check", description="Re-simulate a control sequence "
                         "and verify the optimality certificate.")
@@ -98,7 +100,6 @@ def _build_parser() -> _Parser:
                          "periodic or free-horizon problem needs the solve "
                          "manifest, which also holds q(0) or t_f")
     sp.add_argument("--out", default=".", help="output directory")
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("sweep", description="Solve the parking instance over "
                         "a list of sampling periods and tabulate the "
@@ -107,7 +108,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--T-list", required=True, dest="T_list",
                     help="comma-separated sampling periods")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("compare", description="Emit the sample-and-hold "
                         "staircase of a solved run next to the permanent "
@@ -115,7 +115,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--run", required=True, help="directory written by solve")
     sp.add_argument("--out", default=None,
                     help="output directory (default: the run directory)")
-    sp.set_defaults(func=cmd_compare)
     return p
 
 
@@ -126,7 +125,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced ``cmd_*`` takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except NonConvergence as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         for entry in exc.history[-5:]:

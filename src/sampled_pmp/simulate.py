@@ -9,22 +9,24 @@ which reuses every evaluation and is exact for the polynomial integrands of
 the built-in problems.  The callbacks broadcast, so :func:`_node_mean` takes
 it over one interval's nodes or a whole extremal's in one callback call.
 
-:func:`_extremal_interval` is the only interval integrator: it integrates
-the coupled state/adjoint arc, whose state block is dq/dt = dH/dp = f.
-:func:`_extremal_from_arcs` stacks per-interval nodes into the one
-:class:`Extremal` record (q, p, p0, u) for :func:`integrate_extremal_forward`
-and the shooting solver, which builds its extremal from the arcs it has
-already integrated.  The record carries no cost: :func:`running_cost`
-computes it on request.  :func:`simulate` is the state block of the coupled
+:func:`_extremal_interval` integrates the coupled state/adjoint arc of one
+interval, whose state block is dq/dt = dH/dp = f.  :func:`_extremal_from_arcs`
+turns the stacked nodes of every interval into the one :class:`Extremal`
+record (q, p, p0, u) for :func:`integrate_extremal_forward` and the shooting
+solver, which builds its extremal from the arcs it has already evaluated.
+The record carries no cost: :func:`running_cost` computes it on request.  :func:`simulate` is the state block of the coupled
 integration from p(0) = 0 with p0 = 0, on which the adjoint stays exactly
 zero, returned with its cost.
 
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
-built once per (lq, interval length, p0), cached, and applied with
-two matrix products.  The same cache entry holds the Simpson mean of dH/du
-as an affine map of the start point and the control, and the end-node maps,
-from which the solver reads exact derivatives.  The running cost and the
+built once per (lq, interval length, p0) and cached.  A whole grid is
+integrated in two steps: the end-node maps advance the interval boundaries
+one interval at a time, then :func:`_lq_nodes` evaluates the nodes of every
+interval of one length from their start points in one matrix product.  The
+same cache entry holds the Simpson mean of dH/du as an affine map of the
+start point and the control, from which, with the end-node maps, the solver
+reads exact derivatives.  The running cost and the
 certificate's interval averages read the callbacks on both paths; the
 callback RK4 calls them once a stage, on one arc or a stack, and integrates
 only the state block of arcs that start from p = 0 with p0 = 0.
@@ -123,8 +125,14 @@ def _rk4(rhs, t0: float, delta: float, x0: np.ndarray):
                 or np.linalg.norm(x, axis=-1).max() > BLOWUP_NORM):
             raise IntegrationBlowUp(t + h)
         out[..., i + 1, :] = x
-    times = t0 + h * np.arange(SUBSTEPS + 1)
-    return times, out
+    return _node_times(t0, delta), out
+
+
+def _node_times(t0, delta):
+    """RK4 node times (..., SUBSTEPS+1) of intervals starting at ``t0`` with
+    length ``delta`` (broadcasting arrays or floats)."""
+    h = np.asarray(delta) / SUBSTEPS
+    return np.asarray(t0)[..., None] + h[..., None] * np.arange(SUBSTEPS + 1)
 
 
 def _extremal_interval(problem: ProblemDefinition, t_start: float,
@@ -133,18 +141,19 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
     """Nodes of the coupled state/adjoint arc over one interval held at ``u``.
 
     ``z_start`` stacks q and p; the right-hand side is (f, -dH/dq).  Returns
-    (times, nodes) with SUBSTEPS+1 nodes.  The library's only interval
-    integrator: by the maps of :func:`_lq_maps` when the problem carries
-    ``lq`` matrices and they do not overflow, by the callbacks otherwise,
-    which also take (S, 2n) starts and (S, m) controls.
+    (times, nodes) with SUBSTEPS+1 nodes.  The library's one-interval
+    integrator: by :func:`_lq_nodes` on one row when the problem carries
+    ``lq`` matrices and their maps do not overflow, by the callbacks
+    otherwise, which also take (S, 2n) starts and (S, m) controls.
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
     n = problem.n
-    if problem.lq is not None:
-        arc = _lq_arc(problem.lq, t_start, delta, z_start, u, p0)
-        if arc is not None:
-            return arc
+    maps = (None if problem.lq is None
+            else _lq_maps(problem.lq, float(delta), float(p0)))
+    if maps is not None:
+        nodes = _lq_nodes(maps, [t_start], delta, z_start[None], u[None])
+        return _node_times(t_start, delta), nodes[0]
 
     def f(t, q):
         return np.asarray(problem.f(np.full(q.shape[:-1], t), q, u),
@@ -228,28 +237,66 @@ def _lq_maps(lq: LinearQuadratic, delta: float, p0: float):
     return maps
 
 
-def _lq_arc(lq: LinearQuadratic, t0: float, delta: float, z_start, u,
-            p0: float):
-    """(times, nodes) of one interval by the maps of :func:`_lq_maps`.
+def _lq_nodes(maps: LQMaps, t0, delta: float, starts: np.ndarray,
+              controls: np.ndarray) -> np.ndarray:
+    """Nodes (K, SUBSTEPS+1, 2n) of K intervals of length ``delta`` by the
+    maps of :func:`_lq_maps`, from one matrix product.
 
-    Applies the blow-up rule of ``_rk4`` to the nodes: the first node
-    past BLOWUP_NORM, or non-finite, raises IntegrationBlowUp at its time.
-    Returns None when the maps overflow, so the caller integrates by the
-    callbacks.
+    ``t0`` holds the K start times in increasing order, ``starts`` (K, 2n)
+    the start points and ``controls`` (K, m) the controls.  Applies the
+    blow-up rule of ``_rk4`` once over the batch in time order: the first
+    node past BLOWUP_NORM, or non-finite, raises IntegrationBlowUp at its
+    time.
     """
-    maps = _lq_maps(lq, float(delta), float(p0))
-    if maps is None:
-        return None
-    h = delta / SUBSTEPS
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = (maps.phi @ z_start + maps.gamma @ u).reshape(SUBSTEPS + 1, -1)
+        nodes = (starts @ maps.phi.T + controls @ maps.gamma.T).reshape(
+            len(starts), SUBSTEPS + 1, -1)
         # _rk4's max-abs and norm tests in one: a max-abs past BLOWUP_NORM
         # puts the norm past it too, and NaN fails the comparison
-        blown = ~(np.sum(nodes[1:] * nodes[1:], axis=1) <= BLOWUP_NORM ** 2)
+        blown = ~(np.sum(nodes[:, 1:] * nodes[:, 1:], axis=2)
+                  <= BLOWUP_NORM ** 2)
     if blown.any():
-        i = int(np.argmax(blown))
-        raise IntegrationBlowUp(t0 + i * h + h)
-    return t0 + h * np.arange(SUBSTEPS + 1), nodes
+        k, i = divmod(int(np.argmax(blown)), SUBSTEPS)
+        h = delta / SUBSTEPS
+        raise IntegrationBlowUp(t0[k] + i * h + h)
+    return nodes
+
+
+def _lq_runs(problem: ProblemDefinition, grid: SamplingGrid, p0: float):
+    """``(lo, hi, maps)`` for each run of consecutive intervals of one length
+    in ``grid``, in time order: at most two on a grid of :func:`build_grid`.
+    None when the problem carries no ``lq`` matrices or a run's maps
+    overflow, so the grid is integrated interval by interval."""
+    if problem.lq is None:
+        return None
+    cuts = [0, *(np.flatnonzero(np.diff(grid.lengths)) + 1).tolist(),
+            grid.n_intervals]
+    runs = [(lo, hi, _lq_maps(problem.lq, float(grid.lengths[lo]), float(p0)))
+            for lo, hi in zip(cuts, cuts[1:])]
+    return None if any(maps is None for *_, maps in runs) else runs
+
+
+def _lq_grid_nodes(runs, grid: SamplingGrid, starts: np.ndarray,
+                   controls: np.ndarray) -> np.ndarray:
+    """Nodes (k, SUBSTEPS+1, 2n) of the first k = len(controls) intervals of
+    ``grid``, whose :func:`_lq_runs` are ``runs``.
+
+    The first k+1 rows of ``starts`` hold the boundary nodes the end-node
+    maps advanced: the start of each interval, then the end of the last.  One
+    :func:`_lq_nodes` call per run, in time order, so the first blown node
+    of the k intervals raises; each boundary node is then the one value of
+    ``starts``, in both intervals it bounds.
+    """
+    k = len(controls)
+    nodes = np.empty((k, SUBSTEPS + 1, starts.shape[1]))
+    for lo, hi, maps in runs:
+        hi = min(hi, k)
+        if lo < hi:
+            nodes[lo:hi] = _lq_nodes(maps, grid.times[lo:hi],
+                                     grid.lengths[lo], starts[lo:hi],
+                                     controls[lo:hi])
+    nodes[:, 0], nodes[:, -1] = starts[:k], starts[1:k + 1]
+    return nodes
 
 
 def _node_mean(integrand, times, states, adjoints, p0, u):
@@ -277,11 +324,12 @@ def _check_controls(problem, grid, controls, enforce_admissible):
     return controls
 
 
-def _extremal_from_arcs(grid, controls, arcs, p0: float) -> Extremal:
-    """Extremal stacking per-interval coupled ``(times, nodes)`` arcs, the
-    nodes holding q then p; its arrays are read-only."""
-    times = np.stack([t for t, _ in arcs])
-    nodes = np.stack([z for _, z in arcs])
+def _extremal_from_arcs(grid, controls, nodes: np.ndarray,
+                        p0: float) -> Extremal:
+    """Extremal on the coupled nodes (K, SUBSTEPS+1, 2n) of every interval's
+    arc, holding q then p, at the grid's node times; its arrays are
+    read-only."""
+    times = _node_times(grid.times, grid.lengths)
     times.setflags(write=False)
     nodes.setflags(write=False)
     n = nodes.shape[2] // 2
@@ -312,8 +360,12 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
     """Integrate the coupled extremal equations forward from t = 0.
 
     The state obeys dq/dt = dH/dp = f and the adjoint dp/dt = -dH/dq, both
-    driven by the frozen control of each interval.  Raises ValueError when
-    ``q0`` or ``p_init`` is not a finite vector of n components.
+    driven by the frozen control of each interval.  On the ``lq`` maps the
+    end-node recurrence z_{k+1} = Phi_end z_k + Gamma_end u_k advances the
+    boundaries, then :func:`_lq_grid_nodes` evaluates every interval's
+    nodes; otherwise :func:`_extremal_interval` integrates one interval
+    after the other.  Raises ValueError when ``q0`` or ``p_init`` is not a
+    finite vector of n components.
     """
     controls = _check_controls(problem, grid, controls, enforce_admissible)
     n = problem.n
@@ -324,12 +376,25 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
             raise ValueError(f"{label} must be {n} finite values, got {v}")
         start.append(v)
     z = np.concatenate(start)
-    arcs = []
-    for k in range(grid.n_intervals):
-        arcs.append(_extremal_interval(problem, grid.times[k], grid.lengths[k],
-                                       z, controls[k], p0))
-        z = arcs[-1][1][-1]
-    return _extremal_from_arcs(grid, controls, arcs, p0)
+    runs = _lq_runs(problem, grid, p0)
+    if runs is None:
+        arcs = []
+        for k in range(grid.n_intervals):
+            arcs.append(_extremal_interval(problem, grid.times[k],
+                                           grid.lengths[k], z, controls[k],
+                                           p0)[1])
+            z = arcs[-1][-1]
+        return _extremal_from_arcs(grid, controls, np.stack(arcs), p0)
+    u = controls.values
+    starts = np.empty((grid.n_intervals + 1, z.size))
+    starts[0] = z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, maps in runs:
+            drive = u[lo:hi] @ maps.gamma_end.T
+            for k in range(lo, hi):
+                starts[k + 1] = maps.phi_end @ starts[k] + drive[k - lo]
+    return _extremal_from_arcs(grid, controls,
+                               _lq_grid_nodes(runs, grid, starts, u), p0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ The outer loop is a damped Newton iteration on the unknown initial adjoint
 free).  Each residual evaluation propagates the coupled state/adjoint system
 forward interval by interval; on every interval the frozen control solves
 the averaged-gradient variational inequality by semismooth Newton on its
-natural residual project(u + Gbar(u)) - u.  The interval is integrated once
-at the solved control; that arc advances the propagation and is the returned
-extremal's piece of the interval.  The residual is read from the end values
-of those arcs by the boundary conditions the certificate checks; only the
-accepted iterate's arcs are assembled into an extremal, and ``solve``
-returns its certificate whatever the verdict.
+natural residual project(u + Gbar(u)) - u.  The end node of the interval's
+arc at the solved control advances the propagation, and the residual is
+read from the end values by the boundary conditions the certificate
+checks.  The arcs' nodes are evaluated once per residual: off the ``lq``
+maps they are the inner solve's last integration, on them one batched
+product after the propagation (see :mod:`.simulate`), and every trial is
+judged by the blow-up rule.  Only the accepted iterate's arcs are
+assembled into an extremal, and ``solve`` returns its certificate whatever
+the verdict.
 
 Each interval's derivatives come as one :class:`~.simulate.LQMaps` of Gbar
 and the end node in the start point and the control: an ``lq`` interval's
@@ -45,8 +48,9 @@ from .certificate import (_terminal_hamiltonian, boundary_residuals,
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
-from .simulate import (LQMaps, _extremal_from_arcs, _extremal_interval,
-                       _lq_maps, _node_mean, integrate_extremal_forward)
+from .simulate import (BLOWUP_NORM, LQMaps, _extremal_from_arcs,
+                       _extremal_interval, _lq_grid_nodes, _lq_maps, _lq_runs,
+                       _node_mean, integrate_extremal_forward)
 
 
 # Tolerance and iteration cap of the inner Newton on each interval's natural
@@ -115,15 +119,21 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     ``INNER_MAX_ITER`` serve as the Newton tolerance and iteration cap.
 
     G = dGbar/du and Ga = dGbar/dz_k are the ``lq`` interval's cached maps,
-    where Gbar = Ga z_k + G u is affine and the arc is integrated once, at
-    the solved control, or :func:`_interval_average_gradient`'s at each
-    trial control.  F's Jacobian is D (I + G) - I with D the projection's
-    Jacobian at w = u + Gbar(u); the tangent dz_{k+1}/dz_k is
-    Phi_end + Gamma_end du/dz with du/dz = -(D (I + G) - I)^{-1} D Ga.
+    where Gbar = Ga z_k + G u is affine and nothing is integrated, or
+    :func:`_interval_average_gradient`'s at each trial control.  F's
+    Jacobian is D (I + G) - I with D the projection's Jacobian at
+    w = u + Gbar(u); the tangent dz_{k+1}/dz_k is Phi_end + Gamma_end du/dz
+    with du/dz = -(D (I + G) - I)^{-1} D Ga.
 
-    Returns ``(u, arc, tangent)``: ``arc`` is the ``(times, nodes)`` coupled
-    arc integrated at ``u``, ``tangent`` the 2n x 2n matrix or None.
+    Returns ``(u, nodes, tangent)``: ``nodes`` holds the coupled arc's nodes
+    at ``u`` that the solve has, all SUBSTEPS+1 of the last trial's arc off
+    the ``lq`` maps, only the end node Phi_end z_k + Gamma_end u (one row)
+    on them, so ``nodes[-1]`` advances the propagation either way and the
+    caller evaluates the other nodes (see :func:`_propagate`); ``tangent``
+    is the 2n x 2n matrix or None.
     """
+    if delta <= 0:
+        raise ValueError(f"interval length must be positive, got {delta}")
     z = np.asarray(np.concatenate([q_k, p_k]), dtype=float)
     cs = problem.control_set
     u = cs.project(np.atleast_1d(np.asarray(u_init, dtype=float)))
@@ -134,27 +144,27 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 
     def natural_residual(v):
         if maps is None:
-            gbar, v_maps, arc = _interval_average_gradient(problem, t_k, delta,
-                                                           z, v, p0)
+            gbar, v_maps, (_, nodes) = _interval_average_gradient(
+                problem, t_k, delta, z, v, p0)
             w = v + gbar
         else:
-            w, v_maps, arc = v + a + maps.g @ v, maps, None
-        return cs.project(w) - v, (w, v_maps, arc)
+            w, v_maps, nodes = v + a + maps.g @ v, maps, None
+        return cs.project(w) - v, (w, v_maps, nodes)
 
     def jacobian(v, aux):
         w, v_maps, _ = aux
         return cs.project_jacobian(w) @ (eye + v_maps.g) - eye
 
-    u, (w, u_maps, arc) = _damped_newton(natural_residual, jacobian, u,
-                                         INNER_TOL, INNER_MAX_ITER)
-    if arc is None:
-        arc = _extremal_interval(problem, t_k, delta, z, u, p0)
+    u, (w, u_maps, nodes) = _damped_newton(natural_residual, jacobian, u,
+                                           INNER_TOL, INNER_MAX_ITER)
+    if nodes is None:
+        nodes = (maps.phi_end @ z + maps.gamma_end @ u)[None]
     D = cs.project_jacobian(w)
     try:
         du_dz = -np.linalg.solve(D @ (eye + u_maps.g) - eye, D @ u_maps.ga)
     except np.linalg.LinAlgError:
-        return u, arc, None
-    return u, arc, u_maps.phi_end + u_maps.gamma_end @ du_dz
+        return u, nodes, None
+    return u, nodes, u_maps.phi_end + u_maps.gamma_end @ du_dz
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +174,20 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     """Integrate the extremal forward from the packed unknowns ``x``.
 
-    Returns ``(residual_vector, (grid, controls, arcs, tangents))``, the
+    Returns ``(residual_vector, (grid, controls, nodes, tangents))``, the
     grid being the trial horizon's for a free final time.  Each interval's
-    coupled ``(times, nodes)`` arc is the one the inner solve integrated at
-    its solved control; that arc advances the state and adjoint, and
-    ``simulate._extremal_from_arcs`` with p0 = -1 assembles the arcs into
-    the extremal.  :func:`_tangent_jacobian` linearizes the second element,
-    whose ``tangents`` are the intervals' (None where singular).  Controls
-    are warm-started from the previous interval (the first from the
-    projected origin).
+    end node from its inner solve advances the state and adjoint.
+    ``nodes`` (K, SUBSTEPS+1, 2n) are the coupled nodes of every interval's
+    arc at its solved control, which ``simulate._extremal_from_arcs`` with
+    p0 = -1 assembles into the extremal: off the ``lq`` maps, the arcs the
+    inner solves integrated; on them, evaluated once after the loop by
+    ``simulate._lq_grid_nodes``, which judges them by the blow-up rule in
+    time order.  An end node that breaks the rule, and an inner
+    NonConvergence, first have the intervals advanced so far judged, so the
+    first failure in time is the one raised.  :func:`_tangent_jacobian`
+    linearizes the second element, whose ``tangents`` are the intervals'
+    (None where singular).  Controls are warm-started from the previous
+    interval (the first from the projected origin).
     """
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
@@ -187,30 +202,45 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
             raise IntegrationBlowUp(0.0, "trial final time is nonpositive")
         grid = build_grid(float(x[-1]), grid.period)
 
+    runs = _lq_runs(problem, grid, p0)
     u_prev = np.zeros(problem.m)
-
     z = np.concatenate([q, x[:n]])
+    starts = np.empty((grid.n_intervals + 1, 2 * n))
+    starts[0] = z
     us, arcs, tangents = [], [], []
     for k in range(grid.n_intervals):
         t_k, delta = float(grid.times[k]), float(grid.lengths[k])
-        u_k, arc, tangent = solve_interval_control(problem, t_k, delta, z[:n],
-                                                   z[n:], p0, u_prev)
-        arcs.append(arc)
-        tangents.append(tangent)
+        try:
+            u_k, arc, tangent = solve_interval_control(
+                problem, t_k, delta, z[:n], z[n:], p0, u_prev)
+        except NonConvergence:
+            if runs is not None:
+                _lq_grid_nodes(runs, grid, starts, np.array(us))
+            raise
+        if runs is None:
+            if len(arc) == 1:   # this length's lq maps; another's overflow
+                arc = _extremal_interval(problem, t_k, delta, z, u_k, p0)[1]
+            arcs.append(arc)
         us.append(u_k)
-        z = arcs[-1][1][-1]
+        tangents.append(tangent)
+        z = starts[k + 1] = arc[-1]
+        if runs is not None and not z @ z <= BLOWUP_NORM ** 2:
+            # raises at the first blown node of the intervals so far
+            _lq_grid_nodes(runs, grid, starts, np.array(us))
         u_prev = u_k
 
     controls = ControlSequence(np.vstack(us))
+    nodes = (np.stack(arcs) if runs is None
+             else _lq_grid_nodes(runs, grid, starts, controls.values))
 
     # the start block holds by construction of q above
-    z0 = arcs[0][1][0]
+    z0 = starts[0]
     _, end, transversality = boundary_residuals(
         problem.terminal, z0[:n], z[:n], z0[n:], z[n:])
     h_f = ([_terminal_hamiltonian(problem, grid.t_f, z[:n], z[n:], p0,
                                   controls[-1])] if has_tf else [])
     return (np.concatenate([end, transversality, h_f]),
-            (grid, controls, arcs, tangents))
+            (grid, controls, nodes, tangents))
 
 
 def _tangent_jacobian(problem: ProblemDefinition, propagated):
@@ -227,7 +257,7 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
     as an extra output.  Where no control changes saturation status this
     is the derivative; at a kink, one element of the generalized Jacobian.
     """
-    grid, controls, arcs, tangents = propagated
+    grid, controls, nodes, tangents = propagated
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
     S = np.zeros((2 * n, dim))
@@ -243,15 +273,18 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
 
             def interval(v):
                 delta = v[-1] if free_end else grid.lengths[k]
-                u, (_, nodes), _ = solve_interval_control(
+                u, arc, _ = solve_interval_control(
                     problem, t_k, delta, v[:n], v[n:2 * n], -1.0, u_prev)
-                end = nodes[-1]
+                if len(arc) == 1:   # the lq end alone: judge the whole arc
+                    arc = _extremal_interval(problem, t_k, delta, v[:2 * n],
+                                             u, -1.0)[1]
+                end = arc[-1]
                 if free_end:
                     end = np.append(end, _terminal_hamiltonian(
                         problem, t_k + delta, end[:n], end[n:], -1.0, u))
                 return end, None
 
-            x = arcs[k][1][0]
+            x = nodes[k, 0]
             if free_end:        # delta = t_f - t_{K-1} moves with t_f
                 x = np.append(x, grid.lengths[k])
                 chain = np.vstack([chain, np.eye(dim)[-1]])
@@ -349,11 +382,11 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
         return entry
 
     # a free horizon's solved grid differs from the one the search started on
-    _, (solved_grid, controls, arcs, _) = _damped_newton(
+    _, (solved_grid, controls, nodes, _) = _damped_newton(
         lambda vec: _propagate(problem, grid, vec),
         lambda _, propagated: _tangent_jacobian(problem, propagated),
         x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate, stats=stats)
-    extremal = _extremal_from_arcs(solved_grid, controls, arcs, -1.0)
+    extremal = _extremal_from_arcs(solved_grid, controls, nodes, -1.0)
     return extremal, check_certificate(problem, extremal)
 
 

@@ -107,14 +107,21 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.fixture
 def interval_integrations(monkeypatch):
-    """Count calls to ``simulate._extremal_interval``, the one interval
-    integrator, by either path (callbacks or linear-quadratic matrices);
-    returns the reader."""
-    read = _count_calls(monkeypatch, simulate, "_extremal_interval")
-    # the solver holds its own reference; count it with the same counter
-    monkeypatch.setattr(solver, "_extremal_interval",
-                        simulate._extremal_interval)
-    return read
+    """Count integrated intervals by either path: the rows of every
+    ``simulate._lq_nodes`` batch on the linear-quadratic matrices, and the
+    calls to ``simulate._rk4`` on the callbacks (one per interval, a stack
+    of arcs of one interval counting once); returns the reader."""
+    rows = 0
+    lq_nodes = simulate._lq_nodes
+
+    def counted_rows(maps, t0, delta, starts, controls):
+        nonlocal rows
+        rows += len(starts)
+        return lq_nodes(maps, t0, delta, starts, controls)
+
+    monkeypatch.setattr(simulate, "_lq_nodes", counted_rows)
+    rk4_calls = _count_calls(monkeypatch, simulate, "_rk4")
+    return lambda: rows + rk4_calls()
 
 
 @pytest.fixture

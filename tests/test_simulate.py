@@ -85,40 +85,56 @@ def test_blowup_raises_structured_error():
 
 def _outcomes_agree(integrate, problem):
     # both raise IntegrationBlowUp at the same time, or neither raises and
-    # the nodes agree
+    # the values agree; returns the blow-up time or None
     got = []
     for P in (problem, dataclasses.replace(problem, lq=None)):
         try:
-            got.append(integrate(P)[1])
+            got.append(integrate(P))
         except sp.IntegrationBlowUp as exc:
             got.append(exc.time)
     if isinstance(got[1], float):
         assert got[0] == got[1]
-    else:
-        np.testing.assert_allclose(got[0], got[1], rtol=1e-13, atol=0)
+        return got[1]
+    np.testing.assert_allclose(got[0], got[1], rtol=1e-13, atol=0)
+    return None
 
 
 @pytest.mark.parametrize("a, delta, z", [
     (40.0, 1.0, [1.0, 0.5]), (-40.0, 1.0, [0.0, 1.0]),
+    (40.0, 0.3, [1.0, 0.5]),
     (40.0, 1e5, [1.0, 0.0]), (40.0, 1e5, [0.0, 0.0]),
-], ids=["state", "adjoint", "overflowing-maps", "overflowing-maps-at-rest"])
+], ids=["state", "adjoint", "middle-interval", "overflowing-maps",
+        "overflowing-maps-at-rest"])
 def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
-    # the first node past BLOWUP_NORM raises at its time on both paths; at
-    # delta = 1e5 the RK4 maps themselves overflow, and an arc at rest must
-    # still integrate (to zeros), not blow up.  The last case is the arc
-    # ``simulate`` integrates: zero adjoint, p0 = 0
+    # the first node past BLOWUP_NORM raises at its time on both paths, for
+    # one interval, for a whole grid of intervals of length delta with a
+    # partial last one, and for the shooting propagation; at delta = 1e5 the
+    # RK4 maps themselves overflow, and an arc at rest must still integrate
+    # (to zeros), not blow up.  The zero-adjoint p0 = 0 cases are the arcs
+    # ``simulate`` integrates
     prob = sp.lti_problem(
         np.array([[a]]), np.array([[1.0]]), np.array([[0.5]]),
         control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
         terminal=sp.FixedEndpoints(q0=np.ones(1), qf=np.zeros(1)),
-        final_time=sp.FixedTime(1.0))
+        final_time=sp.FixedTime(3.5 * delta))
     z, u = np.array(z), np.zeros(1)
     for p0 in (-1.0, -0.5):
         _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta, z, u,
-                                                     p0), prob)
+                                                     p0)[1], prob)
     _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta,
                                                  np.array([z[0], 0.0]), u,
-                                                 0.0), prob)
+                                                 0.0)[1], prob)
+    grid = sp.build_grid(3.5 * delta, delta)
+    ctrl = np.zeros((grid.n_intervals, 1))
+    for p0, p_init in ((-1.0, z[1:]), (0.0, np.zeros(1))):
+        t = _outcomes_agree(lambda P: sp.integrate_extremal_forward(
+            P, grid, ctrl, z[:1], p_init, p0).states, prob)
+    t_shoot = _outcomes_agree(
+        lambda P: sp.shooting_residual(P, grid, z[1:]), prob)
+    if delta == 0.3:
+        # the state passes BLOWUP_NORM at the sixth node of interval 2 of 4,
+        # as it did when each interval was integrated and judged alone
+        assert t == t_shoot == 0.6 + 5 * 0.3 / 16
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +216,36 @@ def _random_lti(rng):
                          float(rng.uniform(0.2, 0.8)))
     ctrl = rng.uniform(-1.0, 1.0, size=(grid.n_intervals, m))
     return prob, grid, ctrl, rng.normal(size=n), rng.normal(size=n)
+
+
+def test_batched_lq_nodes_match_the_callbacks():
+    # the lq path advances the interval ends, then evaluates each interval
+    # length's nodes in one product: on random problems and grids with a
+    # partial last interval it matches the callback twin (5.2e-14 relative
+    # at worst over 60 draws), and each boundary node is one value
+    rng = np.random.default_rng(2023)
+    for _ in range(30):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        S = rng.normal(size=(n, n))
+        prob = sp.lti_problem(
+            rng.normal(size=(n, n)), rng.normal(size=(n, m)), 0.5 * (S + S.T),
+            np.eye(m), control_set=sp.Box(lower=-np.ones(m), upper=np.ones(m)),
+            terminal=sp.FixedEndpoints(q0=np.zeros(n), qf=np.zeros(n)),
+            final_time=sp.FixedTime(1.0))
+        T = float(rng.uniform(0.1, 0.4))
+        grid = sp.build_grid((int(rng.integers(3, 12)) + 0.5) * T, T)
+        assert grid.lengths[-1] < T
+        ctrl = rng.uniform(-1.0, 1.0, size=(grid.n_intervals, m))
+        q0, p_init = rng.normal(size=n), rng.normal(size=n)
+        for p0 in (0.0, -1.0):
+            got, want = (sp.integrate_extremal_forward(P, grid, ctrl, q0,
+                                                       p_init, p0)
+                         for P in (prob, dataclasses.replace(prob, lq=None)))
+            assert np.array_equal(got.times, want.times)
+            for a, b in ((got.states, want.states),
+                         (got.adjoints, want.adjoints)):
+                assert np.max(np.abs(a - b)) <= 2e-13 * np.max(np.abs(b))
+                assert np.array_equal(a[:-1, -1], a[1:, 0])
 
 
 def test_extremal_state_matches_simulate_bitwise():

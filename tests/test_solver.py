@@ -297,6 +297,33 @@ def test_shooting_residual_is_the_certified_boundary_conditions(problem, grid,
                                   expected)
 
 
+def test_earlier_blow_up_wins_over_a_later_inner_stall(monkeypatch):
+    # the lq path evaluates its nodes after the propagation, so an inner
+    # NonConvergence on interval 3 must not hide a blow-up on interval 2:
+    # the intervals already advanced are judged first, as the callbacks
+    # judge each arc when they integrate it.  An infinite end-node
+    # threshold leaves interval 2's blown nodes to that judgement alone
+    problem = sp.lti_problem(
+        np.array([[40.0]]), np.array([[1.0]]), np.array([[0.5]]),
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.FixedEndpoints(q0=np.ones(1), qf=np.zeros(1)),
+        final_time=sp.FixedTime(1.05))
+    grid = sp.build_grid(1.05, 0.3)
+    inner = solver.solve_interval_control
+
+    def stall_on_interval_3(problem, t_k, *args):
+        if t_k > 0.8:
+            raise sp.NonConvergence("inner stall")
+        return inner(problem, t_k, *args)
+
+    monkeypatch.setattr(solver, "solve_interval_control", stall_on_interval_3)
+    monkeypatch.setattr(solver, "BLOWUP_NORM", np.inf)
+    for P in (problem, dataclasses.replace(problem, lq=None)):
+        with pytest.raises(sp.IntegrationBlowUp) as exc:
+            sp.shooting_residual(P, grid, np.array([0.5]))
+        assert exc.value.time == 0.6 + 5 * 0.3 / 16
+
+
 def test_shooting_residual_dimension_check():
     with pytest.raises(ValueError):
         sp.shooting_residual(PARKING4, GRID4, np.zeros(3))
@@ -308,8 +335,8 @@ def test_unknown_layout_is_square():
     assert solver._unknown_layout(PARKING4) == (False, False, 2)
     per = double_integrator(sp.Periodic(), sp.FixedTime(4.0))
     assert solver._unknown_layout(per) == (True, False, 4)
-    _, (_, _, arcs, _) = solver._propagate(per, GRID4, np.arange(4.0))
-    np.testing.assert_array_equal(arcs[0][1][0][:2], [2.0, 3.0])
+    _, (_, _, nodes, _) = solver._propagate(per, GRID4, np.arange(4.0))
+    np.testing.assert_array_equal(nodes[0, 0, :2], [2.0, 3.0])
     free = _scalar_transfer(1.3)
     assert solver._unknown_layout(free) == (False, True, 2)
     _, (grid, _, _, _) = solver._propagate(free, sp.build_grid(1.3, 0.3),
