@@ -106,7 +106,7 @@ def _rk4(rhs, t0: float, delta: float, x0: np.ndarray):
     """Integrate dx/dt = rhs(t, x) over [t0, t0+delta] with SUBSTEPS RK4 steps.
 
     Returns times and values (..., SUBSTEPS+1, d) for x0 (..., d), with both
-    endpoints; a row non-finite or past BLOWUP_NORM raises IntegrationBlowUp.
+    endpoints; a step breaking the blow-up rule raises IntegrationBlowUp.
     """
     h = delta / SUBSTEPS
     out = np.empty(x0.shape[:-1] + (SUBSTEPS + 1, x0.shape[-1]))
@@ -119,13 +119,17 @@ def _rk4(rhs, t0: float, delta: float, x0: np.ndarray):
         k3 = rhs(t + 0.5 * h, x + (0.5 * h) * k2)
         k4 = rhs(t + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # the max test also rejects NaN (which it propagates) and keeps the
-        # norms from overflowing
-        if (not np.abs(x).max() <= BLOWUP_NORM
-                or np.linalg.norm(x, axis=-1).max() > BLOWUP_NORM):
+        if _blown(x).any():
             raise IntegrationBlowUp(t + h)
         out[..., i + 1, :] = x
     return _node_times(t0, delta), out
+
+
+def _blown(x: np.ndarray) -> np.ndarray:
+    """The blow-up rule, True where a row of ``x`` (..., d) is non-finite or
+    past BLOWUP_NORM in norm; a sum of squares that overflows is past it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(np.einsum("...i,...i", x, x) <= BLOWUP_NORM ** 2)
 
 
 def _node_times(t0, delta):
@@ -244,17 +248,13 @@ def _lq_nodes(maps: LQMaps, t0, delta: float, starts: np.ndarray,
 
     ``t0`` holds the K start times in increasing order, ``starts`` (K, 2n)
     the start points and ``controls`` (K, m) the controls.  Applies the
-    blow-up rule of ``_rk4`` once over the batch in time order: the first
-    node past BLOWUP_NORM, or non-finite, raises IntegrationBlowUp at its
-    time.
+    blow-up rule (:func:`_blown`) once over the batch in time order: the
+    first node that breaks it raises IntegrationBlowUp at its time.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         nodes = (starts @ maps.phi.T + controls @ maps.gamma.T).reshape(
             len(starts), SUBSTEPS + 1, -1)
-        # _rk4's max-abs and norm tests in one: a max-abs past BLOWUP_NORM
-        # puts the norm past it too, and NaN fails the comparison
-        blown = ~(np.sum(nodes[:, 1:] * nodes[:, 1:], axis=2)
-                  <= BLOWUP_NORM ** 2)
+    blown = _blown(nodes[:, 1:])
     if blown.any():
         k, i = divmod(int(np.argmax(blown)), SUBSTEPS)
         h = delta / SUBSTEPS

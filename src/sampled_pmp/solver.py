@@ -25,9 +25,10 @@ them, and each interval returns its tangent dz_{k+1}/dz_k.  The chained
 tangents are the shooting residual's Jacobian, an element of the
 generalized Jacobian of a map that kinks where a control changes
 saturation status: semismooth Newton (Qi & Sun, Math. Programming 58,
-1993), whose kinks the backtracking line search absorbs.  An interval
-without a tangent, and a free horizon's last interval, whose length moves
-with t_f, are differenced alone; no whole propagation is differenced.
+1993), whose kinks the backtracking line search absorbs; a singular
+inner Newton matrix gives the minimum-norm tangent.  Only a free
+horizon's last interval, whose length moves with t_f, is differenced
+alone; no whole propagation is differenced.
 The certificate still evaluates dH/du through the callbacks.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
@@ -48,7 +49,7 @@ from .certificate import (_terminal_hamiltonian, boundary_residuals,
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
-from .simulate import (BLOWUP_NORM, LQMaps, _extremal_from_arcs,
+from .simulate import (LQMaps, _blown, _extremal_from_arcs,
                        _extremal_interval, _lq_grid_nodes, _lq_maps, _lq_runs,
                        _node_mean, integrate_extremal_forward)
 
@@ -123,14 +124,14 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     :func:`_interval_average_gradient`'s at each trial control.  F's
     Jacobian is D (I + G) - I with D the projection's Jacobian at
     w = u + Gbar(u); the tangent dz_{k+1}/dz_k is Phi_end + Gamma_end du/dz
-    with du/dz = -(D (I + G) - I)^{-1} D Ga.
+    with du/dz = -(D (I + G) - I)^+ D Ga, ^+ the (pseudo-)inverse.
 
     Returns ``(u, nodes, tangent)``: ``nodes`` holds the coupled arc's nodes
     at ``u`` that the solve has, all SUBSTEPS+1 of the last trial's arc off
     the ``lq`` maps, only the end node Phi_end z_k + Gamma_end u (one row)
     on them, so ``nodes[-1]`` advances the propagation either way and the
     caller evaluates the other nodes (see :func:`_propagate`); ``tangent``
-    is the 2n x 2n matrix or None.
+    is the 2n x 2n matrix.
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
@@ -160,10 +161,11 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     if nodes is None:
         nodes = (maps.phi_end @ z + maps.gamma_end @ u)[None]
     D = cs.project_jacobian(w)
+    newton, drive = D @ (eye + u_maps.g) - eye, D @ u_maps.ga
     try:
-        du_dz = -np.linalg.solve(D @ (eye + u_maps.g) - eye, D @ u_maps.ga)
+        du_dz = -np.linalg.solve(newton, drive)
     except np.linalg.LinAlgError:
-        return u, nodes, None
+        du_dz = -np.linalg.lstsq(newton, drive, rcond=None)[0]
     return u, nodes, u_maps.phi_end + u_maps.gamma_end @ du_dz
 
 
@@ -185,9 +187,9 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     time order.  An end node that breaks the rule, and an inner
     NonConvergence, first have the intervals advanced so far judged, so the
     first failure in time is the one raised.  :func:`_tangent_jacobian`
-    linearizes the second element, whose ``tangents`` are the intervals'
-    (None where singular).  Controls are warm-started from the previous
-    interval (the first from the projected origin).
+    linearizes the second element, whose ``tangents`` are the intervals'.
+    Controls are warm-started from the previous interval (the first from
+    the projected origin).
     """
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
@@ -224,7 +226,7 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
         us.append(u_k)
         tangents.append(tangent)
         z = starts[k + 1] = arc[-1]
-        if runs is not None and not z @ z <= BLOWUP_NORM ** 2:
+        if runs is not None and _blown(z):
             # raises at the first blown node of the intervals so far
             _lq_grid_nodes(runs, grid, starts, np.array(us))
         u_prev = u_k
@@ -251,11 +253,11 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
     (see :func:`~sampled_pmp.certificate.boundary_residuals`), then H(t_f)
     for a free horizon.  With S = dz_0/dx for the packed unknowns x, z_K
     moves by T_{K-1}...T_0 S, so column i is the linear part of the
-    residual at (S e_i, T_{K-1}...T_0 S e_i).  :func:`_fd_jacobian` of one
-    interval's inner solve stands in for a missing tangent, in z_k, and for
-    a free horizon's last interval, in (z_{K-1}, t_f - t_{K-1}) with H(t_f)
-    as an extra output.  Where no control changes saturation status this
-    is the derivative; at a kink, one element of the generalized Jacobian.
+    residual at (S e_i, T_{K-1}...T_0 S e_i).  A free horizon's last
+    interval, whose length moves with t_f, is :func:`_fd_jacobian` of its
+    inner solve in (z_{K-1}, t_f - t_{K-1}), with H(t_f) as an extra
+    output.  Where no control changes saturation status this is the
+    derivative; at a kink, one element of the generalized Jacobian.
     """
     grid, controls, nodes, tangents = propagated
     n = problem.n
@@ -265,31 +267,25 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
     if has_q0:
         S[:n, n:2 * n] = np.eye(n)
     chain = S
-    for k, tangent in enumerate(tangents):
-        free_end = has_tf and k == len(tangents) - 1
-        if tangent is None or free_end:
-            t_k = grid.times[k]
-            u_prev = controls[k - 1] if k else np.zeros(problem.m)
-
-            def interval(v):
-                delta = v[-1] if free_end else grid.lengths[k]
-                u, arc, _ = solve_interval_control(
-                    problem, t_k, delta, v[:n], v[n:2 * n], -1.0, u_prev)
-                if len(arc) == 1:   # the lq end alone: judge the whole arc
-                    arc = _extremal_interval(problem, t_k, delta, v[:2 * n],
-                                             u, -1.0)[1]
-                end = arc[-1]
-                if free_end:
-                    end = np.append(end, _terminal_hamiltonian(
-                        problem, t_k + delta, end[:n], end[n:], -1.0, u))
-                return end, None
-
-            x = nodes[k, 0]
-            if free_end:        # delta = t_f - t_{K-1} moves with t_f
-                x = np.append(x, grid.lengths[k])
-                chain = np.vstack([chain, np.eye(dim)[-1]])
-            tangent = _fd_jacobian(interval, x, interval(x)[0])
+    for tangent in tangents[:-1] if has_tf else tangents:
         chain = tangent @ chain
+    if has_tf:
+        t_k = grid.times[-1]
+        u_prev = controls[-2] if len(tangents) > 1 else np.zeros(problem.m)
+
+        def last_interval(v):
+            u, arc, _ = solve_interval_control(
+                problem, t_k, v[-1], v[:n], v[n:2 * n], -1.0, u_prev)
+            if len(arc) == 1:   # the lq end alone: judge the whole arc
+                arc = _extremal_interval(problem, t_k, v[-1], v[:2 * n], u,
+                                         -1.0)[1]
+            end = arc[-1]
+            return np.append(end, _terminal_hamiltonian(
+                problem, t_k + v[-1], end[:n], end[n:], -1.0, u))
+
+        x = np.append(nodes[-1, 0], grid.lengths[-1])
+        chain = _fd_jacobian(last_interval, x) @ np.vstack(
+            [chain, np.eye(dim)[-1]])
 
     def linear_residual(z0, out):
         _, end, transversality = boundary_residuals(
@@ -468,8 +464,10 @@ def _search_decrease(residual, x, rnorm, step):
     """Backtrack along ``step`` until the residual norm decreases.
 
     Integration failures on a trial point count as rejected trials.  Returns
-    (x, r, rnorm, aux) or None when no scale helped.
+    (x, r, rnorm, aux) or None when no scale helped or the step is zero.
     """
+    if not step.any():
+        return None
     scale = 1.0
     for _ in range(MAX_HALVINGS):
         x_try = x + scale * step
@@ -485,10 +483,10 @@ def _search_decrease(residual, x, rnorm, step):
     return None
 
 
-def _fd_jacobian(residual, x, r) -> np.ndarray:
+def _fd_jacobian(f, x) -> np.ndarray:
     h = FD_STEP * (1.0 + float(np.linalg.norm(x)))
-    return np.column_stack([(residual(x + h * e)[0] - r) / h
-                            for e in np.eye(x.size)])
+    fx = f(x)
+    return np.column_stack([(f(x + h * e) - fx) / h for e in np.eye(x.size)])
 
 
 def _newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:

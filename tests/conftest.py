@@ -32,6 +32,16 @@ def double_integrator(terminal, final_time, position_weight=0.0):
         terminal=terminal, final_time=final_time, name="parking")
 
 
+def scalar_lti(a, q0, t_f):
+    """dq/dt = a q + u with running cost q^2 / 2 + u^2 under Box(-1, 1),
+    from ``q0`` to 0 at the fixed final time ``t_f``."""
+    return sp.lti_problem(
+        np.array([[a]]), np.array([[1.0]]), np.array([[0.5]]),
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.FixedEndpoints(q0=np.array([q0]), qf=np.zeros(1)),
+        final_time=sp.FixedTime(t_f))
+
+
 def pendulum(bound):
     """The swing-up of a pendulum: q1' = q2, q2' = -sin q1 + u with running
     cost u^2, from rest at the bottom (0, 0) to rest at the top (pi, 0) at

@@ -9,7 +9,7 @@ import sampled_pmp as sp
 from sampled_pmp.parking import parking_problem
 from sampled_pmp.simulate import _extremal_interval
 
-from conftest import FREE_END, double_integrator
+from conftest import FREE_END, double_integrator, scalar_lti
 
 PARKING = parking_problem(2.0, 4.0)
 Q0 = np.array([2.0, 0.0])
@@ -135,6 +135,33 @@ def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
         # the state passes BLOWUP_NORM at the sixth node of interval 2 of 4,
         # as it did when each interval was integrated and judged alone
         assert t == t_shoot == 0.6 + 5 * 0.3 / 16
+
+
+def test_shooting_judges_an_overflowing_end_node_without_warnings():
+    # on intervals of length 1e5 the first end node is finite and about
+    # 1e202, so its squared norm overflows; the blow-up rule must read that
+    # as blown (the suite turns warnings into errors) and raise at the first
+    # blown node's time
+    prob = scalar_lti(0.5, 1e-3, 3e5)
+    grid = sp.build_grid(3e5, 1e5)
+    for shoot in (lambda: sp.shooting_residual(prob, grid, np.zeros(1)),
+                  lambda: sp.solve(prob, grid)):
+        with pytest.raises(sp.IntegrationBlowUp) as exc:
+            shoot()
+        assert exc.value.time == 6250.0
+
+
+def test_shooting_integrates_every_arc_when_one_length_has_no_lq_maps():
+    # on a hand-built grid only the long interval's maps overflow, so the
+    # propagation takes every arc from the callbacks: the short interval's
+    # lq end node alone would leave its blown nodes unjudged (the state
+    # passes BLOWUP_NORM at its 13th node) until the long interval's
+    grid = sp.SamplingGrid(period=1e5, t_f=1e5 + 0.3,
+                           times=np.array([0.0, 0.3]),
+                           lengths=np.array([0.3, 1e5]))
+    t = _outcomes_agree(lambda P: sp.shooting_residual(P, grid, np.zeros(1)),
+                        scalar_lti(40.0, 1e8, 1e5 + 0.3))
+    assert t == pytest.approx(13 * 0.3 / 16, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from sampled_pmp.parking import initial_adjoint_guess, parking_problem
 from sampled_pmp.simulate import (_extremal_interval, _lq_maps,
                                   integrate_extremal_forward)
 
-from conftest import FIXED_ENDS, FREE_END, double_integrator, pendulum
+from conftest import (FIXED_ENDS, FREE_END, double_integrator, pendulum,
+                      scalar_lti)
 
 PARKING4 = parking_problem(2.0, 4.0)
 # parking (2, 4) with the final time free, its guess 4
@@ -297,31 +298,46 @@ def test_shooting_residual_is_the_certified_boundary_conditions(problem, grid,
                                   expected)
 
 
-def test_earlier_blow_up_wins_over_a_later_inner_stall(monkeypatch):
-    # the lq path evaluates its nodes after the propagation, so an inner
-    # NonConvergence on interval 3 must not hide a blow-up on interval 2:
-    # the intervals already advanced are judged first, as the callbacks
-    # judge each arc when they integrate it.  An infinite end-node
-    # threshold leaves interval 2's blown nodes to that judgement alone
-    problem = sp.lti_problem(
-        np.array([[40.0]]), np.array([[1.0]]), np.array([[0.5]]),
-        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
-        terminal=sp.FixedEndpoints(q0=np.ones(1), qf=np.zeros(1)),
-        final_time=sp.FixedTime(1.05))
-    grid = sp.build_grid(1.05, 0.3)
+def _stall_on_interval_3(monkeypatch):
+    """Make every inner solve on an interval starting after t = 0.8 raise
+    one NonConvergence, which is returned."""
+    stall = sp.NonConvergence("inner stall")
     inner = solver.solve_interval_control
 
     def stall_on_interval_3(problem, t_k, *args):
         if t_k > 0.8:
-            raise sp.NonConvergence("inner stall")
+            raise stall
         return inner(problem, t_k, *args)
 
     monkeypatch.setattr(solver, "solve_interval_control", stall_on_interval_3)
-    monkeypatch.setattr(solver, "BLOWUP_NORM", np.inf)
+    return stall
+
+
+def test_earlier_blow_up_wins_over_a_later_inner_stall(monkeypatch):
+    # the lq path evaluates its nodes after the propagation, so an inner
+    # NonConvergence on interval 3 must not hide a blow-up on interval 2:
+    # the intervals already advanced are judged first, as the callbacks
+    # judge each arc when they integrate it.  An end-node test that never
+    # fires leaves interval 2's blown nodes to that judgement alone
+    _stall_on_interval_3(monkeypatch)
+    monkeypatch.setattr(solver, "_blown", lambda z: False)
+    problem = scalar_lti(40.0, 1.0, 1.05)
     for P in (problem, dataclasses.replace(problem, lq=None)):
         with pytest.raises(sp.IntegrationBlowUp) as exc:
-            sp.shooting_residual(P, grid, np.array([0.5]))
+            sp.shooting_residual(P, sp.build_grid(1.05, 0.3), np.array([0.5]))
         assert exc.value.time == 0.6 + 5 * 0.3 / 16
+
+
+def test_inner_stall_reaches_the_caller_when_no_arc_blew_up(monkeypatch):
+    # on a stable A the intervals advanced before the stall stay in bounds,
+    # so the lq path re-raises the inner NonConvergence itself, as the
+    # callbacks do
+    stall = _stall_on_interval_3(monkeypatch)
+    problem = scalar_lti(-1.0, 1.0, 1.05)
+    for P in (problem, dataclasses.replace(problem, lq=None)):
+        with pytest.raises(sp.NonConvergence) as exc:
+            sp.shooting_residual(P, sp.build_grid(1.05, 0.3), np.array([0.5]))
+        assert exc.value is stall
 
 
 def test_shooting_residual_dimension_check():
@@ -444,9 +460,10 @@ def test_tangent_jacobian_matches_finite_differences(terminal):
 def test_forward_differences_only_off_the_lq_fixed_horizon_path(
         monkeypatch, residual_evals):
     # every horizon chains interval tangents: exact ones from the lq maps,
-    # and differences of one interval at a time on the callback twin, on a
-    # free horizon's last interval and where an interval has no tangent.
-    # No path differences a whole propagation
+    # minimum-norm ones where the inner Newton matrix is singular (the inert
+    # control), and differences of one interval at a time on the callback
+    # twin.  Only a free horizon's last interval is handed to _fd_jacobian;
+    # no path differences a whole propagation
     fd_calls = 0
     fd = solver._fd_jacobian
 
@@ -467,7 +484,9 @@ def test_forward_differences_only_off_the_lq_fixed_horizon_path(
                            [0.1, -0.2, 0.7, 0.3]),
                           (free_end, sp.build_grid(4.0, 1.0), [0.3, -0.7]),
                           (dataclasses.replace(PARKING4, lq=None), GRID4,
-                           None)):
+                           None),
+                          (_zero_cost_parking(np.diag([1.0, 0.0])),
+                           sp.build_grid(4.0, 1.0), None)):
         _, cert = sp.solve(prob, grid, initial_unknowns=x)
         assert cert.passed
     assert fd_calls == 0
@@ -497,17 +516,17 @@ def _zero_cost_parking(R):
         final_time=sp.FixedTime(4.0))
 
 
-def test_singular_interval_is_differenced_alone(monkeypatch, residual_evals):
-    # with R = 0 and p(0) = 0 Gbar vanishes, the control stays interior and
-    # the interval has no tangent.  Its map jumps there: a difference step in
-    # p moves the solution to a bound that the zero Newton matrix cannot
-    # reach, so the differenced interval's inner solve stalls at its
-    # |Gbar| = FD_STEP (1 + |z_0|) Delta / 2, before any other interval or
-    # any whole propagation is touched
+def test_singular_interval_takes_the_minimum_norm_tangent(monkeypatch,
+                                                         residual_evals):
+    # with R = 0 and p(0) = 0 Gbar vanishes and the control stays interior,
+    # so the inner Newton matrix D (I + G) - I is zero and du/dz = 0 is its
+    # minimum-norm solution: z_K no longer moves with p(0), the chained
+    # Jacobian is exactly zero, and the solve stops after the one residual
+    # of the origin guess without re-solving any interval
     grid = sp.build_grid(4.0, 1.0)
     prob = _zero_cost_parking(np.zeros((1, 1)))
     _, propagated = solver._propagate(prob, grid, np.zeros(2))
-    assert all(t is None for t in propagated[3])
+    assert all(np.all(np.isfinite(t)) for t in propagated[3])
     solves = []
     inner = solver.solve_interval_control
 
@@ -516,26 +535,28 @@ def test_singular_interval_is_differenced_alone(monkeypatch, residual_evals):
         return inner(problem, t_k, *args)
 
     monkeypatch.setattr(solver, "solve_interval_control", counted)
-    with pytest.raises(sp.NonConvergence) as exc:
-        solver._tangent_jacobian(prob, propagated)
-    assert set(solves) == {0.0} and residual_evals() == 1
-    assert exc.value.residual_norm == pytest.approx(1.5e-6, rel=1e-9)
+    assert not np.any(solver._tangent_jacobian(prob, propagated))
+    assert solves == []
+    start = residual_evals()
     with pytest.raises(sp.NonConvergence):
         sp.solve(prob, grid)
+    assert residual_evals() - start == 1
 
     # an inert second control (no dynamics, R = 0 on it) keeps every
-    # interval singular while the map stays smooth: the chained differenced
-    # intervals give a finite Jacobian that matches whole propagations
+    # interval singular while the map stays smooth: the chained
+    # minimum-norm tangents match whole propagations, and the exact chain
+    # certifies in 2 residuals
     prob = _zero_cost_parking(np.diag([1.0, 0.0]))
     x = np.array([-0.2, 0.3])
     _, propagated = solver._propagate(prob, grid, x)
-    assert all(t is None for t in propagated[3])
+    assert all(np.all(np.isfinite(t)) for t in propagated[3])
     J = solver._tangent_jacobian(prob, propagated)
     fd = _central_differences(lambda v: solver._propagate(prob, grid, v)[0], x)
     assert np.all(np.isfinite(J))
     assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
+    start = residual_evals()
     _, cert = sp.solve(prob, grid)
-    assert cert.passed
+    assert cert.passed and residual_evals() - start == 2
 
 
 def test_saddle_fails_fast(residual_evals):
