@@ -17,6 +17,13 @@ affine function Gamma_k, and the whole problem collapses to two unknowns
 closed-form propagation.  This holds on every grid: a partial last interval
 only changes its midpoint coefficient t_f - t_k - Delta_k/2.
 
+The terminal state is affine in the K controls, so whether a grid can park
+the car at all has a closed form too: the sampled reach R, the largest M
+that controls with |u_k| <= 1 park exactly (R = t_f^2/4 on a uniform grid
+with even K, R = 0 at K = 1).  Past it, every admissible control misses
+the target by at least (M - R)/(1 + |lambda*|), and the shooting solve
+rejects the instance before any Newton step.
+
 This module also carries an independent brute-force oracle: the sampled
 problem is a convex QP in the K control values, solved by active-set
 enumeration (K <= 12).  Its matrices come from the same grid, so it checks
@@ -173,6 +180,25 @@ def sampled_control_from_multipliers(p1: float, p2f: float,
     return ControlSequence(u[:, None])
 
 
+def sampled_reach(grid: SamplingGrid):
+    """``(R, lam)``: the largest M that admissible controls park on ``grid``,
+    and the multiplier that proves it.
+
+    Parking needs sum Delta_k u_k = 0 and sum Delta_k c_k u_k = -M with
+    |u_k| <= 1.  For any lam, -sum Delta_k c_k u_k = -sum Delta_k (c_k - lam)
+    u_k <= sum Delta_k |c_k - lam|, and LP duality makes the minimum over
+    lam, R, attained: the reachable M are exactly (0, R].  The minimizer is
+    the Delta-weighted median of the c_k, which decrease in k, so a
+    cumulative sum finds it.  R = t_f^2/4 on a uniform grid with even K,
+    and R = 0 at K = 1.
+    """
+    c = _midpoint_coeffs(grid)
+    d = grid.lengths
+    cum = np.cumsum(d)
+    lam = float(c[np.searchsorted(cum, 0.5 * cum[-1])])
+    return float(d @ np.abs(c - lam)), lam
+
+
 def parking_shooting_map(p1: float, p2f: float, M: float, grid: SamplingGrid):
     """Exact terminal state (q_1(t_f), q_2(t_f)) of the double integrator
     under the controls generated by the multipliers."""
@@ -202,11 +228,26 @@ def solve_parking(M: float, t_f: float, T: float,
     system (p1, p2(t_f)) -> terminal state through the closed-form
     propagation, exact on any grid, a partial last interval included, and
     its exact Jacobian.  Only the converged multipliers' extremal is
-    integrated, once, and certified.  An unreachable target (one interval,
-    say) raises NonConvergence before anything is integrated.
+    integrated, once, and certified.
+
+    A target past the grid's :func:`sampled_reach` R by more than
+    (1 + |lambda*|) NEWTON_TOL, one interval's say, is missed by more than
+    NEWTON_TOL by every admissible control.  It raises NonConvergence at
+    once, naming M, R and K, with that lower bound on the miss as
+    ``residual_norm`` and an empty history: no map is evaluated and
+    nothing is integrated.
     """
     _require_existence(M, t_f)
     grid = build_grid(t_f, T)
+    reach, lam = sampled_reach(grid)
+    # every admissible control has q1f - lam q2f >= M - R, so its terminal
+    # miss is at least (M - R)/(1 + |lam|) in norm
+    miss = (M - reach) / (1.0 + abs(lam))
+    if miss > _solver.NEWTON_TOL:
+        raise NonConvergence(
+            f"target unreachable: M = {M:.6g} exceeds the reach "
+            f"R = {reach:.6g} of K = {grid.n_intervals} intervals",
+            residual_norm=miss)
     problem = parking_problem(M, t_f)
     c = _midpoint_coeffs(grid)
 
@@ -221,8 +262,7 @@ def solve_parking(M: float, t_f: float, T: float,
 
     x, _ = _solver._damped_newton(
         residual, jacobian, np.array(permanent_multipliers(M, t_f)),
-        _solver.NEWTON_TOL, _solver.NEWTON_MAX_ITER, stats=stats,
-        stall_hint=f" (K={grid.n_intervals} may make the target unreachable)")
+        _solver.NEWTON_TOL, _solver.NEWTON_MAX_ITER, stats=stats)
     p1, p2f = float(x[0]), float(x[1])
     controls = sampled_control_from_multipliers(p1, p2f, grid)
     p_init = np.array([p1, p1 * t_f + p2f])

@@ -142,7 +142,7 @@ class Box:
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Euclidean projection: componentwise clamp."""
-        return np.clip(np.asarray(u, dtype=float), self.lower, self.upper)
+        return np.minimum(np.maximum(u, self.lower), self.upper)
 
     def project_jacobian(self, w: np.ndarray) -> np.ndarray:
         """Jacobian of :meth:`project` at one point w (m,): the diagonal

@@ -143,6 +143,13 @@ def gbar_calls(monkeypatch):
 
 
 @pytest.fixture
+def parking_map_calls(monkeypatch):
+    """Count calls to ``parking.parking_shooting_map``, one evaluation of
+    the two-unknown parking shooting map each; returns the reader."""
+    return _count_calls(monkeypatch, parking, "parking_shooting_map")
+
+
+@pytest.fixture
 def residual_evals(monkeypatch):
     """Count calls to ``solver._propagate``, one shooting-residual evaluation
     each; returns the reader."""

@@ -654,6 +654,22 @@ def test_sweep_flags_infeasible_period(tmp_path):
     assert rows[0][7] == "failed"
 
 
+def test_unreachable_parking_is_rejected_with_its_reach(tmp_path, capsys):
+    # one interval reaches no M > 0: solve says so and exits 3, and a sweep
+    # that also solves another period writes one failed row and exits 0
+    rc = main(["solve", "--problem", "parking", "--M", "2", "--tf", "3",
+               "--T", "5", "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert "target unreachable: M = 2 exceeds the reach R = 0 of K = 1" \
+        in capsys.readouterr().err
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
+               "--T-list", "5,0.5", "--out", str(out)])
+    assert rc == 0
+    _, rows = _read_csv(out / "sweep.csv")
+    assert [r[7] for r in rows] == ["failed", "ok"]
+
+
 def test_sweep_exits_2_when_every_certificate_fails(tmp_path,
                                                     failing_certificate):
     # the rows keep their cause, so the sweep exits with solve's code for it

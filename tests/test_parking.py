@@ -365,12 +365,107 @@ def test_solve_parking_partial_grid(monkeypatch):
 
 
 def test_solve_parking_rejects_one_interval_without_integrating(
-        interval_integrations):
-    # T > t_f leaves one interval, which cannot meet two terminal equations;
-    # the closed-form Newton stalls before any arc is integrated
-    with pytest.raises(sp.NonConvergence):
+        parking_map_calls, interval_integrations):
+    # T > t_f leaves one interval, whose reach is 0: the reach rule rejects
+    # it before any Newton step, so neither the shooting map nor an arc is
+    # evaluated.  The miss bound is M / (1 + c_0) with c_0 = t_f / 2
+    with pytest.raises(sp.NonConvergence, match="unreachable") as exc:
         pk.solve_parking(2.0, 3.0, 5.0)
-    assert interval_integrations() == 0
+    assert "R = 0 of K = 1 intervals" in str(exc.value)
+    assert exc.value.residual_norm == pytest.approx(2.0 / 2.5, rel=1e-15)
+    assert exc.value.history == []
+    assert parking_map_calls() == 0 and interval_integrations() == 0
+
+
+# ---------------------------------------------------------------------------
+# sampled reach
+# ---------------------------------------------------------------------------
+
+def _rejects(M, grid):
+    """The reach rule's verdict: no admissible control comes within
+    NEWTON_TOL of the target."""
+    reach, lam = pk.sampled_reach(grid)
+    return (M - reach) / (1.0 + abs(lam)) > solver.NEWTON_TOL
+
+
+def test_reach_is_a_quarter_tf_squared_on_even_uniform_grids():
+    for tf in (1.0, 3.0, 4.7):
+        for K in (2, 4, 6, 8, 40, 300):
+            reach, _ = pk.sampled_reach(sp.build_grid(tf, tf / K))
+            assert reach == pytest.approx(tf ** 2 / 4, rel=1e-12, abs=0), (tf, K)
+    assert pk.sampled_reach(sp.build_grid(3.0, 5.0)) == (0.0, 1.5)
+
+
+def test_reach_rule_agrees_with_newton(monkeypatch):
+    # on seeded instances with K = 1..9, partial last intervals included,
+    # the rule rejects exactly the instances whose Newton fails: with the
+    # rule disabled, each rejected instance still fails, by the Newton
+    # iteration itself, and every accepted one certifies
+    rng = np.random.default_rng(25)
+    instances = []
+    for _ in range(300):
+        tf = rng.uniform(1.0, 6.0)
+        T = tf / rng.uniform(0.5, 8.5)
+        instances.append((tf ** 2 / 4 * rng.uniform(0.3, 0.999), tf, T))
+    rejected = [inst for inst in instances
+                if _rejects(inst[0], sp.build_grid(*inst[1:]))]
+    assert 40 <= len(rejected) <= 100
+    for M, tf, T in instances:
+        if (M, tf, T) in rejected:
+            with pytest.raises(sp.NonConvergence, match="unreachable") as exc:
+                pk.solve_parking(M, tf, T)
+            assert exc.value.history == []
+        else:
+            assert pk.solve_parking(M, tf, T)[2].passed, (M, tf, T)
+    monkeypatch.setattr(pk, "sampled_reach", lambda grid: (math.inf, 0.0))
+    for M, tf, T in rejected:
+        with pytest.raises(sp.NonConvergence) as exc:
+            pk.solve_parking(M, tf, T)
+        assert exc.value.history, (M, tf, T)
+
+
+def test_reach_rule_agrees_with_the_qp_oracle():
+    # the enumeration oracle raises Infeasible exactly where the rule
+    # rejects, on K <= 8 grids with a partial last interval, for M on
+    # either side of the reach and away from it, below t_f^2/4
+    rng = np.random.default_rng(7)
+    checked = []
+    for K in range(1, 9):
+        for _ in range(2):
+            tf = rng.uniform(1.0, 5.0)
+            T = tf / (K - 1 + rng.uniform(0.2, 0.95))
+            grid = sp.build_grid(tf, T)
+            assert grid.n_intervals == K
+            reach, _ = pk.sampled_reach(grid)
+            gap = tf ** 2 / 4 - reach
+            candidates = [reach * rng.uniform(0.7, 0.99)]
+            if gap > 1e-3 * reach:
+                candidates.append(reach + gap * rng.uniform(0.1, 0.9))
+            for M in candidates:
+                if M <= 0:
+                    continue
+                try:
+                    pk.qp_oracle(M, tf, T)
+                    infeasible = False
+                except sp.Infeasible:
+                    infeasible = True
+                assert infeasible == _rejects(M, grid), (M, tf, T)
+                checked.append(infeasible)
+    assert checked.count(True) >= 8 and checked.count(False) >= 8
+
+
+@pytest.mark.parametrize("tf, T", [(3.0, 1.0), (3.0, 1.2), (4.0, 0.8),
+                                   (3.0, 0.7)])
+def test_reach_margin(parking_map_calls, tf, T):
+    # within 1e-12 of the reach Newton still runs and certifies; 1e-9 past
+    # it the target is rejected before the first map evaluation
+    reach, _ = pk.sampled_reach(sp.build_grid(tf, T))
+    for rel in (-1e-12, 1e-12):
+        assert pk.solve_parking(reach * (1 + rel), tf, T)[2].passed, rel
+    before = parking_map_calls()
+    with pytest.raises(sp.NonConvergence, match="unreachable"):
+        pk.solve_parking(reach * (1 + 1e-9), tf, T)
+    assert parking_map_calls() == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Sample-and-hold integration, adjoint arcs, quadrature, CSV export."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ def test_shooting_judges_an_overflowing_end_node_without_warnings():
         with pytest.raises(sp.IntegrationBlowUp) as exc:
             shoot()
         assert exc.value.time == 6250.0
+
+
+def test_shooting_judges_an_overflowing_lq_end_node_product():
+    # at T = 3.4e6 the lq maps are finite (Phi_end about 4e299), but with
+    # p(0) = 1e10 the inner solve's end node Phi_end z + Gamma_end u
+    # overflows: the blow-up rule must judge it, with no warning
+    T = 3.4e6
+    prob = scalar_lti(0.5, 1e-3, 3 * T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sp.IntegrationBlowUp) as exc:
+            sp.shooting_residual(prob, sp.build_grid(3 * T, T),
+                                 np.array([1e10]))
+    assert exc.value.time == 212500.0
 
 
 def test_shooting_integrates_every_arc_when_one_length_has_no_lq_maps():
