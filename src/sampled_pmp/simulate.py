@@ -20,10 +20,12 @@ zero, returned with its cost.
 
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
-built once per (lq, interval length, p0) and cached.  A whole grid is
-integrated in two steps: the end-node maps advance the interval boundaries
-one interval at a time, then :func:`_lq_nodes` evaluates the nodes of every
-interval of one length from their start points in one matrix product.  The
+built once per (lq, interval length, p0) and cached.
+:func:`integrate_extremal_forward` integrates a whole grid in two steps: the
+end-node maps advance the interval boundaries one interval at a time, then
+:func:`_lq_nodes` evaluates the nodes of every interval of one length from
+their start points in one matrix product; the shooting solver evaluates one
+interval's nodes at a time, at its solved control, by the same function.  The
 same cache entry holds the Simpson mean of dH/du as an affine map of the
 start point and the control, from which, with the end-node maps, the solver
 reads exact derivatives.  The running cost and the
@@ -278,24 +280,20 @@ def _lq_runs(problem: ProblemDefinition, grid: SamplingGrid, p0: float):
 
 def _lq_grid_nodes(runs, grid: SamplingGrid, starts: np.ndarray,
                    controls: np.ndarray) -> np.ndarray:
-    """Nodes (k, SUBSTEPS+1, 2n) of the first k = len(controls) intervals of
-    ``grid``, whose :func:`_lq_runs` are ``runs``.
+    """Nodes (K, SUBSTEPS+1, 2n) of every interval of ``grid``, whose
+    :func:`_lq_runs` are ``runs``.
 
-    The first k+1 rows of ``starts`` hold the boundary nodes the end-node
-    maps advanced: the start of each interval, then the end of the last.  One
+    ``starts`` (K+1, 2n) holds the boundary nodes the end-node maps
+    advanced: the start of each interval, then the end of the last.  One
     :func:`_lq_nodes` call per run, in time order, so the first blown node
-    of the k intervals raises; each boundary node is then the one value of
+    of the grid raises; each boundary node is then the one value of
     ``starts``, in both intervals it bounds.
     """
-    k = len(controls)
-    nodes = np.empty((k, SUBSTEPS + 1, starts.shape[1]))
+    nodes = np.empty((grid.n_intervals, SUBSTEPS + 1, starts.shape[1]))
     for lo, hi, maps in runs:
-        hi = min(hi, k)
-        if lo < hi:
-            nodes[lo:hi] = _lq_nodes(maps, grid.times[lo:hi],
-                                     grid.lengths[lo], starts[lo:hi],
-                                     controls[lo:hi])
-    nodes[:, 0], nodes[:, -1] = starts[:k], starts[1:k + 1]
+        nodes[lo:hi] = _lq_nodes(maps, grid.times[lo:hi], grid.lengths[lo],
+                                 starts[lo:hi], controls[lo:hi])
+    nodes[:, 0], nodes[:, -1] = starts[:-1], starts[1:]
     return nodes
 
 

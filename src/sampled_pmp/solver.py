@@ -5,15 +5,13 @@ The outer loop is a damped Newton iteration on the unknown initial adjoint
 free).  Each residual evaluation propagates the coupled state/adjoint system
 forward interval by interval; on every interval the frozen control solves
 the averaged-gradient variational inequality by semismooth Newton on its
-natural residual project(u + Gbar(u)) - u.  The end node of the interval's
-arc at the solved control advances the propagation, and the residual is
-read from the end values by the boundary conditions the certificate
-checks.  The arcs' nodes are evaluated once per residual: off the ``lq``
-maps they are the inner solve's last integration, on them one batched
-product after the propagation (see :mod:`.simulate`), and every trial is
-judged by the blow-up rule.  Only the accepted iterate's arcs are
-assembled into an extremal, and ``solve`` returns its certificate whatever
-the verdict.
+natural residual project(u + Gbar(u)) - u, and returns the interval's arc
+at the solved control, already judged by the blow-up rule: off the ``lq``
+maps the inner solve's last integration, on them one node product (see
+:mod:`.simulate`).  The arc's last node advances the propagation, and the
+residual is read from the end values by the boundary conditions the
+certificate checks.  Only the accepted iterate's arcs are assembled into
+an extremal, and ``solve`` returns its certificate whatever the verdict.
 
 Each interval's derivatives come as one :class:`~.simulate.LQMaps` of Gbar
 and the end node in the start point and the control: an ``lq`` interval's
@@ -50,9 +48,9 @@ from .certificate import (_terminal_hamiltonian, boundary_residuals,
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
-from .simulate import (LQMaps, _blown, _extremal_from_arcs,
-                       _extremal_interval, _lq_grid_nodes, _lq_maps, _lq_runs,
-                       _node_mean, integrate_extremal_forward)
+from .simulate import (LQMaps, _extremal_from_arcs, _extremal_interval,
+                       _lq_maps, _lq_nodes, _node_mean,
+                       integrate_extremal_forward)
 
 
 # Tolerance and iteration cap of the inner Newton on each interval's natural
@@ -127,12 +125,11 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     w = u + Gbar(u); the tangent dz_{k+1}/dz_k is Phi_end + Gamma_end du/dz
     with du/dz = -(D (I + G) - I)^+ D Ga, ^+ the (pseudo-)inverse.
 
-    Returns ``(u, nodes, tangent)``: ``nodes`` holds the coupled arc's nodes
-    at ``u`` that the solve has, all SUBSTEPS+1 of the last trial's arc off
-    the ``lq`` maps, only the end node Phi_end z_k + Gamma_end u (one row)
-    on them, so ``nodes[-1]`` advances the propagation either way and the
-    caller evaluates the other nodes (see :func:`_propagate`); ``tangent``
-    is the 2n x 2n matrix.
+    Returns ``(u, nodes, tangent)``: ``nodes`` (SUBSTEPS+1, 2n) are the
+    coupled arc's nodes at ``u``, the last trial's integration off the
+    ``lq`` maps and one :func:`~.simulate._lq_nodes` product on them; either
+    way a node that breaks the blow-up rule raises IntegrationBlowUp at its
+    time.  ``tangent`` is the 2n x 2n matrix.
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
@@ -160,10 +157,7 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     u, (w, u_maps, nodes) = _damped_newton(natural_residual, jacobian, u,
                                            INNER_TOL, INNER_MAX_ITER)
     if nodes is None:
-        # finite maps can still overflow here: the caller's blow-up rule
-        # judges the end node
-        with np.errstate(over="ignore", invalid="ignore"):
-            nodes = (maps.phi_end @ z + maps.gamma_end @ u)[None]
+        nodes = _lq_nodes(maps, [t_k], delta, z[None], u[None])[0]
     D = cs.project_jacobian(w)
     newton, drive = D @ (eye + u_maps.g) - eye, D @ u_maps.ga
     try:
@@ -182,18 +176,14 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
 
     Returns ``(residual_vector, (grid, controls, nodes, tangents))``, the
     grid being the trial horizon's for a free final time.  Each interval's
-    end node from its inner solve advances the state and adjoint.
-    ``nodes`` (K, SUBSTEPS+1, 2n) are the coupled nodes of every interval's
-    arc at its solved control, which ``simulate._extremal_from_arcs`` with
-    p0 = -1 assembles into the extremal: off the ``lq`` maps, the arcs the
-    inner solves integrated; on them, evaluated once after the loop by
-    ``simulate._lq_grid_nodes``, which judges them by the blow-up rule in
-    time order.  An end node that breaks the rule, and an inner
-    NonConvergence, first have the intervals advanced so far judged, so the
-    first failure in time is the one raised.  :func:`_tangent_jacobian`
-    linearizes the second element, whose ``tangents`` are the intervals'.
-    Controls are warm-started from the previous interval (the first from
-    the projected origin).
+    inner solve returns its judged arc, whose last node advances the state
+    and adjoint; the intervals are solved in time order, so the first
+    failure in time is the one raised.  ``nodes`` (K, SUBSTEPS+1, 2n) stack
+    the arcs, which ``simulate._extremal_from_arcs`` with p0 = -1 assembles
+    into the extremal.  :func:`_tangent_jacobian` linearizes the second
+    element, whose ``tangents`` are the intervals'.  Controls are
+    warm-started from the previous interval (the first from the projected
+    origin).
     """
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
@@ -208,39 +198,20 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
             raise IntegrationBlowUp(0.0, "trial final time is nonpositive")
         grid = build_grid(float(x[-1]), grid.period)
 
-    runs = _lq_runs(problem, grid, p0)
     u_prev = np.zeros(problem.m)
-    z = np.concatenate([q, x[:n]])
-    starts = np.empty((grid.n_intervals + 1, 2 * n))
-    starts[0] = z
+    z0 = z = np.concatenate([q, x[:n]])
     us, arcs, tangents = [], [], []
-    for k in range(grid.n_intervals):
-        t_k, delta = float(grid.times[k]), float(grid.lengths[k])
-        try:
-            u_k, arc, tangent = solve_interval_control(
-                problem, t_k, delta, z[:n], z[n:], p0, u_prev)
-        except NonConvergence:
-            if runs is not None:
-                _lq_grid_nodes(runs, grid, starts, np.array(us))
-            raise
-        if runs is None:
-            if len(arc) == 1:   # this length's lq maps; another's overflow
-                arc = _extremal_interval(problem, t_k, delta, z, u_k, p0)[1]
-            arcs.append(arc)
-        us.append(u_k)
+    for t_k, delta in zip(grid.times, grid.lengths):
+        u_prev, arc, tangent = solve_interval_control(
+            problem, float(t_k), float(delta), z[:n], z[n:], p0, u_prev)
+        us.append(u_prev)
+        arcs.append(arc)
         tangents.append(tangent)
-        z = starts[k + 1] = arc[-1]
-        if runs is not None and _blown(z):
-            # raises at the first blown node of the intervals so far
-            _lq_grid_nodes(runs, grid, starts, np.array(us))
-        u_prev = u_k
-
+        z = arc[-1]
     controls = ControlSequence(np.vstack(us))
-    nodes = (np.stack(arcs) if runs is None
-             else _lq_grid_nodes(runs, grid, starts, controls.values))
+    nodes = np.stack(arcs)
 
     # the start block holds by construction of q above
-    z0 = starts[0]
     _, end, transversality = boundary_residuals(
         problem.terminal, z0[:n], z[:n], z0[n:], z[n:])
     h_f = ([_terminal_hamiltonian(problem, grid.t_f, z[:n], z[n:], p0,
@@ -280,9 +251,6 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
         def last_interval(v):
             u, arc, _ = solve_interval_control(
                 problem, t_k, v[-1], v[:n], v[n:2 * n], -1.0, u_prev)
-            if len(arc) == 1:   # the lq end alone: judge the whole arc
-                arc = _extremal_interval(problem, t_k, v[-1], v[:2 * n], u,
-                                         -1.0)[1]
             end = arc[-1]
             return np.append(end, _terminal_hamiltonian(
                 problem, t_k + v[-1], end[:n], end[n:], -1.0, u))

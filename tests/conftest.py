@@ -118,9 +118,10 @@ def _count_calls(monkeypatch, module, name):
 @pytest.fixture
 def interval_integrations(monkeypatch):
     """Count integrated intervals by either path: the rows of every
-    ``simulate._lq_nodes`` batch on the linear-quadratic matrices, and the
-    calls to ``simulate._rk4`` on the callbacks (one per interval, a stack
-    of arcs of one interval counting once); returns the reader."""
+    ``simulate._lq_nodes`` batch on the linear-quadratic matrices, the
+    solver's one-row calls included, and the calls to ``simulate._rk4`` on
+    the callbacks (one per interval, a stack of arcs of one interval
+    counting once); returns the reader."""
     rows = 0
     lq_nodes = simulate._lq_nodes
 
@@ -129,7 +130,8 @@ def interval_integrations(monkeypatch):
         rows += len(starts)
         return lq_nodes(maps, t0, delta, starts, controls)
 
-    monkeypatch.setattr(simulate, "_lq_nodes", counted_rows)
+    for module in (simulate, solver):
+        monkeypatch.setattr(module, "_lq_nodes", counted_rows)
     rk4_calls = _count_calls(monkeypatch, simulate, "_rk4")
     return lambda: rows + rk4_calls()
 

@@ -14,6 +14,7 @@ import pytest
 
 from sampled_pmp import ProblemDefinition, parking
 from sampled_pmp.cli import _build_parser, _resolve_problem, main
+from sampled_pmp.svgfig import SvgPlot, _nice_ticks
 
 
 # the parking instance (2, 4) written out as an inline LTI spec
@@ -37,6 +38,24 @@ BLOWUP_SPEC = {
     **PARKING_SPEC, "n": 1, "A": [[40]], "B": [[1]],
     "terminal": {"variant": "fixed_endpoints", "q0": [1], "qf": [0]},
     "tf": 1.0, "T": 0.5,
+}
+
+# the oscillator of PERIODIC_SPEC below, steered from (1, 0) to rest under
+# Box(+-1) at t_f = 6: generic shooting stalls after one Newton step
+STALLING_SPEC = {
+    "n": 2, "m": 1, "dynamics": "lti",
+    "A": [[0, 1], [-1, 0]], "B": [[0], [1]], "Q": [[1, 0], [0, 1]],
+    "control_set": {"kind": "box", "lower": [-1], "upper": [1]},
+    "terminal": {"variant": "fixed_endpoints", "q0": [1, 0], "qf": [0, 0]},
+    "tf": 6.0, "T": 0.25,
+}
+
+# the saddle (eigenvalues +-1) under Box(+-2) at t_f = 30: the arc of the
+# origin guess already leaves the integrator's trust region
+SADDLE_SPEC = {
+    **STALLING_SPEC, "A": [[0, 1], [1, 0]], "Q": [[0, 0], [0, 0]],
+    "control_set": {"kind": "box", "lower": [-2], "upper": [2]},
+    "tf": 30.0, "T": 1.5,
 }
 
 PARKING_FLAGS = ["--problem", "parking", "--M", "2", "--tf", "4", "--T", "2"]
@@ -268,6 +287,26 @@ def test_solve_reports_blow_up_as_non_convergence(tmp_path, capsys,
     assert residual_evals() > 0
 
 
+@pytest.mark.parametrize("spec, first_line, history_lines", [
+    (STALLING_SPEC, "solver did not converge: no step direction decreased "
+     "the residual (at 2.919e+00)", 2),
+    (SADDLE_SPEC, "solver did not converge: integration blew up at "
+     "t=28.0312", 0),
+], ids=["stall", "blow-up"])
+def test_generic_solve_failure_report(tmp_path, capsys, spec, first_line,
+                                      history_lines):
+    # a NonConvergence prints its message, then its last history entries,
+    # each with the iterate's active set; a blow-up prints its time alone
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", "--spec", str(path),
+                 "--out", str(tmp_path / "run")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == first_line
+    assert len(lines) == 1 + history_lines
+    assert all("'active_set'" in line for line in lines[1:])
+
+
 def test_readme_inline_spec_takes_the_parking_path(tmp_path):
     # the spec denotes parking (2, 4), so solve serves it by the closed-form
     # solve and writes what --problem parking writes, byte for byte
@@ -405,6 +444,18 @@ def test_check_round_trip(solved_run, tmp_path):
     assert rc == 0
     cert = json.loads((tmp_path / "chk" / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
+
+
+def test_check_skips_blank_controls_rows(solved_run, tmp_path):
+    # a blank line between two data rows is not a control row
+    controls = (solved_run / "controls.csv").read_text().splitlines()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n".join([*controls[:2], "", " , ", *controls[2:]])
+                      + "\n")
+    rc = main(["check", *PARKING_FLAGS, "--controls", str(spaced),
+               "--adjoint-init", str(solved_run / "manifest.json"),
+               "--out", str(tmp_path / "chk")])
+    assert rc == 0
 
 
 def test_check_round_trip_via_spec_file(solved_run, tmp_path):
@@ -791,6 +842,23 @@ def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest,
     assert main(["compare", "--run", str(run)]) == 4
     err = capsys.readouterr().err
     assert "bad input" in err and message in err
+
+
+def test_svg_plot_degenerate_ranges():
+    # no finite point, or one point, still gives an axis of unit span;
+    # the tick rule covers a non-finite or empty range the same way
+    assert _nice_ticks(math.nan, 1.0) == [0.0, 1.0]
+    assert _nice_ticks(0.0, math.inf) == [0.0, 1.0]
+    assert _nice_ticks(2.0, 2.0) == _nice_ticks(2.0, 3.0)
+    for xs, ys in (([math.nan], [math.inf]), ([1.0], [2.0])):
+        plot = SvgPlot()
+        plot.add_crosses(xs, ys)
+        xmin, xmax, ymin, ymax = plot._scales()[2]
+        # the unit span padded by 5 % on x and 8 % on y, each side
+        assert (xmax - xmin, ymax - ymin) == pytest.approx((1.1, 1.16))
+        assert plot.render().endswith("</svg>\n")
+    with pytest.raises(ValueError, match="len\\(edges\\)"):
+        SvgPlot().add_steps([0.0, 1.0], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

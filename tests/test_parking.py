@@ -30,6 +30,10 @@ def test_instance_validation():
             pk.solve_parking(M, 4.0, 1.0)
     with pytest.raises(ValueError, match="sampling period must be positive"):
         pk.solve_parking(2.0, 4.0, 0.0)
+    # the oracle checks its own arguments
+    for M, tf, T in ((0.0, 4.0, 1.0), (2.0, -4.0, 1.0), (2.0, 4.0, 0.0)):
+        with pytest.raises(ValueError, match="qp_oracle needs positive"):
+            pk.qp_oracle(M, tf, T)
 
 
 def test_regime_classification():

@@ -449,6 +449,8 @@ def test_control_sequence_admissibility():
     assert ok.all_admissible(box)
     assert not bad.all_admissible(box)
     assert len(ok) == 2 and ok.m == 1
+    # one value per interval is a single-input sequence
+    assert sp.ControlSequence(np.array([0.5, -1.0])).values.shape == (2, 1)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -606,6 +608,12 @@ _INLINE = {
     "tf": 4.0, "T": 2.0,
 }
 
+# the same instance by the builtin dynamics, which take no matrices
+_PARKING_DYNAMICS = {
+    **{k: v for k, v in _INLINE.items() if k not in ("A", "B")},
+    "dynamics": "parking",
+}
+
 
 @pytest.mark.parametrize("text, message", [
     (json.dumps({**_INLINE, "control_set": [-1, 1]}),
@@ -633,10 +641,16 @@ _INLINE = {
      "matrix fields only apply to dynamics='lti'"),
     (json.dumps({**_INLINE, "dynamics": "rocket"}),
      "dynamics must be 'lti' or a builtin id"),
+    (json.dumps({**_PARKING_DYNAMICS, "n": 1, "terminal": {
+        "variant": "fixed_endpoints", "q0": [2], "qf": [0]}}),
+     "parking dynamics require n=2, m=1"),
+    (json.dumps({**_PARKING_DYNAMICS, "m": 2, "control_set": {
+        "kind": "box", "lower": [-1, -1], "upper": [1, 1]}}),
+     "parking dynamics require n=2, m=1"),
 ], ids=["control-set-not-object", "terminal-not-object", "unknown-kind",
         "unknown-variant", "set-dimension", "endpoints-length",
         "free-final-length", "not-an-object", "unreadable", "final-time-mode",
-        "parking-with-matrices", "unknown-dynamics"])
+        "parking-with-matrices", "unknown-dynamics", "parking-n", "parking-m"])
 def test_spec_errors_name_the_fault(tmp_path, text, message):
     # text None: the path names no file
     path = tmp_path / "spec.json"

@@ -108,11 +108,12 @@ def _outcomes_agree(integrate, problem):
         "overflowing-maps-at-rest"])
 def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
     # the first node past BLOWUP_NORM raises at its time on both paths, for
-    # one interval, for a whole grid of intervals of length delta with a
-    # partial last one, and for the shooting propagation; at delta = 1e5 the
-    # RK4 maps themselves overflow, and an arc at rest must still integrate
-    # (to zeros), not blow up.  The zero-adjoint p0 = 0 cases are the arcs
-    # ``simulate`` integrates
+    # one interval, for the public interval solver's arc, for a whole grid
+    # of intervals of length delta with a partial last one, and for the
+    # shooting propagation; at delta = 1e5 the RK4 maps themselves
+    # overflow, and an arc at rest must still integrate (to zeros), not
+    # blow up.  The zero-adjoint p0 = 0 cases are the arcs ``simulate``
+    # integrates
     prob = sp.lti_problem(
         np.array([[a]]), np.array([[1.0]]), np.array([[0.5]]),
         control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
@@ -125,6 +126,8 @@ def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
     _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta,
                                                  np.array([z[0], 0.0]), u,
                                                  0.0)[1], prob)
+    _outcomes_agree(lambda P: sp.solve_interval_control(
+        P, 0.25, delta, z[:1], z[1:], -1.0, u)[1], prob)
     grid = sp.build_grid(3.5 * delta, delta)
     ctrl = np.zeros((grid.n_intervals, 1))
     for p0, p_init in ((-1.0, z[1:]), (0.0, np.zeros(1))):

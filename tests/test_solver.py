@@ -8,7 +8,7 @@ import pytest
 import sampled_pmp as sp
 from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
-from sampled_pmp.simulate import (_extremal_interval, _lq_maps,
+from sampled_pmp.simulate import (SUBSTEPS, _extremal_interval, _lq_maps,
                                   integrate_extremal_forward)
 
 from conftest import (FIXED_ENDS, FREE_END, double_integrator, pendulum,
@@ -56,6 +56,21 @@ def test_solve_interval_control_finds_interior_root():
                                       Q0, P_STAR, -1.0), 0)
     moved = PARKING4.control_set.project(u + 0.25 * gbar)
     assert np.linalg.norm(moved - u) <= solver.INNER_TOL
+
+
+def test_solve_interval_control_judges_its_arc_on_both_paths():
+    # on the lq maps as on the callbacks the solver returns the interval's
+    # whole arc, judged by the blow-up rule: the state of dq/dt = 40 q + u
+    # passes BLOWUP_NORM at t = 1.0 on [0.25, 1.25], not after it
+    problem = scalar_lti(40.0, 1.0, 3.5)
+    for P in (problem, dataclasses.replace(problem, lq=None)):
+        with pytest.raises(sp.IntegrationBlowUp) as exc:
+            sp.solve_interval_control(P, 0.25, 1.0, [1.0], [0.5], -1.0,
+                                      [0.0])
+        assert exc.value.time == 1.0
+        _, nodes, _ = sp.solve_interval_control(P, 0.25, 0.1, [1.0], [0.5],
+                                                -1.0, [0.0])
+        assert nodes.shape == (SUBSTEPS + 1, 2)
 
 
 def _record_accepted_steps(monkeypatch):
@@ -314,13 +329,10 @@ def _stall_on_interval_3(monkeypatch):
 
 
 def test_earlier_blow_up_wins_over_a_later_inner_stall(monkeypatch):
-    # the lq path evaluates its nodes after the propagation, so an inner
-    # NonConvergence on interval 3 must not hide a blow-up on interval 2:
-    # the intervals already advanced are judged first, as the callbacks
-    # judge each arc when they integrate it.  An end-node test that never
-    # fires leaves interval 2's blown nodes to that judgement alone
+    # an inner NonConvergence on interval 3 must not hide a blow-up on
+    # interval 2: each interval's arc is judged when its inner solve
+    # returns it, on the lq maps as on the callbacks
     _stall_on_interval_3(monkeypatch)
-    monkeypatch.setattr(solver, "_blown", lambda z: False)
     problem = scalar_lti(40.0, 1.0, 1.05)
     for P in (problem, dataclasses.replace(problem, lq=None)):
         with pytest.raises(sp.IntegrationBlowUp) as exc:
@@ -789,19 +801,36 @@ def test_generic_solver_matches_oracle_up_to_enumeration_bound():
                    - sampled_cost(grid, u_qp)) <= 1e-8
 
 
-def test_solve_planar_disc_matches_rotated_parking(residual_evals,
-                                                  interval_integrations):
-    # q0 = (1.6, 1.2) = 2 (0.8, 0.6): the disc optimum is parking's M = 2
-    # box optimum along the unit direction (0.8, 0.6)
+def _planar_disc():
+    """A planar double integrator from (1.6, 1.2) at rest to the origin at
+    rest at t_f = 3, controls in the unit disc."""
     A = np.zeros((4, 4))
     A[0, 2] = A[1, 3] = 1.0
     B = np.zeros((4, 2))
     B[2, 0] = B[3, 1] = 1.0
-    prob = sp.lti_problem(
+    return sp.lti_problem(
         A, B, control_set=sp.Ball(center=np.zeros(2), radius=1.0),
         terminal=sp.FixedEndpoints(q0=np.array([1.6, 1.2, 0.0, 0.0]),
                                    qf=np.zeros(4)),
         final_time=sp.FixedTime(3.0), name="planar")
+
+
+def _oscillator(bound):
+    """The harmonic oscillator q'' = -q + u with running cost |q|^2 + u^2,
+    from (1, 0) to rest at t_f = 6 under Box(-bound, bound)."""
+    return sp.lti_problem(
+        np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]]),
+        np.eye(2),
+        control_set=sp.Box(lower=np.array([-bound]), upper=np.array([bound])),
+        terminal=sp.FixedEndpoints(q0=np.array([1.0, 0.0]), qf=np.zeros(2)),
+        final_time=sp.FixedTime(6.0))
+
+
+def test_solve_planar_disc_matches_rotated_parking(residual_evals,
+                                                  interval_integrations):
+    # q0 = (1.6, 1.2) = 2 (0.8, 0.6): the disc optimum is parking's M = 2
+    # box optimum along the unit direction (0.8, 0.6)
+    prob = _planar_disc()
     for K in (4, 8):
         grid = sp.build_grid(3.0, 3.0 / K)
         before = residual_evals(), interval_integrations()
@@ -820,6 +849,39 @@ def test_solve_planar_disc_matches_rotated_parking(residual_evals,
     # K = 8 is the planar member of the benchmark's generic-shoot batch; the
     # parking member's work is pinned in test_parking
     assert work == (4, 32)
+
+
+@pytest.mark.parametrize("make, T, guess, exact", [
+    (lambda: dataclasses.replace(_planar_disc(), lq=None), 3.0 / 8, None,
+     True),
+    (_planar_disc, 3.0 / 8, None, False),
+    (lambda: _oscillator(5.0), 0.25, None, False),
+    (lambda: parking_problem(2.0, 3.0), 3.0 / 8,
+     initial_adjoint_guess(2.0, 3.0), False),
+], ids=["disc-callbacks", "disc", "oscillator", "parking"])
+def test_reintegration_reproduces_a_generic_solve(make, T, guess, exact):
+    # ``sampled-pmp check`` re-integrates a solve's controls from its
+    # initial adjoint.  Off the lq maps both integrate each arc by the same
+    # callback RK4, bit for bit; on them the solve's arcs are one-row node
+    # products and the re-integration advances end nodes first, so the
+    # nodes agree to rounding, and so do the certificates
+    problem = make()
+    ext, cert = sp.solve(problem, sp.build_grid(problem.final_time.t_f, T),
+                         initial_unknowns=guess)
+    again = integrate_extremal_forward(problem, ext.grid, ext.controls,
+                                       ext.initial_state, ext.initial_adjoint,
+                                       -1.0)
+    nodes, again_nodes = (np.concatenate([e.states, e.adjoints], axis=-1)
+                          for e in (ext, again))
+    if exact:
+        np.testing.assert_array_equal(again_nodes, nodes)
+    else:
+        assert (np.max(np.abs(again_nodes - nodes))
+                <= 1e-14 * max(1.0, np.max(np.abs(nodes))))
+    again_cert = sp.check_certificate(problem, again)
+    assert cert.passed and again_cert.passed
+    np.testing.assert_allclose(again_cert.interval_residuals,
+                               cert.interval_residuals, rtol=0, atol=1e-14)
 
 
 def test_pendulum_callbacks_are_consistent():
