@@ -380,7 +380,7 @@ def cmd_check(args) -> int:
 
     try:
         extremal = integrate_extremal_forward(problem, grid, values, q0, x[:n],
-                                              -1.0, enforce_admissible=False)
+                                              -1.0)
     except IntegrationBlowUp as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

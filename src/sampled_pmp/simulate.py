@@ -10,28 +10,31 @@ the built-in problems.  The callbacks broadcast, so :func:`_node_mean` takes
 it over one interval's nodes or a whole extremal's in one callback call.
 
 :func:`_extremal_interval` integrates the coupled state/adjoint arc of one
-interval, whose state block is dq/dt = dH/dp = f.  :func:`_extremal_from_arcs`
-turns the stacked nodes of every interval into the one :class:`Extremal`
-record (q, p, p0, u) for :func:`integrate_extremal_forward` and the shooting
-solver, which builds its extremal from the arcs it has already evaluated.
-The record carries no cost: :func:`running_cost` computes it on request.  :func:`simulate` is the state block of the coupled
-integration from p(0) = 0 with p0 = 0, on which the adjoint stays exactly
-zero, returned with its cost.
+interval on the callbacks, whose state block is dq/dt = dH/dp = f.
+:func:`_extremal_from_arcs` turns the stacked nodes of every interval into
+the one :class:`Extremal` record (q, p, p0, u) for
+:func:`integrate_extremal_forward` and the shooting solver, which builds its
+extremal from the arcs it has already evaluated.  The record carries no
+cost: :func:`running_cost` computes it on request.  :func:`simulate` is the
+state block of the coupled integration from p(0) = 0 with p0 = 0, on which
+the adjoint stays exactly zero, returned with its cost.
 
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
-built once per (lq, interval length, p0) and cached.
-:func:`integrate_extremal_forward` integrates a whole grid in two steps: the
-end-node maps advance the interval boundaries one interval at a time, then
-:func:`_lq_nodes` evaluates the nodes of every interval of one length from
-their start points in one matrix product; the shooting solver evaluates one
-interval's nodes at a time, at its solved control, by the same function.  The
-same cache entry holds the Simpson mean of dH/du as an affine map of the
-start point and the control, from which, with the end-node maps, the solver
-reads exact derivatives.  The running cost and the
-certificate's interval averages read the callbacks on both paths; the
-callback RK4 calls them once a stage, on one arc or a stack, and integrates
-only the state block of arcs that start from p = 0 with p0 = 0.
+built once per (lq, interval length, p0) and cached, or are None where they
+overflow.  Both walkers over a grid take an interval's maps when they exist
+and :func:`_extremal_interval` otherwise.  :func:`integrate_extremal_forward`
+walks the grid by runs of intervals of one length: on a run with maps the
+end-node maps advance the boundaries one interval at a time, then
+:func:`_lq_nodes` evaluates the run's nodes from their start points in one
+matrix product; the shooting solver evaluates one interval's nodes at a
+time, at its solved control, by the same function.  The same cache entry
+holds the Simpson mean of dH/du as an affine map of the start point and the
+control, from which, with the end-node maps, the solver reads exact
+derivatives.  The running cost and the certificate's interval averages read
+the callbacks on both paths; the callback RK4 calls them once a stage, on
+one arc or a stack, and integrates only the state block of arcs that start
+from p = 0 with p0 = 0.
 """
 
 from __future__ import annotations
@@ -144,22 +147,17 @@ def _node_times(t0, delta):
 def _extremal_interval(problem: ProblemDefinition, t_start: float,
                        delta: float, z_start: np.ndarray, u: np.ndarray,
                        p0: float):
-    """Nodes of the coupled state/adjoint arc over one interval held at ``u``.
+    """Nodes of the coupled state/adjoint arc over one interval held at ``u``,
+    by RK4 on the callbacks.
 
     ``z_start`` stacks q and p; the right-hand side is (f, -dH/dq).  Returns
-    (times, nodes) with SUBSTEPS+1 nodes.  The library's one-interval
-    integrator: by :func:`_lq_nodes` on one row when the problem carries
-    ``lq`` matrices and their maps do not overflow, by the callbacks
-    otherwise, which also take (S, 2n) starts and (S, m) controls.
+    (times, nodes) with SUBSTEPS+1 nodes; (S, 2n) starts and (S, m) controls
+    integrate S arcs at once.  Both walkers over a grid call it only where
+    the problem has no ``lq`` maps for the interval's length.
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
     n = problem.n
-    maps = (None if problem.lq is None
-            else _lq_maps(problem.lq, float(delta), float(p0)))
-    if maps is not None:
-        nodes = _lq_nodes(maps, [t_start], delta, z_start[None], u[None])
-        return _node_times(t_start, delta), nodes[0]
 
     def f(t, q):
         return np.asarray(problem.f(np.full(q.shape[:-1], t), q, u),
@@ -264,39 +262,6 @@ def _lq_nodes(maps: LQMaps, t0, delta: float, starts: np.ndarray,
     return nodes
 
 
-def _lq_runs(problem: ProblemDefinition, grid: SamplingGrid, p0: float):
-    """``(lo, hi, maps)`` for each run of consecutive intervals of one length
-    in ``grid``, in time order: at most two on a grid of :func:`build_grid`.
-    None when the problem carries no ``lq`` matrices or a run's maps
-    overflow, so the grid is integrated interval by interval."""
-    if problem.lq is None:
-        return None
-    cuts = [0, *(np.flatnonzero(np.diff(grid.lengths)) + 1).tolist(),
-            grid.n_intervals]
-    runs = [(lo, hi, _lq_maps(problem.lq, float(grid.lengths[lo]), float(p0)))
-            for lo, hi in zip(cuts, cuts[1:])]
-    return None if any(maps is None for *_, maps in runs) else runs
-
-
-def _lq_grid_nodes(runs, grid: SamplingGrid, starts: np.ndarray,
-                   controls: np.ndarray) -> np.ndarray:
-    """Nodes (K, SUBSTEPS+1, 2n) of every interval of ``grid``, whose
-    :func:`_lq_runs` are ``runs``.
-
-    ``starts`` (K+1, 2n) holds the boundary nodes the end-node maps
-    advanced: the start of each interval, then the end of the last.  One
-    :func:`_lq_nodes` call per run, in time order, so the first blown node
-    of the grid raises; each boundary node is then the one value of
-    ``starts``, in both intervals it bounds.
-    """
-    nodes = np.empty((grid.n_intervals, SUBSTEPS + 1, starts.shape[1]))
-    for lo, hi, maps in runs:
-        nodes[lo:hi] = _lq_nodes(maps, grid.times[lo:hi], grid.lengths[lo],
-                                 starts[lo:hi], controls[lo:hi])
-    nodes[:, 0], nodes[:, -1] = starts[:-1], starts[1:]
-    return nodes
-
-
 def _node_mean(integrand, times, states, adjoints, p0, u):
     """Simpson mean of ``integrand(t, q, p, p0, u)`` over the node axis of
     ``times`` (..., SUBSTEPS+1) in one call; ``u`` (..., m) is per interval."""
@@ -305,21 +270,6 @@ def _node_mean(integrand, times, states, adjoints, p0, u):
     if values.ndim == times.ndim:
         return (SIMPSON_MEAN @ values[..., None])[..., 0]
     return SIMPSON_MEAN @ values
-
-
-def _check_controls(problem, grid, controls, enforce_admissible):
-    if not isinstance(controls, ControlSequence):
-        controls = ControlSequence(np.asarray(controls, dtype=float))
-    if len(controls) != grid.n_intervals:
-        raise ValueError(
-            f"control sequence has {len(controls)} values, grid has "
-            f"{grid.n_intervals} intervals")
-    if controls.m != problem.m:
-        raise ValueError(f"control values have {controls.m} components, the "
-                         f"problem has m = {problem.m}")
-    if enforce_admissible and not controls.all_admissible(problem.control_set):
-        raise ValueError("control sequence leaves the control set")
-    return controls
 
 
 def _extremal_from_arcs(grid, controls, nodes: np.ndarray,
@@ -344,28 +294,50 @@ def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
     This is the state block of :func:`integrate_extremal_forward` from
     p(0) = 0 with p0 = 0: the adjoint right-hand side -dH/dq then vanishes,
     so the adjoint stays exactly zero and the blow-up rule reads the state
-    alone.  Controls outside the control set raise ValueError.
+    alone.  Controls outside the control set raise ValueError once the arc
+    is integrated.
     """
     extremal = integrate_extremal_forward(problem, grid, controls, q0,
                                           np.zeros(problem.n), 0.0)
+    if not extremal.controls.all_admissible(problem.control_set):
+        raise ValueError("control sequence leaves the control set")
     return extremal, running_cost(problem, extremal)
 
 
 def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
                                controls, q0: np.ndarray, p_init: np.ndarray,
-                               p0: float,
-                               enforce_admissible: bool = True) -> Extremal:
+                               p0: float) -> Extremal:
     """Integrate the coupled extremal equations forward from t = 0.
 
     The state obeys dq/dt = dH/dp = f and the adjoint dp/dt = -dH/dq, both
-    driven by the frozen control of each interval.  On the ``lq`` maps the
-    end-node recurrence z_{k+1} = Phi_end z_k + Gamma_end u_k advances the
-    boundaries, then :func:`_lq_grid_nodes` evaluates every interval's
-    nodes; otherwise :func:`_extremal_interval` integrates one interval
-    after the other.  Raises ValueError when ``q0`` or ``p_init`` is not a
-    finite vector of n components.
+    driven by the frozen control of each interval.  The grid is walked in
+    time order by runs of intervals of one length.  On a run with ``lq``
+    maps the end-node recurrence z_{k+1} = Phi_end z_k + Gamma_end u_k
+    advances the boundaries, then one :func:`_lq_nodes` product evaluates
+    the run's nodes, each boundary node keeping the recurrence's one value;
+    on a run without maps :func:`_extremal_interval` integrates one interval
+    after the other.  Each run is judged by the blow-up rule before the next
+    starts, so the first blown node in time raises.
+
+    Any finite controls are integrated, in the control set or not: the
+    certificate judges membership.  Raises ValueError, before integrating,
+    when the controls are not one finite row of m values per interval, or
+    when ``q0`` or ``p_init`` is not a finite vector of n components.
     """
-    controls = _check_controls(problem, grid, controls, enforce_admissible)
+    if not isinstance(controls, ControlSequence):
+        controls = ControlSequence(np.asarray(controls, dtype=float))
+    if len(controls) != grid.n_intervals:
+        raise ValueError(
+            f"control sequence has {len(controls)} values, grid has "
+            f"{grid.n_intervals} intervals")
+    if controls.m != problem.m:
+        raise ValueError(f"control values have {controls.m} components, the "
+                         f"problem has m = {problem.m}")
+    u = controls.values
+    bad = ~np.all(np.isfinite(u), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"control values must be finite, row {k} is {u[k]}")
     n = problem.n
     start = []
     for label, v in (("q0", q0), ("p_init", p_init)):
@@ -373,26 +345,29 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
         if v.shape != (n,) or not np.all(np.isfinite(v)):
             raise ValueError(f"{label} must be {n} finite values, got {v}")
         start.append(v)
-    z = np.concatenate(start)
-    runs = _lq_runs(problem, grid, p0)
-    if runs is None:
-        arcs = []
-        for k in range(grid.n_intervals):
-            arcs.append(_extremal_interval(problem, grid.times[k],
-                                           grid.lengths[k], z, controls[k],
-                                           p0)[1])
-            z = arcs[-1][-1]
-        return _extremal_from_arcs(grid, controls, np.stack(arcs), p0)
-    u = controls.values
-    starts = np.empty((grid.n_intervals + 1, z.size))
-    starts[0] = z
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, maps in runs:
+    starts = np.empty((grid.n_intervals + 1, 2 * n))
+    starts[0] = np.concatenate(start)
+    nodes = np.empty((grid.n_intervals, SUBSTEPS + 1, 2 * n))
+    cuts = [0, *(np.flatnonzero(np.diff(grid.lengths)) + 1).tolist(),
+            grid.n_intervals]
+    for lo, hi in zip(cuts, cuts[1:]):
+        delta = grid.lengths[lo]
+        maps = (None if problem.lq is None
+                else _lq_maps(problem.lq, float(delta), float(p0)))
+        if maps is None:
+            for k in range(lo, hi):
+                nodes[k] = _extremal_interval(problem, grid.times[k], delta,
+                                              starts[k], u[k], p0)[1]
+                starts[k + 1] = nodes[k, -1]
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
             drive = u[lo:hi] @ maps.gamma_end.T
             for k in range(lo, hi):
                 starts[k + 1] = maps.phi_end @ starts[k] + drive[k - lo]
-    return _extremal_from_arcs(grid, controls,
-                               _lq_grid_nodes(runs, grid, starts, u), p0)
+        nodes[lo:hi] = _lq_nodes(maps, grid.times[lo:hi], delta,
+                                 starts[lo:hi], u[lo:hi])
+        nodes[lo:hi, 0], nodes[lo:hi, -1] = starts[lo:hi], starts[lo + 1:hi + 1]
+    return _extremal_from_arcs(grid, controls, nodes, p0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ GRID = sp.build_grid(4.0, 2.0)
 
 def _extremal(ctrl, p_init=(-1.0, -2.0), p0=-1.0):
     return sp.integrate_extremal_forward(PARKING, GRID, np.asarray(ctrl, float),
-                                         Q0, np.asarray(p_init, float), p0,
-                                         enforce_admissible=False)
+                                         Q0, np.asarray(p_init, float), p0)
 
 
 def test_interval_residual_zero_at_solution():
@@ -160,8 +159,7 @@ def test_certificate_flags_inadmissible_control():
 def _scaled(prob, grid, ctrl, p_init, lam):
     # the extremal of the multiplier pair (lam p(0), -lam), integrated afresh
     return sp.integrate_extremal_forward(prob, grid, np.asarray(ctrl, float), Q0,
-                                         lam * np.asarray(p_init, float), -lam,
-                                         enforce_admissible=False)
+                                         lam * np.asarray(p_init, float), -lam)
 
 
 # (problem, grid, controls, p(0)) with off-optimum residuals: on interval 0

@@ -8,7 +8,7 @@ import pytest
 
 import sampled_pmp as sp
 from sampled_pmp.parking import parking_problem
-from sampled_pmp.simulate import _extremal_interval
+from sampled_pmp.simulate import _extremal_interval, _lq_maps, _lq_nodes
 
 from conftest import FREE_END, double_integrator, scalar_lti
 
@@ -120,12 +120,23 @@ def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
         terminal=sp.FixedEndpoints(q0=np.ones(1), qf=np.zeros(1)),
         final_time=sp.FixedTime(3.5 * delta))
     z, u = np.array(z), np.zeros(1)
+
+    def one_interval(P, z, p0):
+        # the maps' one-row product against the callbacks; where the maps
+        # overflow, a one-interval walk, which must take the callbacks
+        maps = _lq_maps(prob.lq, delta, p0)
+        if maps is None:
+            ext = sp.integrate_extremal_forward(
+                P, sp.build_grid(delta, delta), u[None], z[:1], z[1:], p0)
+            return np.concatenate([ext.states, ext.adjoints], axis=-1)[0]
+        if P.lq is None:
+            return _extremal_interval(P, 0.25, delta, z, u, p0)[1]
+        return _lq_nodes(maps, [0.25], delta, z[None], u[None])[0]
+
     for p0 in (-1.0, -0.5):
-        _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta, z, u,
-                                                     p0)[1], prob)
-    _outcomes_agree(lambda P: _extremal_interval(P, 0.25, delta,
-                                                 np.array([z[0], 0.0]), u,
-                                                 0.0)[1], prob)
+        _outcomes_agree(lambda P: one_interval(P, z, p0), prob)
+    _outcomes_agree(lambda P: one_interval(P, np.array([z[0], 0.0]), 0.0),
+                    prob)
     _outcomes_agree(lambda P: sp.solve_interval_control(
         P, 0.25, delta, z[:1], z[1:], -1.0, u)[1], prob)
     grid = sp.build_grid(3.5 * delta, delta)
@@ -170,16 +181,54 @@ def test_shooting_judges_an_overflowing_lq_end_node_product():
 
 
 def test_shooting_integrates_every_arc_when_one_length_has_no_lq_maps():
-    # on a hand-built grid only the long interval's maps overflow, so the
-    # propagation takes every arc from the callbacks: the short interval's
-    # lq end node alone would leave its blown nodes unjudged (the state
-    # passes BLOWUP_NORM at its 13th node) until the long interval's
+    # on a hand-built grid only the long interval's maps overflow: the
+    # short interval's lq end node alone would leave its blown nodes
+    # unjudged (the state passes BLOWUP_NORM at its 13th node) until the
+    # long interval's.  The shooting propagation and the re-integration of
+    # the grid both judge the short interval's nodes first
     grid = sp.SamplingGrid(period=1e5, t_f=1e5 + 0.3,
                            times=np.array([0.0, 0.3]),
                            lengths=np.array([0.3, 1e5]))
-    t = _outcomes_agree(lambda P: sp.shooting_residual(P, grid, np.zeros(1)),
-                        scalar_lti(40.0, 1e8, 1e5 + 0.3))
-    assert t == pytest.approx(13 * 0.3 / 16, rel=1e-12)
+    prob = scalar_lti(40.0, 1e8, 1e5 + 0.3)
+    for integrate in (
+            lambda P: sp.shooting_residual(P, grid, np.zeros(1)),
+            lambda P: sp.integrate_extremal_forward(
+                P, grid, np.zeros((2, 1)), P.initial_state(), np.zeros(1),
+                -1.0).states):
+        t = _outcomes_agree(integrate, prob)
+        assert t == pytest.approx(13 * 0.3 / 16, rel=1e-12)
+
+
+@pytest.mark.parametrize("lengths", [(1e5, 0.3, 0.3, 0.3),
+                                     (0.3, 0.3, 0.3, 1e5)],
+                         ids=["callbacks-first", "maps-first"])
+def test_walk_mixes_runs_with_and_without_lq_maps(lengths):
+    # only the long interval's maps overflow, so the walk integrates that
+    # run on the callbacks and evaluates the short run's nodes from its
+    # maps, in time order either way: the nodes match the callback twin's,
+    # and each boundary node is one value.  q1 stays at rest, so nothing
+    # blows up on the long interval
+    prob = sp.lti_problem(
+        np.diag([40.0, 0.0]), np.array([[0.0], [1.0]]), np.diag([0.0, 0.5]),
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.FixedEndpoints(q0=np.array([0.0, 1.0]), qf=np.zeros(2)),
+        final_time=sp.FixedTime(sum(lengths)))
+    lengths = np.array(lengths)
+    grid = sp.SamplingGrid(period=lengths.max(), t_f=float(lengths.sum()),
+                           times=np.concatenate([[0.0],
+                                                 np.cumsum(lengths)[:-1]]),
+                           lengths=lengths)
+    assert [_lq_maps(prob.lq, float(d), -1.0) is None
+            for d in lengths] == list(lengths == 1e5)
+    ctrl = np.array([[0.3], [-0.2], [0.5], [0.1]])
+    for p_init, p0 in (([0.0, 0.7], -1.0), ([0.0, 0.0], 0.0)):
+        got, want = (sp.integrate_extremal_forward(
+            P, grid, ctrl, prob.initial_state(), np.array(p_init), p0)
+            for P in (prob, dataclasses.replace(prob, lq=None)))
+        for a, b in ((got.states, want.states),
+                     (got.adjoints, want.adjoints)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            assert np.array_equal(a[:-1, -1], a[1:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +277,20 @@ def test_simulate_input_validation():
                          ids=["long", "nan", "inf", "matrix"])
 def test_starting_data_is_validated(bad):
     # a wrong-shape or non-finite q0 or p_init is bad input, named in the
-    # message, on the matrix path and the callback path alike
+    # message, on the matrix path and the callback path alike; so is a
+    # non-finite control, before anything is integrated (no warning)
     grid = sp.build_grid(4.0, 2.0)
     ctrl = np.zeros((2, 1))
     for prob in (PARKING, dataclasses.replace(PARKING, lq=None)):
+        if not np.all(np.isfinite(bad)):
+            bad_ctrl = np.array(bad).reshape(2, 1)
+            with pytest.raises(ValueError, match="^control values must be "
+                                                 "finite, row"):
+                sp.integrate_extremal_forward(prob, grid, bad_ctrl, Q0,
+                                              np.zeros(2), -1.0)
+            with pytest.raises(ValueError, match="^control values must be "
+                                                 "finite, row"):
+                sp.simulate(prob, grid, bad_ctrl, Q0)
         with pytest.raises(ValueError, match="^q0 must be"):
             sp.simulate(prob, grid, ctrl, np.array(bad))
         with pytest.raises(ValueError, match="^q0 must be"):

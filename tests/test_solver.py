@@ -9,6 +9,7 @@ import sampled_pmp as sp
 from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
 from sampled_pmp.simulate import (SUBSTEPS, _extremal_interval, _lq_maps,
+                                  _lq_nodes, _node_times,
                                   integrate_extremal_forward)
 
 from conftest import (FIXED_ENDS, FREE_END, double_integrator, pendulum,
@@ -203,9 +204,8 @@ def test_lq_matrices_match_callbacks_on_random_intervals():
             want, twin_maps, (times, nodes) = \
                 solver._interval_average_gradient(twin, 0.3, delta, z, u, p0)
             maps = _lq_maps(prob.lq, delta, p0)
-            got_times, got_nodes = _extremal_interval(prob, 0.3, delta, z, u,
-                                                      p0)
-            np.testing.assert_array_equal(got_times, times)
+            got_nodes = _lq_nodes(maps, [0.3], delta, z[None], u[None])[0]
+            np.testing.assert_array_equal(_node_times(0.3, delta), times)
             for a, b in ((maps.ga @ z + maps.g @ u, want), (got_nodes, nodes)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
             for name in ("ga", "g", "phi_end", "gamma_end"):
@@ -213,8 +213,9 @@ def test_lq_matrices_match_callbacks_on_random_intervals():
                 assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b)), name
         # the arc ``simulate`` integrates: zero adjoint, p0 = 0
         z = np.concatenate([q, np.zeros_like(q)])
-        got, want = (_extremal_interval(P, 0.3, delta, z, u, 0.0)[1]
-                     for P in (prob, twin))
+        got = _lq_nodes(_lq_maps(prob.lq, delta, 0.0), [0.3], delta, z[None],
+                        u[None])[0]
+        want = _extremal_interval(twin, 0.3, delta, z, u, 0.0)[1]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
