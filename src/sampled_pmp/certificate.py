@@ -7,7 +7,8 @@ The variant's boundary conditions (:func:`boundary_residuals`) give the
 feasibility of the terminal constraints (a checker must reject infeasible
 candidates even though the optimality conditions presuppose admissibility)
 and a transversality residual, free-final-time problems add a terminal
-Hamiltonian residual, and nontriviality of the multiplier pair is checked.
+Hamiltonian residual, nontriviality of the multiplier pair is checked, and
+on a fixed final time the extremal's grid must end at it.
 The shooting residual is built from the same definitions.
 
 The checker covers the three canonical terminal variants the solver
@@ -28,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnsupportedCase
-from .problem import (FixedEndpoints, FixedInitialFreeFinal, FreeTime,
-                      ProblemDefinition, TerminalCondition)
+from .problem import (FixedEndpoints, FixedInitialFreeFinal, FixedTime,
+                      FreeTime, ProblemDefinition, TerminalCondition)
 from .simulate import Extremal, _extremal_mean, average_u_gradient
 
 DEFAULT_TOL = 1e-8
@@ -132,11 +133,11 @@ def free_time_residual(problem: ProblemDefinition, extremal: Extremal) -> float:
 def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certificate:
     """Verify every necessary condition on ``extremal`` and aggregate a verdict.
 
-    Fails when the multiplier pair is trivial, a control leaves the control
-    set, the terminal constraints are violated, or any condition residual
-    exceeds ``DEFAULT_TOL``.  Each residual is computed once; for a normal
-    extremal it is divided by -p0 before the tolerance test, and the raw
-    value is reported alongside.
+    Fails when the multiplier pair is trivial, the grid ends off a fixed
+    final time, a control leaves the control set, the terminal constraints
+    are violated, or any condition residual exceeds ``DEFAULT_TOL``.  Each
+    residual is computed once; for a normal extremal it is divided by -p0
+    before the tolerance test, and the raw value is reported alongside.
     """
     tol = DEFAULT_TOL
     p0 = extremal.p0
@@ -147,6 +148,11 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
         violations.append("nontriviality: (p, p0) = (0, 0)")
     if p0 > 0:
         violations.append(f"cost multiplier must be <= 0, got {p0}")
+
+    final, t_f = problem.final_time, extremal.grid.t_f
+    if isinstance(final, FixedTime) and t_f != final.t_f:
+        violations.append(f"horizon: the grid ends at t_f = {t_f}, not at "
+                          f"the fixed final time {final.t_f}")
 
     controls = extremal.controls.values
     for k in np.nonzero(~problem.control_set.contains(controls))[0]:

@@ -34,7 +34,7 @@ from .certificate import Certificate, check_certificate
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import build_grid
 from .simulate import Extremal, integrate_extremal_forward
-from .solver import _unknown_layout, solve
+from .solver import _shooting_start, _unknown_layout, solve
 from .specfile import (LoadedSpec, _number, _vector, parse_problem_spec,
                        read_spec_file)
 from .svgfig import SvgPlot
@@ -249,6 +249,9 @@ def _parse_unknowns(text: str, problem) -> np.ndarray:
                          f"got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"--adjoint-init must be finite, got {arr.tolist()}")
+    if has_tf and arr[-1] <= 0:
+        raise ValueError(f"--adjoint-init: the final time must be positive, "
+                         f"got t_f={arr[-1]}")
     return arr
 
 
@@ -369,18 +372,14 @@ def cmd_check(args) -> int:
     problem = loaded.problem
     values = _read_controls_csv(args.controls, problem.m)
     x = _parse_unknowns(args.adjoint_init, problem)
-    has_q0, has_tf, _ = _unknown_layout(problem)
-    n = problem.n
-    q0 = x[n:2 * n] if has_q0 else problem.initial_state()
-    # a free horizon's solved t_f is the last unknown, not the spec's guess
-    grid = build_grid(x[-1] if has_tf else loaded.t_f, loaded.T)
+    z0, grid = _shooting_start(problem, build_grid(loaded.t_f, loaded.T), x)
     if values.shape[0] != grid.n_intervals:
         raise ValueError(f"{args.controls}: {values.shape[0]} control rows but "
                          f"the grid has {grid.n_intervals} intervals")
 
     try:
-        extremal = integrate_extremal_forward(problem, grid, values, q0, x[:n],
-                                              -1.0)
+        extremal = integrate_extremal_forward(problem, grid, values,
+                                              *np.split(z0, 2), -1.0)
     except IntegrationBlowUp as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -2,15 +2,19 @@
 
 The outer loop is a damped Newton iteration on the unknown initial adjoint
 (plus the initial state for periodic problems and the final time when it is
-free).  Each residual evaluation propagates the coupled state/adjoint system
+free).  ``_shooting_start`` is the one reader of these packed unknowns: it
+gives the start point and the grid, the trial horizon's for a free final
+time, to the solver, ``shooting_residual`` and ``sampled-pmp check`` alike.
+Each residual evaluation propagates the coupled state/adjoint system
 forward interval by interval; on every interval the frozen control solves
 the averaged-gradient variational inequality by semismooth Newton on its
 natural residual project(u + Gbar(u)) - u, and returns the interval's arc
 at the solved control, already judged by the blow-up rule: off the ``lq``
 maps the inner solve's last integration, on them one node product (see
-:mod:`.simulate`).  The arc's last node advances the propagation, and the
-residual is read from the end values by the boundary conditions the
-certificate checks.  Only the accepted iterate's arcs are assembled into
+:mod:`.simulate`).  The arc's last node advances the propagation, and
+``_residual`` reads the residual from the end values by the boundary
+conditions the certificate checks; the Jacobian applies the same function
+to the chained tangents.  Only the accepted iterate's arcs are assembled into
 an extremal, and ``solve`` returns its certificate whatever the verdict.
 
 Each interval's derivatives come as one :class:`~.simulate.LQMaps` of Gbar
@@ -171,14 +175,56 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 # forward propagation with inner solves, and the shooting residual
 # ---------------------------------------------------------------------------
 
+def _shooting_start(problem: ProblemDefinition, grid: SamplingGrid, x):
+    """The start z(0) = (q(0), p(0)) and the grid of the packed unknowns ``x``.
+
+    ``x`` is p(0), then q(0) for a periodic problem (otherwise q(0) is
+    ``initial_state()``), then t_f when the final time is free, whose trial
+    grid is ``build_grid(t_f, grid.period)``.  A wrong shape, or a grid off
+    a fixed final time, raises ValueError; a nonpositive trial t_f raises
+    IntegrationBlowUp, so that a line search rejects the trial.  Nothing is
+    integrated.
+    """
+    n = problem.n
+    has_q0, has_tf, dim = _unknown_layout(problem)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"unknown vector must have shape ({dim},), got {x.shape}")
+    if has_tf:
+        if x[-1] <= 0:
+            raise IntegrationBlowUp(0.0, "trial final time is nonpositive")
+        grid = build_grid(float(x[-1]), grid.period)
+    elif grid.t_f != problem.final_time.t_f:
+        raise ValueError(f"the grid's horizon t_f = {grid.t_f} contradicts "
+                         f"the problem's fixed final time "
+                         f"{problem.final_time.t_f}")
+    q = x[n:2 * n] if has_q0 else problem.initial_state()
+    return np.concatenate([q, x[:n]]), grid
+
+
+def _residual(problem: ProblemDefinition, z0: np.ndarray, out: np.ndarray):
+    """The shooting residual ``end`` + ``transversality`` + ``out[2n:]``.
+
+    The blocks are :func:`~sampled_pmp.certificate.boundary_residuals`' at
+    the start ``z0`` and the end ``out[:2n]``, z(t_f); ``out[2n:]`` is
+    H(t_f) for a free horizon and empty otherwise.  The ``start`` block
+    holds by construction of ``z0`` (see :func:`_shooting_start`).  The
+    residual is affine in (z0, out).
+    """
+    n = problem.n
+    _, end, transversality = boundary_residuals(
+        problem.terminal, z0[:n], out[:n], z0[n:], out[n:2 * n])
+    return np.concatenate([end, transversality, out[2 * n:]])
+
+
 def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     """Integrate the extremal forward from the packed unknowns ``x``.
 
     Returns ``(residual_vector, (grid, controls, nodes, tangents))``, the
-    grid being the trial horizon's for a free final time.  Each interval's
-    inner solve returns its judged arc, whose last node advances the state
-    and adjoint; the intervals are solved in time order, so the first
-    failure in time is the one raised.  ``nodes`` (K, SUBSTEPS+1, 2n) stack
+    grid being :func:`_shooting_start`'s, the trial horizon's for a free
+    final time.  Each interval's inner solve returns its judged arc, whose
+    last node advances the state and adjoint; the intervals are solved in
+    time order, so the first failure in time is the one raised.  ``nodes`` (K, SUBSTEPS+1, 2n) stack
     the arcs, which ``simulate._extremal_from_arcs`` with p0 = -1 assembles
     into the extremal.  :func:`_tangent_jacobian` linearizes the second
     element, whose ``tangents`` are the intervals'.  Controls are
@@ -186,20 +232,10 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     origin).
     """
     n = problem.n
-    has_q0, has_tf, dim = _unknown_layout(problem)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"unknown vector must have shape ({dim},), got {x.shape}")
-    q = x[n:2 * n] if has_q0 else problem.initial_state()
     p0 = -1.0
-
-    if has_tf:
-        if x[-1] <= 0:
-            raise IntegrationBlowUp(0.0, "trial final time is nonpositive")
-        grid = build_grid(float(x[-1]), grid.period)
-
+    z0, grid = _shooting_start(problem, grid, x)
     u_prev = np.zeros(problem.m)
-    z0 = z = np.concatenate([q, x[:n]])
+    z = z0
     us, arcs, tangents = [], [], []
     for t_k, delta in zip(grid.times, grid.lengths):
         u_prev, arc, tangent = solve_interval_control(
@@ -211,13 +247,10 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     controls = ControlSequence(np.vstack(us))
     nodes = np.stack(arcs)
 
-    # the start block holds by construction of q above
-    _, end, transversality = boundary_residuals(
-        problem.terminal, z0[:n], z[:n], z0[n:], z[n:])
-    h_f = ([_terminal_hamiltonian(problem, grid.t_f, z[:n], z[n:], p0,
-                                  controls[-1])] if has_tf else [])
-    return (np.concatenate([end, transversality, h_f]),
-            (grid, controls, nodes, tangents))
+    if isinstance(problem.final_time, FreeTime):
+        z = np.append(z, _terminal_hamiltonian(problem, grid.t_f, z[:n],
+                                               z[n:], p0, controls[-1]))
+    return _residual(problem, z0, z), (grid, controls, nodes, tangents)
 
 
 def _tangent_jacobian(problem: ProblemDefinition, propagated):
@@ -259,13 +292,8 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
         chain = _fd_jacobian(last_interval, x) @ np.vstack(
             [chain, np.eye(dim)[-1]])
 
-    def linear_residual(z0, out):
-        _, end, transversality = boundary_residuals(
-            problem.terminal, z0[:n], out[:n], z0[n:], out[n:2 * n])
-        return np.concatenate([end, transversality, out[2 * n:]])
-
-    offset = linear_residual(np.zeros(2 * n), np.zeros(len(chain)))
-    return np.column_stack([linear_residual(S[:, i], chain[:, i]) - offset
+    offset = _residual(problem, np.zeros(2 * n), np.zeros(len(chain)))
+    return np.column_stack([_residual(problem, S[:, i], chain[:, i]) - offset
                             for i in range(dim)])
 
 
@@ -276,7 +304,9 @@ def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
     The ``end`` and ``transversality`` blocks of
     :func:`~sampled_pmp.certificate.boundary_residuals`, concatenated with the
     signed terminal Hamiltonian for free final times.  ``unknowns`` is the
-    packed vector (see ``_unknown_layout``).
+    packed vector (see ``_unknown_layout``).  It starts where :func:`solve`
+    starts (see ``_shooting_start``), so a grid off a fixed final time
+    raises ValueError before anything is integrated.
     """
     r, _ = _propagate(problem, grid, unknowns)
     return r
@@ -324,11 +354,6 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     per-iteration history and the solved unknowns.
     """
     _, has_tf, dim = _unknown_layout(problem)
-    if not has_tf and grid.t_f != problem.final_time.t_f:
-        raise ValueError(f"the grid's horizon t_f = {grid.t_f} contradicts "
-                         f"the problem's fixed final time "
-                         f"{problem.final_time.t_f}")
-
     if initial_unknowns is None:
         x = np.zeros(dim)
         if has_tf:
@@ -392,13 +417,13 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, annotate=None,
     ``annotate(x, aux)`` returns extra fields for each history entry.
     Returns ``(x, aux)`` once the norm reaches ``tol`` within ``max_iter``
     steps (the iterate after the last step is tested too), filling ``stats``
-    when given; otherwise raises NonConvergence with the best iterate and
+    when given; otherwise raises NonConvergence with the current iterate,
+    the best one since a step is accepted only on a strict decrease, and
     the history.
     """
     history = []
     r, aux = residual(x)
     rnorm = math.sqrt(r.dot(r))
-    best = (rnorm, x.copy())
     for iteration in range(max_iter + 1):
         entry = {"iteration": iteration, "residual_norm": rnorm}
         if annotate is not None:
@@ -420,15 +445,13 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, annotate=None,
         if found is None:
             raise NonConvergence(
                 f"no step direction decreased the residual (at {rnorm:.3e})",
-                iterate=best[1], residual_norm=best[0], history=history)
+                iterate=x.copy(), residual_norm=rnorm, history=history)
         x, r, rnorm, aux = found
-        if rnorm < best[0]:
-            best = (rnorm, x.copy())
 
     raise NonConvergence(
         f"Newton did not reach tolerance {tol:.1e} in {max_iter} iterations "
-        f"(best residual {best[0]:.3e})",
-        iterate=best[1], residual_norm=best[0], history=history)
+        f"(best residual {rnorm:.3e})",
+        iterate=x.copy(), residual_norm=rnorm, history=history)
 
 
 def _search_decrease(residual, x, rnorm, step):

@@ -149,6 +149,17 @@ def test_certificate_flags_positive_cost_multiplier():
     assert "cost multiplier must be <= 0, got 1.0" in cert.violations
 
 
+def test_certificate_flags_a_grid_off_the_fixed_horizon():
+    # parking's certified extremal to t_f = 4 does not answer the problem
+    # fixed at t_f = 3, though every other residual vanishes
+    ext, _, cert4 = solve_parking(2.0, 4.0, 0.5)
+    assert cert4.passed
+    cert = sp.check_certificate(parking_problem(2.0, 3.0), ext)
+    assert not cert.passed
+    assert cert.violations == ("horizon: the grid ends at t_f = 4.0, not at "
+                               "the fixed final time 3.0",)
+
+
 def test_certificate_flags_inadmissible_control():
     ext = _extremal([[1.5], [0.5]])
     cert = sp.check_certificate(PARKING, ext)

@@ -646,6 +646,26 @@ def test_check_needs_every_unknown(tmp_path, capsys, spec, missing):
     assert "gives p(0) only" in err and f"also hold {missing}" in err
 
 
+@pytest.mark.parametrize("t_f", [-1.0, 0.0])
+def test_check_rejects_a_nonpositive_final_time(tmp_path, capsys, t_f):
+    # a solve manifest whose packed unknowns end in t_f <= 0 is bad input
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(FREE_HORIZON_SPEC))
+    run = tmp_path / "run"
+    assert main(["solve", "--spec", str(path), "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["unknowns"]["vector"][-1] = t_f
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["check", "--spec", str(path),
+               "--controls", str(run / "controls.csv"),
+               "--adjoint-init", str(run / "manifest.json"),
+               "--out", str(tmp_path / "chk")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"final time must be positive, got t_f={t_f}" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -702,6 +702,20 @@ def test_solve_rejects_a_grid_off_the_fixed_horizon(interval_integrations):
     assert interval_integrations() == 0
 
 
+def test_shooting_residual_rejects_a_grid_off_the_fixed_horizon(
+        interval_integrations):
+    # the residual starts where solve starts: the same bad input, the same
+    # words, before any interval is integrated
+    with pytest.raises(ValueError, match=r"t_f = 4\.0 .* final time 3"):
+        sp.shooting_residual(parking_problem(2, 3), sp.build_grid(4, 0.5),
+                             initial_adjoint_guess(2, 4))
+    assert interval_integrations() == 0
+    # with bad unknowns as well, solve names the unknowns first
+    with pytest.raises(ValueError, match="initial unknowns must be 2 finite"):
+        sp.solve(parking_problem(2, 3), sp.build_grid(4, 0.5),
+                 initial_unknowns=[np.nan, 0.0])
+
+
 def test_solve_single_interval_is_infeasible(residual_evals,
                                              interval_integrations):
     # one frozen acceleration cannot meet two terminal constraints
