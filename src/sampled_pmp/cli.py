@@ -4,10 +4,10 @@
 recognizes by the closed-form parking solve; ``solve`` shoots any other.
 
 Exit codes: 0 success, 2 certificate failure, 3 solver non-convergence,
-4 bad input.  An integration that blows up is a non-convergence in
-``solve`` and a certificate failure in ``check``; a flag value that is not
-a positive finite number, and a non-finite number in the specification, the
-initial adjoint or a controls file, are bad input.
+4 bad input.  An integration that blows up, at its start point included,
+is a non-convergence in ``solve`` and a certificate failure in ``check``; a
+flag value that is not a positive finite number, and a non-finite number in
+the specification, the initial adjoint or a controls file, are bad input.
 Diagnostics go to standard error; artifacts (CSV, JSON, SVG) into the
 chosen output directory.  Every CSV artifact goes through one table writer
 and every JSON artifact through one JSON writer.  Numeric CSV cells use
@@ -305,6 +305,14 @@ def _write_controls_csv(path, grid, controls, residuals) -> None:
                    residuals[k]) for k in range(grid.n_intervals)])
 
 
+def _verdict(cert: Certificate) -> int:
+    """0 when the certificate passes, else 2 after printing its violations."""
+    if cert.passed:
+        return EXIT_OK
+    print("certificate failed: " + "; ".join(cert.violations), file=sys.stderr)
+    return EXIT_CERTIFICATE
+
+
 def _write_manifest(out_dir: Path, payload: dict, outputs) -> None:
     payload = dict(payload)
     payload["outputs"] = sorted(set(list(outputs) + ["manifest.json"]))
@@ -324,16 +332,11 @@ def cmd_solve(args) -> int:
     stats: dict = {}
     M = parking.parking_position(loaded.problem)
     if M is not None:
-        extremal, (p1, p2f), cert = parking.solve_parking(
-            M, loaded.t_f, loaded.T, stats=stats)
-        unknowns = {"p_init": extremal.initial_adjoint.tolist(),
-                    "multipliers": [p1, p2f]}
+        extremal, _, cert = parking.solve_parking(M, loaded.t_f, loaded.T,
+                                                  stats=stats)
     else:
-        grid = build_grid(loaded.t_f, loaded.T)
-        extremal, cert = solve(loaded.problem, grid, stats=stats)
-        unknowns = {"p_init": extremal.initial_adjoint.tolist()}
-        if "unknowns" in stats:
-            unknowns["vector"] = stats["unknowns"]
+        extremal, cert = solve(loaded.problem,
+                               build_grid(loaded.t_f, loaded.T), stats=stats)
     wall = time.perf_counter() - started
 
     _write_controls_csv(out_dir / "controls.csv", extremal.grid,
@@ -349,18 +352,16 @@ def cmd_solve(args) -> int:
         "command": "solve",
         "problem": problem,
         "inputs": {str(args.spec): _sha256(args.spec)} if args.spec else {},
-        "unknowns": unknowns,
-        "iterations": stats.get("iterations"),
-        "residual_norm": stats.get("residual_norm"),
+        "unknowns": {"p_init": extremal.initial_adjoint.tolist(),
+                     "multipliers" if M is not None else "vector":
+                         stats["unknowns"]},
+        "iterations": stats["iterations"],
+        "residual_norm": stats["residual_norm"],
         "residual_history": [entry["residual_norm"]
-                             for entry in stats.get("history", [])],
+                             for entry in stats["history"]],
         "wall_time_s": wall,
     }, ["controls.csv", "trajectory.csv", "certificate.json"])
-
-    if not cert.passed:
-        print("certificate failed: " + "; ".join(cert.violations), file=sys.stderr)
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    return _verdict(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +373,12 @@ def cmd_check(args) -> int:
     problem = loaded.problem
     values = _read_controls_csv(args.controls, problem.m)
     x = _parse_unknowns(args.adjoint_init, problem)
-    z0, grid = _shooting_start(problem, build_grid(loaded.t_f, loaded.T), x)
-    if values.shape[0] != grid.n_intervals:
-        raise ValueError(f"{args.controls}: {values.shape[0]} control rows but "
-                         f"the grid has {grid.n_intervals} intervals")
-
+    grid = build_grid(loaded.t_f, loaded.T)
     try:
+        z0, grid = _shooting_start(problem, grid, x)
+        if len(values) != grid.n_intervals:
+            raise ValueError(f"{args.controls}: {len(values)} control rows "
+                             f"but the grid has {grid.n_intervals} intervals")
         extremal = integrate_extremal_forward(problem, grid, values,
                                               *np.split(z0, 2), -1.0)
     except IntegrationBlowUp as exc:
@@ -388,10 +389,7 @@ def cmd_check(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_certificate_json(cert, out_dir / "certificate.json")
-    if not cert.passed:
-        print("certificate failed: " + "; ".join(cert.violations), file=sys.stderr)
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    return _verdict(cert)
 
 
 # ---------------------------------------------------------------------------

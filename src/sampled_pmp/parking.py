@@ -386,11 +386,11 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
     (at (M, t_f, T) = (2, 3, 1) it is 0).  The cost gap ``cost_sampled -
     cost_permanent`` does not increase when each period divides the last.
     A failed solve or certificate gives a "failed" row that says why and
-    keeps its cause.
+    keeps its cause.  ``terminal_residual`` is the certificate's feasibility.
     """
     grid = build_grid(t_f, T)
     try:
-        extremal, (p1, p2f), cert = solve_parking(M, t_f, T)
+        extremal, _, cert = solve_parking(M, t_f, T)
         cause = None if cert.passed else cert
         error = ("" if cert.passed else
                  "certificate failed: " + "; ".join(cert.violations))
@@ -406,11 +406,9 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
     mids = np.asarray(grid.times) + np.asarray(grid.lengths) / 2.0
     u_star = np.asarray(permanent_control(M, t_f, mids))
     sup_dev = float(np.max(np.abs(controls.values[:, 0] - u_star)))
-    q1f, q2f = parking_shooting_map(p1, p2f, M, grid)
-    residual = float(np.hypot(q1f, q2f))
     max_r = max(cert.max_interval_residual, cert.transversality)
     return SweepRow(T=T, K=grid.n_intervals, sup_dev=sup_dev,
-                    terminal_residual=residual, max_pmp_residual=max_r,
+                    terminal_residual=cert.feasibility, max_pmp_residual=max_r,
                     cost_sampled=sampled_cost(grid, controls),
                     cost_permanent=permanent_cost(M, t_f), controls=controls)
 

@@ -52,8 +52,8 @@ from .certificate import (_terminal_hamiltonian, boundary_residuals,
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
-from .simulate import (LQMaps, _extremal_from_arcs, _extremal_interval,
-                       _lq_maps, _lq_nodes, _node_mean,
+from .simulate import (LQMaps, _blown, _extremal_from_arcs,
+                       _extremal_interval, _lq_maps, _lq_nodes, _node_mean,
                        integrate_extremal_forward)
 
 
@@ -182,8 +182,8 @@ def _shooting_start(problem: ProblemDefinition, grid: SamplingGrid, x):
     ``initial_state()``), then t_f when the final time is free, whose trial
     grid is ``build_grid(t_f, grid.period)``.  A wrong shape, or a grid off
     a fixed final time, raises ValueError; a nonpositive trial t_f raises
-    IntegrationBlowUp, so that a line search rejects the trial.  Nothing is
-    integrated.
+    IntegrationBlowUp, so that a line search rejects the trial, and so does
+    a z(0) that breaks the blow-up rule at t = 0.  Nothing is integrated.
     """
     n = problem.n
     has_q0, has_tf, dim = _unknown_layout(problem)
@@ -199,7 +199,10 @@ def _shooting_start(problem: ProblemDefinition, grid: SamplingGrid, x):
                          f"the problem's fixed final time "
                          f"{problem.final_time.t_f}")
     q = x[n:2 * n] if has_q0 else problem.initial_state()
-    return np.concatenate([q, x[:n]]), grid
+    z0 = np.concatenate([q, x[:n]])
+    if _blown(z0):
+        raise IntegrationBlowUp(0.0)
+    return z0, grid
 
 
 def _residual(problem: ProblemDefinition, z0: np.ndarray, out: np.ndarray):

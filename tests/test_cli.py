@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sampled_pmp import ProblemDefinition, parking
+from sampled_pmp import (ProblemDefinition, build_grid, load_problem_spec,
+                         parking, solve)
 from sampled_pmp.cli import _build_parser, _resolve_problem, main
 from sampled_pmp.svgfig import SvgPlot, _nice_ticks
 
@@ -116,6 +117,23 @@ def test_solve_writes_artifacts_and_passes(tmp_path):
     assert manifest["problem"]["builtin"] == "parking"
     assert manifest["unknowns"]["multipliers"][0] == pytest.approx(-1.0, abs=1e-6)
     assert "config" not in manifest
+    stats = {}
+    extremal, multipliers, _ = parking.solve_parking(2.0, 4.0, 2.0,
+                                                     stats=stats)
+    _assert_manifest_records(manifest, extremal, stats,
+                             multipliers=list(multipliers))
+
+
+def _assert_manifest_records(manifest, extremal, stats, **unknowns):
+    """The solve manifest holds p(0), the solved unknowns under their one
+    key, and the Newton run's iterations and residuals, all as the solve
+    gave them."""
+    assert manifest["unknowns"] == {
+        "p_init": extremal.initial_adjoint.tolist(), **unknowns}
+    assert manifest["iterations"] == stats["iterations"]
+    assert manifest["residual_norm"] == stats["residual_norm"]
+    assert manifest["residual_history"] == [
+        entry["residual_norm"] for entry in stats["history"]]
 
 
 def test_solve_parking_integrates_once(tmp_path, interval_integrations,
@@ -190,6 +208,11 @@ def test_solve_from_spec_file(tmp_path, residual_evals):
     manifest = json.loads((out / "manifest.json").read_text())
     assert str(spec) in manifest["inputs"]
     assert manifest["inputs"][str(spec)].startswith("sha256:")
+    stats = {}
+    loaded = load_problem_spec(spec)
+    extremal, _ = solve(loaded.problem, build_grid(4.0, 2.0), stats=stats)
+    _assert_manifest_records(manifest, extremal, stats,
+                             vector=stats["unknowns"])
 
 
 def test_solve_builtin_spec_takes_M_flag(tmp_path):
@@ -525,12 +548,17 @@ def test_check_diagnoses_malformed_csv(solved_run, tmp_path, capsys):
 
 def test_check_reports_blow_up_as_certificate_failure(solved_run, tmp_path,
                                                       capsys):
-    # an initial adjoint of 1e300 leaves the trust region in the first step
-    rc = main(["check", *PARKING_FLAGS,
-               "--controls", str(solved_run / "controls.csv"),
-               "--adjoint-init=1e300,1", "--out", str(tmp_path / "chk")])
-    assert rc == 2
-    assert "integration blew up at t=0.125" in capsys.readouterr().err
+    # p(0) = (9.95e11, 0) starts inside BLOWUP_NORM and leaves it in the
+    # first RK4 step, where p_2 = -p_1 t grows |p| by sqrt(1 + h^2); 1e300
+    # breaks the blow-up rule at the start node, before any step
+    for adjoint_init, time in [("9.95e11,0", "0.125"), ("1e300,1", "0")]:
+        rc = main(["check", *PARKING_FLAGS,
+                   "--controls", str(solved_run / "controls.csv"),
+                   f"--adjoint-init={adjoint_init}",
+                   "--out", str(tmp_path / "chk")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"certificate failed: integration "
+                                           f"blew up at t={time}\n")
 
 
 def test_check_validates_adjoint_init(solved_run, tmp_path, capsys):

@@ -651,6 +651,40 @@ def test_sweep_rows_and_convergence():
     assert dev3[3] <= 2e-2
 
 
+def test_sweep_row_reports_the_certified_terminal_miss(monkeypatch):
+    # terminal_residual is the certificate's feasibility, bit for bit: the
+    # miss of the extremal it judged, not of the shooting map.  Moving the
+    # last state node by 5e-9, which still passes at DEFAULT_TOL = 1e-8,
+    # moves the column with it
+    for T in (1.0, 0.1, 0.007):
+        _, _, cert = pk.solve_parking(2.0, 3.0, T)
+        assert pk.sweep_row(2.0, 3.0, T).terminal_residual == cert.feasibility
+    integrate = pk.integrate_extremal_forward
+
+    def nudged(*args):
+        extremal = integrate(*args)
+        states = extremal.states.copy()
+        states[-1, -1, 0] += 5e-9
+        return dataclasses.replace(extremal, states=states)
+
+    monkeypatch.setattr(pk, "integrate_extremal_forward", nudged)
+    _, _, cert = pk.solve_parking(2.0, 3.0, 0.5)
+    row = pk.sweep_row(2.0, 3.0, 0.5)
+    assert cert.passed and row.status == "ok"
+    assert row.terminal_residual == cert.feasibility
+    assert row.terminal_residual == pytest.approx(5e-9, rel=1e-6)
+
+
+def test_sweep_row_evaluates_the_map_only_in_its_solve(parking_map_calls):
+    for T in (1.0, 0.1, 0.007):
+        before = parking_map_calls()
+        pk.solve_parking(2.0, 3.0, T)
+        solve_calls = parking_map_calls() - before
+        before = parking_map_calls()
+        pk.sweep_row(2.0, 3.0, T)
+        assert parking_map_calls() - before == solve_calls > 0
+
+
 def test_sweep_row_reports_failure():
     row = pk.sweep_row(2.0, 3.0, 5.0)
     assert row.status == "failed"

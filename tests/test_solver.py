@@ -353,6 +353,17 @@ def test_inner_stall_reaches_the_caller_when_no_arc_blew_up(monkeypatch):
         assert exc.value is stall
 
 
+def test_a_blown_start_raises_at_t0():
+    # z(0) = (q(0), p(0)) is judged by the blow-up rule before any interval
+    # is solved, on the lq maps as on the callbacks, with no warning
+    problem = parking_problem(2.0, 3.0)
+    for P in (problem, dataclasses.replace(problem, lq=None)):
+        for x in ([np.nan, 0.0], [np.inf, 0.0], [1e300, 0.0]):
+            with pytest.raises(sp.IntegrationBlowUp) as exc:
+                sp.shooting_residual(P, sp.build_grid(3.0, 0.5), x)
+            assert exc.value.time == 0.0
+
+
 def test_shooting_residual_dimension_check():
     with pytest.raises(ValueError):
         sp.shooting_residual(PARKING4, GRID4, np.zeros(3))
@@ -572,17 +583,22 @@ def test_singular_interval_takes_the_minimum_norm_tangent(monkeypatch,
     assert cert.passed and residual_evals() - start == 2
 
 
-def test_saddle_fails_fast(residual_evals):
-    # the ROADMAP's saddle (eigenvalues +-1) at t_f = 20, K = 20: its
-    # shooting map is too ill-conditioned for single shooting, and the
-    # exact Jacobian rejects it in 3 iterations, not 100
-    problem = sp.lti_problem(
+def _saddle(t_f):
+    """The saddle q'' = q + u (eigenvalues +-1) with running cost u^2, from
+    (1, 0) to rest at ``t_f`` under Box(-2, 2)."""
+    return sp.lti_problem(
         np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0], [1.0]]),
         control_set=sp.Box(lower=np.array([-2.0]), upper=np.array([2.0])),
         terminal=sp.FixedEndpoints(q0=np.array([1.0, 0.0]), qf=np.zeros(2)),
-        final_time=sp.FixedTime(20.0))
+        final_time=sp.FixedTime(t_f))
+
+
+def test_saddle_fails_fast(residual_evals):
+    # the ROADMAP's saddle at t_f = 20, K = 20: its shooting map is too
+    # ill-conditioned for single shooting, and the exact Jacobian rejects
+    # it in 3 iterations, not 100
     with pytest.raises(sp.NonConvergence) as exc:
-        sp.solve(problem, sp.build_grid(20.0, 1.0))
+        sp.solve(_saddle(20.0), sp.build_grid(20.0, 1.0))
     assert exc.value.residual_norm > solver.NEWTON_TOL
     assert residual_evals() == 63
 
@@ -864,6 +880,42 @@ def test_solve_planar_disc_matches_rotated_parking(residual_evals,
     # K = 8 is the planar member of the benchmark's generic-shoot batch; the
     # parking member's work is pinned in test_parking
     assert work == (4, 32)
+
+
+def _envelope_error(problem, grid, h=1e-5):
+    """Relative gap between the multipliers of a certified normal extremal
+    with fixed endpoints and the gradient of its optimal cost V in them,
+    dV/dq0 = -p(0) and dV/dqf = p(t_f).  The gradient is central differences
+    of ``running_cost`` with step ``h``, each perturbed solve warm-started
+    from the certified p(0) and certified itself."""
+    extremal, cert = sp.solve(problem, grid)
+    assert cert.passed
+    n, term = problem.n, problem.terminal
+    ends = np.concatenate([term.q0, term.qf])
+
+    def cost(e):
+        moved = dataclasses.replace(
+            problem, terminal=sp.FixedEndpoints(q0=e[:n], qf=e[n:]))
+        ext, moved_cert = sp.solve(moved, grid,
+                                   initial_unknowns=extremal.initial_adjoint)
+        assert moved_cert.passed
+        return sp.running_cost(moved, ext)
+
+    grad = np.array([(cost(ends + h * d) - cost(ends - h * d)) / (2.0 * h)
+                     for d in np.eye(2 * n)])
+    sens = np.concatenate([-extremal.initial_adjoint, extremal.final_adjoint])
+    return np.linalg.norm(grad - sens) / np.linalg.norm(sens)
+
+
+@pytest.mark.parametrize("problem, T", [
+    (_oscillator(5.0), 0.25), (_saddle(10.0), 0.5), (_planar_disc(), 3.0 / 8),
+], ids=["oscillator", "saddle", "disc"])
+def test_multipliers_are_the_cost_gradient_in_the_endpoints(problem, T):
+    # the value-function reading of the adjoint: the cost differences read
+    # only f and f0, so they cross-check the derivative callbacks and sign
+    # conventions that the certificate judges only against each other
+    grid = sp.build_grid(problem.final_time.t_f, T)
+    assert _envelope_error(problem, grid) <= 1e-6
 
 
 @pytest.mark.parametrize("make, T, guess, exact", [
