@@ -31,17 +31,18 @@ matrix product; the shooting solver evaluates one interval's nodes at a
 time, at its solved control, by the same function.  The same cache entry
 holds the Simpson mean of dH/du as an affine map of the start point and the
 control, from which, with the end-node maps, the solver reads exact
-derivatives.  The running cost and the certificate's interval averages read
-the callbacks on both paths; the callback RK4 calls them once a stage, on
-one arc or a stack, and integrates only the state block of arcs that start
-from p = 0 with p0 = 0.
+derivatives, and whether that mean's control components decouple.  The
+running cost and the certificate's interval averages read the callbacks on
+both paths; the callback RK4 calls them once a stage, on one arc or a
+stack, and integrates only the state block of arcs that start from p = 0
+with p0 = 0.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -189,7 +190,9 @@ class LQMaps(NamedTuple):
     mean of dH/du = B'p + 2 p0 R u over the nodes is ``ga @ z + g @ u``:
     ga = B' sum_i w_i Phi_i^p (m x 2n) and g = B' sum_i w_i Gamma_i^p
     + 2 p0 R (m x m), where w = SIMPSON_MEAN and the superscript p takes
-    the adjoint rows of node i.
+    the adjoint rows of node i.  ``decoupled`` is -diag(g) when g is
+    diagonal with negative entries, so that each component of the mean is
+    strictly decreasing in its own control and in no other; otherwise None.
     """
 
     phi: np.ndarray
@@ -198,6 +201,7 @@ class LQMaps(NamedTuple):
     g: np.ndarray
     phi_end: np.ndarray
     gamma_end: np.ndarray
+    decoupled: Optional[np.ndarray] = None
 
 
 @functools.lru_cache(maxsize=LQ_MAPS_CACHE_SIZE)
@@ -232,13 +236,16 @@ def _lq_maps(lq: LinearQuadratic, delta: float, p0: float):
         ga = B.T @ np.tensordot(SIMPSON_MEAN, phi[:, n:], axes=1)
         g = (B.T @ np.tensordot(SIMPSON_MEAN, gamma[:, n:], axes=1)
              + 2.0 * p0 * lq.R)
-    maps = LQMaps(phi.reshape(-1, 2 * n), gamma.reshape(-1, B.shape[1]),
-                  ga, g, phi[-1], gamma[-1])
-    if not all(np.all(np.isfinite(x)) for x in maps):
+    arrays = (phi.reshape(-1, 2 * n), gamma.reshape(-1, B.shape[1]), ga, g,
+              phi[-1], gamma[-1])
+    if not all(np.all(np.isfinite(x)) for x in arrays):
         return None
-    for x in maps:
+    gain = -np.diagonal(g)
+    decoupled = (gain if np.all(gain > 0) and np.array_equal(g, -np.diag(gain))
+                 else None)
+    for x in (*arrays, gain):
         x.setflags(write=False)
-    return maps
+    return LQMaps(*arrays, decoupled)
 
 
 def _lq_nodes(maps: LQMaps, t0, delta: float, starts: np.ndarray,

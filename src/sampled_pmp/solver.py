@@ -7,12 +7,17 @@ gives the start point and the grid, the trial horizon's for a free final
 time, to the solver, ``shooting_residual`` and ``sampled-pmp check`` alike.
 Each residual evaluation propagates the coupled state/adjoint system
 forward interval by interval; on every interval the frozen control solves
-the averaged-gradient variational inequality by semismooth Newton on its
-natural residual project(u + Gbar(u)) - u, and returns the interval's arc
+the averaged-gradient variational inequality and returns the interval's arc
 at the solved control, already judged by the blow-up rule: off the ``lq``
 maps the inner solve's last integration, on them one node product (see
-:mod:`.simulate`).  The arc's last node advances the propagation, and
-``_residual`` reads the residual from the end values by the boundary
+:mod:`.simulate`).  Where Gbar(u) = a + G u is an ``lq`` interval's affine
+map with G a negative diagonal (on a Ball, a negative multiple of I: every
+m = 1 interval with G < 0, every minimum-energy problem with diagonal R),
+the inequality's one solution is the projected root P(a / -diag G), taken
+in closed form; coupled or non-monotone ``lq`` intervals and every
+callback interval are solved by semismooth Newton on the natural residual
+project(u + Gbar(u)) - u.  The arc's last node advances the propagation,
+and ``_residual`` reads the residual from the end values by the boundary
 conditions the certificate checks; the Jacobian applies the same function
 to the chained tangents.  Only the accepted iterate's arcs are assembled into
 an extremal, and ``solve`` returns its certificate whatever the verdict.
@@ -23,12 +28,12 @@ cached RK4 maps (see :mod:`.simulate`), exact, with Gbar(u) = a + G u
 affine, so no trial control is integrated; otherwise forward differences
 of one stacked callback integration per trial control (internal numerical
 differentiation, Bock 1981).  The inner Newton reads its Jacobian from
-them, and each interval returns its tangent dz_{k+1}/dz_k.  The chained
-tangents are the shooting residual's Jacobian, an element of the
-generalized Jacobian of a map that kinks where a control changes
-saturation status: semismooth Newton (Qi & Sun, Math. Programming 58,
-1993), whose kinks the backtracking line search absorbs; a singular
-inner Newton matrix gives the minimum-norm tangent.  Only a free
+them, the closed form its derivative, and each interval returns its
+tangent dz_{k+1}/dz_k.  The chained tangents are the shooting residual's
+Jacobian, an element of the generalized Jacobian of a map that kinks where
+a control changes saturation status: semismooth Newton (Qi & Sun, Math.
+Programming 58, 1993), whose kinks the backtracking line search absorbs; a
+singular inner Newton matrix gives the minimum-norm tangent.  Only a free
 horizon's last interval, whose length moves with t_f, is differenced
 alone; no whole propagation is differenced.
 The certificate still evaluates dH/du through the callbacks.
@@ -50,8 +55,8 @@ import numpy as np
 from .certificate import (_terminal_hamiltonian, boundary_residuals,
                           check_certificate)
 from .errors import IntegrationBlowUp, NonConvergence
-from .problem import (ControlSequence, FreeTime, Periodic, ProblemDefinition,
-                      SamplingGrid, build_grid)
+from .problem import (Box, ControlSequence, FreeTime, Periodic,
+                      ProblemDefinition, SamplingGrid, build_grid)
 from .simulate import (LQMaps, _blown, _extremal_from_arcs,
                        _extremal_interval, _lq_maps, _lq_nodes, _node_mean,
                        integrate_extremal_forward)
@@ -117,17 +122,25 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
                            u_init: np.ndarray):
     """Control value satisfying the interval's variational inequality.
 
-    Runs :func:`_damped_newton` on the natural residual
+    G = dGbar/du and Ga = dGbar/dz_k are the ``lq`` interval's cached maps,
+    where Gbar = Ga z_k + G u is affine and nothing is integrated, or
+    :func:`_interval_average_gradient`'s at each trial control.  The
+    tangent dz_{k+1}/dz_k is Phi_end + Gamma_end du/dz.
+
+    On ``lq`` maps whose G = -diag(gain) with gain > 0 (``LQMaps.decoupled``;
+    on a Ball all gains equal), Gbar lies in the normal cone of the control
+    set exactly at u = project(root), root = Ga z_k / gain, whatever
+    ``u_init``, and du/dz = D Ga / gain with D the projection's Jacobian at
+    the root; no Newton step is taken and no linear system solved.
+
+    Every other interval (coupled or non-monotone G, or no maps) runs
+    :func:`_damped_newton` from ``u_init`` on the natural residual
     F(u) = project(u + Gbar(u)) - u, whose zeros are exactly the controls
     where Gbar lies in the normal cone of the control set.  ``INNER_TOL`` and
     ``INNER_MAX_ITER`` serve as the Newton tolerance and iteration cap.
-
-    G = dGbar/du and Ga = dGbar/dz_k are the ``lq`` interval's cached maps,
-    where Gbar = Ga z_k + G u is affine and nothing is integrated, or
-    :func:`_interval_average_gradient`'s at each trial control.  F's
-    Jacobian is D (I + G) - I with D the projection's Jacobian at
-    w = u + Gbar(u); the tangent dz_{k+1}/dz_k is Phi_end + Gamma_end du/dz
-    with du/dz = -(D (I + G) - I)^+ D Ga, ^+ the (pseudo-)inverse.
+    F's Jacobian is D (I + G) - I with D the projection's Jacobian at
+    w = u + Gbar(u), and du/dz = -(D (I + G) - I)^+ D Ga, ^+ the
+    (pseudo-)inverse.
 
     Returns ``(u, nodes, tangent)``: ``nodes`` (SUBSTEPS+1, 2n) are the
     coupled arc's nodes at ``u``, the last trial's integration off the
@@ -139,9 +152,18 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
         raise ValueError(f"interval length must be positive, got {delta}")
     z = np.asarray(np.concatenate([q_k, p_k]), dtype=float)
     cs = problem.control_set
-    u = cs.project(np.atleast_1d(np.asarray(u_init, dtype=float)))
     maps = (None if problem.lq is None
             else _lq_maps(problem.lq, float(delta), float(p0)))
+    gain = None if maps is None else maps.decoupled
+    if gain is not None and (isinstance(cs, Box) or gain.min() == gain.max()):
+        # a - gain u lies in the normal cone at u = P(root) and nowhere else
+        root = maps.ga @ z / gain
+        u = cs.project(root)
+        nodes = _lq_nodes(maps, [t_k], delta, z[None], u[None])[0]
+        du_dz = cs.project_jacobian(root) @ (maps.ga / gain[:, None])
+        return u, nodes, maps.phi_end + maps.gamma_end @ du_dz
+
+    u = cs.project(np.atleast_1d(np.asarray(u_init, dtype=float)))
     eye = np.eye(problem.m)
     a = None if maps is None else maps.ga @ z
 

@@ -152,6 +152,14 @@ def parking_map_calls(monkeypatch):
 
 
 @pytest.fixture
+def newton_calls(monkeypatch):
+    """Count calls to ``solver._damped_newton``: one per outer shooting
+    solve and one per interval solved by semismooth Newton; returns the
+    reader."""
+    return _count_calls(monkeypatch, solver, "_damped_newton")
+
+
+@pytest.fixture
 def residual_evals(monkeypatch):
     """Count calls to ``solver._propagate``, one shooting-residual evaluation
     each; returns the reader."""

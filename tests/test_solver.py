@@ -90,9 +90,12 @@ def _record_accepted_steps(monkeypatch):
 
 
 def test_solve_interval_control_accepts_stationary_start(monkeypatch):
+    # on the callback twin: the lq maps solve this interval in closed form,
+    # with no Newton iterate to accept
     accepted = _record_accepted_steps(monkeypatch)
-    u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                     np.array([-0.5]))
+    u, _, _ = sp.solve_interval_control(dataclasses.replace(PARKING4, lq=None),
+                                        0.0, 2.0, Q0, P_STAR, -1.0,
+                                        np.array([-0.5]))
     assert u[0] == -0.5
     assert accepted == []
 
@@ -118,12 +121,14 @@ def test_solve_interval_control_reports_stall(monkeypatch):
 
 def test_inner_iterates_ascend_average_hamiltonian(monkeypatch):
     # against the converged arc, the average Hamiltonian is concave in the
-    # control slot and the inner Newton iterates climb it monotonically
+    # control slot and the inner Newton iterates climb it monotonically (on
+    # the callback twin, since the lq maps take no Newton iterate here)
     accepted = _record_accepted_steps(monkeypatch)
     for u0 in (0.0, 1.0, -1.0, 0.8):
         accepted.clear()
-        u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                         np.array([u0]))
+        u, _, _ = sp.solve_interval_control(
+            dataclasses.replace(PARKING4, lq=None), 0.0, 2.0, Q0, P_STAR,
+            -1.0, np.array([u0]))
         iterates = [np.array([u0])] + accepted
         assert len(iterates) >= 2 and np.array_equal(iterates[-1], u)
         ext = sp.integrate_extremal_forward(PARKING4, GRID4,
@@ -261,6 +266,106 @@ def test_interval_control_never_returns_a_wrong_answer():
         except sp.NonConvergence:
             continue
         _assert_solves_interval(prob, delta, q, p, u)
+
+
+def _decoupled_lq_interval(rng, kind):
+    """One random LTI interval whose G is a negative diagonal, returned as
+    by :func:`_random_lq_interval`.  ``kind`` "scalar": m = 1 with a
+    mixed-sign Q on a Box or a Ball, redrawn until G < 0; "box": Q = 0 and a
+    diagonal R on a Box, m = 2-3; "ball": Q = 0 and R = r I on a Ball,
+    m = 2-3."""
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        m = 1 if kind == "scalar" else int(rng.integers(2, 4))
+        Q = None
+        if kind == "scalar":
+            S = rng.normal(size=(n, n))
+            Q = 0.5 * (S + S.T)
+        R = np.diag(rng.uniform(0.1, 2.0, size=m)) if kind == "box" \
+            else rng.uniform(0.1, 2.0) * np.eye(m)
+        if kind == "box" or (kind == "scalar" and rng.random() < 0.5):
+            lower = -rng.uniform(0.2, 2.0, size=m)
+            cs = sp.Box(lower=lower,
+                        upper=lower + rng.uniform(0.2, 3.0, size=m))
+        else:
+            cs = sp.Ball(center=rng.normal(scale=0.5, size=m),
+                         radius=float(rng.uniform(0.2, 2.0)))
+        prob = sp.lti_problem(rng.normal(size=(n, n)), rng.normal(size=(n, m)),
+                              Q, R, control_set=cs,
+                              terminal=sp.FixedEndpoints(q0=np.zeros(n),
+                                                         qf=np.zeros(n)),
+                              final_time=sp.FixedTime(1.0))
+        delta = float(rng.uniform(0.1, 2.0))
+        draw = (prob, delta, rng.normal(size=n), rng.normal(scale=3.0, size=n),
+                rng.normal(scale=2.0, size=m))
+        if _lq_maps(prob.lq, delta, -1.0).decoupled is not None:
+            return draw
+    raise AssertionError(f"no {kind} draw with a negative diagonal G")
+
+
+@pytest.mark.parametrize("kind, seed", [("scalar", 11), ("box", 12),
+                                        ("ball", 13)])
+def test_decoupled_lq_interval_takes_the_projected_root(kind, seed,
+                                                        newton_calls):
+    # G = -diag(gain) with gain > 0 (on a Ball, gain = gamma 1): the
+    # inequality's one solution is the projected root P(Ga z / gain),
+    # taken without any Newton step, whatever u_init, with an exact tangent
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        prob, delta, q, p, u_init = _decoupled_lq_interval(rng, kind)
+        n, m = prob.n, prob.m
+        before = newton_calls()
+        u, _, tangent = sp.solve_interval_control(prob, 0.0, delta, q, p,
+                                                  -1.0, u_init)
+        assert newton_calls() == before
+        _assert_solves_interval(prob, delta, q, p, u)
+        again, _, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0,
+                                                np.zeros(m))
+        assert np.array_equal(again, u)
+        twin, _, _ = sp.solve_interval_control(
+            dataclasses.replace(prob, lq=None), 0.0, delta, q, p, -1.0,
+            u_init)
+        assert np.max(np.abs(twin - u)) <= 1e-10
+        fd = _central_differences(
+            lambda z: sp.solve_interval_control(prob, 0.0, delta, z[:n],
+                                                z[n:], -1.0, u_init)[1][-1],
+            np.concatenate([q, p]))
+        assert np.max(np.abs(tangent - fd)) \
+            <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_coupled_lq_intervals_keep_the_newton_solve(newton_calls):
+    # a non-diagonal R couples the components on a Box, and unequal gains
+    # leave a Ball's projected root off the inequality: both stay on the
+    # semismooth Newton and still solve it
+    rng = np.random.default_rng(14)
+    for R, cs in (([[2.0, 0.8], [0.8, 1.0]],
+                   sp.Box(lower=-0.5 * np.ones(2), upper=0.5 * np.ones(2))),
+                  (np.diag([0.5, 2.0]), sp.Ball(center=np.zeros(2),
+                                                radius=0.5))):
+        prob = sp.lti_problem(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
+                              None, R, control_set=cs,
+                              terminal=sp.FixedEndpoints(q0=np.zeros(2),
+                                                         qf=np.zeros(2)),
+                              final_time=sp.FixedTime(1.0))
+        q, p = rng.normal(size=2), rng.normal(scale=3.0, size=2)
+        before = newton_calls()
+        u, _, _ = sp.solve_interval_control(prob, 0.0, 1.0, q, p, -1.0,
+                                            np.zeros(2))
+        assert newton_calls() - before == 1
+        _assert_solves_interval(prob, 1.0, q, p, u)
+
+
+def test_generic_shoot_solves_run_only_the_outer_newton(newton_calls):
+    # every interval of the benchmark's generic-shoot parking and disc
+    # members is decoupled, so each solve's one Newton is the shooting's
+    for prob, guess in ((parking_problem(2.0, 3.0),
+                         initial_adjoint_guess(2.0, 3.0)),
+                        (_planar_disc(), None)):
+        before = newton_calls()
+        _, cert = sp.solve(prob, sp.build_grid(3.0, 3.0 / 8),
+                           initial_unknowns=guess)
+        assert cert.passed and newton_calls() - before == 1
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +1014,8 @@ def _envelope_error(problem, grid, h=1e-5):
 
 @pytest.mark.parametrize("problem, T", [
     (_oscillator(5.0), 0.25), (_saddle(10.0), 0.5), (_planar_disc(), 3.0 / 8),
-], ids=["oscillator", "saddle", "disc"])
+    (_zero_cost_parking(np.diag([1.0, 0.0])), 1.0),
+], ids=["oscillator", "saddle", "disc", "inert"])
 def test_multipliers_are_the_cost_gradient_in_the_endpoints(problem, T):
     # the value-function reading of the adjoint: the cost differences read
     # only f and f0, so they cross-check the derivative callbacks and sign
