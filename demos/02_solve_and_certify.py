@@ -2,8 +2,8 @@
 
 With the control frozen on period-T intervals, the necessary conditions
 reduce, per interval, to a variational inequality on the time-average of the
-Hamiltonian's control-gradient.  The solver shoots on the two free adjoint
-parameters; the certificate then re-checks every condition residual by
+Hamiltonian's control-gradient.  The solver shoots on the initial adjoint
+p(0); the certificate then re-checks every condition residual by
 residual.  Bumping one control off the optimum must flip the verdict.
 """
 
@@ -17,10 +17,12 @@ from sampled_pmp import parking as pk
 
 def main():
     for (M, tf, T) in [(2.0, 4.0, 2.0), (2.0, 3.0, 1.0)]:
-        extremal, (p1, p2f), cert = pk.solve_parking(M, tf, T)
+        extremal, cert = pk.solve_parking(M, tf, T)
         controls, grid = extremal.controls, extremal.grid
+        p_init, p_end = extremal.initial_adjoint, extremal.final_adjoint
         print(f"parking M={M}, t_f={tf}, T={T} (K={grid.n_intervals})")
-        print(f"  multipliers: p1={p1:+.9f}, p2(t_f)={p2f:+.9f}")
+        print(f"  p(0):        {np.round(p_init, 9)}")
+        print(f"  p(t_f):      {np.round(p_end, 9)}")
         print(f"  controls:    {np.round(controls.values.ravel(), 9)}")
         print(f"  energy:      {pk.sampled_cost(grid, controls):.9f} "
               f"(permanent: {pk.permanent_cost(M, tf):.9f})")
@@ -29,7 +31,7 @@ def main():
 
     # tamper with one control: the checker must notice
     M, tf, T = 2.0, 4.0, 2.0
-    extremal, _, _ = pk.solve_parking(M, tf, T)
+    extremal, _ = pk.solve_parking(M, tf, T)
     bumped = extremal.controls.values.copy()
     bumped[0, 0] += 0.1
     prob = pk.parking_problem(M, tf)

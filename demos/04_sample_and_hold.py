@@ -15,7 +15,7 @@ from sampled_pmp.svgfig import SvgPlot
 def main():
     T = 0.5
     for (M, tf) in [(2.0, 3.0), (2.0, 4.0)]:
-        extremal, _, _ = pk.solve_parking(M, tf, T)
+        extremal, _ = pk.solve_parking(M, tf, T)
         controls, grid = extremal.controls, extremal.grid
         ts = np.linspace(0, tf, 1000)
         fig = SvgPlot(title=f"sample-and-hold, M={M:g}, t_f={tf:g}, T={T:g}",

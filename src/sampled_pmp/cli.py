@@ -34,7 +34,7 @@ from .certificate import Certificate, check_certificate
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import build_grid
 from .simulate import Extremal, integrate_extremal_forward
-from .solver import _shooting_start, _unknown_layout, solve
+from .solver import _check_unknowns, _shooting_start, _unknown_layout, solve
 from .specfile import (LoadedSpec, _number, _vector, parse_problem_spec,
                        read_spec_file)
 from .svgfig import SvgPlot
@@ -244,15 +244,7 @@ def _parse_unknowns(text: str, problem) -> np.ndarray:
         raise ValueError(f"--adjoint-init gives p(0) only, but this "
                          f"problem's shooting unknowns also hold {missing}; "
                          f"pass the manifest.json of its solve run")
-    if arr.shape != (dim,):
-        raise ValueError(f"--adjoint-init must have {dim} components, "
-                         f"got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"--adjoint-init must be finite, got {arr.tolist()}")
-    if has_tf and arr[-1] <= 0:
-        raise ValueError(f"--adjoint-init: the final time must be positive, "
-                         f"got t_f={arr[-1]}")
-    return arr
+    return _check_unknowns(problem, arr, "--adjoint-init")
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +324,8 @@ def cmd_solve(args) -> int:
     stats: dict = {}
     M = parking.parking_position(loaded.problem)
     if M is not None:
-        extremal, _, cert = parking.solve_parking(M, loaded.t_f, loaded.T,
-                                                  stats=stats)
+        extremal, cert = parking.solve_parking(M, loaded.t_f, loaded.T,
+                                               stats=stats)
     else:
         extremal, cert = solve(loaded.problem,
                                build_grid(loaded.t_f, loaded.T), stats=stats)
@@ -353,8 +345,7 @@ def cmd_solve(args) -> int:
         "problem": problem,
         "inputs": {str(args.spec): _sha256(args.spec)} if args.spec else {},
         "unknowns": {"p_init": extremal.initial_adjoint.tolist(),
-                     "multipliers" if M is not None else "vector":
-                         stats["unknowns"]},
+                     "vector": stats["unknowns"]},
         "iterations": stats["iterations"],
         "residual_norm": stats["residual_norm"],
         "residual_history": [entry["residual_norm"]

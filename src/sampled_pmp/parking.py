@@ -10,12 +10,13 @@ is classical and closed-form in two regimes:
 * unconstrained, t_f^2 >= 6M: the affine ramp 6M/t_f^3 (2t - t_f) alone.
 
 In the sampled version the control is frozen on each period-T interval.  The
-adjoint is affine (p_1 constant, p_2 of slope -p_1), so each interval's
-averaged-gradient condition reduces to the sign pattern of a decreasing
-affine function Gamma_k, and the whole problem collapses to two unknowns
-(p_1, p_2(t_f)) shot at the two terminal constraints through exact
+adjoint is affine (p_1 constant, p_2 of slope -p_1), so interval k's
+averaged gradient is pbar_2,k - 2u, pbar_2,k = p_2(0) - p_1 m_k the mean of
+p_2 over the interval and m_k its midpoint, and u_k = clip(pbar_2,k / 2).
+The whole problem collapses to the two unknowns p(0), the packed unknowns
+of every other solve, shot at the two terminal constraints through exact
 closed-form propagation.  This holds on every grid: a partial last interval
-only changes its midpoint coefficient t_f - t_k - Delta_k/2.
+only moves its midpoint m_k = t_k + Delta_k/2.
 
 The terminal state is affine in the K controls, so whether a grid can park
 the car at all has a closed form too: the sampled reach R, the largest M
@@ -145,18 +146,11 @@ def permanent_cost(M: float, t_f: float) -> float:
     return 2.0 * t1 + sigma / 3.0
 
 
-def permanent_multipliers(M: float, t_f: float):
-    """(p_1, p_2(t_f)) of the unconstrained permanent solution.
-
-    These seed the sampled shooting iteration, in both regimes.
-    """
-    return -24.0 * M / t_f ** 3, 12.0 * M / t_f ** 2
-
-
 def initial_adjoint_guess(M: float, t_f: float) -> np.ndarray:
-    """p(0) built from the permanent multipliers, for the generic solver."""
-    p1, p2f = permanent_multipliers(M, t_f)
-    return np.array([p1, p1 * t_f + p2f])
+    """p(0) of the unconstrained permanent solution, u*(t) = p_2(t)/2; it
+    seeds the sampled shooting, dedicated and generic, in both regimes."""
+    p1 = -24.0 * M / t_f ** 3
+    return np.array([p1, p1 * t_f + 12.0 * M / t_f ** 2])
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +162,19 @@ def _midpoint_coeffs(grid: SamplingGrid) -> np.ndarray:
     return grid.t_f - grid.times - grid.lengths / 2.0
 
 
-def sampled_control_from_multipliers(p1: float, p2f: float,
-                                     grid: SamplingGrid) -> ControlSequence:
-    """Per-interval controls from the affine-adjoint sign rule.
+def _midpoints(grid: SamplingGrid) -> np.ndarray:
+    """m_k = t_k + Delta_k/2, where the mean of an affine p_2 is taken."""
+    return grid.times + grid.lengths / 2.0
 
-    Gamma_k(x) = -2x + p1 c_k + p2f decreases in x; u_k is -1 when
-    Gamma_k(-1) < 0, +1 when Gamma_k(1) > 0, and its root otherwise.
+
+def sampled_control(p_init, grid: SamplingGrid) -> ControlSequence:
+    """Per-interval controls of the adjoint that starts at p(0) = ``p_init``.
+
+    The averaged gradient p_2(0) - p_1 m_k - 2x decreases in x; u_k is -1
+    when it is negative at -1, +1 when it is positive at 1, and its root
+    (p_2(0) - p_1 m_k)/2 otherwise.
     """
-    c = _midpoint_coeffs(grid)
-    u = np.clip(0.5 * (p1 * c + p2f), -1.0, 1.0)
+    u = np.clip(0.5 * (p_init[1] - p_init[0] * _midpoints(grid)), -1.0, 1.0)
     return ControlSequence(u[:, None])
 
 
@@ -199,10 +197,10 @@ def sampled_reach(grid: SamplingGrid):
     return float(d @ np.abs(c - lam)), lam
 
 
-def parking_shooting_map(p1: float, p2f: float, M: float, grid: SamplingGrid):
+def parking_shooting_map(p_init, M: float, grid: SamplingGrid):
     """Exact terminal state (q_1(t_f), q_2(t_f)) of the double integrator
-    under the controls generated by the multipliers."""
-    u = sampled_control_from_multipliers(p1, p2f, grid).values[:, 0]
+    under the controls of the adjoint that starts at p(0) = ``p_init``."""
+    u = sampled_control(p_init, grid).values[:, 0]
     c = _midpoint_coeffs(grid)
     d = np.asarray(grid.lengths)
     q2f = float(np.sum(d * u))
@@ -224,11 +222,12 @@ def solve_parking(M: float, t_f: float, T: float,
                   stats: Optional[dict] = None):
     """Solve the sampled parking instance by two-unknown shooting.
 
-    Returns ``(extremal, (p1, p2f), certificate)``.  Newton runs on the 2x2
-    system (p1, p2(t_f)) -> terminal state through the closed-form
-    propagation, exact on any grid, a partial last interval included, and
-    its exact Jacobian.  Only the converged multipliers' extremal is
-    integrated, once, and certified.
+    Returns ``(extremal, certificate)`` and fills ``stats`` as
+    :func:`~sampled_pmp.solve` does.  Newton runs on p(0) from
+    :func:`initial_adjoint_guess` through :func:`parking_shooting_map`,
+    exact on any grid, and its exact Jacobian.  Only the converged p(0)'s
+    extremal is integrated, once, and certified; its ``final_adjoint``
+    holds the terminal multipliers (p_1, p_2(t_f)).
 
     A target past the grid's :func:`sampled_reach` R by more than
     (1 + |lambda*|) NEWTON_TOL, one interval's say, is missed by more than
@@ -249,26 +248,24 @@ def solve_parking(M: float, t_f: float, T: float,
             f"R = {reach:.6g} of K = {grid.n_intervals} intervals",
             residual_norm=miss)
     problem = parking_problem(M, t_f)
-    c = _midpoint_coeffs(grid)
+    c, m = _midpoint_coeffs(grid), _midpoints(grid)
 
-    def residual(vec):
-        return np.array(parking_shooting_map(vec[0], vec[1], M, grid)), None
+    def residual(x):
+        return np.array(parking_shooting_map(x, M, grid)), None
 
-    def jacobian(vec, _):
+    def jacobian(x, _):
         # rows (q1f, q2f) sum Delta_k (c_k, 1) du_k, where the map is affine:
-        # du_k/d(p1, p2f) = (c_k, 1)/2 off the bounds and 0 on them
-        w = 0.5 * grid.lengths * (np.abs(0.5 * (vec[0] * c + vec[1])) < 1.0)
-        return np.array([[w @ (c * c), w @ c], [w @ c, np.sum(w)]])
+        # du_k/dp(0) = (-m_k, 1)/2 off the bounds and 0 on them
+        w = 0.5 * grid.lengths * (np.abs(0.5 * (x[1] - x[0] * m)) < 1.0)
+        return np.array([[-(w * c) @ m, w @ c], [-w @ m, np.sum(w)]])
 
     x, _ = _solver._damped_newton(
-        residual, jacobian, np.array(permanent_multipliers(M, t_f)),
+        residual, jacobian, initial_adjoint_guess(M, t_f),
         _solver.NEWTON_TOL, _solver.NEWTON_MAX_ITER, stats=stats)
-    p1, p2f = float(x[0]), float(x[1])
-    controls = sampled_control_from_multipliers(p1, p2f, grid)
-    p_init = np.array([p1, p1 * t_f + p2f])
-    extremal = integrate_extremal_forward(problem, grid, controls,
-                                          np.array([M, 0.0]), p_init, -1.0)
-    return extremal, (p1, p2f), check_certificate(problem, extremal)
+    extremal = integrate_extremal_forward(problem, grid,
+                                          sampled_control(x, grid),
+                                          np.array([M, 0.0]), x, -1.0)
+    return extremal, check_certificate(problem, extremal)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +387,7 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
     """
     grid = build_grid(t_f, T)
     try:
-        extremal, _, cert = solve_parking(M, t_f, T)
+        extremal, cert = solve_parking(M, t_f, T)
         cause = None if cert.passed else cert
         error = ("" if cert.passed else
                  "certificate failed: " + "; ".join(cert.violations))
@@ -403,8 +400,7 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
                         cost_permanent=permanent_cost(M, t_f),
                         status="failed", error=error, cause=cause)
     controls = extremal.controls
-    mids = np.asarray(grid.times) + np.asarray(grid.lengths) / 2.0
-    u_star = np.asarray(permanent_control(M, t_f, mids))
+    u_star = np.asarray(permanent_control(M, t_f, _midpoints(grid)))
     sup_dev = float(np.max(np.abs(controls.values[:, 0] - u_star)))
     max_r = max(cert.max_interval_residual, cert.transversality)
     return SweepRow(T=T, K=grid.n_intervals, sup_dev=sup_dev,

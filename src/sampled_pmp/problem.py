@@ -209,12 +209,13 @@ class Ball:
     def project_jacobian(self, w: np.ndarray) -> np.ndarray:
         """Jacobian of :meth:`project` at one point w (m,): I inside the
         ball, on its boundary included, and (r/|d|)(I - d d'/|d|^2) outside,
-        where d = w - center."""
+        where d = w - center.  A zero radius projects onto the constant
+        center, whose Jacobian is 0 everywhere, the center included."""
         d = np.asarray(w, dtype=float) - self.center
         nd = np.linalg.norm(d)
         eye = np.eye(d.size)
         if nd <= self.radius:
-            return eye
+            return eye if self.radius > 0 else np.zeros_like(eye)
         d = d / nd
         return (self.radius / nd) * (eye - np.outer(d, d))
 

@@ -2,9 +2,10 @@
 
 The outer loop is a damped Newton iteration on the unknown initial adjoint
 (plus the initial state for periodic problems and the final time when it is
-free).  ``_shooting_start`` is the one reader of these packed unknowns: it
-gives the start point and the grid, the trial horizon's for a free final
-time, to the solver, ``shooting_residual`` and ``sampled-pmp check`` alike.
+free).  ``_check_unknowns`` judges a caller's packed unknowns and
+``_shooting_start`` reads them: it gives the start point and the grid, the
+trial horizon's for a free time, to the solver, ``shooting_residual`` and
+``sampled-pmp check`` alike.
 Each residual evaluation propagates the coupled state/adjoint system
 forward interval by interval; on every interval the frozen control solves
 the averaged-gradient variational inequality and returns the interval's arc
@@ -39,10 +40,11 @@ alone; no whole propagation is differenced.
 The certificate still evaluates dH/du through the callbacks.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
-interval control, the generic shooting and the two-unknown parking shooting
-each run it with their own Jacobian.  It has no options: its tolerances,
-iteration caps and line-search settings are the module constants below,
-and every interval integrates with ``simulate.SUBSTEPS`` RK4 steps.
+interval control, the generic shooting and the parking shooting, which
+differs from ``solve`` only in its closed-form map of p(0), each run it with
+their own Jacobian.  It has no options: its tolerances, iteration caps and
+line-search settings are the module constants below, and every interval
+integrates with ``simulate.SUBSTEPS`` RK4 steps.
 """
 
 from __future__ import annotations
@@ -90,6 +92,21 @@ def _unknown_layout(problem: ProblemDefinition):
     has_tf = isinstance(problem.final_time, FreeTime)
     dim = problem.n * (2 if has_q0 else 1) + (1 if has_tf else 0)
     return has_q0, has_tf, dim
+
+
+def _check_unknowns(problem: ProblemDefinition, x, name: str) -> np.ndarray:
+    """A caller's packed unknowns ``x``, as a new float vector, when they
+    are finite, of ``_unknown_layout``'s size and with a positive free final
+    time; otherwise ValueError naming them ``name``."""
+    _, has_tf, dim = _unknown_layout(problem)
+    x = np.array(x, dtype=float)
+    if x.shape != (dim,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be {dim} finite values, "
+                         f"got {x.tolist()}")
+    if has_tf and x[-1] <= 0:
+        raise ValueError(f"{name}: the final time must be positive, "
+                         f"got t_f={x[-1]}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +387,9 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
 
     ``initial_unknowns`` is the packed vector (see ``_unknown_layout``) or
     None for the generic guess: the origin, with the final-time guess of a
-    free horizon; it must be finite, with a positive final time, and the
-    grid's horizon must be a fixed final time's, or ValueError is raised
-    before anything is integrated.  History entries
+    free horizon; ``_check_unknowns`` must accept it, and the grid's
+    horizon must be a fixed final time's, or ValueError is raised before
+    anything is integrated.  History entries
     carry the active-set signature of the iterate's controls, and for a
     free final time its horizon.  When a ``stats`` dict is supplied it
     receives the iteration count, the final residual norm, the
@@ -384,13 +401,7 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
         if has_tf:
             x[-1] = problem.final_time.t_f_guess
     else:
-        x = np.asarray(initial_unknowns, dtype=float).copy()
-        if (x.shape != (dim,) or not np.all(np.isfinite(x))
-                or (has_tf and x[-1] <= 0)):
-            raise ValueError(
-                f"initial unknowns must be {dim} finite values"
-                + (", the last a positive final time" if has_tf else "")
-                + f", got {x}")
+        x = _check_unknowns(problem, initial_unknowns, "initial unknowns")
 
     def annotate(vec, propagated):
         _, controls, _, _ = propagated

@@ -47,11 +47,12 @@ def test_criterion_2_sampled_exact_small_cases():
         assert np.max(np.abs(oracle - expected)) <= 1e-9
 
         t0 = time.perf_counter()
-        solved, (p1, p2f), cert = pk.solve_parking(M, tf, T)
+        solved, cert = pk.solve_parking(M, tf, T)
         controls = solved.controls
         elapsed = time.perf_counter() - t0
         grid = sp.build_grid(tf, T)
-        term = math.hypot(*pk.parking_shooting_map(p1, p2f, M, grid))
+        term = math.hypot(*pk.parking_shooting_map(solved.initial_adjoint, M,
+                                                   grid))
         du = float(np.max(np.abs(controls.values.ravel() - expected)))
         results.append((du, term, cert.max_interval_residual, elapsed))
     ok = all(du <= 1e-7 and term <= 1e-10 and r <= 1e-8 and el < 0.1
@@ -73,7 +74,7 @@ def test_criterion_3_oracle_equivalence():
         for K in range(2, 9):
             T = tf / K
             grid = sp.build_grid(tf, T)
-            solved, _, _ = pk.solve_parking(2.0, tf, T)
+            solved, _ = pk.solve_parking(2.0, tf, T)
             u_solve = solved.controls
             u_qp = pk.qp_oracle(2.0, tf, T)
             worst_u = max(worst_u, float(np.max(np.abs(u_solve.values - u_qp.values))))
@@ -183,13 +184,13 @@ def test_criterion_5_certificate_soundness():
                  (2.0, 3.2, 0.8)]
     checked = flipped = 0
     for (M, tf, T) in instances:
-        solved, (p1, p2f), cert = pk.solve_parking(M, tf, T)
+        solved, cert = pk.solve_parking(M, tf, T)
         controls = solved.controls
         assert cert.passed and cert.tol == 1e-8
         checked += 1
         prob = pk.parking_problem(M, tf)
         grid = sp.build_grid(tf, T)
-        p_init = np.array([p1, p1 * tf + p2f])
+        p_init = solved.initial_adjoint
         for k in range(len(controls)):
             u_k = controls[k][0]
             if abs(u_k) >= 0.9:           # keep the bumped value admissible
@@ -274,13 +275,7 @@ def test_criterion_7_integrator_order():
 def test_criterion_8_structural_invariants():
     t0 = time.perf_counter()
     # adjoint structure on a solved instance
-    solved, (p1, p2f), _ = pk.solve_parking(2.0, 4.0, 0.5)
-    controls = solved.controls
-    prob = pk.parking_problem(2.0, 4.0)
-    grid = sp.build_grid(4.0, 0.5)
-    ext = sp.integrate_extremal_forward(prob, grid, controls,
-                                        np.array([2.0, 0.0]),
-                                        np.array([p1, p1 * 4.0 + p2f]), -1.0)
+    ext, _ = pk.solve_parking(2.0, 4.0, 0.5)
     all_t = ext.times.ravel()
     all_p = ext.adjoints.reshape(-1, 2)
     p1_dev = float(np.max(np.abs(all_p[:, 0] - all_p[0, 0])))
@@ -289,7 +284,7 @@ def test_criterion_8_structural_invariants():
     # affine law of unsaturated controls
     fit_dev = 0.0
     for (M, tf, T) in [(2.0, 4.0, 1.0), (2.0, 3.0, 0.5)]:
-        solved, _, _ = pk.solve_parking(M, tf, T)
+        solved, _ = pk.solve_parking(M, tf, T)
         ctl = solved.controls
         g = sp.build_grid(tf, T)
         u = ctl.values[:, 0]

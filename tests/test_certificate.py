@@ -117,7 +117,7 @@ def test_free_time_residual_uses_previous_interval_on_exact_multiple():
 # ---------------------------------------------------------------------------
 
 def test_certificate_passes_on_solved_instance():
-    _, _, cert = solve_parking(2.0, 4.0, 2.0)
+    _, cert = solve_parking(2.0, 4.0, 2.0)
     assert cert.passed and cert.verdict == "pass"
     assert cert.max_interval_residual <= 1e-8
     assert cert.transversality == 0.0
@@ -152,7 +152,7 @@ def test_certificate_flags_positive_cost_multiplier():
 def test_certificate_flags_a_grid_off_the_fixed_horizon():
     # parking's certified extremal to t_f = 4 does not answer the problem
     # fixed at t_f = 3, though every other residual vanishes
-    ext, _, cert4 = solve_parking(2.0, 4.0, 0.5)
+    ext, cert4 = solve_parking(2.0, 4.0, 0.5)
     assert cert4.passed
     cert = sp.check_certificate(parking_problem(2.0, 3.0), ext)
     assert not cert.passed
@@ -223,15 +223,10 @@ def test_certificate_scale_awareness():
 def test_certificate_average_hamiltonian_grid_search():
     # concave-in-u Hamiltonian: a certified control maximizes the interval
     # average over 2001 grid points of the control set
-    solved, mult, cert = solve_parking(2.0, 3.0, 1.0)
-    controls = solved.controls
+    ext, cert = solve_parking(2.0, 3.0, 1.0)
     assert cert.passed
-    p1, p2f = mult
     grid = sp.build_grid(3.0, 1.0)
     prob = parking_problem(2.0, 3.0)
-    ext = sp.integrate_extremal_forward(prob, grid, controls,
-                                        np.array([2.0, 0.0]),
-                                        np.array([p1, p1 * 3.0 + p2f]), -1.0)
     ys = np.linspace(-1.0, 1.0, 2001)
     for k in range(grid.n_intervals):
         vals = np.array([sp.average_hamiltonian(prob, ext, k, np.array([y]))
@@ -251,7 +246,7 @@ def _per_node_mean(integrand, ext, k):
 
 
 def _solved_parking(T):
-    ext, _, _ = solve_parking(2.0, 3.0, T)
+    ext, _ = solve_parking(2.0, 3.0, T)
     return parking_problem(2.0, 3.0), ext
 
 
@@ -319,7 +314,7 @@ def test_stacked_evaluation_matches_per_node_reference(build):
 
 
 def test_certificate_json_export(tmp_path):
-    _, _, cert = solve_parking(2.0, 4.0, 2.0)
+    _, cert = solve_parking(2.0, 4.0, 2.0)
     path = tmp_path / "cert.json"
     sp.write_certificate_json(cert, path)
     data = json.loads(path.read_text())

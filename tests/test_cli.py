@@ -115,13 +115,12 @@ def test_solve_writes_artifacts_and_passes(tmp_path):
     for name in manifest["outputs"]:
         assert (out / name).exists(), name
     assert manifest["problem"]["builtin"] == "parking"
-    assert manifest["unknowns"]["multipliers"][0] == pytest.approx(-1.0, abs=1e-6)
+    assert manifest["unknowns"]["vector"][0] == pytest.approx(-1.0, abs=1e-6)
     assert "config" not in manifest
     stats = {}
-    extremal, multipliers, _ = parking.solve_parking(2.0, 4.0, 2.0,
-                                                     stats=stats)
+    extremal, _ = parking.solve_parking(2.0, 4.0, 2.0, stats=stats)
     _assert_manifest_records(manifest, extremal, stats,
-                             multipliers=list(multipliers))
+                             vector=stats["unknowns"])
 
 
 def _assert_manifest_records(manifest, extremal, stats, **unknowns):
@@ -343,8 +342,7 @@ def test_readme_inline_spec_takes_the_parking_path(tmp_path):
     manifest = json.loads((a / "manifest.json").read_text())
     assert manifest["problem"]["builtin"] == "parking"
     assert manifest["problem"]["M"] == 2.0
-    assert manifest["unknowns"]["multipliers"][0] == pytest.approx(-1.0,
-                                                                   abs=1e-6)
+    assert manifest["unknowns"]["vector"][0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_readme_inline_spec_sweeps_and_compares(tmp_path):

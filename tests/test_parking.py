@@ -169,12 +169,12 @@ def test_permanent_cost_matches_quadrature(M, tf):
     assert pk.permanent_cost(M, tf) == pytest.approx(integral, abs=1e-8)
 
 
-def test_permanent_multipliers_reproduce_unconstrained_law():
-    # u*(t) = (p1 (t_f - t) + p2f)/2 must equal the closed form
+def test_initial_adjoint_guess_reproduces_unconstrained_law():
+    # u*(t) = p_2(t)/2 = (p_2(0) - p_1 t)/2 must equal the closed form
     M, tf = 2.0, 4.0
-    p1, p2f = pk.permanent_multipliers(M, tf)
+    p1, p20 = pk.initial_adjoint_guess(M, tf)
     ts = np.linspace(0, tf, 101)
-    law = 0.5 * (p1 * (tf - ts) + p2f)
+    law = 0.5 * (p20 - p1 * ts)
     np.testing.assert_allclose(law, pk.permanent_control(M, tf, ts), atol=1e-12)
 
 
@@ -182,45 +182,45 @@ def test_permanent_multipliers_reproduce_unconstrained_law():
 # sampled closed forms
 # ---------------------------------------------------------------------------
 
-def test_sampled_control_from_multipliers():
+def test_sampled_control_values():
     grid = sp.build_grid(4.0, 2.0)
-    u = pk.sampled_control_from_multipliers(-1.0, 2.0, grid)
+    u = pk.sampled_control([-1.0, -2.0], grid)
     np.testing.assert_allclose(u.values.ravel(), [-0.5, 0.5], atol=1e-15)
-    u = pk.sampled_control_from_multipliers(0.0, 0.0, grid)
+    u = pk.sampled_control([0.0, 0.0], grid)
     np.testing.assert_allclose(u.values.ravel(), [0.0, 0.0], atol=0)
-    u = pk.sampled_control_from_multipliers(0.0, 3.0, grid)
+    u = pk.sampled_control([0.0, 3.0], grid)
     np.testing.assert_allclose(u.values.ravel(), [1.0, 1.0], atol=0)
-    # a partial last interval takes its own midpoint: c = (2, 1, 0.25)
-    u = pk.sampled_control_from_multipliers(-1.0, 1.0, sp.build_grid(2.5, 1.0))
+    # a partial last interval takes its own midpoint: m = (0.5, 1.5, 2.25)
+    u = pk.sampled_control([-1.0, -1.5], sp.build_grid(2.5, 1.0))
     np.testing.assert_allclose(u.values.ravel(), [-0.5, 0.0, 0.375], atol=1e-15)
 
 
 def test_gamma_values_and_slope():
-    # Gamma_0(-0.5) = 0 for p1 = -1, p2f = 2 on (t_f, T) = (4, 2), and
-    # Gamma_k(x) = -2x when p1 = p2f = 0: the controls are those roots
-    u = pk.sampled_control_from_multipliers(-1.0, 2.0, sp.build_grid(4.0, 2.0))
+    # Gamma_k(x) = p_2(0) - p_1 m_k - 2x is interval k's averaged gradient:
+    # Gamma_0(-0.5) = 0 for p(0) = (-1, -2) on (t_f, T) = (4, 2), and
+    # Gamma_k(x) = -2x when p(0) = 0: the controls are those roots
+    u = pk.sampled_control([-1.0, -2.0], sp.build_grid(4.0, 2.0))
     assert u.values[0, 0] == pytest.approx(-0.5, abs=1e-15)
-    u = pk.sampled_control_from_multipliers(0.0, 0.0, sp.build_grid(4.0, 1.0))
+    u = pk.sampled_control([0.0, 0.0], sp.build_grid(4.0, 1.0))
     np.testing.assert_array_equal(u.values.ravel(), np.zeros(4))
 
-    # the sign rule of the decreasing Gamma_k(x) = -2x + p1 c_k + p2f: -1
-    # when Gamma_k(-1) < 0, +1 when Gamma_k(1) > 0, its root otherwise
+    # the sign rule of the decreasing Gamma_k: -1 when Gamma_k(-1) < 0, +1
+    # when Gamma_k(1) > 0, its root otherwise
     rng = np.random.default_rng(12)
     for _ in range(50):
-        p1, p2f = rng.normal(scale=2.0, size=2)
+        p1, p20 = rng.normal(scale=2.0, size=2)
         grid = sp.build_grid(float(rng.uniform(1.0, 5.0)),
                              float(rng.uniform(0.3, 2.0)))
-        c = grid.t_f - grid.times - grid.lengths / 2
-        u = pk.sampled_control_from_multipliers(p1, p2f, grid).values[:, 0]
-        lower, upper = -2.0 * -1.0 + p1 * c + p2f < 0, -2.0 + p1 * c + p2f > 0
+        m = grid.times + grid.lengths / 2
+        u = pk.sampled_control([p1, p20], grid).values[:, 0]
+        lower, upper = -2.0 * -1.0 + p20 - p1 * m < 0, -2.0 + p20 - p1 * m > 0
         assert np.all(u[lower] == -1.0) and np.all(u[upper] == 1.0)
         root = ~(lower | upper)
-        np.testing.assert_allclose(-2.0 * u[root] + p1 * c[root] + p2f, 0.0,
+        np.testing.assert_allclose(-2.0 * u[root] + p20 - p1 * m[root], 0.0,
                                    atol=1e-12)
-        # slope -2: adding 2d to p2f moves every unclamped root by d
+        # slope -2: adding 2d to p_2(0) moves every unclamped root by d
         d = float(rng.uniform(-0.1, 0.1))
-        shifted = pk.sampled_control_from_multipliers(p1, p2f + 2.0 * d,
-                                                      grid).values[:, 0]
+        shifted = pk.sampled_control([p1, p20 + 2.0 * d], grid).values[:, 0]
         both = root & (np.abs(u + d) < 1.0)
         np.testing.assert_allclose(shifted[both] - u[both], d, atol=1e-12)
 
@@ -229,11 +229,11 @@ def test_sign_rule_matches_generic_interval_solver():
     # the Gamma sign rule and the inner semismooth Newton agree interval by
     # interval, including on a partial final interval
     prob = pk.parking_problem(2.0, 4.0)
-    for (tf, T, p1, p2f) in [(4.0, 2.0, -1.0, 2.0), (4.0, 2.0, 0.0, 3.0),
-                             (2.5, 1.0, -1.2, 1.7), (2.5, 1.0, 0.4, -0.9)]:
+    for (tf, T, p) in [(4.0, 2.0, [-1.0, -2.0]), (4.0, 2.0, [0.0, 3.0]),
+                       (2.5, 1.0, [-1.2, -1.3]), (2.5, 1.0, [0.4, 0.1])]:
         grid = sp.build_grid(tf, T)
-        closed = pk.sampled_control_from_multipliers(p1, p2f, grid)
-        p = np.array([p1, p1 * tf + p2f])
+        closed = pk.sampled_control(p, grid)
+        p = np.array(p)
         q = np.array([2.0, 0.0])
         for k in range(grid.n_intervals):
             u_k, _, _ = sp.solve_interval_control(
@@ -249,11 +249,12 @@ def test_sign_rule_matches_generic_interval_solver():
 
 def test_parking_shooting_map_values():
     grid = sp.build_grid(4.0, 2.0)
-    np.testing.assert_allclose(pk.parking_shooting_map(-1.0, 2.0, 2.0, grid),
+    np.testing.assert_allclose(pk.parking_shooting_map([-1.0, -2.0], 2.0,
+                                                       grid),
                                (0.0, 0.0), atol=1e-15)
-    np.testing.assert_allclose(pk.parking_shooting_map(0.0, 0.0, 2.0, grid),
+    np.testing.assert_allclose(pk.parking_shooting_map([0.0, 0.0], 2.0, grid),
                                (2.0, 0.0), atol=0)
-    np.testing.assert_allclose(pk.parking_shooting_map(0.0, 3.0, 2.0, grid),
+    np.testing.assert_allclose(pk.parking_shooting_map([0.0, 3.0], 2.0, grid),
                                (10.0, 4.0), atol=0)
 
 
@@ -263,9 +264,9 @@ def test_shooting_map_matches_rk4_propagation():
     prob = pk.parking_problem(2.0, 3.7)
     grid = sp.build_grid(3.7, 0.8)
     for _ in range(10):
-        p1, p2f = rng.normal(size=2)
-        q1f, q2f = pk.parking_shooting_map(p1, p2f, 2.0, grid)
-        ctrl = pk.sampled_control_from_multipliers(p1, p2f, grid)
+        p_init = rng.normal(size=2)
+        q1f, q2f = pk.parking_shooting_map(p_init, 2.0, grid)
+        ctrl = pk.sampled_control(p_init, grid)
         traj, _ = sp.simulate(prob, grid, ctrl, np.array([2.0, 0.0]))
         np.testing.assert_allclose(traj.final_state, [q1f, q2f], atol=1e-11)
 
@@ -275,13 +276,14 @@ def test_shooting_map_matches_rk4_propagation():
 # ---------------------------------------------------------------------------
 
 def test_solve_parking_small_cases():
-    solved, (p1, p2f), cert = pk.solve_parking(2.0, 4.0, 2.0)
+    solved, cert = pk.solve_parking(2.0, 4.0, 2.0)
     controls = solved.controls
     np.testing.assert_allclose(controls.values.ravel(), [-0.5, 0.5], atol=1e-7)
-    assert (p1, p2f) == (pytest.approx(-1.0, abs=1e-6), pytest.approx(2.0, abs=1e-6))
+    # the terminal multipliers (p_1, p_2(t_f))
+    np.testing.assert_allclose(solved.final_adjoint, [-1.0, 2.0], atol=1e-6)
     assert cert.passed
 
-    solved, _, cert = pk.solve_parking(2.0, 3.0, 1.0)
+    solved, cert = pk.solve_parking(2.0, 3.0, 1.0)
     controls = solved.controls
     np.testing.assert_allclose(controls.values.ravel(), [-1.0, 0.0, 1.0],
                                atol=1e-7)
@@ -289,7 +291,7 @@ def test_solve_parking_small_cases():
 
 
 def test_solve_parking_fine_grid_tracks_permanent_law():
-    solved, (p1, p2f), cert = pk.solve_parking(2.0, 4.0, 0.01)
+    solved, cert = pk.solve_parking(2.0, 4.0, 0.01)
     controls = solved.controls
     assert len(controls) == 400
     assert cert.passed
@@ -301,7 +303,7 @@ def test_solve_parking_fine_grid_tracks_permanent_law():
 
 @pytest.mark.parametrize("T, evals", [(1.0, 2), (0.375, 3), (0.01, 4)])
 def test_solve_parking_jacobian_is_exact(monkeypatch, T, evals):
-    # the shooting map is piecewise affine in (p1, p2f); away from its kinks
+    # the shooting map is piecewise affine in p(0); away from its kinks
     # the Jacobian solve_parking hands to Newton matches central differences
     # of the map, and each Newton step costs one map evaluation
     jacobians, maps = [], 0
@@ -318,19 +320,20 @@ def test_solve_parking_jacobian_is_exact(monkeypatch, T, evals):
 
     monkeypatch.setattr(solver, "_damped_newton", capturing)
     monkeypatch.setattr(pk, "parking_shooting_map", counted)
-    _, _, cert = pk.solve_parking(2.0, 3.0, T)
+    _, cert = pk.solve_parking(2.0, 3.0, T)
     assert cert.passed and maps == evals
     grid = sp.build_grid(3.0, T)
-    c = pk._midpoint_coeffs(grid)
+    m = grid.times + grid.lengths / 2
     h = 1e-6
     checked = 0
     for x in np.random.default_rng(41).normal(size=(40, 2)):
-        # a step of h moves each unclipped control by at most h (1 + c_0)
-        if np.min(np.abs(np.abs(0.5 * (x[0] * c + x[1])) - 1.0)) < 10 * h * (1 + c[0]):
+        # a step of h moves each unclipped control by at most h (1 + m_K-1)
+        if np.min(np.abs(np.abs(0.5 * (x[1] - x[0] * m)) - 1.0)) \
+                < 10 * h * (1 + m[-1]):
             continue
         fd = np.column_stack([
-            (np.array(shooting_map(*(x + h * e), 2.0, grid))
-             - shooting_map(*(x - h * e), 2.0, grid)) / (2.0 * h)
+            (np.array(shooting_map(x + h * e, 2.0, grid))
+             - shooting_map(x - h * e, 2.0, grid)) / (2.0 * h)
             for e in np.eye(2)])
         J = jacobians[0](x, None)
         np.testing.assert_allclose(J, fd, rtol=0, atol=1e-8)
@@ -359,11 +362,11 @@ def test_solve_parking_partial_grid(monkeypatch):
         raise AssertionError("solve_parking called the generic solver")
 
     monkeypatch.setattr(solver, "solve", no_generic_solve)
-    solved, (p1, p2f), cert = pk.solve_parking(2.0, 3.5, 1.0)
+    solved, cert = pk.solve_parking(2.0, 3.5, 1.0)
     controls = solved.controls
     assert cert.passed
     assert len(controls) == 4
-    q1f, q2f = pk.parking_shooting_map(p1, p2f, 2.0, grid)
+    q1f, q2f = pk.parking_shooting_map(solved.initial_adjoint, 2.0, grid)
     assert math.hypot(q1f, q2f) <= 1e-9
     assert np.max(np.abs(controls.values - generic.controls.values)) <= 1e-8
 
@@ -420,7 +423,7 @@ def test_reach_rule_agrees_with_newton(monkeypatch):
                 pk.solve_parking(M, tf, T)
             assert exc.value.history == []
         else:
-            assert pk.solve_parking(M, tf, T)[2].passed, (M, tf, T)
+            assert pk.solve_parking(M, tf, T)[1].passed, (M, tf, T)
     monkeypatch.setattr(pk, "sampled_reach", lambda grid: (math.inf, 0.0))
     for M, tf, T in rejected:
         with pytest.raises(sp.NonConvergence) as exc:
@@ -465,7 +468,7 @@ def test_reach_margin(parking_map_calls, tf, T):
     # it the target is rejected before the first map evaluation
     reach, _ = pk.sampled_reach(sp.build_grid(tf, T))
     for rel in (-1e-12, 1e-12):
-        assert pk.solve_parking(reach * (1 + rel), tf, T)[2].passed, rel
+        assert pk.solve_parking(reach * (1 + rel), tf, T)[1].passed, rel
     before = parking_map_calls()
     with pytest.raises(sp.NonConvergence, match="unreachable"):
         pk.solve_parking(reach * (1 + 1e-9), tf, T)
@@ -518,7 +521,7 @@ def test_qp_oracle_agrees_on_partial_grids():
     for (tf, T) in [(3.0, 0.7), (4.0, 1.3), (5.0, 0.9)]:
         grid = sp.build_grid(tf, T)
         assert grid.lengths[-1] < T
-        solved, _, cert = pk.solve_parking(2.0, tf, T)
+        solved, cert = pk.solve_parking(2.0, tf, T)
         assert cert.passed
         u_qp = pk.qp_oracle(2.0, tf, T).values
         assert np.max(np.abs(solved.controls.values - u_qp)) <= 1e-9, (tf, T)
@@ -550,7 +553,7 @@ def test_oracle_equivalence_sweep():
         for K in range(2, 9):
             T = tf / K
             grid = sp.build_grid(tf, T)
-            solved, _, cert = pk.solve_parking(2.0, tf, T)
+            solved, cert = pk.solve_parking(2.0, tf, T)
             u_solve = solved.controls
             u_qp = pk.qp_oracle(2.0, tf, T)
             assert cert.passed, (tf, K)
@@ -561,25 +564,31 @@ def test_oracle_equivalence_sweep():
 
 def test_generic_path_consistency(residual_evals, interval_integrations):
     # the dedicated sign-rule path and the generic semismooth shooting
-    # agree on the oracle-equivalence instances, and the generic solve by
-    # the lq matrices agrees with its callback twin (slowest test in the
-    # suite)
+    # agree on the oracle-equivalence instances, in their controls and in
+    # their one kind of solved unknowns, p(0); and the generic solve by the
+    # lq matrices agrees with its callback twin (slowest test in the suite)
     work = {}
     for tf in (3.0, 3.2, 4.0, 5.0):
         for K in range(2, 9):
             T = tf / K
-            solved, _, _ = pk.solve_parking(2.0, tf, T)
+            fast_stats, stats = {}, {}
+            solved, _ = pk.solve_parking(2.0, tf, T, stats=fast_stats)
             u_fast = solved.controls
+            assert fast_stats["unknowns"] == solved.initial_adjoint.tolist()
             prob = pk.parking_problem(2.0, tf)
             grid = sp.build_grid(tf, T)
             guess = pk.initial_adjoint_guess(2.0, tf)
             before = residual_evals(), interval_integrations()
-            ext, cert = sp.solve(prob, grid, initial_unknowns=guess)
+            ext, cert = sp.solve(prob, grid, initial_unknowns=guess,
+                                 stats=stats)
             work[tf, K] = (residual_evals() - before[0],
                            interval_integrations() - before[1])
             assert cert.passed, (tf, K)
             assert np.max(np.abs(u_fast.values - ext.controls.values)) <= 1e-10, \
                 (tf, K)
+            np.testing.assert_allclose(fast_stats["unknowns"],
+                                       stats["unknowns"], rtol=0, atol=1e-12,
+                                       err_msg=str((tf, K)))
             twin, twin_cert = sp.solve(dataclasses.replace(prob, lq=None),
                                        grid, initial_unknowns=guess)
             assert twin_cert.passed, (tf, K)
@@ -598,7 +607,7 @@ def test_generic_solve_matches_sign_rule_on_fine_grids():
     # the sign-rule optimum to rounding at K = 12, 40 and 300
     for K in (12, 40, 300):
         grid = sp.build_grid(3.0, 3.0 / K)
-        solved, _, _ = pk.solve_parking(2.0, 3.0, 3.0 / K)
+        solved, _ = pk.solve_parking(2.0, 3.0, 3.0 / K)
         ext, cert = sp.solve(pk.parking_problem(2.0, 3.0), grid,
                              initial_unknowns=pk.initial_adjoint_guess(2.0, 3.0))
         assert cert.passed, K
@@ -612,7 +621,7 @@ def test_generic_solve_matches_sign_rule_on_fine_grids():
 
 def test_unsaturated_controls_are_affine_in_midpoint_coefficient():
     for (M, tf, T) in [(2.0, 4.0, 1.0), (2.0, 3.0, 0.5), (2.0, 5.0, 1.25)]:
-        solved, _, _ = pk.solve_parking(M, tf, T)
+        solved, _ = pk.solve_parking(M, tf, T)
         controls = solved.controls
         grid = sp.build_grid(tf, T)
         u = controls.values[:, 0]
@@ -657,7 +666,7 @@ def test_sweep_row_reports_the_certified_terminal_miss(monkeypatch):
     # last state node by 5e-9, which still passes at DEFAULT_TOL = 1e-8,
     # moves the column with it
     for T in (1.0, 0.1, 0.007):
-        _, _, cert = pk.solve_parking(2.0, 3.0, T)
+        _, cert = pk.solve_parking(2.0, 3.0, T)
         assert pk.sweep_row(2.0, 3.0, T).terminal_residual == cert.feasibility
     integrate = pk.integrate_extremal_forward
 
@@ -668,7 +677,7 @@ def test_sweep_row_reports_the_certified_terminal_miss(monkeypatch):
         return dataclasses.replace(extremal, states=states)
 
     monkeypatch.setattr(pk, "integrate_extremal_forward", nudged)
-    _, _, cert = pk.solve_parking(2.0, 3.0, 0.5)
+    _, cert = pk.solve_parking(2.0, 3.0, 0.5)
     row = pk.sweep_row(2.0, 3.0, 0.5)
     assert cert.passed and row.status == "ok"
     assert row.terminal_residual == cert.feasibility

@@ -222,6 +222,18 @@ def test_project_jacobian_examples():
                                [[0.5, 0.0], [0.0, 0.0]], atol=1e-16)
 
 
+def test_zero_radius_ball_jacobian_is_zero():
+    # a radius-0 ball projects every point onto its constant center, so its
+    # Jacobian is 0 there and everywhere else, as for a Box with lower = upper
+    center = np.array([0.5, -1.0])
+    ball = sp.Ball(center=center, radius=0.0)
+    point = sp.Box(lower=center, upper=center)
+    for w in (center, center + [0.3, 0.0], center - [1.0, 2.0]):
+        np.testing.assert_array_equal(ball.project(w), center)
+        np.testing.assert_array_equal(ball.project_jacobian(w), np.zeros((2, 2)))
+        np.testing.assert_array_equal(point.project_jacobian(w), np.zeros((2, 2)))
+
+
 def test_support_gap_examples():
     box = sp.Box(lower=np.array([-1.0]), upper=np.array([1.0]))
     assert box.support_gap(np.array([1.0]), np.array([0.5])) == pytest.approx(0.5)
@@ -474,7 +486,7 @@ def test_constructors_reject_malformed_input(build, message):
 
 
 def _records_holding_arrays():
-    extremal, _, cert = pk.solve_parking(2.0, 4.0, 1.0)
+    extremal, cert = pk.solve_parking(2.0, 4.0, 1.0)
     return {
         "Extremal": lambda: extremal,
         "Certificate": lambda: cert,

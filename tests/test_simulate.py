@@ -452,7 +452,7 @@ def test_parking_adjoint_structure():
 # ---------------------------------------------------------------------------
 
 def test_average_u_gradient_closed_form():
-    # Gbar_k = p1 (t_f - kT - T/2) + p2f - 2 u_k for the parking adjoint
+    # Gbar_k = p_2(0) - p_1 (kT + T/2) - 2 u_k for the parking adjoint
     grid = sp.build_grid(4.0, 2.0)
     ext = sp.integrate_extremal_forward(PARKING, grid, np.array([[-0.5], [0.5]]),
                                         Q0, np.array([-1.0, -2.0]), -1.0)

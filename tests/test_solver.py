@@ -20,7 +20,7 @@ PARKING4 = parking_problem(2.0, 4.0)
 FREE_TIME4 = double_integrator(FIXED_ENDS, sp.FreeTime(4.0))
 GRID4 = sp.build_grid(4.0, 2.0)
 Q0 = np.array([2.0, 0.0])
-# entry adjoint for multipliers (p1, p2f) = (-1, 2) at t_f = 4
+# p(0) of parking (2, 4) at T = 2, whose controls are (-0.5, 0.5)
 P_STAR = np.array([-1.0, -2.0])
 
 
@@ -334,6 +334,23 @@ def test_decoupled_lq_interval_takes_the_projected_root(kind, seed,
             <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
+def test_zero_radius_ball_closed_form_has_the_free_tangent():
+    # on a radius-0 ball centered at 0 with Q = 0, z = 0 puts the decoupled
+    # closed form's root on the center: the control cannot move, du/dz = 0,
+    # and the tangent is the interval's free transition phi_end alone
+    prob = sp.lti_problem(*parking.DOUBLE_INTEGRATOR,
+                          control_set=sp.Ball(center=np.zeros(1), radius=0.0),
+                          terminal=sp.FixedEndpoints(q0=np.zeros(2),
+                                                     qf=np.zeros(2)),
+                          final_time=sp.FixedTime(1.0))
+    maps = _lq_maps(prob.lq, 0.5, -1.0)
+    assert maps.decoupled is not None
+    u, _, tangent = sp.solve_interval_control(prob, 0.0, 0.5, np.zeros(2),
+                                              np.zeros(2), -1.0, np.zeros(1))
+    np.testing.assert_array_equal(u, [0.0])
+    np.testing.assert_array_equal(tangent, maps.phi_end)
+
+
 def test_coupled_lq_intervals_keep_the_newton_solve(newton_calls):
     # a non-diagonal R couples the components on a Box, and unequal gains
     # leave a Ball's projected root off the inequality: both stay on the
@@ -373,7 +390,6 @@ def test_generic_shoot_solves_run_only_the_outer_newton(newton_calls):
 # ---------------------------------------------------------------------------
 
 def test_shooting_residual_values():
-    # unknown p(0) = (p1, p1 t_f + p2f)
     r = sp.shooting_residual(PARKING4, GRID4, np.array([-1.0, -2.0]))
     np.testing.assert_allclose(r, [0.0, 0.0], atol=1e-10)
     r = sp.shooting_residual(PARKING4, GRID4, np.zeros(2))
@@ -973,7 +989,7 @@ def test_solve_planar_disc_matches_rotated_parking(residual_evals,
         ext, cert = sp.solve(prob, grid)
         work = (residual_evals() - before[0],
                 interval_integrations() - before[1])
-        solved, _, _ = parking.solve_parking(2.0, 3.0, 3.0 / K)
+        solved, _ = parking.solve_parking(2.0, 3.0, 3.0 / K)
         assert cert.passed
         np.testing.assert_allclose(ext.controls.values,
                                    solved.controls.values * [0.8, 0.6],
@@ -1014,12 +1030,14 @@ def _envelope_error(problem, grid, h=1e-5):
 
 @pytest.mark.parametrize("problem, T", [
     (_oscillator(5.0), 0.25), (_saddle(10.0), 0.5), (_planar_disc(), 3.0 / 8),
-    (_zero_cost_parking(np.diag([1.0, 0.0])), 1.0),
-], ids=["oscillator", "saddle", "disc", "inert"])
+    (_zero_cost_parking(np.diag([1.0, 0.0])), 1.0), (pendulum(3.0), 0.5),
+], ids=["oscillator", "saddle", "disc", "inert", "swing-up"])
 def test_multipliers_are_the_cost_gradient_in_the_endpoints(problem, T):
     # the value-function reading of the adjoint: the cost differences read
     # only f and f0, so they cross-check the derivative callbacks and sign
-    # conventions that the certificate judges only against each other
+    # conventions that the certificate judges only against each other.  The
+    # swing-up (K = 12) is the nonlinear member, whose f_q and f0_q are
+    # callbacks checked along its extremal
     grid = sp.build_grid(problem.final_time.t_f, T)
     assert _envelope_error(problem, grid) <= 1e-6
 
