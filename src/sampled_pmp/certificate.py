@@ -17,13 +17,16 @@ options: its tolerance is ``DEFAULT_TOL``.  Residual magnitudes scale with
 the multiplier pair, which is only defined up to a positive factor; every
 residual is computed once and, for a normal extremal, divided by -p0 (its
 value at the canonical cost multiplier -1) before the tolerance is applied.
-The raw residuals are reported alongside.  The checker reads the callbacks,
-never ``lq``, and all intervals' averaged gradients come from one call.
+The :class:`Certificate` holds each residual once, so normalized; the raw
+values are those of :func:`interval_residual` and :func:`free_time_residual`.
+``certificate.json`` is the record as held, per-interval residuals and their
+start times as two aligned arrays.  The checker reads the callbacks, never
+``lq``, and all intervals' averaged gradients come from one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,20 +41,21 @@ DEFAULT_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Residuals of every verified condition plus the overall verdict."""
+    """Residuals of every verified condition plus the overall verdict.
+
+    Entry k of ``interval_residuals`` is interval k's, which starts at
+    ``interval_times[k]``; every residual is divided by -p0 when p0 < 0.
+    """
 
     passed: bool
     tol: float
-    interval_residuals: np.ndarray
     interval_times: np.ndarray
+    interval_residuals: np.ndarray
     transversality: float
     free_time: Optional[float]
     feasibility: float
     nontrivial: bool
     violations: tuple
-    raw_interval_residuals: np.ndarray
-    raw_transversality: float
-    raw_free_time: Optional[float]
 
     @property
     def verdict(self) -> str:
@@ -62,23 +66,14 @@ class Certificate:
         return float(np.max(self.interval_residuals)) if len(self.interval_residuals) else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "intervals": [{"k": k, "t": float(t), "r": float(r)} for k, (t, r)
-                          in enumerate(zip(self.interval_times,
-                                           self.interval_residuals))],
-            "transversality": float(self.transversality),
-            "free_time": None if self.free_time is None else float(self.free_time),
-            "nontrivial": bool(self.nontrivial),
-            "feasibility": float(self.feasibility),
-            "violations": list(self.violations),
-            "raw": {
-                "intervals": [float(r) for r in self.raw_interval_residuals],
-                "transversality": float(self.raw_transversality),
-                "free_time": None if self.raw_free_time is None else float(self.raw_free_time),
-            },
-        }
+        """``verdict``, then every field but ``passed`` as held."""
+        record = {"verdict": self.verdict}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name != "passed":
+                record[field.name] = (value.tolist()
+                                      if isinstance(value, np.ndarray) else value)
+        return record
 
 
 def interval_residual(problem: ProblemDefinition, extremal: Extremal, k: int) -> float:
@@ -136,8 +131,8 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
     Fails when the multiplier pair is trivial, the grid ends off a fixed
     final time, a control leaves the control set, the terminal constraints
     are violated, or any condition residual exceeds ``DEFAULT_TOL``.  Each
-    residual is computed once; for a normal extremal it is divided by -p0
-    before the tolerance test, and the raw value is reported alongside.
+    residual is computed once and, for a normal extremal, divided by -p0
+    before the tolerance test; the certificate holds it so divided.
     """
     tol = DEFAULT_TOL
     p0 = extremal.p0
@@ -167,14 +162,11 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
 
     # every residual is positively homogeneous in (p, p0)
     scale = -p0 if p0 < 0 else 1.0
-    raw_r = problem.control_set.support_gap(
-        _extremal_mean(problem.hamiltonian_u, extremal), controls)
-    raw_tv = float(np.linalg.norm(transversality))
-    raw_ft = (free_time_residual(problem, extremal)
-              if isinstance(problem.final_time, FreeTime) else None)
-    r = raw_r / scale
-    tv = raw_tv / scale
-    ft = None if raw_ft is None else raw_ft / scale
+    r = problem.control_set.support_gap(
+        _extremal_mean(problem.hamiltonian_u, extremal), controls) / scale
+    tv = float(np.linalg.norm(transversality)) / scale
+    ft = (free_time_residual(problem, extremal) / scale
+          if isinstance(problem.final_time, FreeTime) else None)
 
     for k in np.nonzero(r > tol)[0]:
         violations.append(f"interval {int(k)}: maximization residual "
@@ -187,14 +179,11 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
     return Certificate(
         passed=not violations,
         tol=tol,
-        interval_residuals=r,
         interval_times=np.asarray(extremal.grid.times, dtype=float),
-        transversality=float(tv),
+        interval_residuals=r,
+        transversality=tv,
         free_time=ft,
         feasibility=feas,
         nontrivial=bool(nontrivial),
         violations=tuple(violations),
-        raw_interval_residuals=raw_r,
-        raw_transversality=float(raw_tv),
-        raw_free_time=raw_ft,
     )

@@ -214,8 +214,9 @@ def _read_controls_csv(path, m: int) -> np.ndarray:
 
 def _parse_unknowns(text: str, problem) -> np.ndarray:
     """The packed shooting unknowns (see ``solver._unknown_layout``): a JSON
-    file's ``vector`` entry (a solve manifest's), or p(0) alone from its
-    ``p_init`` entry, a bare list or 'p1,...,pn' when p(0) is all of them."""
+    object's ``vector`` entry, else p(0) alone from its ``p_init`` entry (at
+    top level or under ``unknowns``, as in a solve manifest), a bare JSON
+    list or 'p1,...,pn' when p(0) is all of them."""
     has_q0, has_tf, dim = _unknown_layout(problem)
     key = "p_init"
     candidate = Path(text)
@@ -226,12 +227,13 @@ def _parse_unknowns(text: str, problem) -> np.ndarray:
             raise ValueError(f"--adjoint-init {text}: {exc}")
         if isinstance(data, list):
             data = {"p_init": data}
-        elif isinstance(data, dict) and "p_init" not in data \
+        elif isinstance(data, dict) and not {"vector", "p_init"} & data.keys() \
                 and isinstance(data.get("unknowns"), dict):
             data = data["unknowns"]
-        if not isinstance(data, dict) or "p_init" not in data:
-            raise ValueError(f"{text}: no 'p_init' entry found")
-        key = "vector" if "vector" in data else "p_init"
+        key = next((k for k in ("vector", "p_init")
+                    if isinstance(data, dict) and k in data), None)
+        if key is None:
+            raise ValueError(f"{text}: no 'vector' or 'p_init' entry found")
         arr = _vector(data, key, text)
     else:
         try:

@@ -16,8 +16,8 @@ the one :class:`Extremal` record (q, p, p0, u) for
 :func:`integrate_extremal_forward` and the shooting solver, which builds its
 extremal from the arcs it has already evaluated.  The record carries no
 cost: :func:`running_cost` computes it on request.  :func:`simulate` is the
-state block of the coupled integration from p(0) = 0 with p0 = 0, on which
-the adjoint stays exactly zero, returned with its cost.
+coupled integration from p(0) = 0 with p0 = 0, on which the adjoint stays
+exactly zero, returned with its cost.
 
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
@@ -34,8 +34,7 @@ control, from which, with the end-node maps, the solver reads exact
 derivatives, and whether that mean's control components decouple.  The
 running cost and the certificate's interval averages read the callbacks on
 both paths; the callback RK4 calls them once a stage, on one arc or a
-stack, and integrates only the state block of arcs that start from p = 0
-with p0 = 0.
+stack.
 """
 
 from __future__ import annotations
@@ -154,26 +153,19 @@ def _extremal_interval(problem: ProblemDefinition, t_start: float,
     ``z_start`` stacks q and p; the right-hand side is (f, -dH/dq).  Returns
     (times, nodes) with SUBSTEPS+1 nodes; (S, 2n) starts and (S, m) controls
     integrate S arcs at once.  Both walkers over a grid call it only where
-    the problem has no ``lq`` maps for the interval's length.
+    the problem has no ``lq`` maps for the interval's length.  From p = 0
+    with p0 = 0, -dH/dq is exactly zero at every stage, so the adjoint stays
+    zero; the state block never reads the adjoint.
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
     n = problem.n
 
-    def f(t, q):
-        return np.asarray(problem.f(np.full(q.shape[:-1], t), q, u),
-                          dtype=float)
-
-    if p0 == 0 and not np.any(z_start[..., n:]):
-        # from p = 0 with p0 = 0 the adjoint right-hand side is exactly zero:
-        # the adjoint stays zero, and only the state block is integrated
-        times, states = _rk4(f, t_start, delta, z_start[..., :n])
-        return times, np.concatenate([states, np.zeros_like(states)], axis=-1)
-
     def rhs(t, zz):
-        qq, pp = zz[..., :n], zz[..., n:]
-        dp = -problem.hamiltonian_q(np.full(qq.shape[:-1], t), qq, pp, p0, u)
-        return np.concatenate([f(t, qq), dp], axis=-1)
+        tt, qq, pp = np.full(zz.shape[:-1], t), zz[..., :n], zz[..., n:]
+        dq = np.asarray(problem.f(tt, qq, u), dtype=float)
+        return np.concatenate([dq, -problem.hamiltonian_q(tt, qq, pp, p0, u)],
+                              axis=-1)
 
     return _rk4(rhs, t_start, delta, z_start)
 
@@ -298,11 +290,11 @@ def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
     """Propagate the state under piecewise-constant controls.
 
     Returns ``(Extremal, cost)`` with the cost of :func:`running_cost`.
-    This is the state block of :func:`integrate_extremal_forward` from
-    p(0) = 0 with p0 = 0: the adjoint right-hand side -dH/dq then vanishes,
-    so the adjoint stays exactly zero and the blow-up rule reads the state
-    alone.  Controls outside the control set raise ValueError once the arc
-    is integrated.
+    This is :func:`integrate_extremal_forward` from p(0) = 0 with p0 = 0:
+    the adjoint right-hand side -dH/dq then vanishes, so the adjoint stays
+    exactly zero, the blow-up rule reads the state alone, and the states are
+    bit for bit those of any extremal under the same controls.  Controls
+    outside the control set raise ValueError once the arc is integrated.
     """
     extremal = integrate_extremal_forward(problem, grid, controls, q0,
                                           np.zeros(problem.n), 0.0)

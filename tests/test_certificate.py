@@ -1,11 +1,13 @@
 """Certificate checker: residuals, verdicts, scaling, JSON export."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 import sampled_pmp as sp
+from sampled_pmp.cli import main
 from sampled_pmp.parking import parking_problem, solve_parking
 from sampled_pmp.simulate import SIMPSON_MEAN
 
@@ -186,34 +188,41 @@ SCALE_CASES = [
 
 
 def test_certificate_scale_awareness():
-    # residuals are positively homogeneous in (p, p0); dividing by -p0 makes
-    # the residuals, the verdict and the sign pattern at tol=0 scale-invariant
+    # residuals are positively homogeneous in (p, p0): the raw definitions
+    # scale by lam, and dividing by -p0 makes the held residuals, the verdict
+    # and the sign pattern at tol=0 scale-invariant
     for prob, grid, ctrl, p_init in SCALE_CASES:
         cert = sp.check_certificate(prob, _scaled(prob, grid, ctrl, p_init, 1.0))
         for lam in (0.5, 2.0, 3.0, 10.0):
-            cs = sp.check_certificate(prob,
-                                      _scaled(prob, grid, ctrl, p_init, lam))
-            np.testing.assert_allclose(cs.raw_interval_residuals,
-                                       lam * cert.raw_interval_residuals,
+            ext = _scaled(prob, grid, ctrl, p_init, lam)
+            cs = sp.check_certificate(prob, ext)
+            raw = np.array([sp.interval_residual(prob, ext, k)
+                            for k in range(grid.n_intervals)])
+            np.testing.assert_allclose(raw, lam * cert.interval_residuals,
                                        rtol=1e-10, atol=1e-14)
             np.testing.assert_allclose(cs.interval_residuals,
                                        cert.interval_residuals,
                                        rtol=1e-10, atol=1e-14)
-            assert np.array_equal(cs.raw_interval_residuals > 0,
-                                  cert.raw_interval_residuals > 0)
+            assert np.array_equal(raw > 0, cert.interval_residuals > 0)
             assert cs.passed == cert.passed
             if isinstance(prob.terminal, sp.FixedEndpoints):
                 assert cs.transversality == 0.0
             else:
-                assert cs.raw_transversality > 0.0
-                assert cs.transversality == pytest.approx(
-                    cs.raw_transversality / lam, rel=1e-12)
+                raw_tv = np.linalg.norm(sp.boundary_residuals(
+                    prob.terminal, ext.initial_state, ext.final_state,
+                    ext.initial_adjoint, ext.final_adjoint)[2])
+                assert raw_tv > 0.0
+                assert raw_tv == pytest.approx(lam * cert.transversality,
+                                               rel=1e-10)
+                assert cs.transversality == pytest.approx(raw_tv / lam,
+                                                          rel=1e-12)
                 assert cs.transversality == pytest.approx(
                     cert.transversality, rel=1e-10)
             if isinstance(prob.final_time, sp.FreeTime):
-                assert cs.raw_free_time > 0.0
-                assert cs.free_time == pytest.approx(cs.raw_free_time / lam,
-                                                     rel=1e-12)
+                raw_ft = sp.free_time_residual(prob, ext)
+                assert raw_ft > 0.0
+                assert raw_ft == pytest.approx(lam * cert.free_time, rel=1e-10)
+                assert cs.free_time == pytest.approx(raw_ft / lam, rel=1e-12)
                 assert cs.free_time == pytest.approx(cert.free_time,
                                                      rel=1e-10)
             else:
@@ -296,8 +305,6 @@ def test_stacked_evaluation_matches_per_node_reference(build):
         _per_node_mean(prob.hamiltonian_u, ext, k), ext.controls[k])
         for k in range(K)])
     cert = sp.check_certificate(prob, ext)
-    np.testing.assert_allclose(cert.raw_interval_residuals, raw,
-                               rtol=0, atol=1e-15)
     np.testing.assert_allclose(cert.interval_residuals, raw / -ext.p0,
                                rtol=0, atol=1e-15)
     for k in range(K):
@@ -314,18 +321,37 @@ def test_stacked_evaluation_matches_per_node_reference(build):
 
 
 def test_certificate_json_export(tmp_path):
+    # the record as held: the verdict, then every field but ``passed``, the
+    # per-interval residuals and their start times as two aligned arrays
     _, cert = solve_parking(2.0, 4.0, 2.0)
     path = tmp_path / "cert.json"
     sp.write_certificate_json(cert, path)
     data = json.loads(path.read_text())
+    assert set(data) == {"verdict", "tol", "interval_times",
+                         "interval_residuals", "transversality", "free_time",
+                         "feasibility", "nontrivial", "violations"}
     assert data["verdict"] == "pass"
     assert data["tol"] == 1e-8
     assert data["nontrivial"] is True
     assert data["free_time"] is None
-    assert [row["k"] for row in data["intervals"]] == [0, 1]
-    assert data["intervals"][0]["t"] == 0.0
-    assert all(row["r"] <= 1e-8 for row in data["intervals"])
     assert data["transversality"] == 0.0
+    assert data["feasibility"] == cert.feasibility
+    assert data["violations"] == []
+    for key in ("interval_times", "interval_residuals"):
+        held = getattr(cert, key)
+        assert len(held) == 2
+        assert np.array(data[key]).tobytes() == held.tobytes(), key
+    assert data["interval_times"] == [0.0, 2.0]
+    assert all(r <= 1e-8 for r in data["interval_residuals"])
+    # entry k is interval k, the row order of the CLI's controls.csv, and the
+    # CLI writes the same record
+    run = tmp_path / "run"
+    assert main(["solve", "--problem", "parking", "--M", "2", "--tf", "4",
+                 "--T", "2", "--out", str(run)]) == 0
+    with open(run / "controls.csv", newline="") as fh:
+        t_k = [float(row["t_k"]) for row in csv.DictReader(fh)]
+    assert data["interval_times"] == t_k
+    assert json.loads((run / "certificate.json").read_text()) == data
 
 
 def test_checker_normalizes_scaled_multipliers_for_verdict():

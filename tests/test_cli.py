@@ -511,7 +511,7 @@ def test_check_detects_perturbed_control(solved_run, tmp_path):
     assert rc == 2
     cert = json.loads((tmp_path / "chk" / "certificate.json").read_text())
     assert cert["verdict"] == "fail"
-    assert cert["intervals"][0]["r"] >= 0.1
+    assert cert["interval_residuals"][0] >= 0.1
     assert any("interval 0" in v for v in cert["violations"])
 
 
@@ -565,6 +565,9 @@ def test_check_validates_adjoint_init(solved_run, tmp_path, capsys):
     for adjoint_init in ["1,2,3", {"p_init": {"a": 1}}, {"p_init": [True, -2]},
                          {"unknowns": {"p_init": [-1, None]}},
                          {"p": [-1, -2]}]:
+        # a JSON object with neither key is told which keys are read
+        message = ("no 'vector' or 'p_init' entry found"
+                   if adjoint_init == {"p": [-1, -2]} else "")
         if not isinstance(adjoint_init, str):
             path.write_text(json.dumps(adjoint_init))
             adjoint_init = str(path)
@@ -573,7 +576,8 @@ def test_check_validates_adjoint_init(solved_run, tmp_path, capsys):
                    "--adjoint-init", adjoint_init,
                    "--out", str(tmp_path / "chk")])
         assert rc == 4, adjoint_init
-        assert "bad input" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad input" in err and message in err, adjoint_init
 
 
 @pytest.mark.parametrize("kind", ["bad-json", "directory"])
@@ -640,18 +644,26 @@ def test_bad_input_names_the_fault(tmp_path, capsys, args, controls, message):
 @pytest.mark.parametrize("spec", [FREE_HORIZON_SPEC, PERIODIC_SPEC],
                          ids=["free-horizon", "periodic"])
 def test_check_round_trip_beyond_fixed_endpoints(tmp_path, spec):
-    # the manifest's packed unknowns carry q(0) or t_f besides p(0)
+    # the manifest's packed unknowns carry q(0) or t_f besides p(0); a JSON
+    # object holding only that vector, at top level or under "unknowns",
+    # is enough
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     run = tmp_path / "run"
     assert main(["solve", "--spec", str(path), "--out", str(run)]) == 0
-    rc = main(["check", "--spec", str(path),
-               "--controls", str(run / "controls.csv"),
-               "--adjoint-init", str(run / "manifest.json"),
-               "--out", str(tmp_path / "chk")])
-    assert rc == 0
-    cert = json.loads((tmp_path / "chk" / "certificate.json").read_text())
-    assert cert["verdict"] == "pass"
+    vector = json.loads((run / "manifest.json").read_text())["unknowns"]["vector"]
+    for record in (None, {"vector": vector}, {"unknowns": {"vector": vector}}):
+        unknowns = run / "manifest.json"
+        if record is not None:
+            unknowns = tmp_path / "unknowns.json"
+            unknowns.write_text(json.dumps(record))
+        rc = main(["check", "--spec", str(path),
+                   "--controls", str(run / "controls.csv"),
+                   "--adjoint-init", str(unknowns),
+                   "--out", str(tmp_path / "chk")])
+        assert rc == 0, record
+        cert = json.loads((tmp_path / "chk" / "certificate.json").read_text())
+        assert cert["verdict"] == "pass", record
 
 
 @pytest.mark.parametrize("spec, missing", [
