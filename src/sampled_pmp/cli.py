@@ -1,13 +1,19 @@
 """Command-line front end: solve, check, sweep and compare.
 
-``solve`` and ``sweep`` serve each problem that :func:`parking.parking_position`
-recognizes by the closed-form parking solve; ``solve`` shoots any other.
+Flags, specification files and run manifests go through one parser,
+:func:`~sampled_pmp.specfile.parse_problem_spec`, and one recognizer,
+:func:`parking.parking_position`.  ``solve`` and ``sweep`` serve each problem
+it recognizes by the closed-form parking solve, ``solve`` shoots any other,
+and ``compare`` accepts only a parking run.  ``solve`` and ``sweep`` record
+the specification object they parsed, flags set as its fields, under
+``problem`` in ``manifest.json``; ``solve --spec`` replays it.
 
 Exit codes: 0 success, 2 certificate failure, 3 solver non-convergence,
 4 bad input.  An integration that blows up, at its start point included,
 is a non-convergence in ``solve`` and a certificate failure in ``check``; a
-flag value that is not a positive finite number, and a non-finite number in
-the specification, the initial adjoint or a controls file, are bad input.
+flag value that is not a positive finite number, a flag spelled as a
+prefix of another, and a non-finite number in the specification, the
+initial adjoint or a controls file, are bad input.
 Diagnostics go to standard error; artifacts (CSV, JSON, SVG) into the
 chosen output directory.  Every CSV artifact goes through one table writer
 and every JSON artifact through one JSON writer.  Numeric CSV cells use
@@ -20,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -35,7 +40,7 @@ from .errors import IntegrationBlowUp, NonConvergence
 from .problem import build_grid
 from .simulate import Extremal, integrate_extremal_forward
 from .solver import _check_unknowns, _shooting_start, _unknown_layout, solve
-from .specfile import (LoadedSpec, _number, _vector, parse_problem_spec,
+from .specfile import (LoadedSpec, SpecError, _vector, parse_problem_spec,
                        read_spec_file)
 from .svgfig import SvgPlot
 
@@ -50,6 +55,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags are spelled in full: a prefix such as --T must not stand for
+    # --T-list; the subparsers are _Parsers too
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad flags; bad input must be 4 here
     def error(self, message):
         raise _UsageError(message)
@@ -148,8 +158,10 @@ def console_main() -> None:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _resolve_problem(args) -> LoadedSpec:
-    """--problem or --spec, parsed once --M, --tf and --T set its fields."""
+def _resolve_problem(args) -> tuple[LoadedSpec, dict]:
+    """--problem or --spec, parsed once --M, --tf and --T set its fields:
+    the parsed problem and the specification object it was parsed from,
+    which the manifest records so that ``solve --spec`` replays the run."""
     if (args.problem is None) == (args.spec is None):
         raise ValueError("exactly one of --problem or --spec is required")
     if args.problem is not None:
@@ -165,12 +177,7 @@ def _resolve_problem(args) -> LoadedSpec:
     if "T" not in data and hasattr(args, "T"):  # sweep reads --T-list instead
         raise ValueError("--problem parking needs --T" if args.problem else
                          f"{args.spec} has no field 'T'; pass --T")
-    return parse_problem_spec(data)
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"sha256:{digest}"
+    return parse_problem_spec(data), data
 
 
 def _read_controls_csv(path, m: int) -> np.ndarray:
@@ -308,9 +315,8 @@ def _verdict(cert: Certificate) -> int:
 
 
 def _write_manifest(out_dir: Path, payload: dict, outputs) -> None:
-    payload = dict(payload)
-    payload["outputs"] = sorted(set(list(outputs) + ["manifest.json"]))
-    _write_json(out_dir / "manifest.json", payload)
+    _write_json(out_dir / "manifest.json",
+                {**payload, "outputs": sorted({*outputs, "manifest.json"})})
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +324,7 @@ def _write_manifest(out_dir: Path, payload: dict, outputs) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    loaded = _resolve_problem(args)
+    loaded, spec = _resolve_problem(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -338,14 +344,9 @@ def cmd_solve(args) -> int:
     write_trajectory_csv(extremal, out_dir / "trajectory.csv")
     write_certificate_json(cert, out_dir / "certificate.json")
 
-    problem = {"builtin": None, "name": loaded.problem.name,
-               "tf": loaded.t_f, "T": loaded.T}
-    if M is not None:       # what compare needs to draw the permanent optimum
-        problem.update(builtin="parking", M=M)
     _write_manifest(out_dir, {
         "command": "solve",
-        "problem": problem,
-        "inputs": {str(args.spec): _sha256(args.spec)} if args.spec else {},
+        "problem": spec,
         "unknowns": {"p_init": extremal.initial_adjoint.tolist(),
                      "vector": stats["unknowns"]},
         "iterations": stats["iterations"],
@@ -362,7 +363,7 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    loaded = _resolve_problem(args)
+    loaded, _ = _resolve_problem(args)
     problem = loaded.problem
     values = _read_controls_csv(args.controls, problem.m)
     x = _parse_unknowns(args.adjoint_init, problem)
@@ -390,7 +391,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    loaded = _resolve_problem(args)
+    loaded, spec = _resolve_problem(args)
     M, t_f = parking.parking_position(loaded.problem), loaded.t_f
     if M is None:
         raise ValueError("sweep compares against the permanent parking "
@@ -427,8 +428,7 @@ def cmd_sweep(args) -> int:
 
     _write_manifest(out_dir, {
         "command": "sweep",
-        "problem": {"builtin": "parking", "M": M, "tf": t_f},
-        "inputs": {str(args.spec): _sha256(args.spec)} if args.spec else {},
+        "problem": spec,
         "periods": periods,
         "statuses": [row.status for row in rows],
         "errors": {tok: row.error for tok, row in zip(tokens, rows) if row.error},
@@ -459,6 +459,14 @@ def _sweep_svg(path, M, t_f, row) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
+    """The staircase of a parking solve run next to the permanent optimum.
+
+    The run's problem is the specification its manifest records under
+    ``problem``: it goes through :func:`parse_problem_spec`, and
+    :func:`parking.parking_position` of the parsed problem gives M, as in
+    ``solve`` and ``sweep``.  A specification without ``T`` (a sweep's) or
+    one that is not parking is bad input.
+    """
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
     controls_path = run_dir / "controls.csv"
@@ -469,16 +477,21 @@ def cmd_compare(args) -> int:
     prob = manifest.get("problem") if isinstance(manifest, dict) else None
     if not isinstance(prob, dict):
         raise ValueError(f"{manifest_path}: 'problem' must be an object")
-    if prob.get("builtin") != "parking":
+    try:
+        loaded = parse_problem_spec(prob)
+    except SpecError as exc:
+        raise SpecError(f"{manifest_path} 'problem': {exc}") from None
+    M, t_f, T = parking.parking_position(loaded.problem), loaded.t_f, loaded.T
+    if M is None:
         raise ValueError("compare needs a parking run (the permanent optimum "
                          "has a closed form only there)")
-    M, t_f, T = (_number(prob, key, f"{manifest_path} 'problem'")
-                 for key in ("M", "tf", "T"))
-    values = _read_controls_csv(controls_path, 1)
+    if T is None:
+        raise ValueError(f"{manifest_path} 'problem' has no field 'T': "
+                         f"compare needs a solve run, not a sweep")
+    u = _read_controls_csv(controls_path, 1)[:, 0]
     grid = build_grid(t_f, T)
-    if values.shape[0] != grid.n_intervals:
+    if len(u) != grid.n_intervals:
         raise ValueError(f"{controls_path}: row count does not match the grid")
-    u = values[:, 0]
 
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)

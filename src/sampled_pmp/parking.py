@@ -105,10 +105,14 @@ def parking_position(problem: ProblemDefinition) -> Optional[float]:
 
 def _require_existence(M: float, t_f: float) -> None:
     """The one existence rule: the car, at a positive and finite M, can park
-    only if t_f^2 > 4M."""
+    only if t_f^2 > 4M.  An (M, t_f) whose t_f^3 or M^2 overflows a float is
+    rejected first, so no closed form downstream can overflow."""
     if not 0 < M < math.inf:
         raise ValueError(f"initial position must be positive and finite, "
                          f"got {M}")
+    # products overflow to inf where float ** raises OverflowError
+    if not math.isfinite(t_f * t_f * t_f) or not math.isfinite(M * M):
+        raise ValueError(f"t_f^3 or M^2 overflows at M={M:.6g}, t_f={t_f:.6g}")
     if t_f ** 2 <= 4.0 * M:
         raise ValueError(f"existence needs t_f^2 > 4M (got t_f^2={t_f**2:.6g}, "
                          f"4M={4*M:.6g})")

@@ -364,7 +364,8 @@ class ProblemDefinition:
         One of the three canonical variants.
     final_time : FixedTime or FreeTime
     name : str
-        Identifier used in exports; purely informational.
+        A label, purely informational: no artifact records it, since a run's
+        manifest holds the specification it solved.
     lq : LinearQuadratic or None
         The same dynamics and running cost as matrices, for linear-quadratic
         problems.  When set, intervals propagate by precomputed RK4 step

@@ -17,6 +17,8 @@ from sampled_pmp import (ProblemDefinition, build_grid, load_problem_spec,
 from sampled_pmp.cli import _build_parser, _resolve_problem, main
 from sampled_pmp.svgfig import SvgPlot, _nice_ticks
 
+from conftest import _count_calls
+
 
 # the parking instance (2, 4) written out as an inline LTI spec
 PARKING_SPEC = {
@@ -114,7 +116,10 @@ def test_solve_writes_artifacts_and_passes(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     for name in manifest["outputs"]:
         assert (out / name).exists(), name
-    assert manifest["problem"]["builtin"] == "parking"
+    # the specification the flags spelled, and no input hashes
+    assert manifest["problem"] == {"problem": "parking", "M": 2.0, "tf": 4.0,
+                                   "T": 2.0}
+    assert "inputs" not in manifest
     assert manifest["unknowns"]["vector"][0] == pytest.approx(-1.0, abs=1e-6)
     assert "config" not in manifest
     stats = {}
@@ -196,17 +201,19 @@ def test_solve_is_deterministic(tmp_path):
 
 
 def test_solve_from_spec_file(tmp_path, residual_evals):
+    # the manifest records the file's object with --T set as its field
     spec = tmp_path / "problem.json"
-    spec.write_text(json.dumps(GENERIC_SPEC))
+    data = {key: value for key, value in GENERIC_SPEC.items() if key != "T"}
+    spec.write_text(json.dumps(data))
     out = tmp_path / "run"
-    rc = main(["solve", "--spec", str(spec), "--out", str(out)])
+    rc = main(["solve", "--spec", str(spec), "--T", "2", "--out", str(out)])
     assert rc == 0
     assert residual_evals() > 0
     _, rows = _read_csv(out / "controls.csv")
     assert float(rows[0][3]) == pytest.approx(-0.5, abs=1e-6)
     manifest = json.loads((out / "manifest.json").read_text())
-    assert str(spec) in manifest["inputs"]
-    assert manifest["inputs"][str(spec)].startswith("sha256:")
+    assert manifest["problem"] == {**data, "T": 2.0}
+    assert "inputs" not in manifest
     stats = {}
     loaded = load_problem_spec(spec)
     extremal, _ = solve(loaded.problem, build_grid(4.0, 2.0), stats=stats)
@@ -269,7 +276,9 @@ def test_cli_builds_parking_through_the_module_factory(parking_f_calls):
     # instrumentation replaces parking.parking_problem on the module; the
     # problems the CLI resolves come from it, so their f is counted
     args = _build_parser().parse_args(["solve", *PARKING_FLAGS, "--out", "x"])
-    problem = _resolve_problem(args).problem
+    loaded, spec = _resolve_problem(args)
+    assert spec == {"problem": "parking", "M": 2.0, "tf": 4.0, "T": 2.0}
+    problem = loaded.problem
     problem.f(0.0, np.zeros(2), np.zeros(1))
     assert parking_f_calls() == 1
 
@@ -329,19 +338,21 @@ def test_generic_solve_failure_report(tmp_path, capsys, spec, first_line,
     assert all("'active_set'" in line for line in lines[1:])
 
 
-def test_readme_inline_spec_takes_the_parking_path(tmp_path):
+def test_readme_inline_spec_takes_the_parking_path(tmp_path, monkeypatch,
+                                                  residual_evals):
     # the spec denotes parking (2, 4), so solve serves it by the closed-form
     # solve and writes what --problem parking writes, byte for byte
+    solve_parking_calls = _count_calls(monkeypatch, parking, "solve_parking")
     spec = tmp_path / "readme.json"
     spec.write_text(json.dumps(_readme_inline_spec()))
     a, b = tmp_path / "spec", tmp_path / "flags"
     assert main(["solve", "--spec", str(spec), "--out", str(a)]) == 0
+    assert solve_parking_calls() == 1 and residual_evals() == 0
     assert main(["solve", *PARKING_FLAGS, "--out", str(b)]) == 0
     for name in ("controls.csv", "trajectory.csv", "certificate.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     manifest = json.loads((a / "manifest.json").read_text())
-    assert manifest["problem"]["builtin"] == "parking"
-    assert manifest["problem"]["M"] == 2.0
+    assert manifest["problem"] == _readme_inline_spec()
     assert manifest["unknowns"]["vector"][0] == pytest.approx(-1.0, abs=1e-6)
 
 
@@ -358,6 +369,38 @@ def test_readme_inline_spec_sweeps_and_compares(tmp_path):
                  "--out", str(tmp_path / "cmp")]) == 0
     _, rows = _read_csv(tmp_path / "cmp" / "compare.csv")
     assert _count_steps([float(r[1]) for r in rows]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    None, "readme", FREE_HORIZON_SPEC, PERIODIC_SPEC,
+], ids=["parking-flags", "readme-inline", "free-horizon", "periodic"])
+def test_manifest_replays(tmp_path, spec):
+    # the manifest's problem is a specification: solve --spec of it writes
+    # the same artifacts and the same manifest apart from the wall time, and
+    # compare reads a parking run and its replay alike
+    if spec is None:
+        flags = ["--problem", "parking", "--M", "2", "--tf", "3", "--T", "0.5"]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            _readme_inline_spec() if spec == "readme" else spec))
+        flags = ["--spec", str(path)]
+    a, b = tmp_path / "run", tmp_path / "replay"
+    assert main(["solve", *flags, "--out", str(a)]) == 0
+    first = json.loads((a / "manifest.json").read_text())
+    replayed = tmp_path / "replayed.json"
+    replayed.write_text(json.dumps(first["problem"]))
+    assert main(["solve", "--spec", str(replayed), "--out", str(b)]) == 0
+    for name in ("controls.csv", "trajectory.csv", "certificate.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    second = json.loads((b / "manifest.json").read_text())
+    del first["wall_time_s"], second["wall_time_s"]
+    assert first == second
+    if spec in (None, "readme"):
+        for run in (a, b):
+            assert main(["compare", "--run", str(run)]) == 0
+        assert ((a / "compare.csv").read_bytes()
+                == (b / "compare.csv").read_bytes())
 
 
 def test_inline_parking_without_solution_is_bad_input(tmp_path, capsys):
@@ -395,6 +438,38 @@ def test_flags_must_be_positive(tmp_path, capsys, args, flag):
     err = capsys.readouterr().err
     assert flag in err and "positive" in err
     assert "field" not in err
+
+
+@pytest.mark.parametrize("args, unknown", [
+    (["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
+      "--T-list", "0.5", "--T", "1"], "unrecognized arguments: --T 1"),
+    (["check", *PARKING_FLAGS, "--contr", "controls.csv",
+      "--adjoint-init=-1,-2"], "the following arguments are required: "
+     "--controls"),
+], ids=["sweep-T", "check-prefix"])
+def test_flags_are_spelled_in_full(tmp_path, capsys, args, unknown):
+    # no flag stands for another it is a prefix of: sweep takes no --T, and
+    # --contr is not --controls
+    assert main([*args, "--out", str(tmp_path / "out")]) == 4
+    assert unknown in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--M", "2", "--tf", "1e103", "--T", "1e102"],
+    ["sweep", "--M", "2", "--tf", "1e103", "--T-list", "1e102"],
+    ["solve", "--M", "1e160", "--tf", "1e200", "--T", "1e199"],
+], ids=["solve-tf-cubed", "sweep-tf-cubed", "solve-M-squared"])
+def test_overflowing_parking_flags_are_bad_input(tmp_path, capsys, args):
+    # finite flags whose t_f^3 or M^2 overflows: a message naming both
+    # values, never a traceback
+    argv = [args[0], "--problem", "parking", *args[1:],
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert (f"t_f^3 or M^2 overflows at M={float(args[2]):.6g}, "
+            f"t_f={float(args[4]):.6g}") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("args, spec, u0", [
@@ -435,7 +510,7 @@ def test_non_finite_input_is_bad_input(tmp_path, capsys, args, spec, u0):
             argv += ["--controls", str(controls)]
         else:
             (run / "manifest.json").write_text(json.dumps({
-                "problem": {"builtin": "parking", "M": 2.0, "tf": 4.0,
+                "problem": {"problem": "parking", "M": 2.0, "tf": 4.0,
                             "T": 2.0}}))
             argv += ["--run", str(run)]
     assert main(argv) == 4
@@ -731,6 +806,9 @@ def test_sweep_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     for name in manifest["outputs"]:
         assert (out / name).exists()
+    # the specification the flags spelled; the periods come from --T-list
+    assert manifest["problem"] == {"problem": "parking", "M": 2.0, "tf": 4.0}
+    assert "inputs" not in manifest
 
 
 def test_sweep_solves_each_period_once(tmp_path, interval_integrations):
@@ -860,7 +938,7 @@ def test_compare_zero_controls(tmp_path):
     run = tmp_path / "zero"
     run.mkdir()
     (run / "manifest.json").write_text(json.dumps({
-        "problem": {"builtin": "parking", "M": 2.0, "tf": 3.0, "T": 0.5}}))
+        "problem": {"problem": "parking", "M": 2.0, "tf": 3.0, "T": 0.5}}))
     lines = ["k,t_k,delta_k,u_1,residual_k"]
     for k in range(6):
         lines.append(f"{k},{k*0.5},0.5,0.0,0.0")
@@ -876,19 +954,21 @@ def test_compare_missing_run(tmp_path):
 
 
 @pytest.mark.parametrize("manifest, message", [
-    ({"problem": {"builtin": "parking", "tf": 3.0, "T": 0.5}},
-     "missing required field 'M'"),
-    ([{"problem": {"builtin": "parking", "M": 2.0, "tf": 3.0, "T": 0.5}}],
+    ({"problem": {"problem": "parking", "tf": 3.0, "T": 0.5}},
+     "'problem': missing required field 'M' in builtin spec"),
+    ([{"problem": {"problem": "parking", "M": 2.0, "tf": 3.0, "T": 0.5}}],
      "'problem' must be an object"),
-    ({"problem": {"builtin": "parking", "M": None, "tf": 3.0, "T": 0.5}},
-     "field 'M'"),
+    ({"problem": {"problem": "parking", "M": None, "tf": 3.0, "T": 0.5}},
+     "field 'M' in builtin spec must be a number"),
     ({"problem": "parking"}, "'problem' must be an object"),
-    ({"problem": {"builtin": None, "name": "lti", "tf": 3.0, "T": 0.5}},
+    ({"problem": {**GENERIC_SPEC, "tf": 3.0, "T": 0.5}},
      "compare needs a parking run"),
-    ({"problem": {"builtin": "parking", "M": 2.0, "tf": 3.0, "T": 1.0}},
+    ({"problem": {"problem": "parking", "M": 2.0, "tf": 3.0}},
+     "'problem' has no field 'T': compare needs a solve run, not a sweep"),
+    ({"problem": {"problem": "parking", "M": 2.0, "tf": 3.0, "T": 1.0}},
      "row count does not match the grid"),
 ], ids=["missing-M", "list", "null-M", "problem-string", "not-parking",
-        "row-count"])
+        "no-T", "row-count"])
 def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest,
                                             message):
     run = tmp_path / "run"
