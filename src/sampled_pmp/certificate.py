@@ -95,8 +95,9 @@ def boundary_residuals(terminal: TerminalCondition, q_start, q_end, p_start,
     free end: ``(q_start - q0, [], p_end)``.  Periodic: ``([], q_end -
     q_start, p_end - p_start)``.  Shooting meets ``start`` by construction,
     through ``initial_state()``, and solves for the other two blocks.
+    Stacked (..., n) arguments give stacked residuals.
     """
-    none = np.zeros(0)
+    none = np.zeros(np.shape(q_start)[:-1] + (0,))
     if isinstance(terminal, FixedEndpoints):
         return q_start - terminal.q0, q_end - terminal.qf, none
     if isinstance(terminal, FixedInitialFreeFinal):

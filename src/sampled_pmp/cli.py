@@ -3,10 +3,11 @@
 Flags, specification files and run manifests go through one parser,
 :func:`~sampled_pmp.specfile.parse_problem_spec`, and one recognizer,
 :func:`parking.parking_position`.  ``solve`` and ``sweep`` serve each problem
-it recognizes by the closed-form parking solve, ``solve`` shoots any other,
-and ``compare`` accepts only a parking run.  ``solve`` and ``sweep`` record
-the specification object they parsed, flags set as its fields, under
-``problem`` in ``manifest.json``; ``solve --spec`` replays it.
+it recognizes by ``parking.solve_parking`` (the reach rule, then ``solve``),
+``solve`` shoots any other, and ``compare`` accepts only a parking run.
+``solve`` and ``sweep`` record the specification object they parsed, flags
+set as its fields, under ``problem`` in ``manifest.json``; ``solve --spec``
+replays it.
 
 Exit codes: 0 success, 2 certificate failure, 3 solver non-convergence,
 4 bad input.  An integration that blows up, at its start point included,

@@ -14,9 +14,11 @@ adjoint is affine (p_1 constant, p_2 of slope -p_1), so interval k's
 averaged gradient is pbar_2,k - 2u, pbar_2,k = p_2(0) - p_1 m_k the mean of
 p_2 over the interval and m_k its midpoint, and u_k = clip(pbar_2,k / 2).
 The whole problem collapses to the two unknowns p(0), the packed unknowns
-of every other solve, shot at the two terminal constraints through exact
-closed-form propagation.  This holds on every grid: a partial last interval
-only moves its midpoint m_k = t_k + Delta_k/2.
+of every other solve, shot at the two terminal constraints.  This is the
+case of the solver's closed-form shooting map of every minimum-energy
+problem, so :func:`solve_parking` is ``solve`` on :func:`parking_problem`.
+It is exact on every grid: a partial last interval only moves its midpoint
+m_k = t_k + Delta_k/2.
 
 The terminal state is affine in the K controls, so whether a grid can park
 the car at all has a closed form too: the sampled reach R, the largest M
@@ -40,12 +42,16 @@ from typing import Optional, Union
 import numpy as np
 
 from .certificate import Certificate, check_certificate
-from .errors import Infeasible, NonConvergence
+from .errors import Infeasible, IntegrationBlowUp, NonConvergence
 from .problem import (Box, ControlSequence, FixedEndpoints, FixedTime,
                       ProblemDefinition, SamplingGrid, _item, build_grid)
 from .problems import lti_problem
 from .simulate import integrate_extremal_forward
 from . import solver as _solver
+
+# check_certificate and integrate_extremal_forward are reached through
+# solve; they stay imported because bench/run.py's tracer wraps each on
+# every module that imports it, this one included
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +85,8 @@ def parking_position(problem: ProblemDefinition) -> Optional[float]:
     Exactly means: ``lq`` holds parking's A and B with Q = 0 and R = [[1]],
     the control set is Box(-1, 1), the endpoints are fixed at q0 = (M, 0)
     with M > 0 and qf = 0, and the final time is fixed.  Each test is an
-    exact equality.  This is the one place that decides whether the
-    closed-form :func:`solve_parking` serves a problem.
+    exact equality.  This is the one place that decides whether
+    :func:`solve_parking`, with its reach rule, serves a problem.
     """
     lq, box, term = problem.lq, problem.control_set, problem.terminal
     if not (lq is not None and isinstance(box, Box)
@@ -152,7 +158,7 @@ def permanent_cost(M: float, t_f: float) -> float:
 
 def initial_adjoint_guess(M: float, t_f: float) -> np.ndarray:
     """p(0) of the unconstrained permanent solution, u*(t) = p_2(t)/2; it
-    seeds the sampled shooting, dedicated and generic, in both regimes."""
+    seeds :func:`solve_parking`'s shooting in both regimes."""
     p1 = -24.0 * M / t_f ** 3
     return np.array([p1, p1 * t_f + 12.0 * M / t_f ** 2])
 
@@ -169,17 +175,6 @@ def _midpoint_coeffs(grid: SamplingGrid) -> np.ndarray:
 def _midpoints(grid: SamplingGrid) -> np.ndarray:
     """m_k = t_k + Delta_k/2, where the mean of an affine p_2 is taken."""
     return grid.times + grid.lengths / 2.0
-
-
-def sampled_control(p_init, grid: SamplingGrid) -> ControlSequence:
-    """Per-interval controls of the adjoint that starts at p(0) = ``p_init``.
-
-    The averaged gradient p_2(0) - p_1 m_k - 2x decreases in x; u_k is -1
-    when it is negative at -1, +1 when it is positive at 1, and its root
-    (p_2(0) - p_1 m_k)/2 otherwise.
-    """
-    u = np.clip(0.5 * (p_init[1] - p_init[0] * _midpoints(grid)), -1.0, 1.0)
-    return ControlSequence(u[:, None])
 
 
 def sampled_reach(grid: SamplingGrid):
@@ -201,17 +196,6 @@ def sampled_reach(grid: SamplingGrid):
     return float(d @ np.abs(c - lam)), lam
 
 
-def parking_shooting_map(p_init, M: float, grid: SamplingGrid):
-    """Exact terminal state (q_1(t_f), q_2(t_f)) of the double integrator
-    under the controls of the adjoint that starts at p(0) = ``p_init``."""
-    u = sampled_control(p_init, grid).values[:, 0]
-    c = _midpoint_coeffs(grid)
-    d = np.asarray(grid.lengths)
-    q2f = float(np.sum(d * u))
-    q1f = float(M + np.sum(d * u * c))
-    return q1f, q2f
-
-
 def sampled_cost(grid: SamplingGrid, controls: ControlSequence) -> float:
     """Energy of a sampled control: sum of Delta_k |u_k|^2."""
     v = controls.values
@@ -219,19 +203,20 @@ def sampled_cost(grid: SamplingGrid, controls: ControlSequence) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dedicated 2-unknown shooting solve
+# the shooting solve
 # ---------------------------------------------------------------------------
 
 def solve_parking(M: float, t_f: float, T: float,
                   stats: Optional[dict] = None):
-    """Solve the sampled parking instance by two-unknown shooting.
+    """Solve the sampled parking instance by shooting p(0).
 
     Returns ``(extremal, certificate)`` and fills ``stats`` as
-    :func:`~sampled_pmp.solve` does.  Newton runs on p(0) from
-    :func:`initial_adjoint_guess` through :func:`parking_shooting_map`,
-    exact on any grid, and its exact Jacobian.  Only the converged p(0)'s
-    extremal is integrated, once, and certified; its ``final_adjoint``
-    holds the terminal multipliers (p_1, p_2(t_f)).
+    :func:`~sampled_pmp.solve` does: it is ``solve`` on
+    :func:`parking_problem` from :func:`initial_adjoint_guess`, whose
+    closed-form shooting map (Q = 0, see :mod:`~sampled_pmp.solver`) gives
+    the controls clip((p_2(0) - p_1 m_k)/2) and the terminal state exactly
+    on any grid.  Its ``final_adjoint`` holds the terminal multipliers
+    (p_1, p_2(t_f)).
 
     A target past the grid's :func:`sampled_reach` R by more than
     (1 + |lambda*|) NEWTON_TOL, one interval's say, is missed by more than
@@ -251,25 +236,8 @@ def solve_parking(M: float, t_f: float, T: float,
             f"target unreachable: M = {M:.6g} exceeds the reach "
             f"R = {reach:.6g} of K = {grid.n_intervals} intervals",
             residual_norm=miss)
-    problem = parking_problem(M, t_f)
-    c, m = _midpoint_coeffs(grid), _midpoints(grid)
-
-    def residual(x):
-        return np.array(parking_shooting_map(x, M, grid)), None
-
-    def jacobian(x, _):
-        # rows (q1f, q2f) sum Delta_k (c_k, 1) du_k, where the map is affine:
-        # du_k/dp(0) = (-m_k, 1)/2 off the bounds and 0 on them
-        w = 0.5 * grid.lengths * (np.abs(0.5 * (x[1] - x[0] * m)) < 1.0)
-        return np.array([[-(w * c) @ m, w @ c], [-w @ m, np.sum(w)]])
-
-    x, _ = _solver._damped_newton(
-        residual, jacobian, initial_adjoint_guess(M, t_f),
-        _solver.NEWTON_TOL, _solver.NEWTON_MAX_ITER, stats=stats)
-    extremal = integrate_extremal_forward(problem, grid,
-                                          sampled_control(x, grid),
-                                          np.array([M, 0.0]), x, -1.0)
-    return extremal, check_certificate(problem, extremal)
+    return _solver.solve(parking_problem(M, t_f), grid,
+                         initial_adjoint_guess(M, t_f), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +363,7 @@ def sweep_row(M: float, t_f: float, T: float) -> SweepRow:
         cause = None if cert.passed else cert
         error = ("" if cert.passed else
                  "certificate failed: " + "; ".join(cert.violations))
-    except (NonConvergence, ValueError) as exc:
+    except (NonConvergence, IntegrationBlowUp, ValueError) as exc:
         cause, error = exc, str(exc)
     if cause is not None:
         return SweepRow(T=T, K=grid.n_intervals, sup_dev=np.nan,

@@ -145,12 +145,13 @@ class Box:
         return np.minimum(np.maximum(u, self.lower), self.upper)
 
     def project_jacobian(self, w: np.ndarray) -> np.ndarray:
-        """Jacobian of :meth:`project` at one point w (m,): the diagonal
-        indicator of lower < w < upper.  A component on a bound gets 0, the
-        derivative from outside the box, an element of the generalized
-        Jacobian at the kink."""
+        """Jacobian (..., m, m) of :meth:`project` at each point of w
+        (..., m): the diagonal indicator of lower < w < upper.  A component
+        on a bound gets 0, the derivative from outside the box, an element
+        of the generalized Jacobian at the kink."""
         w = np.asarray(w, dtype=float)
-        return np.diag(((self.lower < w) & (w < self.upper)).astype(float))
+        inside = ((self.lower < w) & (w < self.upper)).astype(float)
+        return inside[..., None, :] * np.eye(w.shape[-1])
 
     def support_gap(self, g: np.ndarray, u: np.ndarray):
         """max over y in the box of <g, y - u>, for each point of (..., m).
@@ -195,29 +196,33 @@ class Ball:
         return _item(np.sqrt(_dot(d, d)) <= self.radius + MEMBERSHIP_TOL)
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        """Euclidean projection of each point of (..., m): radial scaling."""
+        """Euclidean projection of each point of (..., m): the points
+        outside the ball are scaled radially onto its boundary."""
         u = np.asarray(u, dtype=float)
-        if u.ndim > 1:
-            # point by point: an inner-solve step's one point pays no overhead
-            return np.array([self.project(x) for x in u]).reshape(u.shape)
-        d = u - self.center
-        nd = np.linalg.norm(d)
-        if nd <= self.radius:
-            return u.copy()
-        return self.center + d * (self.radius / nd)
+        d, nd, outside = self._offsets(u)
+        return np.where(outside, self.center + d * (self.radius / nd), u)
 
     def project_jacobian(self, w: np.ndarray) -> np.ndarray:
-        """Jacobian of :meth:`project` at one point w (m,): I inside the
-        ball, on its boundary included, and (r/|d|)(I - d d'/|d|^2) outside,
-        where d = w - center.  A zero radius projects onto the constant
-        center, whose Jacobian is 0 everywhere, the center included."""
-        d = np.asarray(w, dtype=float) - self.center
-        nd = np.linalg.norm(d)
-        eye = np.eye(d.size)
-        if nd <= self.radius:
-            return eye if self.radius > 0 else np.zeros_like(eye)
-        d = d / nd
-        return (self.radius / nd) * (eye - np.outer(d, d))
+        """Jacobian (..., m, m) of :meth:`project` at each point of w
+        (..., m): I inside the ball, on its boundary included, and
+        (r/|d|)(I - d d'/|d|^2) outside, where d = w - center.  A zero
+        radius projects onto the constant center, whose Jacobian is 0
+        everywhere, the center included."""
+        d, nd, outside = self._offsets(np.asarray(w, dtype=float))
+        unit = d / nd
+        outer = unit[..., :, None] * unit[..., None, :]
+        eye = np.eye(self.dim)
+        jac = np.where(outside[..., None], (self.radius / nd)[..., None]
+                       * (eye - outer), eye)
+        return jac if self.radius > 0 else np.zeros_like(jac)
+
+    def _offsets(self, u: np.ndarray):
+        """d = u - center, |d| (..., 1) and whether |d| > radius, where
+        |d| reads 1 inside, so that dividing by it is safe everywhere."""
+        d = u - self.center
+        nd = np.sqrt((d * d).sum(axis=-1, keepdims=True))
+        outside = nd > self.radius
+        return d, np.where(outside, nd, 1.0), outside
 
     def support_gap(self, g: np.ndarray, u: np.ndarray):
         """max over y in the ball of <g, y - u> = <g, c - u> + r ||g||."""

@@ -6,15 +6,16 @@ free).  ``_check_unknowns`` judges a caller's packed unknowns and
 ``_shooting_start`` reads them: it gives the start point and the grid, the
 trial horizon's for a free time, to the solver, ``shooting_residual`` and
 ``sampled-pmp check`` alike.
-Each residual evaluation propagates the coupled state/adjoint system
-forward interval by interval; on every interval the frozen control solves
-the averaged-gradient variational inequality and returns the interval's arc
-at the solved control, already judged by the blow-up rule: off the ``lq``
-maps the inner solve's last integration, on them one node product (see
-:mod:`.simulate`).  Where Gbar(u) = a + G u is an ``lq`` interval's affine
-map with G a negative diagonal (on a Ball, a negative multiple of I: every
-m = 1 interval with G < 0, every minimum-energy problem with diagonal R),
-the inequality's one solution is the projected root P(a / -diag G), taken
+On the walk (:func:`_propagate`) each residual evaluation propagates the
+coupled state/adjoint system forward interval by interval; on every
+interval the frozen control solves the averaged-gradient variational
+inequality and returns the interval's arc at the solved control, already
+judged by the blow-up rule: off the ``lq`` maps the inner solve's last
+integration, on them one node product (see :mod:`.simulate`).  Where
+Gbar(u) = a + G u is an ``lq`` interval's affine map with G a negative
+diagonal (on a Ball, a negative multiple of I: every m = 1 interval
+with G < 0, every minimum-energy problem with diagonal R), the
+inequality's one solution is the projected root P(a / -diag G), taken
 in closed form; coupled or non-monotone ``lq`` intervals and every
 callback interval are solved by semismooth Newton on the natural residual
 project(u + Gbar(u)) - u.  The arc's last node advances the propagation,
@@ -22,6 +23,17 @@ and ``_residual`` reads the residual from the end values by the boundary
 conditions the certificate checks; the Jacobian applies the same function
 to the chained tangents.  Only the accepted iterate's arcs are assembled into
 an extremal, and ``solve`` returns its certificate whatever the verdict.
+
+A fixed-horizon ``lq`` problem with Q = 0 whose every interval takes the
+closed-form control is not walked: its adjoint does not see the state, so
+each control is the projection of an affine function of p(0) and z(t_f) is
+an explicit sum.  :func:`_shooting_map` builds that map once per solve, by
+doubling the powers of the cached end maps; each residual and its exact
+Jacobian are then a few products, with the same boundary residuals and the
+same Newton driver as the walk, and only the converged iterate is
+integrated, once.  The walk stays the definition the map is tested
+against, and serves every other problem, ``shooting_residual`` and
+``sampled-pmp check``; parking is the map's case.
 
 Each interval's derivatives come as one :class:`~.simulate.LQMaps` of Gbar
 and the end node in the start point and the control: an ``lq`` interval's
@@ -40,17 +52,16 @@ alone; no whole propagation is differenced.
 The certificate still evaluates dH/du through the callbacks.
 
 The damped Newton driver ``_damped_newton`` is the library's only one: the
-interval control, the generic shooting and the parking shooting, which
-differs from ``solve`` only in its closed-form map of p(0), each run it with
-their own Jacobian.  It has no options: its tolerances, iteration caps and
-line-search settings are the module constants below, and every interval
-integrates with ``simulate.SUBSTEPS`` RK4 steps.
+interval control and the shooting, on the walk or the map, each run it
+with their own Jacobian.  It has no options: its tolerances, iteration caps
+and line-search settings are the module constants below, and every
+interval integrates with ``simulate.SUBSTEPS`` RK4 steps.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -134,6 +145,16 @@ def _interval_average_gradient(problem, t_k, delta, z, u, p0):
     return gbar[0], maps, (times, nodes[0])
 
 
+def _closed_form_gain(cs, maps: Optional[LQMaps]) -> Optional[np.ndarray]:
+    """``maps.decoupled`` where the interval's control is the projected
+    root P(Ga z / gain) in closed form: on a Box, and on a Ball whose gains
+    are all equal; None otherwise, and without maps."""
+    gain = None if maps is None else maps.decoupled
+    if gain is not None and (isinstance(cs, Box) or gain.min() == gain.max()):
+        return gain
+    return None
+
+
 def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
                            q_k: np.ndarray, p_k: np.ndarray, p0: float,
                            u_init: np.ndarray):
@@ -171,8 +192,8 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     cs = problem.control_set
     maps = (None if problem.lq is None
             else _lq_maps(problem.lq, float(delta), float(p0)))
-    gain = None if maps is None else maps.decoupled
-    if gain is not None and (isinstance(cs, Box) or gain.min() == gain.max()):
+    gain = _closed_form_gain(cs, maps)
+    if gain is not None:
         # a - gain u lies in the normal cone at u = P(root) and nowhere else
         root = maps.ga @ z / gain
         u = cs.project(root)
@@ -251,12 +272,14 @@ def _residual(problem: ProblemDefinition, z0: np.ndarray, out: np.ndarray):
     the start ``z0`` and the end ``out[:2n]``, z(t_f); ``out[2n:]`` is
     H(t_f) for a free horizon and empty otherwise.  The ``start`` block
     holds by construction of ``z0`` (see :func:`_shooting_start`).  The
-    residual is affine in (z0, out).
+    residual is affine in (z0, out), and rows of stacked (z0, out) give
+    rows of residuals.
     """
     n = problem.n
     _, end, transversality = boundary_residuals(
-        problem.terminal, z0[:n], out[:n], z0[n:], out[n:2 * n])
-    return np.concatenate([end, transversality, out[2 * n:]])
+        problem.terminal, z0[..., :n], out[..., :n], z0[..., n:],
+        out[..., n:2 * n])
+    return np.concatenate([end, transversality, out[..., 2 * n:]], axis=-1)
 
 
 def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
@@ -311,12 +334,8 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
     """
     grid, controls, nodes, tangents = propagated
     n = problem.n
-    has_q0, has_tf, dim = _unknown_layout(problem)
-    S = np.zeros((2 * n, dim))
-    S[n:, :n] = np.eye(n)
-    if has_q0:
-        S[:n, n:2 * n] = np.eye(n)
-    chain = S
+    _, has_tf, dim = _unknown_layout(problem)
+    chain = _start_tangent(problem)
     for tangent in tangents[:-1] if has_tf else tangents:
         chain = tangent @ chain
     if has_tf:
@@ -333,10 +352,29 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
         x = np.append(nodes[-1, 0], grid.lengths[-1])
         chain = _fd_jacobian(last_interval, x) @ np.vstack(
             [chain, np.eye(dim)[-1]])
+    return _linearized_residual(problem, chain)
 
-    offset = _residual(problem, np.zeros(2 * n), np.zeros(len(chain)))
-    return np.column_stack([_residual(problem, S[:, i], chain[:, i]) - offset
-                            for i in range(dim)])
+
+def _start_tangent(problem: ProblemDefinition) -> np.ndarray:
+    """S = dz(0)/dx (2n x dim) for the packed unknowns x: p(0), then q(0)
+    of a periodic problem; a free horizon's column is zero."""
+    n = problem.n
+    has_q0, _, dim = _unknown_layout(problem)
+    S = np.zeros((2 * n, dim))
+    S[n:, :n] = np.eye(n)
+    if has_q0:
+        S[:n, n:2 * n] = np.eye(n)
+    return S
+
+
+def _linearized_residual(problem: ProblemDefinition,
+                         chain: np.ndarray) -> np.ndarray:
+    """The shooting residual's Jacobian from ``chain``, the derivative of
+    :func:`_residual`'s ``out`` in the packed unknowns.  The residual is
+    affine in (z(0), out), so column i is its linear part at
+    (S e_i, chain e_i), S = :func:`_start_tangent`."""
+    offset = _residual(problem, np.zeros(2 * problem.n), np.zeros(len(chain)))
+    return (_residual(problem, _start_tangent(problem).T, chain.T) - offset).T
 
 
 def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
@@ -355,35 +393,155 @@ def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
 
 
 # ---------------------------------------------------------------------------
+# the closed-form shooting map of minimum-energy lq problems
+# ---------------------------------------------------------------------------
+
+class _ShootingMap(NamedTuple):
+    """:func:`_shooting_map`'s arrays on ``grid``: the control
+    of interval k is u_k = P(w[k] p(0)), and z(t_f) is
+    (phi q(0) + sum_k e[k] u_k, adjoint p(0))."""
+
+    grid: SamplingGrid
+    w: np.ndarray           # (K, m, n)
+    e: np.ndarray           # (K, n, m)
+    phi: np.ndarray         # (n, n) state transition over [0, t_f]
+    adjoint: np.ndarray     # (n, n) adjoint transition over [0, t_f]
+
+
+def _powers(X: np.ndarray, count: int) -> np.ndarray:
+    """X^0, ..., X^(count-1) stacked (count, d, d), by doubling: each
+    batched product extends the stack by up to its own length."""
+    out, step = np.eye(len(X))[None], X
+    while len(out) < count:
+        out = np.concatenate([out, out[:count - len(out)] @ step])
+        step = step @ step
+    return out
+
+
+def _shooting_map(problem: ProblemDefinition,
+                  grid: SamplingGrid) -> Optional[_ShootingMap]:
+    """The closed-form shooting map of ``problem`` on ``grid``, or None
+    where :func:`_propagate`'s walk serves the problem.
+
+    The map serves a fixed horizon, ``grid``'s, of an ``lq`` problem with
+    Q = 0 whose every interval length takes the closed-form control
+    (:func:`_closed_form_gain`).  With Q = 0 the adjoint does not see the
+    state: each interval advances p by the adjoint block of the end map, so
+    p_k = P_k p(0), and the control is u_k = P(W_k p(0)) with
+    W_k = Ga^p P_k / gain, Ga^p the adjoint columns of Ga (its state
+    columns are zero).  The state advances by its own blocks F and
+    Gamma^q, so q(t_f) = F^K q(0) + sum_k E_k u_k, E_k = F^(K-1-k) Gamma^q
+    on a uniform grid.  The powers are taken by doubling, one run of equal
+    interval lengths at a time, from the cached end maps.  Maps that
+    overflow give None.
+    """
+    lq, n = problem.lq, problem.n
+    if (lq is None or isinstance(problem.final_time, FreeTime)
+            or grid.t_f != problem.final_time.t_f or lq.Q.any()):
+        return None
+    cuts = [0, *(np.flatnonzero(np.diff(grid.lengths)) + 1).tolist(),
+            grid.n_intervals]
+    runs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(cuts, cuts[1:]):
+            maps = _lq_maps(lq, float(grid.lengths[lo]), -1.0)
+            gain = _closed_form_gain(problem.control_set, maps)
+            if gain is None:
+                return None
+            # the end map is block diagonal, and so are its powers
+            runs.append((maps, gain, _powers(maps.phi_end, hi - lo + 1)))
+        w, e, phi, adjoint = [], [], np.eye(n), np.eye(n)
+        for maps, gain, powers in runs:
+            w.append(maps.ga[:, n:] / gain[:, None] @ powers[:-1, n:, n:]
+                     @ adjoint)
+            adjoint = powers[-1, n:, n:] @ adjoint
+        for maps, _, powers in reversed(runs):
+            e.insert(0, phi @ powers[-2::-1, :n, :n] @ maps.gamma_end[:n])
+            phi = phi @ powers[-1, :n, :n]
+    shooting = _ShootingMap(grid, np.concatenate(w), np.concatenate(e), phi,
+                            adjoint)
+    if not all(np.isfinite(a).all() for a in shooting[1:]):
+        return None
+    return shooting
+
+
+def _map_residual(problem: ProblemDefinition, shooting: _ShootingMap, x):
+    """The shooting residual at the packed unknowns ``x`` by the map, with
+    ``(controls, roots, z(0))`` for :func:`_map_jacobian` and the extremal.
+
+    :func:`_shooting_start` judges z(0) and the map z(t_f).  When z(t_f)
+    breaks the blow-up rule, the trial's arcs are integrated, and raise
+    IntegrationBlowUp at their first blown node in time.
+    """
+    n = problem.n
+    z0, grid = _shooting_start(problem, shooting.grid, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = shooting.w @ z0[n:]
+        u = problem.control_set.project(roots)
+        end = np.concatenate([
+            shooting.phi @ z0[:n] + np.einsum("kim,km->i", shooting.e, u),
+            shooting.adjoint @ z0[n:]])
+    if _blown(end):
+        if np.all(np.isfinite(u)):
+            integrate_extremal_forward(problem, grid, u, z0[:n], z0[n:], -1.0)
+        # the arcs end below the rule only by rounding at its threshold
+        raise IntegrationBlowUp(grid.t_f)
+    return _residual(problem, z0, end), (u, roots, z0)
+
+
+def _map_jacobian(problem: ProblemDefinition, shooting: _ShootingMap,
+                  roots: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of :func:`_map_residual` at the trial of ``roots``:
+    dq(t_f)/dp(0) = sum_k E_k D_k W_k, D_k the projection's Jacobian at the
+    root, the rule of :func:`solve_interval_control`; dq(t_f)/dq(0) = F^K
+    for a periodic problem, and dp(t_f)/dp(0) the adjoint transition."""
+    n = problem.n
+    has_q0, _, dim = _unknown_layout(problem)
+    D = problem.control_set.project_jacobian(roots)
+    chain = np.zeros((2 * n, dim))
+    chain[:n, :n] = (shooting.e @ D @ shooting.w).sum(axis=0)
+    chain[n:, :n] = shooting.adjoint
+    if has_q0:
+        chain[:n, n:] = shooting.phi
+    return _linearized_residual(problem, chain)
+
+
+# ---------------------------------------------------------------------------
 # outer Newton iteration
 # ---------------------------------------------------------------------------
 
-def _active_set_signature(problem, controls: ControlSequence) -> str:
-    """One symbol per control component per interval: -, 0 or + saturation.
+def _active_set_signature(problem, u: np.ndarray) -> str:
+    """One symbol per control component per interval of the controls ``u``
+    (K, m): -, 0 or + saturation.
 
     Ball sets get B for a boundary point and 0 otherwise.  Newton failure
     reports carry this per iteration because saturation flips are exactly
     where the piecewise-affine shooting map kinks.
     """
-    cs, u = problem.control_set, controls.values
+    cs = problem.control_set
     if hasattr(cs, "lower"):
-        syms = np.where(np.abs(u - cs.lower) <= 1e-9, "-",
-                        np.where(np.abs(u - cs.upper) <= 1e-9, "+", "0"))
+        syms = np.where(np.abs(u - cs.lower) <= 1e-9, ord("-"),
+                        np.where(np.abs(u - cs.upper) <= 1e-9, ord("+"),
+                                 ord("0")))
     else:
         syms = np.where(np.linalg.norm(u - cs.center, axis=1)
-                        >= cs.radius - 1e-9, "B", "0")
-    return "".join(syms.ravel())
+                        >= cs.radius - 1e-9, ord("B"), ord("0"))
+    return syms.astype(np.uint8).tobytes().decode()
 
 
 def solve(problem: ProblemDefinition, grid: SamplingGrid,
           initial_unknowns=None, stats: Optional[dict] = None):
     """Solve the sampled-data problem by indirect shooting.
 
-    Runs :func:`_damped_newton` on the shooting residual and assembles the
-    converged iterate's arcs into an extremal.  Returns
-    ``(Extremal, Certificate)`` with the cost multiplier normalized
-    to -1, whatever the certificate's verdict: the caller reads
-    ``certificate.passed``, as for ``parking.solve_parking``.
+    Runs :func:`_damped_newton` on the shooting residual and returns
+    ``(Extremal, Certificate)`` for the converged iterate, with the cost
+    multiplier normalized to -1, whatever the certificate's verdict: the
+    caller reads ``certificate.passed``.  Where :func:`_shooting_map`
+    serves the problem, each residual is the closed-form map's and the
+    converged iterate's arcs are integrated once; otherwise each residual
+    walks the intervals (:func:`_propagate`) and the converged walk's arcs
+    are assembled into the extremal.  Both paths take the same Newton steps
+    up to rounding.
 
     ``initial_unknowns`` is the packed vector (see ``_unknown_layout``) or
     None for the generic guess: the origin, with the final-time guess of a
@@ -403,19 +561,31 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     else:
         x = _check_unknowns(problem, initial_unknowns, "initial unknowns")
 
-    def annotate(vec, propagated):
-        _, controls, _, _ = propagated
-        entry = {"active_set": _active_set_signature(problem, controls)}
+    def annotate(vec, u):
+        entry = {"active_set": _active_set_signature(problem, u)}
         if has_tf:
             entry["t_f"] = float(vec[-1])
         return entry
 
-    # a free horizon's solved grid differs from the one the search started on
-    _, (solved_grid, controls, nodes, _) = _damped_newton(
-        lambda vec: _propagate(problem, grid, vec),
-        lambda _, propagated: _tangent_jacobian(problem, propagated),
-        x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate, stats=stats)
-    extremal = _extremal_from_arcs(solved_grid, controls, nodes, -1.0)
+    shooting = _shooting_map(problem, grid)
+    if shooting is not None:
+        _, (u, _, z0) = _damped_newton(
+            lambda vec: _map_residual(problem, shooting, vec),
+            lambda _, aux: _map_jacobian(problem, shooting, aux[1]),
+            x, NEWTON_TOL, NEWTON_MAX_ITER,
+            annotate=lambda vec, aux: annotate(vec, aux[0]), stats=stats)
+        extremal = integrate_extremal_forward(problem, grid, u,
+                                              *np.split(z0, 2), -1.0)
+    else:
+        # a free horizon's solved grid differs from the one the search
+        # started on
+        _, (solved_grid, controls, nodes, _) = _damped_newton(
+            lambda vec: _propagate(problem, grid, vec),
+            lambda _, propagated: _tangent_jacobian(problem, propagated),
+            x, NEWTON_TOL, NEWTON_MAX_ITER,
+            annotate=lambda vec, aux: annotate(vec, aux[1].values),
+            stats=stats)
+        extremal = _extremal_from_arcs(solved_grid, controls, nodes, -1.0)
     return extremal, check_certificate(problem, extremal)
 
 

@@ -145,10 +145,16 @@ def gbar_calls(monkeypatch):
 
 
 @pytest.fixture
-def parking_map_calls(monkeypatch):
-    """Count calls to ``parking.parking_shooting_map``, one evaluation of
-    the two-unknown parking shooting map each; returns the reader."""
-    return _count_calls(monkeypatch, parking, "parking_shooting_map")
+def walk_solve(monkeypatch):
+    """``sp.solve`` with the closed-form shooting map switched off, so every
+    residual walks the intervals by ``solver._propagate``; returns that
+    function."""
+    def solve_by_walk(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_shooting_map", lambda problem, grid: None)
+            return sp.solve(*args, **kwargs)
+
+    return solve_by_walk
 
 
 @pytest.fixture
@@ -161,9 +167,12 @@ def newton_calls(monkeypatch):
 
 @pytest.fixture
 def residual_evals(monkeypatch):
-    """Count calls to ``solver._propagate``, one shooting-residual evaluation
-    each; returns the reader."""
-    return _count_calls(monkeypatch, solver, "_propagate")
+    """Count shooting-residual evaluations on either path: the calls to
+    ``solver._propagate``, the walk over the intervals, and to
+    ``solver._map_residual``, the closed-form map; returns the reader."""
+    walks = _count_calls(monkeypatch, solver, "_propagate")
+    maps = _count_calls(monkeypatch, solver, "_map_residual")
+    return lambda: walks() + maps()
 
 
 @pytest.fixture

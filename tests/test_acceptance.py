@@ -51,8 +51,9 @@ def test_criterion_2_sampled_exact_small_cases():
         controls = solved.controls
         elapsed = time.perf_counter() - t0
         grid = sp.build_grid(tf, T)
-        term = math.hypot(*pk.parking_shooting_map(solved.initial_adjoint, M,
-                                                   grid))
+        # the terminal miss of the solved p(0) by the interval walk
+        term = float(np.linalg.norm(sp.shooting_residual(
+            pk.parking_problem(M, tf), grid, solved.initial_adjoint)))
         du = float(np.max(np.abs(controls.values.ravel() - expected)))
         results.append((du, term, cert.max_interval_residual, elapsed))
     ok = all(du <= 1e-7 and term <= 1e-10 and r <= 1e-8 and el < 0.1

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sampled_pmp import (ProblemDefinition, build_grid, load_problem_spec,
-                         parking, solve)
+                         parking, solve, solver)
 from sampled_pmp.cli import _build_parser, _resolve_problem, main
 from sampled_pmp.svgfig import SvgPlot, _nice_ticks
 
@@ -287,19 +287,17 @@ def test_cli_builds_parking_through_the_module_factory(parking_f_calls):
 def test_solve_writes_failing_certificate_and_exits_2(tmp_path, capsys,
                                                       failing_certificate,
                                                       residual_evals, source):
-    # both solve paths return their verdict; neither raises on a failure
-    from sampled_pmp import solver
+    # both sources return solve's verdict; neither raises on a failure
+    failing_certificate(solver)
     if source == "spec":
-        failing_certificate(solver)
         spec = tmp_path / "problem.json"
         spec.write_text(json.dumps(GENERIC_SPEC))
         flags = ["--spec", str(spec)]
     else:
-        failing_certificate(parking)
         flags = PARKING_FLAGS
     out = tmp_path / "run"
     assert main(["solve", *flags, "--out", str(out)]) == 2
-    assert (residual_evals() > 0) == (source == "spec")
+    assert residual_evals() > 0
     assert "forced failure" in capsys.readouterr().err
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "fail"
@@ -340,14 +338,17 @@ def test_generic_solve_failure_report(tmp_path, capsys, spec, first_line,
 
 def test_readme_inline_spec_takes_the_parking_path(tmp_path, monkeypatch,
                                                   residual_evals):
-    # the spec denotes parking (2, 4), so solve serves it by the closed-form
-    # solve and writes what --problem parking writes, byte for byte
+    # the spec denotes parking (2, 4), so solve serves it by solve_parking,
+    # whose residuals are all the closed-form map's, and writes what
+    # --problem parking writes, byte for byte
     solve_parking_calls = _count_calls(monkeypatch, parking, "solve_parking")
+    walks = _count_calls(monkeypatch, solver, "_propagate")
     spec = tmp_path / "readme.json"
     spec.write_text(json.dumps(_readme_inline_spec()))
     a, b = tmp_path / "spec", tmp_path / "flags"
     assert main(["solve", "--spec", str(spec), "--out", str(a)]) == 0
-    assert solve_parking_calls() == 1 and residual_evals() == 0
+    assert solve_parking_calls() == 1
+    assert residual_evals() > 0 and walks() == 0
     assert main(["solve", *PARKING_FLAGS, "--out", str(b)]) == 0
     for name in ("controls.csv", "trajectory.csv", "certificate.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
@@ -470,6 +471,28 @@ def test_overflowing_parking_flags_are_bad_input(tmp_path, capsys, args):
     assert (f"t_f^3 or M^2 overflows at M={float(args[2]):.6g}, "
             f"t_f={float(args[4]):.6g}") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, periods", [
+    ("solve", ["--T", "1e99"]), ("sweep", ["--T-list", "1e99"])])
+def test_huge_finite_parking_blows_up_quietly(tmp_path, capsys, command,
+                                              periods):
+    # finite flags that pass the existence rule, but the start (1e150, 0)
+    # breaks the blow-up rule: solve judges z(0) at t = 0, before any
+    # Newton step, so the run exits 3 naming the blow-up and no numpy
+    # warning reaches standard error; the sweep's one row reads failed
+    out = tmp_path / "out"
+    assert main([command, "--problem", "parking", "--M", "1e150", "--tf",
+                 "1e100", *periods, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    if command == "solve":
+        assert "integration blew up at t=0" in err
+    else:
+        _, rows = _read_csv(out / "sweep.csv")
+        assert [r[7] for r in rows] == ["failed"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "integration blew up at t=0" in manifest["errors"]["1e99"]
 
 
 @pytest.mark.parametrize("args, spec, u0", [
@@ -860,7 +883,7 @@ def test_unreachable_parking_is_rejected_with_its_reach(tmp_path, capsys):
 def test_sweep_exits_2_when_every_certificate_fails(tmp_path,
                                                     failing_certificate):
     # the rows keep their cause, so the sweep exits with solve's code for it
-    failing_certificate(parking)
+    failing_certificate(solver)
     out = tmp_path / "sw"
     rc = main(["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
                "--T-list", "1,0.5", "--out", str(out)])

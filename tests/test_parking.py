@@ -10,7 +10,7 @@ import sampled_pmp as sp
 from sampled_pmp import parking as pk
 from sampled_pmp import solver
 
-from conftest import double_integrator
+from conftest import _count_calls, double_integrator
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +179,53 @@ def test_initial_adjoint_guess_reproduces_unconstrained_law():
 
 
 # ---------------------------------------------------------------------------
-# sampled closed forms
+# sampled closed forms: the shooting map against the paper's sign rule
 # ---------------------------------------------------------------------------
+
+def _sign_rule(p_init, grid):
+    """The paper's sampled parking controls of the adjoint that starts at
+    p(0) = ``p_init``, the test-side reference: the averaged gradient
+    p_2(0) - p_1 m_k - 2x of interval k, m_k its midpoint, decreases in x,
+    so u_k = clip((p_2(0) - p_1 m_k)/2, -1, 1)."""
+    m = grid.times + grid.lengths / 2
+    return np.clip(0.5 * (p_init[1] - p_init[0] * m), -1.0, 1.0)
+
+
+def _parking_map(M, grid, p_init):
+    """(terminal state, controls) of the solver's closed-form shooting map
+    of parking (M, grid.t_f) at p(0) = ``p_init``: with qf = 0 the
+    residual is q(t_f) itself."""
+    problem = pk.parking_problem(M, grid.t_f)
+    shooting = solver._shooting_map(problem, grid)
+    r, (u, _, _) = solver._map_residual(problem, shooting,
+                                        np.asarray(p_init, dtype=float))
+    return r, u[:, 0]
+
 
 def test_sampled_control_values():
     grid = sp.build_grid(4.0, 2.0)
-    u = pk.sampled_control([-1.0, -2.0], grid)
-    np.testing.assert_allclose(u.values.ravel(), [-0.5, 0.5], atol=1e-15)
-    u = pk.sampled_control([0.0, 0.0], grid)
-    np.testing.assert_allclose(u.values.ravel(), [0.0, 0.0], atol=0)
-    u = pk.sampled_control([0.0, 3.0], grid)
-    np.testing.assert_allclose(u.values.ravel(), [1.0, 1.0], atol=0)
+    for p, expected, atol in (([-1.0, -2.0], [-0.5, 0.5], 1e-15),
+                              ([0.0, 0.0], [0.0, 0.0], 0),
+                              ([0.0, 3.0], [1.0, 1.0], 0)):
+        np.testing.assert_allclose(_parking_map(2.0, grid, p)[1], expected,
+                                   rtol=0, atol=atol)
+        np.testing.assert_array_equal(_sign_rule(p, grid), expected)
     # a partial last interval takes its own midpoint: m = (0.5, 1.5, 2.25)
-    u = pk.sampled_control([-1.0, -1.5], sp.build_grid(2.5, 1.0))
-    np.testing.assert_allclose(u.values.ravel(), [-0.5, 0.0, 0.375], atol=1e-15)
+    grid = sp.build_grid(2.5, 1.0)
+    np.testing.assert_allclose(_parking_map(2.0, grid, [-1.0, -1.5])[1],
+                               [-0.5, 0.0, 0.375], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_sign_rule([-1.0, -1.5], grid),
+                               [-0.5, 0.0, 0.375], rtol=0, atol=1e-15)
 
 
 def test_gamma_values_and_slope():
     # Gamma_k(x) = p_2(0) - p_1 m_k - 2x is interval k's averaged gradient:
     # Gamma_0(-0.5) = 0 for p(0) = (-1, -2) on (t_f, T) = (4, 2), and
-    # Gamma_k(x) = -2x when p(0) = 0: the controls are those roots
-    u = pk.sampled_control([-1.0, -2.0], sp.build_grid(4.0, 2.0))
-    assert u.values[0, 0] == pytest.approx(-0.5, abs=1e-15)
-    u = pk.sampled_control([0.0, 0.0], sp.build_grid(4.0, 1.0))
-    np.testing.assert_array_equal(u.values.ravel(), np.zeros(4))
+    # Gamma_k(x) = -2x when p(0) = 0: the map's controls are those roots
+    u = _parking_map(2.0, sp.build_grid(4.0, 2.0), [-1.0, -2.0])[1]
+    assert u[0] == pytest.approx(-0.5, abs=1e-15)
+    u = _parking_map(2.0, sp.build_grid(4.0, 1.0), [0.0, 0.0])[1]
+    np.testing.assert_array_equal(u, np.zeros(4))
 
     # the sign rule of the decreasing Gamma_k: -1 when Gamma_k(-1) < 0, +1
     # when Gamma_k(1) > 0, its root otherwise
@@ -212,7 +235,9 @@ def test_gamma_values_and_slope():
         grid = sp.build_grid(float(rng.uniform(1.0, 5.0)),
                              float(rng.uniform(0.3, 2.0)))
         m = grid.times + grid.lengths / 2
-        u = pk.sampled_control([p1, p20], grid).values[:, 0]
+        u = _parking_map(2.0, grid, [p1, p20])[1]
+        np.testing.assert_allclose(u, _sign_rule([p1, p20], grid), rtol=0,
+                                   atol=1e-13)
         lower, upper = -2.0 * -1.0 + p20 - p1 * m < 0, -2.0 + p20 - p1 * m > 0
         assert np.all(u[lower] == -1.0) and np.all(u[upper] == 1.0)
         root = ~(lower | upper)
@@ -220,7 +245,7 @@ def test_gamma_values_and_slope():
                                    atol=1e-12)
         # slope -2: adding 2d to p_2(0) moves every unclamped root by d
         d = float(rng.uniform(-0.1, 0.1))
-        shifted = pk.sampled_control([p1, p20 + 2.0 * d], grid).values[:, 0]
+        shifted = _parking_map(2.0, grid, [p1, p20 + 2.0 * d])[1]
         both = root & (np.abs(u + d) < 1.0)
         np.testing.assert_allclose(shifted[both] - u[both], d, atol=1e-12)
 
@@ -232,14 +257,14 @@ def test_sign_rule_matches_generic_interval_solver():
     for (tf, T, p) in [(4.0, 2.0, [-1.0, -2.0]), (4.0, 2.0, [0.0, 3.0]),
                        (2.5, 1.0, [-1.2, -1.3]), (2.5, 1.0, [0.4, 0.1])]:
         grid = sp.build_grid(tf, T)
-        closed = pk.sampled_control(p, grid)
+        closed = _sign_rule(p, grid)
         p = np.array(p)
         q = np.array([2.0, 0.0])
         for k in range(grid.n_intervals):
             u_k, _, _ = sp.solve_interval_control(
                 prob, float(grid.times[k]), float(grid.lengths[k]), q, p,
                 -1.0, np.array([0.0]))
-            assert abs(u_k[0] - closed[k][0]) <= 1e-10
+            assert abs(u_k[0] - closed[k]) <= 1e-10
             onegrid = sp.build_grid(float(grid.lengths[k]), float(grid.lengths[k]))
             seg = sp.integrate_extremal_forward(prob, onegrid, u_k[None, :], q, p,
                                                 -1.0)
@@ -249,30 +274,29 @@ def test_sign_rule_matches_generic_interval_solver():
 
 def test_parking_shooting_map_values():
     grid = sp.build_grid(4.0, 2.0)
-    np.testing.assert_allclose(pk.parking_shooting_map([-1.0, -2.0], 2.0,
-                                                       grid),
-                               (0.0, 0.0), atol=1e-15)
-    np.testing.assert_allclose(pk.parking_shooting_map([0.0, 0.0], 2.0, grid),
-                               (2.0, 0.0), atol=0)
-    np.testing.assert_allclose(pk.parking_shooting_map([0.0, 3.0], 2.0, grid),
-                               (10.0, 4.0), atol=0)
+    for p, end, atol in (([-1.0, -2.0], (0.0, 0.0), 1e-15),
+                         ([0.0, 0.0], (2.0, 0.0), 0),
+                         ([0.0, 3.0], (10.0, 4.0), 0)):
+        np.testing.assert_allclose(_parking_map(2.0, grid, p)[0], end,
+                                   rtol=0, atol=atol)
 
 
 def test_shooting_map_matches_rk4_propagation():
-    # closed-form propagation against the integrator on a partial grid
+    # the closed-form map against the integrator on a partial grid
     rng = np.random.default_rng(13)
     prob = pk.parking_problem(2.0, 3.7)
     grid = sp.build_grid(3.7, 0.8)
     for _ in range(10):
         p_init = rng.normal(size=2)
-        q1f, q2f = pk.parking_shooting_map(p_init, 2.0, grid)
-        ctrl = pk.sampled_control(p_init, grid)
-        traj, _ = sp.simulate(prob, grid, ctrl, np.array([2.0, 0.0]))
-        np.testing.assert_allclose(traj.final_state, [q1f, q2f], atol=1e-11)
+        end, u = _parking_map(2.0, grid, p_init)
+        np.testing.assert_allclose(u, _sign_rule(p_init, grid), rtol=0,
+                                   atol=1e-13)
+        traj, _ = sp.simulate(prob, grid, u, np.array([2.0, 0.0]))
+        np.testing.assert_allclose(traj.final_state, end, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
-# dedicated solve
+# the shooting solve
 # ---------------------------------------------------------------------------
 
 def test_solve_parking_small_cases():
@@ -302,40 +326,30 @@ def test_solve_parking_fine_grid_tracks_permanent_law():
 
 
 @pytest.mark.parametrize("T, evals", [(1.0, 2), (0.375, 3), (0.01, 4)])
-def test_solve_parking_jacobian_is_exact(monkeypatch, T, evals):
+def test_solve_parking_jacobian_is_exact(residual_evals, T, evals):
     # the shooting map is piecewise affine in p(0); away from its kinks
-    # the Jacobian solve_parking hands to Newton matches central differences
-    # of the map, and each Newton step costs one map evaluation
-    jacobians, maps = [], 0
-    newton, shooting_map = solver._damped_newton, pk.parking_shooting_map
-
-    def capturing(residual, jacobian, *args, **kwargs):
-        jacobians.append(jacobian)
-        return newton(residual, jacobian, *args, **kwargs)
-
-    def counted(*args):
-        nonlocal maps
-        maps += 1
-        return shooting_map(*args)
-
-    monkeypatch.setattr(solver, "_damped_newton", capturing)
-    monkeypatch.setattr(pk, "parking_shooting_map", counted)
+    # the map's Jacobian matches central differences of the map, and each
+    # Newton step costs one map evaluation
     _, cert = pk.solve_parking(2.0, 3.0, T)
-    assert cert.passed and maps == evals
-    grid = sp.build_grid(3.0, T)
+    assert cert.passed and residual_evals() == evals
+    problem, grid = pk.parking_problem(2.0, 3.0), sp.build_grid(3.0, T)
+    shooting = solver._shooting_map(problem, grid)
     m = grid.times + grid.lengths / 2
     h = 1e-6
+
+    def shoot(x):
+        return solver._map_residual(problem, shooting, x)[0]
+
     checked = 0
     for x in np.random.default_rng(41).normal(size=(40, 2)):
         # a step of h moves each unclipped control by at most h (1 + m_K-1)
         if np.min(np.abs(np.abs(0.5 * (x[1] - x[0] * m)) - 1.0)) \
                 < 10 * h * (1 + m[-1]):
             continue
-        fd = np.column_stack([
-            (np.array(shooting_map(x + h * e, 2.0, grid))
-             - shooting_map(x - h * e, 2.0, grid)) / (2.0 * h)
-            for e in np.eye(2)])
-        J = jacobians[0](x, None)
+        fd = np.column_stack([(shoot(x + h * e) - shoot(x - h * e)) / (2 * h)
+                              for e in np.eye(2)])
+        _, (_, roots, _) = solver._map_residual(problem, shooting, x)
+        J = solver._map_jacobian(problem, shooting, roots)
         np.testing.assert_allclose(J, fd, rtol=0, atol=1e-8)
         checked += bool(np.any(J))
     assert checked >= 30
@@ -352,27 +366,24 @@ def test_solve_parking_rejects_bad_instance():
 
 
 def test_solve_parking_partial_grid(monkeypatch):
-    # the closed-form shooting is exact on a partial last interval, so the
-    # generic solver is never needed and agrees with it
+    # parking is solve's case: solve_parking calls the generic solver once,
+    # whose closed-form map is exact on a partial last interval
     grid = sp.build_grid(3.5, 1.0)
     generic, _ = sp.solve(pk.parking_problem(2.0, 3.5), grid,
                           initial_unknowns=pk.initial_adjoint_guess(2.0, 3.5))
-
-    def no_generic_solve(*args, **kwargs):
-        raise AssertionError("solve_parking called the generic solver")
-
-    monkeypatch.setattr(solver, "solve", no_generic_solve)
+    solve_calls = _count_calls(monkeypatch, solver, "solve")
     solved, cert = pk.solve_parking(2.0, 3.5, 1.0)
     controls = solved.controls
-    assert cert.passed
+    assert cert.passed and solve_calls() == 1
     assert len(controls) == 4
-    q1f, q2f = pk.parking_shooting_map(solved.initial_adjoint, 2.0, grid)
-    assert math.hypot(q1f, q2f) <= 1e-9
-    assert np.max(np.abs(controls.values - generic.controls.values)) <= 1e-8
+    miss = sp.shooting_residual(pk.parking_problem(2.0, 3.5), grid,
+                                solved.initial_adjoint)
+    assert np.linalg.norm(miss) <= 1e-9
+    assert np.array_equal(controls.values, generic.controls.values)
 
 
 def test_solve_parking_rejects_one_interval_without_integrating(
-        parking_map_calls, interval_integrations):
+        residual_evals, interval_integrations):
     # T > t_f leaves one interval, whose reach is 0: the reach rule rejects
     # it before any Newton step, so neither the shooting map nor an arc is
     # evaluated.  The miss bound is M / (1 + c_0) with c_0 = t_f / 2
@@ -381,7 +392,7 @@ def test_solve_parking_rejects_one_interval_without_integrating(
     assert "R = 0 of K = 1 intervals" in str(exc.value)
     assert exc.value.residual_norm == pytest.approx(2.0 / 2.5, rel=1e-15)
     assert exc.value.history == []
-    assert parking_map_calls() == 0 and interval_integrations() == 0
+    assert residual_evals() == 0 and interval_integrations() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +474,16 @@ def test_reach_rule_agrees_with_the_qp_oracle():
 
 @pytest.mark.parametrize("tf, T", [(3.0, 1.0), (3.0, 1.2), (4.0, 0.8),
                                    (3.0, 0.7)])
-def test_reach_margin(parking_map_calls, tf, T):
+def test_reach_margin(residual_evals, tf, T):
     # within 1e-12 of the reach Newton still runs and certifies; 1e-9 past
     # it the target is rejected before the first map evaluation
     reach, _ = pk.sampled_reach(sp.build_grid(tf, T))
     for rel in (-1e-12, 1e-12):
         assert pk.solve_parking(reach * (1 + rel), tf, T)[1].passed, rel
-    before = parking_map_calls()
+    before = residual_evals()
     with pytest.raises(sp.NonConvergence, match="unreachable"):
         pk.solve_parking(reach * (1 + 1e-9), tf, T)
-    assert parking_map_calls() == before
+    assert residual_evals() == before
 
 
 # ---------------------------------------------------------------------------
@@ -562,27 +573,30 @@ def test_oracle_equivalence_sweep():
                        - pk.sampled_cost(grid, u_qp)) <= 1e-8, (tf, K)
 
 
-def test_generic_path_consistency(residual_evals, interval_integrations):
-    # the dedicated sign-rule path and the generic semismooth shooting
-    # agree on the oracle-equivalence instances, in their controls and in
-    # their one kind of solved unknowns, p(0); and the generic solve by the
-    # lq matrices agrees with its callback twin (slowest test in the suite)
+def test_generic_path_consistency(residual_evals, interval_integrations,
+                                  walk_solve):
+    # solve_parking, which solve serves by the closed-form map, and the
+    # interval walk agree on the oracle-equivalence instances, in their
+    # controls and in their one kind of solved unknowns, p(0); and the walk
+    # by the lq matrices agrees with its callback twin (slowest test in the
+    # suite)
     work = {}
     for tf in (3.0, 3.2, 4.0, 5.0):
         for K in range(2, 9):
             T = tf / K
             fast_stats, stats = {}, {}
-            solved, _ = pk.solve_parking(2.0, tf, T, stats=fast_stats)
+            before = residual_evals(), interval_integrations()
+            solved, cert = pk.solve_parking(2.0, tf, T, stats=fast_stats)
+            work[tf, K] = (residual_evals() - before[0],
+                           interval_integrations() - before[1])
             u_fast = solved.controls
+            assert cert.passed, (tf, K)
             assert fast_stats["unknowns"] == solved.initial_adjoint.tolist()
             prob = pk.parking_problem(2.0, tf)
             grid = sp.build_grid(tf, T)
             guess = pk.initial_adjoint_guess(2.0, tf)
-            before = residual_evals(), interval_integrations()
-            ext, cert = sp.solve(prob, grid, initial_unknowns=guess,
-                                 stats=stats)
-            work[tf, K] = (residual_evals() - before[0],
-                           interval_integrations() - before[1])
+            ext, cert = walk_solve(prob, grid, initial_unknowns=guess,
+                                   stats=stats)
             assert cert.passed, (tf, K)
             assert np.max(np.abs(u_fast.values - ext.controls.values)) <= 1e-10, \
                 (tf, K)
@@ -594,22 +608,26 @@ def test_generic_path_consistency(residual_evals, interval_integrations):
             assert twin_cert.passed, (tf, K)
             assert np.max(np.abs(twin.controls.values
                                  - ext.controls.values)) <= 1e-10, (tf, K)
-    # the generic solve's work, in residual evaluations and interval
-    # integrations: (3, 8) is the parking member of the benchmark's
-    # generic-shoot batch.  The exact Jacobians integrate each interval once
-    # per residual, at its solved control
-    assert work[3.0, 8] == (3, 24)
-    assert work[4.0, 8] == (2, 16)
+    # the map's work, in residual evaluations and interval integrations:
+    # (3, 8) is the parking member of the benchmark's generic-shoot batch.
+    # Only the converged iterate's arcs are integrated, once
+    assert work[3.0, 8] == (3, 8)
+    assert work[4.0, 8] == (2, 8)
 
 
-def test_generic_solve_matches_sign_rule_on_fine_grids():
-    # beyond the consistency instances: the exact-Jacobian shooting lands on
-    # the sign-rule optimum to rounding at K = 12, 40 and 300
+def test_generic_solve_matches_sign_rule_on_fine_grids(walk_solve):
+    # beyond the consistency instances: the map's solve gives the sign
+    # rule's controls of its p(0), and the interval walk lands on them to
+    # rounding at K = 12, 40 and 300
     for K in (12, 40, 300):
         grid = sp.build_grid(3.0, 3.0 / K)
         solved, _ = pk.solve_parking(2.0, 3.0, 3.0 / K)
-        ext, cert = sp.solve(pk.parking_problem(2.0, 3.0), grid,
-                             initial_unknowns=pk.initial_adjoint_guess(2.0, 3.0))
+        np.testing.assert_allclose(
+            solved.controls.values[:, 0],
+            _sign_rule(solved.initial_adjoint, grid), rtol=0, atol=1e-13)
+        ext, cert = walk_solve(pk.parking_problem(2.0, 3.0), grid,
+                               initial_unknowns=pk.initial_adjoint_guess(2.0,
+                                                                         3.0))
         assert cert.passed, K
         assert np.max(np.abs(ext.controls.values
                              - solved.controls.values)) <= 1e-10, K
@@ -668,7 +686,7 @@ def test_sweep_row_reports_the_certified_terminal_miss(monkeypatch):
     for T in (1.0, 0.1, 0.007):
         _, cert = pk.solve_parking(2.0, 3.0, T)
         assert pk.sweep_row(2.0, 3.0, T).terminal_residual == cert.feasibility
-    integrate = pk.integrate_extremal_forward
+    integrate = solver.integrate_extremal_forward
 
     def nudged(*args):
         extremal = integrate(*args)
@@ -676,7 +694,8 @@ def test_sweep_row_reports_the_certified_terminal_miss(monkeypatch):
         states[-1, -1, 0] += 5e-9
         return dataclasses.replace(extremal, states=states)
 
-    monkeypatch.setattr(pk, "integrate_extremal_forward", nudged)
+    # solve_parking's extremal is solve's one integration
+    monkeypatch.setattr(solver, "integrate_extremal_forward", nudged)
     _, cert = pk.solve_parking(2.0, 3.0, 0.5)
     row = pk.sweep_row(2.0, 3.0, 0.5)
     assert cert.passed and row.status == "ok"
@@ -684,14 +703,14 @@ def test_sweep_row_reports_the_certified_terminal_miss(monkeypatch):
     assert row.terminal_residual == pytest.approx(5e-9, rel=1e-6)
 
 
-def test_sweep_row_evaluates_the_map_only_in_its_solve(parking_map_calls):
+def test_sweep_row_evaluates_the_map_only_in_its_solve(residual_evals):
     for T in (1.0, 0.1, 0.007):
-        before = parking_map_calls()
+        before = residual_evals()
         pk.solve_parking(2.0, 3.0, T)
-        solve_calls = parking_map_calls() - before
-        before = parking_map_calls()
+        solve_calls = residual_evals() - before
+        before = residual_evals()
         pk.sweep_row(2.0, 3.0, T)
-        assert parking_map_calls() - before == solve_calls > 0
+        assert residual_evals() - before == solve_calls > 0
 
 
 def test_sweep_row_reports_failure():
@@ -703,8 +722,17 @@ def test_sweep_row_reports_failure():
     assert row.controls is None
 
 
+def test_sweep_row_reports_blow_up_as_a_failed_row():
+    # finite but huge: the start (1e150, 0) breaks the blow-up rule at t = 0,
+    # before any Newton step, and the row keeps the IntegrationBlowUp
+    row = pk.sweep_row(1e150, 1e100, 1e99)
+    assert row.status == "failed" and row.K == 10
+    assert isinstance(row.cause, sp.IntegrationBlowUp)
+    assert "t=0" in row.error and row.controls is None
+
+
 def test_sweep_row_reports_failing_certificate(failing_certificate):
-    failing_certificate(pk)
+    failing_certificate(solver)
     row = pk.sweep_row(2.0, 3.0, 0.5)
     assert row.status == "failed"
     assert "forced failure" in row.error

@@ -12,8 +12,8 @@ from sampled_pmp.simulate import (SUBSTEPS, _extremal_interval, _lq_maps,
                                   _lq_nodes, _node_times,
                                   integrate_extremal_forward)
 
-from conftest import (FIXED_ENDS, FREE_END, double_integrator, pendulum,
-                      scalar_lti)
+from conftest import (FIXED_ENDS, FREE_END, _count_calls, double_integrator,
+                      pendulum, scalar_lti, simulate)
 
 PARKING4 = parking_problem(2.0, 4.0)
 # parking (2, 4) with the final time free, its guess 4
@@ -717,11 +717,12 @@ def _saddle(t_f):
 def test_saddle_fails_fast(residual_evals):
     # the ROADMAP's saddle at t_f = 20, K = 20: its shooting map is too
     # ill-conditioned for single shooting, and the exact Jacobian rejects
-    # it in 3 iterations, not 100
+    # it in 3 iterations, not 100.  The closed-form map takes one rejected
+    # trial more than the interval walk did (63 evaluations)
     with pytest.raises(sp.NonConvergence) as exc:
         sp.solve(_saddle(20.0), sp.build_grid(20.0, 1.0))
     assert exc.value.residual_norm > solver.NEWTON_TOL
-    assert residual_evals() == 63
+    assert residual_evals() == 64
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +777,11 @@ def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
 
 
 def test_solve_assembles_one_extremal(monkeypatch):
-    # the residual evaluations keep raw arcs; only the accepted iterate's
-    # are stacked into an extremal, once per solve, and stacking reads no
-    # callback: the cost is computed on request, by running_cost.  Neither
-    # path reads f0 anywhere else on a fixed horizon
+    # only the accepted iterate is made an extremal, once per solve: the
+    # walk stacks the raw arcs of its residual evaluations, and the
+    # closed-form map integrates the iterate; stacking reads no callback:
+    # the cost is computed on request, by running_cost.  Neither path reads
+    # f0 anywhere else on a fixed horizon
     assembled, calls = 0, 0
     stack = solver._extremal_from_arcs
 
@@ -788,7 +790,8 @@ def test_solve_assembles_one_extremal(monkeypatch):
         assembled += 1
         return stack(*args)
 
-    monkeypatch.setattr(solver, "_extremal_from_arcs", stack_counted)
+    for module in (solver, simulate):
+        monkeypatch.setattr(module, "_extremal_from_arcs", stack_counted)
     problem = parking_problem(2.0, 4.0)
     f0 = problem.f0
 
@@ -866,8 +869,9 @@ def test_solve_single_interval_is_infeasible(residual_evals,
     assert exc.value.residual_norm == pytest.approx(2 / np.sqrt(5), abs=1e-9)
     # the rejection's work: the start, one accepted Newton step, then the
     # Newton step and one Levenberg retry of 30 halvings each at the
-    # stalling iterate, one interval integrated per residual
-    assert (residual_evals(), interval_integrations()) == (62, 62)
+    # stalling iterate, each residual by the closed-form map, which
+    # integrates no interval of a trial whose end is judged finite
+    assert (residual_evals(), interval_integrations()) == (62, 0)
 
 
 def test_solve_generic_zero_guess():
@@ -999,8 +1003,98 @@ def test_solve_planar_disc_matches_rotated_parking(residual_evals,
         assert np.max(np.abs(twin.controls.values
                              - ext.controls.values)) <= 1e-10
     # K = 8 is the planar member of the benchmark's generic-shoot batch; the
-    # parking member's work is pinned in test_parking
-    assert work == (4, 32)
+    # parking member's work is pinned in test_parking.  Only the converged
+    # iterate's arcs are integrated, once
+    assert work == (4, 8)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form shooting map of minimum-energy problems
+# ---------------------------------------------------------------------------
+
+def _mapped_cases():
+    """(problem, grid, packed-unknown scale) of every Q = 0 problem the
+    closed-form map serves here, by id."""
+    return {
+        "parking": (parking_problem(2.0, 3.0), sp.build_grid(3.0, 0.375),
+                    2.0),
+        "parking-partial": (parking_problem(2.0, 3.7),
+                            sp.build_grid(3.7, 0.8), 2.0),
+        "disc": (_planar_disc(), sp.build_grid(3.0, 0.375), 2.0),
+        "saddle": (_saddle(10.0), sp.build_grid(10.0, 0.5), 0.5),
+        "periodic": (double_integrator(sp.Periodic(), sp.FixedTime(2.0)),
+                     sp.build_grid(2.0, 0.5), 1.0),
+        "free-end": (double_integrator(FREE_END, sp.FixedTime(4.0)),
+                     sp.build_grid(4.0, 1.0), 1.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_mapped_cases()))
+def test_shooting_map_matches_the_walk(case):
+    # the map's residual, controls and exact Jacobian are the interval
+    # walk's, the definition, to rounding, at seeded unknowns
+    problem, grid, scale = _mapped_cases()[case]
+    shooting = solver._shooting_map(problem, grid)
+    _, _, dim = solver._unknown_layout(problem)
+    rng = np.random.default_rng(sorted(_mapped_cases()).index(case))
+    for _ in range(10):
+        x = scale * rng.normal(size=dim)
+        r, (u, roots, _) = solver._map_residual(problem, shooting, x)
+        r_walk, propagated = solver._propagate(problem, grid, x)
+        assert np.max(np.abs(r - r_walk)) <= 1e-12 * np.max(np.abs(r_walk))
+        walk_u = propagated[1].values
+        assert np.max(np.abs(u - walk_u)) <= 1e-12 * max(
+            1.0, np.max(np.abs(walk_u)))
+        J = solver._map_jacobian(problem, shooting, roots)
+        J_walk = solver._tangent_jacobian(problem, propagated)
+        assert np.max(np.abs(J - J_walk)) <= 1e-12 * np.max(np.abs(J_walk))
+
+
+def test_shooting_map_raises_where_the_walk_blows_up():
+    # the map judges z(t_f) and integrates a blown trial's arcs, which raise
+    # at the walk's first blown node: the saddle at t_f = 30 from the origin
+    problem, grid = _saddle(30.0), sp.build_grid(30.0, 1.5)
+    shooting = solver._shooting_map(problem, grid)
+    with pytest.raises(sp.IntegrationBlowUp) as walk:
+        solver._propagate(problem, grid, np.zeros(2))
+    with pytest.raises(sp.IntegrationBlowUp) as mapped:
+        solver._map_residual(problem, shooting, np.zeros(2))
+    assert mapped.value.time == walk.value.time == pytest.approx(28.03125)
+
+
+@pytest.mark.parametrize("problem, grid, mapped", [
+    *((problem, grid, True) for problem, grid, _ in _mapped_cases().values()),
+    (_scalar_transfer(1.4), sp.build_grid(1.4, 0.3), False),
+    (double_integrator(FIXED_ENDS, sp.FixedTime(4.0), position_weight=0.5),
+     GRID4, False),
+    (sp.lti_problem(np.zeros((2, 2)), np.eye(2), None,
+                    [[1.0, 0.5], [0.5, 1.0]],
+                    control_set=sp.Box(lower=-np.ones(2), upper=np.ones(2)),
+                    terminal=sp.FixedEndpoints(q0=[1.0, 1.0], qf=[0.0, 0.0]),
+                    final_time=sp.FixedTime(4.0)), GRID4, False),
+    (_zero_cost_parking(np.zeros((1, 1))), GRID4, False),
+    (sp.lti_problem(np.zeros((4, 4)), np.eye(4)[:, 2:], None,
+                    np.diag([1.0, 2.0]),
+                    control_set=sp.Ball(center=np.zeros(2), radius=1.0),
+                    terminal=sp.FixedEndpoints(q0=np.ones(4), qf=np.zeros(4)),
+                    final_time=sp.FixedTime(4.0)), GRID4, False),
+    (dataclasses.replace(PARKING4, lq=None), GRID4, False),
+    (parking_problem(2.0, 3.0), GRID4, False),
+    (_saddle(800.0), sp.build_grid(800.0, 1.0), False),
+], ids=[*_mapped_cases(), "free-time", "Q", "coupled", "non-monotone",
+        "unequal-ball-gains", "callbacks", "grid-off-horizon", "overflow"])
+def test_one_predicate_picks_the_path(monkeypatch, problem, grid, mapped):
+    # the map serves fixed-horizon Q = 0 problems whose every interval
+    # takes the closed-form control; the walk serves every other problem,
+    # and a grid off the horizon, which it rejects
+    assert (solver._shooting_map(problem, grid) is not None) == mapped
+    walks = _count_calls(monkeypatch, solver, "_propagate")
+    maps = _count_calls(monkeypatch, solver, "_map_residual")
+    try:
+        sp.solve(problem, grid)
+    except (sp.NonConvergence, sp.IntegrationBlowUp, ValueError):
+        pass
+    assert (maps() > 0, walks() > 0) == (mapped, not mapped)
 
 
 def _envelope_error(problem, grid, h=1e-5):
