@@ -11,10 +11,9 @@ it over one interval's nodes or a whole extremal's in one callback call.
 
 :func:`_extremal_interval` integrates the coupled state/adjoint arc of one
 interval on the callbacks, whose state block is dq/dt = dH/dp = f.
-:func:`_extremal_from_arcs` turns the stacked nodes of every interval into
-the one :class:`Extremal` record (q, p, p0, u) for
-:func:`integrate_extremal_forward` and the shooting solver, which builds its
-extremal from the arcs it has already evaluated.  The record carries no
+:func:`integrate_extremal_forward` integrates a whole grid into the one
+:class:`Extremal` record (q, p, p0, u); every extremal the library builds,
+the shooting solver's included, comes from it.  The record carries no
 cost: :func:`running_cost` computes it on request.  :func:`simulate` is the
 coupled integration from p(0) = 0 with p0 = 0, on which the adjoint stays
 exactly zero, returned with its cost.
@@ -22,19 +21,20 @@ exactly zero, returned with its cost.
 A problem that carries ``lq`` matrices integrates each interval by the same
 RK4 steps written as matrices: the node maps of the coupled affine system are
 built once per (lq, interval length, p0) and cached, or are None where they
-overflow.  Both walkers over a grid take an interval's maps when they exist
-and :func:`_extremal_interval` otherwise.  :func:`integrate_extremal_forward`
-walks the grid by runs of intervals of one length: on a run with maps the
-end-node maps advance the boundaries one interval at a time, then
-:func:`_lq_nodes` evaluates the run's nodes from their start points in one
-matrix product; the shooting solver evaluates one interval's nodes at a
-time, at its solved control, by the same function.  The same cache entry
-holds the Simpson mean of dH/du as an affine map of the start point and the
-control, from which, with the end-node maps, the solver reads exact
-derivatives, and whether that mean's control components decouple.  The
-running cost and the certificate's interval averages read the callbacks on
-both paths; the callback RK4 calls them once a stage, on one arc or a
-stack.
+overflow.  :func:`integrate_extremal_forward` takes an interval's maps when
+they exist and :func:`_extremal_interval` otherwise.  It walks the grid by
+runs of intervals of one length (:func:`_runs`, which the shooting solver's
+closed-form map shares): on a run with maps the end-node maps advance the
+boundaries one interval at a time, then :func:`_lq_nodes` evaluates the
+run's nodes from their start points in one matrix product.  The shooting
+solver advances its trials by the end-node maps alone and evaluates an
+interval's nodes, by the same function, only where its end breaks the
+blow-up rule.  The same cache entry holds the Simpson mean of dH/du as an
+affine map of the start point and the control, from which, with the
+end-node maps, the solver reads exact derivatives, and whether that mean's
+control components decouple.  The running cost and the certificate's
+interval averages read the callbacks on both paths; the callback RK4 calls
+them once a stage, on one arc or a stack.
 """
 
 from __future__ import annotations
@@ -261,6 +261,14 @@ def _lq_nodes(maps: LQMaps, t0, delta: float, starts: np.ndarray,
     return nodes
 
 
+def _runs(grid: SamplingGrid):
+    """(lo, hi) of each run of equal-length intervals lo, ..., hi - 1 of
+    ``grid``, in time order."""
+    cuts = [0, *(np.flatnonzero(np.diff(grid.lengths)) + 1).tolist(),
+            grid.n_intervals]
+    return list(zip(cuts, cuts[1:]))
+
+
 def _node_mean(integrand, times, states, adjoints, p0, u):
     """Simpson mean of ``integrand(t, q, p, p0, u)`` over the node axis of
     ``times`` (..., SUBSTEPS+1) in one call; ``u`` (..., m) is per interval."""
@@ -269,20 +277,6 @@ def _node_mean(integrand, times, states, adjoints, p0, u):
     if values.ndim == times.ndim:
         return (SIMPSON_MEAN @ values[..., None])[..., 0]
     return SIMPSON_MEAN @ values
-
-
-def _extremal_from_arcs(grid, controls, nodes: np.ndarray,
-                        p0: float) -> Extremal:
-    """Extremal on the coupled nodes (K, SUBSTEPS+1, 2n) of every interval's
-    arc, holding q then p, at the grid's node times; its arrays are
-    read-only."""
-    times = _node_times(grid.times, grid.lengths)
-    times.setflags(write=False)
-    nodes.setflags(write=False)
-    n = nodes.shape[2] // 2
-    return Extremal(grid=grid, controls=controls, times=times,
-                    states=nodes[:, :, :n], adjoints=nodes[:, :, n:],
-                    p0=float(p0))
 
 
 def simulate(problem: ProblemDefinition, grid: SamplingGrid, controls,
@@ -316,7 +310,8 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
     the run's nodes, each boundary node keeping the recurrence's one value;
     on a run without maps :func:`_extremal_interval` integrates one interval
     after the other.  Each run is judged by the blow-up rule before the next
-    starts, so the first blown node in time raises.
+    starts, so the first blown node in time raises.  The nodes, at the
+    grid's node times, make the returned read-only :class:`Extremal`.
 
     Any finite controls are integrated, in the control set or not: the
     certificate judges membership.  Raises ValueError, before integrating,
@@ -347,9 +342,7 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
     starts = np.empty((grid.n_intervals + 1, 2 * n))
     starts[0] = np.concatenate(start)
     nodes = np.empty((grid.n_intervals, SUBSTEPS + 1, 2 * n))
-    cuts = [0, *(np.flatnonzero(np.diff(grid.lengths)) + 1).tolist(),
-            grid.n_intervals]
-    for lo, hi in zip(cuts, cuts[1:]):
+    for lo, hi in _runs(grid):
         delta = grid.lengths[lo]
         maps = (None if problem.lq is None
                 else _lq_maps(problem.lq, float(delta), float(p0)))
@@ -366,7 +359,12 @@ def integrate_extremal_forward(problem: ProblemDefinition, grid: SamplingGrid,
         nodes[lo:hi] = _lq_nodes(maps, grid.times[lo:hi], delta,
                                  starts[lo:hi], u[lo:hi])
         nodes[lo:hi, 0], nodes[lo:hi, -1] = starts[lo:hi], starts[lo + 1:hi + 1]
-    return _extremal_from_arcs(grid, controls, nodes, p0)
+    times = _node_times(grid.times, grid.lengths)
+    for x in (times, nodes):
+        x.setflags(write=False)
+    return Extremal(grid=grid, controls=controls, times=times,
+                    states=nodes[:, :, :n], adjoints=nodes[:, :, n:],
+                    p0=float(p0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,31 +9,30 @@ trial horizon's for a free time, to the solver, ``shooting_residual`` and
 On the walk (:func:`_propagate`) each residual evaluation propagates the
 coupled state/adjoint system forward interval by interval; on every
 interval the frozen control solves the averaged-gradient variational
-inequality and returns the interval's arc at the solved control, already
-judged by the blow-up rule: off the ``lq`` maps the inner solve's last
-integration, on them one node product (see :mod:`.simulate`).  Where
+inequality and returns the interval's end at the solved control.  Where
 Gbar(u) = a + G u is an ``lq`` interval's affine map with G a negative
 diagonal (on a Ball, a negative multiple of I: every m = 1 interval
 with G < 0, every minimum-energy problem with diagonal R), the
 inequality's one solution is the projected root P(a / -diag G), taken
 in closed form; coupled or non-monotone ``lq`` intervals and every
 callback interval are solved by semismooth Newton on the natural residual
-project(u + Gbar(u)) - u.  The arc's last node advances the propagation,
-and ``_residual`` reads the residual from the end values by the boundary
+project(u + Gbar(u)) - u.  The end advances the propagation, and
+``_residual`` reads the residual from the end values by the boundary
 conditions the certificate checks; the Jacobian applies the same function
-to the chained tangents.  Only the accepted iterate's arcs are assembled into
-an extremal, and ``solve`` returns its certificate whatever the verdict.
+to the chained tangents.
 
 A fixed-horizon ``lq`` problem with Q = 0 whose every interval takes the
 closed-form control is not walked: its adjoint does not see the state, so
 each control is the projection of an affine function of p(0) and z(t_f) is
 an explicit sum.  :func:`_shooting_map` builds that map once per solve, by
 doubling the powers of the cached end maps; each residual and its exact
-Jacobian are then a few products, with the same boundary residuals and the
-same Newton driver as the walk, and only the converged iterate is
-integrated, once.  The walk stays the definition the map is tested
-against, and serves every other problem, ``shooting_residual`` and
-``sampled-pmp check``; parking is the map's case.
+Jacobian are then a few products.  The walk stays the definition the map is
+tested against, and serves every other problem and ``shooting_residual``;
+parking is the map's case.  Both paths judge a trial by the blow-up rule
+at the interval ends they reach, evaluating nodes only past it, and end
+one way: the accepted iterate is integrated once by
+:func:`~.simulate.integrate_extremal_forward`, the function ``sampled-pmp
+check`` rebuilds a solve's extremal by, and certified.
 
 Each interval's derivatives come as one :class:`~.simulate.LQMaps` of Gbar
 and the end node in the start point and the control: an ``lq`` interval's
@@ -68,11 +67,10 @@ import numpy as np
 from .certificate import (_terminal_hamiltonian, boundary_residuals,
                           check_certificate)
 from .errors import IntegrationBlowUp, NonConvergence
-from .problem import (Box, ControlSequence, FreeTime, Periodic,
-                      ProblemDefinition, SamplingGrid, build_grid)
-from .simulate import (LQMaps, _blown, _extremal_from_arcs,
-                       _extremal_interval, _lq_maps, _lq_nodes, _node_mean,
-                       integrate_extremal_forward)
+from .problem import (Box, FreeTime, Periodic, ProblemDefinition,
+                      SamplingGrid, build_grid)
+from .simulate import (LQMaps, _blown, _extremal_interval, _lq_maps,
+                       _lq_nodes, _node_mean, _runs, integrate_extremal_forward)
 
 
 # Tolerance and iteration cap of the inner Newton on each interval's natural
@@ -125,10 +123,10 @@ def _check_unknowns(problem: ProblemDefinition, x, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _interval_average_gradient(problem, t_k, delta, z, u, p0):
-    """Gbar at ``u`` on one interval from z = (q_k, p_k), its maps and arc,
-    from one stacked callback integration of the base arc and one step
+    """Gbar at ``u`` on one interval from z = (q_k, p_k), its maps and end
+    node, from one stacked callback integration of the base arc and one step
     ``FD_STEP (1 + |(z, u)|)`` along each component of (z, u).  Returns
-    ``(gbar, maps, arc)``, ``maps`` an :class:`LQMaps` without node maps."""
+    ``(gbar, maps, end)``, ``maps`` an :class:`LQMaps` without node maps."""
     n = problem.n
     x = np.concatenate([z, u])
     h = FD_STEP * (1.0 + float(np.linalg.norm(x)))
@@ -142,7 +140,21 @@ def _interval_average_gradient(problem, t_k, delta, z, u, p0):
     d_end = ((nodes[1:, -1] - nodes[0, -1]) / h).T
     maps = LQMaps(None, None, d_gbar[:, :2 * n], d_gbar[:, 2 * n:],
                   d_end[:, :2 * n], d_end[:, 2 * n:])
-    return gbar[0], maps, (times, nodes[0])
+    return gbar[0], maps, nodes[0, -1]
+
+
+def _lq_end(maps: LQMaps, t_k: float, delta: float, z: np.ndarray,
+            u: np.ndarray) -> np.ndarray:
+    """End node Phi_end z + Gamma_end u of an ``lq`` interval, judged by the
+    blow-up rule; a blown end has the interval's nodes evaluated, which
+    raise IntegrationBlowUp at the first blown one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = maps.phi_end @ z + maps.gamma_end @ u
+    if _blown(end):
+        _lq_nodes(maps, [t_k], delta, z[None], u[None])
+        # the nodes end below the rule only by rounding at its threshold
+        raise IntegrationBlowUp(t_k + delta)
+    return end
 
 
 def _closed_form_gain(cs, maps: Optional[LQMaps]) -> Optional[np.ndarray]:
@@ -180,11 +192,10 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     w = u + Gbar(u), and du/dz = -(D (I + G) - I)^+ D Ga, ^+ the
     (pseudo-)inverse.
 
-    Returns ``(u, nodes, tangent)``: ``nodes`` (SUBSTEPS+1, 2n) are the
-    coupled arc's nodes at ``u``, the last trial's integration off the
-    ``lq`` maps and one :func:`~.simulate._lq_nodes` product on them; either
-    way a node that breaks the blow-up rule raises IntegrationBlowUp at its
-    time.  ``tangent`` is the 2n x 2n matrix.
+    Returns ``(u, end, tangent)``: ``end`` is the arc's end node at ``u``,
+    the last trial's integration off the ``lq`` maps and :func:`_lq_end` on
+    them; either way a blown node raises IntegrationBlowUp at its time.
+    ``tangent`` is the 2n x 2n matrix.
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
@@ -197,9 +208,9 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
         # a - gain u lies in the normal cone at u = P(root) and nowhere else
         root = maps.ga @ z / gain
         u = cs.project(root)
-        nodes = _lq_nodes(maps, [t_k], delta, z[None], u[None])[0]
         du_dz = cs.project_jacobian(root) @ (maps.ga / gain[:, None])
-        return u, nodes, maps.phi_end + maps.gamma_end @ du_dz
+        return (u, _lq_end(maps, t_k, delta, z, u),
+                maps.phi_end + maps.gamma_end @ du_dz)
 
     u = cs.project(np.atleast_1d(np.asarray(u_init, dtype=float)))
     eye = np.eye(problem.m)
@@ -207,28 +218,28 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
 
     def natural_residual(v):
         if maps is None:
-            gbar, v_maps, (_, nodes) = _interval_average_gradient(
+            gbar, v_maps, end = _interval_average_gradient(
                 problem, t_k, delta, z, v, p0)
             w = v + gbar
         else:
-            w, v_maps, nodes = v + a + maps.g @ v, maps, None
-        return cs.project(w) - v, (w, v_maps, nodes)
+            w, v_maps, end = v + a + maps.g @ v, maps, None
+        return cs.project(w) - v, (w, v_maps, end)
 
     def jacobian(v, aux):
         w, v_maps, _ = aux
         return cs.project_jacobian(w) @ (eye + v_maps.g) - eye
 
-    u, (w, u_maps, nodes) = _damped_newton(natural_residual, jacobian, u,
-                                           INNER_TOL, INNER_MAX_ITER)
-    if nodes is None:
-        nodes = _lq_nodes(maps, [t_k], delta, z[None], u[None])[0]
+    u, (w, u_maps, end) = _damped_newton(natural_residual, jacobian, u,
+                                         INNER_TOL, INNER_MAX_ITER)
+    if end is None:
+        end = _lq_end(maps, t_k, delta, z, u)
     D = cs.project_jacobian(w)
     newton, drive = D @ (eye + u_maps.g) - eye, D @ u_maps.ga
     try:
         du_dz = -np.linalg.solve(newton, drive)
     except np.linalg.LinAlgError:
         du_dz = -np.linalg.lstsq(newton, drive, rcond=None)[0]
-    return u, nodes, u_maps.phi_end + u_maps.gamma_end @ du_dz
+    return u, end, u_maps.phi_end + u_maps.gamma_end @ du_dz
 
 
 # ---------------------------------------------------------------------------
@@ -283,39 +294,35 @@ def _residual(problem: ProblemDefinition, z0: np.ndarray, out: np.ndarray):
 
 
 def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
-    """Integrate the extremal forward from the packed unknowns ``x``.
+    """Propagate the interval ends forward from the packed unknowns ``x``.
 
-    Returns ``(residual_vector, (grid, controls, nodes, tangents))``, the
-    grid being :func:`_shooting_start`'s, the trial horizon's for a free
-    final time.  Each interval's inner solve returns its judged arc, whose
-    last node advances the state and adjoint; the intervals are solved in
-    time order, so the first failure in time is the one raised.  ``nodes`` (K, SUBSTEPS+1, 2n) stack
-    the arcs, which ``simulate._extremal_from_arcs`` with p0 = -1 assembles
-    into the extremal.  :func:`_tangent_jacobian` linearizes the second
-    element, whose ``tangents`` are the intervals'.  Controls are
-    warm-started from the previous interval (the first from the projected
-    origin).
+    Returns ``(residual_vector, (grid, controls, z0, (z_last, tangents)))``,
+    :func:`_map_residual`'s layout: :func:`_shooting_start`'s grid and z0,
+    the controls (K, m), and the last interval's start and every interval's
+    tangent for :func:`_tangent_jacobian`.  Each inner solve returns its
+    judged end, which advances the state and adjoint; the intervals are
+    solved in time order, so the first failure in time is the one raised.
+    Controls are warm-started from the previous interval (the first from
+    the projected origin).
     """
     n = problem.n
     p0 = -1.0
     z0, grid = _shooting_start(problem, grid, x)
     u_prev = np.zeros(problem.m)
     z = z0
-    us, arcs, tangents = [], [], []
+    us, tangents = [], []
     for t_k, delta in zip(grid.times, grid.lengths):
-        u_prev, arc, tangent = solve_interval_control(
+        z_last = z
+        u_prev, z, tangent = solve_interval_control(
             problem, float(t_k), float(delta), z[:n], z[n:], p0, u_prev)
         us.append(u_prev)
-        arcs.append(arc)
         tangents.append(tangent)
-        z = arc[-1]
-    controls = ControlSequence(np.vstack(us))
-    nodes = np.stack(arcs)
+    controls = np.vstack(us)
 
     if isinstance(problem.final_time, FreeTime):
         z = np.append(z, _terminal_hamiltonian(problem, grid.t_f, z[:n],
                                                z[n:], p0, controls[-1]))
-    return _residual(problem, z0, z), (grid, controls, nodes, tangents)
+    return _residual(problem, z0, z), (grid, controls, z0, (z_last, tangents))
 
 
 def _tangent_jacobian(problem: ProblemDefinition, propagated):
@@ -332,7 +339,7 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
     output.  Where no control changes saturation status this is the
     derivative; at a kink, one element of the generalized Jacobian.
     """
-    grid, controls, nodes, tangents = propagated
+    grid, controls, _, (z_last, tangents) = propagated
     n = problem.n
     _, has_tf, dim = _unknown_layout(problem)
     chain = _start_tangent(problem)
@@ -343,13 +350,12 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
         u_prev = controls[-2] if len(tangents) > 1 else np.zeros(problem.m)
 
         def last_interval(v):
-            u, arc, _ = solve_interval_control(
+            u, end, _ = solve_interval_control(
                 problem, t_k, v[-1], v[:n], v[n:2 * n], -1.0, u_prev)
-            end = arc[-1]
             return np.append(end, _terminal_hamiltonian(
                 problem, t_k + v[-1], end[:n], end[n:], -1.0, u))
 
-        x = np.append(nodes[-1, 0], grid.lengths[-1])
+        x = np.append(z_last, grid.lengths[-1])
         chain = _fd_jacobian(last_interval, x) @ np.vstack(
             [chain, np.eye(dim)[-1]])
     return _linearized_residual(problem, chain)
@@ -439,11 +445,9 @@ def _shooting_map(problem: ProblemDefinition,
     if (lq is None or isinstance(problem.final_time, FreeTime)
             or grid.t_f != problem.final_time.t_f or lq.Q.any()):
         return None
-    cuts = [0, *(np.flatnonzero(np.diff(grid.lengths)) + 1).tolist(),
-            grid.n_intervals]
     runs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(cuts, cuts[1:]):
+        for lo, hi in _runs(grid):
             maps = _lq_maps(lq, float(grid.lengths[lo]), -1.0)
             gain = _closed_form_gain(problem.control_set, maps)
             if gain is None:
@@ -467,7 +471,8 @@ def _shooting_map(problem: ProblemDefinition,
 
 def _map_residual(problem: ProblemDefinition, shooting: _ShootingMap, x):
     """The shooting residual at the packed unknowns ``x`` by the map, with
-    ``(controls, roots, z(0))`` for :func:`_map_jacobian` and the extremal.
+    ``(grid, controls, z(0), roots)``, :func:`_propagate`'s layout, the
+    roots for :func:`_map_jacobian`.
 
     :func:`_shooting_start` judges z(0) and the map z(t_f).  When z(t_f)
     breaks the blow-up rule, the trial's arcs are integrated, and raise
@@ -486,7 +491,7 @@ def _map_residual(problem: ProblemDefinition, shooting: _ShootingMap, x):
             integrate_extremal_forward(problem, grid, u, z0[:n], z0[n:], -1.0)
         # the arcs end below the rule only by rounding at its threshold
         raise IntegrationBlowUp(grid.t_f)
-    return _residual(problem, z0, end), (u, roots, z0)
+    return _residual(problem, z0, end), (grid, u, z0, roots)
 
 
 def _map_jacobian(problem: ProblemDefinition, shooting: _ShootingMap,
@@ -537,11 +542,11 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     ``(Extremal, Certificate)`` for the converged iterate, with the cost
     multiplier normalized to -1, whatever the certificate's verdict: the
     caller reads ``certificate.passed``.  Where :func:`_shooting_map`
-    serves the problem, each residual is the closed-form map's and the
-    converged iterate's arcs are integrated once; otherwise each residual
-    walks the intervals (:func:`_propagate`) and the converged walk's arcs
-    are assembled into the extremal.  Both paths take the same Newton steps
-    up to rounding.
+    serves the problem, each residual is the closed-form map's; otherwise
+    each residual walks the intervals (:func:`_propagate`).  Both paths
+    take the same Newton steps up to rounding and end one way: the solved
+    grid, controls and z(0) are integrated once by
+    :func:`~.simulate.integrate_extremal_forward`, then certified.
 
     ``initial_unknowns`` is the packed vector (see ``_unknown_layout``) or
     None for the generic guess: the origin, with the final-time guess of a
@@ -561,31 +566,24 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     else:
         x = _check_unknowns(problem, initial_unknowns, "initial unknowns")
 
-    def annotate(vec, u):
-        entry = {"active_set": _active_set_signature(problem, u)}
+    def annotate(vec, aux):
+        entry = {"active_set": _active_set_signature(problem, aux[1])}
         if has_tf:
             entry["t_f"] = float(vec[-1])
         return entry
 
     shooting = _shooting_map(problem, grid)
-    if shooting is not None:
-        _, (u, _, z0) = _damped_newton(
-            lambda vec: _map_residual(problem, shooting, vec),
-            lambda _, aux: _map_jacobian(problem, shooting, aux[1]),
-            x, NEWTON_TOL, NEWTON_MAX_ITER,
-            annotate=lambda vec, aux: annotate(vec, aux[0]), stats=stats)
-        extremal = integrate_extremal_forward(problem, grid, u,
-                                              *np.split(z0, 2), -1.0)
+    if shooting is None:
+        path = (lambda vec: _propagate(problem, grid, vec),
+                lambda _, aux: _tangent_jacobian(problem, aux))
     else:
-        # a free horizon's solved grid differs from the one the search
-        # started on
-        _, (solved_grid, controls, nodes, _) = _damped_newton(
-            lambda vec: _propagate(problem, grid, vec),
-            lambda _, propagated: _tangent_jacobian(problem, propagated),
-            x, NEWTON_TOL, NEWTON_MAX_ITER,
-            annotate=lambda vec, aux: annotate(vec, aux[1].values),
-            stats=stats)
-        extremal = _extremal_from_arcs(solved_grid, controls, nodes, -1.0)
+        path = (lambda vec: _map_residual(problem, shooting, vec),
+                lambda _, aux: _map_jacobian(problem, shooting, aux[3]))
+    # a free horizon's solved grid differs from the one the search started on
+    _, (solved_grid, u, z0, _) = _damped_newton(
+        *path, x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate, stats=stats)
+    extremal = integrate_extremal_forward(problem, solved_grid, u,
+                                          *np.split(z0, 2), -1.0)
     return extremal, check_certificate(problem, extremal)
 
 

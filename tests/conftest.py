@@ -119,9 +119,9 @@ def _count_calls(monkeypatch, module, name):
 def interval_integrations(monkeypatch):
     """Count integrated intervals by either path: the rows of every
     ``simulate._lq_nodes`` batch on the linear-quadratic matrices, the
-    solver's one-row calls included, and the calls to ``simulate._rk4`` on
-    the callbacks (one per interval, a stack of arcs of one interval
-    counting once); returns the reader."""
+    solver's one-row calls on a blown interval end included, and the calls
+    to ``simulate._rk4`` on the callbacks (one per interval, a stack of
+    arcs of one interval counting once); returns the reader."""
     rows = 0
     lq_nodes = simulate._lq_nodes
 

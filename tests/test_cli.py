@@ -321,7 +321,11 @@ def test_solve_reports_blow_up_as_non_convergence(tmp_path, capsys,
      "the residual (at 2.919e+00)", 2),
     (SADDLE_SPEC, "solver did not converge: integration blew up at "
      "t=28.0312", 0),
-], ids=["stall", "blow-up"])
+    # with a state cost the saddle takes the interval walk, which evaluates
+    # a blown interval's nodes for the time of the first blown one
+    ({**SADDLE_SPEC, "Q": [[1, 0], [0, 1]]}, "solver did not converge: "
+     "integration blew up at t=27.4688", 0),
+], ids=["stall", "blow-up", "blow-up-walk"])
 def test_generic_solve_failure_report(tmp_path, capsys, spec, first_line,
                                       history_lines):
     # a NonConvergence prints its message, then its last history entries,

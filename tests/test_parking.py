@@ -197,7 +197,7 @@ def _parking_map(M, grid, p_init):
     residual is q(t_f) itself."""
     problem = pk.parking_problem(M, grid.t_f)
     shooting = solver._shooting_map(problem, grid)
-    r, (u, _, _) = solver._map_residual(problem, shooting,
+    r, (_, u, _, _) = solver._map_residual(problem, shooting,
                                         np.asarray(p_init, dtype=float))
     return r, u[:, 0]
 
@@ -348,7 +348,7 @@ def test_solve_parking_jacobian_is_exact(residual_evals, T, evals):
             continue
         fd = np.column_stack([(shoot(x + h * e) - shoot(x - h * e)) / (2 * h)
                               for e in np.eye(2)])
-        _, (_, roots, _) = solver._map_residual(problem, shooting, x)
+        _, (_, _, _, roots) = solver._map_residual(problem, shooting, x)
         J = solver._map_jacobian(problem, shooting, roots)
         np.testing.assert_allclose(J, fd, rtol=0, atol=1e-8)
         checked += bool(np.any(J))

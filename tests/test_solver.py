@@ -8,12 +8,11 @@ import pytest
 import sampled_pmp as sp
 from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
-from sampled_pmp.simulate import (SUBSTEPS, _extremal_interval, _lq_maps,
-                                  _lq_nodes, _node_times,
-                                  integrate_extremal_forward)
+from sampled_pmp.simulate import (_extremal_interval, _lq_maps, _lq_nodes,
+                                  _node_times, integrate_extremal_forward)
 
 from conftest import (FIXED_ENDS, FREE_END, _count_calls, double_integrator,
-                      pendulum, scalar_lti, simulate)
+                      pendulum, scalar_lti)
 
 PARKING4 = parking_problem(2.0, 4.0)
 # parking (2, 4) with the final time free, its guess 4
@@ -61,17 +60,24 @@ def test_solve_interval_control_finds_interior_root():
 
 def test_solve_interval_control_judges_its_arc_on_both_paths():
     # on the lq maps as on the callbacks the solver returns the interval's
-    # whole arc, judged by the blow-up rule: the state of dq/dt = 40 q + u
-    # passes BLOWUP_NORM at t = 1.0 on [0.25, 1.25], not after it
+    # end, judged by the blow-up rule: the state of dq/dt = 40 q + u passes
+    # BLOWUP_NORM at t = 1.0 on [0.25, 1.25], not after it.  The lq end
+    # breaks the rule, so its nodes are evaluated and raise at the first
+    # blown one; the callbacks judge every node as they integrate
     problem = scalar_lti(40.0, 1.0, 3.5)
-    for P in (problem, dataclasses.replace(problem, lq=None)):
+    twin = dataclasses.replace(problem, lq=None)
+    for P in (problem, twin):
         with pytest.raises(sp.IntegrationBlowUp) as exc:
             sp.solve_interval_control(P, 0.25, 1.0, [1.0], [0.5], -1.0,
                                       [0.0])
         assert exc.value.time == 1.0
-        _, nodes, _ = sp.solve_interval_control(P, 0.25, 0.1, [1.0], [0.5],
-                                                -1.0, [0.0])
-        assert nodes.shape == (SUBSTEPS + 1, 2)
+        u, end, _ = sp.solve_interval_control(P, 0.25, 0.1, [1.0], [0.5],
+                                              -1.0, [0.0])
+        assert end.shape == (2,)
+        # the end node of the arc at the solved control, on the callbacks
+        arc = _extremal_interval(twin, 0.25, 0.1, np.array([1.0, 0.5]), u,
+                                 -1.0)[1]
+        assert np.max(np.abs(end - arc[-1])) <= 1e-12 * np.max(np.abs(arc[-1]))
 
 
 def _record_accepted_steps(monkeypatch):
@@ -206,8 +212,12 @@ def test_lq_matrices_match_callbacks_on_random_intervals():
         twin = dataclasses.replace(prob, lq=None)
         z = np.concatenate([q, p])
         for p0 in (-1.0, -0.5):
-            want, twin_maps, (times, nodes) = \
+            want, twin_maps, end = \
                 solver._interval_average_gradient(twin, 0.3, delta, z, u, p0)
+            # the base arc of a stacked integration, on its own
+            times, nodes = _extremal_interval(twin, 0.3, delta, z, u, p0)
+            assert np.max(np.abs(end - nodes[-1])) <= 1e-13 * np.max(
+                np.abs(nodes[-1]))
             maps = _lq_maps(prob.lq, delta, p0)
             got_nodes = _lq_nodes(maps, [0.3], delta, z[None], u[None])[0]
             np.testing.assert_array_equal(_node_times(0.3, delta), times)
@@ -328,7 +338,7 @@ def test_decoupled_lq_interval_takes_the_projected_root(kind, seed,
         assert np.max(np.abs(twin - u)) <= 1e-10
         fd = _central_differences(
             lambda z: sp.solve_interval_control(prob, 0.0, delta, z[:n],
-                                                z[n:], -1.0, u_init)[1][-1],
+                                                z[n:], -1.0, u_init)[1],
             np.concatenate([q, p]))
         assert np.max(np.abs(tangent - fd)) \
             <= 1e-6 * max(1.0, np.max(np.abs(fd)))
@@ -452,7 +462,7 @@ def _stall_on_interval_3(monkeypatch):
 
 def test_earlier_blow_up_wins_over_a_later_inner_stall(monkeypatch):
     # an inner NonConvergence on interval 3 must not hide a blow-up on
-    # interval 2: each interval's arc is judged when its inner solve
+    # interval 2: each interval's end is judged when its inner solve
     # returns it, on the lq maps as on the callbacks
     _stall_on_interval_3(monkeypatch)
     problem = scalar_lti(40.0, 1.0, 1.05)
@@ -496,8 +506,8 @@ def test_unknown_layout_is_square():
     assert solver._unknown_layout(PARKING4) == (False, False, 2)
     per = double_integrator(sp.Periodic(), sp.FixedTime(4.0))
     assert solver._unknown_layout(per) == (True, False, 4)
-    _, (_, _, nodes, _) = solver._propagate(per, GRID4, np.arange(4.0))
-    np.testing.assert_array_equal(nodes[0, 0, :2], [2.0, 3.0])
+    _, (_, _, z0, _) = solver._propagate(per, GRID4, np.arange(4.0))
+    np.testing.assert_array_equal(z0[:2], [2.0, 3.0])
     free = _scalar_transfer(1.3)
     assert solver._unknown_layout(free) == (False, True, 2)
     _, (grid, _, _, _) = solver._propagate(free, sp.build_grid(1.3, 0.3),
@@ -671,7 +681,7 @@ def test_singular_interval_takes_the_minimum_norm_tangent(monkeypatch,
     grid = sp.build_grid(4.0, 1.0)
     prob = _zero_cost_parking(np.zeros((1, 1)))
     _, propagated = solver._propagate(prob, grid, np.zeros(2))
-    assert all(np.all(np.isfinite(t)) for t in propagated[3])
+    assert all(np.all(np.isfinite(t)) for t in propagated[3][1])
     solves = []
     inner = solver.solve_interval_control
 
@@ -694,7 +704,7 @@ def test_singular_interval_takes_the_minimum_norm_tangent(monkeypatch,
     prob = _zero_cost_parking(np.diag([1.0, 0.0]))
     x = np.array([-0.2, 0.3])
     _, propagated = solver._propagate(prob, grid, x)
-    assert all(np.all(np.isfinite(t)) for t in propagated[3])
+    assert all(np.all(np.isfinite(t)) for t in propagated[3][1])
     J = solver._tangent_jacobian(prob, propagated)
     fd = _central_differences(lambda v: solver._propagate(prob, grid, v)[0], x)
     assert np.all(np.isfinite(J))
@@ -749,24 +759,22 @@ def test_solve_parking_2_3_1():
 def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
                                                           parking_f_calls,
                                                           gbar_calls):
-    # a residual evaluation keeps the arc it integrates at each solved
-    # control: no closing re-integration of the whole extremal
-    def refuse(*args, **kwargs):
-        raise AssertionError("solve re-integrated the extremal")
-
-    monkeypatch.setattr(solver, "integrate_extremal_forward", refuse)
+    # a residual evaluation integrates each interval at its solved control
+    # inside the inner solve, and keeps only the end; the accepted iterate
+    # is integrated once more, by the closing integrate_extremal_forward
+    closing = _count_calls(monkeypatch, solver, "integrate_extremal_forward")
     # the callback twin: the matrix path of the problem's lq calls no f
     problem = dataclasses.replace(parking.parking_problem(2, 4), lq=None)
     grid = sp.build_grid(4, 2)
     ext, cert = sp.solve(problem, grid,
                          initial_unknowns=initial_adjoint_guess(2, 4))
-    assert cert.passed
+    assert cert.passed and closing() == 1
     # every f call is inside an inner Gbar evaluation (16 RK4 steps of 4
-    # calls, each on the stacked base and difference arcs), whose base arc
-    # at the solved control is the interval's arc; a closing integration per
-    # interval over the residual evaluations would add 64 K f calls each
-    assert parking_f_calls() == 960
-    assert parking_f_calls() == 64 * gbar_calls()
+    # calls, each on the stacked base and difference arcs) or in the
+    # closing integration, 64 per interval; a closing integration per
+    # residual evaluation would add 64 K f calls each
+    assert parking_f_calls() == 1088
+    assert parking_f_calls() == 64 * (gbar_calls() + grid.n_intervals)
     ref = integrate_extremal_forward(problem, grid, ext.controls, Q0,
                                      ext.initial_adjoint, -1.0)
     for got, want in ((ext.times, ref.times), (ext.states, ref.states),
@@ -777,21 +785,13 @@ def test_solve_integrates_each_interval_once_per_residual(monkeypatch,
 
 
 def test_solve_assembles_one_extremal(monkeypatch):
-    # only the accepted iterate is made an extremal, once per solve: the
-    # walk stacks the raw arcs of its residual evaluations, and the
-    # closed-form map integrates the iterate; stacking reads no callback:
-    # the cost is computed on request, by running_cost.  Neither path reads
-    # f0 anywhere else on a fixed horizon
-    assembled, calls = 0, 0
-    stack = solver._extremal_from_arcs
-
-    def stack_counted(*args):
-        nonlocal assembled
-        assembled += 1
-        return stack(*args)
-
-    for module in (solver, simulate):
-        monkeypatch.setattr(module, "_extremal_from_arcs", stack_counted)
+    # only the accepted iterate is made an extremal, once per solve, by
+    # integrate_extremal_forward on both paths: the closed-form map
+    # (parking) and the walk (its callback twin).  The integration reads no
+    # f0: the cost is computed on request, by running_cost.  Neither path
+    # reads f0 anywhere else on a fixed horizon
+    calls = 0
+    assembled = _count_calls(monkeypatch, solver, "integrate_extremal_forward")
     problem = parking_problem(2.0, 4.0)
     f0 = problem.f0
 
@@ -805,7 +805,7 @@ def test_solve_assembles_one_extremal(monkeypatch):
         ext, cert = sp.solve(P, sp.build_grid(4.0, 0.5),
                              initial_unknowns=initial_adjoint_guess(2, 4))
         assert cert.passed
-    assert assembled == 2
+    assert assembled() == 2
     assert calls == 0
 
 
@@ -1039,10 +1039,10 @@ def test_shooting_map_matches_the_walk(case):
     rng = np.random.default_rng(sorted(_mapped_cases()).index(case))
     for _ in range(10):
         x = scale * rng.normal(size=dim)
-        r, (u, roots, _) = solver._map_residual(problem, shooting, x)
+        r, (_, u, _, roots) = solver._map_residual(problem, shooting, x)
         r_walk, propagated = solver._propagate(problem, grid, x)
         assert np.max(np.abs(r - r_walk)) <= 1e-12 * np.max(np.abs(r_walk))
-        walk_u = propagated[1].values
+        walk_u = propagated[1]
         assert np.max(np.abs(u - walk_u)) <= 1e-12 * max(
             1.0, np.max(np.abs(walk_u)))
         J = solver._map_jacobian(problem, shooting, roots)
@@ -1136,37 +1136,58 @@ def test_multipliers_are_the_cost_gradient_in_the_endpoints(problem, T):
     assert _envelope_error(problem, grid) <= 1e-6
 
 
-@pytest.mark.parametrize("make, T, guess, exact", [
-    (lambda: dataclasses.replace(_planar_disc(), lq=None), 3.0 / 8, None,
-     True),
-    (_planar_disc, 3.0 / 8, None, False),
-    (lambda: _oscillator(5.0), 0.25, None, False),
-    (lambda: parking_problem(2.0, 3.0), 3.0 / 8,
+@pytest.mark.parametrize("make, t_f, T, guess, walk", [
+    (lambda: dataclasses.replace(_planar_disc(), lq=None), 3.0, 3.0 / 8,
+     None, True),
+    (_planar_disc, 3.0, 3.0 / 8, None, False),
+    (lambda: _oscillator(5.0), 6.0, 0.25, None, True),
+    (lambda: parking_problem(2.0, 3.0), 3.0, 3.0 / 8,
      initial_adjoint_guess(2.0, 3.0), False),
-], ids=["disc-callbacks", "disc", "oscillator", "parking"])
-def test_reintegration_reproduces_a_generic_solve(make, T, guess, exact):
-    # ``sampled-pmp check`` re-integrates a solve's controls from its
-    # initial adjoint.  Off the lq maps both integrate each arc by the same
-    # callback RK4, bit for bit; on them the solve's arcs are one-row node
-    # products and the re-integration advances end nodes first, so the
-    # nodes agree to rounding, and so do the certificates
-    problem = make()
-    ext, cert = sp.solve(problem, sp.build_grid(problem.final_time.t_f, T),
-                         initial_unknowns=guess)
+    (lambda: dataclasses.replace(PARKING4, lq=None), 4.0, 2.0,
+     initial_adjoint_guess(2.0, 4.0), True),
+    (lambda: _scalar_transfer(1.4), 1.4, 0.3, [1.0, 1.4], True),
+    (lambda: double_integrator(sp.Periodic(), sp.FixedTime(2.0),
+                               position_weight=0.5), 2.0, 0.5,
+     [0.1, -0.2, 0.7, 0.3], True),
+], ids=["disc-callbacks", "disc", "oscillator", "parking",
+        "parking-callbacks", "free-time", "periodic"])
+def test_reintegration_reproduces_a_generic_solve(monkeypatch, make, t_f, T,
+                                                  guess, walk):
+    # every solve, on the closed-form map or the walk, on the lq maps or
+    # the callbacks, with a fixed, free or periodic horizon, ends in one
+    # integrate_extremal_forward of its solved grid, controls and z(0).
+    # ``sampled-pmp check`` rebuilds a solve's extremal by that function,
+    # so from the same controls and unknowns it reproduces the nodes and
+    # the certificate bit for bit
+    problem, grid = make(), sp.build_grid(t_f, T)
+    assert (solver._shooting_map(problem, grid) is None) == walk
+    integrations = _count_calls(monkeypatch, solver,
+                                "integrate_extremal_forward")
+    ext, cert = sp.solve(problem, grid, initial_unknowns=guess)
+    assert integrations() == 1
     again = integrate_extremal_forward(problem, ext.grid, ext.controls,
                                        ext.initial_state, ext.initial_adjoint,
                                        -1.0)
-    nodes, again_nodes = (np.concatenate([e.states, e.adjoints], axis=-1)
-                          for e in (ext, again))
-    if exact:
-        np.testing.assert_array_equal(again_nodes, nodes)
-    else:
-        assert (np.max(np.abs(again_nodes - nodes))
-                <= 1e-14 * max(1.0, np.max(np.abs(nodes))))
-    again_cert = sp.check_certificate(problem, again)
-    assert cert.passed and again_cert.passed
-    np.testing.assert_allclose(again_cert.interval_residuals,
-                               cert.interval_residuals, rtol=0, atol=1e-14)
+    assert again.grid == ext.grid and again.p0 == ext.p0
+    for name in ("times", "states", "adjoints"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(ext, name))
+    assert cert.passed
+    assert (sp.check_certificate(problem, again).to_json_dict()
+            == cert.to_json_dict())
+
+
+def test_the_walk_integrates_only_the_accepted_iterate(residual_evals,
+                                                       interval_integrations):
+    # the oscillator at K = 24 takes the walk: its trials advance interval
+    # ends by the end-node maps and evaluate no node, so the only nodes
+    # evaluated are the closing integration's, one row per interval, not
+    # 9 x 24 = 216 rows for the trials' arcs
+    problem, grid = _oscillator(5.0), sp.build_grid(6.0, 0.25)
+    assert solver._shooting_map(problem, grid) is None
+    _, cert = sp.solve(problem, grid)
+    assert cert.passed
+    assert residual_evals() == 9
+    assert interval_integrations() == grid.n_intervals == 24
 
 
 def test_pendulum_callbacks_are_consistent():
