@@ -105,25 +105,18 @@ def boundary_residuals(terminal: TerminalCondition, q_start, q_end, p_start,
     return none, q_end - q_start, p_end - p_start
 
 
-def _terminal_hamiltonian(problem: ProblemDefinition, t_f: float, q_end,
-                          p_end, p0: float, u_last) -> float:
-    """Signed H at the final time from the end values of an extremal.
-
-    ``u_last`` is the control of the grid's last interval, the one ending at
-    ``t_f``: when ``t_f`` is an exact multiple of the period, no interval
-    starts there (see :func:`build_grid`), so no control is sampled at t_f.
-    """
-    return problem.hamiltonian(t_f, q_end, p_end, p0, u_last)
-
-
 def free_time_residual(problem: ProblemDefinition, extremal: Extremal) -> float:
-    """|H| at the final time (see :func:`_terminal_hamiltonian`)."""
+    """|H| at the final time, from the extremal's end values and the control
+    of the grid's last interval, the one ending at t_f: when t_f is an exact
+    multiple of the period, no interval starts there (see
+    :func:`build_grid`), so no control is sampled at t_f.  The shooting
+    residual of a free horizon signs the same H."""
     if not isinstance(problem.final_time, FreeTime):
         raise UnsupportedCase("the final-time condition only applies to "
                               "free-final-time problems")
-    return abs(_terminal_hamiltonian(
-        problem, extremal.grid.t_f, extremal.final_state,
-        extremal.final_adjoint, extremal.p0, extremal.controls[-1]))
+    return abs(problem.hamiltonian(
+        extremal.grid.t_f, extremal.final_state, extremal.final_adjoint,
+        extremal.p0, extremal.controls[-1]))
 
 
 def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certificate:

@@ -7,7 +7,9 @@ it recognizes by ``parking.solve_parking`` (the reach rule, then ``solve``),
 ``solve`` shoots any other, and ``compare`` accepts only a parking run.
 ``solve`` and ``sweep`` record the specification object they parsed, flags
 set as its fields, under ``problem`` in ``manifest.json``; ``solve --spec``
-replays it.
+replays it.  ``check`` turns ``--adjoint-init`` into numbers and leaves
+their judgement, layout included, to ``solver._check_unknowns``; it
+rebuilds the extremal at the solver's cost multiplier ``solver.P0``.
 
 Exit codes: 0 success, 2 certificate failure, 3 solver non-convergence,
 4 bad input.  An integration that blows up, at its start point included,
@@ -40,7 +42,7 @@ from .certificate import Certificate, check_certificate
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import build_grid
 from .simulate import Extremal, integrate_extremal_forward
-from .solver import _check_unknowns, _shooting_start, _unknown_layout, solve
+from .solver import P0, _check_unknowns, _shooting_start, solve
 from .specfile import (LoadedSpec, SpecError, _vector, parse_problem_spec,
                        read_spec_file)
 from .svgfig import SvgPlot
@@ -106,10 +108,11 @@ def _build_parser() -> _Parser:
     add_problem_flags(sp)
     sp.add_argument("--controls", required=True, help="controls CSV")
     sp.add_argument("--adjoint-init", required=True,
-                    help="initial adjoint p1,...,pn or a JSON file with it "
-                         "(use --adjoint-init=-1,-2 for negative values); a "
-                         "periodic or free-horizon problem needs the solve "
-                         "manifest, which also holds q(0) or t_f")
+                    help="the shooting unknowns: p(0), then q(0) for a "
+                         "periodic problem, then t_f for a free one, as "
+                         "x1,...,xd (use --adjoint-init=-1,-2 for negative "
+                         "values) or a JSON file with them: a list, or an "
+                         "object such as the solve manifest")
     sp.add_argument("--out", default=".", help="output directory")
 
     sp = sub.add_parser("sweep", description="Solve the parking instance over "
@@ -221,12 +224,10 @@ def _read_controls_csv(path, m: int) -> np.ndarray:
 
 
 def _parse_unknowns(text: str, problem) -> np.ndarray:
-    """The packed shooting unknowns (see ``solver._unknown_layout``): a JSON
-    object's ``vector`` entry, else p(0) alone from its ``p_init`` entry (at
-    top level or under ``unknowns``, as in a solve manifest), a bare JSON
-    list or 'p1,...,pn' when p(0) is all of them."""
-    has_q0, has_tf, dim = _unknown_layout(problem)
-    key = "p_init"
+    """The packed shooting unknowns as ``solver._check_unknowns`` accepts
+    them: 'x1,...,xd', a bare JSON list, or a JSON object's ``vector``
+    entry, else its ``p_init`` entry (at top level or under ``unknowns``, as
+    in a solve manifest)."""
     candidate = Path(text)
     if candidate.exists():
         try:
@@ -234,26 +235,19 @@ def _parse_unknowns(text: str, problem) -> np.ndarray:
         except (OSError, ValueError) as exc:
             raise ValueError(f"--adjoint-init {text}: {exc}")
         if isinstance(data, list):
-            data = {"p_init": data}
+            data = {"vector": data}
         elif isinstance(data, dict) and not {"vector", "p_init"} & data.keys() \
                 and isinstance(data.get("unknowns"), dict):
             data = data["unknowns"]
-        key = next((k for k in ("vector", "p_init")
-                    if isinstance(data, dict) and k in data), None)
-        if key is None:
+        if not (isinstance(data, dict) and {"vector", "p_init"} & data.keys()):
             raise ValueError(f"{text}: no 'vector' or 'p_init' entry found")
-        arr = _vector(data, key, text)
+        arr = _vector(data, "vector" if "vector" in data else "p_init", text)
     else:
         try:
             arr = np.array([float(tok) for tok in text.split(",")])
         except ValueError:
             raise ValueError(f"--adjoint-init {text!r} is neither a file nor "
                              f"a comma-separated vector")
-    if key == "p_init" and dim != problem.n:
-        missing = " and ".join(["q(0)"] * has_q0 + ["t_f"] * has_tf)
-        raise ValueError(f"--adjoint-init gives p(0) only, but this "
-                         f"problem's shooting unknowns also hold {missing}; "
-                         f"pass the manifest.json of its solve run")
     return _check_unknowns(problem, arr, "--adjoint-init")
 
 
@@ -375,7 +369,7 @@ def cmd_check(args) -> int:
             raise ValueError(f"{args.controls}: {len(values)} control rows "
                              f"but the grid has {grid.n_intervals} intervals")
         extremal = integrate_extremal_forward(problem, grid, values,
-                                              *np.split(z0, 2), -1.0)
+                                              *np.split(z0, 2), P0)
     except IntegrationBlowUp as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
@@ -474,8 +468,7 @@ def cmd_compare(args) -> int:
     if not run_dir.is_dir() or not manifest_path.exists() or not controls_path.exists():
         raise ValueError(f"{run_dir} is not a solved run directory "
                          f"(needs manifest.json and controls.csv)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    prob = manifest.get("problem") if isinstance(manifest, dict) else None
+    prob = read_spec_file(manifest_path, "run manifest").get("problem")
     if not isinstance(prob, dict):
         raise ValueError(f"{manifest_path}: 'problem' must be an object")
     try:

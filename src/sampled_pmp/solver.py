@@ -5,7 +5,8 @@ The outer loop is a damped Newton iteration on the unknown initial adjoint
 free).  ``_check_unknowns`` judges a caller's packed unknowns and
 ``_shooting_start`` reads them: it gives the start point and the grid, the
 trial horizon's for a free time, to the solver, ``shooting_residual`` and
-``sampled-pmp check`` alike.
+``sampled-pmp check`` alike.  No other module reads the packed layout.
+Every extremal is shot normal, at the one cost multiplier ``P0`` = -1.
 On the walk (:func:`_propagate`) each residual evaluation propagates the
 coupled state/adjoint system forward interval by interval; on every
 interval the frozen control solves the averaged-gradient variational
@@ -64,14 +65,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .certificate import (_terminal_hamiltonian, boundary_residuals,
-                          check_certificate)
+from .certificate import boundary_residuals, check_certificate
 from .errors import IntegrationBlowUp, NonConvergence
 from .problem import (Box, FreeTime, Periodic, ProblemDefinition,
                       SamplingGrid, build_grid)
 from .simulate import (LQMaps, _blown, _extremal_interval, _lq_maps,
                        _lq_nodes, _node_mean, _runs, integrate_extremal_forward)
 
+
+# The cost multiplier of every normal extremal the solver shoots and
+# ``sampled-pmp check`` rebuilds; the PMP fixes (p, p0) only up to a
+# positive factor.
+P0 = -1.0
 
 # Tolerance and iteration cap of the inner Newton on each interval's natural
 # residual and of the outer Newton on the shooting residual.
@@ -106,9 +111,14 @@ def _unknown_layout(problem: ProblemDefinition):
 def _check_unknowns(problem: ProblemDefinition, x, name: str) -> np.ndarray:
     """A caller's packed unknowns ``x``, as a new float vector, when they
     are finite, of ``_unknown_layout``'s size and with a positive free final
-    time; otherwise ValueError naming them ``name``."""
-    _, has_tf, dim = _unknown_layout(problem)
+    time; otherwise ValueError naming them ``name``, and naming what is
+    missing when ``x`` is p(0) alone."""
+    has_q0, has_tf, dim = _unknown_layout(problem)
     x = np.array(x, dtype=float)
+    if x.shape == (problem.n,) != (dim,):
+        missing = " and ".join(["q(0)"] * has_q0 + ["t_f"] * has_tf)
+        raise ValueError(f"{name} gives p(0) only, but this problem's "
+                         f"shooting unknowns also hold {missing}")
     if x.shape != (dim,) or not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be {dim} finite values, "
                          f"got {x.tolist()}")
@@ -122,7 +132,7 @@ def _check_unknowns(problem: ProblemDefinition, x, name: str) -> np.ndarray:
 # inner solve: one interval's control from the averaged-gradient condition
 # ---------------------------------------------------------------------------
 
-def _interval_average_gradient(problem, t_k, delta, z, u, p0):
+def _interval_average_gradient(problem, t_k, delta, z, u):
     """Gbar at ``u`` on one interval from z = (q_k, p_k), its maps and end
     node, from one stacked callback integration of the base arc and one step
     ``FD_STEP (1 + |(z, u)|)`` along each component of (z, u).  Returns
@@ -132,10 +142,10 @@ def _interval_average_gradient(problem, t_k, delta, z, u, p0):
     h = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     stack = x + np.vstack([np.zeros(x.size), h * np.eye(x.size)])
     times, nodes = _extremal_interval(problem, t_k, delta, stack[:, :2 * n],
-                                      stack[:, 2 * n:], p0)
+                                      stack[:, 2 * n:], P0)
     gbar = _node_mean(problem.hamiltonian_u,
                       np.broadcast_to(times, nodes.shape[:2]),
-                      nodes[..., :n], nodes[..., n:], p0, stack[:, 2 * n:])
+                      nodes[..., :n], nodes[..., n:], P0, stack[:, 2 * n:])
     d_gbar = ((gbar[1:] - gbar[0]) / h).T
     d_end = ((nodes[1:, -1] - nodes[0, -1]) / h).T
     maps = LQMaps(None, None, d_gbar[:, :2 * n], d_gbar[:, 2 * n:],
@@ -168,9 +178,9 @@ def _closed_form_gain(cs, maps: Optional[LQMaps]) -> Optional[np.ndarray]:
 
 
 def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
-                           q_k: np.ndarray, p_k: np.ndarray, p0: float,
-                           u_init: np.ndarray):
-    """Control value satisfying the interval's variational inequality.
+                           z: np.ndarray, u_init: np.ndarray):
+    """Control value satisfying the interval's variational inequality at the
+    start z = (q_k, p_k), on the normal extremal p0 = ``P0``.
 
     G = dGbar/du and Ga = dGbar/dz_k are the ``lq`` interval's cached maps,
     where Gbar = Ga z_k + G u is affine and nothing is integrated, or
@@ -199,10 +209,10 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     """
     if delta <= 0:
         raise ValueError(f"interval length must be positive, got {delta}")
-    z = np.asarray(np.concatenate([q_k, p_k]), dtype=float)
+    z = np.asarray(z, dtype=float)
     cs = problem.control_set
-    maps = (None if problem.lq is None
-            else _lq_maps(problem.lq, float(delta), float(p0)))
+    maps = None if problem.lq is None else _lq_maps(problem.lq,
+                                                    float(delta), P0)
     gain = _closed_form_gain(cs, maps)
     if gain is not None:
         # a - gain u lies in the normal cone at u = P(root) and nowhere else
@@ -219,7 +229,7 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
     def natural_residual(v):
         if maps is None:
             gbar, v_maps, end = _interval_average_gradient(
-                problem, t_k, delta, z, v, p0)
+                problem, t_k, delta, z, v)
             w = v + gbar
         else:
             w, v_maps, end = v + a + maps.g @ v, maps, None
@@ -306,7 +316,6 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     the projected origin).
     """
     n = problem.n
-    p0 = -1.0
     z0, grid = _shooting_start(problem, grid, x)
     u_prev = np.zeros(problem.m)
     z = z0
@@ -314,14 +323,14 @@ def _propagate(problem: ProblemDefinition, grid: SamplingGrid, x: np.ndarray):
     for t_k, delta in zip(grid.times, grid.lengths):
         z_last = z
         u_prev, z, tangent = solve_interval_control(
-            problem, float(t_k), float(delta), z[:n], z[n:], p0, u_prev)
+            problem, float(t_k), float(delta), z, u_prev)
         us.append(u_prev)
         tangents.append(tangent)
     controls = np.vstack(us)
 
     if isinstance(problem.final_time, FreeTime):
-        z = np.append(z, _terminal_hamiltonian(problem, grid.t_f, z[:n],
-                                               z[n:], p0, controls[-1]))
+        z = np.append(z, problem.hamiltonian(grid.t_f, z[:n], z[n:], P0,
+                                             controls[-1]))
     return _residual(problem, z0, z), (grid, controls, z0, (z_last, tangents))
 
 
@@ -350,10 +359,10 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
         u_prev = controls[-2] if len(tangents) > 1 else np.zeros(problem.m)
 
         def last_interval(v):
-            u, end, _ = solve_interval_control(
-                problem, t_k, v[-1], v[:n], v[n:2 * n], -1.0, u_prev)
-            return np.append(end, _terminal_hamiltonian(
-                problem, t_k + v[-1], end[:n], end[n:], -1.0, u))
+            u, end, _ = solve_interval_control(problem, t_k, v[-1], v[:-1],
+                                               u_prev)
+            return np.append(end, problem.hamiltonian(
+                t_k + v[-1], end[:n], end[n:], P0, u))
 
         x = np.append(z_last, grid.lengths[-1])
         chain = _fd_jacobian(last_interval, x) @ np.vstack(
@@ -448,7 +457,7 @@ def _shooting_map(problem: ProblemDefinition,
     runs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _runs(grid):
-            maps = _lq_maps(lq, float(grid.lengths[lo]), -1.0)
+            maps = _lq_maps(lq, float(grid.lengths[lo]), P0)
             gain = _closed_form_gain(problem.control_set, maps)
             if gain is None:
                 return None
@@ -488,7 +497,7 @@ def _map_residual(problem: ProblemDefinition, shooting: _ShootingMap, x):
             shooting.adjoint @ z0[n:]])
     if _blown(end):
         if np.all(np.isfinite(u)):
-            integrate_extremal_forward(problem, grid, u, z0[:n], z0[n:], -1.0)
+            integrate_extremal_forward(problem, grid, u, z0[:n], z0[n:], P0)
         # the arcs end below the rule only by rounding at its threshold
         raise IntegrationBlowUp(grid.t_f)
     return _residual(problem, z0, end), (grid, u, z0, roots)
@@ -540,7 +549,7 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
 
     Runs :func:`_damped_newton` on the shooting residual and returns
     ``(Extremal, Certificate)`` for the converged iterate, with the cost
-    multiplier normalized to -1, whatever the certificate's verdict: the
+    multiplier ``P0``, whatever the certificate's verdict: the
     caller reads ``certificate.passed``.  Where :func:`_shooting_map`
     serves the problem, each residual is the closed-form map's; otherwise
     each residual walks the intervals (:func:`_propagate`).  Both paths
@@ -583,14 +592,15 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     _, (solved_grid, u, z0, _) = _damped_newton(
         *path, x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate, stats=stats)
     extremal = integrate_extremal_forward(problem, solved_grid, u,
-                                          *np.split(z0, 2), -1.0)
+                                          *np.split(z0, 2), P0)
     return extremal, check_certificate(problem, extremal)
 
 
 def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
-                           controls, q0: np.ndarray, p_end: np.ndarray,
-                           p0: float) -> np.ndarray:
-    """Initial adjoint p(0) whose forward arc hits ``p_end`` at t_f.
+                           controls, q0: np.ndarray,
+                           p_end: np.ndarray) -> np.ndarray:
+    """Initial adjoint p(0) whose forward arc at p0 = ``P0`` hits ``p_end``
+    at t_f.
 
     For fixed controls and states the adjoint equation is linear in p, and
     so is each RK4 step: p(t_f) = c + Phi p(0).  The arc from p(0) = 0 gives
@@ -601,7 +611,7 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
         return integrate_extremal_forward(problem, grid, controls, q0,
                                           p_start, p0).final_adjoint
 
-    c = final_adjoint(np.zeros(problem.n), p0)
+    c = final_adjoint(np.zeros(problem.n), P0)
     phi = np.column_stack([final_adjoint(e, 0.0) for e in np.eye(problem.n)])
     return np.linalg.solve(phi, np.asarray(p_end, dtype=float) - c)
 

@@ -148,13 +148,14 @@ def _parse_terminal(obj, n: int):
     return term
 
 
-def read_spec_file(path) -> dict:
-    """A specification file's JSON object, unparsed; SpecError if none."""
+def read_spec_file(path, what: str = "problem specification") -> dict:
+    """A JSON file's object, unparsed, such as a specification file's or a
+    run manifest's (``what``); SpecError naming the file if none."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise SpecError(f"cannot read problem specification {path}: {exc}")
+        raise SpecError(f"cannot read {what} {path}: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -225,8 +225,7 @@ def test_criterion_6_adjoint_gradient_identity():
         rng = np.random.default_rng(7)
         ctrl = rng.uniform(-0.9, 0.9, size=(grid.n_intervals, 1))
         q0 = np.array([2.0, 0.0])
-        p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, np.zeros(2),
-                                           -1.0)
+        p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, np.zeros(2))
         ext = sp.integrate_extremal_forward(prob, grid, ctrl, q0, p_init, -1.0)
         assert np.linalg.norm(ext.final_adjoint) <= 1e-10
         h = 1e-5

@@ -768,6 +768,26 @@ def test_check_round_trip_beyond_fixed_endpoints(tmp_path, spec):
         assert cert["verdict"] == "pass", record
 
 
+@pytest.mark.parametrize("spec", [FREE_HORIZON_SPEC, PERIODIC_SPEC],
+                         ids=["free-horizon", "periodic"])
+def test_check_reads_the_packed_vector_as_a_comma_list(tmp_path, capsys,
+                                                       spec):
+    # a list is the packed vector, p(0) with q(0) or t_f: the manifest's
+    # vector spelled on the command line certifies the run
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    run = tmp_path / "run"
+    assert main(["solve", "--spec", str(path), "--out", str(run)]) == 0
+    vector = json.loads((run / "manifest.json").read_text())["unknowns"]["vector"]
+    rc = main(["check", "--spec", str(path),
+               "--controls", str(run / "controls.csv"),
+               "--adjoint-init=" + ",".join(map(repr, vector)),
+               "--out", str(tmp_path / "chk")])
+    assert rc == 0, capsys.readouterr().err
+    cert = json.loads((tmp_path / "chk" / "certificate.json").read_text())
+    assert cert["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("spec, missing", [
     (FREE_HORIZON_SPEC, "t_f"), (PERIODIC_SPEC, "q(0)"),
 ], ids=["free-horizon", "periodic"])
@@ -983,8 +1003,9 @@ def test_compare_missing_run(tmp_path):
 @pytest.mark.parametrize("manifest, message", [
     ({"problem": {"problem": "parking", "tf": 3.0, "T": 0.5}},
      "'problem': missing required field 'M' in builtin spec"),
+    ("{bad", "{path} is not valid JSON"),
     ([{"problem": {"problem": "parking", "M": 2.0, "tf": 3.0, "T": 0.5}}],
-     "'problem' must be an object"),
+     "{path} must contain a JSON object"),
     ({"problem": {"problem": "parking", "M": None, "tf": 3.0, "T": 0.5}},
      "field 'M' in builtin spec must be a number"),
     ({"problem": "parking"}, "'problem' must be an object"),
@@ -994,13 +1015,16 @@ def test_compare_missing_run(tmp_path):
      "'problem' has no field 'T': compare needs a solve run, not a sweep"),
     ({"problem": {"problem": "parking", "M": 2.0, "tf": 3.0, "T": 1.0}},
      "row count does not match the grid"),
-], ids=["missing-M", "list", "null-M", "problem-string", "not-parking",
-        "no-T", "row-count"])
+], ids=["missing-M", "not-json", "list", "null-M", "problem-string",
+        "not-parking", "no-T", "row-count"])
 def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest,
                                             message):
     run = tmp_path / "run"
     run.mkdir()
-    (run / "manifest.json").write_text(json.dumps(manifest))
+    (run / "manifest.json").write_text(
+        manifest if isinstance(manifest, str) else json.dumps(manifest))
+    # the reader of spec files names the manifest it could not read
+    message = message.replace("{path}", str(run / "manifest.json"))
     (run / "controls.csv").write_text("k,t_k,delta_k,u_1,residual_k\n"
                                       + "".join(f"{k},0,0.5,0.0,0.0\n"
                                                 for k in range(6)))

@@ -262,8 +262,8 @@ def test_sign_rule_matches_generic_interval_solver():
         q = np.array([2.0, 0.0])
         for k in range(grid.n_intervals):
             u_k, _, _ = sp.solve_interval_control(
-                prob, float(grid.times[k]), float(grid.lengths[k]), q, p,
-                -1.0, np.array([0.0]))
+                prob, float(grid.times[k]), float(grid.lengths[k]),
+                np.concatenate([q, p]), np.array([0.0]))
             assert abs(u_k[0] - closed[k]) <= 1e-10
             onegrid = sp.build_grid(float(grid.lengths[k]), float(grid.lengths[k]))
             seg = sp.integrate_extremal_forward(prob, onegrid, u_k[None, :], q, p,

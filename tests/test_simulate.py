@@ -59,7 +59,8 @@ def test_interval_argument_validation():
             _extremal_interval(prob, 0.0, -1.0, np.zeros(4), np.array([0.0]),
                                -1.0)
         with pytest.raises(ValueError, match="interval length"):
-            sp.solve_interval_control(prob, 0.0, 0.0, Q0, np.zeros(2), -1.0,
+            sp.solve_interval_control(prob, 0.0, 0.0,
+                                      np.concatenate([Q0, np.zeros(2)]),
                                       np.array([0.0]))
 
 
@@ -138,7 +139,7 @@ def test_lq_matrices_blow_up_where_the_callbacks_do(a, delta, z):
     _outcomes_agree(lambda P: one_interval(P, np.array([z[0], 0.0]), 0.0),
                     prob)
     _outcomes_agree(lambda P: sp.solve_interval_control(
-        P, 0.25, delta, z[:1], z[1:], -1.0, u)[1], prob)
+        P, 0.25, delta, z, u)[1], prob)
     grid = sp.build_grid(3.5 * delta, delta)
     ctrl = np.zeros((grid.n_intervals, 1))
     for p0, p_init in ((-1.0, z[1:]), (0.0, np.zeros(1))):
@@ -505,7 +506,7 @@ def test_adjoint_gradient_identity():
     rng = np.random.default_rng(7)
     ctrl = rng.uniform(-0.9, 0.9, size=(grid.n_intervals, 1))
     q0 = np.array([2.0, 0.0])
-    p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, np.zeros(2), -1.0)
+    p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, np.zeros(2))
     ext = sp.integrate_extremal_forward(prob, grid, ctrl, q0, p_init, -1.0)
     assert np.linalg.norm(ext.final_adjoint) <= 1e-12
     h = 1e-5

@@ -8,8 +8,9 @@ import pytest
 import sampled_pmp as sp
 from sampled_pmp import parking, solver
 from sampled_pmp.parking import initial_adjoint_guess, parking_problem
-from sampled_pmp.simulate import (_extremal_interval, _lq_maps, _lq_nodes,
-                                  _node_times, integrate_extremal_forward)
+from sampled_pmp.simulate import (LQMaps, _extremal_interval, _lq_maps,
+                                  _lq_nodes, _node_mean, _node_times,
+                                  integrate_extremal_forward)
 
 from conftest import (FIXED_ENDS, FREE_END, _count_calls, double_integrator,
                       pendulum, scalar_lti)
@@ -21,6 +22,7 @@ GRID4 = sp.build_grid(4.0, 2.0)
 Q0 = np.array([2.0, 0.0])
 # p(0) of parking (2, 4) at T = 2, whose controls are (-0.5, 0.5)
 P_STAR = np.array([-1.0, -2.0])
+Z_STAR = np.concatenate([Q0, P_STAR])
 
 
 def _scalar_transfer(tf_guess):
@@ -46,8 +48,8 @@ def _scalar_transfer(tf_guess):
 # ---------------------------------------------------------------------------
 
 def test_solve_interval_control_finds_interior_root():
-    u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                     np.array([0.0]))
+    u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Z_STAR,
+                                        np.array([0.0]))
     assert u[0] == pytest.approx(-0.5, abs=1e-11)
     # the returned control satisfies its own fixed-point condition
     gbar = sp.average_u_gradient(
@@ -68,11 +70,10 @@ def test_solve_interval_control_judges_its_arc_on_both_paths():
     twin = dataclasses.replace(problem, lq=None)
     for P in (problem, twin):
         with pytest.raises(sp.IntegrationBlowUp) as exc:
-            sp.solve_interval_control(P, 0.25, 1.0, [1.0], [0.5], -1.0,
-                                      [0.0])
+            sp.solve_interval_control(P, 0.25, 1.0, [1.0, 0.5], [0.0])
         assert exc.value.time == 1.0
-        u, end, _ = sp.solve_interval_control(P, 0.25, 0.1, [1.0], [0.5],
-                                              -1.0, [0.0])
+        u, end, _ = sp.solve_interval_control(P, 0.25, 0.1, [1.0, 0.5],
+                                              [0.0])
         assert end.shape == (2,)
         # the end node of the arc at the solved control, on the callbacks
         arc = _extremal_interval(twin, 0.25, 0.1, np.array([1.0, 0.5]), u,
@@ -100,17 +101,16 @@ def test_solve_interval_control_accepts_stationary_start(monkeypatch):
     # with no Newton iterate to accept
     accepted = _record_accepted_steps(monkeypatch)
     u, _, _ = sp.solve_interval_control(dataclasses.replace(PARKING4, lq=None),
-                                        0.0, 2.0, Q0, P_STAR, -1.0,
-                                        np.array([-0.5]))
+                                        0.0, 2.0, Z_STAR, np.array([-0.5]))
     assert u[0] == -0.5
     assert accepted == []
 
 
 def test_solve_interval_control_clamps_to_bound():
     # p = (0, 3) constant: root of 3 - 2u is 1.5, outside the box
-    u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0,
-                                     np.array([0.0, 3.0]), -1.0,
-                                     np.array([0.0]))
+    u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0,
+                                        np.concatenate([Q0, [0.0, 3.0]]),
+                                        np.array([0.0]))
     assert u[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -120,7 +120,7 @@ def test_solve_interval_control_reports_stall(monkeypatch):
     monkeypatch.setattr(solver, "INNER_MAX_ITER", 2)
     with pytest.raises(sp.NonConvergence) as exc:
         sp.solve_interval_control(dataclasses.replace(PARKING4, lq=None), 0.0,
-                                  2.0, Q0, P_STAR, -1.0, np.array([1.0]))
+                                  2.0, Z_STAR, np.array([1.0]))
     assert exc.value.iterate is not None
     assert exc.value.residual_norm > solver.INNER_TOL
 
@@ -133,8 +133,8 @@ def test_inner_iterates_ascend_average_hamiltonian(monkeypatch):
     for u0 in (0.0, 1.0, -1.0, 0.8):
         accepted.clear()
         u, _, _ = sp.solve_interval_control(
-            dataclasses.replace(PARKING4, lq=None), 0.0, 2.0, Q0, P_STAR,
-            -1.0, np.array([u0]))
+            dataclasses.replace(PARKING4, lq=None), 0.0, 2.0, Z_STAR,
+            np.array([u0]))
         iterates = [np.array([u0])] + accepted
         assert len(iterates) >= 2 and np.array_equal(iterates[-1], u)
         ext = sp.integrate_extremal_forward(PARKING4, GRID4,
@@ -146,12 +146,11 @@ def test_inner_iterates_ascend_average_hamiltonian(monkeypatch):
 
 def test_warm_start_independence():
     rng = np.random.default_rng(9)
-    u_ref, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                         np.array([0.0]))
+    u_ref, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Z_STAR,
+                                            np.array([0.0]))
     for _ in range(5):
         u_init = PARKING4.control_set.project(rng.normal(scale=2.0, size=1))
-        u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Q0, P_STAR, -1.0,
-                                         u_init)
+        u, _, _ = sp.solve_interval_control(PARKING4, 0.0, 2.0, Z_STAR, u_init)
         assert abs(u[0] - u_ref[0]) <= 1e-9
 
 
@@ -196,8 +195,30 @@ def test_interval_control_solves_random_monotone_lq_intervals():
     rng = np.random.default_rng(2024)
     for _ in range(100):
         prob, delta, q, p, u_init = _random_lq_interval(rng, state_cost=False)
-        u, _, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0, u_init)
+        u, _, _ = sp.solve_interval_control(prob, 0.0, delta,
+                                            np.concatenate([q, p]), u_init)
         _assert_solves_interval(prob, delta, q, p, u)
+
+
+def _differenced_interval(problem, t_k, delta, z, u, p0):
+    """``solver._interval_average_gradient``'s ``(gbar, maps, end)`` at the
+    cost multiplier ``p0``, built as it builds them: one stacked callback
+    integration of the base arc and of one step FD_STEP (1 + |(z, u)|)
+    along each component of (z, u), Gbar from ``_node_mean``."""
+    n = problem.n
+    x = np.concatenate([z, u])
+    h = solver.FD_STEP * (1.0 + float(np.linalg.norm(x)))
+    stack = x + np.vstack([np.zeros(x.size), h * np.eye(x.size)])
+    times, nodes = _extremal_interval(problem, t_k, delta, stack[:, :2 * n],
+                                      stack[:, 2 * n:], p0)
+    gbar = _node_mean(problem.hamiltonian_u,
+                      np.broadcast_to(times, nodes.shape[:2]),
+                      nodes[..., :n], nodes[..., n:], p0, stack[:, 2 * n:])
+    d_gbar = ((gbar[1:] - gbar[0]) / h).T
+    d_end = ((nodes[1:, -1] - nodes[0, -1]) / h).T
+    maps = LQMaps(None, None, d_gbar[:, :2 * n], d_gbar[:, 2 * n:],
+                  d_end[:, :2 * n], d_end[:, 2 * n:])
+    return gbar[0], maps, nodes[0, -1]
 
 
 def test_lq_matrices_match_callbacks_on_random_intervals():
@@ -205,15 +226,22 @@ def test_lq_matrices_match_callbacks_on_random_intervals():
     # Box and Ball sets, interval lengths in [0.1, 2].  The lq path's Gbar
     # is the cached affine map Ga z + G u, with no integration, and its
     # derivatives are the twin's forward differences up to their truncation
-    # error (7.5e-9 relative at worst on these draws)
+    # error (7.5e-9 relative at worst on these draws).  The solver's twin
+    # runs at p0 = P0; at p0 = -0.5 its values are rebuilt the same way
     rng = np.random.default_rng(2026)
     for _ in range(100):
         prob, delta, q, p, u = _random_lq_interval(rng, state_cost=True)
         twin = dataclasses.replace(prob, lq=None)
         z = np.concatenate([q, p])
-        for p0 in (-1.0, -0.5):
+        for p0 in (solver.P0, -0.5):
             want, twin_maps, end = \
-                solver._interval_average_gradient(twin, 0.3, delta, z, u, p0)
+                _differenced_interval(twin, 0.3, delta, z, u, p0)
+            if p0 == solver.P0:
+                got = solver._interval_average_gradient(twin, 0.3, delta, z, u)
+                np.testing.assert_array_equal(got[0], want)
+                np.testing.assert_array_equal(got[2], end)
+                for a, b in zip(got[1], twin_maps):
+                    np.testing.assert_array_equal(a, b)
             # the base arc of a stacked integration, on its own
             times, nodes = _extremal_interval(twin, 0.3, delta, z, u, p0)
             assert np.max(np.abs(end - nodes[-1])) <= 1e-13 * np.max(
@@ -271,8 +299,8 @@ def test_interval_control_never_returns_a_wrong_answer():
     for _ in range(100):
         prob, delta, q, p, u_init = _random_lq_interval(rng, state_cost=True)
         try:
-            u, _, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0,
-                                             u_init)
+            u, _, _ = sp.solve_interval_control(
+                prob, 0.0, delta, np.concatenate([q, p]), u_init)
         except sp.NonConvergence:
             continue
         _assert_solves_interval(prob, delta, q, p, u)
@@ -323,23 +351,20 @@ def test_decoupled_lq_interval_takes_the_projected_root(kind, seed,
     rng = np.random.default_rng(seed)
     for _ in range(30):
         prob, delta, q, p, u_init = _decoupled_lq_interval(rng, kind)
-        n, m = prob.n, prob.m
+        z = np.concatenate([q, p])
         before = newton_calls()
-        u, _, tangent = sp.solve_interval_control(prob, 0.0, delta, q, p,
-                                                  -1.0, u_init)
+        u, _, tangent = sp.solve_interval_control(prob, 0.0, delta, z, u_init)
         assert newton_calls() == before
         _assert_solves_interval(prob, delta, q, p, u)
-        again, _, _ = sp.solve_interval_control(prob, 0.0, delta, q, p, -1.0,
-                                                np.zeros(m))
+        again, _, _ = sp.solve_interval_control(prob, 0.0, delta, z,
+                                                np.zeros(prob.m))
         assert np.array_equal(again, u)
         twin, _, _ = sp.solve_interval_control(
-            dataclasses.replace(prob, lq=None), 0.0, delta, q, p, -1.0,
-            u_init)
+            dataclasses.replace(prob, lq=None), 0.0, delta, z, u_init)
         assert np.max(np.abs(twin - u)) <= 1e-10
         fd = _central_differences(
-            lambda z: sp.solve_interval_control(prob, 0.0, delta, z[:n],
-                                                z[n:], -1.0, u_init)[1],
-            np.concatenate([q, p]))
+            lambda v: sp.solve_interval_control(prob, 0.0, delta, v,
+                                                u_init)[1], z)
         assert np.max(np.abs(tangent - fd)) \
             <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
@@ -355,8 +380,8 @@ def test_zero_radius_ball_closed_form_has_the_free_tangent():
                           final_time=sp.FixedTime(1.0))
     maps = _lq_maps(prob.lq, 0.5, -1.0)
     assert maps.decoupled is not None
-    u, _, tangent = sp.solve_interval_control(prob, 0.0, 0.5, np.zeros(2),
-                                              np.zeros(2), -1.0, np.zeros(1))
+    u, _, tangent = sp.solve_interval_control(prob, 0.0, 0.5, np.zeros(4),
+                                              np.zeros(1))
     np.testing.assert_array_equal(u, [0.0])
     np.testing.assert_array_equal(tangent, maps.phi_end)
 
@@ -377,8 +402,8 @@ def test_coupled_lq_intervals_keep_the_newton_solve(newton_calls):
                               final_time=sp.FixedTime(1.0))
         q, p = rng.normal(size=2), rng.normal(scale=3.0, size=2)
         before = newton_calls()
-        u, _, _ = sp.solve_interval_control(prob, 0.0, 1.0, q, p, -1.0,
-                                            np.zeros(2))
+        u, _, _ = sp.solve_interval_control(
+            prob, 0.0, 1.0, np.concatenate([q, p]), np.zeros(2))
         assert newton_calls() - before == 1
         _assert_solves_interval(prob, 1.0, q, p, u)
 
@@ -826,6 +851,24 @@ def test_solve_rejects_bad_initial_unknowns(problem, guess,
     assert interval_integrations() == 0
 
 
+@pytest.mark.parametrize("problem, missing", [
+    (double_integrator(sp.Periodic(), sp.FixedTime(4.0)), "q(0)"),
+    (FREE_TIME4, "t_f"),
+], ids=["periodic", "free-horizon"])
+def test_solve_names_what_p0_alone_lacks(problem, missing,
+                                         interval_integrations):
+    # p(0) alone is not the packed vector of a periodic or free-horizon
+    # problem: the ValueError names the unknowns it lacks, before any
+    # integration
+    with pytest.raises(ValueError) as exc:
+        sp.solve(problem, sp.build_grid(4.0, 1.0),
+                 initial_unknowns=[-1.0, -2.0])
+    assert str(exc.value) == ("initial unknowns gives p(0) only, but this "
+                              "problem's shooting unknowns also hold "
+                              + missing)
+    assert interval_integrations() == 0
+
+
 def test_free_horizon_solves_from_the_default_guess():
     # no initial unknowns: p(0) = 0 and the problem's own final-time guess
     ext, cert = sp.solve(_scalar_transfer(1.4), sp.build_grid(1.4, 0.3))
@@ -1251,7 +1294,7 @@ def test_match_terminal_adjoint_on_random_lq_draws(scale):
         grid = sp.build_grid(tf, tf / K)
         ctrl = rng.uniform(-1, 1, size=(K, m))
         p_end = scale * rng.standard_normal(n)
-        p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, p_end, -1.0)
+        p_init = sp.match_terminal_adjoint(prob, grid, ctrl, q0, p_end)
         ext = integrate_extremal_forward(prob, grid, ctrl, q0, p_init, -1.0)
         assert (np.linalg.norm(ext.final_adjoint - p_end)
                 <= 1e-8 * np.linalg.norm(p_end))
