@@ -7,8 +7,10 @@ The variant's boundary conditions (:func:`boundary_residuals`) give the
 feasibility of the terminal constraints (a checker must reject infeasible
 candidates even though the optimality conditions presuppose admissibility)
 and a transversality residual, free-final-time problems add a terminal
-Hamiltonian residual, nontriviality of the multiplier pair is checked, and
-on a fixed final time the extremal's grid must end at it.
+Hamiltonian residual, nontriviality of the multiplier pair is checked, the
+extremal's arcs must tile [0, t_f] of its grid, each interval starting
+where the previous one ends, and on a fixed final time the grid must end
+at it.
 The shooting residual is built from the same definitions.
 
 The checker covers the three canonical terminal variants the solver
@@ -32,8 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnsupportedCase
-from .problem import (FixedEndpoints, FixedInitialFreeFinal, FixedTime,
-                      FreeTime, ProblemDefinition, TerminalCondition)
+from .problem import (GRID_SNAP, FixedEndpoints, FixedInitialFreeFinal,
+                      FixedTime, FreeTime, ProblemDefinition,
+                      TerminalCondition)
 from .simulate import Extremal, _extremal_mean, average_u_gradient
 
 DEFAULT_TOL = 1e-8
@@ -123,8 +126,10 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
     """Verify every necessary condition on ``extremal`` and aggregate a verdict.
 
     Fails when the multiplier pair is trivial, the grid ends off a fixed
-    final time, a control leaves the control set, the terminal constraints
-    are violated, or any condition residual exceeds ``DEFAULT_TOL``.  Each
+    final time, the arcs' node times do not tile the grid's [0, t_f] (each
+    interval starting where the previous one ends, within ``GRID_SNAP``
+    t_f), a control leaves the control set, the terminal constraints are
+    violated, or any condition residual exceeds ``DEFAULT_TOL``.  Each
     residual is computed once and, for a normal extremal, divided by -p0
     before the tolerance test; the certificate holds it so divided.
     """
@@ -142,6 +147,14 @@ def check_certificate(problem: ProblemDefinition, extremal: Extremal) -> Certifi
     if isinstance(final, FixedTime) and t_f != final.t_f:
         violations.append(f"horizon: the grid ends at t_f = {t_f}, not at "
                           f"the fixed final time {final.t_f}")
+    times, snap = extremal.times, GRID_SNAP * t_f
+    start, end = float(times[0, 0]), float(times[-1, -1])
+    if abs(start) > snap or abs(end - t_f) > snap:
+        violations.append(f"arcs: they run over [{start}, {end}], not over "
+                          f"the grid's [0, {t_f}]")
+    for k in np.nonzero(np.abs(times[1:, 0] - times[:-1, -1]) > snap)[0]:
+        violations.append(f"interval {k + 1}: starts at {times[k + 1, 0]}, "
+                          f"not where interval {k} ends, {times[k, -1]}")
 
     controls = extremal.controls.values
     for k in np.nonzero(~problem.control_set.contains(controls))[0]:

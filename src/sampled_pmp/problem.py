@@ -239,6 +239,17 @@ ControlSet = Union[Box, Ball]
 # terminal conditions
 # ---------------------------------------------------------------------------
 
+def _terminal_vector(v) -> np.ndarray:
+    """A prescribed state as a float vector; ValueError unless 1-d and
+    finite.  Its length is checked against n by the problem."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.ndim != 1:
+        raise ValueError("terminal vectors must be 1-d arrays")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("terminal vectors must be finite")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class FixedEndpoints:
     """q(0) = q0 and q(t_f) = qf both prescribed."""
@@ -247,8 +258,7 @@ class FixedEndpoints:
     qf: np.ndarray
 
     def __post_init__(self):
-        q0 = np.atleast_1d(np.asarray(self.q0, dtype=float))
-        qf = np.atleast_1d(np.asarray(self.qf, dtype=float))
+        q0, qf = _terminal_vector(self.q0), _terminal_vector(self.qf)
         if q0.shape != qf.shape:
             raise ValueError("endpoint vectors must have equal length")
         _freeze(self, q0=q0, qf=qf)
@@ -261,7 +271,7 @@ class FixedInitialFreeFinal:
     q0: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, q0=np.atleast_1d(self.q0))
+        _freeze(self, q0=_terminal_vector(self.q0))
 
 
 @dataclass(frozen=True)
@@ -400,6 +410,9 @@ class ProblemDefinition:
         if self.control_set.dim != self.m:
             raise ValueError(
                 f"control set dimension {self.control_set.dim} != m={self.m}")
+        if (not isinstance(self.terminal, Periodic)
+                and self.terminal.q0.size != self.n):
+            raise ValueError(f"terminal vectors must have length n={self.n}")
         if self.lq is not None and self.lq.B.shape != (self.n, self.m):
             raise ValueError(
                 f"lq matrices are for n={self.lq.B.shape[0]}, "

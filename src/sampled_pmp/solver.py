@@ -2,10 +2,12 @@
 
 The outer loop is a damped Newton iteration on the unknown initial adjoint
 (plus the initial state for periodic problems and the final time when it is
-free).  ``_check_unknowns`` judges a caller's packed unknowns and
-``_shooting_start`` reads them: it gives the start point and the grid, the
-trial horizon's for a free time, to the solver, ``shooting_residual`` and
-``sampled-pmp check`` alike.  No other module reads the packed layout.
+free).  Three functions own the packed layout: ``_check_unknowns`` judges a
+caller's packed unknowns and gives the default start, ``_shooting_start``
+reads them, giving the start point and the grid, the trial horizon's for a
+free time, to the solver, ``shooting_residual`` and ``sampled-pmp check``
+alike, and ``_start_tangent`` is the start's derivative, from which both
+paths chain their Jacobians.  No other code reads the packed layout.
 Every extremal is shot normal, at the one cost multiplier ``P0`` = -1.
 On the walk (:func:`_propagate`) each residual evaluation propagates the
 coupled state/adjoint system forward interval by interval; on every
@@ -112,8 +114,14 @@ def _check_unknowns(problem: ProblemDefinition, x, name: str) -> np.ndarray:
     """A caller's packed unknowns ``x``, as a new float vector, when they
     are finite, of ``_unknown_layout``'s size and with a positive free final
     time; otherwise ValueError naming them ``name``, and naming what is
-    missing when ``x`` is p(0) alone."""
+    missing when ``x`` is p(0) alone.  ``x`` None is the default start:
+    zeros, with a free horizon's ``t_f_guess`` last."""
     has_q0, has_tf, dim = _unknown_layout(problem)
+    if x is None:
+        x = np.zeros(dim)
+        if has_tf:
+            x[-1] = problem.final_time.t_f_guess
+        return x
     x = np.array(x, dtype=float)
     if x.shape == (problem.n,) != (dim,):
         missing = " and ".join(["q(0)"] * has_q0 + ["t_f"] * has_tf)
@@ -239,8 +247,8 @@ def solve_interval_control(problem: ProblemDefinition, t_k: float, delta: float,
         w, v_maps, _ = aux
         return cs.project_jacobian(w) @ (eye + v_maps.g) - eye
 
-    u, (w, u_maps, end) = _damped_newton(natural_residual, jacobian, u,
-                                         INNER_TOL, INNER_MAX_ITER)
+    u, (w, u_maps, end), _ = _damped_newton(natural_residual, jacobian, u,
+                                            INNER_TOL, INNER_MAX_ITER)
     if end is None:
         end = _lq_end(maps, t_k, delta, z, u)
     D = cs.project_jacobian(w)
@@ -350,7 +358,7 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
     """
     grid, controls, _, (z_last, tangents) = propagated
     n = problem.n
-    _, has_tf, dim = _unknown_layout(problem)
+    has_tf = isinstance(problem.final_time, FreeTime)
     chain = _start_tangent(problem)
     for tangent in tangents[:-1] if has_tf else tangents:
         chain = tangent @ chain
@@ -366,13 +374,14 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
 
         x = np.append(z_last, grid.lengths[-1])
         chain = _fd_jacobian(last_interval, x) @ np.vstack(
-            [chain, np.eye(dim)[-1]])
+            [chain, np.eye(chain.shape[1])[-1]])
     return _linearized_residual(problem, chain)
 
 
 def _start_tangent(problem: ProblemDefinition) -> np.ndarray:
     """S = dz(0)/dx (2n x dim) for the packed unknowns x: p(0), then q(0)
-    of a periodic problem; a free horizon's column is zero."""
+    of a periodic problem; a free horizon's column is zero.  The walk's
+    tangents and the map's transition are both chained from it."""
     n = problem.n
     has_q0, _, dim = _unknown_layout(problem)
     S = np.zeros((2 * n, dim))
@@ -403,8 +412,7 @@ def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
     starts (see ``_shooting_start``), so a grid off a fixed final time
     raises ValueError before anything is integrated.
     """
-    r, _ = _propagate(problem, grid, unknowns)
-    return r
+    return _propagate(problem, grid, unknowns)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +513,18 @@ def _map_residual(problem: ProblemDefinition, shooting: _ShootingMap, x):
 
 def _map_jacobian(problem: ProblemDefinition, shooting: _ShootingMap,
                   roots: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of :func:`_map_residual` at the trial of ``roots``:
-    dq(t_f)/dp(0) = sum_k E_k D_k W_k, D_k the projection's Jacobian at the
-    root, the rule of :func:`solve_interval_control`; dq(t_f)/dq(0) = F^K
-    for a periodic problem, and dp(t_f)/dp(0) the adjoint transition."""
+    """Exact Jacobian of :func:`_map_residual` at the trial of ``roots``.
+
+    The map's transition dz(t_f)/dz(0) is [[F^K, sum_k E_k D_k W_k],
+    [0, adjoint transition]], D_k the projection's Jacobian at the root,
+    the rule of :func:`solve_interval_control`; it is chained from
+    :func:`_start_tangent` as the walk chains its interval tangents."""
     n = problem.n
-    has_q0, _, dim = _unknown_layout(problem)
     D = problem.control_set.project_jacobian(roots)
-    chain = np.zeros((2 * n, dim))
-    chain[:n, :n] = (shooting.e @ D @ shooting.w).sum(axis=0)
-    chain[n:, :n] = shooting.adjoint
-    if has_q0:
-        chain[:n, n:] = shooting.phi
-    return _linearized_residual(problem, chain)
+    transition = np.zeros((2 * n, 2 * n))
+    transition[:n, :n], transition[n:, n:] = shooting.phi, shooting.adjoint
+    transition[:n, n:] = (shooting.e @ D @ shooting.w).sum(axis=0)
+    return _linearized_residual(problem, transition @ _start_tangent(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +554,8 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
           initial_unknowns=None, stats: Optional[dict] = None):
     """Solve the sampled-data problem by indirect shooting.
 
-    Runs :func:`_damped_newton` on the shooting residual and returns
+    Runs :func:`_damped_newton` on the shooting residual from the start
+    :func:`_check_unknowns` gives and returns
     ``(Extremal, Certificate)`` for the converged iterate, with the cost
     multiplier ``P0``, whatever the certificate's verdict: the
     caller reads ``certificate.passed``.  Where :func:`_shooting_map`
@@ -563,22 +571,17 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
     horizon must be a fixed final time's, or ValueError is raised before
     anything is integrated.  History entries
     carry the active-set signature of the iterate's controls, and for a
-    free final time its horizon.  When a ``stats`` dict is supplied it
-    receives the iteration count, the final residual norm, the
+    free final time the horizon of the grid the residual ran on.  When a
+    ``stats`` dict is supplied, ``solve`` fills it from the driver's
+    history: the iteration count, the final residual norm, the
     per-iteration history and the solved unknowns.
     """
-    _, has_tf, dim = _unknown_layout(problem)
-    if initial_unknowns is None:
-        x = np.zeros(dim)
-        if has_tf:
-            x[-1] = problem.final_time.t_f_guess
-    else:
-        x = _check_unknowns(problem, initial_unknowns, "initial unknowns")
+    x = _check_unknowns(problem, initial_unknowns, "initial unknowns")
 
     def annotate(vec, aux):
         entry = {"active_set": _active_set_signature(problem, aux[1])}
-        if has_tf:
-            entry["t_f"] = float(vec[-1])
+        if isinstance(problem.final_time, FreeTime):
+            entry["t_f"] = aux[0].t_f
         return entry
 
     shooting = _shooting_map(problem, grid)
@@ -589,8 +592,12 @@ def solve(problem: ProblemDefinition, grid: SamplingGrid,
         path = (lambda vec: _map_residual(problem, shooting, vec),
                 lambda _, aux: _map_jacobian(problem, shooting, aux[3]))
     # a free horizon's solved grid differs from the one the search started on
-    _, (solved_grid, u, z0, _) = _damped_newton(
-        *path, x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate, stats=stats)
+    x, (solved_grid, u, z0, _), history = _damped_newton(
+        *path, x, NEWTON_TOL, NEWTON_MAX_ITER, annotate=annotate)
+    if stats is not None:
+        stats.update(iterations=len(history) - 1,
+                     residual_norm=history[-1]["residual_norm"],
+                     history=history, unknowns=x.tolist())
     extremal = integrate_extremal_forward(problem, solved_grid, u,
                                           *np.split(z0, 2), P0)
     return extremal, check_certificate(problem, extremal)
@@ -620,8 +627,7 @@ def match_terminal_adjoint(problem: ProblemDefinition, grid: SamplingGrid,
 # the damped Newton driver
 # ---------------------------------------------------------------------------
 
-def _damped_newton(residual, jacobian, x, tol, max_iter, annotate=None,
-                   stats=None):
+def _damped_newton(residual, jacobian, x, tol, max_iter, annotate=None):
     """Damped Newton on ``residual(x) -> (r, aux)`` with square r.
 
     Every iteration takes the caller's Jacobian ``jacobian(x, aux)`` at the
@@ -629,9 +635,10 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, annotate=None,
     norm decreases; when no scale of it helps, it backtracks once more along
     the LEVENBERG_DAMPING step.
     ``annotate(x, aux)`` returns extra fields for each history entry.
-    Returns ``(x, aux)`` once the norm reaches ``tol`` within ``max_iter``
-    steps (the iterate after the last step is tested too), filling ``stats``
-    when given; otherwise raises NonConvergence with the current iterate,
+    Returns ``(x, aux, history)`` once the norm reaches ``tol`` within
+    ``max_iter`` steps (the iterate after the last step is tested too),
+    ``history`` one entry per iterate, which :func:`solve` reports in its
+    ``stats``; otherwise raises NonConvergence with the current iterate,
     the best one since a step is accepted only on a strict decrease, and
     the history.
     """
@@ -644,10 +651,7 @@ def _damped_newton(residual, jacobian, x, tol, max_iter, annotate=None,
             entry.update(annotate(x, aux))
         history.append(entry)
         if rnorm <= tol:
-            if stats is not None:
-                stats.update(iterations=iteration, residual_norm=rnorm,
-                             history=history, unknowns=x.tolist())
-            return x, aux
+            return x, aux, history
         if iteration == max_iter:
             break
 

@@ -108,44 +108,39 @@ def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
     return _finite(np.array(v, dtype=float), key, where)
 
 
-def _parse_control_set(obj, m: int):
+# the control set's and the terminal vectors' dimensions are the problem's
+# to check, against m and n
+
+def _parse_control_set(obj):
     if not isinstance(obj, dict):
         raise SpecError("'control_set' must be an object")
     kind = _require(obj, "kind", "control_set")
     if kind == "box":
         _reject_unknown(obj, {"kind", "lower", "upper"}, "control_set")
-        cs = Box(lower=_vector(obj, "lower", "control_set"),
-                 upper=_vector(obj, "upper", "control_set"))
-    elif kind == "ball":
+        return Box(lower=_vector(obj, "lower", "control_set"),
+                   upper=_vector(obj, "upper", "control_set"))
+    if kind == "ball":
         _reject_unknown(obj, {"kind", "center", "radius"}, "control_set")
-        cs = Ball(center=_vector(obj, "center", "control_set"),
-                  radius=_number(obj, "radius", "control_set"))
-    else:
-        raise SpecError(f"control_set.kind must be 'box' or 'ball', got {kind!r}")
-    if cs.dim != m:
-        raise SpecError(f"control_set dimension {cs.dim} does not match m={m}")
-    return cs
+        return Ball(center=_vector(obj, "center", "control_set"),
+                    radius=_number(obj, "radius", "control_set"))
+    raise SpecError(f"control_set.kind must be 'box' or 'ball', got {kind!r}")
 
 
-def _parse_terminal(obj, n: int):
+def _parse_terminal(obj):
     if not isinstance(obj, dict):
         raise SpecError("'terminal' must be an object")
     variant = _require(obj, "variant", "terminal")
     if variant == "fixed_endpoints":
         _reject_unknown(obj, {"variant", "q0", "qf"}, "terminal")
-        term = FixedEndpoints(q0=_vector(obj, "q0", "terminal"),
+        return FixedEndpoints(q0=_vector(obj, "q0", "terminal"),
                               qf=_vector(obj, "qf", "terminal"))
-    elif variant == "fixed_initial_free_final":
+    if variant == "fixed_initial_free_final":
         _reject_unknown(obj, {"variant", "q0"}, "terminal")
-        term = FixedInitialFreeFinal(q0=_vector(obj, "q0", "terminal"))
-    elif variant == "periodic":
+        return FixedInitialFreeFinal(q0=_vector(obj, "q0", "terminal"))
+    if variant == "periodic":
         _reject_unknown(obj, {"variant"}, "terminal")
         return Periodic()
-    else:
-        raise SpecError(f"unknown terminal variant {variant!r}")
-    if term.q0.size != n:         # FixedEndpoints checked qf against q0
-        raise SpecError(f"terminal vectors must have length n={n}")
-    return term
+    raise SpecError(f"unknown terminal variant {variant!r}")
 
 
 def read_spec_file(path, what: str = "problem specification") -> dict:
@@ -205,8 +200,8 @@ def _parse_inline(data: dict) -> LoadedSpec:
         raise SpecError("final_time_mode must be 'fixed' or 'free'")
     final_time = FreeTime(tf) if mode == "free" else FixedTime(tf)
 
-    control_set = _parse_control_set(_require(data, "control_set", "inline spec"), m)
-    terminal = _parse_terminal(_require(data, "terminal", "inline spec"), n)
+    control_set = _parse_control_set(_require(data, "control_set", "inline spec"))
+    terminal = _parse_terminal(_require(data, "terminal", "inline spec"))
 
     dyn = _require(data, "dynamics", "inline spec")
     if dyn == "lti":

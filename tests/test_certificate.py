@@ -162,6 +162,26 @@ def test_certificate_flags_a_grid_off_the_fixed_horizon():
                                "the fixed final time 3.0",)
 
 
+@pytest.mark.parametrize("M, t_f, times, lengths, violation", [
+    # two unit intervals on a grid that claims t_f = 4: the arcs end at 2
+    (0.9, 4.0, [0.0, 1.0], [1.0, 1.0],
+     "arcs: they run over [0.0, 2.0], not over the grid's [0, 4.0]"),
+    # interval 1 starts at 1.5, though interval 0 ends at 1
+    (0.3, 2.0, [0.0, 1.5], [1.0, 0.5],
+     "interval 1: starts at 1.5, not where interval 0 ends, 1.0"),
+], ids=["short", "gap"])
+def test_certificate_flags_arcs_that_do_not_tile_the_horizon(M, t_f, times,
+                                                             lengths,
+                                                             violation):
+    # hand-built grids the solver shoots on as given; the certificate reads
+    # the arcs' node times, not only the grid's t_f
+    grid = sp.SamplingGrid(period=1.0, t_f=t_f, times=np.array(times),
+                           lengths=np.array(lengths))
+    _, cert = sp.solve(parking_problem(M, t_f), grid)
+    assert not cert.passed
+    assert cert.violations == (violation,)
+
+
 def test_certificate_flags_inadmissible_control():
     ext = _extremal([[1.5], [0.5]])
     cert = sp.check_certificate(PARKING, ext)

@@ -477,8 +477,22 @@ def test_control_sequence_admissibility():
         control_set=sp.Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])),
      "control set dimension 2 != m=1"),
     (lambda: sp.ControlSequence(np.zeros((2, 1, 1))), "(K, m) array"),
+    # terminal vectors no problem can use, which solve used to meet first
+    (lambda: sp.FixedEndpoints(q0=[np.nan, 0.0], qf=[0.0, 0.0]), "finite"),
+    (lambda: sp.FixedEndpoints(q0=[2.0, 0.0], qf=[np.inf, 0.0]), "finite"),
+    (lambda: sp.FixedEndpoints(q0=[[2.0, 0.0]], qf=[[0.0, 0.0]]), "1-d"),
+    (lambda: sp.FixedInitialFreeFinal(q0=[np.nan, 1.0]), "finite"),
+    (lambda: dataclasses.replace(
+        parking_problem(2.0, 4.0),
+        terminal=sp.FixedEndpoints(q0=[2.0, 0.0, 0.0], qf=[0.0, 0.0, 0.0])),
+     "terminal vectors must have length n=2"),
+    (lambda: dataclasses.replace(
+        parking_problem(2.0, 4.0),
+        terminal=sp.FixedInitialFreeFinal(q0=[1.0])),
+     "terminal vectors must have length n=2"),
 ], ids=["box-2d", "ball-2d", "n-zero", "m-zero", "set-dimension",
-        "controls-3d"])
+        "controls-3d", "q0-nan", "qf-inf", "q0-2d", "free-final-nan",
+        "endpoints-length", "free-final-length"])
 def test_constructors_reject_malformed_input(build, message):
     with pytest.raises(ValueError) as exc:
         build()
@@ -638,7 +652,7 @@ _PARKING_DYNAMICS = {
      "unknown terminal variant 'loop'"),
     (json.dumps({**_INLINE, "control_set": {
         "kind": "ball", "center": [0, 0], "radius": 1}}),
-     "control_set dimension 2 does not match m=1"),
+     "control set dimension 2 != m=1"),
     (json.dumps({**_INLINE, "terminal": {
         "variant": "fixed_endpoints", "q0": [2], "qf": [0]}}),
      "terminal vectors must have length n=2"),

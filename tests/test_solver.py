@@ -1051,6 +1051,69 @@ def test_solve_planar_disc_matches_rotated_parking(residual_evals,
     assert work == (4, 8)
 
 
+def _report_cases():
+    """(problem, grid, start, path) of one solve by each shooting path, by
+    id: the closed-form map, the interval walk, a free horizon (demo 05's)
+    and the map's periodic branch."""
+    oscillator_q0 = sp.lti_problem(
+        np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]]),
+        control_set=sp.Box(lower=np.array([-1.0]), upper=np.array([1.0])),
+        terminal=sp.Periodic(), final_time=sp.FixedTime(2.0))
+    return {
+        "map": (parking_problem(2.0, 3.0), sp.build_grid(3.0, 0.375), None,
+                "map"),
+        "walk": (_oscillator(5.0), sp.build_grid(6.0, 0.25), None, "walk"),
+        "free-horizon": (_scalar_transfer(1.4), sp.build_grid(1.4, 0.3),
+                         [1.0, 1.4], "walk"),
+        "periodic-q0": (oscillator_q0, sp.build_grid(2.0, 0.5),
+                        [0.1, -0.2, 0.7, 0.3], "map"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_report_cases()))
+def test_solve_reports_its_newton_history(case, monkeypatch):
+    # stats holds the driver's history, one entry per accepted iterate, and
+    # the solved packed vector; a free horizon's entries carry the horizon
+    # of the grid each residual ran on
+    problem, grid, start, path = _report_cases()[case]
+    assert (solver._shooting_map(problem, grid) is None) == (path == "walk")
+    horizons = []
+    propagate = solver._propagate
+
+    def recording(*args):
+        out = propagate(*args)
+        horizons.append(out[1][0].t_f)
+        return out
+
+    monkeypatch.setattr(solver, "_propagate", recording)
+    stats = {}
+    ext, cert = sp.solve(problem, grid, initial_unknowns=start, stats=stats)
+    assert cert.passed
+    history = stats["history"]
+    assert sorted(stats) == ["history", "iterations", "residual_norm",
+                             "unknowns"]
+    assert stats["iterations"] == len(history) - 1 >= 1
+    assert stats["residual_norm"] == history[-1]["residual_norm"]
+    assert [e["iteration"] for e in history] == list(range(len(history)))
+    for e in history:
+        # one symbol per control component per interval of the entry's grid
+        K = sp.build_grid(e.get("t_f", grid.t_f), grid.period).n_intervals
+        assert len(e["active_set"]) == K * problem.m
+    packed = [*ext.initial_adjoint]
+    if isinstance(problem.terminal, sp.Periodic):
+        packed += [*ext.initial_state]
+    if isinstance(problem.final_time, sp.FreeTime):
+        packed.append(ext.grid.t_f)
+        # the accepted iterates' grids, in the order the search ran them
+        ran = iter(horizons)
+        assert all(any(t_f == e["t_f"] for t_f in ran) for e in history)
+        assert history[0]["t_f"] == grid.t_f
+        assert history[-1]["t_f"] == ext.grid.t_f
+    else:
+        assert not any("t_f" in e for e in history)
+    assert stats["unknowns"] == packed
+
+
 # ---------------------------------------------------------------------------
 # the closed-form shooting map of minimum-energy problems
 # ---------------------------------------------------------------------------
@@ -1260,14 +1323,13 @@ def test_swing_up_under_a_tight_box_does_not_converge():
 
 def test_damped_newton_tests_the_iterate_after_its_last_step():
     # one step solves 2x - 1 = 0 to rounding; the cap allows exactly one
-    stats = {}
-    x, _ = solver._damped_newton(lambda x: (2.0 * x - 1.0, None),
-                                 lambda x, _: np.array([[2.0]]),
-                                 np.array([3.0]), 1e-8, 1, stats=stats)
+    x, _, history = solver._damped_newton(lambda x: (2.0 * x - 1.0, None),
+                                          lambda x, _: np.array([[2.0]]),
+                                          np.array([3.0]), 1e-8, 1)
     assert x[0] == pytest.approx(0.5, abs=1e-8)
-    assert stats["iterations"] == 1
-    assert [e["iteration"] for e in stats["history"]] == [0, 1]
-    assert stats["history"][-1]["residual_norm"] <= 1e-8
+    assert len(history) == 2          # the start and one step
+    assert [e["iteration"] for e in history] == [0, 1]
+    assert history[-1]["residual_norm"] <= 1e-8
 
 
 # ---------------------------------------------------------------------------
