@@ -18,10 +18,11 @@ flag value that is not a positive finite number, a flag spelled as a
 prefix of another, and a non-finite number in the specification, the
 initial adjoint or a controls file, are bad input.
 Diagnostics go to standard error; artifacts (CSV, JSON, SVG) into the
-chosen output directory.  Every CSV artifact goes through one table writer
+chosen output directory.  Every CSV artifact goes through one CSV writer
 and every JSON artifact through one JSON writer.  Numeric CSV cells use
 %.12e with a dot decimal point, so identical inputs give byte-identical
-data files.
+data files.  The writers format in bulk: one ``%`` per table, and one per
+interval of a trajectory.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -255,18 +257,24 @@ def _parse_unknowns(text: str, problem) -> np.ndarray:
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _write_table(path, header, fmt: str, rows) -> None:
-    """CSV artifact: the header row, then ``fmt % tuple(row)`` per row."""
+def _write_csv(path, header, blocks) -> None:
+    """CSV artifact: the header row, then each block of formatted rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % tuple(row) + "\n" for row in rows)
+        fh.writelines(blocks)
+
+
+def _write_table(path, header, fmt: str, rows: list) -> None:
+    """CSV artifact of ``fmt % tuple(row)`` per row, every row formatted by
+    one ``%`` over the rows' cells."""
+    _write_csv(path, header, [(fmt + "\n") * len(rows)
+                              % tuple(itertools.chain.from_iterable(rows))])
 
 
 def _write_json(path, payload: dict) -> None:
     """JSON artifact: two-space indent, sorted keys, a closing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_trajectory_csv(extremal: Extremal, path) -> None:
@@ -276,16 +284,18 @@ def write_trajectory_csv(extremal: Extremal, path) -> None:
     header = (["t"] + [f"q_{i+1}" for i in range(n)]
               + [f"p_{i+1}" for i in range(n)] + ["k"]
               + [f"u_{i+1}" for i in range(m)])
-    k = np.broadcast_to(np.arange(K, dtype=float)[:, None, None],
-                        (K, nodes, 1))
-    u = np.broadcast_to(extremal.controls.values[:, None, :], (K, nodes, m))
-    rows = np.concatenate([extremal.times[:, :, None], extremal.states,
-                           extremal.adjoints, k, u], axis=2)
-    fmt = ",".join(["%.12e"] * (1 + 2 * n) + ["%d"] + ["%.12e"] * m)
-    # one row at a time as Python floats, which %-format faster than numpy
-    # scalars, without holding every row as a list
-    _write_table(path, header, fmt,
-                 map(np.ndarray.tolist, rows.reshape(K * nodes, -1)))
+    heads = np.concatenate([extremal.times[:, :, None], extremal.states,
+                            extremal.adjoints], axis=2).reshape(K, -1)
+    head = "%.12e," * (1 + 2 * n)
+    tail = ",".join(["%d"] + ["%.12e"] * m) + "\n"
+    u = extremal.controls.values.tolist()
+    # one % per interval, as Python floats, which %-format faster than
+    # numpy scalars: its k, u tail is formatted once into the format of its
+    # rows (a formatted number holds no %), and no more than one interval's
+    # text is held at a time
+    _write_csv(path, header, (
+        ((head + tail % (k, *u[k])) * nodes) % tuple(cells.tolist())
+        for k, cells in enumerate(heads)))
 
 
 def write_certificate_json(cert: Certificate, path) -> None:
@@ -296,9 +306,11 @@ def _write_controls_csv(path, grid, controls, residuals) -> None:
     m = controls.m
     header = (["k", "t_k", "delta_k"] + [f"u_{i+1}" for i in range(m)]
               + ["residual_k"])
+    # k as a float, which %d writes as the integer it is
     _write_table(path, header, ",".join(["%d"] + ["%.12e"] * (m + 3)),
-                 [(k, grid.times[k], grid.lengths[k], *controls[k],
-                   residuals[k]) for k in range(grid.n_intervals)])
+                 np.column_stack([np.arange(grid.n_intervals), grid.times,
+                                  grid.lengths, controls.values,
+                                  residuals]).tolist())
 
 
 def _verdict(cert: Certificate) -> int:
@@ -494,7 +506,8 @@ def cmd_compare(args) -> int:
     hold = u[grid.interval_of(ts)]
     star = np.asarray(parking.permanent_control(M, t_f, ts))
     _write_table(out_dir / "compare.csv", ["t", "u_hold", "u_star"],
-                 "%.12e,%.12e,%.12e", zip(ts, hold, star))
+                 "%.12e,%.12e,%.12e",
+                 np.column_stack([ts, hold, star]).tolist())
 
     edges = list(np.asarray(grid.times)) + [t_f]
     fig = SvgPlot(title=f"sample-and-hold (M={M:g}, tf={t_f:g}, T={T:g})",

@@ -359,7 +359,7 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
     grid, controls, _, (z_last, tangents) = propagated
     n = problem.n
     has_tf = isinstance(problem.final_time, FreeTime)
-    chain = _start_tangent(problem)
+    start = chain = _start_tangent(problem)
     for tangent in tangents[:-1] if has_tf else tangents:
         chain = tangent @ chain
     if has_tf:
@@ -375,7 +375,7 @@ def _tangent_jacobian(problem: ProblemDefinition, propagated):
         x = np.append(z_last, grid.lengths[-1])
         chain = _fd_jacobian(last_interval, x) @ np.vstack(
             [chain, np.eye(chain.shape[1])[-1]])
-    return _linearized_residual(problem, chain)
+    return _linearized_residual(problem, start, chain)
 
 
 def _start_tangent(problem: ProblemDefinition) -> np.ndarray:
@@ -391,14 +391,15 @@ def _start_tangent(problem: ProblemDefinition) -> np.ndarray:
     return S
 
 
-def _linearized_residual(problem: ProblemDefinition,
+def _linearized_residual(problem: ProblemDefinition, start: np.ndarray,
                          chain: np.ndarray) -> np.ndarray:
     """The shooting residual's Jacobian from ``chain``, the derivative of
     :func:`_residual`'s ``out`` in the packed unknowns.  The residual is
     affine in (z(0), out), so column i is its linear part at
-    (S e_i, chain e_i), S = :func:`_start_tangent`."""
+    (S e_i, chain e_i), S = ``start``, the caller's
+    :func:`_start_tangent`."""
     offset = _residual(problem, np.zeros(2 * problem.n), np.zeros(len(chain)))
-    return (_residual(problem, _start_tangent(problem).T, chain.T) - offset).T
+    return (_residual(problem, start.T, chain.T) - offset).T
 
 
 def shooting_residual(problem: ProblemDefinition, grid: SamplingGrid,
@@ -524,7 +525,8 @@ def _map_jacobian(problem: ProblemDefinition, shooting: _ShootingMap,
     transition = np.zeros((2 * n, 2 * n))
     transition[:n, :n], transition[n:, n:] = shooting.phi, shooting.adjoint
     transition[:n, n:] = (shooting.e @ D @ shooting.w).sum(axis=0)
-    return _linearized_residual(problem, transition @ _start_tangent(problem))
+    start = _start_tangent(problem)
+    return _linearized_residual(problem, start, transition @ start)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 Fixed 800x500 viewport, linear axes with tick labels, and three series
 types: polylines, cross markers, and zero-order-hold staircases.  Output is
 plain text with fixed numeric formatting, so identical data produces
-byte-identical files.
+byte-identical files.  A series is scaled as an array and formatted by one
+``%`` over all its points.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List
+
+import numpy as np
 
 WIDTH = 800
 HEIGHT = 500
@@ -22,12 +25,20 @@ CROSS_SIZE = 4.0        # half-width of a cross marker
 TICK_TARGET = 6         # ticks per axis aimed at
 
 
+def _nonempty(lo: float, hi: float) -> float:
+    """hi, or for an empty range the end of a unit span, lo + 1, or of one
+    float step where 1 is below the resolution of lo."""
+    if hi > lo:
+        return hi
+    hi = lo + 1.0
+    return hi if hi > lo else math.nextafter(lo, math.inf)
+
+
 def _nice_ticks(lo: float, hi: float):
     """Round tick positions covering [lo, hi] with a 1/2/5 step."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _nonempty(lo, hi)
     span = hi - lo
     raw = span / (TICK_TARGET - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -40,12 +51,21 @@ def _nice_ticks(lo: float, hi: float):
     t = first
     while t <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(t) < 1e-15 * span else t)
+        if t + step == t:  # a step below the resolution of t
+            break
         t += step
     return ticks or [lo, hi]
 
 
 def _fmt(v: float) -> str:
     return "%.6g" % v
+
+
+def _rows(fmt: str, sep: str, *columns) -> str:
+    """``fmt`` once per row of the equal-length ``columns``, joined by
+    ``sep``: one ``%`` over the rows' cells."""
+    cells = np.column_stack(columns).ravel().tolist()
+    return sep.join([fmt] * len(columns[0])) % tuple(cells)
 
 
 class SvgPlot:
@@ -60,27 +80,32 @@ class SvgPlot:
         self._xmax = self._ymax = -math.inf
 
     def _grow(self, xs, ys):
-        xs = [x for x in xs if math.isfinite(x)]
-        ys = [y for y in ys if math.isfinite(y)]
-        self._xmin, self._xmax = min([self._xmin] + xs), max([self._xmax] + xs)
-        self._ymin, self._ymax = min([self._ymin] + ys), max([self._ymax] + ys)
+        xs, ys = xs[np.isfinite(xs)], ys[np.isfinite(ys)]
+        self._xmin = min(self._xmin, float(xs.min(initial=math.inf)))
+        self._xmax = max(self._xmax, float(xs.max(initial=-math.inf)))
+        self._ymin = min(self._ymin, float(ys.min(initial=math.inf)))
+        self._ymax = max(self._ymax, float(ys.max(initial=-math.inf)))
 
     def _add(self, kind, xs, ys, color):
-        xs = [float(v) for v in xs]
-        ys = [float(v) for v in ys]
+        xs = np.array(xs, dtype=float)
+        ys = np.array(ys, dtype=float)
         self._grow(xs, ys)
         self._series.append((kind, xs, ys, color))
 
     def add_line(self, xs, ys, color: str = "red"):
+        if len(xs) != len(ys):
+            raise ValueError("a line needs len(xs) == len(ys)")
         self._add("line", xs, ys, color)
 
     def add_crosses(self, xs, ys, color: str = "blue"):
+        if len(xs) != len(ys):
+            raise ValueError("crosses need len(xs) == len(ys)")
         self._add("cross", xs, ys, color)
 
     def add_steps(self, edges, values, color: str = "blue"):
         """Zero-order hold: values[k] held on [edges[k], edges[k+1])."""
-        if len(edges) != len(values) + 1:
-            raise ValueError("steps need len(edges) == len(values) + 1")
+        if len(edges) != len(values) + 1 or not len(values):
+            raise ValueError("steps need len(edges) == len(values) + 1 > 1")
         self._add("steps", edges, values, color)
 
     def _scales(self):
@@ -90,10 +115,7 @@ class SvgPlot:
             xmin, xmax = 0.0, 1.0
         if not math.isfinite(ymin):
             ymin, ymax = 0.0, 1.0
-        if xmax <= xmin:
-            xmax = xmin + 1.0
-        if ymax <= ymin:
-            ymax = ymin + 1.0
+        xmax, ymax = _nonempty(xmin, xmax), _nonempty(ymin, ymax)
         padx = 0.05 * (xmax - xmin)
         pady = 0.08 * (ymax - ymin)
         xmin, xmax = xmin - padx, xmax + padx
@@ -101,6 +123,8 @@ class SvgPlot:
         iw = WIDTH - MARGIN_L - MARGIN_R
         ih = HEIGHT - MARGIN_T - MARGIN_B
 
+        # on a float or elementwise on an array, with the same operations
+        # in the same order, so either gives the same pixel
         def sx(x):
             return MARGIN_L + (x - xmin) / (xmax - xmin) * iw
 
@@ -150,26 +174,25 @@ class SvgPlot:
                        f'{(y0 + y1) / 2:.2f})">{self.ylabel}</text>')
 
         for kind, xs, ys, color in self._series:
+            # a non-finite point maps to nan or inf, as a float would
+            with np.errstate(invalid="ignore", over="ignore"):
+                px, py = sx(xs), sy(ys)
+            stroke = f'stroke="{color}" stroke-width="{STROKE_WIDTH}"/>'
             if kind == "line":
-                pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-                out.append(f'<polyline points="{pts}" fill="none" '
-                           f'stroke="{color}" stroke-width="{STROKE_WIDTH}"/>')
-            elif kind == "cross":
-                for x, y in zip(xs, ys):
-                    px, py, s = sx(x), sy(y), CROSS_SIZE
-                    out.append(f'<path d="M{px - s:.2f},{py - s:.2f} '
-                               f'L{px + s:.2f},{py + s:.2f} '
-                               f'M{px - s:.2f},{py + s:.2f} '
-                               f'L{px + s:.2f},{py - s:.2f}" '
-                               f'stroke="{color}" stroke-width="{STROKE_WIDTH}"/>')
+                pts = _rows("%.2f,%.2f", " ", px, py)
+                out.append(f'<polyline points="{pts}" fill="none" {stroke}')
+            elif kind == "cross" and len(xs):
+                s = CROSS_SIZE
+                out.append(_rows('<path d="M%.2f,%.2f L%.2f,%.2f '
+                                 'M%.2f,%.2f L%.2f,%.2f" '
+                                 + stroke.replace("%", "%%"), "\n",
+                                 px - s, py - s, px + s, py + s,
+                                 px - s, py + s, px + s, py - s))
             elif kind == "steps":
-                d = [f"M{sx(xs[0]):.2f},{sy(ys[0]):.2f}"]
-                for k in range(len(ys)):
-                    d.append(f"H{sx(xs[k + 1]):.2f}")
-                    if k + 1 < len(ys):
-                        d.append(f"V{sy(ys[k + 1]):.2f}")
-                out.append(f'<path d="{" ".join(d)}" fill="none" '
-                           f'stroke="{color}" stroke-width="{STROKE_WIDTH}"/>')
+                # M x_0,y_0 H x_1 V y_1 ... V y_K-1 H x_K: each y_k
+                # with the edge x_k+1 that ends its step
+                d = "M%.2f," % px[0] + _rows("%.2f H%.2f", " V", py, px[1:])
+                out.append(f'<path d="{d}" fill="none" {stroke}')
         out.append("</svg>")
         return "\n".join(out) + "\n"
 

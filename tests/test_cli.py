@@ -1,5 +1,6 @@
 """CLI commands, exit codes, artifact formats, determinism."""
 
+import copy
 import csv
 import json
 import math
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sampled_pmp import (ProblemDefinition, build_grid, load_problem_spec,
-                         parking, solve, solver)
+from sampled_pmp import (ControlSequence, ProblemDefinition, build_grid,
+                         cli, load_problem_spec, parking, solve, solver,
+                         svgfig)
 from sampled_pmp.cli import _build_parser, _resolve_problem, main
 from sampled_pmp.svgfig import SvgPlot, _nice_ticks
 
@@ -1031,6 +1033,181 @@ def test_compare_rejects_malformed_manifest(tmp_path, capsys, manifest,
     assert main(["compare", "--run", str(run)]) == 4
     err = capsys.readouterr().err
     assert "bad input" in err and message in err
+
+
+# ---------------------------------------------------------------------------
+# artifact writers against their per-row and per-point references
+# ---------------------------------------------------------------------------
+
+def _per_row_table(header, fmt, rows):
+    """A CSV table written ``fmt % tuple(row)`` row by row, the reference
+    for the table writer's one ``%`` per table."""
+    return (",".join(header) + "\n"
+            + "".join(fmt % tuple(row) + "\n" for row in rows)).encode()
+
+
+def test_controls_csv_matches_per_row_reference(tmp_path):
+    # two controls on a grid with a partial last interval, and a residual
+    # that is not a number
+    grid = build_grid(3.0, 0.7)
+    controls = ControlSequence(
+        np.random.default_rng(42).uniform(-1, 1, (grid.n_intervals, 2)))
+    residuals = np.array([1e-13, 0.0, math.nan, 2.5e-9, 7.0])
+    path = tmp_path / "controls.csv"
+    cli._write_controls_csv(path, grid, controls, residuals)
+    assert path.read_bytes() == _per_row_table(
+        ["k", "t_k", "delta_k", "u_1", "u_2", "residual_k"],
+        "%d,%.12e,%.12e,%.12e,%.12e,%.12e",
+        [(k, grid.times[k], grid.lengths[k], *controls[k], residuals[k])
+         for k in range(grid.n_intervals)])
+
+
+def test_sweep_csv_matches_per_row_reference(tmp_path):
+    # T = 5 leaves one interval, whose failed row holds nan cells next to
+    # its %s status
+    out = tmp_path / "sw"
+    assert main(["sweep", "--problem", "parking", "--M", "2", "--tf", "3",
+                 "--T-list", "5,0.5", "--out", str(out)]) == 0
+    rows = [parking.sweep_row(2.0, 3.0, T) for T in (5.0, 0.5)]
+    assert [row.status for row in rows] == ["failed", "ok"]
+    assert math.isnan(rows[0].sup_dev)
+    assert (out / "sweep.csv").read_bytes() == _per_row_table(
+        ["T", "K", "sup_dev", "terminal_residual", "max_pmp_residual",
+         "cost_sampled", "cost_permanent", "status"],
+        "%.12e,%d,%.12e,%.12e,%.12e,%.12e,%.12e,%s",
+        [(row.T, row.K, row.sup_dev, row.terminal_residual,
+          row.max_pmp_residual, row.cost_sampled, row.cost_permanent,
+          row.status) for row in rows])
+
+
+def test_compare_csv_matches_per_row_reference(tmp_path):
+    run = tmp_path / "run"
+    assert main(["solve", "--problem", "parking", "--M", "2", "--tf", "3",
+                 "--T", "0.7", "--out", str(run)]) == 0
+    assert main(["compare", "--run", str(run), "--out",
+                 str(tmp_path / "cmp")]) == 0
+    _, controls = _read_csv(run / "controls.csv")
+    u = np.array([float(r[3]) for r in controls])
+    ts = np.linspace(0.0, 3.0, 1001)
+    hold = u[build_grid(3.0, 0.7).interval_of(ts)]
+    star = np.asarray(parking.permanent_control(2.0, 3.0, ts))
+    assert (tmp_path / "cmp" / "compare.csv").read_bytes() == _per_row_table(
+        ["t", "u_hold", "u_star"], "%.12e,%.12e,%.12e", zip(ts, hold, star))
+
+
+def test_json_artifact_matches_json_dump(tmp_path):
+    payload = {"z": [1, 2.5, -0.0, math.nan, math.inf, -math.inf],
+               "a": {"nested": {"b": None, "a": True}, "empty": {}, "l": []},
+               "text": "T=0.5 ü \"quoted\"\n", "big": 1e300, "tiny": 5e-324}
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    cli._write_json(tmp_path / "bulk.json", payload)
+    assert (tmp_path / "bulk.json").read_bytes() == reference.read_bytes()
+
+
+def _per_point_series(plot):
+    """The series of ``plot`` drawn point by point with f-strings, the
+    reference for the renderer's one ``%`` per series."""
+    _, _, (xmin, xmax, ymin, ymax) = plot._scales()
+    iw = svgfig.WIDTH - svgfig.MARGIN_L - svgfig.MARGIN_R
+    ih = svgfig.HEIGHT - svgfig.MARGIN_T - svgfig.MARGIN_B
+
+    def sx(x):
+        return svgfig.MARGIN_L + (x - xmin) / (xmax - xmin) * iw
+
+    def sy(y):
+        return (svgfig.HEIGHT - svgfig.MARGIN_B
+                - (y - ymin) / (ymax - ymin) * ih)
+
+    width = svgfig.STROKE_WIDTH
+    out = []
+    for kind, xs, ys, color in plot._series:
+        xs, ys = [float(v) for v in xs], [float(v) for v in ys]
+        if kind == "line":
+            pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+            out.append(f'<polyline points="{pts}" fill="none" '
+                       f'stroke="{color}" stroke-width="{width}"/>')
+        elif kind == "cross":
+            for x, y in zip(xs, ys):
+                px, py, s = sx(x), sy(y), svgfig.CROSS_SIZE
+                out.append(f'<path d="M{px - s:.2f},{py - s:.2f} '
+                           f'L{px + s:.2f},{py + s:.2f} '
+                           f'M{px - s:.2f},{py + s:.2f} '
+                           f'L{px + s:.2f},{py - s:.2f}" '
+                           f'stroke="{color}" stroke-width="{width}"/>')
+        elif kind == "steps":
+            d = [f"M{sx(xs[0]):.2f},{sy(ys[0]):.2f}"]
+            for k in range(len(ys)):
+                d.append(f"H{sx(xs[k + 1]):.2f}")
+                if k + 1 < len(ys):
+                    d.append(f"V{sy(ys[k + 1]):.2f}")
+            out.append(f'<path d="{" ".join(d)}" fill="none" '
+                       f'stroke="{color}" stroke-width="{width}"/>')
+    return out
+
+
+def test_svg_series_match_per_point_reference():
+    # points across twelve decades with nan, infinite and signed-zero
+    # coordinates, an empty cross series, one-point series of each kind and
+    # a color holding a %: the series lines are the per-point reference's,
+    # between the axes drawn for the same ranges and the closing tag
+    rng = np.random.default_rng(43)
+    xs = rng.normal(size=300) * 10.0 ** rng.integers(-6, 6, size=300)
+    ys = rng.normal(size=300)
+    xs[[3, 4, 5]] = [math.nan, math.inf, -0.0]
+    ys[[6, 7, 8]] = [-math.inf, math.nan, -0.0]
+    plot = SvgPlot(title="reference", xlabel="t", ylabel="u")
+    plot.add_line(xs, ys)
+    plot.add_line(np.sort(xs[:40]), ys[:40], color="rgb(0%,50%,0%)")
+    plot.add_crosses([], [])
+    plot.add_crosses(xs[:60], ys[:60], color="green")
+    plot.add_crosses([0.25], [math.nan])
+    plot.add_line([1.0], [2.0])
+    plot.add_steps([0.0, 1.0], [0.5])
+    values = rng.uniform(-1.0, 1.0, 9)
+    values[4] = math.nan
+    plot.add_steps(np.linspace(-2.0, 2.5, 10), values, color="purple")
+    bare = copy.copy(plot)
+    bare._series = []
+    axes = bare.render()[:-len("</svg>\n")]
+    assert plot.render() == (axes + "".join(
+        line + "\n" for line in _per_point_series(plot)) + "</svg>\n")
+
+
+def test_svg_plot_renders_coordinates_below_float_resolution():
+    # at 1e16 a tick step of 1 is below the resolution of the tick, which
+    # kept the tick loop from advancing; at 1e17 a lone point's unit span
+    # rounds back to an empty range.  Each renders a valid SVG.  The child
+    # process's timeout keeps a hang from holding the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import xml.dom.minidom
+from sampled_pmp.svgfig import SvgPlot
+line, cross = SvgPlot(), SvgPlot()
+line.add_line([1e16, 1e16 + 4], [0.0, 1.0])
+cross.add_crosses([1e17], [0.5])
+for plot in (line, cross):
+    svg = plot.render()
+    assert "nan" not in svg and "inf" not in svg, svg
+    xml.dom.minidom.parseString(svg)
+    print(svg.count("<polyline"), svg.count("<path"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["1 0", "0 1", ""]
+
+
+def test_svg_plot_rejects_series_of_unequal_length():
+    for add in (SvgPlot().add_line, SvgPlot().add_crosses):
+        with pytest.raises(ValueError, match="len\\(xs\\) == len\\(ys\\)"):
+            add([0.0, 1.0], [0.5])
+    with pytest.raises(ValueError, match="len\\(edges\\)"):
+        SvgPlot().add_steps([0.0], [])
 
 
 def test_svg_plot_degenerate_ranges():

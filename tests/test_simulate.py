@@ -1,6 +1,7 @@
 """Sample-and-hold integration, adjoint arcs, quadrature, CSV export."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -621,3 +622,21 @@ def test_trajectory_csv_matches_per_cell_reference(tmp_path, build):
     path = tmp_path / "trajectory.csv"
     sp.write_trajectory_csv(ext, path)
     assert path.read_bytes() == _per_cell_trajectory_csv(ext).encode("utf-8")
+
+
+def test_trajectory_csv_holds_less_than_half_the_file(tmp_path):
+    # one % per interval: at K = 3000 (a 6.2 MB file) the writer's peak
+    # allocation stays under half the file, which no whole-file string fits
+    grid = sp.build_grid(3.0, 0.001)
+    ctrl = np.random.default_rng(16).uniform(-1.0, 1.0, (grid.n_intervals, 1))
+    ext = sp.integrate_extremal_forward(PARKING, grid, ctrl, Q0,
+                                        np.array([-1.0, -2.0]), -1.0)
+    path = tmp_path / "trajectory.csv"
+    tracemalloc.start()
+    try:
+        sp.write_trajectory_csv(ext, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.n_intervals == 3000
+    assert peak < path.stat().st_size / 2

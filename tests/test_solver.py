@@ -684,6 +684,24 @@ def test_forward_differences_only_off_the_lq_fixed_horizon_path(
         assert residual_evals() - start == evals
 
 
+def test_each_shooting_jacobian_builds_its_start_tangent_once(monkeypatch):
+    # the closed-form map (parking at Q = 0) and the walk (its callback
+    # twin, and a periodic problem, whose start tangent carries q(0)) chain
+    # from S and hand that S to the linearized residual
+    starts = _count_calls(monkeypatch, solver, "_start_tangent")
+    jacobians = _count_calls(monkeypatch, solver, "_linearized_residual")
+    periodic = double_integrator(sp.Periodic(), sp.FixedTime(2.0))
+    for prob, grid, x in ((PARKING4, sp.build_grid(4.0, 0.5), None),
+                          (dataclasses.replace(PARKING4, lq=None), GRID4,
+                           None),
+                          (periodic, sp.build_grid(2.0, 0.5),
+                           [0.1, -0.2, 0.7, 0.3])):
+        before = jacobians()
+        _, cert = sp.solve(prob, grid, initial_unknowns=x)
+        assert cert.passed and jacobians() > before
+    assert starts() == jacobians()
+
+
 def _zero_cost_parking(R):
     """Parking's A and B with Q = 0 and the given R: every interval with an
     interior control has a singular D (I + G) - I when R = 0."""
